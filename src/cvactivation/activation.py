@@ -14,7 +14,7 @@ there is no sampling mode.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -22,7 +22,8 @@ from scipy.optimize import minimize
 
 from .errors import InvariantError
 from .fock import DEFAULT_BUDGET, DensityMatrix, OperatorMatrix
-from .witnesses import WitnessSpec, witness_matrix, witness_value
+from .witnesses import PureProjector, TwoCopyProjector, WitnessBox, WitnessSpec
+from .witnesses import witness_matrix, witness_value
 
 Q_SEPARABLE = 1.0 / 3.0
 Q_STEERING = 0.5
@@ -195,19 +196,18 @@ def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix
     return m_plus, m_minus
 
 
-def _detection_probability(
-    rho: DensityMatrix, spec: WitnessSpec, budget: int
-) -> float:
-    """p = Tr(M_- rho) (or its two-copy analogue), from the signed violation."""
-    value = witness_value(spec, rho)  # -Tr(W rho)
-    # validate the box through the materialized witness when affordable
-    if not spec.is_two_copy or rho.dim**2 <= budget:
-        w = witness_matrix(spec, rho.cutoff, budget=budget)
-        vals = np.linalg.eigvalsh(w.matrix)
-        if vals[0] < -1.0 - 1e-9 or vals[-1] > 1.0 + 1e-9:
-            raise ValueError("witness outside the unit box")
-    p = (1.0 + value) / 2.0
-    return float(min(max(p, 0.0), 1.0))
+def _detection(rho: DensityMatrix, spec: WitnessSpec, budget: int) -> tuple[float, float]:
+    """Violation -Tr(W rho) and p = Tr(M_- rho), with the unit box checked once.
+
+    Projector witnesses are evaluated factored, so they are built only for
+    the box check, and two-copy ones not at all past ``budget``.
+    """
+    checked = replace(spec, box=WitnessBox(min(spec.box.n, 1.0), min(spec.box.m, 1.0)))
+    if isinstance(spec.family, (PureProjector, TwoCopyProjector)):
+        if not spec.is_two_copy or rho.dim**2 <= budget:
+            witness_matrix(checked, rho.cutoff, budget=budget)
+    value = witness_value(checked, rho)  # builds every other family, box asserted
+    return value, min(max((1.0 + value) / 2.0, 0.0), 1.0)
 
 
 def activate_entanglement(
@@ -220,8 +220,7 @@ def activate_entanglement(
     closed form is cross-checked against the output matrix's partial
     transpose.
     """
-    value = witness_value(spec, rho)
-    p = _detection_probability(rho, spec, budget)
+    value, p = _detection(rho, spec, budget)
     q = (4.0 * p - 1.0) / 3.0
     outcome = werner_analytics(q, witness=spec, validate=False)
     expected = max(0.0, value) / 2.0
@@ -240,8 +239,7 @@ def activate_steering(
     rho: DensityMatrix, spec: WitnessSpec, budget: int = DEFAULT_BUDGET
 ) -> ActivationOutcome:
     """Same POVM, maximally mixed complement: q = Tr(M_- rho), S = [-Tr(W rho)]_+."""
-    value = witness_value(spec, rho)
-    q = _detection_probability(rho, spec, budget)
+    value, q = _detection(rho, spec, budget)
     outcome = werner_analytics(q, witness=spec, validate=False)
     expected = max(0.0, value)
     if abs(outcome.steering - expected) > 1e-9:

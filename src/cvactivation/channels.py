@@ -116,8 +116,8 @@ def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> KrausChan
     damp = np.diag(np.power(eta, np.arange(dim) / 2.0)).astype(complex)
     ops = []
     a_power = np.eye(dim, dtype=complex)
+    coeff = 1.0  # (1-eta)^k / k! as a running product, which underflows, never overflows
     for k in range(dim):
-        coeff = (1.0 - eta) ** k / math.factorial(k)
         if coeff > 0.0:
             ops.append(
                 OperatorMatrix(
@@ -125,6 +125,7 @@ def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> KrausChan
                 )
             )
         a_power = a @ a_power
+        coeff *= (1.0 - eta) / (k + 1)
         if not np.any(a_power):
             break
     return KrausChannel(tuple(ops), label=f"loss(eta={eta})")

@@ -500,8 +500,6 @@ _DEFAULTS = {
         "resolution": 60,
         "validate_marginal": True,
         "out": "wigner.csv",
-        "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "negativity-depth": {
         "state": {"kind": "fock", "n": 1},
@@ -510,8 +508,6 @@ _DEFAULTS = {
         "radius": None,
         "resolution": 40,
         "out": "negativity_depth.json",
-        "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "loss-sweep": {
         "etas": [round(0.1 * k, 1) for k in range(11)],
@@ -519,8 +515,6 @@ _DEFAULTS = {
         "cutoff": 25,
         "resolution": 40,
         "out": "loss_sweep.csv",
-        "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "gkp-sweep": {
         "squeezing_db": [6.0, 8.0, 10.0, 12.0, 14.0, 16.5],
@@ -534,7 +528,6 @@ _DEFAULTS = {
         "depth_resolution": 35,
         "tail_tol_two": 1.0,
         "out": "gkp_sweep.csv",
-        "seeds": [0, 1, 2, 3],
         "budget": DEFAULT_BUDGET,
     },
     "pure-bounds": {
@@ -542,7 +535,6 @@ _DEFAULTS = {
         "cutoff": 40,
         "out": "pure_bounds.json",
         "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "activate": {
         "state": {"kind": "fock", "n": 1},
@@ -558,16 +550,12 @@ _DEFAULTS = {
         "cutoff": 25,
         "resolution": 40,
         "out": "boundary_mix.csv",
-        "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "property-suite": {
         "states": None,
         "cutoff": 25,
         "resolution": 35,
         "out": "property_suite.json",
-        "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
 }
 
@@ -595,8 +583,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--cutoff", type=int, help="Fock-space cutoff override")
         p.add_argument("--out", help="output path override")
-        p.add_argument("--seed-list", help="comma-separated seeds for multistarts")
-        p.add_argument("--budget", type=int, help="product-space dimension budget")
+        p.add_argument("--seed-list", help="comma-separated fit seeds (pure-bounds, activate)")
+        p.add_argument("--budget", type=int, help="product-space dimension (gkp-sweep, activate)")
     return parser
 
 

@@ -85,46 +85,65 @@ def _top_eigenvectors(rho: DensityMatrix, count: int) -> list[PureState]:
     return out
 
 
-def _parity_candidate(
-    rho: DensityMatrix, box: WitnessBox, cfg: FamilySearchConfig
-) -> tuple[float, WitnessSpec, bool]:
-    """Best displaced-parity value in the unit box, plus exactness flag.
+# nested free sets, smallest first: a witness admissible for one stays admissible above
+_HIERARCHY = (FreeSet.WIGNER_POSITIVE, FreeSet.GAUSSIAN_HULL, FreeSet.GAUSSIAN_TWO_COPY)
 
-    The spec is tagged with the Wigner-positive set it is feasible for;
-    hierarchy searches reuse it unchanged (hull) or as its two-copy lift.
+
+def _family_search(
+    rho: DensityMatrix, top: FreeSet, box: WitnessBox, cfg: FamilySearchConfig | None
+) -> tuple[list[tuple[float, WitnessSpec]], bool]:
+    """Witness candidates up to free set ``top``, plus exactness flag.
+
+    Each spec is tagged with the lowest free set it is admissible for.  The
+    displaced-parity candidate comes first, with its value in the unit box.
+    One Gaussian fit per top eigenvector yields both the hull projector
+    (value overlap - lam) and its two-copy lift (overlap^2 - lam^2); the
+    Wigner-positive level runs no fit at all.
     """
+    cfg = cfg or FamilySearchConfig()
     if is_odd_parity(rho):
-        spec = displaced_parity_spec(0.0, FreeSet.WIGNER_POSITIVE, box)
-        value = witness_value(
-            displaced_parity_spec(0.0, FreeSet.WIGNER_POSITIVE, WitnessBox()), rho
-        )
+        value = witness_value(displaced_parity_spec(0.0), rho)
         if abs(value - 1.0) > 1e-9:
             raise InvariantError(
                 f"odd-parity state should violate parity by 1, got {value}"
             )
-        return 1.0, spec, True
-    depth = negativity_depth(rho, cfg.depth)
-    value = (math.pi / 2.0) * depth.depth
-    spec = displaced_parity_spec(depth.argmin_alpha, FreeSet.WIGNER_POSITIVE, box)
-    return value, spec, False
-
-
-def _projector_candidates(
-    rho: DensityMatrix, box: WitnessBox, cfg: FamilySearchConfig, two_copy: bool
-) -> list[tuple[float, WitnessSpec, GaussianFidelityResult]]:
-    out = []
+        parity = [(1.0, displaced_parity_spec(0.0, FreeSet.WIGNER_POSITIVE, box))]
+        if box.n == box.m == 1.0:
+            # odd-parity states saturate the unit box for every free set in
+            # the hierarchy, so the chain is pinched at 1 exactly
+            return parity, True
+    else:
+        depth = negativity_depth(rho, cfg.depth)
+        spec = displaced_parity_spec(depth.argmin_alpha, FreeSet.WIGNER_POSITIVE, box)
+        parity = [((math.pi / 2.0) * depth.depth, spec)]
+    if top is FreeSet.WIGNER_POSITIVE:
+        return parity, False
+    hull, lifts = [], []
     for psi in _top_eigenvectors(rho, cfg.projector_rank):
-        fit = gaussian_fidelity(psi, cfg.gaussian)
-        lam = fit.max_fidelity
+        lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
         overlap = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-        if two_copy:
-            spec = two_copy_projector_spec(psi, lam, box)
-            value = overlap**2 - lam**2
-        else:
-            spec = pure_projector_spec(psi, lam, FreeSet.GAUSSIAN_HULL, box)
-            value = overlap - lam
-        out.append((value, spec, fit))
-    return out
+        hull.append((overlap - lam, pure_projector_spec(psi, lam, FreeSet.GAUSSIAN_HULL, box)))
+        lifts.append((overlap**2 - lam**2, two_copy_projector_spec(psi, lam, box)))
+    return parity + hull + lifts, False
+
+
+def _best_bound(
+    candidates: list[tuple[float, WitnessSpec]], exact: bool, free_set: FreeSet, box: WitnessBox
+) -> MonotoneBound:
+    """Bound from the best candidate admissible for ``free_set``.
+
+    Family values live in the unit box and are scaled by min(n, m); the
+    upper bound is n (the box cap) unless the exact odd-parity case applies.
+    """
+    if exact:
+        return MonotoneBound(1.0, 1.0, candidates[0][1], free_set, exact=True)
+    level = _HIERARCHY.index(free_set)
+    best_value, best_spec = max(
+        (c for c in candidates if _HIERARCHY.index(c[1].free_set) <= level),
+        key=lambda c: c[0],
+    )
+    lower = max(0.0, best_value) * min(box.n, box.m)
+    return MonotoneBound(min(lower, box.n), box.n, best_spec, free_set, exact=False)
 
 
 def lower_bound(
@@ -133,37 +152,15 @@ def lower_bound(
     box: WitnessBox = WitnessBox(),
     cfg: FamilySearchConfig | None = None,
 ) -> MonotoneBound:
-    """Certified lower bound from the admissible witness families.
+    """Certified lower bound from the witness families admissible for ``free_set``.
 
-    Family values live in the unit box and are scaled by min(n, m); the
-    upper bound defaults to n (the box cap) unless an analytically exact
-    case applies.  Search spaces nest along the hierarchy: the Gaussian
-    hull search includes the Wigner-positive family, and the two-copy
-    search includes lifts of everything below.
+    Search spaces nest along the hierarchy: the hull search adds projector
+    witnesses to the Wigner-positive parity family, and the two-copy search
+    adds their two-copy lifts; single-copy witnesses stay admissible with
+    unchanged expectation value.
     """
-    if cfg is None:
-        cfg = FamilySearchConfig()
-    parity_value, parity_spec, parity_exact = _parity_candidate(rho, box, cfg)
-    if parity_exact and box.n == box.m == 1.0:
-        # odd-parity states saturate the unit box for every free set in the
-        # hierarchy, so the chain is pinched at 1 exactly
-        return MonotoneBound(1.0, 1.0, parity_spec, free_set, exact=True)
-    # single-copy witnesses stay admissible up the hierarchy: parity for the
-    # hull directly, and everything single-copy as a two-copy lift with
-    # unchanged expectation value
-    candidates: list[tuple[float, WitnessSpec]] = [(parity_value, parity_spec)]
-    if free_set in (FreeSet.GAUSSIAN_HULL, FreeSet.GAUSSIAN_TWO_COPY):
-        for value, spec, _ in _projector_candidates(rho, box, cfg, two_copy=False):
-            candidates.append((value, spec))
-    if free_set is FreeSet.GAUSSIAN_TWO_COPY:
-        for value, spec, _ in _projector_candidates(rho, box, cfg, two_copy=True):
-            candidates.append((value, spec))
-
-    scale = min(box.n, box.m)
-    best_value, best_spec = max(candidates, key=lambda c: c[0])
-    lower = max(0.0, best_value) * scale
-    upper = box.n
-    return MonotoneBound(min(lower, upper), upper, best_spec, free_set, exact=False)
+    candidates, exact = _family_search(rho, free_set, box, cfg)
+    return _best_bound(candidates, exact, free_set, box)
 
 
 def hierarchy_check(
@@ -173,30 +170,13 @@ def hierarchy_check(
 ) -> tuple[MonotoneBound, MonotoneBound, MonotoneBound]:
     """Nested lower bounds (Wigner negativity, hull, two-copy).
 
-    The chain wn <= gng <= sng holds by construction because each search
-    space contains the previous one (parity witnesses stay admissible for
-    the hull, and single-copy witnesses lift with unchanged value); it is
-    asserted, not clamped.
+    All three are picked from one family search, each over the candidates
+    admissible for its free set.  The chain wn <= gng <= sng then holds by
+    construction, because each pick ranges over a superset of the previous
+    one; it is asserted, not clamped.
     """
-    if cfg is None:
-        cfg = FamilySearchConfig()
-    wn = lower_bound(rho, FreeSet.WIGNER_POSITIVE, box, cfg)
-    gng = lower_bound(rho, FreeSet.GAUSSIAN_HULL, box, cfg)
-    sng = lower_bound(rho, FreeSet.GAUSSIAN_TWO_COPY, box, cfg)
-    gng = MonotoneBound(
-        max(gng.lower, wn.lower),
-        gng.upper,
-        gng.witness if gng.lower >= wn.lower else wn.witness,
-        FreeSet.GAUSSIAN_HULL,
-        exact=gng.exact,
-    )
-    sng = MonotoneBound(
-        max(sng.lower, gng.lower),
-        sng.upper,
-        sng.witness if sng.lower >= gng.lower else gng.witness,
-        FreeSet.GAUSSIAN_TWO_COPY,
-        exact=sng.exact,
-    )
+    candidates, exact = _family_search(rho, FreeSet.GAUSSIAN_TWO_COPY, box, cfg)
+    wn, gng, sng = (_best_bound(candidates, exact, fs, box) for fs in _HIERARCHY)
     if not (wn.lower <= gng.lower + 1e-9 <= sng.lower + 2e-9):
         raise InvariantError(
             f"hierarchy violated: wn={wn.lower} gng={gng.lower} sng={sng.lower}"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, parity_op
 from cvactivation.states import GaussianPureParams, coherent, fock, gaussian_pure
 from cvactivation.channels import pure_loss
+from cvactivation import activation, witnesses
 from cvactivation.activation import (
     Classification,
     WernerState,
@@ -87,6 +88,25 @@ def test_steering_examples():
     # q = 0.75 sits above 1/sqrt(2), in the CHSH-violating band
     assert out.classification is Classification.BELL_NONLOCAL
     assert activate_steering(fock(0, 20).to_density(), pi_spec).steering == 0.0
+
+
+def test_activation_builds_witness_once(monkeypatch):
+    builds = []
+    original = witnesses.witness_matrix
+
+    def counting(*args, **kwargs):
+        builds.append(args[0])
+        return original(*args, **kwargs)
+
+    # witness_value reaches the builder through the witnesses module
+    for module in (activation, witnesses):
+        monkeypatch.setattr(module, "witness_matrix", counting)
+    rho = pure_loss(0.7, 20).apply(fock(1, 20).to_density())
+    spec = displaced_parity_spec(0.3 - 0.1j)
+    for channel in (activate_entanglement, activate_steering):
+        builds.clear()
+        channel(rho, spec)
+        assert len(builds) == 1
 
 
 def test_activation_exactness_random_pairs(rng):

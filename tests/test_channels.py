@@ -49,6 +49,14 @@ def test_loss_single_photon():
     assert np.real(rho.matrix[1, 1]) == pytest.approx(0.3, abs=1e-12)
 
 
+def test_loss_large_cutoff():
+    # k! exceeds the float range from k = 171 on
+    rho = pure_loss(0.9, 180).apply(fock(1, 180).to_density())
+    expected = np.zeros((180, 180))
+    expected[1, 1], expected[0, 0] = 0.9, 0.1
+    assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+
+
 def test_loss_identity_at_unit_transmissivity():
     rho = coherent(1.0, 20).to_density()
     out = pure_loss(1.0, 20).apply(rho)

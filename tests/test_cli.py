@@ -229,3 +229,9 @@ def test_seed_list_flag(tmp_path):
     assert run(["pure-bounds", "--out", out, "--seed-list", "5,6,7"]) == 0
     doc = json.loads(out.read_text())
     assert doc["metadata"]["config"]["seeds"] == [5, 6, 7]
+
+
+def test_seed_and_budget_rejected_where_ignored(tmp_path):
+    assert run(["wigner", "--out", tmp_path / "w.csv", "--seed-list", "1"]) == 2
+    assert run(["loss-sweep", "--out", tmp_path / "l.csv", "--budget", "10"]) == 2
+    assert not (tmp_path / "w.csv").exists() and not (tmp_path / "l.csv").exists()

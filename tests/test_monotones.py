@@ -1,4 +1,5 @@
 import pytest
+from cvactivation import monotones
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, parity_op
 from cvactivation.states import (
     GkpParams,
@@ -102,6 +103,29 @@ def test_hierarchy_lossy_photon_values():
     assert wn.lower == pytest.approx(0.2, abs=1e-6)
     assert gng.lower >= 0.2 - 1e-9
     assert sng.lower >= gng.lower - 1e-9
+    # each free set's own search lands on the same bound and witness
+    for bound in (wn, gng, sng):
+        alone = lower_bound(rho, bound.free_set, cfg=FAST)
+        assert alone.to_dict() == bound.to_dict()
+
+
+def test_hierarchy_runs_one_family_search(monkeypatch):
+    calls = {"negativity_depth": 0, "gaussian_fidelity": 0}
+
+    def counted(name):
+        original = getattr(monotones, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(monotones, name, counted(name))
+    rho = pure_loss(0.7, 15).apply(fock(1, 15).to_density())
+    hierarchy_check(rho, cfg=FAST)
+    assert calls == {"negativity_depth": 1, "gaussian_fidelity": 1}
 
 
 def test_boundary_mixture_canonical():
