@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import roots_hermite
 
 from .errors import BudgetError, TruncationError
@@ -24,11 +22,10 @@ from .fock import (
     FockCutoff,
     OperatorMatrix,
     PureState,
+    _quadrature_eigensystem,
     annihilation_matrix,
     as_cutoff,
     displacement_op,
-    momentum_op,
-    position_op,
 )
 
 TRACE_PRESERVATION_TOL = 1e-8
@@ -214,14 +211,18 @@ def apply_unitary(u: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:
 
 
 def sum_gate(cutoff: FockCutoff | int, budget: int = DEFAULT_BUDGET) -> OperatorMatrix:
-    """Two-mode gate exp(-i q_1 (x) p_2) on equal per-mode cutoffs."""
+    """Two-mode gate exp(-i q_1 (x) p_2) on equal per-mode cutoffs.
+
+    Diagonal in the product of the q and p eigenbases:
+    (V_q (x) V_p) diag(e^{-i q_i p_j}) (V_q (x) V_p)^dag.
+    """
     dim = as_cutoff(cutoff).dim
     if dim * dim > budget:
         raise BudgetError(f"two-mode dim {dim * dim} exceeds budget {budget}")
-    q = position_op(dim).matrix
-    p = momentum_op(dim).matrix
-    gate = expm(-1j * np.kron(q, p))
-    return OperatorMatrix(gate, hermitian=False, norm_bound=1.0)
+    (qvals, qvecs), (pvals, pvecs) = _quadrature_eigensystem(dim)
+    basis = np.kron(qvecs, pvecs)
+    phases = np.exp(-1j * np.outer(qvals, pvals)).ravel()
+    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False, norm_bound=1.0)
 
 
 def nearest_lattice_shift(value: float, spacing: float) -> float:
@@ -231,24 +232,6 @@ def nearest_lattice_shift(value: float, spacing: float) -> float:
     if abs(abs(ratio - np.trunc(ratio)) - 0.5) < 1e-12:
         nearest = np.trunc(ratio)
     return float(value - nearest * spacing)
-
-
-@lru_cache(maxsize=8)
-def _quadrature_eigensystem(dim: int):
-    q = position_op(dim).matrix
-    p = momentum_op(dim).matrix
-    qvals, qvecs = np.linalg.eigh(q)
-    pvals, pvecs = np.linalg.eigh(p)
-    return (qvals, qvecs), (pvals, pvecs)
-
-
-@lru_cache(maxsize=8)
-def _ec_gates(dim: int):
-    q = position_op(dim).matrix
-    p = momentum_op(dim).matrix
-    gate_q = expm(-1j * np.kron(q, p))  # ancilla position picks up data position
-    gate_p = expm(1j * np.kron(p, q))  # ancilla momentum picks up data momentum
-    return gate_q, gate_p
 
 
 def _validate_gkp_ancilla(ancilla: PureState) -> None:
@@ -271,47 +254,42 @@ def _validate_gkp_ancilla(ancilla: PureState) -> None:
 def _steane_round(
     rho_data: np.ndarray,
     ancilla: np.ndarray,
-    gate: np.ndarray,
-    eigvals: np.ndarray,
-    eigvecs: np.ndarray,
+    coupling_sign: float,
+    measured: tuple[np.ndarray, np.ndarray],
+    coupled: tuple[np.ndarray, np.ndarray],
     correct_quadrature: str,
     cutoff: FockCutoff,
 ) -> np.ndarray:
     """Couple data to ancilla, measure one ancilla quadrature, displace back.
 
+    The gate exp(i s X (x) Y) couples the data's measured quadrature X to the
+    ancilla's conjugate quadrature Y, so the ancilla outcome x_k leaves the
+    data in A_k rho A_k^dag with A_k = V_x diag(c_k) V_x^dag and
+    c_{k,i} = sum_j <x_k|y_j> <y_j|ancilla> e^{i s y_j x_i}.
     Outcome-averaged (deterministic) channel: each measurement branch gets
     the displacement returning its modular residue (mod sqrt(pi)) to zero.
     """
-    dim = rho_data.shape[0]
-    anc_rho = np.outer(ancilla, ancilla.conj())
-    joint = np.kron(rho_data, anc_rho)
-    joint = gate @ joint @ gate.conj().T
-    t = joint.reshape(dim, dim, dim, dim)
-    # branch k: <e_k|_ancilla joint |e_k>_ancilla, all outcomes at once
-    tmp = np.einsum("iajb,bk->iajk", t, eigvecs, optimize=True)
-    branches = np.einsum("ak,iajk->kij", eigvecs.conj(), tmp, optimize=True)
-    out = np.zeros((dim, dim), dtype=complex)
-    for k in range(dim):
-        branch = branches[k]
+    (xvals, xvecs), (yvals, yvecs) = measured, coupled
+    amps = (xvecs.conj().T @ yvecs) * (yvecs.conj().T @ ancilla)
+    coeffs = amps @ np.exp(1j * coupling_sign * np.outer(yvals, xvals))
+    rho_x = xvecs.conj().T @ rho_data @ xvecs
+    out = np.zeros_like(rho_data)
+    for k, c in enumerate(coeffs):
+        branch = np.outer(c, c.conj()) * rho_x  # A_k rho A_k^dag in the x eigenbasis
+        basis = xvecs
         prob = float(np.real(np.trace(branch)))
-        if prob <= 1e-14:
-            out += branch
-            continue
-        shift = nearest_lattice_shift(float(eigvals[k]), SQRT_PI)
-        if correct_quadrature == "q":
-            delta = -shift / math.sqrt(2.0)
-        else:
-            delta = -1j * shift / math.sqrt(2.0)
-        corr = displacement_op(delta, cutoff).matrix
-        out += corr @ branch @ corr.conj().T
+        if prob > 1e-14:
+            shift = nearest_lattice_shift(float(xvals[k]), SQRT_PI)
+            if correct_quadrature == "q":
+                delta = -shift / math.sqrt(2.0)
+            else:
+                delta = -1j * shift / math.sqrt(2.0)
+            basis = displacement_op(delta, cutoff).matrix @ xvecs
+        out += basis @ branch @ basis.conj().T
     return out
 
 
-def gkp_ec_round(
-    state: DensityMatrix,
-    ancilla: PureState,
-    budget: int = DEFAULT_BUDGET,
-) -> DensityMatrix:
+def gkp_ec_round(state: DensityMatrix, ancilla: PureState) -> DensityMatrix:
     """One deterministic round of grid-code error correction, both quadratures.
 
     Steane-style circuit per quadrature: the data couples to a fresh
@@ -328,17 +306,16 @@ def gkp_ec_round(
     if state.dim != ancilla.dim:
         raise ValueError("data and ancilla must share the cutoff")
     dim = state.dim
-    if dim * dim > budget:
-        raise BudgetError(f"two-mode dim {dim * dim} exceeds budget {budget}")
     _validate_gkp_ancilla(ancilla)
-    (qvals, qvecs), (pvals, pvecs) = _quadrature_eigensystem(dim)
-    gate_q, gate_p = _ec_gates(dim)
+    quad_q, quad_p = _quadrature_eigensystem(dim)
 
     fourier = np.exp(1j * (np.pi / 2.0) * np.arange(dim))
     anc_plus = fourier * ancilla.amplitudes
 
-    rho = _steane_round(state.matrix, anc_plus, gate_q, qvals, qvecs, "q", state.cutoff)
-    rho = _steane_round(rho, ancilla.amplitudes, gate_p, pvals, pvecs, "p", state.cutoff)
+    # position round exp(-i q (x) p): ancilla position picks up data position;
+    # momentum round exp(i p (x) q): ancilla momentum picks up data momentum
+    rho = _steane_round(state.matrix, anc_plus, -1.0, quad_q, quad_p, "q", state.cutoff)
+    rho = _steane_round(rho, ancilla.amplitudes, 1.0, quad_p, quad_q, "p", state.cutoff)
 
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-6:

@@ -342,7 +342,6 @@ def run_gkp_sweep(cfg: dict) -> int:
     if not 0.0 <= eta <= 1.0:
         raise ConfigError("eta must lie in [0, 1]")
     cutoff = int(cfg["cutoff"])
-    budget = int(cfg["budget"])
     depth_cfg = DepthSearchConfig(
         radius=float(cfg["depth_radius"]), resolution=int(cfg["depth_resolution"])
     )
@@ -351,7 +350,13 @@ def run_gkp_sweep(cfg: dict) -> int:
         raise ConfigError("loss_model must be 'bare' or 'amplified'")
     ec_on = bool(cfg["ec"])
     tail_tol = float(cfg["tail_tol_two"])
-    dbs = sorted(float(d) for d in cfg["squeezing_db"])
+    try:
+        dbs = sorted(float(d) for d in cfg["squeezing_db"])
+        codes = [GkpParams.from_db(db) for db in dbs]
+        anc_db = cfg["ancilla_db"]
+        anc_fixed = None if anc_db is None else GkpParams.from_db(float(anc_db))
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad squeezing level: {exc}") from exc
 
     if loss_model == "bare" or eta == 1.0:
         loss_apply = None if eta == 1.0 else pure_loss(eta, cutoff).apply
@@ -363,18 +368,16 @@ def run_gkp_sweep(cfg: dict) -> int:
 
     rows = []
     max_leak = 0.0
-    for db in dbs:
-        params = GkpParams.from_db(db)
+    for db, params in zip(dbs, codes):
         e_in = _gkp_input_activation(params, depth_cfg, float(cfg["depth_radius"]))
         code = gkp_damped(params, cutoff, tail_tol=tail_tol)
-        anc_db = cfg.get("ancilla_db")
-        anc_params = params if anc_db is None else GkpParams.from_db(float(anc_db))
         state = code.to_density()
         if loss_apply is not None:
             state = loss_apply(state)
         if ec_on:
+            anc_params = params if anc_fixed is None else anc_fixed
             ancilla = gkp_damped(anc_params, cutoff, tail_tol=tail_tol)
-            state = gkp_ec_round(state, ancilla, budget=budget)
+            state = gkp_ec_round(state, ancilla)
         max_leak = max(max_leak, code.leakage, state.leakage)
         d_out = negativity_depth(state, depth_cfg)
         e_out = (math.pi / 4.0) * d_out.depth
@@ -528,7 +531,6 @@ _DEFAULTS = {
         "depth_resolution": 35,
         "tail_tol_two": 1.0,
         "out": "gkp_sweep.csv",
-        "budget": DEFAULT_BUDGET,
     },
     "pure-bounds": {
         "state": {"kind": "fock", "n": 1},
@@ -584,7 +586,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=int, help="Fock-space cutoff override")
         p.add_argument("--out", help="output path override")
         p.add_argument("--seed-list", help="comma-separated fit seeds (pure-bounds, activate)")
-        p.add_argument("--budget", type=int, help="product-space dimension (gkp-sweep, activate)")
+        p.add_argument("--budget", type=int, help="product-space dimension (activate)")
     return parser
 
 

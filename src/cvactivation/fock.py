@@ -9,10 +9,11 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammainc
 
 from .errors import BudgetError, TruncationError
@@ -53,6 +54,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _check_finite(arr: np.ndarray, what: str) -> None:
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} has NaN or infinite entries")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector in the truncated Fock basis.
@@ -71,6 +77,7 @@ class PureState:
         object.__setattr__(self, "cutoff", cutoff)
         if amps.shape[0] != cutoff.dim:
             raise ValueError(f"amplitude length {amps.shape[0]} != dim {cutoff.dim}")
+        _check_finite(amps, "amplitudes")
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > 1e-10:
             raise ValueError(f"state norm {nrm} deviates from 1 beyond 1e-10")
@@ -121,6 +128,7 @@ class DensityMatrix:
         object.__setattr__(self, "cutoff", cutoff)
         if mat.shape != (cutoff.dim, cutoff.dim):
             raise ValueError(f"matrix shape {mat.shape} != ({cutoff.dim}, {cutoff.dim})")
+        _check_finite(mat, "density matrix")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > HERMITICITY_TOL:
             raise ValueError(f"matrix not Hermitian: max deviation {herm_dev:.3e}")
@@ -158,13 +166,14 @@ class OperatorMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator must be square, got shape {mat.shape}")
+        _check_finite(mat, "operator")
         if self.hermitian:
             dev = float(np.max(np.abs(mat - mat.conj().T)))
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
             mat = (mat + mat.conj().T) / 2.0
-        if self.norm_bound < 0:
-            raise ValueError("norm_bound must be nonnegative")
+        if not math.isfinite(self.norm_bound) or self.norm_bound < 0:
+            raise ValueError("norm_bound must be finite and nonnegative")
         object.__setattr__(self, "matrix", _frozen(mat))
         object.__setattr__(self, "norm_bound", float(self.norm_bound))
 
@@ -227,6 +236,16 @@ def momentum_op(cutoff: FockCutoff | int) -> OperatorMatrix:
     return OperatorMatrix(p, hermitian=True, norm_bound=float(np.sqrt(2.0 * (dim - 1))))
 
 
+@lru_cache(maxsize=8)
+def _quadrature_eigensystem(dim: int):
+    """Read-only eigenpairs ((x values, vectors), (p values, vectors)) of the truncated x, p."""
+    out = []
+    for op in (position_op(dim), momentum_op(dim)):
+        vals, vecs = np.linalg.eigh(op.matrix)
+        out.append((_frozen(vals), _frozen(vecs)))
+    return tuple(out)
+
+
 def coherent_tail_mass(alpha: complex, dim: int) -> float:
     """Probability a coherent state |alpha> carries above Fock level dim-1.
 
@@ -238,12 +257,6 @@ def coherent_tail_mass(alpha: complex, dim: int) -> float:
     return float(gammainc(dim, lam))
 
 
-def _unitary_polar(mat: np.ndarray) -> np.ndarray:
-    """Closest unitary in Frobenius norm (polar factor via SVD)."""
-    u, _, vh = np.linalg.svd(mat)
-    return u @ vh
-
-
 def displacement_op(
     alpha: complex,
     cutoff: FockCutoff | int,
@@ -251,10 +264,10 @@ def displacement_op(
 ) -> OperatorMatrix:
     """Weyl displacement exp(alpha a^dag - alpha* a) on the truncated space.
 
-    The generator is exponentiated densely (scaling-and-squaring Pade) and
-    the result is projected onto the closest unitary, so the returned
-    operator has exactly unit spectral norm; the pre-projection defect is
-    available through :func:`displacement_defect`.
+    With alpha = |alpha| e^{i theta} the generator is R (-i sqrt(2) |alpha| p) R^dag,
+    R = exp(i theta n), so the exact exponential of the truncated generator is
+    R V_p exp(-i sqrt(2) |alpha| Lambda_p) V_p^dag R^dag from the cached
+    eigensystem of the truncated p.
     """
     cutoff = as_cutoff(cutoff)
     dim = cutoff.dim
@@ -263,18 +276,13 @@ def displacement_op(
         raise TruncationError(
             f"displacement alpha={alpha} leaks {tail:.3e} > {tail_tol:.1e} at dim {dim}"
         )
-    a = annihilation_matrix(dim)
-    gen = alpha * a.conj().T - np.conj(alpha) * a
-    d_raw = expm(gen)
-    return OperatorMatrix(_unitary_polar(d_raw), hermitian=False, norm_bound=1.0)
-
-
-def displacement_defect(alpha: complex, cutoff: FockCutoff | int) -> float:
-    """Unitarity residual max|D D^dag - I| of the raw truncated exponential."""
-    dim = as_cutoff(cutoff).dim
-    a = annihilation_matrix(dim)
-    d_raw = expm(alpha * a.conj().T - np.conj(alpha) * a)
-    return float(np.max(np.abs(d_raw @ d_raw.conj().T - np.eye(dim))))
+    if alpha == 0:
+        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False, norm_bound=1.0)
+    _, (pvals, pvecs) = _quadrature_eigensystem(dim)
+    rot = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None]
+    basis = rot * pvecs
+    phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * pvals)
+    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False, norm_bound=1.0)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

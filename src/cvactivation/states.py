@@ -52,8 +52,8 @@ class GkpParams:
     peak_window: int | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < np.inf:
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.logical not in (0, 1):
             raise ValueError("logical must be 0 or 1")
         if self.peak_window is not None and self.peak_window < 1:
@@ -66,6 +66,8 @@ class GkpParams:
 
     @classmethod
     def from_db(cls, squeezing_db: float, logical: int = 0, peak_window: int | None = None):
+        if not squeezing_db > 0:
+            raise ValueError(f"squeezing_db must be positive, got {squeezing_db}")
         eps = float(np.arctanh(10.0 ** (-squeezing_db / 10.0)))
         return cls(epsilon=eps, logical=logical, peak_window=peak_window)
 

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from cvactivation.errors import BudgetError
 from cvactivation.fock import (
     DensityMatrix,
     FockCutoff,
     PureState,
+    annihilation_matrix,
+    momentum_op,
     parity_op,
     position_op,
     pure_fidelity,
@@ -149,14 +152,11 @@ def test_sum_gate_budget():
 
 
 def test_sum_gate_commutes_with_its_own_flow():
-    from scipy.linalg import expm
-
     gate = sum_gate(10).matrix
     q = position_op(10).matrix
-    from cvactivation.fock import momentum_op
-
     p = momentum_op(10).matrix
     partial = expm(-0.5j * np.kron(q, p))  # same generator, half strength
+    assert np.max(np.abs(gate - expm(-1j * np.kron(q, p)))) < 1e-12
     assert np.max(np.abs(gate @ partial - partial @ gate)) < 1e-10
 
 
@@ -203,11 +203,55 @@ def test_ec_round_rejects_bad_ancilla():
         gkp_ec_round(code.to_density(), fock(1, 22))
 
 
-def test_ec_round_budget():
-    params = GkpParams(epsilon=0.4)
-    code = gkp_damped(params, 22, tail_tol=1e-4)
-    with pytest.raises(BudgetError):
-        gkp_ec_round(code.to_density(), code, budget=100)
+def _dense_steane_round(rho, ancilla, gate, vals, vecs, correct_quadrature):
+    """Reference round: kron with the ancilla, dense gate, 4-index readout contraction."""
+    dim = rho.shape[0]
+    a = annihilation_matrix(dim)
+    joint = gate @ np.kron(rho, np.outer(ancilla, ancilla.conj())) @ gate.conj().T
+    t = joint.reshape(dim, dim, dim, dim)
+    branches = np.einsum("ak,iajb,bk->kij", vecs.conj(), t, vecs, optimize=True)
+    out = np.zeros((dim, dim), dtype=complex)
+    for k in range(dim):
+        branch = branches[k]
+        if np.real(np.trace(branch)) <= 1e-14:
+            out += branch
+            continue
+        shift = nearest_lattice_shift(vals[k], math.sqrt(math.pi))
+        delta = (1.0 if correct_quadrature == "q" else 1j) * -shift / math.sqrt(2.0)
+        corr = expm(delta * a.conj().T - np.conj(delta) * a)
+        out += corr @ branch @ corr.conj().T
+    return out
+
+
+def _dense_ec_round(rho, ancilla):
+    dim = rho.shape[0]
+    q = position_op(dim).matrix
+    p = momentum_op(dim).matrix
+    anc_plus = np.exp(1j * (np.pi / 2.0) * np.arange(dim)) * ancilla
+    out = _dense_steane_round(rho, anc_plus, expm(-1j * np.kron(q, p)), *np.linalg.eigh(q), "q")
+    out = _dense_steane_round(out, ancilla, expm(1j * np.kron(p, q)), *np.linalg.eigh(p), "p")
+    return out / np.real(np.trace(out))
+
+
+def test_ec_round_matches_dense_circuit():
+    code = gkp_damped(GkpParams(epsilon=0.3), 22, tail_tol=1e-4)
+    clean = code.to_density()
+    for rho in (
+        clean,
+        pure_loss(0.9, 22).apply(clean),
+        gaussian_noise(GaussNoiseParams(0.05), 22).apply(clean),
+    ):
+        out = gkp_ec_round(rho, code)
+        oracle = _dense_ec_round(rho.matrix, code.amplitudes)
+        assert np.max(np.abs(out.matrix - oracle)) < 1e-12
+
+
+def test_ec_round_beyond_old_budget():
+    # cutoff 80: a 6400-dim two-mode space, past the default budget of 4096
+    code = gkp_damped(GkpParams(epsilon=0.3), 80, tail_tol=1e-4)
+    out = gkp_ec_round(pure_loss(0.9, 80).apply(code.to_density()), code)
+    assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(out.matrix)[0] > -1e-9
 
 
 def test_loss_threshold_wigner_minimum():

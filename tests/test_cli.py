@@ -234,4 +234,13 @@ def test_seed_list_flag(tmp_path):
 def test_seed_and_budget_rejected_where_ignored(tmp_path):
     assert run(["wigner", "--out", tmp_path / "w.csv", "--seed-list", "1"]) == 2
     assert run(["loss-sweep", "--out", tmp_path / "l.csv", "--budget", "10"]) == 2
-    assert not (tmp_path / "w.csv").exists() and not (tmp_path / "l.csv").exists()
+    assert run(["gkp-sweep", "--out", tmp_path / "g.csv", "--budget", "10"]) == 2
+    assert not any((tmp_path / name).exists() for name in ("w.csv", "l.csv", "g.csv"))
+
+
+@pytest.mark.parametrize("bad", [{"ancilla_db": -3}, {"squeezing_db": [0]}])
+def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(bad))
+    assert run(["gkp-sweep", "--config", cfgfile, "--out", tmp_path / "g.csv"]) == 2
+    assert not (tmp_path / "g.csv").exists()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from cvactivation.errors import BudgetError, TruncationError
 from cvactivation.fock import (
@@ -11,7 +12,7 @@ from cvactivation.fock import (
     FockCutoff,
     OperatorMatrix,
     PureState,
-    displacement_defect,
+    annihilation_matrix,
     displacement_op,
     fidelity,
     identity_op,
@@ -102,7 +103,17 @@ def test_displacement_composition_phase():
 def test_displacement_guard_raises():
     with pytest.raises(TruncationError):
         displacement_op(3.0, 8)
-    assert displacement_defect(0.5, 30) < 1e-10
+
+
+@pytest.mark.parametrize("dim", [10, 40])
+def test_displacement_matches_dense_exponential(dim):
+    # the spectral form is the exact exponential of the truncated generator
+    a = annihilation_matrix(dim)
+    for alpha in (0.5, -0.7j, 1 + 0.5j, 1.2 * np.exp(2.1j)):
+        oracle = expm(alpha * a.conj().T - np.conj(alpha) * a)
+        d = displacement_op(alpha, dim, tail_tol=1.0).matrix
+        assert np.max(np.abs(d - oracle)) < 1e-12
+    assert np.array_equal(displacement_op(0, dim).matrix, np.eye(dim))
 
 
 def test_density_matrix_invariants_enforced():
@@ -115,6 +126,21 @@ def test_density_matrix_invariants_enforced():
     neg = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix(neg, FockCutoff(2))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda bad: PureState(np.full(2, bad), FockCutoff(2)),
+        lambda bad: DensityMatrix(np.full((2, 2), bad), FockCutoff(2)),
+        lambda bad: OperatorMatrix(np.full((2, 2), bad), hermitian=False, norm_bound=1.0),
+        lambda bad: OperatorMatrix(np.eye(2), hermitian=True, norm_bound=bad),
+    ],
+)
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_constructors_reject_non_finite(build, bad):
+    with pytest.raises(ValueError):
+        build(bad)
 
 
 def test_pure_state_norm_enforced():
