@@ -24,6 +24,7 @@ from . import __version__
 from .activation import activate_entanglement, activate_steering
 from .channels import (
     GaussNoiseParams,
+    LossParams,
     damping,
     gaussian_noise,
     gkp_ec_round,
@@ -63,6 +64,7 @@ from .wigner import (
     negativity_depth_fn,
     wigner_grid,
     wigner_pure_comb,
+    wigner_pure_comb_jet,
 )
 from .witnesses import (
     FreeSet,
@@ -208,8 +210,20 @@ def _parse_complex(val) -> complex:
 
 def _parse_state(spec, cutoff: int) -> DensityMatrix:
     if isinstance(spec, dict) and spec.get("kind") == "thermal":
-        return thermal(float(spec.get("nbar", 1.0)), cutoff)
+        try:
+            return thermal(float(spec.get("nbar", 1.0)), cutoff)
+        except (ValueError, TypeError) as exc:
+            raise ConfigError(f"bad state spec {spec}: {exc}") from exc
     return _parse_pure_state(spec, cutoff).to_density()
+
+
+def _depth_config(resolution, radius=None) -> DepthSearchConfig:
+    try:
+        return DepthSearchConfig(
+            radius=None if radius is None else float(radius), resolution=int(resolution)
+        )
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad depth search settings: {exc}") from exc
 
 
 def _parse_channel(spec, cutoff: int):
@@ -256,10 +270,12 @@ def run_wigner(cfg: dict) -> int:
     channel = _parse_channel(cfg.get("channel"), cfg["cutoff"])
     if channel is not None:
         rho = channel(rho)
+    # the same square grid as the depth search scans, validated the same way
+    grid_cfg = _depth_config(cfg["resolution"], cfg.get("radius"))
     grid = wigner_grid(
         rho,
-        radius=cfg.get("radius"),
-        resolution=int(cfg["resolution"]),
+        radius=grid_cfg.radius,
+        resolution=grid_cfg.resolution,
         validate_marginal=bool(cfg.get("validate_marginal", True)),
     )
     meta = _metadata(cfg, grid.leakage)
@@ -273,10 +289,7 @@ def run_negativity_depth(cfg: dict) -> int:
     channel = _parse_channel(cfg.get("channel"), cfg["cutoff"])
     if channel is not None:
         rho = channel(rho)
-    depth_cfg = DepthSearchConfig(
-        radius=cfg.get("radius"), resolution=int(cfg["resolution"])
-    )
-    res = negativity_depth(rho, depth_cfg)
+    res = negativity_depth(rho, _depth_config(cfg["resolution"], cfg.get("radius")))
     write_json(
         cfg["out"],
         {
@@ -294,19 +307,18 @@ def run_loss_sweep(cfg: dict) -> int:
     n = int(cfg["fock_n"])
     pi = parity_op(cutoff)
     input_state = fock(n, cutoff).to_density()
+    try:
+        etas = sorted(LossParams(float(e)).eta for e in cfg["etas"])
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(f"bad etas: {exc}") from exc
+    search_cfg = FamilySearchConfig(depth=_depth_config(cfg["resolution"]))
     rows = []
     max_leak = 0.0
-    for eta in sorted(float(e) for e in cfg["etas"]):
+    for eta in etas:
         rho = pure_loss(eta, cutoff).apply(input_state)
         max_leak = max(max_leak, rho.leakage)
         parity_exp = float(np.real(rho.expectation(pi)))
-        bound = lower_bound(
-            rho,
-            FreeSet.WIGNER_POSITIVE,
-            cfg=FamilySearchConfig(
-                depth=DepthSearchConfig(resolution=int(cfg["resolution"]))
-            ),
-        )
+        bound = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=search_cfg)
         ent = activate_entanglement(rho, bound.witness)
         steer = activate_steering(rho, bound.witness)
         rows.append(
@@ -328,11 +340,14 @@ def run_loss_sweep(cfg: dict) -> int:
     return 0
 
 
-def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig, radius: float) -> float:
+def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> float:
     """Best displaced-parity activation on the exact (untruncated) codeword."""
     centers, envelope, sigma2 = gkp_comb(params)
     res = negativity_depth_fn(
-        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts), radius, depth_cfg
+        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+        depth_cfg.radius,
+        depth_cfg,
     )
     return (math.pi / 4.0) * res.depth
 
@@ -342,9 +357,9 @@ def run_gkp_sweep(cfg: dict) -> int:
     if not 0.0 <= eta <= 1.0:
         raise ConfigError("eta must lie in [0, 1]")
     cutoff = int(cfg["cutoff"])
-    depth_cfg = DepthSearchConfig(
-        radius=float(cfg["depth_radius"]), resolution=int(cfg["depth_resolution"])
-    )
+    depth_cfg = _depth_config(cfg["depth_resolution"], cfg["depth_radius"])
+    if depth_cfg.radius is None:
+        raise ConfigError("depth_radius must be a number")
     loss_model = cfg["loss_model"]
     if loss_model not in ("bare", "amplified"):
         raise ConfigError("loss_model must be 'bare' or 'amplified'")
@@ -369,7 +384,7 @@ def run_gkp_sweep(cfg: dict) -> int:
     rows = []
     max_leak = 0.0
     for db, params in zip(dbs, codes):
-        e_in = _gkp_input_activation(params, depth_cfg, float(cfg["depth_radius"]))
+        e_in = _gkp_input_activation(params, depth_cfg)
         code = gkp_damped(params, cutoff, tail_tol=tail_tol)
         state = code.to_density()
         if loss_apply is not None:
@@ -432,7 +447,7 @@ def run_boundary_mix(cfg: dict) -> int:
         one,
         parity_op(cutoff),
         cfg["t_grid"],
-        cfg=FamilySearchConfig(depth=DepthSearchConfig(resolution=int(cfg["resolution"]))),
+        cfg=FamilySearchConfig(depth=_depth_config(cfg["resolution"])),
     )
     write_csv(
         cfg["out"],
@@ -480,7 +495,7 @@ def run_property_suite(cfg: dict) -> int:
     report = property_suite(
         states,
         channels,
-        cfg=FamilySearchConfig(depth=DepthSearchConfig(resolution=int(cfg["resolution"]))),
+        cfg=FamilySearchConfig(depth=_depth_config(cfg["resolution"])),
     )
     max_leak = max(rho.leakage for _, rho in states)
     write_json(cfg["out"], report.to_dict(), _metadata(cfg, max_leak))

@@ -9,7 +9,14 @@ operator by an explicit displacement (the defining expression), while
 :func:`wigner_batch` contracts the exact displaced-parity matrix elements
 Pi(alpha) = D(2 alpha) Pi against rho through a stable column recurrence,
 which is fast on point batches.  The two routes, plus a Laguerre-series
-oracle in the test suite, cross-validate each other.
+oracle in the test suite, cross-validate each other.  The same recurrence,
+run over a stack of operators, gives :func:`wigner_jet` the exact gradient
+and Hessian through the Bopp identities; :func:`wigner_pure_comb_jet` does
+the same in closed form for the exact grid-code evaluator.
+
+The negativity-depth search scans a grid with values only, then refines
+its best points in lockstep by trust-region Newton steps on those exact
+derivatives, one batched evaluator call per step.
 """
 
 from __future__ import annotations
@@ -18,13 +25,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvariantError
 from .fock import (
     DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
     OperatorMatrix,
+    annihilation_matrix,
     coherent_tail_mass,
     displacement_op,
     parity_op,
@@ -53,43 +60,103 @@ def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
 
 
 def _laguerre_clenshaw(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Clenshaw sum of sum_n c_n (-1)^n sqrt(order! n!/(order+n)!) L_n^order(x)."""
-    if len(coeffs) == 1:
-        return coeffs[0] * np.ones_like(x)
-    if len(coeffs) == 2:
-        y0 = coeffs[0] * np.ones_like(x, dtype=complex)
-        y1 = coeffs[1] * np.ones_like(x, dtype=complex)
-    else:
-        k = len(coeffs)
-        y0 = coeffs[-2] * np.ones_like(x, dtype=complex)
-        y1 = coeffs[-1] * np.ones_like(x, dtype=complex)
-        for i in range(3, len(coeffs) + 1):
-            k -= 1
-            y0, y1 = (
-                coeffs[-i]
-                - y1 * math.sqrt(((k - 1) * (order + k - 1)) / ((order + k) * k)),
-                y0 - y1 * ((order + 2 * k - 1) - x) / math.sqrt((order + k) * k),
-            )
+    """Clenshaw sum of sum_n c_n (-1)^n sqrt(order! n!/(order+n)!) L_n^order(x).
+
+    ``coeffs`` is a stack (k, L) of coefficient rows with L >= 2; the result
+    holds one row of sums per stacked row, shape (k, len(x)).
+    """
+    ones = np.ones_like(x, dtype=complex)
+    k = coeffs.shape[1]
+    y0 = coeffs[:, -2, None] * ones
+    y1 = coeffs[:, -1, None] * ones
+    for i in range(3, coeffs.shape[1] + 1):
+        k -= 1
+        y0, y1 = (
+            coeffs[:, -i, None]
+            - y1 * math.sqrt(((k - 1) * (order + k - 1)) / ((order + k) * k)),
+            y0 - y1 * ((order + 2 * k - 1) - x) / math.sqrt((order + k) * k),
+        )
     return y0 - y1 * ((order + 1) - x) / math.sqrt(order + 1)
 
 
-def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
-    """Wigner values at an array of phase-space points.
+def _wigner_stack(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """(2/pi) Tr[Pi(alpha) H] for a stack (k, d, d) of Hermitian H; shape (k, N).
 
-    Evaluates the Fock-basis Laguerre series of the displaced parity by a
-    Clenshaw recurrence over the diagonals of rho, which is numerically
-    stable and exact for the truncated state.
+    A Clenshaw recurrence over the diagonals of each H evaluates the
+    Fock-basis Laguerre series of the displaced parity; it is numerically
+    stable and exact for operators supported below the cutoff.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    dim = rho.dim
+    dim = mats.shape[-1]
     a2 = 2.0 * alphas
     b = np.abs(a2) ** 2
-    doubled = rho.matrix * (2.0 - np.eye(dim))
-    w = 2.0 * rho.matrix[0, dim - 1] * np.ones_like(b, dtype=complex)
+    doubled = mats * (2.0 - np.eye(dim))
+    w = 2.0 * mats[:, 0, dim - 1, None] * np.ones_like(b, dtype=complex)
     for order in range(dim - 2, -1, -1):
-        diag = np.diag(doubled, order)
+        diag = np.diagonal(doubled, order, axis1=1, axis2=2)
         w = _laguerre_clenshaw(order, b, diag) + w * a2 / math.sqrt(order + 1)
     return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
+
+
+def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
+    """Wigner values at an array of phase-space points."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    return _wigner_stack(rho.matrix[None], alphas)[0]
+
+
+def _hessian(h_uu: np.ndarray, h_uv: np.ndarray, h_vv: np.ndarray) -> np.ndarray:
+    """Stack per-point second derivatives into symmetric (N, 2, 2) Hessians."""
+    return np.stack([np.stack([h_uu, h_uv], -1), np.stack([h_uv, h_vv], -1)], -2)
+
+
+def _hermitian_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """H1, H2 with x = H1 + i H2, so that W_x = W_H1 + i W_H2."""
+    xh = x.conj().T
+    return (x + xh) / 2.0, (x - xh) / 2j
+
+
+def wigner_jet(rho: DensityMatrix, alphas: np.ndarray):
+    """Wigner values with their exact gradients and Hessians in (Re alpha, Im alpha).
+
+    The derivatives are Wigner functions of the same kind (Bopp identities
+    dW_X/dalpha* = 2(W_aX - alpha W_X), dW_X/dalpha = 2(W_Xa^dag - alpha* W_X)),
+    so one stacked Clenshaw pass over rho and the Hermitian parts of
+    a rho, a^2 rho and a rho a^dag gives all three orders.  The identities
+    are exact for the truncated state: a rho, a^2 rho and a rho a^dag stay
+    below the cutoff.  Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    lower = annihilation_matrix(rho.dim)
+    a_rho = lower @ rho.matrix
+    aa_rho = lower @ a_rho
+    stack = np.array(
+        [rho.matrix, *_hermitian_parts(a_rho), *_hermitian_parts(aa_rho), a_rho @ lower.conj().T]
+    )
+    w, a_re, a_im, aa_re, aa_im, w_ara = _wigner_stack(stack, alphas)
+    # W_X, dW/dalpha*, d^2W/dalpha*^2 and d^2W/dalpha dalpha* from the Bopp identities
+    w_a = a_re + 1j * a_im
+    w_aa = aa_re + 1j * aa_im
+    d_conj = 2.0 * (w_a - alphas * w)
+    d_conj2 = 4.0 * w_aa - 8.0 * alphas * w_a + 4.0 * alphas**2 * w
+    d_mixed = (
+        4.0 * w_ara - 8.0 * np.real(alphas.conj() * w_a) - 2.0 * w + 4.0 * np.abs(alphas) ** 2 * w
+    )
+    # d/dRe = d/dalpha + d/dalpha*, d/dIm = i (d/dalpha - d/dalpha*), W real
+    grad = 2.0 * np.stack([d_conj.real, d_conj.imag], axis=-1)
+    hess = _hessian(
+        2.0 * (d_mixed + d_conj2.real), 2.0 * d_conj2.imag, 2.0 * (d_mixed - d_conj2.real)
+    )
+    return w, grad, hess
+
+
+def _comb_pairs(centers: np.ndarray, weights: np.ndarray, sigma2: float):
+    """Pair midpoints, separations, weight products and the norm of a comb."""
+    mu = np.asarray(centers, dtype=float)
+    w = np.asarray(weights, dtype=float)
+    mid = 0.5 * (mu[:, None] + mu[None, :])
+    diff = mu[None, :] - mu[:, None]
+    ww = w[:, None] * w[None, :]
+    norm = float(np.sum(ww * np.sqrt(np.pi * sigma2) * np.exp(-(diff**2) / (4.0 * sigma2))))
+    return mid, diff, ww, norm
 
 
 def wigner_pure_comb(
@@ -106,20 +173,64 @@ def wigner_pure_comb(
     grid-code states at arbitrary effective energy.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    mu = np.asarray(centers, dtype=float)
-    w = np.asarray(weights, dtype=float)
     q = np.sqrt(2.0) * alphas.real
     p = np.sqrt(2.0) * alphas.imag
-    mid = 0.5 * (mu[:, None] + mu[None, :])
-    diff = mu[None, :] - mu[:, None]
-    ww = w[:, None] * w[None, :]
-    norm = float(np.sum(ww * np.sqrt(np.pi * sigma2) * np.exp(-(diff**2) / (4.0 * sigma2))))
+    mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
     # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
     gauss_q = np.exp(-((q[:, None, None] - mid[None, :, :]) ** 2) / sigma2)
     osc = np.cos(p[:, None, None] * diff[None, :, :])
     vals = np.einsum("st,xst->x", ww, gauss_q * osc)
     vals *= np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm
     return 2.0 * vals
+
+
+def wigner_pure_comb_jet(
+    centers: np.ndarray,
+    weights: np.ndarray,
+    sigma2: float,
+    alphas: np.ndarray,
+):
+    """:func:`wigner_pure_comb` with its exact gradients and Hessians in (Re alpha, Im alpha).
+
+    Differentiates each Gaussian x cosine cross term in closed form.
+    Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    q = np.sqrt(2.0) * alphas.real
+    p = np.sqrt(2.0) * alphas.imag
+    mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
+    dq = q[:, None, None] - mid[None, :, :]
+    gauss = ww * np.exp(-(dq**2) / sigma2)
+    gauss_q = (-2.0 / sigma2) * dq * gauss
+    gauss_qq = (4.0 * dq**2 / sigma2**2 - 2.0 / sigma2) * gauss
+    phase = p[:, None, None] * diff[None, :, :]
+    cos, sin = np.cos(phase), np.sin(phase)
+    s0, s_q, s_qq, s_d, s_dd, s_qd = (
+        np.sum(terms, axis=(1, 2))
+        for terms in (
+            gauss * cos,
+            gauss_q * cos,
+            gauss_qq * cos,
+            gauss * diff * sin,
+            gauss * diff**2 * cos,
+            gauss_q * diff * sin,
+        )
+    )
+    # with tp = 2 sigma^2 p, the p-derivatives of exp(-sigma^2 p^2) cos(p diff)
+    # are exp(-sigma^2 p^2) times (-tp cos - diff sin), then
+    # ((tp^2 - 2 sigma^2 - diff^2) cos + 2 tp diff sin)
+    pref = 2.0 * np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm
+    tp = 2.0 * sigma2 * p
+    w = pref * s0
+    w_q = pref * s_q
+    w_qq = pref * s_qq
+    w_p = pref * (-tp * s0 - s_d)
+    w_pp = pref * ((tp**2 - 2.0 * sigma2) * s0 - s_dd + 2.0 * tp * s_d)
+    w_qp = pref * (-tp * s_q - s_qd)
+    # alpha = (q + i p)/sqrt(2): d/dRe alpha = sqrt(2) d/dq, d/dIm alpha = sqrt(2) d/dp
+    grad = np.sqrt(2.0) * np.stack([w_q, w_p], axis=-1)
+    hess = 2.0 * _hessian(w_qq, w_qp, w_pp)
+    return w, grad, hess
 
 
 @dataclass(frozen=True)
@@ -238,13 +349,25 @@ def _marginal_check(rho: DensityMatrix, grid: WignerGrid, tol: float = 2e-3) -> 
 
 @dataclass(frozen=True)
 class DepthSearchConfig:
-    """Grid-scan plus Nelder-Mead refinement settings for the depth search."""
+    """Grid scan plus lockstep Newton refinement settings for the depth search.
+
+    The grid is (2*resolution + 1)^2 points over the square of half-width
+    ``radius`` (None: :func:`default_radius` of the state); the
+    ``refine_top`` lowest grid points seed the refinement.
+    """
 
     radius: float | None = None
     resolution: int = 40
     refine_top: int = 5
-    fatol: float = 1e-8
-    maxiter: int = 200
+
+    def __post_init__(self):
+        for name in ("resolution", "refine_top"):
+            value = getattr(self, name)
+            if not float(value).is_integer() or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
+        if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
 
 
 @dataclass(frozen=True)
@@ -260,12 +383,75 @@ class NegativityDepthResult:
             raise ValueError("depth exceeds the Wigner bound 2/pi")
 
 
+# refinement: stationary once |grad W| <= _GRAD_TOL (a step that small lowers
+# W by ~|grad|^2 / curvature, below the last digit of a bound) or once the
+# trust radius has collapsed below _MIN_RADIUS; at most _MAX_STEPS steps
+_GRAD_TOL = 1e-10
+_MIN_RADIUS = 1e-9
+_MAX_STEPS = 40
+
+
+def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Newton steps where the Hessian is positive definite, else Cauchy steps
+    along -grad; each clipped to its trust radius.  Shapes (k, 2), (k, 2, 2), (k,);
+    every grad is nonzero."""
+    h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+    det = h00 * h11 - h01 * h01
+    pos_def = (h00 > 0) & (det > 0)
+    newton = -np.stack(
+        [h11 * grad[:, 0] - h01 * grad[:, 1], h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1
+    ) / np.where(pos_def, det, 1.0)[:, None]
+    gg = np.sum(grad * grad, axis=1)
+    curv = np.einsum("ki,kij,kj->k", grad, hess, grad)
+    # along -grad: the quadratic model's minimum, or the trust radius if it has none
+    along = np.where(curv > 0, gg / np.where(curv > 0, curv, 1.0), radius / np.sqrt(gg))
+    step = np.where(pos_def[:, None], newton, -grad * along[:, None])
+    length = np.hypot(step[:, 0], step[:, 1])
+    return step * np.minimum(1.0, radius / length)[:, None]
+
+
+def _refine(jet_fn, seeds: np.ndarray, radius: float):
+    """Lockstep trust-region Newton descent from every seed at once.
+
+    One ``jet_fn`` call per step evaluates the trial points of all seeds not
+    yet stationary.  A step is accepted only if it lowers W; otherwise that
+    seed's radius shrinks to a quarter of the rejected step.  Returns the
+    final points, their values and a per-seed stationarity flag.
+    """
+    x = np.array(seeds, dtype=complex)
+    f, grad, hess = jet_fn(x)
+    radii = np.full(x.size, radius)
+
+    def stationary():
+        return (np.hypot(grad[:, 0], grad[:, 1]) <= _GRAD_TOL) | (radii < _MIN_RADIUS)
+
+    for _ in range(_MAX_STEPS):
+        live = np.flatnonzero(~stationary())
+        if live.size == 0:
+            break
+        step = _trust_step(grad[live], hess[live], radii[live])
+        trial = x[live] + (step[:, 0] + 1j * step[:, 1])
+        f_t, grad_t, hess_t = jet_fn(trial)
+        better = f_t < f[live]
+        moved = live[better]
+        x[moved], f[moved], grad[moved], hess[moved] = (
+            trial[better],
+            f_t[better],
+            grad_t[better],
+            hess_t[better],
+        )
+        radii[live[~better]] = np.hypot(step[~better, 0], step[~better, 1]) / 4.0
+    return x, f, stationary()
+
+
 def negativity_depth_fn(
-    value_fn, radius: float, cfg: DepthSearchConfig | None = None
+    value_fn, jet_fn, radius: float, cfg: DepthSearchConfig | None = None
 ) -> NegativityDepthResult:
     """Depth search against an arbitrary batched Wigner evaluator.
 
-    ``value_fn`` maps an array of complex points to Wigner values.  Shared
+    ``value_fn`` maps an array of complex points to Wigner values and scans
+    the grid; ``jet_fn`` maps points to (values, gradients (N, 2), Hessians
+    (N, 2, 2)) in (Re alpha, Im alpha) and drives the refinement.  Shared
     by the density-matrix search and the exact comb evaluator.
     """
     if cfg is None:
@@ -274,29 +460,11 @@ def negativity_depth_fn(
     values = value_fn(centers)
     _check_bound(values)
     order = np.argsort(values, kind="stable")
-    seeds = centers[order[: cfg.refine_top]]
     step = radius / cfg.resolution
-
-    def objective(xy):
-        return float(value_fn(np.array([complex(xy[0], xy[1])]))[0])
+    points, refined, stationary = _refine(jet_fn, centers[order[: cfg.refine_top]], step / 2.0)
 
     candidates = [(float(values[order[0]]), complex(centers[order[0]]))]
-    converged = True
-    for seed in seeds:
-        res = minimize(
-            objective,
-            x0=[seed.real, seed.imag],
-            method="Nelder-Mead",
-            options={
-                "fatol": cfg.fatol,
-                "xatol": 1e-6,
-                "maxiter": cfg.maxiter,
-                "initial_simplex": _initial_simplex(seed, step / 2.0),
-            },
-        )
-        converged = converged and bool(res.success)
-        candidates.append((float(res.fun), complex(res.x[0], res.x[1])))
-
+    candidates += [(float(v), complex(a)) for v, a in zip(refined, points)]
     best_val = min(v for v, _ in candidates)
     ties = [a for v, a in candidates if v <= best_val + 1e-12]
     argmin = min(ties, key=lambda a: abs(a))
@@ -309,7 +477,7 @@ def negativity_depth_fn(
     return NegativityDepthResult(
         depth=min(depth, WIGNER_BOUND),
         argmin_alpha=argmin,
-        refinement_converged=converged,
+        refinement_converged=bool(np.all(stationary)),
     )
 
 
@@ -318,18 +486,15 @@ def negativity_depth(
 ) -> NegativityDepthResult:
     """Largest negative Wigner value max_alpha [-W(alpha)]_+ .
 
-    Deterministic coarse grid scan followed by Nelder-Mead refinement from
-    the best grid points; the result is a certified lower bound on the true
-    depth.  Ties between refined optima break toward the largest depth,
-    then the smallest |alpha|.
+    Deterministic grid scan (values only), then a lockstep trust-region
+    Newton refinement of the best grid points on the exact gradient and
+    Hessian of :func:`wigner_jet`; the result is a certified lower bound on
+    the true depth, never below the grid minimum.  Ties between refined
+    optima break toward the largest depth, then the smallest |alpha|.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
     radius = cfg.radius if cfg.radius is not None else default_radius(rho)
-    return negativity_depth_fn(lambda pts: wigner_batch(rho, pts), radius, cfg)
-
-
-def _initial_simplex(seed: complex, scale: float) -> np.ndarray:
-    x0 = np.array([seed.real, seed.imag])
-    simplex = [x0, x0 + [scale, 0.0], x0 + [0.0, scale]]
-    return np.array(simplex)
+    return negativity_depth_fn(
+        lambda pts: wigner_batch(rho, pts), lambda pts: wigner_jet(rho, pts), radius, cfg
+    )

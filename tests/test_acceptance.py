@@ -63,6 +63,7 @@ from cvactivation.wigner import (
     wigner_at,
     wigner_grid,
     wigner_pure_comb,
+    wigner_pure_comb_jet,
 )
 from cvactivation.witnesses import (
     FreeSet,
@@ -281,6 +282,7 @@ def gkp_sweep_rows():
         centers, envelope, sigma2 = gkp_comb(params)
         e_in = (math.pi / 4.0) * negativity_depth_fn(
             lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+            lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
             2.8,
             depth_cfg,
         ).depth

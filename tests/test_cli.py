@@ -244,3 +244,20 @@ def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
     cfgfile.write_text(json.dumps(bad))
     assert run(["gkp-sweep", "--config", cfgfile, "--out", tmp_path / "g.csv"]) == 2
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("negativity-depth", {"resolution": -3, "cutoff": 10}),
+        ("wigner", {"resolution": -3, "cutoff": 10}),
+        ("negativity-depth", {"state": {"kind": "thermal", "nbar": "nan"}, "cutoff": 10}),
+        ("loss-sweep", {"etas": ["abc"], "cutoff": 10}),
+    ],
+)
+def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(bad))
+    assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()

@@ -8,6 +8,7 @@ from cvactivation.errors import InvariantError
 from cvactivation.fock import DensityMatrix, FockCutoff
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_comb, gkp_damped
 from cvactivation.channels import pure_loss
+from cvactivation import wigner
 from cvactivation.wigner import (
     DepthSearchConfig,
     WIGNER_BOUND,
@@ -17,7 +18,9 @@ from cvactivation.wigner import (
     wigner_at,
     wigner_batch,
     wigner_grid,
+    wigner_jet,
     wigner_pure_comb,
+    wigner_pure_comb_jet,
 )
 
 from conftest import random_density
@@ -138,6 +141,13 @@ def test_depth_examples():
     rho = pure_loss(0.75, 30).apply(one)
     res = negativity_depth(rho)
     assert res.depth == pytest.approx(1.0 / math.pi, abs=1e-5)
+    # Fock 2: the minimum lies off the grid, on the ring 4|alpha|^2 = 4 - sqrt(6)
+    ring = 4.0 - math.sqrt(6.0)
+    res = negativity_depth(fock(2, 30).to_density())
+    expect = (2.0 / math.pi) * (4.0 - 2.0 * ring) * math.exp(-ring / 2.0)
+    assert res.depth == pytest.approx(expect, abs=1e-12)
+    assert 4.0 * abs(res.argmin_alpha) ** 2 == pytest.approx(ring, abs=1e-8)
+    assert res.refinement_converged
 
 
 def test_depth_never_exceeds_wigner_bound(rng):
@@ -189,6 +199,95 @@ def test_depth_fn_route_matches_density_route():
     cfg = DepthSearchConfig(radius=2.8, resolution=30)
     direct = negativity_depth(rho, cfg)
     via_fn = negativity_depth_fn(
-        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts), 2.8, cfg
+        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+        2.8,
+        cfg,
     )
     assert direct.depth == pytest.approx(via_fn.depth, abs=1e-6)
+
+
+def central_jet(fn, pts, h=3e-4):
+    """Fourth-order central differences of fn in (Re alpha, Im alpha)."""
+
+    def shifted(e):
+        return [fn(pts + k * h * e) for k in (-2, -1, 0, 1, 2)]
+
+    def first(e):
+        m2, m1, _, p1, p2 = shifted(e)
+        return (m2 - 8 * m1 + 8 * p1 - p2) / (12 * h)
+
+    def second(e):
+        m2, m1, z, p1, p2 = shifted(e)
+        return (-m2 + 16 * m1 - 30 * z + 16 * p1 - p2) / (12 * h * h)
+
+    mixed = (second(1 + 1j) - second(1 - 1j)) / 4.0
+    grad = np.stack([first(1), first(1j)], axis=-1)
+    hess = np.stack([np.stack([second(1), mixed], -1), np.stack([mixed, second(1j)], -1)], -2)
+    return grad, hess
+
+
+def assert_jet_matches(jet_fn, value_fn, pts):
+    vals, grad, hess = jet_fn(pts)
+    fd_grad, fd_hess = central_jet(value_fn, pts)
+    assert np.max(np.abs(vals - value_fn(pts))) < 1e-12
+    assert np.max(np.abs(grad - fd_grad)) < 1e-7
+    assert np.max(np.abs(hess - fd_hess)) < 1e-6
+
+
+def test_density_jet_matches_central_differences(rng):
+    pts = rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-2.0, 2.0, 12)
+    states = (
+        random_density(rng, 30),
+        cat(2.0, 1, 30).to_density(),
+        pure_loss(0.7, 30).apply(fock(1, 30).to_density()),
+    )
+    for rho in states:
+        assert_jet_matches(lambda p: wigner_jet(rho, p), lambda p: wigner_batch(rho, p), pts)
+
+
+def test_comb_jet_matches_central_differences(rng):
+    pts = rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-2.0, 2.0, 12)
+    for db in (6.0, 10.0, 14.0):
+        centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
+        assert_jet_matches(
+            lambda p: wigner_pure_comb_jet(centers, envelope, sigma2, p),
+            lambda p: wigner_pure_comb(centers, envelope, sigma2, p),
+            pts,
+        )
+
+
+def test_depth_search_makes_few_evaluator_calls(monkeypatch):
+    # grid scan plus lockstep refinement: one batched call per step
+    calls = []
+    for name in ("wigner_batch", "wigner_jet"):
+        original = getattr(wigner, name, None)
+        if original is not None:
+            monkeypatch.setattr(
+                wigner, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+            )
+    rho = pure_loss(0.7, 40).apply(fock(1, 40).to_density())
+    res = negativity_depth(rho)
+    assert res.depth == pytest.approx((2.0 / math.pi) * 0.4, abs=1e-12)
+    assert res.refinement_converged
+    assert calls.count("wigner_batch") == 1
+    assert len(calls) <= 30
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"resolution": 0},
+        {"resolution": -3},
+        {"resolution": 2.5},
+        {"resolution": math.inf},
+        {"refine_top": 0},
+        {"radius": 0.0},
+        {"radius": -1.0},
+        {"radius": math.nan},
+        {"radius": math.inf},
+    ],
+)
+def test_depth_config_rejects_bad_values(kwargs):
+    with pytest.raises(ValueError):
+        DepthSearchConfig(**kwargs)
