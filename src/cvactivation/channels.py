@@ -51,8 +51,8 @@ class GaussNoiseParams:
     quad_order: int = 15
 
     def __post_init__(self):
-        if self.sigma2 <= 0:
-            raise ValueError("sigma2 must be positive")
+        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
+            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
         if self.quad_order < 1:
             raise ValueError("quad_order must be a positive integer")
 
@@ -163,8 +163,8 @@ class DampingMap:
     cutoff: FockCutoff
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
         object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
 
     def _diag(self) -> np.ndarray:

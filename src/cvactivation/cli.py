@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,15 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
+@contextmanager
+def _spec_guard(what: str, spec):
+    """Report a ValueError, TypeError or OverflowError raised while parsing as exit 2."""
+    try:
+        yield
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise ConfigError(f"bad {what} {spec}: {exc}") from exc
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     cfg.update(_load_config(args.config))
@@ -114,10 +124,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     if args.budget is not None:
         cfg["budget"] = args.budget
     if args.seed_list is not None:
-        try:
+        with _spec_guard("--seed-list", args.seed_list):
             cfg["seeds"] = [int(s) for s in args.seed_list.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed-list: {args.seed_list}") from exc
     unknown = set(cfg) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -163,7 +171,7 @@ def _parse_pure_state(spec, cutoff: int) -> PureState:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"bad state spec: {spec}")
     kind = spec["kind"]
-    try:
+    with _spec_guard("state spec", spec):
         if kind == "fock":
             return fock(int(spec.get("n", 0)), cutoff)
         if kind == "coherent":
@@ -185,10 +193,6 @@ def _parse_pure_state(spec, cutoff: int) -> PureState:
             )
         if kind == "gkp":
             return gkp_damped(_parse_gkp(spec), cutoff, tail_tol=float(spec.get("tail_tol", 1e-6)))
-    except (ValueError, TypeError) as exc:
-        if isinstance(exc, (TruncationError, BudgetError)):
-            raise
-        raise ConfigError(f"bad state spec {spec}: {exc}") from exc
     raise ConfigError(f"unknown pure-state kind: {kind}")
 
 
@@ -201,29 +205,25 @@ def _parse_gkp(spec: dict) -> GkpParams:
 
 
 def _parse_complex(val) -> complex:
-    if isinstance(val, (int, float)):
-        return complex(val)
     if isinstance(val, (list, tuple)) and len(val) == 2:
-        return complex(float(val[0]), float(val[1]))
+        val = complex(float(val[0]), float(val[1]))
+    if isinstance(val, (int, float, complex)) and np.isfinite(val):
+        return complex(val)
     raise ConfigError(f"bad complex literal: {val}")
 
 
 def _parse_state(spec, cutoff: int) -> DensityMatrix:
     if isinstance(spec, dict) and spec.get("kind") == "thermal":
-        try:
+        with _spec_guard("state spec", spec):
             return thermal(float(spec.get("nbar", 1.0)), cutoff)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"bad state spec {spec}: {exc}") from exc
     return _parse_pure_state(spec, cutoff).to_density()
 
 
 def _depth_config(resolution, radius=None) -> DepthSearchConfig:
-    try:
+    with _spec_guard("depth search settings", {"radius": radius, "resolution": resolution}):
         return DepthSearchConfig(
             radius=None if radius is None else float(radius), resolution=int(resolution)
         )
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad depth search settings: {exc}") from exc
 
 
 def _parse_channel(spec, cutoff: int):
@@ -232,15 +232,16 @@ def _parse_channel(spec, cutoff: int):
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigError(f"bad channel spec: {spec}")
     kind = spec["kind"]
-    if kind == "loss":
-        return pure_loss(float(spec.get("eta", 1.0)), cutoff).apply
-    if kind == "gaussian_noise":
-        return gaussian_noise(
-            GaussNoiseParams(float(spec.get("sigma2", 0.05)), int(spec.get("quad_order", 15))),
-            cutoff,
-        ).apply
-    if kind == "damping":
-        return damping(float(spec.get("epsilon", 0.1)), cutoff).apply
+    with _spec_guard("channel spec", spec):
+        if kind == "loss":
+            return pure_loss(float(spec.get("eta", 1.0)), cutoff).apply
+        if kind == "gaussian_noise":
+            return gaussian_noise(
+                GaussNoiseParams(float(spec.get("sigma2", 0.05)), int(spec.get("quad_order", 15))),
+                cutoff,
+            ).apply
+        if kind == "damping":
+            return damping(float(spec.get("epsilon", 0.1)), cutoff).apply
     raise ConfigError(f"unknown channel kind: {kind}")
 
 
@@ -248,16 +249,17 @@ def _parse_witness(spec, cutoff: int, seeds) -> WitnessSpec:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"bad witness spec: {spec}")
     family = spec["family"]
-    if family in ("parity", "displaced_parity"):
-        return displaced_parity_spec(_parse_complex(spec.get("alpha", 0)))
-    if family in ("pure_projector", "two_copy_projector"):
-        psi = _parse_pure_state(spec.get("state"), cutoff)
-        lam = spec.get("lambda")
-        if lam is None:
-            lam = gaussian_fidelity(psi, GaussianFitConfig(seeds=tuple(seeds))).max_fidelity
-        if family == "pure_projector":
-            return pure_projector_spec(psi, float(lam))
-        return two_copy_projector_spec(psi, float(lam))
+    with _spec_guard("witness spec", spec):
+        if family in ("parity", "displaced_parity"):
+            return displaced_parity_spec(_parse_complex(spec.get("alpha", 0)))
+        if family in ("pure_projector", "two_copy_projector"):
+            psi = _parse_pure_state(spec.get("state"), cutoff)
+            lam = spec.get("lambda")
+            if lam is None:
+                lam = gaussian_fidelity(psi, GaussianFitConfig(seeds=tuple(seeds))).max_fidelity
+            if family == "pure_projector":
+                return pure_projector_spec(psi, float(lam))
+            return two_copy_projector_spec(psi, float(lam))
     raise ConfigError(f"unknown witness family: {family}")
 
 
@@ -307,10 +309,8 @@ def run_loss_sweep(cfg: dict) -> int:
     n = int(cfg["fock_n"])
     pi = parity_op(cutoff)
     input_state = fock(n, cutoff).to_density()
-    try:
+    with _spec_guard("etas", cfg["etas"]):
         etas = sorted(LossParams(float(e)).eta for e in cfg["etas"])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad etas: {exc}") from exc
     search_cfg = FamilySearchConfig(depth=_depth_config(cfg["resolution"]))
     rows = []
     max_leak = 0.0
@@ -365,13 +365,11 @@ def run_gkp_sweep(cfg: dict) -> int:
         raise ConfigError("loss_model must be 'bare' or 'amplified'")
     ec_on = bool(cfg["ec"])
     tail_tol = float(cfg["tail_tol_two"])
-    try:
+    with _spec_guard("squeezing levels", [cfg["squeezing_db"], cfg["ancilla_db"]]):
         dbs = sorted(float(d) for d in cfg["squeezing_db"])
         codes = [GkpParams.from_db(db) for db in dbs]
         anc_db = cfg["ancilla_db"]
         anc_fixed = None if anc_db is None else GkpParams.from_db(float(anc_db))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"bad squeezing level: {exc}") from exc
 
     if loss_model == "bare" or eta == 1.0:
         loss_apply = None if eta == 1.0 else pure_loss(eta, cutoff).apply
@@ -442,11 +440,15 @@ def run_boundary_mix(cfg: dict) -> int:
     vac = fock(0, cutoff).to_density()
     one = fock(1, cutoff).to_density()
     sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(cutoff))
+    with _spec_guard("t_grid", cfg["t_grid"]):
+        t_grid = [float(t) for t in cfg["t_grid"]]
+        if not all(0.0 <= t <= 1.0 for t in t_grid):
+            raise ValueError("mixture weights must lie in [0, 1]")
     rows = exact_boundary_mixture(
         sigma,
         one,
         parity_op(cutoff),
-        cfg["t_grid"],
+        t_grid,
         cfg=FamilySearchConfig(depth=_depth_config(cfg["resolution"])),
     )
     write_csv(
@@ -459,21 +461,15 @@ def run_boundary_mix(cfg: dict) -> int:
 
 
 def _default_corpus(cutoff: int):
+    vac = fock(0, cutoff).to_density()
     one = fock(1, cutoff).to_density()
-    states = [
+    return [
         ("lossy_photon_0.85", pure_loss(0.85, cutoff).apply(one)),
         ("lossy_photon_0.6", pure_loss(0.6, cutoff).apply(one)),
         ("odd_cat_1.2", cat(1.2, -1, cutoff).to_density()),
-        ("vacuum", fock(0, cutoff).to_density()),
-        (
-            "photon_vacuum_mix",
-            DensityMatrix(
-                0.5 * one.matrix + 0.5 * fock(0, cutoff).to_density().matrix,
-                FockCutoff(cutoff),
-            ),
-        ),
+        ("vacuum", vac),
+        ("photon_vacuum_mix", DensityMatrix(0.5 * (one.matrix + vac.matrix), FockCutoff(cutoff))),
     ]
-    return states
 
 
 def run_property_suite(cfg: dict) -> int:

@@ -181,9 +181,6 @@ class OperatorMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.matrix.conj().T, self.hermitian, self.norm_bound)
-
 
 def identity_op(cutoff: FockCutoff | int) -> OperatorMatrix:
     dim = as_cutoff(cutoff).dim

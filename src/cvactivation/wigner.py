@@ -11,8 +11,10 @@ Pi(alpha) = D(2 alpha) Pi against rho through a stable column recurrence,
 which is fast on point batches.  The two routes, plus a Laguerre-series
 oracle in the test suite, cross-validate each other.  The same recurrence,
 run over a stack of operators, gives :func:`wigner_jet` the exact gradient
-and Hessian through the Bopp identities; :func:`wigner_pure_comb_jet` does
-the same in closed form for the exact grid-code evaluator.
+and Hessian through the Bopp identities.  For grid-code states,
+:func:`wigner_pure_comb` evaluates the exact comb as one small matrix
+product over the distinct q and p of its points, and
+:func:`wigner_pure_comb_jet` gives its derivatives in closed form.
 
 The negativity-depth search scans a grid with values only, then refines
 its best points in lockstep by trust-region Newton steps on those exact
@@ -171,17 +173,22 @@ def wigner_pure_comb(
     closed-form Wigner function built from pairwise Gaussian cross terms;
     no Fock truncation enters, so this is the reference evaluator for
     grid-code states at arbitrary effective energy.
+
+    Each cross term is G(q; mid_st) C(p; diff_st): one matrix product of a
+    Gaussian table over the distinct q with a cosine table over the distinct
+    p gives an (n_q, n_p) table that the points gather from.  For S peaks it
+    costs n_q n_p S^2: N S^2 on a tensor grid of N points, N^2 S^2 for N
+    scattered ones, so keep scattered sets small.
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    q = np.sqrt(2.0) * alphas.real
-    p = np.sqrt(2.0) * alphas.imag
+    q, q_at = np.unique(np.sqrt(2.0) * alphas.real, return_inverse=True)
+    p, p_at = np.unique(np.sqrt(2.0) * alphas.imag, return_inverse=True)
     mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
     # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
-    gauss_q = np.exp(-((q[:, None, None] - mid[None, :, :]) ** 2) / sigma2)
-    osc = np.cos(p[:, None, None] * diff[None, :, :])
-    vals = np.einsum("st,xst->x", ww, gauss_q * osc)
-    vals *= np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm
-    return 2.0 * vals
+    gauss_q = np.exp(-((q[:, None] - mid.ravel()) ** 2) / sigma2)
+    osc_p = ww.ravel() * np.cos(p[:, None] * diff.ravel())
+    osc_p *= (np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm)[:, None]
+    return 2.0 * (gauss_q @ osc_p.T)[q_at, p_at]
 
 
 def wigner_pure_comb_jet(

@@ -253,6 +253,9 @@ def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
         ("wigner", {"resolution": -3, "cutoff": 10}),
         ("negativity-depth", {"state": {"kind": "thermal", "nbar": "nan"}, "cutoff": 10}),
         ("loss-sweep", {"etas": ["abc"], "cutoff": 10}),
+        ("activate", {"witness": {"family": "parity", "alpha": [0, "x"]}, "cutoff": 10}),
+        ("activate", {"channel": {"kind": "loss", "eta": "nan"}, "cutoff": 10}),
+        ("boundary-mix", {"t_grid": [2], "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):

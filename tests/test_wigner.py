@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -190,6 +191,53 @@ def test_pure_comb_vacuum_limit():
     vals = wigner_pure_comb(np.array([0.0]), np.array([1.0]), 1.0, pts)
     expect = (2.0 / math.pi) * np.exp(-2.0 * np.abs(pts) ** 2)
     assert np.max(np.abs(vals - expect)) < 1e-12
+
+
+def pairwise_comb_reference(centers, weights, sigma2, alphas):
+    """Oracle: the comb's Wigner function summed over an (N, S, S) tensor of pair terms."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    q = np.sqrt(2.0) * alphas.real
+    p = np.sqrt(2.0) * alphas.imag
+    mid, diff, ww, norm = wigner._comb_pairs(centers, weights, sigma2)
+    # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
+    gauss_q = np.exp(-((q[:, None, None] - mid[None, :, :]) ** 2) / sigma2)
+    osc = np.cos(p[:, None, None] * diff[None, :, :])
+    vals = np.einsum("st,xst->x", ww, gauss_q * osc)
+    vals *= np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm
+    return 2.0 * vals
+
+
+# the gkp-sweep depth grid: radius 2.8, resolution 35, 71 x 71 points
+SWEEP_GRID = wigner._square_grid(2.8, 35)
+
+
+@pytest.mark.parametrize("db", [6.0, 10.0, 14.0, 16.5])
+def test_pure_comb_matches_pairwise_reference(db):
+    centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
+    fast = wigner_pure_comb(centers, envelope, sigma2, SWEEP_GRID)
+    ref = pairwise_comb_reference(centers, envelope, sigma2, SWEEP_GRID)
+    assert fast.shape == ref.shape
+    assert np.max(np.abs(fast - ref)) < 1e-13
+    # scattered points, some sharing a real part, some an imaginary part, one repeated
+    pts = np.array(
+        [0.3 + 0.1j, -1.2 + 0.1j, 0.3 - 0.7j, 0.05 + 0.4j, -1.2 - 0.7j, 0.3 + 0.1j,
+         1.1 + 0.4j, -0.6 + 1.3j, 0.05 - 0.7j, 1.1 - 0.25j, 0.9j, -1.2 + 1.3j]
+    )
+    fast = wigner_pure_comb(centers, envelope, sigma2, pts)
+    ref = pairwise_comb_reference(centers, envelope, sigma2, pts)
+    assert fast.shape == (pts.size,)
+    assert np.max(np.abs(fast - ref)) < 1e-13
+
+
+def test_pure_comb_grid_scan_memory():
+    centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
+    tracemalloc.start()
+    try:
+        wigner_pure_comb(centers, envelope, sigma2, SWEEP_GRID)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_depth_fn_route_matches_density_route():
