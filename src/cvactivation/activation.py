@@ -21,9 +21,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import InvariantError
-from .fock import DEFAULT_BUDGET, DensityMatrix, OperatorMatrix
-from .witnesses import PureProjector, TwoCopyProjector, WitnessBox, WitnessSpec
-from .witnesses import witness_matrix, witness_value
+from .fock import DensityMatrix, OperatorMatrix
+from .witnesses import WitnessBox, WitnessSpec, check_box, witness_value
 
 Q_SEPARABLE = 1.0 / 3.0
 Q_STEERING = 0.5
@@ -185,34 +184,26 @@ def werner_analytics(
 
 def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
     """Two-outcome POVM (I + W)/2, (I - W)/2 for a unit-box witness."""
-    vals = np.linalg.eigvalsh(w.matrix)
-    if vals[0] < -1.0 - 1e-9 or vals[-1] > 1.0 + 1e-9:
-        raise ValueError(
-            f"witness spectrum [{vals[0]:.6f}, {vals[-1]:.6f}] outside the unit box"
-        )
+    check_box(w)
     eye = np.eye(w.dim)
     m_plus = OperatorMatrix((eye + w.matrix) / 2.0, hermitian=True, norm_bound=1.0)
     m_minus = OperatorMatrix((eye - w.matrix) / 2.0, hermitian=True, norm_bound=1.0)
     return m_plus, m_minus
 
 
-def _detection(rho: DensityMatrix, spec: WitnessSpec, budget: int) -> tuple[float, float]:
-    """Violation -Tr(W rho) and p = Tr(M_- rho), with the unit box checked once.
+def _detection(rho: DensityMatrix, spec: WitnessSpec) -> tuple[float, float]:
+    """Violation -Tr(W rho) and p = Tr(M_- rho) of a witness in the unit box.
 
-    Projector witnesses are evaluated factored, so they are built only for
-    the box check, and two-copy ones not at all past ``budget``.
+    The witness is evaluated once, and its box, clipped to the unit box the
+    POVM needs, is checked every time from the closed-form spectrum of its
+    family; no built-in family is materialised at any cutoff.
     """
     checked = replace(spec, box=WitnessBox(min(spec.box.n, 1.0), min(spec.box.m, 1.0)))
-    if isinstance(spec.family, (PureProjector, TwoCopyProjector)):
-        if not spec.is_two_copy or rho.dim**2 <= budget:
-            witness_matrix(checked, rho.cutoff, budget=budget)
-    value = witness_value(checked, rho)  # builds every other family, box asserted
+    value = witness_value(checked, rho)
     return value, min(max((1.0 + value) / 2.0, 0.0), 1.0)
 
 
-def activate_entanglement(
-    rho: DensityMatrix, spec: WitnessSpec, budget: int = DEFAULT_BUDGET
-) -> ActivationOutcome:
+def activate_entanglement(rho: DensityMatrix, spec: WitnessSpec) -> ActivationOutcome:
     """Measure-and-prepare channel with singlet / triplet-mixed outputs.
 
     The output is Werner with singlet weight p = Tr(M_- rho), i.e.
@@ -220,7 +211,7 @@ def activate_entanglement(
     closed form is cross-checked against the output matrix's partial
     transpose.
     """
-    value, p = _detection(rho, spec, budget)
+    value, p = _detection(rho, spec)
     q = (4.0 * p - 1.0) / 3.0
     outcome = werner_analytics(q, witness=spec, validate=False)
     expected = max(0.0, value) / 2.0
@@ -235,11 +226,9 @@ def activate_entanglement(
     return outcome
 
 
-def activate_steering(
-    rho: DensityMatrix, spec: WitnessSpec, budget: int = DEFAULT_BUDGET
-) -> ActivationOutcome:
+def activate_steering(rho: DensityMatrix, spec: WitnessSpec) -> ActivationOutcome:
     """Same POVM, maximally mixed complement: q = Tr(M_- rho), S = [-Tr(W rho)]_+."""
-    value, q = _detection(rho, spec, budget)
+    value, q = _detection(rho, spec)
     outcome = werner_analytics(q, witness=spec, validate=False)
     expected = max(0.0, value)
     if abs(outcome.steering - expected) > 1e-9:

@@ -1,8 +1,7 @@
 """CPTP maps on the truncated Fock space.
 
 Pure loss, additive Gaussian displacement noise, number damping, phase
-rotation, the two-mode SUM-type gate and one deterministic round of
-grid-code error correction.  Channels are immutable once built and their
+rotation and one deterministic round of grid-code error correction.  Channels are immutable once built and their
 application is a pure function, so parameter sweeps may apply them in
 parallel.
 """
@@ -15,9 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_hermite
 
-from .errors import BudgetError, TruncationError
+from .errors import TruncationError
 from .fock import (
-    DEFAULT_BUDGET,
     DensityMatrix,
     FockCutoff,
     OperatorMatrix,
@@ -208,21 +206,6 @@ def apply_unitary(u: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:
     out = u.matrix @ rho.matrix @ u.matrix.conj().T
     tr = float(np.real(np.trace(out)))
     return DensityMatrix(out / tr, rho.cutoff, leakage=rho.leakage)
-
-
-def sum_gate(cutoff: FockCutoff | int, budget: int = DEFAULT_BUDGET) -> OperatorMatrix:
-    """Two-mode gate exp(-i q_1 (x) p_2) on equal per-mode cutoffs.
-
-    Diagonal in the product of the q and p eigenbases:
-    (V_q (x) V_p) diag(e^{-i q_i p_j}) (V_q (x) V_p)^dag.
-    """
-    dim = as_cutoff(cutoff).dim
-    if dim * dim > budget:
-        raise BudgetError(f"two-mode dim {dim * dim} exceeds budget {budget}")
-    (qvals, qvecs), (pvals, pvecs) = _quadrature_eigensystem(dim)
-    basis = np.kron(qvecs, pvecs)
-    phases = np.exp(-1j * np.outer(qvals, pvals)).ravel()
-    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False, norm_bound=1.0)
 
 
 def nearest_lattice_shift(value: float, spacing: float) -> float:

@@ -5,8 +5,8 @@ activate, boundary-mix, property-suite.  Every output embeds the resolved
 configuration, its hash, the cutoff and the maximal truncation leakage, so
 identical configurations reproduce byte-identical files.
 
-Exit codes: 0 success, 2 configuration error, 3 truncation or budget
-error, 4 invariant failure.
+Exit codes: 0 success, 2 configuration error, 3 truncation error (the
+cutoff cannot support a requested object), 4 invariant failure.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import hashlib
 import json
 import math
+import operator
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -31,9 +32,8 @@ from .channels import (
     gkp_ec_round,
     pure_loss,
 )
-from .errors import BudgetError, ConfigError, InvariantError, TruncationError
+from .errors import ConfigError, InvariantError, TruncationError
 from .fock import (
-    DEFAULT_BUDGET,
     DensityMatrix,
     FockCutoff,
     PureState,
@@ -114,6 +114,23 @@ def _spec_guard(what: str, spec):
         raise ConfigError(f"bad {what} {spec}: {exc}") from exc
 
 
+def _read(cfg: dict, key: str, parse=float):
+    """cfg[key] converted by ``parse``; a value it rejects exits 2."""
+    with _spec_guard(key, cfg[key]):
+        return parse(cfg[key])
+
+
+def _cutoff(cfg: dict) -> int:
+    return _read(cfg, "cutoff", lambda v: FockCutoff(int(v)).dim)
+
+
+def _seeds(value) -> tuple[int, ...]:
+    seeds = tuple(operator.index(s) for s in value)
+    if min(seeds, default=0) < 0:
+        raise ValueError("seeds must be nonnegative integers")
+    return seeds
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     cfg.update(_load_config(args.config))
@@ -121,8 +138,6 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         cfg["cutoff"] = args.cutoff
     if args.out is not None:
         cfg["out"] = args.out
-    if args.budget is not None:
-        cfg["budget"] = args.budget
     if args.seed_list is not None:
         with _spec_guard("--seed-list", args.seed_list):
             cfg["seeds"] = [int(s) for s in args.seed_list.split(",") if s.strip()]
@@ -256,7 +271,7 @@ def _parse_witness(spec, cutoff: int, seeds) -> WitnessSpec:
             psi = _parse_pure_state(spec.get("state"), cutoff)
             lam = spec.get("lambda")
             if lam is None:
-                lam = gaussian_fidelity(psi, GaussianFitConfig(seeds=tuple(seeds))).max_fidelity
+                lam = gaussian_fidelity(psi, GaussianFitConfig(seeds=seeds)).max_fidelity
             if family == "pure_projector":
                 return pure_projector_spec(psi, float(lam))
             return two_copy_projector_spec(psi, float(lam))
@@ -268,8 +283,9 @@ def _parse_witness(spec, cutoff: int, seeds) -> WitnessSpec:
 
 
 def run_wigner(cfg: dict) -> int:
-    rho = _parse_state(cfg["state"], cfg["cutoff"])
-    channel = _parse_channel(cfg.get("channel"), cfg["cutoff"])
+    cutoff = _cutoff(cfg)
+    rho = _parse_state(cfg["state"], cutoff)
+    channel = _parse_channel(cfg.get("channel"), cutoff)
     if channel is not None:
         rho = channel(rho)
     # the same square grid as the depth search scans, validated the same way
@@ -287,8 +303,9 @@ def run_wigner(cfg: dict) -> int:
 
 
 def run_negativity_depth(cfg: dict) -> int:
-    rho = _parse_state(cfg["state"], cfg["cutoff"])
-    channel = _parse_channel(cfg.get("channel"), cfg["cutoff"])
+    cutoff = _cutoff(cfg)
+    rho = _parse_state(cfg["state"], cutoff)
+    channel = _parse_channel(cfg.get("channel"), cutoff)
     if channel is not None:
         rho = channel(rho)
     res = negativity_depth(rho, _depth_config(cfg["resolution"], cfg.get("radius")))
@@ -305,12 +322,10 @@ def run_negativity_depth(cfg: dict) -> int:
 
 
 def run_loss_sweep(cfg: dict) -> int:
-    cutoff = int(cfg["cutoff"])
-    n = int(cfg["fock_n"])
+    cutoff = _cutoff(cfg)
     pi = parity_op(cutoff)
-    input_state = fock(n, cutoff).to_density()
-    with _spec_guard("etas", cfg["etas"]):
-        etas = sorted(LossParams(float(e)).eta for e in cfg["etas"])
+    input_state = _read(cfg, "fock_n", lambda n: fock(int(n), cutoff).to_density())
+    etas = _read(cfg, "etas", lambda es: sorted(LossParams(float(e)).eta for e in es))
     search_cfg = FamilySearchConfig(depth=_depth_config(cfg["resolution"]))
     rows = []
     max_leak = 0.0
@@ -353,18 +368,20 @@ def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> fl
 
 
 def run_gkp_sweep(cfg: dict) -> int:
-    eta = float(cfg["eta"])
+    eta = _read(cfg, "eta")
     if not 0.0 <= eta <= 1.0:
         raise ConfigError("eta must lie in [0, 1]")
-    cutoff = int(cfg["cutoff"])
+    cutoff = _cutoff(cfg)
     depth_cfg = _depth_config(cfg["depth_resolution"], cfg["depth_radius"])
     if depth_cfg.radius is None:
         raise ConfigError("depth_radius must be a number")
     loss_model = cfg["loss_model"]
     if loss_model not in ("bare", "amplified"):
         raise ConfigError("loss_model must be 'bare' or 'amplified'")
+    if loss_model == "amplified" and eta == 0.0:
+        raise ConfigError("amplified loss needs eta > 0 (the gain is 1/eta)")
     ec_on = bool(cfg["ec"])
-    tail_tol = float(cfg["tail_tol_two"])
+    tail_tol = _read(cfg, "tail_tol_two")
     with _spec_guard("squeezing levels", [cfg["squeezing_db"], cfg["ancilla_db"]]):
         dbs = sorted(float(d) for d in cfg["squeezing_db"])
         codes = [GkpParams.from_db(db) for db in dbs]
@@ -375,9 +392,8 @@ def run_gkp_sweep(cfg: dict) -> int:
         loss_apply = None if eta == 1.0 else pure_loss(eta, cutoff).apply
     else:
         sigma2 = (1.0 - eta) / eta  # loss followed by gain-1/eta amplification
-        loss_apply = gaussian_noise(
-            GaussNoiseParams(sigma2, int(cfg["quad_order"])), cutoff
-        ).apply
+        noise = _read(cfg, "quad_order", lambda k: GaussNoiseParams(sigma2, int(k)))
+        loss_apply = gaussian_noise(noise, cutoff).apply
 
     rows = []
     max_leak = 0.0
@@ -406,8 +422,8 @@ def run_gkp_sweep(cfg: dict) -> int:
 
 
 def run_pure_bounds(cfg: dict) -> int:
-    psi = _parse_pure_state(cfg["state"], cfg["cutoff"])
-    fit_cfg = GaussianFitConfig(seeds=tuple(cfg["seeds"]))
+    psi = _parse_pure_state(cfg["state"], _cutoff(cfg))
+    fit_cfg = GaussianFitConfig(seeds=_read(cfg, "seeds", _seeds))
     bounds = pure_state_bounds(psi, fit_cfg)
     payload = bounds.to_dict()
     payload["activated_entanglement_floor_gng"] = bounds.gng_lower / 2.0
@@ -419,14 +435,14 @@ def run_pure_bounds(cfg: dict) -> int:
 
 
 def run_activate(cfg: dict) -> int:
-    cutoff = int(cfg["cutoff"])
+    cutoff = _cutoff(cfg)
     rho = _parse_state(cfg["state"], cutoff)
     channel = _parse_channel(cfg.get("channel"), cutoff)
     if channel is not None:
         rho = channel(rho)
-    spec = _parse_witness(cfg["witness"], cutoff, cfg["seeds"])
-    ent = activate_entanglement(rho, spec, budget=int(cfg["budget"]))
-    steer = activate_steering(rho, spec, budget=int(cfg["budget"]))
+    spec = _parse_witness(cfg["witness"], cutoff, _read(cfg, "seeds", _seeds))
+    ent = activate_entanglement(rho, spec)
+    steer = activate_steering(rho, spec)
     write_json(
         cfg["out"],
         {"entanglement_channel": ent.to_dict(), "steering_channel": steer.to_dict()},
@@ -436,7 +452,7 @@ def run_activate(cfg: dict) -> int:
 
 
 def run_boundary_mix(cfg: dict) -> int:
-    cutoff = int(cfg["cutoff"])
+    cutoff = _cutoff(cfg)
     vac = fock(0, cutoff).to_density()
     one = fock(1, cutoff).to_density()
     sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(cutoff))
@@ -473,11 +489,10 @@ def _default_corpus(cutoff: int):
 
 
 def run_property_suite(cfg: dict) -> int:
-    cutoff = int(cfg["cutoff"])
-    if cfg.get("states"):
-        states = [
-            (f"state_{i}", _parse_state(s, cutoff)) for i, s in enumerate(cfg["states"])
-        ]
+    cutoff = _cutoff(cfg)
+    specs = _read(cfg, "states", lambda v: list(v or ()))
+    if specs:
+        states = [(f"state_{i}", _parse_state(s, cutoff)) for i, s in enumerate(specs)]
     else:
         states = _default_corpus(cutoff)
     from .channels import apply_unitary, phase_rotation
@@ -556,7 +571,6 @@ _DEFAULTS = {
         "cutoff": 25,
         "out": "activate.json",
         "seeds": [0, 1, 2, 3],
-        "budget": DEFAULT_BUDGET,
     },
     "boundary-mix": {
         "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
@@ -597,7 +611,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cutoff", type=int, help="Fock-space cutoff override")
         p.add_argument("--out", help="output path override")
         p.add_argument("--seed-list", help="comma-separated fit seeds (pure-bounds, activate)")
-        p.add_argument("--budget", type=int, help="product-space dimension (activate)")
     return parser
 
 
@@ -610,8 +623,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (TruncationError, BudgetError) as exc:
-        print(f"truncation/budget error: {exc}", file=sys.stderr)
+    except TruncationError as exc:
+        print(f"truncation error: {exc}", file=sys.stderr)
         return 3
     except InvariantError as exc:
         print(f"invariant failure: {exc}", file=sys.stderr)

@@ -5,10 +5,6 @@ class TruncationError(RuntimeError):
     """The Fock-space cutoff cannot support the requested object to tolerance."""
 
 
-class BudgetError(RuntimeError):
-    """A product-space object would exceed the configured memory budget."""
-
-
 class InvariantError(RuntimeError):
     """An internal cross-check failed; the result cannot be trusted."""
 

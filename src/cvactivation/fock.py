@@ -1,7 +1,7 @@
 """Truncated-Fock-space linear algebra.
 
-States, operators, norms, fidelity and tensor products on the space spanned
-by Fock levels 0..dim-1.  Every object carries a :class:`FockCutoff` tag and
+States, operators, norms and fidelity on the space spanned by Fock
+levels 0..dim-1.  Every object carries a :class:`FockCutoff` tag and
 interoperates only with objects of the same dimension.  All values are
 immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
@@ -16,7 +16,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammainc
 
-from .errors import BudgetError, TruncationError
+from .errors import TruncationError
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
@@ -24,8 +24,6 @@ POSITIVITY_TOL = 1e-9
 # Displacements leak probability above the cutoff; reject when the coherent
 # tail mass at the target cutoff exceeds this.
 DISPLACEMENT_TAIL_TOL = 1e-8
-# Largest allowed dimension of a product space (matrix of budget^2 entries).
-DEFAULT_BUDGET = 4096
 
 
 @dataclass(frozen=True)
@@ -182,11 +180,6 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
-def identity_op(cutoff: FockCutoff | int) -> OperatorMatrix:
-    dim = as_cutoff(cutoff).dim
-    return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=True, norm_bound=1.0)
-
-
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Raw matrix of the annihilation operator, sqrt(j) on the superdiagonal."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
@@ -310,30 +303,3 @@ def trace_norm(x: OperatorMatrix | np.ndarray) -> float:
     """Schatten-1 norm, the sum of singular values."""
     mat = x.matrix if isinstance(x, OperatorMatrix) else np.asarray(x)
     return float(np.sum(np.linalg.svd(mat, compute_uv=False)))
-
-
-def tensor(a, b, budget: int = DEFAULT_BUDGET):
-    """Kronecker product of two density matrices or two operators.
-
-    The product dimension must stay within ``budget``; trace and norm bound
-    are multiplicative.
-    """
-    if isinstance(a, DensityMatrix) and isinstance(b, DensityMatrix):
-        prod_dim = a.dim * b.dim
-        if prod_dim > budget:
-            raise BudgetError(f"product dim {prod_dim} exceeds budget {budget}")
-        return DensityMatrix(
-            np.kron(a.matrix, b.matrix),
-            FockCutoff(prod_dim),
-            leakage=max(a.leakage, b.leakage),
-        )
-    if isinstance(a, OperatorMatrix) and isinstance(b, OperatorMatrix):
-        prod_dim = a.dim * b.dim
-        if prod_dim > budget:
-            raise BudgetError(f"product dim {prod_dim} exceeds budget {budget}")
-        return OperatorMatrix(
-            np.kron(a.matrix, b.matrix),
-            hermitian=a.hermitian and b.hermitian,
-            norm_bound=a.norm_bound * b.norm_bound,
-        )
-    raise TypeError("tensor expects two DensityMatrix or two OperatorMatrix arguments")

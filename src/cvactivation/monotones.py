@@ -24,6 +24,7 @@ from .witnesses import (
     GaussianFitConfig,
     WitnessBox,
     WitnessSpec,
+    check_box,
     displaced_parity_spec,
     gaussian_fidelity,
     pure_projector_spec,
@@ -206,9 +207,7 @@ def exact_boundary_mixture(
     X inside the unit box; then the monotone equals t exactly.  Each row
     optionally cross-checks that the family search reaches t - 1e-6.
     """
-    vals = np.linalg.eigvalsh(witness.matrix)
-    if vals[0] < -1.0 - 1e-9 or vals[-1] > 1.0 + 1e-9:
-        raise ValueError(f"witness spectrum [{vals[0]}, {vals[-1]}] outside the unit box")
+    check_box(witness)
     r_sigma = float(np.real(np.trace(witness.matrix @ sigma_free.matrix)))
     r_tau = float(np.real(np.trace(witness.matrix @ tau.matrix)))
     if abs(r_sigma) > 1e-8 or abs(r_tau + 1.0) > 1e-8:

@@ -4,12 +4,12 @@ Conventions: W(alpha) = (2/pi) Tr[Pi(alpha) rho] with Pi(alpha) the
 displaced parity, alpha = (x + i p)/sqrt(2), so the vacuum Wigner function
 is (2/pi) exp(-2|alpha|^2) and the integral over the complex plane is 1.
 
-Two evaluation routes are provided: :func:`wigner_at` conjugates the parity
-operator by an explicit displacement (the defining expression), while
-:func:`wigner_batch` contracts the exact displaced-parity matrix elements
-Pi(alpha) = D(2 alpha) Pi against rho through a stable column recurrence,
-which is fast on point batches.  The two routes, plus a Laguerre-series
-oracle in the test suite, cross-validate each other.  The same recurrence,
+Density matrices have one production route: :func:`wigner_batch`
+contracts the exact displaced-parity matrix elements Pi(alpha) =
+D(2 alpha) Pi against rho through a stable column recurrence, exact for
+the truncated state and fast on point batches.  Independent routes live
+in the test suite as oracles: the defining expression (parity conjugated
+by an explicit displacement) and a Laguerre series.  The same recurrence,
 run over a stack of operators, gives :func:`wigner_jet` the exact gradient
 and Hessian through the Bopp identities.  For grid-code states,
 :func:`wigner_pure_comb` evaluates the exact comb as one small matrix
@@ -32,33 +32,13 @@ from .errors import InvariantError
 from .fock import (
     DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
-    OperatorMatrix,
     annihilation_matrix,
     coherent_tail_mass,
-    displacement_op,
-    parity_op,
 )
 from .states import hermite_functions
 
 WIGNER_BOUND = 2.0 / math.pi
 _BOUND_SLACK = 1e-9
-
-
-def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
-    """D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
-    d = displacement_op(alpha, cutoff)
-    pi = parity_op(cutoff)
-    mat = d.matrix @ pi.matrix @ d.matrix.conj().T
-    mat = (mat + mat.conj().T) / 2.0
-    return OperatorMatrix(mat, hermitian=True, norm_bound=1.0)
-
-
-def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
-    """(2/pi) Tr[Pi(alpha) rho] via the displaced parity operator."""
-    val = rho.expectation(displaced_parity_matrix(alpha, rho.cutoff))
-    if abs(val.imag) > 1e-10:
-        raise InvariantError(f"Wigner value has imaginary part {val.imag:.3e}")
-    return (2.0 / math.pi) * val.real
 
 
 def _laguerre_clenshaw(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:

@@ -16,25 +16,17 @@ expectation value.  Families implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import BudgetError, TruncationError
-from .fock import (
-    DEFAULT_BUDGET,
-    DensityMatrix,
-    FockCutoff,
-    OperatorMatrix,
-    PureState,
-    as_cutoff,
-    identity_op,
-    tensor,
-)
+from .errors import TruncationError
+from .fock import DensityMatrix, OperatorMatrix, PureState
 from .states import DEFAULT_R_MAX, GaussianPureParams, gaussian_pure
-from .wigner import displaced_parity_matrix
+from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
 
@@ -62,16 +54,31 @@ class DisplacedParity:
     alpha: complex = 0.0
 
 
+def _check_lam(lam: float) -> None:
+    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
+        raise ValueError(f"projector lambda must be a fidelity in [0, 1], got {lam}")
+
+
 @dataclass(frozen=True)
 class PureProjector:
+    """lam I - |psi><psi|, with lam the maximal Gaussian fidelity of psi."""
+
     psi: PureState
-    lam: float | None = None
+    lam: float
+
+    def __post_init__(self):
+        _check_lam(self.lam)
 
 
 @dataclass(frozen=True)
 class TwoCopyProjector:
+    """lam^2 I - |psi><psi|^(x2) on the two-copy space."""
+
     psi: PureState
-    lam: float | None = None
+    lam: float
+
+    def __post_init__(self):
+        _check_lam(self.lam)
 
 
 @dataclass(frozen=True)
@@ -98,10 +105,6 @@ class WitnessSpec:
         if isinstance(self.family, DisplacedParity) and self.free_set is FreeSet.GAUSSIAN_TWO_COPY:
             raise ValueError("single-copy parity witnesses need a single-copy free set")
 
-    @property
-    def is_two_copy(self) -> bool:
-        return isinstance(self.family, TwoCopyProjector)
-
     def describe(self) -> dict:
         fam = self.family
         if isinstance(fam, DisplacedParity):
@@ -120,91 +123,57 @@ class WitnessSpec:
         return detail
 
 
-def _require_lam(fam) -> float:
-    if fam.lam is None:
+def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) -> tuple[float, float]:
+    """Ends (lowest, highest) of the witness spectrum, asserted inside the box.
+
+    Built-in families have closed-form spectra: displaced parity lies in
+    [-1, 1] (the compression of a unitary involution), a projector witness
+    has {lam - 1, lam} and its two-copy lift {lam^2 - 1, lam^2}.  Only an
+    explicit operator is diagonalised.
+    """
+    if isinstance(witness, ExplicitWitness):
+        witness = witness.operator
+    if isinstance(witness, OperatorMatrix):
+        vals = np.linalg.eigvalsh(witness.matrix)
+        lo, hi = float(vals[0]), float(vals[-1])
+    elif isinstance(witness, DisplacedParity):
+        lo, hi = -1.0, 1.0
+    elif isinstance(witness, TwoCopyProjector):
+        lo, hi = witness.lam**2 - 1.0, witness.lam**2
+    else:
+        lo, hi = witness.lam - 1.0, witness.lam
+    if lo < -box.n - BOX_TOL or hi > box.m + BOX_TOL:
         raise ValueError(
-            "projector witness needs the maximal Gaussian fidelity; "
-            "supply lam or compute it with gaussian_fidelity"
+            f"witness spectrum [{lo:.6f}, {hi:.6f}] outside box [-{box.n}, {box.m}]"
         )
-    return float(fam.lam)
-
-
-def _assert_box(mat: np.ndarray, box: WitnessBox) -> None:
-    vals = np.linalg.eigvalsh(mat)
-    if vals[0] < -box.n - BOX_TOL or vals[-1] > box.m + BOX_TOL:
-        raise ValueError(
-            f"witness spectrum [{vals[0]:.6f}, {vals[-1]:.6f}] outside box "
-            f"[-{box.n}, {box.m}]"
-        )
-
-
-def witness_matrix(
-    spec: WitnessSpec, cutoff: FockCutoff | int, budget: int = DEFAULT_BUDGET
-) -> OperatorMatrix:
-    """Materialize the witness operator; eigenvalues are asserted in the box."""
-    cutoff = as_cutoff(cutoff)
-    fam = spec.family
-    if isinstance(fam, DisplacedParity):
-        op = displaced_parity_matrix(fam.alpha, cutoff)
-        _assert_box(op.matrix, spec.box)
-        return op
-    if isinstance(fam, PureProjector):
-        lam = _require_lam(fam)
-        if fam.psi.dim != cutoff.dim:
-            raise ValueError("projector state cutoff mismatch")
-        mat = lam * np.eye(cutoff.dim) - np.outer(
-            fam.psi.amplitudes, fam.psi.amplitudes.conj()
-        )
-        _assert_box(mat, spec.box)
-        return OperatorMatrix(mat, hermitian=True, norm_bound=1.0)
-    if isinstance(fam, TwoCopyProjector):
-        lam = _require_lam(fam)
-        if fam.psi.dim != cutoff.dim:
-            raise ValueError("projector state cutoff mismatch")
-        prod_dim = cutoff.dim**2
-        if prod_dim > budget:
-            raise BudgetError(f"two-copy dim {prod_dim} exceeds budget {budget}")
-        proj = np.outer(fam.psi.amplitudes, fam.psi.amplitudes.conj())
-        mat = lam**2 * np.eye(prod_dim) - np.kron(proj, proj)
-        _assert_box(mat, spec.box)
-        return OperatorMatrix(mat, hermitian=True, norm_bound=1.0)
-    op = fam.operator
-    _assert_box(op.matrix, spec.box)
-    return op
+    return lo, hi
 
 
 def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
     """Signed violation -Tr(W rho); positive iff the witness detects rho.
 
-    Two-copy specs are evaluated on rho (x) rho through the factored
-    expectation <psi|rho|psi>^2, so no product-space matrix is built.
+    The box is checked first.  Displaced parity is evaluated as
+    -(pi/2) W(alpha) from :func:`wigner_batch`, exact for the truncated
+    state.  Projectors use the overlap <psi|rho|psi>, squared for two-copy
+    specs on rho (x) rho, so only an explicit operator is ever a matrix.
     """
     fam = spec.family
+    check_box(fam, spec.box)
+    if isinstance(fam, DisplacedParity):
+        return -(math.pi / 2.0) * float(wigner_batch(rho, fam.alpha)[0])
+    if isinstance(fam, ExplicitWitness):
+        if fam.operator.dim != rho.dim:
+            raise ValueError("witness dimension mismatch")
+        val = rho.expectation(fam.operator)
+        if abs(val.imag) > 1e-10:
+            raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
+        return -val.real
+    if fam.psi.dim != rho.dim:
+        raise ValueError("projector state cutoff mismatch")
+    overlap = float(np.real(np.vdot(fam.psi.amplitudes, rho.matrix @ fam.psi.amplitudes)))
     if isinstance(fam, TwoCopyProjector):
-        lam = _require_lam(fam)
-        if fam.psi.dim != rho.dim:
-            raise ValueError("projector state cutoff mismatch")
-        overlap = float(
-            np.real(
-                np.vdot(fam.psi.amplitudes, rho.matrix @ fam.psi.amplitudes)
-            )
-        )
-        return overlap**2 - lam**2
-    if isinstance(fam, PureProjector):
-        lam = _require_lam(fam)
-        if fam.psi.dim != rho.dim:
-            raise ValueError("projector state cutoff mismatch")
-        overlap = float(
-            np.real(np.vdot(fam.psi.amplitudes, rho.matrix @ fam.psi.amplitudes))
-        )
-        return overlap - lam
-    op = witness_matrix(spec, rho.cutoff)
-    if op.dim != rho.dim:
-        raise ValueError("witness dimension mismatch")
-    val = rho.expectation(op)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
-    return -val.real
+        return overlap**2 - fam.lam**2
+    return overlap - fam.lam
 
 
 def rescale_to_box(op: OperatorMatrix, box: WitnessBox) -> OperatorMatrix:
@@ -213,11 +182,6 @@ def rescale_to_box(op: OperatorMatrix, box: WitnessBox) -> OperatorMatrix:
         raise ValueError("cannot rescale the zero operator")
     t = min(box.n, box.m) / op.norm_bound
     return OperatorMatrix(t * op.matrix, hermitian=op.hermitian, norm_bound=min(box.n, box.m))
-
-
-def lift_witness(op: OperatorMatrix, budget: int = DEFAULT_BUDGET) -> OperatorMatrix:
-    """W (x) I on the product space; expectation on rho^(x2) equals that of W."""
-    return tensor(op, identity_op(op.dim), budget=budget)
 
 
 @dataclass(frozen=True)

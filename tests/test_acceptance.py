@@ -60,7 +60,6 @@ from cvactivation.wigner import (
     DepthSearchConfig,
     negativity_depth,
     negativity_depth_fn,
-    wigner_at,
     wigner_grid,
     wigner_pure_comb,
     wigner_pure_comb_jet,
@@ -72,7 +71,7 @@ from cvactivation.witnesses import (
     gaussian_fidelity,
 )
 
-from conftest import random_density
+from conftest import random_density, wigner_at
 from test_witnesses import FOCK1_GAUSSIAN_FIDELITY
 
 

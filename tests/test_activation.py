@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, parity_op
-from cvactivation.states import GaussianPureParams, coherent, fock, gaussian_pure
+from cvactivation.states import GaussianPureParams, cat, coherent, fock, gaussian_pure
 from cvactivation.channels import pure_loss
-from cvactivation import activation, witnesses
+from cvactivation import witnesses
 from cvactivation.activation import (
     Classification,
     WernerState,
@@ -25,8 +26,10 @@ from cvactivation.monotones import FamilySearchConfig, lower_bound
 from cvactivation.wigner import DepthSearchConfig, negativity_depth
 from cvactivation.witnesses import (
     FreeSet,
+    WitnessBox,
     displaced_parity_spec,
     explicit_spec,
+    two_copy_projector_spec,
 )
 
 from conftest import random_density
@@ -91,22 +94,47 @@ def test_steering_examples():
 
 
 def test_activation_builds_witness_once(monkeypatch):
-    builds = []
-    original = witnesses.witness_matrix
+    calls = []
+    original = witnesses.wigner_batch
 
     def counting(*args, **kwargs):
-        builds.append(args[0])
+        calls.append(args[1])
         return original(*args, **kwargs)
 
-    # witness_value reaches the builder through the witnesses module
-    for module in (activation, witnesses):
-        monkeypatch.setattr(module, "witness_matrix", counting)
+    # witness_value evaluates a parity witness through the witnesses module
+    monkeypatch.setattr(witnesses, "wigner_batch", counting)
     rho = pure_loss(0.7, 20).apply(fock(1, 20).to_density())
     spec = displaced_parity_spec(0.3 - 0.1j)
     for channel in (activate_entanglement, activate_steering):
-        builds.clear()
+        calls.clear()
         channel(rho, spec)
-        assert len(builds) == 1
+        assert len(calls) == 1
+
+
+def _two_copy_case(cutoff, box=WitnessBox()):
+    psi = cat(1.5, 1, cutoff)
+    rho = pure_loss(0.9, cutoff).apply(psi.to_density())
+    return rho, two_copy_projector_spec(psi, 0.5, box)
+
+
+def test_two_copy_box_checked_past_old_budget():
+    # cutoff 80 is a 6400-dim two-copy space; the box is still checked there
+    rho, spec = _two_copy_case(80, WitnessBox(0.3, 1.0))
+    for channel in (activate_entanglement, activate_steering):
+        with pytest.raises(ValueError, match="outside box"):
+            channel(rho, spec)
+
+
+def test_two_copy_activation_builds_no_product_space():
+    # a 4096 x 4096 two-copy matrix would take seconds to build and diagonalise
+    rho, spec = _two_copy_case(64)
+    start = time.perf_counter()
+    ent = activate_entanglement(rho, spec)
+    steer = activate_steering(rho, spec)
+    assert time.perf_counter() - start < 0.1
+    overlap = float(np.real(np.vdot(spec.family.psi.amplitudes, rho.matrix @ spec.family.psi.amplitudes)))
+    assert steer.steering == pytest.approx(max(0.0, overlap**2 - 0.25), abs=1e-9)
+    assert ent.entanglement == pytest.approx(steer.steering / 2.0, abs=1e-9)
 
 
 def test_activation_exactness_random_pairs(rng):

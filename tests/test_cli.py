@@ -233,9 +233,12 @@ def test_seed_list_flag(tmp_path):
 
 def test_seed_and_budget_rejected_where_ignored(tmp_path):
     assert run(["wigner", "--out", tmp_path / "w.csv", "--seed-list", "1"]) == 2
-    assert run(["loss-sweep", "--out", tmp_path / "l.csv", "--budget", "10"]) == 2
-    assert run(["gkp-sweep", "--out", tmp_path / "g.csv", "--budget", "10"]) == 2
-    assert not any((tmp_path / name).exists() for name in ("w.csv", "l.csv", "g.csv"))
+    # --budget is no option of any subcommand: argparse exits 2
+    for command, name in (("loss-sweep", "l.csv"), ("gkp-sweep", "g.csv"), ("activate", "a.json")):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--out", tmp_path / name, "--budget", "10"])
+        assert exc.value.code == 2
+    assert not any((tmp_path / name).exists() for name in ("w.csv", "l.csv", "g.csv", "a.json"))
 
 
 @pytest.mark.parametrize("bad", [{"ancilla_db": -3}, {"squeezing_db": [0]}])
@@ -244,6 +247,10 @@ def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
     cfgfile.write_text(json.dumps(bad))
     assert run(["gkp-sweep", "--config", cfgfile, "--out", tmp_path / "g.csv"]) == 2
     assert not (tmp_path / "g.csv").exists()
+
+
+def _projector(family, lam):
+    return {"family": family, "state": {"kind": "fock", "n": 1}, "lambda": lam}
 
 
 @pytest.mark.parametrize(
@@ -256,6 +263,21 @@ def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
         ("activate", {"witness": {"family": "parity", "alpha": [0, "x"]}, "cutoff": 10}),
         ("activate", {"channel": {"kind": "loss", "eta": "nan"}, "cutoff": 10}),
         ("boundary-mix", {"t_grid": [2], "cutoff": 10}),
+        ("activate", {"witness": _projector("pure_projector", 1.5), "cutoff": 10}),
+        ("activate", {"witness": _projector("pure_projector", "nan"), "cutoff": 10}),
+        ("activate", {"witness": _projector("two_copy_projector", -0.2), "cutoff": 10}),
+        ("activate", {"witness": _projector("two_copy_projector", 1.5), "cutoff": 66}),
+        ("gkp-sweep", {"eta": "x", "cutoff": 10}),
+        ("gkp-sweep", {"tail_tol_two": "x", "cutoff": 10}),
+        ("gkp-sweep", {"quad_order": "x", "loss_model": "amplified", "cutoff": 10}),
+        ("gkp-sweep", {"eta": 0.0, "loss_model": "amplified", "cutoff": 10}),
+        ("loss-sweep", {"fock_n": "x", "cutoff": 10}),
+        ("loss-sweep", {"fock_n": -1, "cutoff": 10}),
+        ("loss-sweep", {"cutoff": 1}),
+        ("activate", {"cutoff": "x"}),
+        ("pure-bounds", {"seeds": "x", "cutoff": 10}),
+        ("pure-bounds", {"seeds": [-1], "cutoff": 10}),
+        ("property-suite", {"states": 5, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from cvactivation.errors import BudgetError, TruncationError
+from cvactivation.errors import TruncationError
 from cvactivation.fock import (
     DensityMatrix,
     FockCutoff,
@@ -15,11 +15,9 @@ from cvactivation.fock import (
     annihilation_matrix,
     displacement_op,
     fidelity,
-    identity_op,
     ladder_ops,
     parity_op,
     pure_fidelity,
-    tensor,
     trace_norm,
 )
 from cvactivation.states import fock, coherent, thermal
@@ -174,29 +172,11 @@ def test_fidelity_symmetric(rng):
 
 
 def test_trace_norm_examples():
-    assert trace_norm(identity_op(7)) == pytest.approx(7.0)
+    assert trace_norm(OperatorMatrix(np.eye(7), hermitian=True, norm_bound=1.0)) == pytest.approx(7.0)
     vac = fock(0, 5).to_density()
     one = fock(1, 5).to_density()
     assert trace_norm(vac.matrix - vac.matrix) == 0.0
     assert trace_norm(vac.matrix - one.matrix) == pytest.approx(2.0, abs=1e-12)
-
-
-def test_tensor_trace_and_norm_multiplicative(rng):
-    a = random_density(rng, 5)
-    b = random_density(rng, 5)
-    prod = tensor(a, b)
-    assert np.real(np.trace(prod.matrix)) == pytest.approx(1.0, abs=1e-10)
-    pi = parity_op(3)
-    lifted = tensor(pi, identity_op(3))
-    assert lifted.norm_bound == pytest.approx(1.0)
-    one_vac = tensor(fock(1, 3).to_density(), fock(0, 3).to_density())
-    assert np.real(np.trace(lifted.matrix @ one_vac.matrix)) == pytest.approx(-1.0)
-
-
-def test_tensor_budget():
-    a = random_density(np.random.default_rng(0), 70)
-    with pytest.raises(BudgetError):
-        tensor(a, a)
 
 
 def test_two_copy_trace_norm_bound(rng):

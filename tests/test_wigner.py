@@ -13,10 +13,8 @@ from cvactivation import wigner
 from cvactivation.wigner import (
     DepthSearchConfig,
     WIGNER_BOUND,
-    displaced_parity_matrix,
     negativity_depth,
     negativity_depth_fn,
-    wigner_at,
     wigner_batch,
     wigner_grid,
     wigner_jet,
@@ -24,7 +22,7 @@ from cvactivation.wigner import (
     wigner_pure_comb_jet,
 )
 
-from conftest import random_density
+from conftest import displaced_parity_matrix, random_density, wigner_at
 
 
 def laguerre_series(rho, alpha):

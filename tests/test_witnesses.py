@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvactivation.errors import BudgetError
-from cvactivation.fock import OperatorMatrix, parity_op
+from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GaussianPureParams,
     cat,
@@ -19,19 +18,20 @@ from cvactivation.channels import apply_unitary, phase_rotation
 from cvactivation.witnesses import (
     FreeSet,
     GaussianFitConfig,
+    PureProjector,
+    TwoCopyProjector,
     WitnessBox,
+    check_box,
     displaced_parity_spec,
     explicit_spec,
     gaussian_fidelity,
-    lift_witness,
     pure_projector_spec,
     rescale_to_box,
     two_copy_projector_spec,
-    witness_matrix,
     witness_value,
 )
 
-from conftest import random_density
+from conftest import displaced_parity_matrix, random_density, wigner_at
 
 # dense-grid search over (|alpha|, r, phi) refined to 4e-4 resolution;
 # regenerate with scripts/compute_gaussian_fidelity_oracle.py
@@ -39,19 +39,28 @@ FOCK1_GAUSSIAN_FIDELITY = 0.4778894120
 
 
 def test_displaced_parity_matrix_spectrum():
-    op = witness_matrix(displaced_parity_spec(0.0), 12)
-    assert np.allclose(np.diag(op.matrix), (-1.0) ** np.arange(12))
-    vals = np.linalg.eigvalsh(witness_matrix(displaced_parity_spec(0.6 - 0.3j), 30).matrix)
-    assert np.max(np.abs(np.abs(vals) - 1.0)) < 1e-10
+    alpha = 0.6 - 0.3j
+    assert check_box(displaced_parity_spec(alpha).family) == (-1.0, 1.0)
+    assert np.allclose(np.diag(displaced_parity_matrix(0.0, 12).matrix), (-1.0) ** np.arange(12))
+    vals = np.linalg.eigvalsh(displaced_parity_matrix(alpha, 30).matrix)
+    assert vals[0] == pytest.approx(-1.0, abs=1e-10)
+    assert vals[-1] == pytest.approx(1.0, abs=1e-10)
+    # the operator evaluated on a truncated state is the compression of the
+    # untruncated one, so its spectrum stays inside the closed-form ends
+    compressed = displaced_parity_matrix(alpha, 100).matrix[:30, :30]
+    vals = np.linalg.eigvalsh(compressed)
+    assert -1.0 - 1e-12 <= vals[0] and vals[-1] <= 1.0 + 1e-12
 
 
 def test_pure_projector_spectrum():
-    psi = fock(1, 10)
+    psi = cat(1.2, -1, 10)
     lam = 0.4778894
-    op = witness_matrix(pure_projector_spec(psi, lam), 10)
-    vals = np.linalg.eigvalsh(op.matrix)
-    assert vals[0] == pytest.approx(lam - 1.0, abs=1e-12)
-    assert vals[-1] == pytest.approx(lam, abs=1e-12)
+    lo, hi = check_box(pure_projector_spec(psi, lam).family)
+    dense = lam * np.eye(10) - np.outer(psi.amplitudes, psi.amplitudes.conj())
+    vals = np.linalg.eigvalsh(dense)
+    assert (lo, hi) == pytest.approx((lam - 1.0, lam), abs=1e-15)
+    assert vals[0] == pytest.approx(lo, abs=1e-12)
+    assert vals[-1] == pytest.approx(hi, abs=1e-12)
 
 
 def test_two_copy_projector_value():
@@ -60,12 +69,24 @@ def test_two_copy_projector_value():
     spec = two_copy_projector_spec(psi, lam)
     rho = psi.to_density()
     assert witness_value(spec, rho) == pytest.approx(1.0 - lam**2, abs=1e-12)
-    op = witness_matrix(spec, 8)
-    vals = np.linalg.eigvalsh(op.matrix)
-    assert vals[0] == pytest.approx(lam**2 - 1.0, abs=1e-12)
-    assert vals[-1] == pytest.approx(lam**2, abs=1e-12)
-    with pytest.raises(BudgetError):
-        witness_matrix(spec, 8, budget=10)
+    lo, hi = check_box(spec.family)
+    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    vals = np.linalg.eigvalsh(lam**2 * np.eye(64) - np.kron(proj, proj))
+    assert (lo, hi) == pytest.approx((lam**2 - 1.0, lam**2), abs=1e-15)
+    assert vals[0] == pytest.approx(lo, abs=1e-12)
+    assert vals[-1] == pytest.approx(hi, abs=1e-12)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -0.2, 1.5])
+def test_projector_lambda_must_be_a_fidelity(lam):
+    psi = fock(1, 6)
+    for family in (PureProjector, TwoCopyProjector):
+        with pytest.raises(ValueError):
+            family(psi, lam)
+    with pytest.raises(ValueError):
+        pure_projector_spec(psi, lam)
+    with pytest.raises(ValueError):
+        two_copy_projector_spec(psi, lam)
 
 
 def test_witness_value_examples():
@@ -77,14 +98,22 @@ def test_witness_value_examples():
 
 
 def test_witness_value_matches_wigner():
-    from cvactivation.wigner import wigner_at
-
     rho = cat(1.3, -1, 30).to_density()
     alpha = 0.4 + 0.2j
     spec = displaced_parity_spec(alpha)
     assert witness_value(spec, rho) == pytest.approx(
         -(math.pi / 2.0) * wigner_at(rho, alpha), abs=1e-10
     )
+
+
+def test_parity_value_exact_for_truncated_state():
+    # far from the origin the cutoff-30 displacement is inexact; the value
+    # must match the state zero-padded to cutoff 100
+    rho = cat(1.3, -1, 30).to_density()
+    padded = DensityMatrix(np.pad(rho.matrix, (0, 70)), FockCutoff(100))
+    alpha = 2.0 + 1.0j
+    oracle = -(math.pi / 2.0) * wigner_at(padded, alpha)
+    assert witness_value(displaced_parity_spec(alpha), rho) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_rescale_examples():
@@ -122,14 +151,20 @@ def test_rescale_never_flips_sign(seed, n, m):
 
 
 def test_lift_witness_value_equality(rng):
+    # the factored values equal the dense expectations on rho (x) rho: a
+    # single-copy witness lifted to W (x) I, and the two-copy projector
     rho = random_density(rng, 6)
-    pi = parity_op(6)
-    lifted = lift_witness(pi)
     rho2 = np.kron(rho.matrix, rho.matrix)
-    lhs = -float(np.real(np.trace(lifted.matrix @ rho2)))
-    rhs = -float(np.real(rho.expectation(pi)))
-    assert lhs == pytest.approx(rhs, abs=1e-10)
-    assert set(np.round(np.linalg.eigvalsh(lifted.matrix), 9)) <= {-1.0, 1.0}
+    lifted = np.kron(parity_op(6).matrix, np.eye(6))
+    lhs = -float(np.real(np.trace(lifted @ rho2)))
+    assert lhs == pytest.approx(witness_value(displaced_parity_spec(0.0), rho), abs=1e-10)
+    assert set(np.round(np.linalg.eigvalsh(lifted), 9)) <= {-1.0, 1.0}
+    vec = rng.normal(size=6) + 1j * rng.normal(size=6)
+    psi = PureState(vec / np.linalg.norm(vec), FockCutoff(6))
+    proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
+    dense = 0.49 * np.eye(36) - np.kron(proj, proj)
+    lhs = -float(np.real(np.trace(dense @ rho2)))
+    assert lhs == pytest.approx(witness_value(two_copy_projector_spec(psi, 0.7), rho), abs=1e-12)
 
 
 def test_gaussian_fidelity_gaussian_inputs():
@@ -230,4 +265,7 @@ def test_witness_box_assertion():
     big = OperatorMatrix(2.0 * np.eye(5), hermitian=True, norm_bound=2.0)
     spec = explicit_spec(big, FreeSet.WIGNER_POSITIVE, "oversized")
     with pytest.raises(ValueError):
-        witness_matrix(spec, 5)
+        check_box(spec.family)
+    with pytest.raises(ValueError):
+        witness_value(spec, fock(0, 5).to_density())
+    assert check_box(spec.family, WitnessBox(1.0, 2.0)) == pytest.approx((2.0, 2.0))
