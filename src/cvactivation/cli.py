@@ -15,7 +15,6 @@ import argparse
 import hashlib
 import json
 import math
-import operator
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -124,11 +123,20 @@ def _cutoff(cfg: dict) -> int:
     return _read(cfg, "cutoff", lambda v: FockCutoff(int(v)).dim)
 
 
-def _seeds(value) -> tuple[int, ...]:
-    seeds = tuple(operator.index(s) for s in value)
-    if min(seeds, default=0) < 0:
-        raise ValueError("seeds must be nonnegative integers")
-    return seeds
+def _fit_config(cfg: dict) -> GaussianFitConfig:
+    return _read(cfg, "seeds", lambda seeds: GaussianFitConfig(seeds=seeds))
+
+
+def _flag(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("must be a JSON boolean (true or false)")
+    return value
+
+
+def _out_path(value) -> str:
+    if not isinstance(value, str) or not value:
+        raise TypeError("must be a non-empty path string")
+    return value
 
 
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
@@ -144,6 +152,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     unknown = set(cfg) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    # checked before any computation, so a bad path wastes no run
+    _read(cfg, "out", _out_path)
     return cfg
 
 
@@ -260,7 +270,7 @@ def _parse_channel(spec, cutoff: int):
     raise ConfigError(f"unknown channel kind: {kind}")
 
 
-def _parse_witness(spec, cutoff: int, seeds) -> WitnessSpec:
+def _parse_witness(spec, cutoff: int, fit_cfg: GaussianFitConfig) -> WitnessSpec:
     if not isinstance(spec, dict) or "family" not in spec:
         raise ConfigError(f"bad witness spec: {spec}")
     family = spec["family"]
@@ -271,7 +281,7 @@ def _parse_witness(spec, cutoff: int, seeds) -> WitnessSpec:
             psi = _parse_pure_state(spec.get("state"), cutoff)
             lam = spec.get("lambda")
             if lam is None:
-                lam = gaussian_fidelity(psi, GaussianFitConfig(seeds=seeds)).max_fidelity
+                lam = gaussian_fidelity(psi, fit_cfg).max_fidelity
             if family == "pure_projector":
                 return pure_projector_spec(psi, float(lam))
             return two_copy_projector_spec(psi, float(lam))
@@ -294,7 +304,7 @@ def run_wigner(cfg: dict) -> int:
         rho,
         radius=grid_cfg.radius,
         resolution=grid_cfg.resolution,
-        validate_marginal=bool(cfg.get("validate_marginal", True)),
+        validate_marginal=_read(cfg, "validate_marginal", _flag),
     )
     meta = _metadata(cfg, grid.leakage)
     meta["dropped_points"] = int(grid.dropped.size)
@@ -380,7 +390,7 @@ def run_gkp_sweep(cfg: dict) -> int:
         raise ConfigError("loss_model must be 'bare' or 'amplified'")
     if loss_model == "amplified" and eta == 0.0:
         raise ConfigError("amplified loss needs eta > 0 (the gain is 1/eta)")
-    ec_on = bool(cfg["ec"])
+    ec_on = _read(cfg, "ec", _flag)
     tail_tol = _read(cfg, "tail_tol_two")
     with _spec_guard("squeezing levels", [cfg["squeezing_db"], cfg["ancilla_db"]]):
         dbs = sorted(float(d) for d in cfg["squeezing_db"])
@@ -423,8 +433,7 @@ def run_gkp_sweep(cfg: dict) -> int:
 
 def run_pure_bounds(cfg: dict) -> int:
     psi = _parse_pure_state(cfg["state"], _cutoff(cfg))
-    fit_cfg = GaussianFitConfig(seeds=_read(cfg, "seeds", _seeds))
-    bounds = pure_state_bounds(psi, fit_cfg)
+    bounds = pure_state_bounds(psi, _fit_config(cfg))
     payload = bounds.to_dict()
     payload["activated_entanglement_floor_gng"] = bounds.gng_lower / 2.0
     payload["activated_entanglement_floor_sng"] = bounds.sng_lower / 2.0
@@ -440,7 +449,7 @@ def run_activate(cfg: dict) -> int:
     channel = _parse_channel(cfg.get("channel"), cutoff)
     if channel is not None:
         rho = channel(rho)
-    spec = _parse_witness(cfg["witness"], cutoff, _read(cfg, "seeds", _seeds))
+    spec = _parse_witness(cfg["witness"], cutoff, _fit_config(cfg))
     ent = activate_entanglement(rho, spec)
     steer = activate_steering(rho, spec)
     write_json(

@@ -17,6 +17,7 @@ expectation value.  Families implemented here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -194,6 +195,23 @@ class GaussianFitConfig:
     maxiter: int = 400
     fatol: float = 1e-12
     xatol: float = 1e-8
+
+    def __post_init__(self):
+        for name in ("n_starts", "maxiter"):
+            value = getattr(self, name)
+            if not float(value).is_integer() or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value}")
+            object.__setattr__(self, name, int(value))
+        if not (math.isfinite(self.r_max) and self.r_max >= 0):
+            raise ValueError(f"r_max must be finite and nonnegative, got {self.r_max}")
+        for name in ("fatol", "xatol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        seeds = tuple(operator.index(s) for s in self.seeds)
+        if min(seeds, default=0) < 0:
+            raise ValueError(f"seeds must be nonnegative integers, got {self.seeds}")
+        object.__setattr__(self, "seeds", seeds)
 
 
 @dataclass(frozen=True)

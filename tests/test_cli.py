@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from cvactivation import cli
 from cvactivation.cli import main
 
 
@@ -278,6 +279,10 @@ def _projector(family, lam):
         ("pure-bounds", {"seeds": "x", "cutoff": 10}),
         ("pure-bounds", {"seeds": [-1], "cutoff": 10}),
         ("property-suite", {"states": 5, "cutoff": 10}),
+        ("wigner", {"validate_marginal": "false", "cutoff": 10}),
+        ("wigner", {"validate_marginal": 1, "cutoff": 10}),
+        ("gkp-sweep", {"ec": "false", "cutoff": 10}),
+        ("gkp-sweep", {"ec": None, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -286,3 +291,33 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
     assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out", [5, "", None, ["a.json"]])
+def test_bad_out_path_exits_2_before_running(tmp_path, capsys, monkeypatch, out):
+    def must_not_run(cfg):
+        raise AssertionError("the subcommand ran before its out path was checked")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setitem(cli._RUNNERS, "activate", must_not_run)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"out": out, "cutoff": 10}))
+    assert run(["activate", "--config", cfgfile]) == 2
+    assert capsys.readouterr().err.startswith("config error: bad out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_validate_marginal_false_skips_the_check(tmp_path):
+    # the config of test_invariant_failure_exit_code, with the check switched off
+    cfg = {
+        "state": {"kind": "gkp", "epsilon": 0.25},
+        "cutoff": 50,
+        "radius": 1.2,
+        "resolution": 30,
+        "validate_marginal": False,
+    }
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(cfg))
+    assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 0
+    meta, _, _ = read_csv(tmp_path / "w.csv")
+    assert meta["config"]["validate_marginal"] is False

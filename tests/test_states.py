@@ -7,6 +7,7 @@ from scipy.linalg import expm
 from cvactivation.errors import TruncationError
 from cvactivation.fock import annihilation_matrix, parity_op
 from cvactivation.states import (
+    DEFAULT_R_MAX,
     GaussianPureParams,
     cat,
     coherent,
@@ -60,6 +61,74 @@ def test_gaussian_pure_matches_matrix_exponential():
         phase = np.vdot(oracle, mine.amplitudes)
         phase /= abs(phase)
         assert np.max(np.abs(mine.amplitudes - phase * oracle)) < 1e-10
+
+
+def _squeezed_coherent_amps_oracle(alpha, r, phi, n_levels):
+    """The recurrence evaluated one numpy scalar at a time, the test oracle."""
+    mu = np.cosh(r)
+    nu = np.exp(1j * phi) * np.sinh(r)
+    gamma = mu * alpha + nu * np.conj(alpha)
+    amps = np.zeros(n_levels, dtype=complex)
+    amps[0] = 1.0
+    if n_levels > 1:
+        amps[1] = gamma / mu
+    for n in range(1, n_levels - 1):
+        amps[n + 1] = (gamma * amps[n] - nu * np.sqrt(n) * amps[n - 1]) / (
+            mu * np.sqrt(n + 1)
+        )
+    return amps
+
+
+def _oracle_draws():
+    rng = np.random.default_rng(9)
+    edge = [
+        (0.0, 0.7, 1.3),
+        (0j, 0.0, 0.0),
+        (0.0, 0.5, 0.0),
+        (1.1 - 0.4j, 0.0, 2.0),
+        (-0.8, 0.0, 0.0),
+        (0.6 + 0.2j, DEFAULT_R_MAX, 0.9),
+        (0.0, DEFAULT_R_MAX, 0.0),
+        (-1.3j, 0.4, 1e-15),
+        (0.5, 1.1, 2.0 * math.pi - 1e-15),
+        (2.0 + 1.0j, 0.9, np.nextafter(2.0 * math.pi, 0.0)),
+    ]
+    random = [
+        (
+            complex(rng.normal(0.0, 1.5), rng.normal(0.0, 1.5)),
+            float(rng.uniform(0.0, DEFAULT_R_MAX)),
+            float(rng.uniform(0.0, 2.0 * math.pi)),
+        )
+        for _ in range(600)
+    ]
+    return edge + random
+
+
+def test_squeezed_coherent_amps_bit_identical_to_numpy_scalars():
+    # also byte-equal, so the signs of zero parts (alpha = 0, real inputs) match
+    for i, (alpha, r, phi) in enumerate(_oracle_draws()):
+        for n_levels in (1, 2, 3, 92, 152) if i < 60 else (92,):
+            fast = squeezed_coherent_amps(alpha, r, phi, n_levels)
+            oracle = _squeezed_coherent_amps_oracle(alpha, r, phi, n_levels)
+            assert np.array_equal(fast, oracle), (alpha, r, phi, n_levels)
+            assert fast.tobytes() == oracle.tobytes(), (alpha, r, phi, n_levels)
+
+
+@pytest.mark.parametrize(
+    "alpha, r, phi",
+    [
+        (complex("nan"), 0.1, 0.0),
+        (complex(0.0, math.inf), 0.1, 0.0),
+        (0.3, math.nan, 0.0),
+        (0.3, math.inf, 0.0),
+        (0.3, 0.1, math.inf),
+        (0.3, 0.1, math.nan),
+        (0.3, -0.1, 0.0),
+    ],
+)
+def test_gaussian_params_reject_non_finite(alpha, r, phi):
+    with pytest.raises(ValueError):
+        GaussianPureParams(alpha, r, phi)
 
 
 def test_gaussian_pure_special_cases():

@@ -180,6 +180,36 @@ def test_gaussian_fidelity_fock1_matches_grid_oracle():
     assert res.n_converged > 0
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"n_starts": 0},
+        {"n_starts": 2.5},
+        {"maxiter": 0},
+        {"maxiter": math.inf},
+        {"r_max": -0.5},
+        {"r_max": math.nan},
+        {"r_max": math.inf},
+        {"fatol": 0.0},
+        {"fatol": math.nan},
+        {"xatol": -1e-8},
+        {"xatol": math.inf},
+        {"seeds": (0, -1)},
+        {"seeds": (0.5,)},
+        {"seeds": ("x",)},
+    ],
+)
+def test_gaussian_fit_config_rejects_bad_values(bad):
+    with pytest.raises((ValueError, TypeError)):
+        GaussianFitConfig(**bad)
+
+
+def test_gaussian_fit_config_keeps_valid_values():
+    small = GaussianFitConfig(n_starts=2, maxiter=40)
+    assert (small.n_starts, small.maxiter) == (2, 40)
+    assert GaussianFitConfig(seeds=[5, 6], r_max=0.0).seeds == (5, 6)
+
+
 def test_gaussian_fidelity_beats_every_seed():
     res = gaussian_fidelity(cat(1.5, -1, 40))
     assert 0.0 < res.max_fidelity < 1.0
