@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InvariantError
 from .fock import DensityMatrix, OperatorMatrix
@@ -111,6 +110,9 @@ def projective_discord(rho4: np.ndarray, n_starts: int = 24) -> float:
         z = 1.0 - 2.0 * (i + 0.5) / n_starts
         theta = math.acos(max(-1.0, min(1.0, z)))
         seeds.append((theta, (golden * i) % (2.0 * math.pi)))
+    # imported here, not at module level: scipy.optimize adds ~23 MiB to every import
+    from scipy.optimize import minimize
+
     vals = sorted((dist2(s), s) for s in seeds)
     best = vals[0][0]
     for _, seed in vals[:3]:

@@ -236,15 +236,16 @@ def _quadrature_eigensystem(dim: int):
     return tuple(out)
 
 
-def coherent_tail_mass(alpha: complex, dim: int) -> float:
+def coherent_tail_mass(alpha: complex | np.ndarray, dim: int) -> float | np.ndarray:
     """Probability a coherent state |alpha> carries above Fock level dim-1.
 
-    Exact Poisson tail: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n! .
+    Exact Poisson tail: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n! , a float for a
+    scalar alpha and an array of tails for an array of alphas.  |alpha| is
+    taken by hypot, as Python's abs is; numpy's vectorised abs can differ
+    from it in the last bit.
     """
-    lam = abs(alpha) ** 2
-    if lam == 0.0:
-        return 0.0
-    return float(gammainc(dim, lam))
+    tail = gammainc(dim, np.hypot(np.real(alpha), np.imag(alpha)) ** 2)
+    return float(tail) if np.ndim(tail) == 0 else tail
 
 
 def displacement_op(

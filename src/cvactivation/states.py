@@ -251,8 +251,8 @@ def photon_subtracted_squeezed(
 
 def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
     """Thermal state with mean photon number nbar, renormalized."""
-    if nbar < 0:
-        raise ValueError("nbar must be nonnegative")
+    if not (math.isfinite(nbar) and nbar >= 0):
+        raise ValueError(f"nbar must be finite and nonnegative, got {nbar}")
     cutoff = as_cutoff(cutoff)
     if nbar == 0:
         return fock(0, cutoff).to_density()

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState
@@ -306,6 +305,9 @@ def gaussian_fidelity(
         except TruncationError:
             return 0.0
         return -abs(np.vdot(amps, cand.amplitudes)) ** 2
+
+    # imported here, not at module level: scipy.optimize adds ~23 MiB to every import
+    from scipy.optimize import minimize
 
     best: tuple[float, np.ndarray] | None = None
     converged_vals = []

@@ -1,5 +1,9 @@
-"""Source rules: the package builds no product-space operator and no matrix exponential."""
+"""Source rules: the package builds no product-space operator and no matrix
+exponential, and importing it does not load the optimizer."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cvactivation"
@@ -17,3 +21,15 @@ def test_no_kron_or_expm_under_src():
         if ("expm" in line or "kron(" in line) and (path.name, line.strip()) not in ALLOWED
     ]
     assert not found, "\n".join(found)
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # scipy.optimize is imported inside the two Nelder-Mead sites, so runs
+    # that never fit do not pay its import time and memory
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    code = "import sys, cvactivation.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"

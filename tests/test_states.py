@@ -175,6 +175,12 @@ def test_thermal_distribution():
     assert rho.leakage == pytest.approx((0.5 / 1.5) ** 40, abs=1e-25)
 
 
+@pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
+def test_thermal_rejects_bad_nbar(nbar):
+    with pytest.raises(ValueError, match="nbar"):
+        thermal(nbar, 10)
+
+
 def test_factory_leakage_and_tail():
     c = coherent(1.5, 30)
     assert c.leakage < 1e-8

@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -318,6 +319,66 @@ def test_depth_search_makes_few_evaluator_calls(monkeypatch):
     assert res.refinement_converged
     assert calls.count("wigner_batch") == 1
     assert len(calls) <= 30
+
+
+def test_values_do_not_depend_on_zero_padding(rng):
+    axis = np.linspace(-3.0, 3.0, 41)
+    pts = np.concatenate(
+        [
+            (axis[:, None] + 1j * axis[None, :]).ravel(),
+            rng.normal(0.0, 1.5, 60) + 1j * rng.normal(0.0, 1.5, 60),
+            [0j],
+        ]
+    )
+    one = fock(1, 25).to_density()
+    states = [
+        fock(0, 25).to_density(),
+        one,
+        fock(3, 25).to_density(),
+        pure_loss(0.3, 25).apply(one),
+        pure_loss(0.7, 25).apply(one),
+        # the vacuum/one mixture on the negativity boundary eta = 1/2
+        DensityMatrix(np.diag([0.5, 0.5] + [0.0] * 23).astype(complex), 25),
+    ]
+    for rho in states:
+        padded = DensityMatrix(np.pad(rho.matrix, (0, 55)), FockCutoff(80))
+        assert np.array_equal(wigner_batch(rho, pts), wigner_batch(padded, pts))
+        for a, b in zip(wigner_jet(rho, pts), wigner_jet(padded, pts)):
+            assert np.array_equal(a, b)
+
+
+def test_recurrence_runs_on_the_exactly_occupied_block(monkeypatch):
+    calls = []
+    original = wigner._laguerre_clenshaw
+    monkeypatch.setattr(
+        wigner, "_laguerre_clenshaw", lambda *a: calls.append(a[0]) or original(*a)
+    )
+    dim = 25
+    rho = pure_loss(0.6, dim).apply(fock(1, dim).to_density())
+    pts = np.array([0j, 0.4 - 0.3j])
+    wigner_batch(rho, pts)
+    assert calls == [0]
+    calls.clear()
+    wigner_jet(rho, pts)
+    assert calls == [0]
+    # any exactly nonzero entry counts, however small
+    mat = np.array(rho.matrix)
+    mat[dim - 1, 0] = 1e-300
+    calls.clear()
+    wigner_batch(DensityMatrix(mat, dim), pts)
+    assert len(calls) == dim - 1
+
+
+def test_depth_cost_follows_the_occupied_block():
+    # the lossy photon (1 - eta)|0><0| + eta|1><1| occupies levels 0 and 1 at any cutoff
+    rho = DensityMatrix(np.diag([0.3, 0.7] + [0.0] * 198).astype(complex), 200)
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        res = negativity_depth(rho)
+        best = min(best, time.perf_counter() - start)
+    assert res.depth == pytest.approx((2.0 / math.pi) * 0.4, abs=1e-12)
+    assert best < 0.25
 
 
 @pytest.mark.parametrize(
