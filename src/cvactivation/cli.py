@@ -5,6 +5,10 @@ activate, boundary-mix, property-suite.  Every output embeds the resolved
 configuration, its hash, the cutoff and the maximal truncation leakage, so
 identical configurations reproduce byte-identical files.
 
+Each subcommand has one table of its config keys with their defaults and
+parsers.  Every key, down to the keys of state, channel and witness specs,
+is parsed and checked before the run, and every size key has a cap.
+
 Exit codes: 0 success, 2 configuration error, 3 truncation error (the
 cutoff cannot support a requested object), 4 invariant failure.
 """
@@ -16,7 +20,6 @@ import hashlib
 import json
 import math
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -26,9 +29,11 @@ from .activation import activate_entanglement, activate_steering
 from .channels import (
     GaussNoiseParams,
     LossParams,
+    apply_unitary,
     damping,
     gaussian_noise,
     gkp_ec_round,
+    phase_rotation,
     pure_loss,
 )
 from .errors import ConfigError, InvariantError, TruncationError
@@ -78,6 +83,13 @@ from .witnesses import (
 
 TOOL_VERSION = __version__
 
+# size caps: a larger value exits 2 before any array is built
+MAX_CUTOFF = 200
+MAX_RESOLUTION = 400  # resolution and depth_resolution
+MAX_QUAD_ORDER = 30  # Gauss-Hermite nodes per axis of a noise channel
+MAX_PEAK_WINDOW = 100  # lattice peaks each side of a grid codeword
+MAX_SQUEEZING_DB = 30.0  # grid codewords; the comb window grows as 10^(dB/20)
+
 
 # ---------------------------------------------------------------------------
 # configuration plumbing
@@ -104,57 +116,45 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-@contextmanager
-def _spec_guard(what: str, spec):
-    """Report a ValueError, TypeError or OverflowError raised while parsing as exit 2."""
-    try:
-        yield
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise ConfigError(f"bad {what} {spec}: {exc}") from exc
-
-
-def _read(cfg: dict, key: str, parse=float):
-    """cfg[key] converted by ``parse``; a value it rejects exits 2."""
-    with _spec_guard(key, cfg[key]):
-        return parse(cfg[key])
-
-
-def _cutoff(cfg: dict) -> int:
-    return _read(cfg, "cutoff", lambda v: FockCutoff(int(v)).dim)
-
-
-def _fit_config(cfg: dict) -> GaussianFitConfig:
-    return _read(cfg, "seeds", lambda seeds: GaussianFitConfig(seeds=seeds))
-
-
-def _flag(value) -> bool:
+def _flag(value, opts) -> bool:
     if not isinstance(value, bool):
         raise TypeError("must be a JSON boolean (true or false)")
     return value
 
 
-def _out_path(value) -> str:
+def _out_path(value, opts) -> str:
     if not isinstance(value, str) or not value:
         raise TypeError("must be a non-empty path string")
     return value
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
+def _resolve(args: argparse.Namespace, table: dict) -> tuple[dict, dict]:
+    """The merged raw config and its options, parsed key by key in table order.
+
+    Each parser gets the raw value and the options parsed above it; a
+    ValueError, TypeError or OverflowError it raises exits 2.
+    """
+    cfg = {key: default for key, (default, _) in table.items()}
     cfg.update(_load_config(args.config))
     if args.cutoff is not None:
         cfg["cutoff"] = args.cutoff
     if args.out is not None:
         cfg["out"] = args.out
     if args.seed_list is not None:
-        with _spec_guard("--seed-list", args.seed_list):
+        try:
             cfg["seeds"] = [int(s) for s in args.seed_list.split(",") if s.strip()]
-    unknown = set(cfg) - set(defaults)
+        except ValueError as exc:
+            raise ConfigError(f"bad --seed-list {args.seed_list}: {exc}") from exc
+    unknown = set(cfg) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # checked before any computation, so a bad path wastes no run
-    _read(cfg, "out", _out_path)
-    return cfg
+    opts = {}
+    for key, (_, parse) in table.items():
+        try:
+            opts[key] = parse(cfg[key], opts)
+        except (ValueError, TypeError, OverflowError) as exc:
+            raise ConfigError(f"bad {key} {cfg[key]}: {exc}") from exc
+    return cfg, opts
 
 
 def _metadata(cfg: dict, max_leakage: float) -> dict:
@@ -189,44 +189,8 @@ def write_json(path: str, payload: dict, metadata: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# spec parsing
-
-
-def _parse_pure_state(spec, cutoff: int) -> PureState:
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad state spec: {spec}")
-    kind = spec["kind"]
-    with _spec_guard("state spec", spec):
-        if kind == "fock":
-            return fock(int(spec.get("n", 0)), cutoff)
-        if kind == "coherent":
-            return coherent(_parse_complex(spec.get("alpha", 0)), cutoff)
-        if kind == "cat":
-            return cat(
-                _parse_complex(spec.get("alpha", 1.0)), int(spec.get("sign", -1)), cutoff
-            )
-        if kind == "photon_subtracted_squeezed":
-            return photon_subtracted_squeezed(float(spec.get("r", 0.5)), cutoff)
-        if kind == "gaussian":
-            return gaussian_pure(
-                GaussianPureParams(
-                    _parse_complex(spec.get("alpha", 0)),
-                    float(spec.get("r", 0.0)),
-                    float(spec.get("phi", 0.0)),
-                ),
-                cutoff,
-            )
-        if kind == "gkp":
-            return gkp_damped(_parse_gkp(spec), cutoff, tail_tol=float(spec.get("tail_tol", 1e-6)))
-    raise ConfigError(f"unknown pure-state kind: {kind}")
-
-
-def _parse_gkp(spec: dict) -> GkpParams:
-    logical = int(spec.get("logical", 0))
-    window = spec.get("peak_window")
-    if "squeezing_db" in spec:
-        return GkpParams.from_db(float(spec["squeezing_db"]), logical, window)
-    return GkpParams(float(spec.get("epsilon", 0.2)), logical, window)
+# spec parsing: a spec is a JSON object whose tag key ("kind" or "family")
+# names a builder; builders read their keys with ``spec.get``
 
 
 def _parse_complex(val) -> complex:
@@ -234,93 +198,210 @@ def _parse_complex(val) -> complex:
         val = complex(float(val[0]), float(val[1]))
     if isinstance(val, (int, float, complex)) and np.isfinite(val):
         return complex(val)
-    raise ConfigError(f"bad complex literal: {val}")
+    raise ValueError(f"bad complex literal: {val}")
+
+
+class _Spec(dict):
+    """A spec that records which keys were read, so the rest can be rejected."""
+
+    def __init__(self, raw):
+        super().__init__(raw)
+        self.read = set()
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+def _parse_spec(raw, what: str, tag: str, builders: dict, *args):
+    """Build a spec with the builder its tag names; a key the builder never read is an error."""
+    if not isinstance(raw, dict):
+        raise TypeError(f"{what} spec must be a JSON object")
+    spec = _Spec(raw)
+    build = builders.get(spec.get(tag))
+    if build is None:
+        raise ValueError(f"unknown {what} {tag}: {raw.get(tag)}")
+    value = build(spec, *args)
+    unread = set(spec) - spec.read
+    if unread:
+        raise ValueError(f"unknown {what} keys: {sorted(unread)}")
+    return value
+
+
+def _size(value, cap: int) -> int:
+    n = float(value)
+    if not (n.is_integer() and 1 <= n <= cap):
+        raise ValueError(f"must be a whole number in [1, {cap}]")
+    return int(n)
+
+
+def _codeword(params: GkpParams) -> GkpParams:
+    if params.squeezing_db > MAX_SQUEEZING_DB:
+        raise ValueError(f"{params.squeezing_db} dB is above the cap of {MAX_SQUEEZING_DB} dB")
+    return params
+
+
+def _gkp_state(spec, cutoff: int) -> PureState:
+    logical = int(spec.get("logical", 0))
+    window = spec.get("peak_window")
+    window = None if window is None else _size(window, MAX_PEAK_WINDOW)
+    if "squeezing_db" in spec:
+        params = GkpParams.from_db(float(spec.get("squeezing_db")), logical, window)
+    else:
+        params = GkpParams(float(spec.get("epsilon", 0.2)), logical, window)
+    return gkp_damped(_codeword(params), cutoff, tail_tol=float(spec.get("tail_tol", 1e-6)))
+
+
+_PURE_STATES = {
+    "fock": lambda s, dim: fock(int(s.get("n", 0)), dim),
+    "coherent": lambda s, dim: coherent(_parse_complex(s.get("alpha", 0)), dim),
+    "cat": lambda s, dim: cat(_parse_complex(s.get("alpha", 1.0)), int(s.get("sign", -1)), dim),
+    "photon_subtracted_squeezed": lambda s, dim: photon_subtracted_squeezed(
+        float(s.get("r", 0.5)), dim
+    ),
+    "gaussian": lambda s, dim: gaussian_pure(
+        GaussianPureParams(
+            _parse_complex(s.get("alpha", 0)), float(s.get("r", 0.0)), float(s.get("phi", 0.0))
+        ),
+        dim,
+    ),
+    "gkp": _gkp_state,
+}
+_STATES = {**_PURE_STATES, "thermal": lambda s, dim: thermal(float(s.get("nbar", 1.0)), dim)}
+
+
+def _parse_pure_state(spec, cutoff: int) -> PureState:
+    return _parse_spec(spec, "state", "kind", _PURE_STATES, cutoff)
 
 
 def _parse_state(spec, cutoff: int) -> DensityMatrix:
-    if isinstance(spec, dict) and spec.get("kind") == "thermal":
-        with _spec_guard("state spec", spec):
-            return thermal(float(spec.get("nbar", 1.0)), cutoff)
-    return _parse_pure_state(spec, cutoff).to_density()
+    state = _parse_spec(spec, "state", "kind", _STATES, cutoff)
+    return state if isinstance(state, DensityMatrix) else state.to_density()
 
 
-def _depth_config(resolution, radius=None) -> DepthSearchConfig:
-    with _spec_guard("depth search settings", {"radius": radius, "resolution": resolution}):
-        return DepthSearchConfig(
-            radius=None if radius is None else float(radius), resolution=int(resolution)
-        )
+_CHANNELS = {
+    "loss": lambda s, dim: pure_loss(float(s.get("eta", 1.0)), dim).apply,
+    "gaussian_noise": lambda s, dim: gaussian_noise(
+        GaussNoiseParams(
+            float(s.get("sigma2", 0.05)), _size(s.get("quad_order", 15), MAX_QUAD_ORDER)
+        ),
+        dim,
+    ).apply,
+    "damping": lambda s, dim: damping(float(s.get("epsilon", 0.1)), dim).apply,
+}
 
 
-def _parse_channel(spec, cutoff: int):
-    if spec is None:
-        return None
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigError(f"bad channel spec: {spec}")
-    kind = spec["kind"]
-    with _spec_guard("channel spec", spec):
-        if kind == "loss":
-            return pure_loss(float(spec.get("eta", 1.0)), cutoff).apply
-        if kind == "gaussian_noise":
-            return gaussian_noise(
-                GaussNoiseParams(float(spec.get("sigma2", 0.05)), int(spec.get("quad_order", 15))),
-                cutoff,
-            ).apply
-        if kind == "damping":
-            return damping(float(spec.get("epsilon", 0.1)), cutoff).apply
-    raise ConfigError(f"unknown channel kind: {kind}")
+def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> WitnessSpec:
+    psi = _parse_pure_state(spec.get("state"), cutoff)
+    lam = spec.get("lambda")
+    if lam is None:
+        lam = gaussian_fidelity(psi, fit).max_fidelity
+    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, float(lam))
 
 
-def _parse_witness(spec, cutoff: int, fit_cfg: GaussianFitConfig) -> WitnessSpec:
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigError(f"bad witness spec: {spec}")
-    family = spec["family"]
-    with _spec_guard("witness spec", spec):
-        if family in ("parity", "displaced_parity"):
-            return displaced_parity_spec(_parse_complex(spec.get("alpha", 0)))
-        if family in ("pure_projector", "two_copy_projector"):
-            psi = _parse_pure_state(spec.get("state"), cutoff)
-            lam = spec.get("lambda")
-            if lam is None:
-                lam = gaussian_fidelity(psi, fit_cfg).max_fidelity
-            if family == "pure_projector":
-                return pure_projector_spec(psi, float(lam))
-            return two_copy_projector_spec(psi, float(lam))
-    raise ConfigError(f"unknown witness family: {family}")
+_WITNESSES = {
+    "parity": lambda s, dim, fit: displaced_parity_spec(_parse_complex(s.get("alpha", 0))),
+    "pure_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=False),
+    "two_copy_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=True),
+}
+_WITNESSES["displaced_parity"] = _WITNESSES["parity"]
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# config keys: each parser maps (raw value, options parsed above) to an option
 
 
-def run_wigner(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
-    rho = _parse_state(cfg["state"], cutoff)
-    channel = _parse_channel(cfg.get("channel"), cutoff)
-    if channel is not None:
-        rho = channel(rho)
-    # the same square grid as the depth search scans, validated the same way
-    grid_cfg = _depth_config(cfg["resolution"], cfg.get("radius"))
+def _depth(resolution, radius=None) -> DepthSearchConfig:
+    return DepthSearchConfig(
+        radius=None if radius is None else float(radius),
+        resolution=_size(resolution, MAX_RESOLUTION),
+    )
+
+
+def _channel(value, opts) -> DensityMatrix:
+    """The parsed input state with this channel (None: none) applied."""
+    if value is None:
+        return opts["state"]
+    return _parse_spec(value, "channel", "kind", _CHANNELS, opts["cutoff"])(opts["state"])
+
+
+def _loss_map(value, opts):
+    """The gkp-sweep loss as a map on density matrices; None for eta = 1."""
+    eta, cutoff = opts["eta"], opts["cutoff"]
+    if value not in ("bare", "amplified"):
+        raise ValueError("loss_model must be 'bare' or 'amplified'")
+    if eta == 1.0:
+        return None
+    if value == "bare":
+        return pure_loss(eta, cutoff).apply
+    if eta == 0.0:
+        raise ValueError("amplified loss needs eta > 0 (the gain is 1/eta)")
+    sigma2 = (1.0 - eta) / eta  # loss followed by gain-1/eta amplification
+    return gaussian_noise(GaussNoiseParams(sigma2, opts["quad_order"]), cutoff).apply
+
+
+def _codes(value, opts) -> list[tuple[float, GkpParams]]:
+    return [(db, _codeword(GkpParams.from_db(db))) for db in sorted(float(d) for d in value)]
+
+
+def _ancilla(value, opts) -> GkpParams | None:
+    return None if value is None else _codeword(GkpParams.from_db(float(value)))
+
+
+def _t_grid(value, opts) -> list[float]:
+    t_grid = [float(t) for t in value]
+    if not all(0.0 <= t <= 1.0 for t in t_grid):
+        raise ValueError("mixture weights must lie in [0, 1]")
+    return t_grid
+
+
+def _corpus(value, opts):
+    """Labelled density matrices: the given state specs, or the default corpus."""
+    cutoff = opts["cutoff"]
+    specs = list(value or ())
+    if specs:
+        return [(f"state_{i}", _parse_state(s, cutoff)) for i, s in enumerate(specs)]
+    vac = fock(0, cutoff).to_density()
+    one = fock(1, cutoff).to_density()
+    return [
+        ("lossy_photon_0.85", pure_loss(0.85, cutoff).apply(one)),
+        ("lossy_photon_0.6", pure_loss(0.6, cutoff).apply(one)),
+        ("odd_cat_1.2", cat(1.2, -1, cutoff).to_density()),
+        ("vacuum", vac),
+        ("photon_vacuum_mix", DensityMatrix(0.5 * (one.matrix + vac.matrix), FockCutoff(cutoff))),
+    ]
+
+
+def _cutoff(value, opts) -> int:
+    return FockCutoff(_size(value, MAX_CUTOFF)).dim
+
+
+
+
+# ---------------------------------------------------------------------------
+# subcommands: each receives the raw config (for the metadata only) and its
+# parsed options
+
+
+def run_wigner(cfg: dict, opts: dict) -> int:
+    grid_cfg = opts["resolution"]  # the same square grid as the depth search scans
     grid = wigner_grid(
-        rho,
+        opts["channel"],
         radius=grid_cfg.radius,
         resolution=grid_cfg.resolution,
-        validate_marginal=_read(cfg, "validate_marginal", _flag),
+        validate_marginal=opts["validate_marginal"],
     )
     meta = _metadata(cfg, grid.leakage)
     meta["dropped_points"] = int(grid.dropped.size)
-    write_csv(cfg["out"], ("re_alpha", "im_alpha", "w_value"), grid.to_rows(), meta)
+    write_csv(opts["out"], ("re_alpha", "im_alpha", "w_value"), grid.to_rows(), meta)
     return 0
 
 
-def run_negativity_depth(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
-    rho = _parse_state(cfg["state"], cutoff)
-    channel = _parse_channel(cfg.get("channel"), cutoff)
-    if channel is not None:
-        rho = channel(rho)
-    res = negativity_depth(rho, _depth_config(cfg["resolution"], cfg.get("radius")))
+def run_negativity_depth(cfg: dict, opts: dict) -> int:
+    rho = opts["channel"]
+    res = negativity_depth(rho, opts["resolution"])
     write_json(
-        cfg["out"],
+        opts["out"],
         {
             "depth": res.depth,
             "argmin_alpha": [res.argmin_alpha.real, res.argmin_alpha.imag],
@@ -331,19 +412,16 @@ def run_negativity_depth(cfg: dict) -> int:
     return 0
 
 
-def run_loss_sweep(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
+def run_loss_sweep(cfg: dict, opts: dict) -> int:
+    cutoff = opts["cutoff"]
     pi = parity_op(cutoff)
-    input_state = _read(cfg, "fock_n", lambda n: fock(int(n), cutoff).to_density())
-    etas = _read(cfg, "etas", lambda es: sorted(LossParams(float(e)).eta for e in es))
-    search_cfg = FamilySearchConfig(depth=_depth_config(cfg["resolution"]))
     rows = []
     max_leak = 0.0
-    for eta in etas:
-        rho = pure_loss(eta, cutoff).apply(input_state)
+    for eta in opts["etas"]:
+        rho = pure_loss(eta, cutoff).apply(opts["fock_n"])
         max_leak = max(max_leak, rho.leakage)
         parity_exp = float(np.real(rho.expectation(pi)))
-        bound = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=search_cfg)
+        bound = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=opts["resolution"])
         ent = activate_entanglement(rho, bound.witness)
         steer = activate_steering(rho, bound.witness)
         rows.append(
@@ -357,7 +435,7 @@ def run_loss_sweep(cfg: dict) -> int:
             )
         )
     write_csv(
-        cfg["out"],
+        opts["out"],
         ("eta", "parity_expectation", "wn_lower_bound", "activated_E", "activated_S", "classification"),
         rows,
         _metadata(cfg, max_leak),
@@ -377,44 +455,19 @@ def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> fl
     return (math.pi / 4.0) * res.depth
 
 
-def run_gkp_sweep(cfg: dict) -> int:
-    eta = _read(cfg, "eta")
-    if not 0.0 <= eta <= 1.0:
-        raise ConfigError("eta must lie in [0, 1]")
-    cutoff = _cutoff(cfg)
-    depth_cfg = _depth_config(cfg["depth_resolution"], cfg["depth_radius"])
-    if depth_cfg.radius is None:
-        raise ConfigError("depth_radius must be a number")
-    loss_model = cfg["loss_model"]
-    if loss_model not in ("bare", "amplified"):
-        raise ConfigError("loss_model must be 'bare' or 'amplified'")
-    if loss_model == "amplified" and eta == 0.0:
-        raise ConfigError("amplified loss needs eta > 0 (the gain is 1/eta)")
-    ec_on = _read(cfg, "ec", _flag)
-    tail_tol = _read(cfg, "tail_tol_two")
-    with _spec_guard("squeezing levels", [cfg["squeezing_db"], cfg["ancilla_db"]]):
-        dbs = sorted(float(d) for d in cfg["squeezing_db"])
-        codes = [GkpParams.from_db(db) for db in dbs]
-        anc_db = cfg["ancilla_db"]
-        anc_fixed = None if anc_db is None else GkpParams.from_db(float(anc_db))
-
-    if loss_model == "bare" or eta == 1.0:
-        loss_apply = None if eta == 1.0 else pure_loss(eta, cutoff).apply
-    else:
-        sigma2 = (1.0 - eta) / eta  # loss followed by gain-1/eta amplification
-        noise = _read(cfg, "quad_order", lambda k: GaussNoiseParams(sigma2, int(k)))
-        loss_apply = gaussian_noise(noise, cutoff).apply
-
+def run_gkp_sweep(cfg: dict, opts: dict) -> int:
+    cutoff, tail_tol = opts["cutoff"], opts["tail_tol_two"]
+    depth_cfg, loss_map = opts["depth_resolution"], opts["loss_model"]
     rows = []
     max_leak = 0.0
-    for db, params in zip(dbs, codes):
+    for db, params in opts["squeezing_db"]:
         e_in = _gkp_input_activation(params, depth_cfg)
         code = gkp_damped(params, cutoff, tail_tol=tail_tol)
         state = code.to_density()
-        if loss_apply is not None:
-            state = loss_apply(state)
-        if ec_on:
-            anc_params = params if anc_fixed is None else anc_fixed
+        if loss_map is not None:
+            state = loss_map(state)
+        if opts["ec"]:
+            anc_params = params if opts["ancilla_db"] is None else opts["ancilla_db"]
             ancilla = gkp_damped(anc_params, cutoff, tail_tol=tail_tol)
             state = gkp_ec_round(state, ancilla)
         max_leak = max(max_leak, code.leakage, state.leakage)
@@ -423,7 +476,7 @@ def run_gkp_sweep(cfg: dict) -> int:
         infid = 1.0 - pure_fidelity(code, state)
         rows.append((db, params.epsilon, e_in, e_out, infid, code.leakage))
     write_csv(
-        cfg["out"],
+        opts["out"],
         ("squeezing_db", "epsilon", "e_in", "e_out", "infidelity", "codeword_leakage"),
         rows,
         _metadata(cfg, max_leak),
@@ -431,53 +484,44 @@ def run_gkp_sweep(cfg: dict) -> int:
     return 0
 
 
-def run_pure_bounds(cfg: dict) -> int:
-    psi = _parse_pure_state(cfg["state"], _cutoff(cfg))
-    bounds = pure_state_bounds(psi, _fit_config(cfg))
+def run_pure_bounds(cfg: dict, opts: dict) -> int:
+    psi = opts["state"]
+    bounds = pure_state_bounds(psi, opts["seeds"])
     payload = bounds.to_dict()
     payload["activated_entanglement_floor_gng"] = bounds.gng_lower / 2.0
     payload["activated_entanglement_floor_sng"] = bounds.sng_lower / 2.0
     payload["activated_steering_floor_gng"] = bounds.gng_lower
     payload["activated_steering_floor_sng"] = bounds.sng_lower
-    write_json(cfg["out"], payload, _metadata(cfg, psi.leakage))
+    write_json(opts["out"], payload, _metadata(cfg, psi.leakage))
     return 0
 
 
-def run_activate(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
-    rho = _parse_state(cfg["state"], cutoff)
-    channel = _parse_channel(cfg.get("channel"), cutoff)
-    if channel is not None:
-        rho = channel(rho)
-    spec = _parse_witness(cfg["witness"], cutoff, _fit_config(cfg))
+def run_activate(cfg: dict, opts: dict) -> int:
+    rho, spec = opts["channel"], opts["witness"]
     ent = activate_entanglement(rho, spec)
     steer = activate_steering(rho, spec)
     write_json(
-        cfg["out"],
+        opts["out"],
         {"entanglement_channel": ent.to_dict(), "steering_channel": steer.to_dict()},
         _metadata(cfg, rho.leakage),
     )
     return 0
 
 
-def run_boundary_mix(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
+def run_boundary_mix(cfg: dict, opts: dict) -> int:
+    cutoff = opts["cutoff"]
     vac = fock(0, cutoff).to_density()
     one = fock(1, cutoff).to_density()
     sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(cutoff))
-    with _spec_guard("t_grid", cfg["t_grid"]):
-        t_grid = [float(t) for t in cfg["t_grid"]]
-        if not all(0.0 <= t <= 1.0 for t in t_grid):
-            raise ValueError("mixture weights must lie in [0, 1]")
     rows = exact_boundary_mixture(
         sigma,
         one,
         parity_op(cutoff),
-        t_grid,
-        cfg=FamilySearchConfig(depth=_depth_config(cfg["resolution"])),
+        opts["t_grid"],
+        cfg=opts["resolution"],
     )
     write_csv(
-        cfg["out"],
+        opts["out"],
         ("t", "exact_value", "searched_lower"),
         [(r.t, r.exact_value, r.searched_lower) for r in rows],
         _metadata(cfg, 0.0),
@@ -485,113 +529,97 @@ def run_boundary_mix(cfg: dict) -> int:
     return 0
 
 
-def _default_corpus(cutoff: int):
-    vac = fock(0, cutoff).to_density()
-    one = fock(1, cutoff).to_density()
-    return [
-        ("lossy_photon_0.85", pure_loss(0.85, cutoff).apply(one)),
-        ("lossy_photon_0.6", pure_loss(0.6, cutoff).apply(one)),
-        ("odd_cat_1.2", cat(1.2, -1, cutoff).to_density()),
-        ("vacuum", vac),
-        ("photon_vacuum_mix", DensityMatrix(0.5 * (one.matrix + vac.matrix), FockCutoff(cutoff))),
-    ]
-
-
-def run_property_suite(cfg: dict) -> int:
-    cutoff = _cutoff(cfg)
-    specs = _read(cfg, "states", lambda v: list(v or ()))
-    if specs:
-        states = [(f"state_{i}", _parse_state(s, cutoff)) for i, s in enumerate(specs)]
-    else:
-        states = _default_corpus(cutoff)
-    from .channels import apply_unitary, phase_rotation
-
+def run_property_suite(cfg: dict, opts: dict) -> int:
+    cutoff, states = opts["cutoff"], opts["states"]
     rot = phase_rotation(0.7, cutoff)
     channels = [
         ("loss_0.9", pure_loss(0.9, cutoff).apply),
         ("gaussian_noise_0.05", gaussian_noise(GaussNoiseParams(0.05, 12), cutoff).apply),
         ("phase_rotation_0.7", lambda rho: apply_unitary(rot, rho)),
     ]
-    report = property_suite(
-        states,
-        channels,
-        cfg=FamilySearchConfig(depth=_depth_config(cfg["resolution"])),
-    )
+    report = property_suite(states, channels, cfg=opts["resolution"])
     max_leak = max(rho.leakage for _, rho in states)
-    write_json(cfg["out"], report.to_dict(), _metadata(cfg, max_leak))
+    write_json(opts["out"], report.to_dict(), _metadata(cfg, max_leak))
     if not report.all_passed:
         raise InvariantError(
-            f"{len(report.failures)} property checks failed; see {cfg['out']}"
+            f"{len(report.failures)} property checks failed; see {opts['out']}"
         )
     return 0
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argument parsing: one table per subcommand, key -> (default, parser), in
+# parse order; out first, so a bad path wastes no run, then cutoff
 
-_DEFAULTS = {
+_TABLES = {
     "wigner": {
-        "state": {"kind": "fock", "n": 1},
-        "channel": None,
-        "cutoff": 30,
-        "radius": None,
-        "resolution": 60,
-        "validate_marginal": True,
-        "out": "wigner.csv",
+        "out": ("wigner.csv", _out_path),
+        "cutoff": (30, _cutoff),
+        "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
+        "channel": (None, _channel),
+        "radius": (None, lambda v, o: v),
+        "resolution": (60, lambda v, o: _depth(v, o["radius"])),
+        "validate_marginal": (True, _flag),
     },
     "negativity-depth": {
-        "state": {"kind": "fock", "n": 1},
-        "channel": None,
-        "cutoff": 30,
-        "radius": None,
-        "resolution": 40,
-        "out": "negativity_depth.json",
+        "out": ("negativity_depth.json", _out_path),
+        "cutoff": (30, _cutoff),
+        "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
+        "channel": (None, _channel),
+        "radius": (None, lambda v, o: v),
+        "resolution": (40, lambda v, o: _depth(v, o["radius"])),
     },
     "loss-sweep": {
-        "etas": [round(0.1 * k, 1) for k in range(11)],
-        "fock_n": 1,
-        "cutoff": 25,
-        "resolution": 40,
-        "out": "loss_sweep.csv",
+        "out": ("loss_sweep.csv", _out_path),
+        "cutoff": (25, _cutoff),
+        "fock_n": (1, lambda v, o: fock(int(v), o["cutoff"]).to_density()),
+        "etas": (
+            [round(0.1 * k, 1) for k in range(11)],
+            lambda v, o: sorted(LossParams(float(e)).eta for e in v),
+        ),
+        "resolution": (40, lambda v, o: FamilySearchConfig(depth=_depth(v))),
     },
     "gkp-sweep": {
-        "squeezing_db": [6.0, 8.0, 10.0, 12.0, 14.0, 16.5],
-        "eta": 0.9,
-        "cutoff": 30,
-        "ec": True,
-        "loss_model": "bare",
-        "quad_order": 15,
-        "ancilla_db": None,
-        "depth_radius": 2.8,
-        "depth_resolution": 35,
-        "tail_tol_two": 1.0,
-        "out": "gkp_sweep.csv",
+        "out": ("gkp_sweep.csv", _out_path),
+        "cutoff": (30, _cutoff),
+        "eta": (0.9, lambda v, o: LossParams(float(v)).eta),
+        "quad_order": (15, lambda v, o: _size(v, MAX_QUAD_ORDER)),
+        "loss_model": ("bare", _loss_map),
+        "ec": (True, _flag),
+        "tail_tol_two": (1.0, lambda v, o: float(v)),
+        "squeezing_db": ([6.0, 8.0, 10.0, 12.0, 14.0, 16.5], _codes),
+        "ancilla_db": (None, _ancilla),
+        "depth_radius": (2.8, lambda v, o: float(v)),  # a number, unlike radius
+        "depth_resolution": (35, lambda v, o: _depth(v, o["depth_radius"])),
     },
     "pure-bounds": {
-        "state": {"kind": "fock", "n": 1},
-        "cutoff": 40,
-        "out": "pure_bounds.json",
-        "seeds": [0, 1, 2, 3],
+        "out": ("pure_bounds.json", _out_path),
+        "cutoff": (40, _cutoff),
+        "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
+        "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_pure_state(v, o["cutoff"])),
     },
     "activate": {
-        "state": {"kind": "fock", "n": 1},
-        "channel": None,
-        "witness": {"family": "parity"},
-        "cutoff": 25,
-        "out": "activate.json",
-        "seeds": [0, 1, 2, 3],
+        "out": ("activate.json", _out_path),
+        "cutoff": (25, _cutoff),
+        "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
+        "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
+        "channel": (None, _channel),
+        "witness": (
+            {"family": "parity"},
+            lambda v, o: _parse_spec(v, "witness", "family", _WITNESSES, o["cutoff"], o["seeds"]),
+        ),
     },
     "boundary-mix": {
-        "t_grid": [0.0, 0.25, 0.5, 0.75, 1.0],
-        "cutoff": 25,
-        "resolution": 40,
-        "out": "boundary_mix.csv",
+        "out": ("boundary_mix.csv", _out_path),
+        "cutoff": (25, _cutoff),
+        "t_grid": ([0.0, 0.25, 0.5, 0.75, 1.0], _t_grid),
+        "resolution": (40, lambda v, o: FamilySearchConfig(depth=_depth(v))),
     },
     "property-suite": {
-        "states": None,
-        "cutoff": 25,
-        "resolution": 35,
-        "out": "property_suite.json",
+        "out": ("property_suite.json", _out_path),
+        "cutoff": (25, _cutoff),
+        "states": (None, _corpus),
+        "resolution": (35, lambda v, o: FamilySearchConfig(depth=_depth(v))),
     },
 }
 
@@ -627,8 +655,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _resolve(args, _DEFAULTS[args.command])
-        return _RUNNERS[args.command](cfg)
+        cfg, opts = _resolve(args, _TABLES[args.command])
+        return _RUNNERS[args.command](cfg, opts)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -280,11 +280,9 @@ def _square_grid(radius: float, resolution: int) -> np.ndarray:
 
 
 def _check_bound(values: np.ndarray) -> None:
-    if values.size and (
-        np.min(values) < -WIGNER_BOUND - _BOUND_SLACK
-        or np.max(values) > WIGNER_BOUND + _BOUND_SLACK
-    ):
-        raise InvariantError("Wigner value outside [-2/pi, 2/pi]")
+    # written so that NaN fails it too
+    if not np.all(np.abs(values) <= WIGNER_BOUND + _BOUND_SLACK):
+        raise InvariantError("Wigner value outside [-2/pi, 2/pi] or not finite")
 
 
 def wigner_grid(

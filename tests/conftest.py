@@ -23,6 +23,52 @@ def random_density(rng, dim, cutoff=None, rank=None):
     return DensityMatrix(full, FockCutoff(cutoff))
 
 
+def _post_measurement(rho4: np.ndarray, direction: np.ndarray) -> np.ndarray:
+    n = direction / np.linalg.norm(direction)
+    sig = np.array(
+        [
+            [n[2], n[0] - 1j * n[1]],
+            [n[0] + 1j * n[1], -n[2]],
+        ]
+    )
+    out = np.zeros(rho4.shape, dtype=complex)
+    for s in (+1.0, -1.0):
+        proj = np.kron((np.eye(2) + s * sig) / 2.0, np.eye(2))
+        out += proj @ rho4 @ proj
+    return out
+
+
+def projective_discord(rho4: np.ndarray, n_starts: int = 24) -> float:
+    """Oracle: geometric discord by brute-force minimization over measurement axes.
+
+    Minimizes the squared Hilbert-Schmidt distance to the post-measurement
+    state over projective measurements on the first qubit, seeded on a
+    Fibonacci sphere and polished with Nelder-Mead.
+    """
+    from scipy.optimize import minimize
+
+    def dist2(angles) -> float:
+        theta, phi = angles
+        n = np.array(
+            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
+        )
+        diff = rho4 - _post_measurement(rho4, n)
+        return float(np.real(np.sum(np.abs(diff) ** 2)))
+
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    seeds = []
+    for i in range(n_starts):
+        z = 1.0 - 2.0 * (i + 0.5) / n_starts
+        theta = math.acos(max(-1.0, min(1.0, z)))
+        seeds.append((theta, (golden * i) % (2.0 * math.pi)))
+    vals = sorted((dist2(s), s) for s in seeds)
+    best = vals[0][0]
+    for _, seed in vals[:3]:
+        res = minimize(dist2, x0=seed, method="Nelder-Mead", options={"fatol": 1e-12})
+        best = min(best, float(res.fun))
+    return best
+
+
 def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
     """Oracle: D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
     d = displacement_op(alpha, cutoff).matrix

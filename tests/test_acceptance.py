@@ -17,7 +17,6 @@ from cvactivation.activation import (
     activate_steering,
     classify,
     negativity_two_qubit,
-    projective_discord,
     werner_analytics,
 )
 from cvactivation.channels import (
@@ -71,7 +70,7 @@ from cvactivation.witnesses import (
     gaussian_fidelity,
 )
 
-from conftest import random_density, wigner_at
+from conftest import projective_discord, random_density, wigner_at
 from test_witnesses import FOCK1_GAUSSIAN_FIDELITY
 
 

@@ -17,9 +17,9 @@ from cvactivation.activation import (
     activate_steering,
     classify,
     discord_certificate,
+    geometric_discord,
     negativity_two_qubit,
     povm_from_witness,
-    projective_discord,
     werner_analytics,
 )
 from cvactivation.monotones import FamilySearchConfig, lower_bound
@@ -32,7 +32,7 @@ from cvactivation.witnesses import (
     two_copy_projector_spec,
 )
 
-from conftest import random_density
+from conftest import projective_discord, random_density
 
 
 def random_unit_box_witness(rng, dim):
@@ -232,3 +232,12 @@ def test_discord_brute_force_matches_closed_form():
     for q in (0.2, 0.5, 0.9):
         mat = WernerState(q).to_matrix()
         assert projective_discord(mat) == pytest.approx(q * q / 2.0, abs=1e-6)
+
+
+def test_geometric_discord_closed_form_matches_brute_force(rng):
+    for _ in range(30):
+        mat = random_density(rng, 4).matrix
+        assert geometric_discord(mat) == pytest.approx(projective_discord(mat), abs=1e-9)
+    for q in (0.2, 0.5, 0.9):
+        mat = WernerState(q).to_matrix()
+        assert geometric_discord(mat) == pytest.approx(q * q / 2.0, abs=1e-12)

@@ -1,11 +1,19 @@
+import contextlib
+import copy
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvactivation import cli
 from cvactivation.cli import main
+from cvactivation.states import GkpParams
 
 
 def run(args):
@@ -250,6 +258,13 @@ def test_gkp_sweep_rejects_bad_squeezing(tmp_path, bad):
     assert not (tmp_path / "g.csv").exists()
 
 
+def _gkp_state(**keys):
+    return {"kind": "gkp", "tail_tol": 1.0, **keys}
+
+
+_DAMP_ALL = {"kind": "damping", "epsilon": 1e6}
+
+
 def _projector(family, lam):
     return {"family": family, "state": {"kind": "fock", "n": 1}, "lambda": lam}
 
@@ -283,6 +298,30 @@ def _projector(family, lam):
         ("wigner", {"validate_marginal": 1, "cutoff": 10}),
         ("gkp-sweep", {"ec": "false", "cutoff": 10}),
         ("gkp-sweep", {"ec": None, "cutoff": 10}),
+        ("gkp-sweep", {"quad_order": 0, "cutoff": 10}),
+        ("activate", {"channel": {"kind": "loss", "etaa": 0.3}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "fock", "nn": 1}, "cutoff": 10}),
+        ("negativity-depth", {"state": {"kind": "cat", "alpah": 2}, "cutoff": 10}),
+        ("activate", {"witness": {"family": "parity", "alfa": [1, 0]}, "cutoff": 10}),
+        ("activate", {"witness": _projector("pure_projector", 0.5) | {"lam": 1}, "cutoff": 10}),
+        ("wigner", {"state": _gkp_state(epsilon=0.3, squeezing_db=8), "cutoff": 10}),
+        # a damping channel that zeroes the state
+        ("wigner", {"channel": _DAMP_ALL, "cutoff": 8}),
+        ("negativity-depth", {"channel": _DAMP_ALL, "cutoff": 8}),
+        ("activate", {"channel": _DAMP_ALL, "cutoff": 8}),
+        # sizes far above their caps
+        ("loss-sweep", {"cutoff": 1e308}),
+        ("gkp-sweep", {"cutoff": 1e308}),
+        ("boundary-mix", {"cutoff": 1e308}),
+        ("property-suite", {"cutoff": 1e308}),
+        ("wigner", {"resolution": 1e308, "cutoff": 8}),
+        ("negativity-depth", {"resolution": 1e308, "cutoff": 8}),
+        ("loss-sweep", {"resolution": 1e308, "cutoff": 8}),
+        ("gkp-sweep", {"depth_resolution": 1e308, "cutoff": 8}),
+        ("boundary-mix", {"resolution": 1e308, "cutoff": 8}),
+        ("wigner", {"state": {"kind": "gkp", "squeezing_db": 300}, "cutoff": 8}),
+        ("gkp-sweep", {"squeezing_db": [300], "cutoff": 8}),
+        ("gkp-sweep", {"ancilla_db": 300, "cutoff": 8}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -290,6 +329,97 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
     cfgfile.write_text(json.dumps(bad))
     assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("negativity-depth", {"radius": 1e308, "resolution": 4, "cutoff": 8}),
+        (
+            "gkp-sweep",
+            {"depth_radius": 1e308, "depth_resolution": 4, "squeezing_db": [6.0], "ec": False},
+        ),
+    ],
+)
+def test_non_finite_wigner_values_exit_4(tmp_path, capsys, command, bad):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(bad))
+    assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 4
+    assert "not finite" in capsys.readouterr().err
+
+
+def _weak_noise(**keys):
+    return {"kind": "gaussian_noise", "sigma2": 1e-3, **keys}
+
+
+# (command, config at a size cap, the same config one step above it)
+_CAPS = [
+    ("wigner", {"cutoff": cli.MAX_CUTOFF}, {"cutoff": cli.MAX_CUTOFF + 1}),
+    ("wigner", {"resolution": cli.MAX_RESOLUTION}, {"resolution": cli.MAX_RESOLUTION + 1}),
+    (
+        "gkp-sweep",
+        {"depth_resolution": cli.MAX_RESOLUTION},
+        {"depth_resolution": cli.MAX_RESOLUTION + 1},
+    ),
+    ("gkp-sweep", {"quad_order": cli.MAX_QUAD_ORDER}, {"quad_order": cli.MAX_QUAD_ORDER + 1}),
+    (
+        "gkp-sweep",
+        {"quad_order": cli.MAX_QUAD_ORDER, "loss_model": "amplified", "eta": 0.999},
+        {"quad_order": cli.MAX_QUAD_ORDER + 1, "loss_model": "amplified", "eta": 0.999},
+    ),
+    (
+        "activate",
+        {"channel": _weak_noise(quad_order=cli.MAX_QUAD_ORDER)},
+        {"channel": _weak_noise(quad_order=cli.MAX_QUAD_ORDER + 1)},
+    ),
+    (
+        "wigner",
+        {"state": _gkp_state(squeezing_db=10.0, peak_window=cli.MAX_PEAK_WINDOW)},
+        {"state": _gkp_state(squeezing_db=10.0, peak_window=cli.MAX_PEAK_WINDOW + 1)},
+    ),
+    (
+        "gkp-sweep",
+        {"squeezing_db": [cli.MAX_SQUEEZING_DB], "ancilla_db": cli.MAX_SQUEEZING_DB},
+        {"squeezing_db": [cli.MAX_SQUEEZING_DB + 1]},
+    ),
+    ("gkp-sweep", {"ancilla_db": cli.MAX_SQUEEZING_DB}, {"ancilla_db": cli.MAX_SQUEEZING_DB + 1}),
+    (
+        "wigner",
+        {"state": _gkp_state(squeezing_db=cli.MAX_SQUEEZING_DB)},
+        {"state": _gkp_state(squeezing_db=cli.MAX_SQUEEZING_DB + 1)},
+    ),
+    (
+        "wigner",
+        {"state": _gkp_state(epsilon=GkpParams.from_db(cli.MAX_SQUEEZING_DB).epsilon)},
+        {"state": _gkp_state(epsilon=GkpParams.from_db(cli.MAX_SQUEEZING_DB + 1).epsilon)},
+    ),
+]
+
+
+def test_size_caps_are_the_documented_ones():
+    caps = (cli.MAX_CUTOFF, cli.MAX_RESOLUTION, cli.MAX_QUAD_ORDER, cli.MAX_PEAK_WINDOW)
+    assert caps == (200, 400, 30, 100)
+    assert cli.MAX_SQUEEZING_DB == 30.0
+
+
+@pytest.mark.parametrize("command, at_cap, _", _CAPS)
+def test_size_at_its_cap_parses(tmp_path, command, at_cap, _):
+    # parsed only: a run at a cap can be large
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cutoff": 10} | at_cap))
+    args = cli.build_parser().parse_args([command, "--config", str(cfgfile)])
+    cfg, opts = cli._resolve(args, cli._TABLES[command])
+    assert set(opts) == set(cfg) == set(cli._TABLES[command])
+
+
+@pytest.mark.parametrize("command, _, above_cap", _CAPS)
+def test_size_above_its_cap_exits_2(tmp_path, capsys, command, _, above_cap):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cutoff": 10} | above_cap))
+    assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert "cap" in err or "whole number in [1, " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -321,3 +451,82 @@ def test_validate_marginal_false_skips_the_check(tmp_path):
     assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 0
     meta, _, _ = read_csv(tmp_path / "w.csv")
     assert meta["config"]["validate_marginal"] is False
+
+
+# -- exit-code fuzz -----------------------------------------------------------
+
+# configs from each subcommand's key table, shrunk so that every run is small
+_SMALL = {
+    "cutoff": 10,
+    "resolution": 4,
+    "depth_resolution": 4,
+    "squeezing_db": [6.0],
+    "ec": False,
+    "etas": [0.3, 0.8],
+    "t_grid": [0.0, 1.0],
+}
+_SPECS = {
+    "state": [
+        {"kind": "fock", "n": 1},
+        {"kind": "coherent", "alpha": [0.5, 0.2]},
+        {"kind": "cat", "alpha": 1.0, "sign": -1},
+        {"kind": "thermal", "nbar": 0.3},
+        {"kind": "gaussian", "alpha": 0.3, "r": 0.2, "phi": 0.1},
+        {"kind": "photon_subtracted_squeezed", "r": 0.3},
+        {"kind": "gkp", "squeezing_db": 8.0, "tail_tol": 1.0},
+    ],
+    "channel": [
+        {"kind": "loss", "eta": 0.6},
+        {"kind": "gaussian_noise", "sigma2": 0.05, "quad_order": 5},
+        {"kind": "damping", "epsilon": 0.1},
+    ],
+    "witness": [
+        {"family": "parity", "alpha": [0.1, 0.0]},
+        {"family": "pure_projector", "state": {"kind": "fock", "n": 1}, "lambda": 0.48},
+        {"family": "two_copy_projector", "state": {"kind": "fock", "n": 1}, "lambda": 0.48},
+    ],
+}
+# type swaps, NaN and inf, negatives, empty lists, and plausible values
+_VALUES = [
+    "x", "", "nan", "3", [], {}, None, True, False, -1, 0, 0.5, 1, 2, 3, 2.5, 1e6,
+    -1e308, 1e308, math.nan, math.inf, -math.inf, [0.5], [1, 2], ["x"], {"kind": "x"},
+]  # fmt: skip
+
+
+@st.composite
+def _fuzzed_config(draw):
+    command = draw(st.sampled_from(sorted(cli._TABLES)))
+    cfg = {
+        key: _SMALL.get(key, default)
+        for key, (default, _) in cli._TABLES[command].items()
+        if key != "out"  # --out is always given
+    }
+    for key in set(cfg) & set(_SPECS):
+        cfg[key] = copy.deepcopy(draw(st.sampled_from([cfg[key], *_SPECS[key]])))
+    for _ in range(draw(st.integers(1, 2))):
+        nested = [key for key in cfg if isinstance(cfg[key], dict)]
+        target = cfg
+        if nested and draw(st.booleans()):
+            target = cfg[draw(st.sampled_from(sorted(nested)))]
+        key = draw(st.sampled_from(sorted(target) + ["zz_unknown"]))
+        target[key] = copy.deepcopy(draw(st.sampled_from(_VALUES)))
+    return command, cfg
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(case=_fuzzed_config())
+def test_exit_code_fuzz(case):
+    command, cfg = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgfile, out = Path(tmp) / "cfg.json", Path(tmp) / "out"
+        cfgfile.write_text(json.dumps(cfg))
+        try:
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = run([command, "--config", cfgfile, "--out", out])
+        except Exception as exc:  # the contract: nothing escapes main
+            raise AssertionError(f"{command} {cfg} raised {exc!r}") from exc
+        assert rc in (0, 2, 3, 4), (command, cfg, rc)
+        if rc == 2:
+            assert not out.exists(), (command, cfg)
+        if "zz_unknown" in json.dumps(cfg):
+            assert rc != 0, (command, cfg)  # an unknown key never yields a result
