@@ -16,6 +16,7 @@ cutoff cannot support a requested object), 4 invariant failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -89,6 +90,10 @@ MAX_RESOLUTION = 400  # resolution and depth_resolution
 MAX_QUAD_ORDER = 30  # Gauss-Hermite nodes per axis of a noise channel
 MAX_PEAK_WINDOW = 100  # lattice peaks each side of a grid codeword
 MAX_SQUEEZING_DB = 30.0  # grid codewords; the comb window grows as 10^(dB/20)
+# radius and depth_radius: a coherent state of |alpha| 11.42 leaks
+# DISPLACEMENT_TAIL_TOL above MAX_CUTOFF levels, so beyond it no cutoff
+# keeps a grid point
+MAX_RADIUS = 11.4
 
 
 # ---------------------------------------------------------------------------
@@ -221,11 +226,35 @@ def _parse_spec(raw, what: str, tag: str, builders: dict, *args):
     build = builders.get(spec.get(tag))
     if build is None:
         raise ValueError(f"unknown {what} {tag}: {raw.get(tag)}")
-    value = build(spec, *args)
+    try:
+        value = build(spec, *args)
+    except TruncationError:
+        # builders read every key before they build, so a key still unread
+        # is a typo, and it outranks the truncation: exit 2, not 3
+        if set(spec) <= spec.read:
+            raise
     unread = set(spec) - spec.read
     if unread:
         raise ValueError(f"unknown {what} keys: {sorted(unread)}")
     return value
+
+
+def _radius(value) -> float | None:
+    """A search radius, None for the state's default, else at most MAX_RADIUS."""
+    if value is None:
+        return None
+    radius = float(value)
+    if radius > MAX_RADIUS:
+        raise ValueError(f"{radius} is above the cap of {MAX_RADIUS}")
+    return radius
+
+
+def _tolerance(value) -> float:
+    """A truncation tolerance: a finite number in [0, 1]."""
+    tol = float(value)
+    if not 0.0 <= tol <= 1.0:
+        raise ValueError("must be a number in [0, 1]")
+    return tol
 
 
 def _size(value, cap: int) -> int:
@@ -249,7 +278,7 @@ def _gkp_state(spec, cutoff: int) -> PureState:
         params = GkpParams.from_db(float(spec.get("squeezing_db")), logical, window)
     else:
         params = GkpParams(float(spec.get("epsilon", 0.2)), logical, window)
-    return gkp_damped(_codeword(params), cutoff, tail_tol=float(spec.get("tail_tol", 1e-6)))
+    return gkp_damped(_codeword(params), cutoff, tail_tol=_tolerance(spec.get("tail_tol", 1e-6)))
 
 
 _PURE_STATES = {
@@ -292,8 +321,8 @@ _CHANNELS = {
 
 
 def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> WitnessSpec:
-    psi = _parse_pure_state(spec.get("state"), cutoff)
     lam = spec.get("lambda")
+    psi = _parse_pure_state(spec.get("state"), cutoff)
     if lam is None:
         lam = gaussian_fidelity(psi, fit).max_fidelity
     return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, float(lam))
@@ -312,10 +341,7 @@ _WITNESSES["displaced_parity"] = _WITNESSES["parity"]
 
 
 def _depth(resolution, radius=None) -> DepthSearchConfig:
-    return DepthSearchConfig(
-        radius=None if radius is None else float(radius),
-        resolution=_size(resolution, MAX_RESOLUTION),
-    )
+    return DepthSearchConfig(radius=radius, resolution=_size(resolution, MAX_RESOLUTION))
 
 
 def _channel(value, opts) -> DensityMatrix:
@@ -467,8 +493,8 @@ def run_gkp_sweep(cfg: dict, opts: dict) -> int:
         if loss_map is not None:
             state = loss_map(state)
         if opts["ec"]:
-            anc_params = params if opts["ancilla_db"] is None else opts["ancilla_db"]
-            ancilla = gkp_damped(anc_params, cutoff, tail_tol=tail_tol)
+            anc_params = opts["ancilla_db"]  # None: the codeword itself
+            ancilla = code if anc_params is None else gkp_damped(anc_params, cutoff, tail_tol)
             state = gkp_ec_round(state, ancilla)
         max_leak = max(max_leak, code.leakage, state.leakage)
         d_out = negativity_depth(state, depth_cfg)
@@ -557,7 +583,7 @@ _TABLES = {
         "cutoff": (30, _cutoff),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
         "channel": (None, _channel),
-        "radius": (None, lambda v, o: v),
+        "radius": (None, lambda v, o: _radius(v)),
         "resolution": (60, lambda v, o: _depth(v, o["radius"])),
         "validate_marginal": (True, _flag),
     },
@@ -566,7 +592,7 @@ _TABLES = {
         "cutoff": (30, _cutoff),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
         "channel": (None, _channel),
-        "radius": (None, lambda v, o: v),
+        "radius": (None, lambda v, o: _radius(v)),
         "resolution": (40, lambda v, o: _depth(v, o["radius"])),
     },
     "loss-sweep": {
@@ -586,10 +612,10 @@ _TABLES = {
         "quad_order": (15, lambda v, o: _size(v, MAX_QUAD_ORDER)),
         "loss_model": ("bare", _loss_map),
         "ec": (True, _flag),
-        "tail_tol_two": (1.0, lambda v, o: float(v)),
+        "tail_tol_two": (1.0, lambda v, o: _tolerance(v)),
         "squeezing_db": ([6.0, 8.0, 10.0, 12.0, 14.0, 16.5], _codes),
         "ancilla_db": (None, _ancilla),
-        "depth_radius": (2.8, lambda v, o: float(v)),  # a number, unlike radius
+        "depth_radius": (2.8, lambda v, o: _radius(float(v))),  # a number, unlike radius
         "depth_resolution": (35, lambda v, o: _depth(v, o["depth_radius"])),
     },
     "pure-bounds": {
@@ -651,9 +677,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first call of :func:`main`,
+    so that importing this module for its functions builds none."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg, opts = _resolve(args, _TABLES[args.command])
         return _RUNNERS[args.command](cfg, opts)

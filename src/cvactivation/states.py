@@ -289,18 +289,17 @@ def _gkp_wavefunction(params: GkpParams, window: int):
     return psi, envelope
 
 
-def _gkp_amps(params: GkpParams, window: int, n_levels: int) -> np.ndarray:
+def _gkp_amps(params: GkpParams, window: int, quadrature) -> np.ndarray:
     """Fock amplitudes of the damped comb by Gauss-Hermite projection.
 
-    4 * n_levels nodes integrate products of Hermite functions of degree
-    < 2 * n_levels near-exactly.
+    ``quadrature`` holds the nodes, their total weights and the Hermite
+    functions psi_n at the nodes, rows n < n_levels; 4 * n_levels nodes
+    integrate products of Hermite functions of degree < 2 * n_levels
+    near-exactly.
     """
     psi, _ = _gkp_wavefunction(params, window)
-    nodes, lam = hermgauss_total(4 * n_levels)
-    vals = psi(nodes)
-    basis = hermite_functions(n_levels, nodes)
-    amps = basis @ (lam * vals)
-    return amps
+    nodes, lam, basis = quadrature
+    return basis @ (lam * psi(nodes))
 
 
 def _adaptive_window(params: GkpParams) -> int:
@@ -344,8 +343,10 @@ def gkp_damped(
     cutoff = as_cutoff(cutoff)
     window = params.peak_window if params.peak_window is not None else _adaptive_window(params)
     n_ext = cutoff.dim + max(16, cutoff.dim // 4)
-    amps = _gkp_amps(params, window, n_ext)
-    amps_wide = _gkp_amps(params, window + 2, n_ext)
+    nodes, lam = hermgauss_total(4 * n_ext)
+    quadrature = (nodes, lam, hermite_functions(n_ext, nodes))
+    amps = _gkp_amps(params, window, quadrature)
+    amps_wide = _gkp_amps(params, window + 2, quadrature)
     nrm = np.linalg.norm(amps)
     nrm_wide = np.linalg.norm(amps_wide)
     drift = float(np.max(np.abs(amps / nrm - amps_wide / nrm_wide)))

@@ -9,10 +9,12 @@ contracts the exact displaced-parity matrix elements Pi(alpha) =
 D(2 alpha) Pi against rho through a stable column recurrence, exact for
 the truncated state and fast on point batches.  The recurrence runs on
 the state's occupied Fock block only, up to its last level with an
-exactly nonzero entry, so N points cost O(k^2 N) for a block of k levels,
-not O(d^2 N) for the cutoff d.  Independent routes live in the test
-suite as oracles: the defining expression (parity conjugated by an
-explicit displacement) and a Laguerre series.  The same recurrence,
+exactly nonzero entry, and once per distinct |alpha| with all Fock orders
+in lockstep, so N points with M distinct radii cost O(k^2 M + k N) for a
+block of k levels, not O(d^2 N) for the cutoff d.  Independent routes
+live in the test suite as oracles: the defining expression (parity
+conjugated by an explicit displacement), a Laguerre series and the same
+recurrence run one order at a time.  The same recurrence,
 run over a stack of operators, gives :func:`wigner_jet` the exact gradient
 and Hessian through the Bopp identities.  For grid-code states,
 :func:`wigner_pure_comb` evaluates the exact comb as one small matrix
@@ -44,24 +46,79 @@ WIGNER_BOUND = 2.0 / math.pi
 _BOUND_SLACK = 1e-9
 
 
-def _laguerre_clenshaw(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Clenshaw sum of sum_n c_n (-1)^n sqrt(order! n!/(order+n)!) L_n^order(x).
+# entries in each lockstep buffer (stack x orders x points): 2^19 complex
+# values, 8 MiB; larger batches run in chunks of points
+_LOCKSTEP_ENTRIES = 1 << 19
 
-    ``coeffs`` is a stack (k, L) of coefficient rows with L >= 2; the result
-    holds one row of sums per stacked row, shape (k, len(x)).
+
+def _occupied_dim(mats: np.ndarray) -> int:
+    """Levels 0..k-1 of a stack (k, d, d), k - 1 the last level with an exactly
+    nonzero entry anywhere in the stack; at least 2."""
+    nonzero = mats != 0
+    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    return max(2, int(occupied[-1]) + 1) if occupied.size else 2
+
+
+def _clenshaw_orders(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Clenshaw recurrences of every diagonal order of a stack, all orders in lockstep.
+
+    Order o of the (k, d, d) stack sums sum_n c_n (-1)^n sqrt(o! n!/(o+n)!)
+    L_n^o(x) over its diagonal c_n = doubled[:, n, n + o].  Returns the
+    final pairs (y0, y1), each of shape (k, d - 1, len(x)); the sum of
+    order o is y0[:, o] - y1[:, o] ((o + 1) - x) / sqrt(o + 1).
+
+    Run one order at a time (the test oracle ``laguerre_clenshaw``), the
+    recurrence of order o takes steps j = d - 3 - o down to 0, step j adds
+    coefficient c_j, and its factors depend on (o, j) only.  So step j,
+    run from d - 3 down to 0, advances the prefix of orders o <= d - 3 - j
+    at once: one numpy call per operation, and per element the same
+    operations in the same order, so the sums are bit-identical.
     """
+    dim = doubled.shape[-1]
     ones = np.ones_like(x, dtype=complex)
-    k = coeffs.shape[1]
-    y0 = coeffs[:, -2, None] * ones
-    y1 = coeffs[:, -1, None] * ones
-    for i in range(3, coeffs.shape[1] + 1):
-        k -= 1
-        y0, y1 = (
-            coeffs[:, -i, None]
-            - y1 * math.sqrt(((k - 1) * (order + k - 1)) / ((order + k) * k)),
-            y0 - y1 * ((order + 2 * k - 1) - x) / math.sqrt((order + k) * k),
-        )
-    return y0 - y1 * ((order + 1) - x) / math.sqrt(order + 1)
+    # order o starts from its last two coefficients, at rows d-2-o and d-1-o
+    y0 = doubled[:, dim - 2 :: -1, dim - 2, None] * ones
+    y1 = doubled[:, dim - 1 : 0 : -1, dim - 1, None] * ones
+    if dim > 2:
+        orders = np.arange(dim - 1)[:, None]
+        k = np.arange(2, dim)[None, :]  # k = j + 2 at step j, as in the per-order loop
+        shift = np.sqrt(((k - 1) * (orders + k - 1)) / ((orders + k) * k))[:, :, None]
+        centre = (orders + 2 * k - 1).astype(float)[:, :, None]
+        scale = np.sqrt(((orders + k) * k).astype(float))[:, :, None]
+        # the orders above the active prefix keep their starting pair in both
+        # y1 buffers, so swapping them never loses a start
+        spare = y1.copy()
+        arg = np.empty((dim - 1, x.size))
+        for j in range(dim - 3, -1, -1):
+            p = dim - 2 - j
+            y0p, y1p, new_y1, argp = y0[:, :p], y1[:, :p], spare[:, :p], arg[:p]
+            np.subtract(centre[:p, j], x, out=argp)
+            np.multiply(y1p, argp, out=new_y1)
+            np.divide(new_y1, scale[:p, j], out=new_y1)
+            np.subtract(y0p, new_y1, out=new_y1)
+            np.multiply(y1p, shift[:p, j], out=y0p)
+            np.subtract(doubled[:, j, j : dim - 2, None], y0p, out=y0p)
+            y1, spare = spare, y1
+    return y0, y1
+
+
+def _wigner_points(doubled: np.ndarray, corner: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """:func:`_wigner_stack` on a batch of points, given the doubled block and
+    its scaled corner column; shape (k, N)."""
+    dim = doubled.shape[-1]
+    a2 = 2.0 * alphas
+    b = np.abs(a2) ** 2
+    if dim == 2:
+        # one order and no recurrence steps: nothing to share between points
+        x, at = b, slice(None)
+    else:
+        x, at = np.unique(b, return_inverse=True)
+    y0, y1 = _clenshaw_orders(doubled, x)
+    w = corner * np.ones_like(b, dtype=complex)
+    for order in range(dim - 2, -1, -1):
+        clen = y0[:, order] - y1[:, order] * ((order + 1) - x) / math.sqrt(order + 1)
+        w = clen[:, at] + w * a2 / math.sqrt(order + 1)
+    return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
 
 
 def _wigner_stack(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -69,27 +126,36 @@ def _wigner_stack(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
 
     A Clenshaw recurrence over the diagonals of each H evaluates the
     Fock-basis Laguerre series of the displaced parity; it is numerically
-    stable and exact for operators supported below the cutoff.
+    stable and exact for operators supported below the cutoff.  The sums
+    depend on |alpha| only, so they run once per distinct radius, for all
+    orders in lockstep (:func:`_clenshaw_orders`), and a Horner pass over
+    the orders combines them at every point.
 
     The stack is first cut to its occupied block, levels 0..k-1 with k-1
     the last level that holds an exactly nonzero entry anywhere in the
     stack (k >= 2).  The levels above add only exact zeros, and the full
     recurrence of each diagonal reaches the cut one's starting pair of
     coefficients before any nonzero one enters, so the values are
-    bit-identical.  The cost is O(k^2 N) for N points, not O(d^2 N).
+    bit-identical.  The cost is O(k^2 M + k N) for N points with M
+    distinct radii, not O(d^2 N).
+
+    The lockstep buffers hold stack x (k - 1) x points entries; batches
+    above ``_LOCKSTEP_ENTRIES`` run in chunks of points taken in radius
+    order, so that each chunk keeps its repeated radii.
     """
-    nonzero = mats != 0
-    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
-    dim = max(2, int(occupied[-1]) + 1) if occupied.size else 2
+    dim = _occupied_dim(mats)
     mats = mats[:, :dim, :dim]
-    a2 = 2.0 * alphas
-    b = np.abs(a2) ** 2
     doubled = mats * (2.0 - np.eye(dim))
-    w = 2.0 * mats[:, 0, dim - 1, None] * np.ones_like(b, dtype=complex)
-    for order in range(dim - 2, -1, -1):
-        diag = np.diagonal(doubled, order, axis1=1, axis2=2)
-        w = _laguerre_clenshaw(order, b, diag) + w * a2 / math.sqrt(order + 1)
-    return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
+    corner = 2.0 * mats[:, 0, dim - 1, None]
+    if dim == 2 or (dim - 1) * len(mats) * alphas.size <= _LOCKSTEP_ENTRIES:
+        return _wigner_points(doubled, corner, alphas)
+    out = np.empty((len(mats), alphas.size))
+    ranked = np.argsort(np.abs(alphas), kind="stable")
+    size = max(1, _LOCKSTEP_ENTRIES // ((dim - 1) * len(mats)))
+    for start in range(0, alphas.size, size):
+        chunk = ranked[start : start + size]
+        out[:, chunk] = _wigner_points(doubled, corner, alphas[chunk])
+    return out
 
 
 def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
@@ -109,6 +175,18 @@ def _hermitian_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (x + xh) / 2.0, (x - xh) / 2j
 
 
+def _jet_stack(matrix: np.ndarray) -> np.ndarray:
+    """rho and the Hermitian parts of a rho, a^2 rho and a rho a^dag, on rho's occupied block."""
+    dim = _occupied_dim(matrix[None])
+    block = matrix[:dim, :dim]
+    lower = annihilation_matrix(dim)
+    a_rho = lower @ block
+    aa_rho = lower @ a_rho
+    return np.array(
+        [block, *_hermitian_parts(a_rho), *_hermitian_parts(aa_rho), a_rho @ lower.conj().T]
+    )
+
+
 def wigner_jet(rho: DensityMatrix, alphas: np.ndarray):
     """Wigner values with their exact gradients and Hessians in (Re alpha, Im alpha).
 
@@ -117,16 +195,12 @@ def wigner_jet(rho: DensityMatrix, alphas: np.ndarray):
     so one stacked Clenshaw pass over rho and the Hermitian parts of
     a rho, a^2 rho and a rho a^dag gives all three orders.  The identities
     are exact for the truncated state: a rho, a^2 rho and a rho a^dag stay
-    below the cutoff.  Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
+    below the cutoff.  They also stay inside rho's occupied block, so the
+    products are formed on that block.  Returns values (N,), gradients
+    (N, 2), Hessians (N, 2, 2).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    lower = annihilation_matrix(rho.dim)
-    a_rho = lower @ rho.matrix
-    aa_rho = lower @ a_rho
-    stack = np.array(
-        [rho.matrix, *_hermitian_parts(a_rho), *_hermitian_parts(aa_rho), a_rho @ lower.conj().T]
-    )
-    w, a_re, a_im, aa_re, aa_im, w_ara = _wigner_stack(stack, alphas)
+    w, a_re, a_im, aa_re, aa_im, w_ara = _wigner_stack(_jet_stack(rho.matrix), alphas)
     # W_X, dW/dalpha*, d^2W/dalpha*^2 and d^2W/dalpha dalpha* from the Bopp identities
     w_a = a_re + 1j * a_im
     w_aa = aa_re + 1j * aa_im

@@ -69,6 +69,47 @@ def projective_discord(rho4: np.ndarray, n_starts: int = 24) -> float:
     return best
 
 
+def laguerre_clenshaw(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Oracle: Clenshaw sum of sum_n c_n (-1)^n sqrt(order! n!/(order+n)!) L_n^order(x).
+
+    One order at a time.  ``coeffs`` is a stack (k, L) of coefficient rows
+    with L >= 2; the result holds one row of sums per stacked row, shape
+    (k, len(x)).
+    """
+    ones = np.ones_like(x, dtype=complex)
+    k = coeffs.shape[1]
+    y0 = coeffs[:, -2, None] * ones
+    y1 = coeffs[:, -1, None] * ones
+    for i in range(3, coeffs.shape[1] + 1):
+        k -= 1
+        y0, y1 = (
+            coeffs[:, -i, None]
+            - y1 * math.sqrt(((k - 1) * (order + k - 1)) / ((order + k) * k)),
+            y0 - y1 * ((order + 2 * k - 1) - x) / math.sqrt((order + k) * k),
+        )
+    return y0 - y1 * ((order + 1) - x) / math.sqrt(order + 1)
+
+
+def wigner_stack_per_order(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Oracle: (2/pi) Tr[Pi(alpha) H] for a stack (k, d, d) of Hermitian H; shape (k, N).
+
+    The per-order route: one :func:`laguerre_clenshaw` over all N points per
+    diagonal of the occupied block, combined over the orders by Horner steps.
+    """
+    nonzero = mats != 0
+    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    dim = max(2, int(occupied[-1]) + 1) if occupied.size else 2
+    mats = mats[:, :dim, :dim]
+    a2 = 2.0 * alphas
+    b = np.abs(a2) ** 2
+    doubled = mats * (2.0 - np.eye(dim))
+    w = 2.0 * mats[:, 0, dim - 1, None] * np.ones_like(b, dtype=complex)
+    for order in range(dim - 2, -1, -1):
+        diag = np.diagonal(doubled, order, axis1=1, axis2=2)
+        w = laguerre_clenshaw(order, b, diag) + w * a2 / math.sqrt(order + 1)
+    return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
+
+
 def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
     """Oracle: D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
     d = displacement_op(alpha, cutoff).matrix

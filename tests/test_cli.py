@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvactivation import cli
+from cvactivation import cli, wigner
 from cvactivation.cli import main
+from cvactivation.fock import DISPLACEMENT_TAIL_TOL, coherent_tail_mass
 from cvactivation.states import GkpParams
 
 
@@ -322,6 +323,19 @@ def _projector(family, lam):
         ("wigner", {"state": {"kind": "gkp", "squeezing_db": 300}, "cutoff": 8}),
         ("gkp-sweep", {"squeezing_db": [300], "cutoff": 8}),
         ("gkp-sweep", {"ancilla_db": 300, "cutoff": 8}),
+        # a spec typo is reported even where the build it skews would truncate
+        ("wigner", {"state": {"kind": "gkp", "epsilon": 0.3, "squeezing_db": 8}, "cutoff": 10}),
+        # radii far above their cap
+        ("wigner", {"radius": 1e308, "resolution": 4, "cutoff": 8}),
+        ("negativity-depth", {"radius": 1e308, "resolution": 4, "cutoff": 8}),
+        ("gkp-sweep", {"depth_radius": 1e308, "depth_resolution": 4, "ec": False}),
+        # truncation tolerances outside [0, 1]
+        ("gkp-sweep", {"tail_tol_two": math.nan, "cutoff": 10}),
+        ("gkp-sweep", {"tail_tol_two": -1e-6, "cutoff": 10}),
+        ("gkp-sweep", {"tail_tol_two": math.inf, "cutoff": 10}),
+        ("gkp-sweep", {"tail_tol_two": 1.5, "cutoff": 10}),
+        ("wigner", {"state": _gkp_state(squeezing_db=8) | {"tail_tol": math.nan}, "cutoff": 10}),
+        ("wigner", {"state": _gkp_state(squeezing_db=8) | {"tail_tol": -1.0}, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -335,14 +349,14 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
 @pytest.mark.parametrize(
     "command, bad",
     [
-        ("negativity-depth", {"radius": 1e308, "resolution": 4, "cutoff": 8}),
-        (
-            "gkp-sweep",
-            {"depth_radius": 1e308, "depth_resolution": 4, "squeezing_db": [6.0], "ec": False},
-        ),
+        ("negativity-depth", {"resolution": 4, "cutoff": 8}),
+        ("gkp-sweep", {"depth_resolution": 4, "squeezing_db": [6.0], "ec": False}),
     ],
 )
-def test_non_finite_wigner_values_exit_4(tmp_path, capsys, command, bad):
+def test_non_finite_wigner_values_exit_4(tmp_path, capsys, monkeypatch, command, bad):
+    # no config within the caps yields a non-finite Wigner value, so the
+    # search grid is made to hold one, as an overflowing radius once did
+    monkeypatch.setattr(wigner, "_square_grid", lambda radius, resolution: np.array([np.nan, 0j]))
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(bad))
     assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 4
@@ -394,7 +408,27 @@ _CAPS = [
         {"state": _gkp_state(epsilon=GkpParams.from_db(cli.MAX_SQUEEZING_DB).epsilon)},
         {"state": _gkp_state(epsilon=GkpParams.from_db(cli.MAX_SQUEEZING_DB + 1).epsilon)},
     ),
+    ("wigner", {"radius": cli.MAX_RADIUS}, {"radius": cli.MAX_RADIUS + 1e-9}),
+    ("negativity-depth", {"radius": cli.MAX_RADIUS}, {"radius": cli.MAX_RADIUS + 1e-9}),
+    ("gkp-sweep", {"depth_radius": cli.MAX_RADIUS}, {"depth_radius": cli.MAX_RADIUS + 1e-9}),
 ]
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    for name in ("a.json", "b.json"):
+        assert run(["activate", "--cutoff", 10, "--out", tmp_path / name]) == 0
+    assert built == [1]
+    assert cli._parser().format_help() == build().format_help()
+
+
+def test_radius_cap_is_the_edge_of_the_largest_cutoff():
+    # up to the cap a coherent state fits MAX_CUTOFF levels; a little beyond, it does not
+    assert coherent_tail_mass(cli.MAX_RADIUS, cli.MAX_CUTOFF) <= DISPLACEMENT_TAIL_TOL
+    assert coherent_tail_mass(cli.MAX_RADIUS + 0.05, cli.MAX_CUTOFF) > DISPLACEMENT_TAIL_TOL
 
 
 def test_size_caps_are_the_documented_ones():

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from cvactivation.errors import InvariantError
-from cvactivation.fock import DensityMatrix, FockCutoff
+from cvactivation.fock import DensityMatrix, FockCutoff, annihilation_matrix
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_comb, gkp_damped
 from cvactivation.channels import pure_loss
 from cvactivation import wigner
@@ -23,7 +23,7 @@ from cvactivation.wigner import (
     wigner_pure_comb_jet,
 )
 
-from conftest import displaced_parity_matrix, random_density, wigner_at
+from conftest import displaced_parity_matrix, random_density, wigner_at, wigner_stack_per_order
 
 
 def laguerre_series(rho, alpha):
@@ -348,25 +348,85 @@ def test_values_do_not_depend_on_zero_padding(rng):
 
 
 def test_recurrence_runs_on_the_exactly_occupied_block(monkeypatch):
-    calls = []
-    original = wigner._laguerre_clenshaw
+    blocks = []
+    original = wigner._clenshaw_orders
     monkeypatch.setattr(
-        wigner, "_laguerre_clenshaw", lambda *a: calls.append(a[0]) or original(*a)
+        wigner, "_clenshaw_orders", lambda d, x: blocks.append(d.shape[-1]) or original(d, x)
     )
     dim = 25
     rho = pure_loss(0.6, dim).apply(fock(1, dim).to_density())
     pts = np.array([0j, 0.4 - 0.3j])
     wigner_batch(rho, pts)
-    assert calls == [0]
-    calls.clear()
+    assert blocks == [2]
+    blocks.clear()
     wigner_jet(rho, pts)
-    assert calls == [0]
+    assert blocks == [2]
     # any exactly nonzero entry counts, however small
     mat = np.array(rho.matrix)
     mat[dim - 1, 0] = 1e-300
-    calls.clear()
+    blocks.clear()
     wigner_batch(DensityMatrix(mat, dim), pts)
-    assert len(calls) == dim - 1
+    assert blocks == [dim]
+
+
+def _hermitian_stack(rng, k, block, cutoff):
+    g = rng.normal(size=(k, block, block)) + 1j * rng.normal(size=(k, block, block))
+    mats = np.zeros((k, cutoff, cutoff), dtype=complex)
+    mats[:, :block, :block] = g + np.conj(np.swapaxes(g, 1, 2))
+    return mats
+
+
+@pytest.mark.parametrize("k", [1, 6])
+@pytest.mark.parametrize("block", [2, 3, 4, 5, 12, 30, 60])
+def test_lockstep_kernel_matches_per_order_oracle(rng, monkeypatch, k, block):
+    axis = np.linspace(-2.5, 2.5, 21)
+    point_sets = [
+        np.array([0.3 - 0.7j]),
+        np.array([0j]),
+        # a grid repeats its radii; the random points do not
+        (axis[:, None] + 1j * axis[None, :]).ravel(),
+        rng.normal(0.0, 1.5, 40) + 1j * rng.normal(0.0, 1.5, 40),
+    ]
+    for cutoff in (block, block + 5):
+        mats = _hermitian_stack(rng, k, block, cutoff)
+        for pts in point_sets:
+            lockstep = wigner._wigner_stack(mats, pts)
+            assert np.array_equal(lockstep, wigner_stack_per_order(mats, pts))
+    # batches above the buffer size run in chunks of points
+    monkeypatch.setattr(wigner, "_LOCKSTEP_ENTRIES", 7 * k * (block - 1))
+    pts = point_sets[2]
+    assert np.array_equal(wigner._wigner_stack(mats, pts), wigner_stack_per_order(mats, pts))
+
+
+def _full_cutoff_jet_stack(matrix):
+    """The jet stack formed at the full cutoff, before the stack is cut to its block."""
+    lower = annihilation_matrix(matrix.shape[0])
+    a_rho = lower @ matrix
+    aa_rho = lower @ a_rho
+    return np.array(
+        [
+            matrix,
+            *wigner._hermitian_parts(a_rho),
+            *wigner._hermitian_parts(aa_rho),
+            a_rho @ lower.conj().T,
+        ]
+    )
+
+
+@pytest.mark.parametrize("cutoff", [25, 200])
+def test_jet_on_the_block_matches_the_full_cutoff_route(monkeypatch, cutoff):
+    pts = np.array([0j, 0.4 - 0.3j, -1.1 + 0.2j, 0.05j])
+    for eta in (0.3, 0.6, 0.95):
+        # the lossy photon (1 - eta)|0><0| + eta|1><1|
+        diag = np.zeros(cutoff, dtype=complex)
+        diag[:2] = 1.0 - eta, eta
+        rho = DensityMatrix(np.diag(diag), cutoff)
+        block = wigner_jet(rho, pts)
+        with monkeypatch.context() as m:
+            m.setattr(wigner, "_jet_stack", _full_cutoff_jet_stack)
+            full = wigner_jet(rho, pts)
+        for a, b in zip(block, full):
+            assert np.array_equal(a, b)
 
 
 def test_depth_cost_follows_the_occupied_block():
