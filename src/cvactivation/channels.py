@@ -9,10 +9,11 @@ parallel.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_hermite
+from scipy.special import gammaln, roots_hermite, xlogy
 
 from .errors import TruncationError
 from .fock import (
@@ -113,6 +114,11 @@ def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> KrausChan
     a_power = np.eye(dim, dtype=complex)
     coeff = 1.0  # (1-eta)^k / k! as a running product, which underflows, never overflows
     for k in range(dim):
+        # below the normal range the factor loses precision, then drops to 0;
+        # at eta = 1 it is exactly 0 from k = 1 on
+        if coeff < sys.float_info.min and eta < 1.0:
+            ops += _loss_band_ops(eta, dim, k)
+            break
         if coeff > 0.0:
             ops.append(
                 OperatorMatrix(
@@ -124,6 +130,27 @@ def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> KrausChan
         if not np.any(a_power):
             break
     return KrausChannel(tuple(ops), label=f"loss(eta={eta})")
+
+
+def _loss_band_ops(eta: float, dim: int, start: int) -> list[OperatorMatrix]:
+    """Loss Kraus elements k >= start, for where the running factor underflows.
+
+    Element k holds sqrt(C(m+k, k) eta^m (1-eta)^k) at (m, m+k), taken
+    from its logarithm, so no factor below the float range is formed.
+    """
+    ops = []
+    for k in range(start, dim):
+        m = np.arange(dim - k)
+        log_w = (
+            gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)
+            + xlogy(m, eta) + k * math.log1p(-eta)
+        )
+        band = np.exp(0.5 * log_w)
+        if band.any():
+            ops.append(
+                OperatorMatrix(np.diag(band, k).astype(complex), hermitian=False, norm_bound=1.0)
+            )
+    return ops
 
 
 def gaussian_noise(

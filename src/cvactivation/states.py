@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,6 +187,23 @@ def squeezed_coherent_amps(
     return amps
 
 
+def squeezed_coherent_mass(alpha: complex, r: float, phi: float) -> float:
+    """Total mass sum_n |c_n|^2 of the :func:`squeezed_coherent_amps` amplitudes.
+
+    c_n = <n|psi>/<0|psi>, so the sum is 1/|<0|D(alpha) S(r e^{i phi})|0>|^2.
+    With b = gamma/mu and t = nu/mu it reads
+    (1 - |t|^2)^(-1/2) exp((|b|^2 - Re(conj(t) b^2)) / (1 - |t|^2)); as
+    1 - |t|^2 = 1/mu^2 this is mu exp(|gamma|^2 - Re(conj(nu) gamma^2)/mu),
+    the form evaluated.  Infinite when the exponent leaves the float range.
+    """
+    alpha = complex(alpha)
+    mu = math.cosh(r)
+    nu = cmath.exp(1j * phi) * math.sinh(r)
+    gamma = mu * alpha + nu * alpha.conjugate()
+    exponent = abs(gamma) * abs(gamma) - (nu.conjugate() * gamma * gamma).real / mu
+    return mu * math.exp(exponent) if exponent < 700.0 else math.inf
+
+
 def _truncate_with_leakage(
     amps_ext: np.ndarray, dim: int, tail_tol: float, what: str
 ) -> tuple[np.ndarray, float]:
@@ -240,9 +258,12 @@ def photon_subtracted_squeezed(
 ) -> PureState:
     """Normalized a S(r)|0>; supported on odd Fock levels only."""
     cutoff = as_cutoff(cutoff)
+    n_ext = 2 * cutoff.dim + 32
+    # the recurrence forms cosh(r) sqrt(n) for n <= n_ext
+    if not (math.isfinite(r) and r < math.acosh(sys.float_info.max / math.sqrt(n_ext + 1))):
+        raise ValueError(f"squeezing r={r} is not finite or overflows the amplitude recurrence")
     if r <= 0:
         raise ValueError("photon subtraction from vacuum (r=0) gives the zero vector")
-    n_ext = 2 * cutoff.dim + 32
     sq = squeezed_coherent_amps(0.0, r, 0.0, n_ext + 1)
     sub = np.sqrt(np.arange(1, n_ext + 1)) * sq[1:]
     kept, leak = _truncate_with_leakage(sub, cutoff.dim, tail_tol, "photon_subtracted_squeezed")

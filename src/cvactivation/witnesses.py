@@ -24,11 +24,19 @@ from enum import Enum
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DensityMatrix, OperatorMatrix, PureState
-from .states import DEFAULT_R_MAX, GaussianPureParams, gaussian_pure
+from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite
+from .states import (
+    DEFAULT_R_MAX,
+    GaussianPureParams,
+    _truncate_with_leakage,
+    squeezed_coherent_amps,
+    squeezed_coherent_mass,
+)
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
+# A fit candidate whose Fock tail above the cutoff exceeds this scores 0.
+FIT_TAIL_TOL = 1e-4
 
 
 class FreeSet(str, Enum):
@@ -273,6 +281,39 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
     return starts[: cfg.n_starts]
 
 
+def _fit_objective(psi: PureState, r_max: float):
+    """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
+
+    G equals, bit for bit, the :func:`~cvactivation.states.gaussian_pure`
+    state at psi's cutoff with tail tolerance ``FIT_TAIL_TOL``, and a
+    candidate leaking more scores 0, but no state is built.
+    """
+    amps, dim = psi.amplitudes, psi.dim
+    n_ext = 2 * dim + 32
+    keep = 1.0 - (FIT_TAIL_TOL - 1e-10)
+
+    def objective(params: np.ndarray) -> float:
+        re_a, im_a, r, phi = params
+        r = min(abs(r), r_max)
+        g = GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi))
+        head = squeezed_coherent_amps(g.alpha, g.r, g.phi, dim)
+        nrm = np.linalg.norm(head)
+        # an overflowing head (infinite mass too) takes the 2d + 32 route below
+        if keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
+            kept = head / nrm
+        else:
+            ext = squeezed_coherent_amps(g.alpha, g.r, g.phi, n_ext)
+            try:
+                kept, _ = _truncate_with_leakage(ext, dim, FIT_TAIL_TOL, "gaussian_pure")
+            except TruncationError:
+                return 0.0
+            _check_finite(kept, "amplitudes")  # a NaN leak passes the check above
+        # normalised a second time, as the PureState constructor does
+        return -abs(np.vdot(amps, kept / float(np.linalg.norm(kept)))) ** 2
+
+    return objective
+
+
 def gaussian_fidelity(
     psi: PureState, cfg: GaussianFitConfig | None = None
 ) -> GaussianFidelityResult:
@@ -282,6 +323,15 @@ def gaussian_fidelity(
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
     multistart Nelder-Mead over (Re alpha, Im alpha, r, phi); the spread
     between converged starts is reported so optimizer traps are visible.
+
+    Per candidate the cost is one amplitude recurrence to the cutoff d, its
+    norm and the closed-form total mass of the amplitudes
+    (:func:`~cvactivation.states.squeezed_coherent_mass`).  The mass gives
+    the leak of the whole tail above the cutoff, leak_inf = 1 - head/total,
+    which bounds the leak over the 2d + 32 levels that ``gaussian_pure``
+    checks.  A candidate with leak_inf <= FIT_TAIL_TOL - 1e-10 (the margin
+    covers rounding) is accepted at once; any other also runs the
+    2d + 32-level recurrence and keeps that check's decision.
     """
     if cfg is None:
         cfg = GaussianFitConfig()
@@ -290,21 +340,7 @@ def gaussian_fidelity(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    amps = psi.amplitudes
-
-    def objective(params: np.ndarray) -> float:
-        re_a, im_a, r, phi = params
-        r = min(abs(r), cfg.r_max)
-        try:
-            cand = gaussian_pure(
-                GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi)),
-                psi.cutoff,
-                r_max=cfg.r_max,
-                tail_tol=1e-4,
-            )
-        except TruncationError:
-            return 0.0
-        return -abs(np.vdot(amps, cand.amplitudes)) ** 2
+    objective = _fit_objective(psi, cfg.r_max)
 
     # imported here, not at module level: scipy.optimize adds ~23 MiB to every import
     from scipy.optimize import minimize

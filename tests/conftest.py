@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cvactivation.errors import TruncationError
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, displacement_op, parity_op
+from cvactivation.states import GaussianPureParams, gaussian_pure
 
 
 @pytest.fixture
@@ -122,3 +124,28 @@ def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
     val = rho.expectation(displaced_parity_matrix(alpha, rho.cutoff))
     assert abs(val.imag) <= 1e-10, f"Wigner value has imaginary part {val.imag:.3e}"
     return (2.0 / math.pi) * val.real
+
+
+def gaussian_objective_oracle(psi, r_max: float):
+    """Oracle: the Gaussian-fit objective through a built candidate state.
+
+    Each candidate is the :func:`gaussian_pure` state at psi's cutoff with
+    tail tolerance 1e-4, scoring 0 when it leaks more.
+    """
+    amps = psi.amplitudes
+
+    def objective(params) -> float:
+        re_a, im_a, r, phi = params
+        r = min(abs(r), r_max)
+        try:
+            cand = gaussian_pure(
+                GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi)),
+                psi.cutoff,
+                r_max=r_max,
+                tail_tol=1e-4,
+            )
+        except TruncationError:
+            return 0.0
+        return -abs(np.vdot(amps, cand.amplitudes)) ** 2
+
+    return objective

@@ -15,6 +15,7 @@ from cvactivation.fock import (
     pure_fidelity,
     trace_norm,
 )
+from cvactivation import channels
 from cvactivation.channels import (
     DampingMap,
     GaussNoiseParams,
@@ -56,6 +57,25 @@ def test_loss_large_cutoff():
     expected = np.zeros((180, 180))
     expected[1, 1], expected[0, 0] = 0.9, 0.1
     assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.3])
+def test_loss_trace_preserving_where_the_factor_underflows(eta):
+    # (1 - eta)^k / k! leaves the float range before k = 199; the channel
+    # would fail its own trace-preservation check without those elements
+    rho = pure_loss(eta, 200).apply(fock(1, 200).to_density())
+    expected = np.zeros((200, 200))
+    expected[1, 1], expected[0, 0] = eta, 1.0 - eta
+    assert np.max(np.abs(rho.matrix - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
+def test_loss_band_elements_match_the_running_product(eta):
+    band = channels._loss_band_ops(eta, 30, 0)
+    kraus = pure_loss(eta, 30).kraus_ops
+    assert len(band) == len(kraus)
+    for got, want in zip(band, kraus):
+        assert np.allclose(got.matrix, want.matrix, rtol=1e-12, atol=0.0)
 
 
 def test_loss_identity_at_unit_transmissivity():

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,16 @@ def test_loss_sweep_command(tmp_path):
     assert float(table[1.0][3]) == pytest.approx(0.5, abs=1e-9)
     assert float(table[1.0][4]) == pytest.approx(1.0, abs=1e-9)
     assert float(table[0.75][3]) == pytest.approx(0.25, abs=1e-6)
+
+
+def test_loss_sweep_where_the_loss_factor_underflows(tmp_path):
+    # (1 - eta)^k / k! leaves the normal float range from k = 160 at eta = 0.3
+    out = tmp_path / "loss.csv"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"etas": [0.3], "cutoff": 161}))
+    assert run(["loss-sweep", "--config", cfgfile, "--out", out]) == 0
+    _, _, rows = read_csv(out)
+    assert float(rows[0][1]) == pytest.approx(0.4, abs=1e-12)  # parity 1 - 2 eta
 
 
 def test_loss_sweep_even_fock_reports_grid_bound(tmp_path):
@@ -264,6 +275,7 @@ def _gkp_state(**keys):
 
 
 _DAMP_ALL = {"kind": "damping", "epsilon": 1e6}
+_SUBTRACTED = {"kind": "photon_subtracted_squeezed"}
 
 
 def _projector(family, lam):
@@ -336,13 +348,21 @@ def _projector(family, lam):
         ("gkp-sweep", {"tail_tol_two": 1.5, "cutoff": 10}),
         ("wigner", {"state": _gkp_state(squeezing_db=8) | {"tail_tol": math.nan}, "cutoff": 10}),
         ("wigner", {"state": _gkp_state(squeezing_db=8) | {"tail_tol": -1.0}, "cutoff": 10}),
+        # squeezing the amplitude recurrence cannot take
+        ("pure-bounds", {"state": _SUBTRACTED | {"r": math.nan}, "cutoff": 10}),
+        ("pure-bounds", {"state": _SUBTRACTED | {"r": 1e6}, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(bad))
-    assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    if bad.get("state", {}).get("kind") == "photon_subtracted_squeezed":
+        assert "squeezing r=" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cvactivation.states import (
     gaussian_pure,
     photon_subtracted_squeezed,
     squeezed_coherent_amps,
+    squeezed_coherent_mass,
     thermal,
 )
 
@@ -165,6 +167,28 @@ def test_photon_subtracted_squeezed():
     manual = np.sqrt(np.arange(1, 40)) * sq[1:]
     manual = manual[:30] / np.linalg.norm(manual)
     assert np.max(np.abs(np.abs(pss.amplitudes) - np.abs(manual[:30]))) < 1e-9
+
+
+@pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, 1e6, 709.0])
+def test_photon_subtracted_squeezed_rejects_unusable_r(r):
+    # cosh(709) sqrt(n) already overflows the recurrence's coefficients
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="squeezing r="):
+            photon_subtracted_squeezed(r, 20)
+
+
+def test_squeezed_coherent_mass_matches_long_sum():
+    rng = np.random.default_rng(11)
+    draws = [(0j, 0.0, 0.0), (0j, DEFAULT_R_MAX, 1.0), (2.0 + 1.0j, 0.0, 0.0)]
+    draws += [
+        (complex(*rng.normal(0.0, 1.5, size=2)), rng.uniform(0.0, DEFAULT_R_MAX), rng.uniform(0, 7))
+        for _ in range(200)
+    ]
+    for alpha, r, phi in draws:
+        total = float(np.sum(np.abs(squeezed_coherent_amps(alpha, r, phi, 1500)) ** 2))
+        assert squeezed_coherent_mass(alpha, r, phi) == pytest.approx(total, rel=1e-12)
+    assert squeezed_coherent_mass(1e3, 0.0, 0.0) == math.inf
 
 
 def test_thermal_distribution():

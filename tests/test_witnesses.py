@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvactivation import states
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GaussianPureParams,
@@ -12,10 +13,12 @@ from cvactivation.states import (
     coherent,
     fock,
     gaussian_pure,
+    squeezed_coherent_amps,
     thermal,
 )
-from cvactivation.channels import apply_unitary, phase_rotation
+from cvactivation.channels import apply_unitary, pure_loss, phase_rotation
 from cvactivation.witnesses import (
+    FIT_TAIL_TOL,
     FreeSet,
     GaussianFitConfig,
     PureProjector,
@@ -29,9 +32,10 @@ from cvactivation.witnesses import (
     rescale_to_box,
     two_copy_projector_spec,
     witness_value,
+    _fit_objective,
 )
 
-from conftest import displaced_parity_matrix, random_density, wigner_at
+from conftest import displaced_parity_matrix, gaussian_objective_oracle, random_density, wigner_at
 
 # dense-grid search over (|alpha|, r, phi) refined to 4e-4 resolution;
 # regenerate with scripts/compute_gaussian_fidelity_oracle.py
@@ -208,6 +212,111 @@ def test_gaussian_fit_config_keeps_valid_values():
     small = GaussianFitConfig(n_starts=2, maxiter=40)
     assert (small.n_starts, small.maxiter) == (2, 40)
     assert GaussianFitConfig(seeds=[5, 6], r_max=0.0).seeds == (5, 6)
+
+
+def _fit_leak(alpha, r, phi, dim):
+    """Tail share above the cutoff over the 2 dim + 32 levels gaussian_pure checks."""
+    w = np.abs(squeezed_coherent_amps(alpha, r, phi, 2 * dim + 32)) ** 2
+    return float(np.sum(w[dim:])) / float(np.sum(w))
+
+
+def _threshold_draws(rng, dim, r_max, count):
+    """(Re alpha, Im alpha, r, phi) whose 2d+32 leak lies within 1e-9 of the tolerance.
+
+    |alpha| is bisected along a random direction to a leak of
+    FIT_TAIL_TOL + delta, delta between -1e-9 and 1e-9.
+    """
+    deltas = (-1e-9, -3e-10, -1e-10, -1e-11, 0.0, 1e-11, 1e-10, 3e-10, 1e-9)
+    draws = []
+    while len(draws) < count:
+        r = r_max if rng.uniform() < 0.3 else float(rng.uniform(0.0, r_max))
+        phi, theta = rng.uniform(0.0, 2.0 * math.pi, size=2)
+        if _fit_leak(0j, r, phi, dim) > FIT_TAIL_TOL:
+            continue
+        unit = complex(math.cos(theta), math.sin(theta))
+        hi = 1.0
+        while _fit_leak(hi * unit, r, phi, dim) <= FIT_TAIL_TOL:
+            hi *= 2.0
+        for delta in deltas:
+            lo, up = 0.0, hi
+            while lo < (mid := 0.5 * (lo + up)) < up:
+                if _fit_leak(mid * unit, r, phi, dim) <= FIT_TAIL_TOL + delta:
+                    lo = mid
+                else:
+                    up = mid
+            alpha = lo * unit
+            draws.append([alpha.real, alpha.imag, r, phi])
+    return draws
+
+
+@pytest.mark.parametrize("dim", [12, 30, 40])
+def test_fit_objective_bit_identical_to_built_state_oracle(dim):
+    rng = np.random.default_rng(dim)
+    amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
+    random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)), dim)
+    r_max = GaussianFitConfig().r_max
+    draws = [
+        [rng.normal(0.0, 1.5), rng.normal(0.0, 1.5), rng.uniform(-2.5, 2.5), rng.uniform(-9, 9)]
+        for _ in range(1200)
+    ]
+    draws += [[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), r_max, rng.uniform(0, 7)] for _ in range(100)]
+    draws += _threshold_draws(rng, dim, r_max, 90)
+    scored = rejected = 0
+    for psi in (fock(1, dim), fock(2, dim), random_psi):
+        new, old = _fit_objective(psi, r_max), gaussian_objective_oracle(psi, r_max)
+        for x in draws:
+            want = old(x)
+            assert new(x) == want, (dim, x)
+            scored += want != 0.0
+            rejected += want == 0.0
+    # both sides of the tail tolerance were reached
+    assert min(scored, rejected) > 300
+
+
+def _top_eigenvector(rho):
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    return PureState(vecs[:, np.argmax(vals)], rho.cutoff)
+
+
+# fits through built candidate states, before the objective stopped building them
+_FOCK1_FIT = (
+    "GaussianFidelityResult(max_fidelity=0.4778894124995779, "
+    "argmax=GaussianPureParams(alpha=(-0.7470114020176348+0.32960679222043465j), "
+    "r=0.5493061494070621, phi=5.452104864327408), "
+    "multistart_spread=0.4778894124995779, n_converged=16)"
+)
+_FOCK2_FIT = (
+    "GaussianFidelityResult(max_fidelity=0.38131938635765966, "
+    "argmax=GaussianPureParams(alpha=(1.2247277233269878-0.006464347462329931j), "
+    "r=0.6584793948186235, phi=6.272629024766101), "
+    "multistart_spread=0.38131938635765966, n_converged=7)"
+)
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        (lambda: fock(1, 30), _FOCK1_FIT),
+        (lambda: fock(2, 30), _FOCK2_FIT),
+        # the lossy photon's top eigenvector is |1> up to a sign
+        (lambda: _top_eigenvector(pure_loss(0.7, 30).apply(fock(1, 30).to_density())), _FOCK1_FIT),
+    ],
+    ids=["fock1", "fock2", "lossy_photon"],
+)
+def test_gaussian_fidelity_pinned(make, expected):
+    assert repr(gaussian_fidelity(make())) == expected
+
+
+def test_gaussian_fit_builds_no_state(monkeypatch):
+    built = []
+    post_init = PureState.__post_init__
+    monkeypatch.setattr(PureState, "__post_init__", lambda self: built.append(1) or post_init(self))
+    monkeypatch.setattr(states, "gaussian_pure", lambda *a, **k: built.append(2))
+    psi = fock(2, 20)
+    built.clear()
+    res = gaussian_fidelity(psi, GaussianFitConfig(n_starts=2, maxiter=40))
+    assert res.max_fidelity > 0.0
+    assert built == []
 
 
 def test_gaussian_fidelity_beats_every_seed():
