@@ -1,7 +1,8 @@
 """CPTP maps on the truncated Fock space.
 
-Pure loss, additive Gaussian displacement noise, number damping, phase
-rotation and one deterministic round of grid-code error correction.  Channels are immutable once built and their
+Pure loss (an exact binomial map on the diagonals of rho), additive Gaussian
+displacement noise, number damping, phase rotation and one deterministic round
+of grid-code error correction.  Channels are immutable once built and their
 application is a pure function, so parameter sweeps may apply them in
 parallel.
 """
@@ -13,7 +14,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, roots_hermite, xlogy
 
 from .errors import TruncationError
 from .fock import (
@@ -21,8 +21,8 @@ from .fock import (
     FockCutoff,
     OperatorMatrix,
     PureState,
+    _occupied_dim,
     _quadrature_eigensystem,
-    annihilation_matrix,
     as_cutoff,
     displacement_op,
 )
@@ -99,58 +99,72 @@ class KrausChannel:
         )
 
 
-def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> KrausChannel:
-    """Pure-loss channel with Kraus elements sqrt((1-eta)^k/k!) eta^(n/2) a^k.
+@dataclass(frozen=True, eq=False)
+class LossChannel:
+    """Pure loss as a binomial map on each diagonal of rho (Ivan, Sabapathy and
+    Simon, PRA 84, 042311 (2011)): rho'_{m,n} = sum_k b_k(m) b_k(n) rho_{m+k,n+k},
+    b_k(m) = bands[k, m] = sqrt(C(m+k, k) eta^m (1-eta)^k) for m + k < d."""
 
-    The element ordering (damping after annihilation) is fixed by the
-    single-photon identity eta |1><1| + (1-eta) |0><0|.
+    eta: float
+    bands: np.ndarray
+
+    def __post_init__(self):
+        # level n keeps sum_{m+k=n} b_k(m)^2 of its weight, which must be all of it
+        k, m = np.indices(self.bands.shape)
+        kept = np.bincount((k + m).ravel(), (self.bands**2).ravel())[: len(self.bands)]
+        dev = float(np.max(np.abs(kept - 1.0)))
+        if not dev <= TRACE_PRESERVATION_TOL:
+            raise ValueError(f"loss(eta={self.eta}) not trace preserving: defect {dev:.3e}")
+        self.bands.setflags(write=False)
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        if rho.dim != len(self.bands):
+            raise ValueError(f"channel dim {len(self.bands)} != state dim {rho.dim}")
+        occ = _occupied_dim(rho.matrix[None])  # the map never raises a level
+        out = np.zeros_like(rho.matrix)
+        for k in range(occ):
+            b = self.bands[k, : occ - k]
+            out[: occ - k, : occ - k] += np.outer(b, b) * rho.matrix[k:occ, k:occ]
+        tr = float(np.real(np.trace(out)))
+        return DensityMatrix(out / tr, rho.cutoff, leakage=max(rho.leakage, abs(1.0 - tr)))
+
+
+def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> LossChannel:
+    """Pure-loss channel; band k is the superdiagonal of the Kraus element
+    sqrt((1-eta)^k/k!) eta^(n/2) a^k, each entry formed as the dense element
+    product forms it, so Fock inputs map bit for bit as through the elements.
+    The ordering (damping after annihilation) is fixed by the single-photon
+    identity eta |1><1| + (1-eta) |0><0|.
     """
     eta = params.eta if isinstance(params, LossParams) else LossParams(params).eta
-    cutoff = as_cutoff(cutoff)
-    dim = cutoff.dim
-    a = annihilation_matrix(dim)
-    damp = np.diag(np.power(eta, np.arange(dim) / 2.0)).astype(complex)
-    ops = []
-    a_power = np.eye(dim, dtype=complex)
+    dim = as_cutoff(cutoff).dim
+    bands = np.zeros((dim, dim))
+    damp = np.power(eta, np.arange(dim) / 2.0)
+    a_power = np.ones(dim)  # (a^k)_{m,m+k} for m < dim - k
     coeff = 1.0  # (1-eta)^k / k! as a running product, which underflows, never overflows
     for k in range(dim):
         # below the normal range the factor loses precision, then drops to 0;
         # at eta = 1 it is exactly 0 from k = 1 on
         if coeff < sys.float_info.min and eta < 1.0:
-            ops += _loss_band_ops(eta, dim, k)
+            bands[k:] = _loss_log_bands(eta, dim, k)
             break
-        if coeff > 0.0:
-            ops.append(
-                OperatorMatrix(
-                    math.sqrt(coeff) * damp @ a_power, hermitian=False, norm_bound=1.0
-                )
-            )
-        a_power = a @ a_power
+        bands[k, : dim - k] = (math.sqrt(coeff) * damp[: dim - k]) * a_power
+        a_power = np.sqrt(np.arange(1, dim - k, dtype=float)) * a_power[1:]
         coeff *= (1.0 - eta) / (k + 1)
-        if not np.any(a_power):
-            break
-    return KrausChannel(tuple(ops), label=f"loss(eta={eta})")
+    return LossChannel(eta, bands)
 
 
-def _loss_band_ops(eta: float, dim: int, start: int) -> list[OperatorMatrix]:
-    """Loss Kraus elements k >= start, for where the running factor underflows.
+def _loss_log_bands(eta: float, dim: int, start: int) -> np.ndarray:
+    """Bands k >= start from the logarithm of b_k(m)^2, so no factor below the float range forms."""
+    # imported here, not at module level: scipy.special adds ~26 MiB to every import
+    from scipy.special import gammaln, xlogy
 
-    Element k holds sqrt(C(m+k, k) eta^m (1-eta)^k) at (m, m+k), taken
-    from its logarithm, so no factor below the float range is formed.
-    """
-    ops = []
-    for k in range(start, dim):
-        m = np.arange(dim - k)
-        log_w = (
-            gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)
-            + xlogy(m, eta) + k * math.log1p(-eta)
-        )
-        band = np.exp(0.5 * log_w)
-        if band.any():
-            ops.append(
-                OperatorMatrix(np.diag(band, k).astype(complex), hermitian=False, norm_bound=1.0)
-            )
-    return ops
+    k, m = np.arange(start, dim)[:, None], np.arange(dim)
+    log_w = (
+        gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)
+        + xlogy(m, eta) + k * math.log1p(-eta)
+    )
+    return np.where(m + k < dim, np.exp(0.5 * log_w), 0.0)
 
 
 def gaussian_noise(
@@ -163,6 +177,8 @@ def gaussian_noise(
     composition law G_a o G_b = G_(a+b) is the correctness oracle for the
     discretization.
     """
+    from scipy.special import roots_hermite  # lazy, see _loss_log_bands
+
     cutoff = as_cutoff(cutoff)
     sigma = math.sqrt(params.sigma2)
     nodes, weights = roots_hermite(params.quad_order)

@@ -257,11 +257,17 @@ def _tolerance(value) -> float:
     return tol
 
 
-def _size(value, cap: int) -> int:
+def _size(value, cap: int, low: int = 1) -> int:
+    """A whole number in [low, cap]; JSON true and false are refused, though float() takes them."""
     n = float(value)
-    if not (n.is_integer() and 1 <= n <= cap):
-        raise ValueError(f"must be a whole number in [1, {cap}]")
+    if isinstance(value, bool) or not (n.is_integer() and low <= n <= cap):
+        raise ValueError(f"must be a whole number in [{low}, {cap}]")
     return int(n)
+
+
+def _index(value) -> int:
+    """A Fock or logical index: a whole number from 0."""
+    return _size(value, MAX_CUTOFF, low=0)
 
 
 def _codeword(params: GkpParams) -> GkpParams:
@@ -271,7 +277,7 @@ def _codeword(params: GkpParams) -> GkpParams:
 
 
 def _gkp_state(spec, cutoff: int) -> PureState:
-    logical = int(spec.get("logical", 0))
+    logical = _index(spec.get("logical", 0))
     window = spec.get("peak_window")
     window = None if window is None else _size(window, MAX_PEAK_WINDOW)
     if "squeezing_db" in spec:
@@ -282,7 +288,7 @@ def _gkp_state(spec, cutoff: int) -> PureState:
 
 
 _PURE_STATES = {
-    "fock": lambda s, dim: fock(int(s.get("n", 0)), dim),
+    "fock": lambda s, dim: fock(_index(s.get("n", 0)), dim),
     "coherent": lambda s, dim: coherent(_parse_complex(s.get("alpha", 0)), dim),
     "cat": lambda s, dim: cat(_parse_complex(s.get("alpha", 1.0)), int(s.get("sign", -1)), dim),
     "photon_subtracted_squeezed": lambda s, dim: photon_subtracted_squeezed(
@@ -598,7 +604,7 @@ _TABLES = {
     "loss-sweep": {
         "out": ("loss_sweep.csv", _out_path),
         "cutoff": (25, _cutoff),
-        "fock_n": (1, lambda v, o: fock(int(v), o["cutoff"]).to_density()),
+        "fock_n": (1, lambda v, o: fock(_index(v), o["cutoff"]).to_density()),
         "etas": (
             [round(0.1 * k, 1) for k in range(11)],
             lambda v, o: sorted(LossParams(float(e)).eta for e in v),

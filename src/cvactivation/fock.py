@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import TruncationError
 
@@ -180,6 +179,14 @@ class OperatorMatrix:
         return self.matrix.shape[0]
 
 
+def _occupied_dim(mats: np.ndarray) -> int:
+    """Levels 0..k-1 of a stack (k, d, d), k - 1 the last level with an exactly
+    nonzero entry anywhere in the stack; at least 2."""
+    nonzero = mats != 0
+    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
+    return max(2, int(occupied[-1]) + 1) if occupied.size else 2
+
+
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Raw matrix of the annihilation operator, sqrt(j) on the superdiagonal."""
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
@@ -244,6 +251,9 @@ def coherent_tail_mass(alpha: complex | np.ndarray, dim: int) -> float | np.ndar
     taken by hypot, as Python's abs is; numpy's vectorised abs can differ
     from it in the last bit.
     """
+    # imported here, not at module level: scipy.special adds ~26 MiB to every import
+    from scipy.special import gammainc
+
     tail = gammainc(dim, np.hypot(np.real(alpha), np.imag(alpha)) ** 2)
     return float(tail) if np.ndim(tail) == 0 else tail
 

@@ -15,7 +15,6 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, roots_hermite
 
 from .errors import TruncationError
 from .fock import DensityMatrix, FockCutoff, PureState, as_cutoff
@@ -104,6 +103,8 @@ def hermgauss_total(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     degree < N/2 is itself zero to double precision there, so those nodes
     get zero weight instead of a spurious infinity.
     """
+    from scipy.special import roots_hermite  # lazy, as in fock.coherent_tail_mass
+
     x = roots_hermite(n_nodes)[0]
     psi = hermite_functions(n_nodes, x)
     last = psi[n_nodes - 1]
@@ -138,6 +139,8 @@ def coherent(
     tail_tol: float = 1e-8,
 ) -> PureState:
     """Coherent state |alpha>, renormalized on the truncated space."""
+    from scipy.special import gammainc  # lazy, as in fock.coherent_tail_mass
+
     cutoff = as_cutoff(cutoff)
     tail = float(gammainc(cutoff.dim, abs(alpha) ** 2)) if alpha != 0 else 0.0
     if tail > tail_tol:

@@ -37,6 +37,7 @@ from .errors import InvariantError
 from .fock import (
     DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
+    _occupied_dim,
     annihilation_matrix,
     coherent_tail_mass,
 )
@@ -49,14 +50,6 @@ _BOUND_SLACK = 1e-9
 # entries in each lockstep buffer (stack x orders x points): 2^19 complex
 # values, 8 MiB; larger batches run in chunks of points
 _LOCKSTEP_ENTRIES = 1 << 19
-
-
-def _occupied_dim(mats: np.ndarray) -> int:
-    """Levels 0..k-1 of a stack (k, d, d), k - 1 the last level with an exactly
-    nonzero entry anywhere in the stack; at least 2."""
-    nonzero = mats != 0
-    occupied = np.flatnonzero(nonzero.any(axis=(0, 1)) | nonzero.any(axis=(0, 2)))
-    return max(2, int(occupied[-1]) + 1) if occupied.size else 2
 
 
 def _clenshaw_orders(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -514,6 +507,16 @@ def _refine(jet_fn, seeds: np.ndarray, radius: float):
     return x, f, stationary()
 
 
+def _lowest(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k lowest values, lowest first, ties by index: the first k
+    of a stable argsort, without sorting the rest."""
+    if k >= values.size:
+        return np.argsort(values, kind="stable")
+    kth = np.partition(values, k - 1)[k - 1]
+    at_most = np.flatnonzero(values <= kth)
+    return at_most[np.argsort(values[at_most], kind="stable")[:k]]
+
+
 def negativity_depth_fn(
     value_fn, jet_fn, radius: float, cfg: DepthSearchConfig | None = None
 ) -> NegativityDepthResult:
@@ -529,9 +532,9 @@ def negativity_depth_fn(
     centers = _square_grid(radius, cfg.resolution)
     values = value_fn(centers)
     _check_bound(values)
-    order = np.argsort(values, kind="stable")
+    order = _lowest(values, cfg.refine_top)
     step = radius / cfg.resolution
-    points, refined, stationary = _refine(jet_fn, centers[order[: cfg.refine_top]], step / 2.0)
+    points, refined, stationary = _refine(jet_fn, centers[order], step / 2.0)
 
     candidates = [(float(values[order[0]]), complex(centers[order[0]]))]
     candidates += [(float(v), complex(a)) for v, a in zip(refined, points)]

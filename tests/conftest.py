@@ -1,10 +1,20 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from scipy.special import gammaln, xlogy
 
+from cvactivation.channels import KrausChannel
 from cvactivation.errors import TruncationError
-from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, displacement_op, parity_op
+from cvactivation.fock import (
+    DensityMatrix,
+    FockCutoff,
+    OperatorMatrix,
+    annihilation_matrix,
+    displacement_op,
+    parity_op,
+)
 from cvactivation.states import GaussianPureParams, gaussian_pure
 
 
@@ -149,3 +159,37 @@ def gaussian_objective_oracle(psi, r_max: float):
         return -abs(np.vdot(amps, cand.amplitudes)) ** 2
 
     return objective
+
+
+def kraus_loss(eta: float, dim: int) -> KrausChannel:
+    """Oracle: pure loss as dense Kraus elements sqrt((1-eta)^k/k!) eta^(n/2) a^k.
+
+    Once the running factor (1-eta)^k/k! drops below the normal float range
+    the remaining elements are diagonal bands sqrt(C(m+k, k) eta^m (1-eta)^k)
+    taken from their logarithm.
+    """
+    a = annihilation_matrix(dim)
+    damp = np.diag(np.power(eta, np.arange(dim) / 2.0)).astype(complex)
+    ops = []
+    a_power = np.eye(dim, dtype=complex)
+    coeff = 1.0
+    for k in range(dim):
+        if coeff < sys.float_info.min and eta < 1.0:
+            for j in range(k, dim):
+                m = np.arange(dim - j)
+                log_w = (
+                    gammaln(m + j + 1) - gammaln(m + 1) - gammaln(j + 1)
+                    + xlogy(m, eta) + j * math.log1p(-eta)
+                )
+                band = np.diag(np.exp(0.5 * log_w), j).astype(complex)
+                ops.append(OperatorMatrix(band, hermitian=False, norm_bound=1.0))
+            break
+        if coeff > 0.0:
+            ops.append(
+                OperatorMatrix(math.sqrt(coeff) * damp @ a_power, hermitian=False, norm_bound=1.0)
+            )
+        a_power = a @ a_power
+        coeff *= (1.0 - eta) / (k + 1)
+        if not np.any(a_power):
+            break
+    return KrausChannel(tuple(ops), label=f"loss(eta={eta})")

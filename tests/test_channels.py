@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from cvactivation.channels import (
     DampingMap,
     GaussNoiseParams,
     KrausChannel,
+    LossChannel,
     LossParams,
     damping,
     gaussian_noise,
@@ -33,7 +35,7 @@ from cvactivation.channels import (
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_damped
 from cvactivation.wigner import wigner_grid
 
-from conftest import random_density, wigner_at
+from conftest import kraus_loss, random_density, wigner_at
 
 
 def trace_distance(a, b):
@@ -71,11 +73,53 @@ def test_loss_trace_preserving_where_the_factor_underflows(eta):
 
 @pytest.mark.parametrize("eta", [0.0, 0.3, 0.9])
 def test_loss_band_elements_match_the_running_product(eta):
-    band = channels._loss_band_ops(eta, 30, 0)
-    kraus = pure_loss(eta, 30).kraus_ops
-    assert len(band) == len(kraus)
-    for got, want in zip(band, kraus):
-        assert np.allclose(got.matrix, want.matrix, rtol=1e-12, atol=0.0)
+    # the log-space bands, taken from k = 0, against the running-product table
+    log_bands = channels._loss_log_bands(eta, 30, 0)
+    table = pure_loss(eta, 30).bands
+    assert log_bands.shape == table.shape
+    assert np.allclose(log_bands, table, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+@pytest.mark.parametrize("eta", [0.0, 0.1, 0.3, 0.5, 0.6, 0.9, 1.0])
+def test_loss_map_bit_identical_to_kraus_oracle_on_fock(n, eta):
+    rho = fock(n, 25).to_density()
+    got = pure_loss(eta, 25).apply(rho)
+    want = kraus_loss(eta, 25).apply(rho)
+    assert np.array_equal(got.matrix, want.matrix)
+    assert got.leakage == want.leakage
+
+
+@pytest.mark.parametrize("dim", [10, 25, 80])
+def test_loss_map_matches_kraus_oracle_on_dense_states(rng, dim):
+    for eta in (0.1, 0.5, 0.85):
+        for support in (dim, dim // 2):
+            rho = random_density(rng, support, cutoff=dim)
+            got = pure_loss(eta, dim).apply(rho)
+            want = kraus_loss(eta, dim).apply(rho)
+            assert np.max(np.abs(got.matrix - want.matrix)) <= 1e-14
+            assert abs(got.leakage - want.leakage) <= 1e-14
+
+
+def test_loss_channel_trace_preservation_checked():
+    bands = pure_loss(0.5, 4).bands.copy()
+    bands[1] = 0.0  # drop the one-photon loss band
+    with pytest.raises(ValueError):
+        LossChannel(0.5, bands)
+
+
+def test_loss_at_cutoff_200_stays_small():
+    # the band table is one (d, d) array; dense Kraus elements took d of them
+    rho = fock(1, 200).to_density()
+    pure_loss(0.6, 200)  # imports the log-space route's scipy.special first
+    tracemalloc.start()
+    try:
+        out = pure_loss(0.6, 200).apply(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert np.real(out.matrix[1, 1]) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_loss_identity_at_unit_transmissivity():

@@ -351,6 +351,13 @@ def _projector(family, lam):
         # squeezing the amplitude recurrence cannot take
         ("pure-bounds", {"state": _SUBTRACTED | {"r": math.nan}, "cutoff": 10}),
         ("pure-bounds", {"state": _SUBTRACTED | {"r": 1e6}, "cutoff": 10}),
+        # Fock and logical indices that are not whole numbers
+        ("loss-sweep", {"fock_n": 1.7, "cutoff": 10}),
+        ("loss-sweep", {"fock_n": True, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "fock", "n": 2.9}, "cutoff": 10}),
+        ("negativity-depth", {"state": {"kind": "fock", "n": False}, "cutoff": 10}),
+        ("wigner", {"state": _gkp_state(squeezing_db=8, logical=0.5), "cutoff": 10}),
+        ("wigner", {"state": _gkp_state(squeezing_db=8, logical=True), "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):

@@ -1,6 +1,7 @@
 """Source rules: the package builds no product-space operator and no matrix
 exponential, runs its one local optimizer only in the Gaussian fit, and
-importing it does not load that optimizer."""
+importing it, or running the default loss sweep, loads neither that
+optimizer nor scipy.special."""
 
 import os
 import re
@@ -35,9 +36,10 @@ def test_scipy_optimize_only_in_the_gaussian_fit():
     assert not found, "\n".join(found)
 
 
-def test_cli_import_does_not_load_scipy_optimize():
+def test_cli_import_does_not_load_scipy_optimize(tmp_path):
     # scipy.optimize is imported inside the one Nelder-Mead site, the Gaussian
-    # fit, so runs that never fit do not pay its import time and memory
+    # fit, and scipy.special inside the functions that call it, so runs that
+    # need neither (the default loss sweep) do not pay their import time and memory
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = "import sys, cvactivation.cli; print('scipy.optimize' in sys.modules)"
@@ -45,3 +47,12 @@ def test_cli_import_does_not_load_scipy_optimize():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+    code = (
+        "import sys; from cvactivation import cli; "
+        f"code = cli.main(['loss-sweep', '--out', {str(tmp_path / 'sweep.csv')!r}]); "
+        "print(code, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split()[-3:] == ["0", "False", "False"]

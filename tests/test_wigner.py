@@ -458,3 +458,15 @@ def test_depth_cost_follows_the_occupied_block():
 def test_depth_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
         DepthSearchConfig(**kwargs)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.7, 0.3])
+def test_lowest_grid_points_match_the_stable_argsort(eta):
+    # a phase-invariant state ties exactly at equal radii, so the seeds'
+    # order among ties must follow the grid index as the stable sort's does
+    rho = pure_loss(eta, 25).apply(fock(1, 25).to_density())
+    values = wigner_batch(rho, wigner._square_grid(2.5, 40))
+    full = np.argsort(values, kind="stable")
+    assert np.unique(values[full[:5]]).size < 5  # the first seeds hold a tie
+    for k in (1, 2, 3, 5, 8, 100, values.size - 1, values.size, values.size + 5):
+        assert np.array_equal(wigner._lowest(values, k), full[:k])
