@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Werner-family correlation table: E, S, D, N and class over a q grid.
 
-Writes out/werner_table.csv; every row is validated against the
-partial-transpose and projective-measurement oracles.
+Writes out/werner_table.csv.  ``werner_analytics`` checks each row's E
+against the partial-transpose negativity of the explicit 4x4 Werner
+matrix and its D against the closed-form geometric discord of that matrix.
 """
 
 from pathlib import Path

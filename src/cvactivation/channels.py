@@ -23,6 +23,7 @@ from .fock import (
     PureState,
     _occupied_dim,
     _quadrature_eigensystem,
+    _whole_fields,
     as_cutoff,
     displacement_op,
 )
@@ -52,8 +53,7 @@ class GaussNoiseParams:
     def __post_init__(self):
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
-        if self.quad_order < 1:
-            raise ValueError("quad_order must be a positive integer")
+        _whole_fields(self, "quad_order")
 
 
 def sigma2_from_db(squeezing_db: float) -> float:

@@ -145,11 +145,6 @@ def _resolve(args: argparse.Namespace, table: dict) -> tuple[dict, dict]:
         cfg["cutoff"] = args.cutoff
     if args.out is not None:
         cfg["out"] = args.out
-    if args.seed_list is not None:
-        try:
-            cfg["seeds"] = [int(s) for s in args.seed_list.split(",") if s.strip()]
-        except ValueError as exc:
-            raise ConfigError(f"bad --seed-list {args.seed_list}: {exc}") from exc
     unknown = set(cfg) - set(table)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -198,10 +193,17 @@ def write_json(path: str, payload: dict, metadata: dict) -> None:
 # names a builder; builders read their keys with ``spec.get``
 
 
+def _number(value) -> float:
+    """float(value), with JSON true and false refused (float() takes them)."""
+    if isinstance(value, bool):
+        raise TypeError("must be a number, not true or false")
+    return float(value)
+
+
 def _parse_complex(val) -> complex:
     if isinstance(val, (list, tuple)) and len(val) == 2:
-        val = complex(float(val[0]), float(val[1]))
-    if isinstance(val, (int, float, complex)) and np.isfinite(val):
+        val = complex(_number(val[0]), _number(val[1]))
+    if isinstance(val, (int, float, complex)) and not isinstance(val, bool) and np.isfinite(val):
         return complex(val)
     raise ValueError(f"bad complex literal: {val}")
 
@@ -243,7 +245,7 @@ def _radius(value) -> float | None:
     """A search radius, None for the state's default, else at most MAX_RADIUS."""
     if value is None:
         return None
-    radius = float(value)
+    radius = _number(value)
     if radius > MAX_RADIUS:
         raise ValueError(f"{radius} is above the cap of {MAX_RADIUS}")
     return radius
@@ -251,16 +253,16 @@ def _radius(value) -> float | None:
 
 def _tolerance(value) -> float:
     """A truncation tolerance: a finite number in [0, 1]."""
-    tol = float(value)
+    tol = _number(value)
     if not 0.0 <= tol <= 1.0:
         raise ValueError("must be a number in [0, 1]")
     return tol
 
 
 def _size(value, cap: int, low: int = 1) -> int:
-    """A whole number in [low, cap]; JSON true and false are refused, though float() takes them."""
-    n = float(value)
-    if isinstance(value, bool) or not (n.is_integer() and low <= n <= cap):
+    """A whole number in [low, cap]."""
+    n = _number(value)
+    if not (n.is_integer() and low <= n <= cap):
         raise ValueError(f"must be a whole number in [{low}, {cap}]")
     return int(n)
 
@@ -281,28 +283,29 @@ def _gkp_state(spec, cutoff: int) -> PureState:
     window = spec.get("peak_window")
     window = None if window is None else _size(window, MAX_PEAK_WINDOW)
     if "squeezing_db" in spec:
-        params = GkpParams.from_db(float(spec.get("squeezing_db")), logical, window)
+        params = GkpParams.from_db(_number(spec.get("squeezing_db")), logical, window)
     else:
-        params = GkpParams(float(spec.get("epsilon", 0.2)), logical, window)
+        params = GkpParams(_number(spec.get("epsilon", 0.2)), logical, window)
     return gkp_damped(_codeword(params), cutoff, tail_tol=_tolerance(spec.get("tail_tol", 1e-6)))
 
 
 _PURE_STATES = {
     "fock": lambda s, dim: fock(_index(s.get("n", 0)), dim),
     "coherent": lambda s, dim: coherent(_parse_complex(s.get("alpha", 0)), dim),
-    "cat": lambda s, dim: cat(_parse_complex(s.get("alpha", 1.0)), int(s.get("sign", -1)), dim),
+    # cat itself refuses a sign other than +1 or -1
+    "cat": lambda s, dim: cat(_parse_complex(s.get("alpha", 1.0)), _number(s.get("sign", -1)), dim),
     "photon_subtracted_squeezed": lambda s, dim: photon_subtracted_squeezed(
-        float(s.get("r", 0.5)), dim
+        _number(s.get("r", 0.5)), dim
     ),
     "gaussian": lambda s, dim: gaussian_pure(
         GaussianPureParams(
-            _parse_complex(s.get("alpha", 0)), float(s.get("r", 0.0)), float(s.get("phi", 0.0))
+            _parse_complex(s.get("alpha", 0)), _number(s.get("r", 0.0)), _number(s.get("phi", 0.0))
         ),
         dim,
     ),
     "gkp": _gkp_state,
 }
-_STATES = {**_PURE_STATES, "thermal": lambda s, dim: thermal(float(s.get("nbar", 1.0)), dim)}
+_STATES = {**_PURE_STATES, "thermal": lambda s, dim: thermal(_number(s.get("nbar", 1.0)), dim)}
 
 
 def _parse_pure_state(spec, cutoff: int) -> PureState:
@@ -315,14 +318,14 @@ def _parse_state(spec, cutoff: int) -> DensityMatrix:
 
 
 _CHANNELS = {
-    "loss": lambda s, dim: pure_loss(float(s.get("eta", 1.0)), dim).apply,
+    "loss": lambda s, dim: pure_loss(_number(s.get("eta", 1.0)), dim).apply,
     "gaussian_noise": lambda s, dim: gaussian_noise(
         GaussNoiseParams(
-            float(s.get("sigma2", 0.05)), _size(s.get("quad_order", 15), MAX_QUAD_ORDER)
+            _number(s.get("sigma2", 0.05)), _size(s.get("quad_order", 15), MAX_QUAD_ORDER)
         ),
         dim,
     ).apply,
-    "damping": lambda s, dim: damping(float(s.get("epsilon", 0.1)), dim).apply,
+    "damping": lambda s, dim: damping(_number(s.get("epsilon", 0.1)), dim).apply,
 }
 
 
@@ -331,7 +334,7 @@ def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> Wit
     psi = _parse_pure_state(spec.get("state"), cutoff)
     if lam is None:
         lam = gaussian_fidelity(psi, fit).max_fidelity
-    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, float(lam))
+    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, _number(lam))
 
 
 _WITNESSES = {
@@ -373,15 +376,15 @@ def _loss_map(value, opts):
 
 
 def _codes(value, opts) -> list[tuple[float, GkpParams]]:
-    return [(db, _codeword(GkpParams.from_db(db))) for db in sorted(float(d) for d in value)]
+    return [(db, _codeword(GkpParams.from_db(db))) for db in sorted(_number(d) for d in value)]
 
 
 def _ancilla(value, opts) -> GkpParams | None:
-    return None if value is None else _codeword(GkpParams.from_db(float(value)))
+    return None if value is None else _codeword(GkpParams.from_db(_number(value)))
 
 
 def _t_grid(value, opts) -> list[float]:
-    t_grid = [float(t) for t in value]
+    t_grid = [_number(t) for t in value]
     if not all(0.0 <= t <= 1.0 for t in t_grid):
         raise ValueError("mixture weights must lie in [0, 1]")
     return t_grid
@@ -580,11 +583,12 @@ def run_property_suite(cfg: dict, opts: dict) -> int:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing: one table per subcommand, key -> (default, parser), in
-# parse order; out first, so a bad path wastes no run, then cutoff
+# argument parsing: one registry, subcommand -> (runner, key table); each
+# table maps key -> (default, parser) in parse order; out first, so a bad
+# path wastes no run, then cutoff
 
-_TABLES = {
-    "wigner": {
+_COMMANDS = {
+    "wigner": (run_wigner, {
         "out": ("wigner.csv", _out_path),
         "cutoff": (30, _cutoff),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
@@ -592,45 +596,45 @@ _TABLES = {
         "radius": (None, lambda v, o: _radius(v)),
         "resolution": (60, lambda v, o: _depth(v, o["radius"])),
         "validate_marginal": (True, _flag),
-    },
-    "negativity-depth": {
+    }),
+    "negativity-depth": (run_negativity_depth, {
         "out": ("negativity_depth.json", _out_path),
         "cutoff": (30, _cutoff),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
         "channel": (None, _channel),
         "radius": (None, lambda v, o: _radius(v)),
         "resolution": (40, lambda v, o: _depth(v, o["radius"])),
-    },
-    "loss-sweep": {
+    }),
+    "loss-sweep": (run_loss_sweep, {
         "out": ("loss_sweep.csv", _out_path),
         "cutoff": (25, _cutoff),
         "fock_n": (1, lambda v, o: fock(_index(v), o["cutoff"]).to_density()),
         "etas": (
             [round(0.1 * k, 1) for k in range(11)],
-            lambda v, o: sorted(LossParams(float(e)).eta for e in v),
+            lambda v, o: sorted(LossParams(_number(e)).eta for e in v),
         ),
         "resolution": (40, lambda v, o: FamilySearchConfig(depth=_depth(v))),
-    },
-    "gkp-sweep": {
+    }),
+    "gkp-sweep": (run_gkp_sweep, {
         "out": ("gkp_sweep.csv", _out_path),
         "cutoff": (30, _cutoff),
-        "eta": (0.9, lambda v, o: LossParams(float(v)).eta),
+        "eta": (0.9, lambda v, o: LossParams(_number(v)).eta),
         "quad_order": (15, lambda v, o: _size(v, MAX_QUAD_ORDER)),
         "loss_model": ("bare", _loss_map),
         "ec": (True, _flag),
         "tail_tol_two": (1.0, lambda v, o: _tolerance(v)),
         "squeezing_db": ([6.0, 8.0, 10.0, 12.0, 14.0, 16.5], _codes),
         "ancilla_db": (None, _ancilla),
-        "depth_radius": (2.8, lambda v, o: _radius(float(v))),  # a number, unlike radius
+        "depth_radius": (2.8, lambda v, o: _radius(_number(v))),  # a number, unlike radius
         "depth_resolution": (35, lambda v, o: _depth(v, o["depth_radius"])),
-    },
-    "pure-bounds": {
+    }),
+    "pure-bounds": (run_pure_bounds, {
         "out": ("pure_bounds.json", _out_path),
         "cutoff": (40, _cutoff),
         "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_pure_state(v, o["cutoff"])),
-    },
-    "activate": {
+    }),
+    "activate": (run_activate, {
         "out": ("activate.json", _out_path),
         "cutoff": (25, _cutoff),
         "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
@@ -640,30 +644,19 @@ _TABLES = {
             {"family": "parity"},
             lambda v, o: _parse_spec(v, "witness", "family", _WITNESSES, o["cutoff"], o["seeds"]),
         ),
-    },
-    "boundary-mix": {
+    }),
+    "boundary-mix": (run_boundary_mix, {
         "out": ("boundary_mix.csv", _out_path),
         "cutoff": (25, _cutoff),
         "t_grid": ([0.0, 0.25, 0.5, 0.75, 1.0], _t_grid),
         "resolution": (40, lambda v, o: FamilySearchConfig(depth=_depth(v))),
-    },
-    "property-suite": {
+    }),
+    "property-suite": (run_property_suite, {
         "out": ("property_suite.json", _out_path),
         "cutoff": (25, _cutoff),
         "states": (None, _corpus),
         "resolution": (35, lambda v, o: FamilySearchConfig(depth=_depth(v))),
-    },
-}
-
-_RUNNERS = {
-    "wigner": run_wigner,
-    "negativity-depth": run_negativity_depth,
-    "loss-sweep": run_loss_sweep,
-    "gkp-sweep": run_gkp_sweep,
-    "pure-bounds": run_pure_bounds,
-    "activate": run_activate,
-    "boundary-mix": run_boundary_mix,
-    "property-suite": run_property_suite,
+    }),
 }
 
 
@@ -674,12 +667,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNNERS:
+    for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--cutoff", type=int, help="Fock-space cutoff override")
         p.add_argument("--out", help="output path override")
-        p.add_argument("--seed-list", help="comma-separated fit seeds (pure-bounds, activate)")
     return parser
 
 
@@ -693,8 +685,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        cfg, opts = _resolve(args, _TABLES[args.command])
-        return _RUNNERS[args.command](cfg, opts)
+        run, table = _COMMANDS[args.command]
+        return run(*_resolve(args, table))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -56,6 +56,15 @@ def _check_finite(arr: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} has NaN or infinite entries")
 
 
+def _whole_fields(obj, *names: str) -> None:
+    """Require each named field of a frozen dataclass to be a whole number >= 1, kept as int."""
+    for name in names:
+        value = getattr(obj, name)
+        if not float(value).is_integer() or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value}")
+        object.__setattr__(obj, name, int(value))
+
+
 @dataclass(frozen=True)
 class PureState:
     """Unit vector in the truncated Fock basis.

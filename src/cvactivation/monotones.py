@@ -33,6 +33,10 @@ from .witnesses import (
 )
 
 ODD_PARITY_TOL = 1e-11
+# property suite: convexity weights p of p rho_a + (1 - p) rho_b, and the
+# slack of its monotonicity and convexity checks
+CONVEXITY_WEIGHTS = (0.3, 0.7)
+PROPERTY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -67,23 +71,19 @@ class FamilySearchConfig:
 
     depth: DepthSearchConfig = field(default_factory=DepthSearchConfig)
     gaussian: GaussianFitConfig = field(default_factory=GaussianFitConfig)
-    projector_rank: int = 1
 
 
-def is_odd_parity(rho: DensityMatrix, tol: float = ODD_PARITY_TOL) -> bool:
+def is_odd_parity(rho: DensityMatrix) -> bool:
     """True when Pi rho = -rho, i.e. the state lives in the odd Fock sector."""
     pi = parity_op(rho.cutoff).matrix
-    return float(np.max(np.abs(pi @ rho.matrix + rho.matrix))) <= tol
+    return float(np.max(np.abs(pi @ rho.matrix + rho.matrix))) <= ODD_PARITY_TOL
 
 
-def _top_eigenvectors(rho: DensityMatrix, count: int) -> list[PureState]:
+def _top_eigenvector(rho: DensityMatrix) -> PureState:
+    """An eigenvector of the largest eigenvalue; the last index of ``np.argsort``
+    fixes the pick when it is degenerate (as for the photon-vacuum half mix)."""
     vals, vecs = np.linalg.eigh(rho.matrix)
-    out = []
-    for idx in np.argsort(vals)[::-1][:count]:
-        if vals[idx] < 1e-12:
-            continue
-        out.append(PureState(vecs[:, idx], rho.cutoff, leakage=rho.leakage))
-    return out
+    return PureState(vecs[:, np.argsort(vals)[-1]], rho.cutoff, leakage=rho.leakage)
 
 
 # nested free sets, smallest first: a witness admissible for one stays admissible above
@@ -97,7 +97,7 @@ def _family_search(
 
     Each spec is tagged with the lowest free set it is admissible for.  The
     displaced-parity candidate comes first, with its value in the unit box.
-    One Gaussian fit per top eigenvector yields both the hull projector
+    One Gaussian fit of the top eigenvector yields both the hull projector
     (value overlap - lam) and its two-copy lift (overlap^2 - lam^2); the
     Wigner-positive level runs no fit at all.
     """
@@ -119,13 +119,12 @@ def _family_search(
         parity = [((math.pi / 2.0) * depth.depth, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
-    hull, lifts = [], []
-    for psi in _top_eigenvectors(rho, cfg.projector_rank):
-        lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
-        overlap = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-        hull.append((overlap - lam, pure_projector_spec(psi, lam, FreeSet.GAUSSIAN_HULL, box)))
-        lifts.append((overlap**2 - lam**2, two_copy_projector_spec(psi, lam, box)))
-    return parity + hull + lifts, False
+    psi = _top_eigenvector(rho)
+    lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
+    overlap = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
+    hull = (overlap - lam, pure_projector_spec(psi, lam, FreeSet.GAUSSIAN_HULL, box))
+    lift = (overlap**2 - lam**2, two_copy_projector_spec(psi, lam, box))
+    return [*parity, hull, lift], False
 
 
 def _best_bound(
@@ -197,15 +196,13 @@ def exact_boundary_mixture(
     tau: DensityMatrix,
     witness: OperatorMatrix,
     t_grid,
-    free_set: FreeSet = FreeSet.WIGNER_POSITIVE,
     cfg: FamilySearchConfig | None = None,
-    cross_check: bool = True,
 ) -> list[BoundaryMixRow]:
     """Exact unit-box monotone values along (1-t) sigma + t tau.
 
     Requires Tr(X sigma) = 0 and Tr(X tau) = -1 within 1e-8 for a witness
     X inside the unit box; then the monotone equals t exactly.  Each row
-    optionally cross-checks that the family search reaches t - 1e-6.
+    cross-checks that the Wigner-positive family search reaches t - 1e-6.
     """
     check_box(witness)
     r_sigma = float(np.real(np.trace(witness.matrix @ sigma_free.matrix)))
@@ -220,18 +217,14 @@ def exact_boundary_mixture(
         t = float(t)
         if not 0.0 <= t <= 1.0:
             raise ValueError("mixture weight outside [0, 1]")
-        searched = math.nan
-        if cross_check:
-            mix = DensityMatrix(
-                (1.0 - t) * sigma_free.matrix + t * tau.matrix,
-                sigma_free.cutoff,
-                leakage=max(sigma_free.leakage, tau.leakage),
-            )
-            searched = lower_bound(mix, free_set, WitnessBox(), cfg).lower
-            if searched < t - 1e-6:
-                raise InvariantError(
-                    f"family search reached {searched} < t - 1e-6 at t={t}"
-                )
+        mix = DensityMatrix(
+            (1.0 - t) * sigma_free.matrix + t * tau.matrix,
+            sigma_free.cutoff,
+            leakage=max(sigma_free.leakage, tau.leakage),
+        )
+        searched = lower_bound(mix, FreeSet.WIGNER_POSITIVE, WitnessBox(), cfg).lower
+        if searched < t - 1e-6:
+            raise InvariantError(f"family search reached {searched} < t - 1e-6 at t={t}")
         rows.append(BoundaryMixRow(t=t, exact_value=t, searched_lower=searched))
     return rows
 
@@ -318,8 +311,6 @@ def property_suite(
     channels,
     box: WitnessBox = WitnessBox(),
     cfg: FamilySearchConfig | None = None,
-    mixture_weights=(0.3, 0.7),
-    tol: float = 1e-6,
 ) -> PropertyReport:
     """Bound-level monotonicity, convexity and Lipschitz checks.
 
@@ -327,7 +318,8 @@ def property_suite(
     sequence of (label, callable) with each callable free for the
     Wigner-positive theory.  All bounds are evaluated over the pooled
     displaced-parity family, so the reported inequalities are exact
-    statements about the same searched family on both sides.
+    statements about the same searched family on both sides; the
+    monotonicity and convexity checks allow ``PROPERTY_TOL``.
     """
     if cfg is None:
         cfg = FamilySearchConfig()
@@ -336,11 +328,7 @@ def property_suite(
     records: list[CheckRecord] = []
     c_lip = max(box.n, box.m)
 
-    searched: dict[str, complex] = {}
-    rho_map: dict[str, DensityMatrix] = {}
-    for label, rho in states:
-        rho_map[label] = rho
-        searched[label] = negativity_depth(rho, cfg.depth).argmin_alpha
+    searched = {label: negativity_depth(rho, cfg.depth).argmin_alpha for label, rho in states}
 
     # monotonicity under free channels
     for ch_label, channel in channels:
@@ -354,8 +342,8 @@ def property_suite(
                     kind="monotonicity",
                     label=f"{ch_label} on {label}",
                     lhs=after,
-                    rhs=before + tol,
-                    passed=after <= before + tol,
+                    rhs=before + PROPERTY_TOL,
+                    passed=after <= before + PROPERTY_TOL,
                 )
             )
 
@@ -363,7 +351,7 @@ def property_suite(
     for (la, ra), (lb, rb) in zip(states, states[1:]):
         if ra.dim != rb.dim:
             continue
-        for p in mixture_weights:
+        for p in CONVEXITY_WEIGHTS:
             mix = DensityMatrix(
                 p * ra.matrix + (1.0 - p) * rb.matrix,
                 ra.cutoff,
@@ -382,8 +370,8 @@ def property_suite(
                     kind="convexity",
                     label=f"{p}*{la} + {1 - p:.1f}*{lb}",
                     lhs=lhs,
-                    rhs=rhs + tol,
-                    passed=lhs <= rhs + tol,
+                    rhs=rhs + PROPERTY_TOL,
+                    passed=lhs <= rhs + PROPERTY_TOL,
                 )
             )
 

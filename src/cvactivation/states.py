@@ -17,10 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DensityMatrix, FockCutoff, PureState, as_cutoff
+from .fock import (
+    DensityMatrix,
+    FockCutoff,
+    PureState,
+    _whole_fields,
+    as_cutoff,
+    coherent_tail_mass,
+)
 
 # Reject factory outputs whose probability mass above the cutoff exceeds this.
 STATE_TAIL_TOL = 1e-6
+COHERENT_TAIL_TOL = 1e-8
 DEFAULT_R_MAX = 2.0
 SQRT_PI = float(np.sqrt(np.pi))
 
@@ -62,8 +70,8 @@ class GkpParams:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if self.logical not in (0, 1):
             raise ValueError("logical must be 0 or 1")
-        if self.peak_window is not None and self.peak_window < 1:
-            raise ValueError("peak_window must be a positive integer")
+        if self.peak_window is not None:
+            _whole_fields(self, "peak_window")
 
     @property
     def squeezing_db(self) -> float:
@@ -133,19 +141,14 @@ def _coherent_amps(alpha: complex, n_levels: int) -> np.ndarray:
     return amps
 
 
-def coherent(
-    alpha: complex,
-    cutoff: FockCutoff | int,
-    tail_tol: float = 1e-8,
-) -> PureState:
-    """Coherent state |alpha>, renormalized on the truncated space."""
-    from scipy.special import gammainc  # lazy, as in fock.coherent_tail_mass
-
+def coherent(alpha: complex, cutoff: FockCutoff | int) -> PureState:
+    """Coherent state |alpha>, renormalized; refused when it leaks more than 1e-8."""
     cutoff = as_cutoff(cutoff)
-    tail = float(gammainc(cutoff.dim, abs(alpha) ** 2)) if alpha != 0 else 0.0
-    if tail > tail_tol:
+    tail = coherent_tail_mass(alpha, cutoff.dim)
+    if tail > COHERENT_TAIL_TOL:
         raise TruncationError(
-            f"coherent alpha={alpha} leaks {tail:.3e} > {tail_tol:.1e} at dim {cutoff.dim}"
+            f"coherent alpha={alpha} leaks {tail:.3e} > {COHERENT_TAIL_TOL:.1e} "
+            f"at dim {cutoff.dim}"
         )
     amps = _coherent_amps(alpha, cutoff.dim)
     return PureState(amps / np.linalg.norm(amps), cutoff, leakage=tail)
@@ -236,12 +239,7 @@ def gaussian_pure(
     return PureState(kept, cutoff, leakage=leak)
 
 
-def cat(
-    alpha: complex,
-    sign: int,
-    cutoff: FockCutoff | int,
-    tail_tol: float = STATE_TAIL_TOL,
-) -> PureState:
+def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
     """Normalized |alpha> + sign |-alpha>; sign=-1 has odd Fock support."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -250,15 +248,11 @@ def cat(
     base = _coherent_amps(alpha, n_ext)
     parity = (-1.0) ** np.arange(n_ext)
     amps = base * (1.0 + sign * parity)
-    kept, leak = _truncate_with_leakage(amps, cutoff.dim, tail_tol, "cat")
+    kept, leak = _truncate_with_leakage(amps, cutoff.dim, STATE_TAIL_TOL, "cat")
     return PureState(kept, cutoff, leakage=leak)
 
 
-def photon_subtracted_squeezed(
-    r: float,
-    cutoff: FockCutoff | int,
-    tail_tol: float = STATE_TAIL_TOL,
-) -> PureState:
+def photon_subtracted_squeezed(r: float, cutoff: FockCutoff | int) -> PureState:
     """Normalized a S(r)|0>; supported on odd Fock levels only."""
     cutoff = as_cutoff(cutoff)
     n_ext = 2 * cutoff.dim + 32
@@ -269,7 +263,9 @@ def photon_subtracted_squeezed(
         raise ValueError("photon subtraction from vacuum (r=0) gives the zero vector")
     sq = squeezed_coherent_amps(0.0, r, 0.0, n_ext + 1)
     sub = np.sqrt(np.arange(1, n_ext + 1)) * sq[1:]
-    kept, leak = _truncate_with_leakage(sub, cutoff.dim, tail_tol, "photon_subtracted_squeezed")
+    kept, leak = _truncate_with_leakage(
+        sub, cutoff.dim, STATE_TAIL_TOL, "photon_subtracted_squeezed"
+    )
     return PureState(kept, cutoff, leakage=leak)
 
 
@@ -287,30 +283,15 @@ def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
     return DensityMatrix(np.diag(probs).astype(complex), cutoff, leakage=leak)
 
 
-def _gkp_wavefunction(params: GkpParams, window: int):
-    """Damped comb wavefunction evaluator and its peak data.
-
-    The ideal square-lattice codeword is a comb of position eigenstates at
-    x = (2s + logical) sqrt(pi).  Acting with exp(-eps n) via the harmonic
-    oscillator heat kernel turns each delta peak into a Gaussian of variance
-    sigma^2 = tanh(eps), centered at the shrunk lattice point y/cosh(eps),
-    with envelope weight exp(-y^2 tanh(eps)/2).
-    """
+def _gkp_comb(params: GkpParams, window: int) -> tuple[np.ndarray, np.ndarray, float]:
+    """:func:`gkp_comb` over the lattice peaks -window <= s <= window (< for logical 1)."""
     eps = params.epsilon
-    sigma2 = np.tanh(eps)
-    shrink = np.cosh(eps)
+    sigma2 = float(np.tanh(eps))
     if params.logical == 0:
         peaks = 2.0 * np.arange(-window, window + 1, dtype=float) * SQRT_PI
     else:
         peaks = (2.0 * np.arange(-window, window, dtype=float) + 1.0) * SQRT_PI
-    envelope = np.exp(-0.5 * sigma2 * peaks**2)
-    centers = peaks / shrink
-
-    def psi(x: np.ndarray) -> np.ndarray:
-        expo = -((x[:, None] - centers[None, :]) ** 2) / (2.0 * sigma2)
-        return np.exp(expo) @ envelope
-
-    return psi, envelope
+    return peaks / np.cosh(eps), np.exp(-0.5 * sigma2 * peaks**2), sigma2
 
 
 def _gkp_amps(params: GkpParams, window: int, quadrature) -> np.ndarray:
@@ -321,36 +302,34 @@ def _gkp_amps(params: GkpParams, window: int, quadrature) -> np.ndarray:
     integrate products of Hermite functions of degree < 2 * n_levels
     near-exactly.
     """
-    psi, _ = _gkp_wavefunction(params, window)
+    centers, envelope, sigma2 = _gkp_comb(params, window)
     nodes, lam, basis = quadrature
-    return basis @ (lam * psi(nodes))
+    expo = -((nodes[:, None] - centers[None, :]) ** 2) / (2.0 * sigma2)
+    return basis @ (lam * (np.exp(expo) @ envelope))
 
 
-def _adaptive_window(params: GkpParams) -> int:
-    # envelope weight exp(-2 pi s^2 tanh eps) < 1e-16 at the first excluded shell
+def _window(params: GkpParams) -> int:
+    """The explicit peak window, else the smallest whose envelope weight
+    exp(-2 pi s^2 tanh eps) is below 1e-16 at the first excluded shell."""
+    if params.peak_window is not None:
+        return params.peak_window
     sigma2 = np.tanh(params.epsilon)
     s = int(np.ceil(np.sqrt(37.0 / (2.0 * np.pi * sigma2)))) + 1
     return max(s, 2)
 
 
-def gkp_comb(params: GkpParams, window: int | None = None):
+def gkp_comb(params: GkpParams) -> tuple[np.ndarray, np.ndarray, float]:
     """Peak centers, envelope weights and peak variance of the damped comb.
 
-    The damped codeword wavefunction is exactly
-    sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)) with sigma^2 = tanh(eps),
-    mu_s the lattice points shrunk by cosh(eps) and w_s the Gaussian
-    envelope; this is the data consumed by the exact Wigner evaluator.
+    The ideal square-lattice codeword is a comb of position eigenstates at
+    x = (2s + logical) sqrt(pi).  Acting with exp(-eps n) via the harmonic
+    oscillator heat kernel turns each delta peak into a Gaussian of variance
+    sigma^2 = tanh(eps), centered at the shrunk lattice point y/cosh(eps),
+    with envelope weight exp(-y^2 tanh(eps)/2).  So the damped codeword is
+    exactly sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)); this is the data the
+    exact Wigner evaluator consumes and :func:`gkp_damped` projects.
     """
-    if window is None:
-        window = params.peak_window if params.peak_window is not None else _adaptive_window(params)
-    _, envelope = _gkp_wavefunction(params, window)
-    eps = params.epsilon
-    if params.logical == 0:
-        peaks = 2.0 * np.arange(-window, window + 1, dtype=float) * SQRT_PI
-    else:
-        peaks = (2.0 * np.arange(-window, window, dtype=float) + 1.0) * SQRT_PI
-    centers = peaks / np.cosh(eps)
-    return centers, envelope, float(np.tanh(eps))
+    return _gkp_comb(params, _window(params))
 
 
 def gkp_damped(
@@ -365,7 +344,7 @@ def gkp_damped(
     (the S -> S+2 refinement still moves the state).
     """
     cutoff = as_cutoff(cutoff)
-    window = params.peak_window if params.peak_window is not None else _adaptive_window(params)
+    window = _window(params)
     n_ext = cutoff.dim + max(16, cutoff.dim // 4)
     nodes, lam = hermgauss_total(4 * n_ext)
     quadrature = (nodes, lam, hermite_functions(n_ext, nodes))

@@ -38,6 +38,7 @@ from .fock import (
     DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
     _occupied_dim,
+    _whole_fields,
     annihilation_matrix,
     coherent_tail_mass,
 )
@@ -424,11 +425,7 @@ class DepthSearchConfig:
     refine_top: int = 5
 
     def __post_init__(self):
-        for name in ("resolution", "refine_top"):
-            value = getattr(self, name)
-            if not float(value).is_integer() or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+        _whole_fields(self, "resolution", "refine_top")
         if self.radius is not None and not (math.isfinite(self.radius) and self.radius > 0):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
 

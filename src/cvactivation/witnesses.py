@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite
+from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite, _whole_fields
 from .states import (
     DEFAULT_R_MAX,
     GaussianPureParams,
@@ -37,6 +37,9 @@ from .wigner import wigner_batch
 BOX_TOL = 1e-9
 # A fit candidate whose Fock tail above the cutoff exceeds this scores 0.
 FIT_TAIL_TOL = 1e-4
+# Nelder-Mead stops once the simplex spans less than these in value and in parameters.
+FIT_FATOL = 1e-12
+FIT_XATOL = 1e-8
 
 
 class FreeSet(str, Enum):
@@ -200,23 +203,13 @@ class GaussianFitConfig:
     n_starts: int = 16
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     maxiter: int = 400
-    fatol: float = 1e-12
-    xatol: float = 1e-8
 
     def __post_init__(self):
-        for name in ("n_starts", "maxiter"):
-            value = getattr(self, name)
-            if not float(value).is_integer() or value < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+        _whole_fields(self, "n_starts", "maxiter")
         if not (math.isfinite(self.r_max) and self.r_max >= 0):
             raise ValueError(f"r_max must be finite and nonnegative, got {self.r_max}")
-        for name in ("fatol", "xatol"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
         seeds = tuple(operator.index(s) for s in self.seeds)
-        if min(seeds, default=0) < 0:
+        if min(seeds, default=0) < 0 or any(isinstance(s, bool) for s in self.seeds):
             raise ValueError(f"seeds must be nonnegative integers, got {self.seeds}")
         object.__setattr__(self, "seeds", seeds)
 
@@ -354,8 +347,8 @@ def gaussian_fidelity(
             method="Nelder-Mead",
             options={
                 "maxiter": cfg.maxiter,
-                "fatol": cfg.fatol,
-                "xatol": cfg.xatol,
+                "fatol": FIT_FATOL,
+                "xatol": FIT_XATOL,
             },
         )
         fid = -float(res.fun)

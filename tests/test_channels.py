@@ -47,6 +47,13 @@ def test_loss_params_validated():
         LossParams(1.2)
 
 
+@pytest.mark.parametrize("order", [2.5, 0, math.inf])
+def test_gauss_noise_quad_order_must_be_a_whole_number(order):
+    with pytest.raises(ValueError):
+        GaussNoiseParams(0.05, order)
+    assert GaussNoiseParams(0.05, 5.0).quad_order == 5
+
+
 def test_loss_single_photon():
     rho = pure_loss(0.3, 15).apply(fock(1, 15).to_density())
     assert np.real(rho.matrix[0, 0]) == pytest.approx(0.7, abs=1e-12)

@@ -246,18 +246,24 @@ def test_invariant_failure_exit_code(tmp_path):
 
 
 def test_seed_list_flag(tmp_path):
-    out = tmp_path / "pb.json"
-    assert run(["pure-bounds", "--out", out, "--seed-list", "5,6,7"]) == 0
+    # the fit seeds are set by the config key; there is no flag for them
+    out, cfgfile = tmp_path / "pb.json", tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seeds": [5, 6, 7]}))
+    assert run(["pure-bounds", "--config", cfgfile, "--out", out]) == 0
     doc = json.loads(out.read_text())
     assert doc["metadata"]["config"]["seeds"] == [5, 6, 7]
 
 
 def test_seed_and_budget_rejected_where_ignored(tmp_path):
-    assert run(["wigner", "--out", tmp_path / "w.csv", "--seed-list", "1"]) == 2
-    # --budget is no option of any subcommand: argparse exits 2
-    for command, name in (("loss-sweep", "l.csv"), ("gkp-sweep", "g.csv"), ("activate", "a.json")):
+    # --seed-list and --budget are no options of any subcommand: argparse exits 2
+    for command, name, flag in (
+        ("wigner", "w.csv", "--seed-list"),
+        ("loss-sweep", "l.csv", "--budget"),
+        ("gkp-sweep", "g.csv", "--budget"),
+        ("activate", "a.json", "--budget"),
+    ):
         with pytest.raises(SystemExit) as exc:
-            run([command, "--out", tmp_path / name, "--budget", "10"])
+            run([command, "--out", tmp_path / name, flag, "1"])
         assert exc.value.code == 2
     assert not any((tmp_path / name).exists() for name in ("w.csv", "l.csv", "g.csv", "a.json"))
 
@@ -358,6 +364,20 @@ def _projector(family, lam):
         ("negativity-depth", {"state": {"kind": "fock", "n": False}, "cutoff": 10}),
         ("wigner", {"state": _gkp_state(squeezing_db=8, logical=0.5), "cutoff": 10}),
         ("wigner", {"state": _gkp_state(squeezing_db=8, logical=True), "cutoff": 10}),
+        # a cat sign other than the whole number +1 or -1
+        ("wigner", {"state": {"kind": "cat", "alpha": 1.0, "sign": 1.7}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "cat", "alpha": 1.0, "sign": True}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "cat", "alpha": 1.0, "sign": 0}, "cutoff": 10}),
+        # JSON true and false where a number is read
+        ("activate", {"channel": {"kind": "loss", "eta": True}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "coherent", "alpha": True}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "coherent", "alpha": [0.5, False]}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "thermal", "nbar": True}, "cutoff": 10}),
+        ("gkp-sweep", {"eta": True, "cutoff": 10}),
+        ("loss-sweep", {"etas": [0.5, True], "cutoff": 10}),
+        ("boundary-mix", {"t_grid": [0.0, True], "cutoff": 10}),
+        ("activate", {"witness": _projector("pure_projector", True), "cutoff": 10}),
+        ("pure-bounds", {"seeds": [0, True], "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -470,8 +490,9 @@ def test_size_at_its_cap_parses(tmp_path, command, at_cap, _):
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"cutoff": 10} | at_cap))
     args = cli.build_parser().parse_args([command, "--config", str(cfgfile)])
-    cfg, opts = cli._resolve(args, cli._TABLES[command])
-    assert set(opts) == set(cfg) == set(cli._TABLES[command])
+    _, table = cli._COMMANDS[command]
+    cfg, opts = cli._resolve(args, table)
+    assert set(opts) == set(cfg) == set(table)
 
 
 @pytest.mark.parametrize("command, _, above_cap", _CAPS)
@@ -490,7 +511,7 @@ def test_bad_out_path_exits_2_before_running(tmp_path, capsys, monkeypatch, out)
         raise AssertionError("the subcommand ran before its out path was checked")
 
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setitem(cli._RUNNERS, "activate", must_not_run)
+    monkeypatch.setitem(cli._COMMANDS, "activate", (must_not_run, cli._COMMANDS["activate"][1]))
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"out": out, "cutoff": 10}))
     assert run(["activate", "--config", cfgfile]) == 2
@@ -556,10 +577,10 @@ _VALUES = [
 
 @st.composite
 def _fuzzed_config(draw):
-    command = draw(st.sampled_from(sorted(cli._TABLES)))
+    command = draw(st.sampled_from(sorted(cli._COMMANDS)))
     cfg = {
         key: _SMALL.get(key, default)
-        for key, (default, _) in cli._TABLES[command].items()
+        for key, (default, _) in cli._COMMANDS[command][1].items()
         if key != "out"  # --out is always given
     }
     for key in set(cfg) & set(_SPECS):

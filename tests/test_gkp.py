@@ -76,6 +76,14 @@ def test_tail_guard():
         gkp_damped(GkpParams(epsilon=0.05), 40)
 
 
+@pytest.mark.parametrize("window", [2.5, 0, -1, math.nan])
+def test_peak_window_must_be_a_whole_number(window):
+    # a half-integer window would shift the comb onto the logical-1 lattice
+    with pytest.raises(ValueError):
+        GkpParams(0.3, 0, window)
+    assert GkpParams(0.3, 0, 3.0).peak_window == 3
+
+
 def test_squeezing_label_convention():
     params = GkpParams(epsilon=0.1)
     assert params.squeezing_db == pytest.approx(-10.0 * math.log10(math.tanh(0.1)))

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 from cvactivation import monotones
-from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, parity_op
+from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GkpParams,
     cat,
@@ -107,6 +108,26 @@ def test_hierarchy_lossy_photon_values():
     for bound in (wn, gng, sng):
         alone = lower_bound(rho, bound.free_set, cfg=FAST)
         assert alone.to_dict() == bound.to_dict()
+
+
+def test_family_search_fits_the_first_of_the_descending_argsort():
+    # the photon-vacuum half mix has a degenerate top eigenvalue 1/2, so the
+    # fitted eigenvector is fixed by the sort order, not by the spectrum
+    dim = 20
+    half = DensityMatrix(
+        0.5 * (fock(0, dim).to_density().matrix + fock(1, dim).to_density().matrix),
+        FockCutoff(dim),
+    )
+    vals, vecs = np.linalg.eigh(half.matrix)
+    assert vals[-1] == vals[-2] == pytest.approx(0.5)
+    expected = PureState(vecs[:, np.argsort(vals)[::-1][0]], dim).amplitudes
+    candidates, exact = monotones._family_search(
+        half, FreeSet.GAUSSIAN_TWO_COPY, WitnessBox(), FAST
+    )
+    projectors = [spec.family for _, spec in candidates[1:]]
+    assert not exact and len(projectors) == 2  # the hull projector and its two-copy lift
+    for family in projectors:
+        assert np.array_equal(family.psi.amplitudes, expected)
 
 
 def test_hierarchy_runs_one_family_search(monkeypatch):

@@ -194,10 +194,6 @@ def test_gaussian_fidelity_fock1_matches_grid_oracle():
         {"r_max": -0.5},
         {"r_max": math.nan},
         {"r_max": math.inf},
-        {"fatol": 0.0},
-        {"fatol": math.nan},
-        {"xatol": -1e-8},
-        {"xatol": math.inf},
         {"seeds": (0, -1)},
         {"seeds": (0.5,)},
         {"seeds": ("x",)},
