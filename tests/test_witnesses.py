@@ -194,6 +194,10 @@ def test_gaussian_fidelity_fock1_matches_grid_oracle():
         {"r_max": -0.5},
         {"r_max": math.nan},
         {"r_max": math.inf},
+        {"n_starts": -3},
+        {"maxiter": 2.5},
+        {"r_max": -math.inf},
+        {"seeds": (True,)},
         {"seeds": (0, -1)},
         {"seeds": (0.5,)},
         {"seeds": ("x",)},
