@@ -27,6 +27,7 @@ from .fock import (
     as_cutoff,
     displacement_op,
 )
+from .states import hermgauss_total
 
 TRACE_PRESERVATION_TOL = 1e-8
 SQRT_PI = float(np.sqrt(np.pi))
@@ -156,13 +157,13 @@ def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> LossChann
 
 def _loss_log_bands(eta: float, dim: int, start: int) -> np.ndarray:
     """Bands k >= start from the logarithm of b_k(m)^2, so no factor below the float range forms."""
-    # imported here, not at module level: scipy.special adds ~26 MiB to every import
-    from scipy.special import gammaln, xlogy
-
+    log_factorial = np.array([math.lgamma(n + 1) for n in range(2 * dim - 1)])
     k, m = np.arange(start, dim)[:, None], np.arange(dim)
+    # m log eta with 0 log 0 = 0: the vacuum keeps its weight at eta = 0
+    m_log_eta = m * math.log(eta) if eta > 0.0 else np.where(m == 0, 0.0, -np.inf)
     log_w = (
-        gammaln(m + k + 1) - gammaln(m + 1) - gammaln(k + 1)
-        + xlogy(m, eta) + k * math.log1p(-eta)
+        log_factorial[m + k] - log_factorial[m] - log_factorial[k]
+        + m_log_eta + k * math.log1p(-eta)
     )
     return np.where(m + k < dim, np.exp(0.5 * log_w), 0.0)
 
@@ -173,15 +174,15 @@ def gaussian_noise(
     """Random displacement noise as a Gauss-Hermite mixture of displacements.
 
     rho -> sum_j w_j D(xi_j) rho D(xi_j)^dag with the 2-D product rule
-    alpha_ij = sigma (t_i + i t_j), weights normalized to sum to one.  The
+    alpha_ij = sigma (t_i + i t_j) on the nodes of :func:`hermgauss_total`,
+    weights w_i = lambda_i exp(-t_i^2) normalized to sum to one.  The
     composition law G_a o G_b = G_(a+b) is the correctness oracle for the
     discretization.
     """
-    from scipy.special import roots_hermite  # lazy, see _loss_log_bands
-
     cutoff = as_cutoff(cutoff)
     sigma = math.sqrt(params.sigma2)
-    nodes, weights = roots_hermite(params.quad_order)
+    nodes, lam = hermgauss_total(params.quad_order)
+    weights = lam * np.exp(-nodes * nodes)
     w2 = np.outer(weights, weights).ravel()
     w2 = w2 / w2.sum()
     alphas = (sigma * (nodes[:, None] + 1j * nodes[None, :])).ravel()
@@ -209,7 +210,9 @@ class DampingMap:
         object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
 
     def _diag(self) -> np.ndarray:
-        return np.exp(-self.epsilon * np.arange(self.cutoff.dim))
+        # exp(-746 n) is already 0.0 for every n >= 1, so capping epsilon there
+        # leaves the factors unchanged and keeps epsilon * n from overflowing
+        return np.exp(-min(self.epsilon, 746.0) * np.arange(self.cutoff.dim))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         if rho.dim != self.cutoff.dim:

@@ -13,6 +13,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .fock import (
     DensityMatrix,
     FockCutoff,
     PureState,
+    _frozen,
     _whole_fields,
     as_cutoff,
     coherent_tail_mass,
@@ -102,24 +104,35 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=8)
 def hermgauss_total(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes with total weights lambda_i = w_i exp(x_i^2).
+    """Read-only Gauss-Hermite nodes with total weights lambda_i = w_i exp(x_i^2).
 
-    The total weights are computed as 1/(N psi_{N-1}(x_i)^2), which stays
-    finite for large N where the bare weights w_i underflow.  Nodes beyond
-    |x| ~ 37 underflow the recurrence seed psi_0; every Hermite function of
-    degree < N/2 is itself zero to double precision there, so those nodes
-    get zero weight instead of a spurious infinity.
+    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
+    of the Hermite polynomials, off-diagonal sqrt(k/2) (Golub and Welsch,
+    Math. Comp. 23, 221 (1969)), polished by one Newton step on the
+    orthonormal Hermite function psi_N, psi_N' = sqrt(2N) psi_{N-1} - x psi_N,
+    and made exactly symmetric about 0 as the spectrum is.  The total weights
+    are 1/(N psi_{N-1}(x_i)^2), which stay finite for large N where the bare
+    weights w_i underflow.  Nodes beyond |x| ~ 38.6 underflow the recurrence
+    seed psi_0 to 0: they keep their eigenvalue, unpolished, and every Hermite
+    function of degree < N/2 is itself zero to double precision there, so
+    they get zero weight instead of a spurious infinity.
     """
-    from scipy.special import roots_hermite  # lazy, as in fock.coherent_tail_mass
-
-    x = roots_hermite(n_nodes)[0]
-    psi = hermite_functions(n_nodes, x)
-    last = psi[n_nodes - 1]
+    jacobi = np.zeros((n_nodes, n_nodes))
+    k = np.arange(1, n_nodes)
+    jacobi[k, k - 1] = np.sqrt(k / 2.0)  # eigvalsh reads the lower triangle
+    x = np.linalg.eigvalsh(jacobi)
+    psi = hermite_functions(n_nodes + 1, x)
+    slope = math.sqrt(2.0 * n_nodes) * psi[n_nodes - 1] - x * psi[n_nodes]
+    ok = slope != 0.0
+    x[ok] -= psi[n_nodes, ok] / slope[ok]
+    x = 0.5 * (x - x[::-1])
+    last = hermite_functions(n_nodes, x)[n_nodes - 1]
     lam = np.zeros_like(x)
     ok = last != 0.0
     lam[ok] = 1.0 / (n_nodes * last[ok] ** 2)
-    return x, lam
+    return _frozen(x), _frozen(lam)
 
 
 def fock(n: int, cutoff: FockCutoff | int) -> PureState:

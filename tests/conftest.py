@@ -3,7 +3,7 @@ import sys
 
 import numpy as np
 import pytest
-from scipy.special import gammaln, xlogy
+from scipy.special import gammaln, roots_hermite, xlogy
 
 from cvactivation.channels import KrausChannel
 from cvactivation.errors import TruncationError
@@ -15,7 +15,7 @@ from cvactivation.fock import (
     displacement_op,
     parity_op,
 )
-from cvactivation.states import GaussianPureParams, gaussian_pure
+from cvactivation.states import GaussianPureParams, gaussian_pure, hermite_functions
 
 
 @pytest.fixture
@@ -193,3 +193,12 @@ def kraus_loss(eta: float, dim: int) -> KrausChannel:
         if not np.any(a_power):
             break
     return KrausChannel(tuple(ops), label=f"loss(eta={eta})")
+
+
+def scipy_hermgauss_total(n):
+    """The Gauss-Hermite nodes and total weights from scipy, the test oracle."""
+    x = roots_hermite(n)[0]
+    last = hermite_functions(n, x)[n - 1]
+    lam = np.zeros_like(x)
+    lam[last != 0.0] = 1.0 / (n * last[last != 0.0] ** 2)
+    return x, lam

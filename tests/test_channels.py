@@ -118,7 +118,7 @@ def test_loss_channel_trace_preservation_checked():
 def test_loss_at_cutoff_200_stays_small():
     # the band table is one (d, d) array; dense Kraus elements took d of them
     rho = fock(1, 200).to_density()
-    pure_loss(0.6, 200)  # imports the log-space route's scipy.special first
+    pure_loss(0.6, 200)  # a warm-up build: one-time first-call costs stay out of the peak
     tracemalloc.start()
     try:
         out = pure_loss(0.6, 200).apply(rho)

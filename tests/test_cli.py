@@ -378,6 +378,8 @@ def _projector(family, lam):
         ("boundary-mix", {"t_grid": [0.0, True], "cutoff": 10}),
         ("activate", {"witness": _projector("pure_projector", True), "cutoff": 10}),
         ("pure-bounds", {"seeds": [0, True], "cutoff": 10}),
+        # a damping rate whose product with the level index overflows
+        ("activate", {"channel": {"kind": "damping", "epsilon": 1e308}, "cutoff": 8}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -387,7 +389,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
         warnings.simplefilter("error", RuntimeWarning)
         assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
+    assert err.startswith("config error:") and len(err.splitlines()) == 1
     if bad.get("state", {}).get("kind") == "photon_subtracted_squeezed":
         assert "squeezing r=" in err
     assert not (tmp_path / "out").exists()

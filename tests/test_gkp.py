@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cvactivation import states
 from cvactivation.errors import TruncationError
 from cvactivation.fock import pure_fidelity
 from cvactivation.states import (
@@ -12,6 +13,8 @@ from cvactivation.states import (
     gkp_damped,
     squeezed_coherent_amps,
 )
+
+from conftest import scipy_hermgauss_total
 
 
 def reference_squeezed_comb(eps, dim, logical=0, window=8):
@@ -52,6 +55,16 @@ def test_logical_overlap_vanishes():
     zero = gkp_damped(GkpParams(epsilon=0.05, logical=0), 220)
     one = gkp_damped(GkpParams(epsilon=0.05, logical=1), 220)
     assert abs(zero.overlap(one)) < 0.01
+
+
+@pytest.mark.parametrize("cutoff, epsilon", [(30, 0.3), (200, 0.06), (220, 0.05)])
+def test_codeword_matches_the_scipy_node_route(monkeypatch, cutoff, epsilon):
+    params = GkpParams(epsilon=epsilon)
+    got = gkp_damped(params, cutoff).amplitudes
+    monkeypatch.setattr(states, "hermgauss_total", scipy_hermgauss_total)
+    want = gkp_damped(params, cutoff).amplitudes
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_even_support_and_real_amplitudes():

@@ -1,7 +1,9 @@
 """Source rules: the package builds no product-space operator and no matrix
-exponential, runs its one local optimizer only in the Gaussian fit, and
-importing it, or running the default loss sweep, loads neither that
-optimizer nor scipy.special."""
+exponential, runs its one local optimizer only in the Gaussian fit and
+imports no scipy.special anywhere (its special functions are numpy and
+math code, with scipy kept as the test oracle).  Importing the package, or
+running the default loss sweep, the default Wigner grid or a small
+amplified grid-code sweep, loads neither that optimizer nor scipy.special."""
 
 import os
 import re
@@ -36,10 +38,19 @@ def test_scipy_optimize_only_in_the_gaussian_fit():
     assert not found, "\n".join(found)
 
 
+def test_no_scipy_special_under_src():
+    found = [
+        where
+        for _, where, line in _lines()
+        if re.search(r"scipy\.special|from scipy import .*special", line)
+    ]
+    assert not found, "\n".join(found)
+
+
 def test_cli_import_does_not_load_scipy_optimize(tmp_path):
     # scipy.optimize is imported inside the one Nelder-Mead site, the Gaussian
-    # fit, and scipy.special inside the functions that call it, so runs that
-    # need neither (the default loss sweep) do not pay their import time and memory
+    # fit, so runs without a fit do not pay its import time and memory; no
+    # run loads scipy.special except through that import
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
     code = "import sys, cvactivation.cli; print('scipy.optimize' in sys.modules)"
@@ -47,12 +58,21 @@ def test_cli_import_does_not_load_scipy_optimize(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
-    code = (
-        "import sys; from cvactivation import cli; "
-        f"code = cli.main(['loss-sweep', '--out', {str(tmp_path / 'sweep.csv')!r}]); "
-        "print(code, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.split()[-3:] == ["0", "False", "False"]
+    runs = [
+        ["loss-sweep"],
+        ["wigner"],
+        # amplified, so that gaussian_noise builds its Gauss-Hermite nodes
+        ["gkp-sweep", "--cutoff", "14", "--config", str(tmp_path / "gkp.json")],
+    ]
+    (tmp_path / "gkp.json").write_text('{"squeezing_db": [6.0], "loss_model": "amplified", "quad_order": 5}')
+    for args in runs:
+        out = str(tmp_path / f"{args[0]}.out")
+        code = (
+            "import sys; from cvactivation import cli; "
+            f"code = cli.main({args + ['--out', out]!r}); "
+            "print(code, 'scipy.optimize' in sys.modules, 'scipy.special' in sys.modules)"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.split()[-3:] == ["0", "False", "False"], (args, out.stdout)
