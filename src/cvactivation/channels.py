@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import (
+    DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
     FockCutoff,
     OperatorMatrix,
@@ -25,12 +26,12 @@ from .fock import (
     _quadrature_eigensystem,
     _whole_fields,
     as_cutoff,
+    checked_coherent_tail,
     displacement_op,
 )
-from .states import hermgauss_total
+from .states import SQRT_PI, hermgauss_total
 
 TRACE_PRESERVATION_TOL = 1e-8
-SQRT_PI = float(np.sqrt(np.pi))
 
 
 @dataclass(frozen=True)
@@ -271,12 +272,15 @@ def _validate_gkp_ancilla(ancilla: PureState) -> None:
     if odd_mass > 1e-6:
         raise ValueError(f"ancilla validation failed: odd-sector mass {odd_mass:.3e}")
     # logical-0 alignment: the position comb sits on even multiples of sqrt(pi),
-    # so the lattice translation exp(i sqrt(pi) q) has clearly positive expectation
-    d = displacement_op(1j * math.sqrt(math.pi / 2.0), ancilla.cutoff)
-    stab = complex(np.vdot(amps, d.matrix @ amps))
-    if stab.real < 0.1:
+    # so the lattice translation exp(i sqrt(pi) q), the displacement by
+    # i sqrt(pi/2), has clearly positive expectation, summed in the q eigenbasis
+    translation = 1j * math.sqrt(math.pi / 2.0)
+    checked_coherent_tail(translation, ancilla.dim, DISPLACEMENT_TAIL_TOL, "displacement")
+    (qvals, qvecs), _ = _quadrature_eigensystem(ancilla.dim)
+    stab = float(np.abs(qvecs.conj().T @ amps) ** 2 @ np.cos(SQRT_PI * qvals))
+    if stab < 0.1:
         raise ValueError(
-            f"ancilla validation failed: lattice alignment expectation {stab.real:.3f}"
+            f"ancilla validation failed: lattice alignment expectation {stab:.3f}"
         )
 
 
@@ -286,47 +290,41 @@ def _steane_round(
     coupling_sign: float,
     measured: tuple[np.ndarray, np.ndarray],
     coupled: tuple[np.ndarray, np.ndarray],
-    correct_quadrature: str,
-    cutoff: FockCutoff,
 ) -> np.ndarray:
-    """Couple data to ancilla, measure one ancilla quadrature, displace back.
+    """Couple data to ancilla, measure one ancilla quadrature, translate back.
 
     The gate exp(i s X (x) Y) couples the data's measured quadrature X to the
     ancilla's conjugate quadrature Y, so the ancilla outcome x_k leaves the
     data in A_k rho A_k^dag with A_k = V_x diag(c_k) V_x^dag and
-    c_{k,i} = sum_j <x_k|y_j> <y_j|ancilla> e^{i s y_j x_i}.
-    Outcome-averaged (deterministic) channel: each measurement branch gets
-    the displacement returning its modular residue (mod sqrt(pi)) to zero.
+    c_{k,i} = sum_j <x_k|y_j> <y_j|ancilla> e^{i s y_j x_i}.  Its correction
+    exp(-i s r_k Y), r_k the residue of x_k (mod sqrt(pi)), is the phase P_k
+    in the Y eigenbasis, where the outcome-averaged channel sums
+    P_k W diag(c_k) rho_x diag(c_k)^dag W^dag P_k^dag, W = V_y^dag V_x.
     """
     (xvals, xvecs), (yvals, yvecs) = measured, coupled
-    amps = (xvecs.conj().T @ yvecs) * (yvecs.conj().T @ ancilla)
+    to_y = yvecs.conj().T @ xvecs  # W, entries <y_j|x_k>
+    amps = to_y.conj().T * (yvecs.conj().T @ ancilla)
     coeffs = amps @ np.exp(1j * coupling_sign * np.outer(yvals, xvals))
     rho_x = xvecs.conj().T @ rho_data @ xvecs
+    shifts = np.array([nearest_lattice_shift(x, SQRT_PI) for x in xvals])
+    phases = np.exp(-1j * coupling_sign * np.outer(shifts, yvals))
     out = np.zeros_like(rho_data)
-    for k, c in enumerate(coeffs):
-        branch = np.outer(c, c.conj()) * rho_x  # A_k rho A_k^dag in the x eigenbasis
-        basis = xvecs
-        prob = float(np.real(np.trace(branch)))
-        if prob > 1e-14:
-            shift = nearest_lattice_shift(float(xvals[k]), SQRT_PI)
-            if correct_quadrature == "q":
-                delta = -shift / math.sqrt(2.0)
-            else:
-                delta = -1j * shift / math.sqrt(2.0)
-            basis = displacement_op(delta, cutoff).matrix @ xvecs
-        out += basis @ branch @ basis.conj().T
-    return out
+    for c, phase in zip(coeffs, phases):
+        op = to_y * c  # W diag(c_k), the branch before its correction
+        out += np.outer(phase, phase.conj()) * (op @ rho_x @ op.conj().T)
+    return yvecs @ out @ yvecs.conj().T
 
 
 def gkp_ec_round(state: DensityMatrix, ancilla: PureState) -> DensityMatrix:
     """One deterministic round of grid-code error correction, both quadratures.
 
-    Steane-style circuit per quadrature: the data couples to a fresh
-    finite-energy codeword ancilla through a SUM-type gate, the relevant
-    ancilla quadrature is measured in the eigenbasis of the truncated
-    quadrature operator, and the data is displaced so the modular residue
-    (mod sqrt(pi), nearest lattice point, ties toward zero) returns to
-    zero.  Branches are averaged, so the map is trace preserving.
+    Steane-style circuit per quadrature (Gottesman, Kitaev and Preskill, PRA
+    64, 012310 (2001)): the data couples to a fresh finite-energy codeword
+    ancilla through a SUM-type gate, one ancilla quadrature is measured in
+    the eigenbasis of its truncated operator, and the data is translated (a
+    phase in the eigenbasis of the conjugate quadrature) so the modular
+    residue (mod sqrt(pi), nearest lattice point, ties toward zero) returns
+    to zero.  Branches are averaged, so the map is trace preserving.
 
     The position round uses the ancilla rotated by a quarter period
     (exp(i pi n / 2)), whose position comb has sqrt(pi) spacing; the
@@ -337,14 +335,12 @@ def gkp_ec_round(state: DensityMatrix, ancilla: PureState) -> DensityMatrix:
     dim = state.dim
     _validate_gkp_ancilla(ancilla)
     quad_q, quad_p = _quadrature_eigensystem(dim)
-
-    fourier = np.exp(1j * (np.pi / 2.0) * np.arange(dim))
-    anc_plus = fourier * ancilla.amplitudes
+    anc_plus = np.exp(1j * (np.pi / 2.0) * np.arange(dim)) * ancilla.amplitudes
 
     # position round exp(-i q (x) p): ancilla position picks up data position;
     # momentum round exp(i p (x) q): ancilla momentum picks up data momentum
-    rho = _steane_round(state.matrix, anc_plus, -1.0, quad_q, quad_p, "q", state.cutoff)
-    rho = _steane_round(rho, ancilla.amplitudes, 1.0, quad_p, quad_q, "p", state.cutoff)
+    rho = _steane_round(state.matrix, anc_plus, -1.0, quad_q, quad_p)
+    rho = _steane_round(rho, ancilla.amplitudes, 1.0, quad_p, quad_q)
 
     tr = float(np.real(np.trace(rho)))
     if abs(tr - 1.0) > 1e-6:

@@ -262,7 +262,8 @@ def coherent_tail_mass(alpha: complex | np.ndarray, dim: int) -> float | np.ndar
     Poisson distribution, so no cancellation occurs: upward from n = dim
     when |alpha|^2 < dim, else one minus the terms n < dim.
     """
-    x = np.hypot(np.real(alpha), np.imag(alpha)) ** 2
+    with np.errstate(over="ignore"):  # |alpha| above ~1.3e154 squares to inf, a tail of 1
+        x = np.hypot(np.real(alpha), np.imag(alpha)) ** 2
     if np.ndim(x) == 0:
         x = float(x)
         if 0.0 < x < dim:
@@ -306,6 +307,16 @@ def _poisson_sum(x: float | np.ndarray, n: int, upward: bool) -> float | np.ndar
     return total
 
 
+def checked_coherent_tail(alpha: complex, dim: int, tail_tol: float, what: str) -> float:
+    """:func:`coherent_tail_mass`, refused with a TruncationError above tail_tol."""
+    tail = coherent_tail_mass(alpha, dim)
+    if tail > tail_tol:
+        raise TruncationError(
+            f"{what} alpha={alpha} leaks {tail:.3e} > {tail_tol:.1e} at dim {dim}"
+        )
+    return tail
+
+
 def displacement_op(
     alpha: complex,
     cutoff: FockCutoff | int,
@@ -318,13 +329,8 @@ def displacement_op(
     R V_p exp(-i sqrt(2) |alpha| Lambda_p) V_p^dag R^dag from the cached
     eigensystem of the truncated p.
     """
-    cutoff = as_cutoff(cutoff)
-    dim = cutoff.dim
-    tail = coherent_tail_mass(alpha, dim)
-    if tail > tail_tol:
-        raise TruncationError(
-            f"displacement alpha={alpha} leaks {tail:.3e} > {tail_tol:.1e} at dim {dim}"
-        )
+    dim = as_cutoff(cutoff).dim
+    checked_coherent_tail(alpha, dim, tail_tol, "displacement")
     if alpha == 0:
         return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False, norm_bound=1.0)
     _, (pvals, pvecs) = _quadrature_eigensystem(dim)

@@ -25,7 +25,7 @@ from .fock import (
     _frozen,
     _whole_fields,
     as_cutoff,
-    coherent_tail_mass,
+    checked_coherent_tail,
 )
 
 # Reject factory outputs whose probability mass above the cutoff exceeds this.
@@ -157,12 +157,7 @@ def _coherent_amps(alpha: complex, n_levels: int) -> np.ndarray:
 def coherent(alpha: complex, cutoff: FockCutoff | int) -> PureState:
     """Coherent state |alpha>, renormalized; refused when it leaks more than 1e-8."""
     cutoff = as_cutoff(cutoff)
-    tail = coherent_tail_mass(alpha, cutoff.dim)
-    if tail > COHERENT_TAIL_TOL:
-        raise TruncationError(
-            f"coherent alpha={alpha} leaks {tail:.3e} > {COHERENT_TAIL_TOL:.1e} "
-            f"at dim {cutoff.dim}"
-        )
+    tail = checked_coherent_tail(alpha, cutoff.dim, COHERENT_TAIL_TOL, "coherent")
     amps = _coherent_amps(alpha, cutoff.dim)
     return PureState(amps / np.linalg.norm(amps), cutoff, leakage=tail)
 
@@ -256,6 +251,9 @@ def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
     """Normalized |alpha> + sign |-alpha>; sign=-1 has odd Fock support."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
+    mag = abs(complex(alpha))
+    if not math.exp(-0.5 * (mag * mag)) > 0.0:
+        raise ValueError(f"cat alpha={alpha} is too large: e^(-|alpha|^2/2) underflows to 0")
     cutoff = as_cutoff(cutoff)
     n_ext = cutoff.dim + 64
     base = _coherent_amps(alpha, n_ext)

@@ -308,14 +308,29 @@ def _dense_ec_round(rho, ancilla):
 def test_ec_round_matches_dense_circuit():
     code = gkp_damped(GkpParams(epsilon=0.3), 22, tail_tol=1e-4)
     clean = code.to_density()
-    for rho in (
-        clean,
-        pure_loss(0.9, 22).apply(clean),
-        gaussian_noise(GaussNoiseParams(0.05), 22).apply(clean),
+    # a 16.5 dB codeword, far from converged at cutoff 22, as its own ancilla
+    sharp = gkp_damped(GkpParams.from_db(16.5), 22, tail_tol=1.0)
+    for rho, ancilla in (
+        (clean, code),
+        (pure_loss(0.9, 22).apply(clean), code),
+        (gaussian_noise(GaussNoiseParams(0.05), 22).apply(clean), code),
+        (pure_loss(0.9, 22).apply(sharp.to_density()), sharp),
     ):
-        out = gkp_ec_round(rho, code)
-        oracle = _dense_ec_round(rho.matrix, code.amplitudes)
+        out = gkp_ec_round(rho, ancilla)
+        oracle = _dense_ec_round(rho.matrix, ancilla.amplitudes)
         assert np.max(np.abs(out.matrix - oracle)) < 1e-12
+
+
+def test_ec_round_builds_no_displacement_operator(monkeypatch):
+    # each correction is a phase in the cached quadrature eigenbasis
+    def refuse(*args, **kwargs):
+        raise AssertionError("displacement_op called")
+
+    monkeypatch.setattr(channels, "displacement_op", refuse)
+    code = gkp_damped(GkpParams.from_db(10.0), 30, tail_tol=1e-2)
+    out = gkp_ec_round(pure_loss(0.9, 30).apply(code.to_density()), code)
+    assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.eigvalsh(out.matrix)[0] > -1e-9
 
 
 def test_ec_round_beyond_old_budget():

@@ -223,10 +223,25 @@ def test_config_error_exit_code(tmp_path):
     assert run(["wigner", "--config", bad, "--out", tmp_path / "y.csv"]) == 2
 
 
-def test_truncation_error_exit_code(tmp_path):
+def test_truncation_error_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"state": {"kind": "coherent", "alpha": [4.0, 0.0]}, "cutoff": 10}))
-    assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
+    # |alpha|^2 of the second overflows to inf, whose tail is all of the state
+    for alpha in ([4.0, 0.0], 1e200):
+        cfgfile.write_text(json.dumps({"state": {"kind": "coherent", "alpha": alpha}, "cutoff": 10}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("truncation error:") and len(err.splitlines()) == 1
+
+
+def test_gkp_sweep_ec_needs_cutoff_14(tmp_path):
+    # the ancilla check reads the translation by i sqrt(pi/2), which leaks
+    # above the displacement tolerance at every cutoff up to 13
+    cfgfile = tmp_path / "cfg.json"
+    for cutoff, code in ((13, 3), (14, 0)):
+        cfgfile.write_text(json.dumps({"cutoff": cutoff, "squeezing_db": [6.0], "depth_resolution": 6}))
+        assert run(["gkp-sweep", "--config", cfgfile, "--out", tmp_path / "g.csv"]) == code
 
 
 def test_invariant_failure_exit_code(tmp_path):
@@ -380,6 +395,9 @@ def _projector(family, lam):
         ("pure-bounds", {"seeds": [0, True], "cutoff": 10}),
         # a damping rate whose product with the level index overflows
         ("activate", {"channel": {"kind": "damping", "epsilon": 1e308}, "cutoff": 8}),
+        # cat amplitudes whose e^(-|alpha|^2/2) underflows, or whose |alpha|^2 overflows
+        ("wigner", {"state": {"kind": "cat", "alpha": 40, "sign": 1}, "cutoff": 10}),
+        ("wigner", {"state": {"kind": "cat", "alpha": 1e200, "sign": 1}, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -392,6 +410,8 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     if bad.get("state", {}).get("kind") == "photon_subtracted_squeezed":
         assert "squeezing r=" in err
+    if bad.get("state", {}).get("alpha") in (40, 1e200):
+        assert "cat alpha=" in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,10 +1,13 @@
 """Source rules: the package builds no product-space operator and no matrix
-exponential, runs its one local optimizer only in the Gaussian fit and
+exponential, runs its one local optimizer only in the Gaussian fit,
 imports no scipy.special anywhere (its special functions are numpy and
-math code, with scipy kept as the test oracle).  Importing the package, or
-running the default loss sweep, the default Wigner grid or a small
-amplified grid-code sweep, loads neither that optimizer nor scipy.special."""
+math code, with scipy kept as the test oracle) and builds displacement
+operators only in fock.py and the Gaussian noise channel.  Importing the
+package, or running the default loss sweep, the default Wigner grid or a
+small amplified grid-code sweep, loads neither that optimizer nor
+scipy.special."""
 
+import ast
 import os
 import re
 import subprocess
@@ -43,6 +46,23 @@ def test_no_scipy_special_under_src():
         where
         for _, where, line in _lines()
         if re.search(r"scipy\.special|from scipy import .*special", line)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_displacement_op_called_only_in_fock_and_gaussian_noise():
+    # gaussian_noise, a Gauss-Hermite mixture of displacements, is the last
+    # caller outside fock.py; the exact diagonal noise map of ROADMAP item 3
+    # removes it
+    tree = ast.parse((SRC / "channels.py").read_text(encoding="utf-8"))
+    (noise,) = [f for f in tree.body if getattr(f, "name", None) == "gaussian_noise"]
+    inside = range(noise.lineno, noise.end_lineno + 1)
+    found = [
+        where
+        for name, where, line in _lines()
+        if "displacement_op(" in line
+        and name != "fock.py"
+        and not (name == "channels.py" and int(where.split(":")[1]) in inside)
     ]
     assert not found, "\n".join(found)
 

@@ -157,6 +157,10 @@ def test_cat_parity_structure():
     assert abs(odd_small.amplitudes[1]) == pytest.approx(1.0, abs=1e-6)
     with pytest.raises(ValueError):
         cat(1.0, 2, 10)
+    # e^(-|alpha|^2/2) underflows to 0, or |alpha|^2 overflows
+    for alpha in (40.0, 40j, 1e200, complex(1e200, 1e200), math.nan):
+        with pytest.raises(ValueError, match="cat alpha="):
+            cat(alpha, +1, 10)
 
 
 def test_photon_subtracted_squeezed():
