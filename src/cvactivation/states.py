@@ -179,25 +179,37 @@ def squeezed_coherent_amps(
     reproduced as a product with the complex 1/d - 0j (the negative zero
     gives zero parts numpy's signs).
     """
+    return _squeezed_coherent_extend(np.ones(1, dtype=complex), alpha, r, phi, n_levels)
+
+
+def _squeezed_coherent_extend(
+    head: np.ndarray, alpha: complex, r: float, phi: float, n_levels: int
+) -> np.ndarray:
+    """The first n_levels :func:`squeezed_coherent_amps`, given the first
+    len(head) >= 1 of them: the recurrence continues from head's last two
+    values, and every value is the one a run from level 0 gives."""
     mu = np.cosh(r)
     nu = np.exp(1j * phi) * np.sinh(r)
     gamma = mu * alpha + nu * np.conj(alpha)
     amps = np.zeros(n_levels, dtype=complex)
-    amps[0] = 1.0
-    if n_levels > 1:
+    start = len(head)
+    amps[:start] = head
+    if start == 1 and n_levels > 1:
         amps[1] = gamma / mu
-    if n_levels > 2:
-        root = np.sqrt(np.arange(n_levels, dtype=float))
+        start = 2
+    if n_levels > start:
+        # sqrt(n) for n = start - 1 .. n_levels - 1, elementwise as over 0 .. n_levels - 1
+        root = np.sqrt(np.arange(start - 1, n_levels, dtype=float))
         # complex operands throughout: Python's complex * complex is numpy's
         # product in every version, while complex * float is not from 3.14 on
-        inv = np.conj((1.0 / (mu * root[2:])).astype(complex)).tolist()
+        inv = np.conj((1.0 / (mu * root[1:])).astype(complex)).tolist()
         g, v = complex(gamma), complex(nu)
-        prev, cur = complex(amps[0]), complex(amps[1])
+        prev, cur = complex(amps[start - 2]), complex(amps[start - 1])
         out = []
-        for s, c in zip(root[1:-1].astype(complex).tolist(), inv):
+        for s, c in zip(root[:-1].astype(complex).tolist(), inv):
             prev, cur = cur, (g * cur - v * s * prev) * c
             out.append(cur)
-        amps[2:] = out
+        amps[start:] = out
     return amps
 
 
@@ -259,7 +271,12 @@ def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
     base = _coherent_amps(alpha, n_ext)
     parity = (-1.0) ** np.arange(n_ext)
     amps = base * (1.0 + sign * parity)
-    kept, leak = _truncate_with_leakage(amps, cutoff.dim, STATE_TAIL_TOL, "cat")
+    try:
+        kept, leak = _truncate_with_leakage(amps, cutoff.dim, STATE_TAIL_TOL, "cat")
+    except ValueError:  # the zero vector: a subnormal e^(-|alpha|^2/2) squares to 0
+        raise ValueError(
+            f"cat alpha={alpha} is too large: every |c_n|^2 underflows to 0"
+        ) from None
     return PureState(kept, cutoff, leakage=leak)
 
 

@@ -28,6 +28,7 @@ from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite, _whol
 from .states import (
     DEFAULT_R_MAX,
     GaussianPureParams,
+    _squeezed_coherent_extend,
     _truncate_with_leakage,
     squeezed_coherent_amps,
     squeezed_coherent_mass,
@@ -37,7 +38,7 @@ from .wigner import wigner_batch
 BOX_TOL = 1e-9
 # A fit candidate whose Fock tail above the cutoff exceeds this scores 0.
 FIT_TAIL_TOL = 1e-4
-# Nelder-Mead stops once the simplex spans less than these in value and in parameters.
+# _nelder_mead stops once the simplex spans at most these in value and in parameters.
 FIT_FATOL = 1e-12
 FIT_XATOL = 1e-8
 
@@ -295,7 +296,7 @@ def _fit_objective(psi: PureState, r_max: float):
         if keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
             kept = head / nrm
         else:
-            ext = squeezed_coherent_amps(g.alpha, g.r, g.phi, n_ext)
+            ext = _squeezed_coherent_extend(head, g.alpha, g.r, g.phi, n_ext)
             try:
                 kept, _ = _truncate_with_leakage(ext, dim, FIT_TAIL_TOL, "gaussian_pure")
             except TruncationError:
@@ -307,6 +308,73 @@ def _fit_objective(psi: PureState, r_max: float):
     return objective
 
 
+def _nelder_mead(objective, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, bool, int]:
+    """Minimise ``objective`` from ``x0`` by the simplex method of Nelder and
+    Mead (Comput. J. 7, 308 (1965)).
+
+    The non-adaptive, unbounded method with no limit on evaluations.  It makes
+    the array operations of the reference implementation the tests hold as
+    its oracle, in the same order, so its results are bit-identical to that
+    one's.  Reflection 1, expansion 2, contraction and shrink 1/2; the first
+    simplex steps 5 % along each coordinate (0.00025 from zero).  It stops
+    once the simplex spans at most ``FIT_XATOL`` in every parameter and
+    ``FIT_FATOL`` in value.  Returns the best vertex, its value, whether the
+    run stopped before ``maxiter`` iterations, and the number of evaluations.
+    """
+    nfev = 0
+
+    def f(x: np.ndarray) -> float:
+        nonlocal nfev
+        nfev += 1
+        return objective(x)
+
+    def ranked(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        ind = np.argsort(fsim)
+        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    n = len(x0)
+    sim = np.empty((n + 1, n), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(n):
+        y = np.array(x0, copy=True)
+        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+    sim, fsim = ranked(*ranked(sim, fsim))  # twice, as the reference does: ties may move
+    iterations = 1
+    while iterations < maxiter and not (
+        np.max(np.abs(sim[1:] - sim[0])) <= FIT_XATOL
+        and np.max(np.abs(fsim[0] - fsim[1:])) <= FIT_FATOL
+    ):
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = ranked(sim, fsim)
+    return sim[0], np.min(fsim), iterations < maxiter, nfev
+
+
 def gaussian_fidelity(
     psi: PureState, cfg: GaussianFitConfig | None = None
 ) -> GaussianFidelityResult:
@@ -314,8 +382,9 @@ def gaussian_fidelity(
 
     Pure candidates suffice: the fidelity is linear in the Gaussian state
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
-    multistart Nelder-Mead over (Re alpha, Im alpha, r, phi); the spread
-    between converged starts is reported so optimizer traps are visible.
+    multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
+    spread between converged starts is reported so optimizer traps are
+    visible.
 
     Per candidate the cost is one amplitude recurrence to the cutoff d, its
     norm and the closed-form total mass of the amplitudes
@@ -324,7 +393,8 @@ def gaussian_fidelity(
     which bounds the leak over the 2d + 32 levels that ``gaussian_pure``
     checks.  A candidate with leak_inf <= FIT_TAIL_TOL - 1e-10 (the margin
     covers rounding) is accepted at once; any other also runs the
-    2d + 32-level recurrence and keeps that check's decision.
+    2d + 32-level recurrence, continued from the head's last two
+    amplitudes, and keeps that check's decision.
     """
     if cfg is None:
         cfg = GaussianFitConfig()
@@ -334,28 +404,15 @@ def gaussian_fidelity(
             "optimizing the Gaussian fidelity"
         )
     objective = _fit_objective(psi, cfg.r_max)
-
-    # imported here, not at module level: scipy.optimize adds ~23 MiB to every import
-    from scipy.optimize import minimize
-
     best: tuple[float, np.ndarray] | None = None
     converged_vals = []
     for start in _informed_starts(psi, cfg):
-        res = minimize(
-            objective,
-            x0=start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": cfg.maxiter,
-                "fatol": FIT_FATOL,
-                "xatol": FIT_XATOL,
-            },
-        )
-        fid = -float(res.fun)
-        if res.success:
+        x, fun, converged, _ = _nelder_mead(objective, start, cfg.maxiter)
+        fid = -float(fun)
+        if converged:
             converged_vals.append(fid)
         if best is None or fid > best[0]:
-            best = (fid, res.x)
+            best = (fid, x)
     assert best is not None
     fid, x = best
     spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else 0.0

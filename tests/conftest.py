@@ -16,6 +16,7 @@ from cvactivation.fock import (
     parity_op,
 )
 from cvactivation.states import GaussianPureParams, gaussian_pure, hermite_functions
+from cvactivation.witnesses import FIT_FATOL, FIT_XATOL
 
 
 @pytest.fixture
@@ -159,6 +160,23 @@ def gaussian_objective_oracle(psi, r_max: float):
         return -abs(np.vdot(amps, cand.amplitudes)) ** 2
 
     return objective
+
+
+def scipy_nelder_mead(objective, x0, maxiter: int):
+    """Oracle: scipy's Nelder-Mead with the Gaussian fit's tolerances.
+
+    Returns (x, fun, success, nfev), the tuple ``witnesses._nelder_mead``
+    returns.
+    """
+    from scipy.optimize import minimize
+
+    res = minimize(
+        objective,
+        x0=x0,
+        method="Nelder-Mead",
+        options={"maxiter": maxiter, "fatol": FIT_FATOL, "xatol": FIT_XATOL},
+    )
+    return res.x, res.fun, res.success, res.nfev
 
 
 def kraus_loss(eta: float, dim: int) -> KrausChannel:

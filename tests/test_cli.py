@@ -225,9 +225,15 @@ def test_config_error_exit_code(tmp_path):
 
 def test_truncation_error_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
-    # |alpha|^2 of the second overflows to inf, whose tail is all of the state
-    for alpha in ([4.0, 0.0], 1e200):
-        cfgfile.write_text(json.dumps({"state": {"kind": "coherent", "alpha": alpha}, "cutoff": 10}))
+    # |alpha|^2 of the second overflows to inf, whose tail is all of the state;
+    # the cats' amplitudes do not yet underflow (a config error, from 38.6 on)
+    for state in (
+        {"kind": "coherent", "alpha": [4.0, 0.0]},
+        {"kind": "coherent", "alpha": 1e200},
+        {"kind": "cat", "alpha": 20, "sign": 1},
+        {"kind": "cat", "alpha": 30, "sign": 1},
+    ):
+        cfgfile.write_text(json.dumps({"state": state, "cutoff": 10}))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
@@ -398,6 +404,8 @@ def _projector(family, lam):
         # cat amplitudes whose e^(-|alpha|^2/2) underflows, or whose |alpha|^2 overflows
         ("wigner", {"state": {"kind": "cat", "alpha": 40, "sign": 1}, "cutoff": 10}),
         ("wigner", {"state": {"kind": "cat", "alpha": 1e200, "sign": 1}, "cutoff": 10}),
+        # a subnormal e^(-|alpha|^2/2), whose squared amplitudes all underflow
+        ("wigner", {"state": {"kind": "cat", "alpha": 38.6, "sign": 1}, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -410,7 +418,7 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
     assert err.startswith("config error:") and len(err.splitlines()) == 1
     if bad.get("state", {}).get("kind") == "photon_subtracted_squeezed":
         assert "squeezing r=" in err
-    if bad.get("state", {}).get("alpha") in (40, 1e200):
+    if bad.get("state", {}).get("alpha") in (40, 1e200, 38.6):
         assert "cat alpha=" in err
     assert not (tmp_path / "out").exists()
 

@@ -33,9 +33,17 @@ from cvactivation.witnesses import (
     two_copy_projector_spec,
     witness_value,
     _fit_objective,
+    _informed_starts,
+    _nelder_mead,
 )
 
-from conftest import displaced_parity_matrix, gaussian_objective_oracle, random_density, wigner_at
+from conftest import (
+    displaced_parity_matrix,
+    gaussian_objective_oracle,
+    random_density,
+    scipy_nelder_mead,
+    wigner_at,
+)
 
 # dense-grid search over (|alpha|, r, phi) refined to 4e-4 resolution;
 # regenerate with scripts/compute_gaussian_fidelity_oracle.py
@@ -305,6 +313,59 @@ _FOCK2_FIT = (
 )
 def test_gaussian_fidelity_pinned(make, expected):
     assert repr(gaussian_fidelity(make())) == expected
+
+
+def _same_run(objective, x0, maxiter):
+    """Run _nelder_mead and scipy's Nelder-Mead from x0; assert equal results.
+
+    Values are cached by the bytes of their point, so the second run
+    evaluates only the points the first did not.
+    """
+    values = {}
+
+    def cached(x):
+        key = x.tobytes()
+        if key not in values:
+            values[key] = objective(x)
+        return values[key]
+
+    x, fun, success, nfev = _nelder_mead(cached, x0, maxiter)
+    want_x, want_fun, want_success, want_nfev = scipy_nelder_mead(cached, x0, maxiter)
+    assert (x.tobytes(), fun, success, nfev) == (
+        want_x.tobytes(), want_fun, want_success, want_nfev
+    ), x0
+    return fun, success, nfev
+
+
+_FIT_STATES = {
+    "fock1": lambda d: fock(1, d),
+    "fock2": lambda d: fock(2, d),
+    "lossy_photon": lambda d: _top_eigenvector(pure_loss(0.75, d).apply(fock(1, d).to_density())),
+    "odd_cat": lambda d: cat(1.5, -1, d),
+}
+
+
+@pytest.mark.parametrize("dim", [20, 30])
+@pytest.mark.parametrize("name", sorted(_FIT_STATES))
+def test_nelder_mead_bit_identical_to_scipy(name, dim):
+    psi = _FIT_STATES[name](dim)
+    cfg = GaussianFitConfig()
+    objective = _fit_objective(psi, cfg.r_max)
+    for x0 in _informed_starts(psi, cfg):
+        _same_run(objective, x0, cfg.maxiter)
+
+
+def test_nelder_mead_bit_identical_to_scipy_edge_runs():
+    objective = _fit_objective(fock(1, 20), GaussianFitConfig().r_max)
+    # zero coordinates take the 0.00025 step instead of 5 %
+    _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 400)
+    # stopped by maxiter before the simplex converges
+    assert _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 40)[1] is False
+    # every candidate near alpha = 8 leaks above the cutoff and scores 0: on
+    # that plateau, with every value tied, reflection and inside contraction
+    # fail and each step is a shrink, two evaluations plus one per vertex
+    fun, success, nfev = _same_run(objective, np.array([8.0, 0.0, 0.0, 0.0]), 400)
+    assert (fun, success) == (0.0, True) and (nfev - 5) % 6 == 0
 
 
 def test_gaussian_fit_builds_no_state(monkeypatch):
