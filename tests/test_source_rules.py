@@ -8,6 +8,7 @@ loads no scipy module."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,27 @@ def test_no_kron_or_expm_under_src():
 
 def test_no_scipy_under_src():
     found = [where for _, where, line in _lines() if "scipy" in line]
+    assert not found, "\n".join(found)
+
+
+def test_scipy_optimize_only_in_the_gaussian_fit():
+    # the Gaussian fit's Nelder-Mead is now in-package, so scipy.optimize
+    # appears nowhere and the one optimizer stays in witnesses.py
+    found = [
+        where
+        for name, where, line in _lines()
+        if re.search(r"scipy\.optimize|from scipy import .*optimize", line)
+        or ("_nelder_mead" in line and name != "witnesses.py")
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_no_scipy_special_under_src():
+    found = [
+        where
+        for _, where, line in _lines()
+        if re.search(r"scipy\.special|from scipy import .*special", line)
+    ]
     assert not found, "\n".join(found)
 
 
