@@ -29,7 +29,7 @@ from .fock import (
     checked_coherent_tail,
     displacement_op,
 )
-from .states import SQRT_PI, hermgauss_total
+from .states import SQRT_PI
 
 TRACE_PRESERVATION_TOL = 1e-8
 
@@ -169,21 +169,28 @@ def _loss_log_bands(eta: float, dim: int, start: int) -> np.ndarray:
     return np.where(m + k < dim, np.exp(0.5 * log_w), 0.0)
 
 
+def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights summing to one: the eigenvalues of the
+    Jacobi matrix, off-diagonal sqrt(k/2), and the squared first components of
+    its unit eigenvectors (Golub and Welsch, Math. Comp. 23, 221 (1969))."""
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
+    return nodes, vectors[0] ** 2
+
+
 def gaussian_noise(
     params: GaussNoiseParams, cutoff: FockCutoff | int
 ) -> KrausChannel:
     """Random displacement noise as a Gauss-Hermite mixture of displacements.
 
     rho -> sum_j w_j D(xi_j) rho D(xi_j)^dag with the 2-D product rule
-    alpha_ij = sigma (t_i + i t_j) on the nodes of :func:`hermgauss_total`,
-    weights w_i = lambda_i exp(-t_i^2) normalized to sum to one.  The
+    alpha_ij = sigma (t_i + i t_j) on the nodes t_i of :func:`_gauss_hermite`,
+    weights the products of its weights, normalized to sum to one.  The
     composition law G_a o G_b = G_(a+b) is the correctness oracle for the
     discretization.
     """
     cutoff = as_cutoff(cutoff)
     sigma = math.sqrt(params.sigma2)
-    nodes, lam = hermgauss_total(params.quad_order)
-    weights = lam * np.exp(-nodes * nodes)
+    nodes, weights = _gauss_hermite(params.quad_order)
     w2 = np.outer(weights, weights).ravel()
     w2 = w2 / w2.sum()
     alphas = (sigma * (nodes[:, None] + 1j * nodes[None, :])).ravel()

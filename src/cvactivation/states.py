@@ -4,7 +4,8 @@ Fock, coherent, squeezed-coherent, cat, photon-subtracted squeezed and
 finite-energy grid-code (GKP) states, plus thermal states.  All factories
 return normalized :class:`~cvactivation.fock.PureState` /
 :class:`~cvactivation.fock.DensityMatrix` objects with the truncation
-leakage recorded.
+leakage recorded; the grid codeword's amplitudes and leakage are exact
+closed forms (:func:`gkp_damped`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .fock import (
     DensityMatrix,
     FockCutoff,
     PureState,
-    _frozen,
     _whole_fields,
     as_cutoff,
     checked_coherent_tail,
@@ -59,8 +58,8 @@ class GkpParams:
     """Finite-energy square-lattice grid codeword exp(-eps n) |logical>.
 
     ``peak_window`` limits the position comb to lattice peaks |s| <= S;
-    ``None`` selects the smallest window whose S -> S+2 refinement changes
-    the state by less than 1e-8.
+    ``None`` picks S by envelope weight (:func:`_window`).  Either way
+    :func:`gkp_damped` refuses S if S -> S+2 moves an amplitude by > 1e-8.
     """
 
     epsilon: float
@@ -102,37 +101,6 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     for n in range(2, n_max):
         out[n] = np.sqrt(2.0 / n) * x * out[n - 1] - np.sqrt((n - 1) / n) * out[n - 2]
     return out
-
-
-@lru_cache(maxsize=8)
-def hermgauss_total(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Hermite nodes with total weights lambda_i = w_i exp(x_i^2).
-
-    The nodes are the eigenvalues of the symmetric tridiagonal Jacobi matrix
-    of the Hermite polynomials, off-diagonal sqrt(k/2) (Golub and Welsch,
-    Math. Comp. 23, 221 (1969)), polished by one Newton step on the
-    orthonormal Hermite function psi_N, psi_N' = sqrt(2N) psi_{N-1} - x psi_N,
-    and made exactly symmetric about 0 as the spectrum is.  The total weights
-    are 1/(N psi_{N-1}(x_i)^2), which stay finite for large N where the bare
-    weights w_i underflow.  Nodes beyond |x| ~ 38.6 underflow the recurrence
-    seed psi_0 to 0: they keep their eigenvalue, unpolished, and every Hermite
-    function of degree < N/2 is itself zero to double precision there, so
-    they get zero weight instead of a spurious infinity.
-    """
-    jacobi = np.zeros((n_nodes, n_nodes))
-    k = np.arange(1, n_nodes)
-    jacobi[k, k - 1] = np.sqrt(k / 2.0)  # eigvalsh reads the lower triangle
-    x = np.linalg.eigvalsh(jacobi)
-    psi = hermite_functions(n_nodes + 1, x)
-    slope = math.sqrt(2.0 * n_nodes) * psi[n_nodes - 1] - x * psi[n_nodes]
-    ok = slope != 0.0
-    x[ok] -= psi[n_nodes, ok] / slope[ok]
-    x = 0.5 * (x - x[::-1])
-    last = hermite_functions(n_nodes, x)[n_nodes - 1]
-    lam = np.zeros_like(x)
-    ok = last != 0.0
-    lam[ok] = 1.0 / (n_nodes * last[ok] ** 2)
-    return _frozen(x), _frozen(lam)
 
 
 def fock(n: int, cutoff: FockCutoff | int) -> PureState:
@@ -253,8 +221,8 @@ def gaussian_pure(
     cutoff = as_cutoff(cutoff)
     if params.r > r_max:
         raise ValueError(f"squeezing r={params.r} exceeds r_max={r_max}")
-    n_ext = 2 * cutoff.dim + 32
-    amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, n_ext)
+    n_levels = 2 * cutoff.dim + 32
+    amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, n_levels)
     kept, leak = _truncate_with_leakage(amps, cutoff.dim, tail_tol, "gaussian_pure")
     return PureState(kept, cutoff, leakage=leak)
 
@@ -267,9 +235,9 @@ def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
     if not math.exp(-0.5 * (mag * mag)) > 0.0:
         raise ValueError(f"cat alpha={alpha} is too large: e^(-|alpha|^2/2) underflows to 0")
     cutoff = as_cutoff(cutoff)
-    n_ext = cutoff.dim + 64
-    base = _coherent_amps(alpha, n_ext)
-    parity = (-1.0) ** np.arange(n_ext)
+    n_levels = cutoff.dim + 64
+    base = _coherent_amps(alpha, n_levels)
+    parity = (-1.0) ** np.arange(n_levels)
     amps = base * (1.0 + sign * parity)
     try:
         kept, leak = _truncate_with_leakage(amps, cutoff.dim, STATE_TAIL_TOL, "cat")
@@ -283,14 +251,14 @@ def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
 def photon_subtracted_squeezed(r: float, cutoff: FockCutoff | int) -> PureState:
     """Normalized a S(r)|0>; supported on odd Fock levels only."""
     cutoff = as_cutoff(cutoff)
-    n_ext = 2 * cutoff.dim + 32
-    # the recurrence forms cosh(r) sqrt(n) for n <= n_ext
-    if not (math.isfinite(r) and r < math.acosh(sys.float_info.max / math.sqrt(n_ext + 1))):
+    n_levels = 2 * cutoff.dim + 32
+    # the recurrence forms cosh(r) sqrt(n) for n <= n_levels
+    if not (math.isfinite(r) and r < math.acosh(sys.float_info.max / math.sqrt(n_levels + 1))):
         raise ValueError(f"squeezing r={r} is not finite or overflows the amplitude recurrence")
     if r <= 0:
         raise ValueError("photon subtraction from vacuum (r=0) gives the zero vector")
-    sq = squeezed_coherent_amps(0.0, r, 0.0, n_ext + 1)
-    sub = np.sqrt(np.arange(1, n_ext + 1)) * sq[1:]
+    sq = squeezed_coherent_amps(0.0, r, 0.0, n_levels + 1)
+    sub = np.sqrt(np.arange(1, n_levels + 1)) * sq[1:]
     kept, leak = _truncate_with_leakage(
         sub, cutoff.dim, STATE_TAIL_TOL, "photon_subtracted_squeezed"
     )
@@ -311,29 +279,32 @@ def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
     return DensityMatrix(np.diag(probs).astype(complex), cutoff, leakage=leak)
 
 
-def _gkp_comb(params: GkpParams, window: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """:func:`gkp_comb` over the lattice peaks -window <= s <= window (< for logical 1)."""
-    eps = params.epsilon
-    sigma2 = float(np.tanh(eps))
-    if params.logical == 0:
-        peaks = 2.0 * np.arange(-window, window + 1, dtype=float) * SQRT_PI
-    else:
-        peaks = (2.0 * np.arange(-window, window, dtype=float) + 1.0) * SQRT_PI
-    return peaks / np.cosh(eps), np.exp(-0.5 * sigma2 * peaks**2), sigma2
+def _lattice_peaks(logical: int, window: int) -> np.ndarray:
+    """Ideal-codeword peaks y_s = (2s + logical) sqrt(pi), |s| <= window (< for logical 1)."""
+    if logical == 0:
+        return 2.0 * np.arange(-window, window + 1, dtype=float) * SQRT_PI
+    return (2.0 * np.arange(-window, window, dtype=float) + 1.0) * SQRT_PI
 
 
-def _gkp_amps(params: GkpParams, window: int, quadrature) -> np.ndarray:
-    """Fock amplitudes of the damped comb by Gauss-Hermite projection.
+def _gkp_amps(params: GkpParams, window: int, dim: int) -> tuple[np.ndarray, float]:
+    """Amplitudes c_n, n < dim, of exp(-eps n) sum_s |x = y_s> and its total mass.
 
-    ``quadrature`` holds the nodes, their total weights and the Hermite
-    functions psi_n at the nodes, rows n < n_levels; 4 * n_levels nodes
-    integrate products of Hermite functions of degree < 2 * n_levels
-    near-exactly.
+    c_n = e^{-eps n} sum_s psi_n(y_s).  The mass sum_n |c_n|^2 sums Mehler's
+    kernel with t = e^{-2 eps} over peak pairs: (pi (1 - t^2))^(-1/2)
+    sum_{s,t} exp(-[(1 + t^2)(y_s - y_t)^2 + 2 y_s y_t (1 - t)^2] / (2 (1 - t^2))).
+    The bracket is at least (1 - t)^2 (y_s^2 + y_t^2), so nothing cancels, and
+    1 - t = (1 + t) tanh eps, 1 - t^2 = (1 + t^2) tanh 2eps stay exact and
+    nonzero for every finite eps.
     """
-    centers, envelope, sigma2 = _gkp_comb(params, window)
-    nodes, lam, basis = quadrature
-    expo = -((nodes[:, None] - centers[None, :]) ** 2) / (2.0 * sigma2)
-    return basis @ (lam * (np.exp(expo) @ envelope))
+    eps = params.epsilon
+    peaks = _lattice_peaks(params.logical, window)
+    # exp(-746 n) is already 0.0 for every n >= 1; the cap keeps eps * n finite
+    amps = np.exp(-min(eps, 746.0) * np.arange(dim)) * hermite_functions(dim, peaks).sum(axis=1)
+    t = math.exp(-2.0 * eps)
+    one_t, one_t2 = (1.0 + t) * math.tanh(eps), (1.0 + t * t) * math.tanh(2.0 * eps)
+    y, z = peaks[:, None], peaks[None, :]
+    expo = ((1.0 + t * t) * (y - z) ** 2 + 2.0 * one_t**2 * (y * z)) / (2.0 * one_t2)
+    return amps, float(np.sum(np.exp(-expo))) / math.sqrt(math.pi * one_t2)
 
 
 def _window(params: GkpParams) -> int:
@@ -355,9 +326,12 @@ def gkp_comb(params: GkpParams) -> tuple[np.ndarray, np.ndarray, float]:
     sigma^2 = tanh(eps), centered at the shrunk lattice point y/cosh(eps),
     with envelope weight exp(-y^2 tanh(eps)/2).  So the damped codeword is
     exactly sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)); this is the data the
-    exact Wigner evaluator consumes and :func:`gkp_damped` projects.
+    exact Wigner evaluator consumes.
     """
-    return _gkp_comb(params, _window(params))
+    eps = params.epsilon
+    sigma2 = float(np.tanh(eps))
+    peaks = _lattice_peaks(params.logical, _window(params))
+    return peaks / np.cosh(eps), np.exp(-0.5 * sigma2 * peaks**2), sigma2
 
 
 def gkp_damped(
@@ -367,26 +341,22 @@ def gkp_damped(
 ) -> PureState:
     """Finite-energy square-lattice codeword exp(-eps n)|logical>, normalized.
 
-    Raises TruncationError when the Fock tail above the cutoff exceeds
-    ``tail_tol`` and ValueError when an explicit peak window is too small
-    (the S -> S+2 refinement still moves the state).
+    Exact kept amplitudes and ``leakage`` = 1 - head/total, the whole tail
+    above the cutoff (:func:`_gkp_amps`).  Raises TruncationError when that
+    exceeds ``tail_tol`` and ValueError when the peak window is too small:
+    S -> S+2 moves an amplitude, scaled by the total mass, by more than 1e-8.
     """
     cutoff = as_cutoff(cutoff)
     window = _window(params)
-    n_ext = cutoff.dim + max(16, cutoff.dim // 4)
-    nodes, lam = hermgauss_total(4 * n_ext)
-    quadrature = (nodes, lam, hermite_functions(n_ext, nodes))
-    amps = _gkp_amps(params, window, quadrature)
-    amps_wide = _gkp_amps(params, window + 2, quadrature)
-    nrm = np.linalg.norm(amps)
-    nrm_wide = np.linalg.norm(amps_wide)
-    drift = float(np.max(np.abs(amps / nrm - amps_wide / nrm_wide)))
+    amps, total = _gkp_amps(params, window, cutoff.dim)
+    amps_wide, total_wide = _gkp_amps(params, window + 2, cutoff.dim)
+    drift = float(np.max(np.abs(amps / math.sqrt(total) - amps_wide / math.sqrt(total_wide))))
     if drift > 1e-8:
         raise ValueError(
             f"peak_window {window} too small: S -> S+2 moves amplitudes by {drift:.3e}"
         )
-    amps = np.real(amps_wide)  # all-real construction; wide window is at least as good
-    kept, leak = _truncate_with_leakage(
-        amps.astype(complex), cutoff.dim, tail_tol, "gkp_damped"
-    )
-    return PureState(kept, cutoff, leakage=leak)
+    # the wide window is at least as good
+    leak = max(0.0, 1.0 - float(np.sum(amps_wide * amps_wide)) / total_wide)
+    if leak > tail_tol:
+        raise TruncationError(f"gkp_damped leaks {leak:.3e} > {tail_tol:.1e} at dim {cutoff.dim}")
+    return PureState(amps_wide / np.linalg.norm(amps_wide), cutoff, leakage=leak)

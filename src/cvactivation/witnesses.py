@@ -384,7 +384,8 @@ def gaussian_fidelity(
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
     multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
     spread between converged starts is reported so optimizer traps are
-    visible.
+    visible.  A start whose bytes repeat an earlier one's (the first two,
+    whenever <a> = 0) reuses that run and is counted again.
 
     Per candidate the cost is one amplitude recurrence to the cutoff d, its
     norm and the closed-form total mass of the amplitudes
@@ -406,8 +407,11 @@ def gaussian_fidelity(
     objective = _fit_objective(psi, cfg.r_max)
     best: tuple[float, np.ndarray] | None = None
     converged_vals = []
+    runs = {}  # start bytes -> run: a repeated start reruns nothing
     for start in _informed_starts(psi, cfg):
-        x, fun, converged, _ = _nelder_mead(objective, start, cfg.maxiter)
+        if start.tobytes() not in runs:
+            runs[start.tobytes()] = _nelder_mead(objective, start, cfg.maxiter)
+        x, fun, converged, _ = runs[start.tobytes()]
         fid = -float(fun)
         if converged:
             converged_vals.append(fid)

@@ -334,7 +334,7 @@ def test_10c_gkp_infidelity_trend(gkp_sweep_rows):
     # regenerate with scripts/compute_gkp_ec_oracle.py
     # Rows are compared only where the codeword leaks at most 1e-2 above
     # cutoff 30 (6, 8, 10 dB): the fixture's tail_tol=1.0 lets 12, 14 and
-    # 16.5 dB lose 1.1e-2, 4.2e-2 and 0.10 of their weight, and that
+    # 16.5 dB lose 1.3e-2, 6.4e-2 and 0.21 of their weight, and that
     # truncation lifts the program's figure 0.03-0.16 above the exact one.
     # 0.05 is the spread that cutoff alone causes at small leakage: with no
     # loss the program gives 0.427, 0.376, 0.402 at 6 dB for cutoffs 30, 40,

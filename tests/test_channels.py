@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import roots_hermite
 
 from cvactivation.fock import (
     DensityMatrix,
@@ -148,6 +149,15 @@ def test_loss_semigroup(rng):
     one = pure_loss(0.8, 10).apply(pure_loss(0.7, 10).apply(rho))
     two = pure_loss(0.56, 10).apply(rho)
     assert trace_distance(one, two) < 1e-7
+
+
+@pytest.mark.parametrize("order", range(1, 31))
+def test_gaussian_noise_nodes_match_roots_hermite(order):
+    # every quad_order up to the CLI cap of 30
+    nodes, weights = channels._gauss_hermite(order)
+    want_nodes, want_weights = roots_hermite(order)
+    assert np.max(np.abs(nodes - want_nodes)) <= 1e-13
+    assert np.max(np.abs(weights / weights.sum() - want_weights / want_weights.sum())) <= 1e-14
 
 
 def test_gaussian_noise_identity_limit():

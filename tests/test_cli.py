@@ -48,13 +48,22 @@ def test_wigner_command(tmp_path):
     assert values[:, 2].min() == pytest.approx(-2.0 / math.pi, abs=1e-4)
 
 
-def test_wigner_vacuum_nonnegative(tmp_path):
+def test_wigner_vacuum_nonnegative(tmp_path, capsys):
     out = tmp_path / "wigner.csv"
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps({"state": {"kind": "fock", "n": 0}}))
     assert run(["wigner", "--config", cfgfile, "--out", out]) == 0
     _, _, rows = read_csv(out)
     assert min(float(r[2]) for r in rows) >= -1e-12
+    # a codeword damped beyond the float range of cosh and sinh is the vacuum
+    for eps in (1000.0, 1e300):
+        cfgfile.write_text(json.dumps({"state": {"kind": "gkp", "epsilon": eps}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["wigner", "--config", cfgfile, "--out", out]) == 0
+        assert capsys.readouterr().err == ""
+        values = np.array([float(r[2]) for r in read_csv(out)[2]])
+        assert np.max(np.abs(values - [float(r[2]) for r in rows])) <= 1e-12
 
 
 def test_negativity_depth_command(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvactivation import states
+from cvactivation import wigner
 from cvactivation.errors import TruncationError
 from cvactivation.fock import pure_fidelity
 from cvactivation.states import (
@@ -11,6 +11,7 @@ from cvactivation.states import (
     fock,
     gkp_comb,
     gkp_damped,
+    hermite_functions,
     squeezed_coherent_amps,
 )
 
@@ -21,7 +22,7 @@ def reference_squeezed_comb(eps, dim, logical=0, window=8):
     """Comb of squeezed coherent states with a Gaussian envelope.
 
     The common alternative finite-energy codeword form; independent of the
-    heat-kernel + quadrature construction under test.
+    closed-form construction under test.
     """
     kappa2 = math.tanh(eps)
     r = -0.5 * math.log(math.tanh(eps))  # position width e^{-2r} = tanh(eps)
@@ -57,14 +58,46 @@ def test_logical_overlap_vanishes():
     assert abs(zero.overlap(one)) < 0.01
 
 
-@pytest.mark.parametrize("cutoff, epsilon", [(30, 0.3), (200, 0.06), (220, 0.05)])
-def test_codeword_matches_the_scipy_node_route(monkeypatch, cutoff, epsilon):
+def projected_comb(params, dim):
+    """Fock amplitudes of the heat-kernel comb of :func:`gkp_comb`, unnormalized,
+    by Gauss-Hermite projection on scipy's nodes, with its position-space norm.
+
+    16 * n_levels nodes, n_levels = dim + max(16, dim // 4), resolve the
+    narrow peaks far beyond what the kept levels need; an independent route
+    to the closed-form amplitudes and tail under test.
+    """
+    n_levels = dim + max(16, dim // 4)
+    nodes, lam = scipy_hermgauss_total(16 * n_levels)
+    centers, envelope, sigma2 = gkp_comb(params)
+    comb = np.exp(-((nodes[:, None] - centers[None, :]) ** 2) / (2.0 * sigma2)) @ envelope
+    amps = hermite_functions(n_levels, nodes) @ (lam * comb)
+    return amps, wigner._comb_pairs(centers, envelope, sigma2)[3]
+
+
+@pytest.mark.parametrize(
+    "cutoff, epsilon",
+    [
+        (30, 0.3),
+        (200, 0.06),
+        (220, 0.05),
+        pytest.param(30, GkpParams.from_db(16.5).epsilon, id="30-16.5dB"),
+        pytest.param(14, GkpParams.from_db(14.0).epsilon, id="14-14dB"),
+    ],
+)
+def test_codeword_matches_the_scipy_node_route(cutoff, epsilon):
     params = GkpParams(epsilon=epsilon)
-    got = gkp_damped(params, cutoff).amplitudes
-    monkeypatch.setattr(states, "hermgauss_total", scipy_hermgauss_total)
-    want = gkp_damped(params, cutoff).amplitudes
+    got = gkp_damped(params, cutoff, tail_tol=1.0).amplitudes
+    head = projected_comb(params, cutoff)[0][:cutoff]
     assert np.all(np.isfinite(got))
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - head / np.linalg.norm(head))) <= 1e-12
+
+
+@pytest.mark.parametrize("db", [10.0, 14.0, 16.5])
+def test_leakage_is_the_whole_tail(db):
+    params = GkpParams.from_db(db)
+    amps, norm = projected_comb(params, 30)
+    tail = 1.0 - float(np.sum(amps[:30] ** 2)) / norm
+    assert abs(gkp_damped(params, 30, tail_tol=1.0).leakage - tail) <= 1e-12
 
 
 def test_even_support_and_real_amplitudes():

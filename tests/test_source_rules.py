@@ -4,7 +4,8 @@ are numpy and math code, with scipy kept as the test oracle) and builds
 displacement operators only in fock.py and the Gaussian noise channel.
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
-loads no scipy module."""
+loads no scipy module and no numpy.polynomial module (whose import alone
+raises a grid-code sweep's peak memory)."""
 
 import ast
 import os
@@ -16,6 +17,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "cvactivation"
 # an expression, run in the subprocess, that is True once any scipy module is loaded
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+POLYNOMIAL_LOADED = "any(m.startswith('numpy.polynomial') for m in sys.modules)"
 
 
 def _lines():
@@ -97,9 +99,9 @@ def test_cli_runs_load_no_scipy(tmp_path):
         code = (
             "import sys; from cvactivation import cli; "
             f"code = cli.main({args + ['--out', out]!r}); "
-            f"print(code, {SCIPY_LOADED})"
+            f"print(code, {SCIPY_LOADED}, {POLYNOMIAL_LOADED})"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.split()[-2:] == ["0", "False"], (args, out.stdout)
+        assert out.stdout.split()[-3:] == ["0", "False", "False"], (args, out.stdout)

@@ -14,14 +14,11 @@ from cvactivation.states import (
     coherent,
     fock,
     gaussian_pure,
-    hermgauss_total,
     photon_subtracted_squeezed,
     squeezed_coherent_amps,
     squeezed_coherent_mass,
     thermal,
 )
-
-from conftest import scipy_hermgauss_total
 
 
 def mean_photon(psi):
@@ -234,27 +231,3 @@ def test_cutoff_doubling_convergence(build, observable):
     small = observable(build(30))
     large = observable(build(60))
     assert abs(small - large) < 1e-6
-
-
-
-# 188 nodes are gkp_damped's at cutoff 30, 1004 at the largest CLI cutoff 200,
-# 1104 at cutoff 220; numpy's hermgauss returns NaN nodes from about 750 on
-@pytest.mark.parametrize("n", [2, 15, 188, 1004, 1104])
-def test_hermgauss_total_matches_the_scipy_oracle(n):
-    nodes, lam = hermgauss_total(n)
-    want_nodes, want_lam = scipy_hermgauss_total(n)
-    assert np.all(np.isfinite(nodes)) and np.all(np.isfinite(lam))
-    assert np.max(np.abs(nodes - want_nodes)) <= 1e-12
-    assert np.array_equal(nodes, -nodes[::-1])
-    # the total weights, wherever the oracle's are not 0
-    kept = want_lam > 0.0
-    assert np.array_equal(lam > 0.0, kept)
-    assert np.max(np.abs(lam[kept] / want_lam[kept] - 1.0)) <= 1e-11
-
-
-def test_hermgauss_total_is_cached_read_only():
-    nodes, lam = hermgauss_total(15)
-    assert hermgauss_total(15)[0] is nodes
-    for arr in (nodes, lam):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvactivation import states
+from cvactivation import states, witnesses
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GaussianPureParams,
@@ -366,6 +366,24 @@ def test_nelder_mead_bit_identical_to_scipy_edge_runs():
     # fail and each step is a shrink, two evaluations plus one per vertex
     fun, success, nfev = _same_run(objective, np.array([8.0, 0.0, 0.0, 0.0]), 400)
     assert (fun, success) == (0.0, True) and (nfev - 5) % 6 == 0
+
+
+def test_a_repeated_start_runs_once(monkeypatch):
+    psi = fock(1, 30)
+    starts = _informed_starts(psi, GaussianFitConfig())
+    assert starts[0].tobytes() == starts[1].tobytes()  # <a> = 0
+    ran = []
+    run = witnesses._nelder_mead
+
+    def counted(objective, x0, maxiter):
+        ran.append(x0.tobytes())
+        return run(objective, x0, maxiter)
+
+    monkeypatch.setattr(witnesses, "_nelder_mead", counted)
+    # both starts are still counted: n_converged stays 16
+    assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
+    assert sorted(ran) == sorted({start.tobytes() for start in starts})
+    assert len(ran) == len(starts) - 1
 
 
 def test_gaussian_fit_builds_no_state(monkeypatch):
