@@ -158,8 +158,8 @@ def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix
     """Two-outcome POVM (I + W)/2, (I - W)/2 for a unit-box witness."""
     check_box(w)
     eye = np.eye(w.dim)
-    m_plus = OperatorMatrix((eye + w.matrix) / 2.0, hermitian=True, norm_bound=1.0)
-    m_minus = OperatorMatrix((eye - w.matrix) / 2.0, hermitian=True, norm_bound=1.0)
+    m_plus = OperatorMatrix((eye + w.matrix) / 2.0, hermitian=True)
+    m_minus = OperatorMatrix((eye - w.matrix) / 2.0, hermitian=True)
     return m_plus, m_minus
 
 

@@ -195,11 +195,7 @@ def gaussian_noise(
     w2 = w2 / w2.sum()
     alphas = (sigma * (nodes[:, None] + 1j * nodes[None, :])).ravel()
     ops = tuple(
-        OperatorMatrix(
-            math.sqrt(w) * displacement_op(al, cutoff).matrix,
-            hermitian=False,
-            norm_bound=math.sqrt(w),
-        )
+        OperatorMatrix(math.sqrt(w) * displacement_op(al, cutoff).matrix, hermitian=False)
         for w, al in zip(w2, alphas)
     )
     return KrausChannel(ops, label=f"gaussian_noise(sigma2={params.sigma2})")
@@ -249,9 +245,7 @@ def damping(epsilon: float, cutoff: FockCutoff | int) -> DampingMap:
 def phase_rotation(theta: float, cutoff: FockCutoff | int) -> OperatorMatrix:
     """Gaussian unitary exp(i theta n), free for every free set used here."""
     dim = as_cutoff(cutoff).dim
-    return OperatorMatrix(
-        np.diag(np.exp(1j * theta * np.arange(dim))), hermitian=False, norm_bound=1.0
-    )
+    return OperatorMatrix(np.diag(np.exp(1j * theta * np.arange(dim))), hermitian=False)
 
 
 def apply_unitary(u: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:

@@ -162,11 +162,10 @@ class DensityMatrix:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Bounded operator with a certified upper bound on its spectral norm."""
+    """Square operator on the truncated space; Hermitian when flagged."""
 
     matrix: np.ndarray
     hermitian: bool
-    norm_bound: float
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
@@ -178,10 +177,7 @@ class OperatorMatrix:
             if dev > HERMITICITY_TOL:
                 raise ValueError(f"operator flagged Hermitian deviates by {dev:.3e}")
             mat = (mat + mat.conj().T) / 2.0
-        if not math.isfinite(self.norm_bound) or self.norm_bound < 0:
-            raise ValueError("norm_bound must be finite and nonnegative")
         object.__setattr__(self, "matrix", _frozen(mat))
-        object.__setattr__(self, "norm_bound", float(self.norm_bound))
 
     @property
     def dim(self) -> int:
@@ -211,11 +207,10 @@ def ladder_ops(cutoff: FockCutoff | int) -> tuple[OperatorMatrix, OperatorMatrix
     a = annihilation_matrix(dim)
     adag = a.conj().T
     n = adag @ a
-    bound = float(np.sqrt(dim - 1))
     return (
-        OperatorMatrix(a, hermitian=False, norm_bound=bound),
-        OperatorMatrix(adag, hermitian=False, norm_bound=bound),
-        OperatorMatrix(n, hermitian=True, norm_bound=float(dim - 1)),
+        OperatorMatrix(a, hermitian=False),
+        OperatorMatrix(adag, hermitian=False),
+        OperatorMatrix(n, hermitian=True),
     )
 
 
@@ -223,7 +218,7 @@ def parity_op(cutoff: FockCutoff | int) -> OperatorMatrix:
     """Photon-number parity, diagonal (+1, -1, +1, ...); squares to identity."""
     dim = as_cutoff(cutoff).dim
     diag = (-1.0) ** np.arange(dim)
-    return OperatorMatrix(np.diag(diag).astype(complex), hermitian=True, norm_bound=1.0)
+    return OperatorMatrix(np.diag(diag).astype(complex), hermitian=True)
 
 
 def position_op(cutoff: FockCutoff | int) -> OperatorMatrix:
@@ -231,7 +226,7 @@ def position_op(cutoff: FockCutoff | int) -> OperatorMatrix:
     dim = as_cutoff(cutoff).dim
     a = annihilation_matrix(dim)
     x = (a + a.conj().T) / np.sqrt(2.0)
-    return OperatorMatrix(x, hermitian=True, norm_bound=float(np.sqrt(2.0 * (dim - 1))))
+    return OperatorMatrix(x, hermitian=True)
 
 
 def momentum_op(cutoff: FockCutoff | int) -> OperatorMatrix:
@@ -239,7 +234,7 @@ def momentum_op(cutoff: FockCutoff | int) -> OperatorMatrix:
     dim = as_cutoff(cutoff).dim
     a = annihilation_matrix(dim)
     p = -1j * (a - a.conj().T) / np.sqrt(2.0)
-    return OperatorMatrix(p, hermitian=True, norm_bound=float(np.sqrt(2.0 * (dim - 1))))
+    return OperatorMatrix(p, hermitian=True)
 
 
 @lru_cache(maxsize=8)
@@ -332,12 +327,12 @@ def displacement_op(
     dim = as_cutoff(cutoff).dim
     checked_coherent_tail(alpha, dim, tail_tol, "displacement")
     if alpha == 0:
-        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False, norm_bound=1.0)
+        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False)
     _, (pvals, pvecs) = _quadrature_eigensystem(dim)
     rot = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None]
     basis = rot * pvecs
     phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * pvals)
-    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False, norm_bound=1.0)
+    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False)
 
 
 def _psd_sqrt(mat: np.ndarray) -> np.ndarray:

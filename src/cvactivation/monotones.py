@@ -22,13 +22,13 @@ from .witnesses import (
     FreeSet,
     GaussianFidelityResult,
     GaussianFitConfig,
+    Projector,
     WitnessBox,
     WitnessSpec,
     check_box,
     displaced_parity_spec,
     gaussian_fidelity,
-    pure_projector_spec,
-    two_copy_projector_spec,
+    violation,
     witness_value,
 )
 
@@ -94,10 +94,10 @@ def _family_search(
 ) -> tuple[list[tuple[float, WitnessSpec]], bool]:
     """Witness candidates up to free set ``top``, plus exactness flag.
 
-    Each spec is tagged with the lowest free set it is admissible for.  The
+    Each spec's family fixes the lowest free set it is admissible for.  The
     displaced-parity candidate comes first, with its value in the unit box.
     One Gaussian fit of the top eigenvector yields both the hull projector
-    (value overlap - lam) and its two-copy lift (overlap^2 - lam^2); the
+    and its two-copy lift, each valued by :func:`violation`; the
     Wigner-positive level runs no fit at all.
     """
     cfg = cfg or FamilySearchConfig()
@@ -107,23 +107,21 @@ def _family_search(
             raise InvariantError(
                 f"odd-parity state should violate parity by 1, got {value}"
             )
-        parity = [(1.0, displaced_parity_spec(0.0, FreeSet.WIGNER_POSITIVE, box))]
+        parity = [(1.0, displaced_parity_spec(0.0, box=box))]
         if box.n == box.m == 1.0:
             # odd-parity states saturate the unit box for every free set in
             # the hierarchy, so the chain is pinched at 1 exactly
             return parity, True
     else:
         depth = negativity_depth(rho, cfg.depth)
-        spec = displaced_parity_spec(depth.argmin_alpha, FreeSet.WIGNER_POSITIVE, box)
+        spec = displaced_parity_spec(depth.argmin_alpha, box=box)
         parity = [((math.pi / 2.0) * depth.depth, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
     psi = _top_eigenvector(rho)
     lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
-    overlap = float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
-    hull = (overlap - lam, pure_projector_spec(psi, lam, FreeSet.GAUSSIAN_HULL, box))
-    lift = (overlap**2 - lam**2, two_copy_projector_spec(psi, lam, box))
-    return [*parity, hull, lift], False
+    projectors = [WitnessSpec(Projector(psi, lam, copies), box) for copies in (1, 2)]
+    return [*parity, *((violation(spec.family, rho), spec) for spec in projectors)], False
 
 
 def _best_bound(

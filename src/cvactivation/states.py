@@ -266,7 +266,11 @@ def photon_subtracted_squeezed(r: float, cutoff: FockCutoff | int) -> PureState:
 
 
 def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
-    """Thermal state with mean photon number nbar, renormalized."""
+    """Thermal state with mean photon number nbar, renormalized.
+
+    Raises TruncationError when its tail above the cutoff exceeds
+    ``STATE_TAIL_TOL``.
+    """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and nonnegative, got {nbar}")
     cutoff = as_cutoff(cutoff)
@@ -275,6 +279,8 @@ def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
     ratio = nbar / (nbar + 1.0)
     probs = ratio ** np.arange(cutoff.dim)
     leak = float(ratio ** cutoff.dim)  # exact geometric tail
+    if leak > STATE_TAIL_TOL:
+        raise TruncationError(f"thermal leaks {leak:.3e} > {STATE_TAIL_TOL:.1e} at dim {cutoff.dim}")
     probs /= probs.sum()
     return DensityMatrix(np.diag(probs).astype(complex), cutoff, leakage=leak)
 
@@ -331,7 +337,9 @@ def gkp_comb(params: GkpParams) -> tuple[np.ndarray, np.ndarray, float]:
     eps = params.epsilon
     sigma2 = float(np.tanh(eps))
     peaks = _lattice_peaks(params.logical, _window(params))
-    return peaks / np.cosh(eps), np.exp(-0.5 * sigma2 * peaks**2), sigma2
+    with np.errstate(over="ignore"):  # cosh is inf above eps ~ 710: every center is 0
+        shrink = np.cosh(eps)
+    return peaks / shrink, np.exp(-0.5 * sigma2 * peaks**2), sigma2
 
 
 def gkp_damped(

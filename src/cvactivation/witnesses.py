@@ -1,21 +1,24 @@
-"""Feasible witness families for the three free sets.
+"""Feasible witness families and the free set each one fixes.
 
 A witness is a bounded Hermitian operator with nonnegative expectation on
-every free state; rescaled into the box -n I <= W <= m I it certifies a
-lower bound on the corresponding resource monotone through its negative
-expectation value.  Families implemented here:
+every free state; inside the box -n I <= W <= m I it certifies a lower bound
+on the corresponding resource monotone through its negative expectation
+value.  Which free set a witness is feasible for is fixed by its family
+(:attr:`WitnessSpec.free_set`):
 
 * displaced parity, feasible against Wigner-positive states;
-* pure-state projector witnesses lam*I - |psi><psi| with lam the maximal
-  Gaussian fidelity of psi, feasible against the convex Gaussian hull;
-* their two-copy lifts lam^2*I - |psi><psi|^(x2), feasible against convex
-  mixtures of identical Gaussian pairs;
-* explicit caller-supplied operators carrying a feasibility certificate
-  tag (the engine verifies the box, never feasibility).
+* projector witnesses lam^k I - |psi><psi|^(xk), k = 1 or 2 copies, with
+  lam the maximal Gaussian fidelity of psi: one copy is feasible against
+  the convex Gaussian hull, the two-copy lift against convex mixtures of
+  identical Gaussian pairs;
+* explicit caller-supplied operators, feasible for the set the caller
+  declares with a certificate tag (the engine verifies the box, never
+  feasibility).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -57,6 +60,8 @@ class WitnessBox:
     m: float = 1.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.n) and math.isfinite(self.m)):
+            raise ValueError(f"box bounds must be finite, got [{self.n}, {self.m}]")
         if self.n <= 0 or self.m <= 0:
             raise ValueError("box bounds must be positive")
 
@@ -65,57 +70,54 @@ class WitnessBox:
 class DisplacedParity:
     alpha: complex = 0.0
 
-
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and 0.0 <= lam <= 1.0):
-        raise ValueError(f"projector lambda must be a fidelity in [0, 1], got {lam}")
+    def __post_init__(self):
+        if not cmath.isfinite(self.alpha):
+            raise ValueError(f"parity displacement must be finite, got {self.alpha}")
 
 
 @dataclass(frozen=True)
-class PureProjector:
-    """lam I - |psi><psi|, with lam the maximal Gaussian fidelity of psi."""
+class Projector:
+    """lam^k I - |psi><psi|^(xk) on k = ``copies`` copies, with lam the maximal
+    Gaussian fidelity of psi."""
 
     psi: PureState
     lam: float
+    copies: int
 
     def __post_init__(self):
-        _check_lam(self.lam)
-
-
-@dataclass(frozen=True)
-class TwoCopyProjector:
-    """lam^2 I - |psi><psi|^(x2) on the two-copy space."""
-
-    psi: PureState
-    lam: float
-
-    def __post_init__(self):
-        _check_lam(self.lam)
+        if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
+            raise ValueError(f"projector lambda must be a fidelity in [0, 1], got {self.lam}")
+        if self.copies not in (1, 2) or isinstance(self.copies, bool):
+            raise ValueError(f"projector copies must be 1 or 2, got {self.copies}")
+        object.__setattr__(self, "copies", int(self.copies))
 
 
 @dataclass(frozen=True)
 class ExplicitWitness:
     operator: OperatorMatrix
+    free_set: FreeSet
     certificate: str
 
 
-Family = DisplacedParity | PureProjector | TwoCopyProjector | ExplicitWitness
+Family = DisplacedParity | Projector | ExplicitWitness
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
-    """A tagged member of a feasible witness family with its box."""
+    """A member of a feasible witness family with its box."""
 
     family: Family
-    free_set: FreeSet
     box: WitnessBox = WitnessBox()
 
-    def __post_init__(self):
-        two_copy = isinstance(self.family, TwoCopyProjector)
-        if two_copy and self.free_set is not FreeSet.GAUSSIAN_TWO_COPY:
-            raise ValueError("two-copy projectors witness the two-copy Gaussian set")
-        if isinstance(self.family, DisplacedParity) and self.free_set is FreeSet.GAUSSIAN_TWO_COPY:
-            raise ValueError("single-copy parity witnesses need a single-copy free set")
+    @property
+    def free_set(self) -> FreeSet:
+        """The smallest free set the family is feasible for."""
+        fam = self.family
+        if isinstance(fam, DisplacedParity):
+            return FreeSet.WIGNER_POSITIVE
+        if isinstance(fam, Projector):
+            return (FreeSet.GAUSSIAN_HULL, FreeSet.GAUSSIAN_TWO_COPY)[fam.copies - 1]
+        return fam.free_set
 
     def describe(self) -> dict:
         fam = self.family
@@ -124,10 +126,9 @@ class WitnessSpec:
                 "family": "displaced_parity",
                 "alpha": [fam.alpha.real, fam.alpha.imag],
             }
-        elif isinstance(fam, PureProjector):
-            detail = {"family": "pure_projector", "lambda": fam.lam}
-        elif isinstance(fam, TwoCopyProjector):
-            detail = {"family": "two_copy_projector", "lambda": fam.lam}
+        elif isinstance(fam, Projector):
+            name = ("pure_projector", "two_copy_projector")[fam.copies - 1]
+            detail = {"family": name, "lambda": fam.lam}
         else:
             detail = {"family": "explicit", "certificate": fam.certificate}
         detail["free_set"] = self.free_set.value
@@ -139,9 +140,9 @@ def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) 
     """Ends (lowest, highest) of the witness spectrum, asserted inside the box.
 
     Built-in families have closed-form spectra: displaced parity lies in
-    [-1, 1] (the compression of a unitary involution), a projector witness
-    has {lam - 1, lam} and its two-copy lift {lam^2 - 1, lam^2}.  Only an
-    explicit operator is diagonalised.
+    [-1, 1] (the compression of a unitary involution), a k-copy projector
+    witness has {lam^k - 1, lam^k}.  Only an explicit operator is
+    diagonalised.
     """
     if isinstance(witness, ExplicitWitness):
         witness = witness.operator
@@ -150,10 +151,8 @@ def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) 
         lo, hi = float(vals[0]), float(vals[-1])
     elif isinstance(witness, DisplacedParity):
         lo, hi = -1.0, 1.0
-    elif isinstance(witness, TwoCopyProjector):
-        lo, hi = witness.lam**2 - 1.0, witness.lam**2
     else:
-        lo, hi = witness.lam - 1.0, witness.lam
+        lo, hi = witness.lam**witness.copies - 1.0, witness.lam**witness.copies
     if lo < -box.n - BOX_TOL or hi > box.m + BOX_TOL:
         raise ValueError(
             f"witness spectrum [{lo:.6f}, {hi:.6f}] outside box [-{box.n}, {box.m}]"
@@ -161,39 +160,34 @@ def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) 
     return lo, hi
 
 
-def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
-    """Signed violation -Tr(W rho); positive iff the witness detects rho.
+def violation(witness: Family, rho: DensityMatrix) -> float:
+    """Signed violation -Tr(W rho) of a family member, its box unchecked.
 
-    The box is checked first.  Displaced parity is evaluated as
-    -(pi/2) W(alpha) from :func:`wigner_batch`, exact for the truncated
-    state.  Projectors use the overlap <psi|rho|psi>, squared for two-copy
-    specs on rho (x) rho, so only an explicit operator is ever a matrix.
+    Displaced parity is evaluated as -(pi/2) W(alpha) from
+    :func:`wigner_batch`, exact for the truncated state.  A k-copy projector
+    takes the overlap <psi|rho|psi> to the k-th power (rho^(xk) against
+    |psi><psi|^(xk)), so only an explicit operator is ever a matrix.
     """
-    fam = spec.family
-    check_box(fam, spec.box)
-    if isinstance(fam, DisplacedParity):
-        return -(math.pi / 2.0) * float(wigner_batch(rho, fam.alpha)[0])
-    if isinstance(fam, ExplicitWitness):
-        if fam.operator.dim != rho.dim:
+    if isinstance(witness, DisplacedParity):
+        return -(math.pi / 2.0) * float(wigner_batch(rho, witness.alpha)[0])
+    if isinstance(witness, ExplicitWitness):
+        if witness.operator.dim != rho.dim:
             raise ValueError("witness dimension mismatch")
-        val = rho.expectation(fam.operator)
+        val = rho.expectation(witness.operator)
         if abs(val.imag) > 1e-10:
             raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
         return -val.real
-    if fam.psi.dim != rho.dim:
+    if witness.psi.dim != rho.dim:
         raise ValueError("projector state cutoff mismatch")
-    overlap = float(np.real(np.vdot(fam.psi.amplitudes, rho.matrix @ fam.psi.amplitudes)))
-    if isinstance(fam, TwoCopyProjector):
-        return overlap**2 - fam.lam**2
-    return overlap - fam.lam
+    overlap = float(np.real(np.vdot(witness.psi.amplitudes, rho.matrix @ witness.psi.amplitudes)))
+    return overlap**witness.copies - witness.lam**witness.copies
 
 
-def rescale_to_box(op: OperatorMatrix, box: WitnessBox) -> OperatorMatrix:
-    """Scale by t = min(n, m)/norm_bound; preserves every expectation sign."""
-    if op.norm_bound == 0 or not np.any(op.matrix):
-        raise ValueError("cannot rescale the zero operator")
-    t = min(box.n, box.m) / op.norm_bound
-    return OperatorMatrix(t * op.matrix, hermitian=op.hermitian, norm_bound=min(box.n, box.m))
+def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
+    """Signed violation -Tr(W rho), positive iff the witness detects rho,
+    after :func:`check_box` has placed the witness inside the spec's box."""
+    check_box(spec.family, spec.box)
+    return violation(spec.family, rho)
 
 
 @dataclass(frozen=True)
@@ -431,27 +425,20 @@ def gaussian_fidelity(
     )
 
 
-def displaced_parity_spec(
-    alpha: complex,
-    free_set: FreeSet = FreeSet.WIGNER_POSITIVE,
-    box: WitnessBox = WitnessBox(),
-) -> WitnessSpec:
-    return WitnessSpec(DisplacedParity(complex(alpha)), free_set, box)
+def displaced_parity_spec(alpha: complex, *, box: WitnessBox = WitnessBox()) -> WitnessSpec:
+    return WitnessSpec(DisplacedParity(complex(alpha)), box)
 
 
 def pure_projector_spec(
-    psi: PureState,
-    lam: float,
-    free_set: FreeSet = FreeSet.GAUSSIAN_HULL,
-    box: WitnessBox = WitnessBox(),
+    psi: PureState, lam: float, *, box: WitnessBox = WitnessBox()
 ) -> WitnessSpec:
-    return WitnessSpec(PureProjector(psi, float(lam)), free_set, box)
+    return WitnessSpec(Projector(psi, float(lam), 1), box)
 
 
 def two_copy_projector_spec(
-    psi: PureState, lam: float, box: WitnessBox = WitnessBox()
+    psi: PureState, lam: float, *, box: WitnessBox = WitnessBox()
 ) -> WitnessSpec:
-    return WitnessSpec(TwoCopyProjector(psi, float(lam)), FreeSet.GAUSSIAN_TWO_COPY, box)
+    return WitnessSpec(Projector(psi, float(lam), 2), box)
 
 
 def explicit_spec(
@@ -465,4 +452,4 @@ def explicit_spec(
     The certificate travels with every result produced from the spec, so
     downstream bounds are labeled conditional on the caller's claim.
     """
-    return WitnessSpec(ExplicitWitness(operator, certificate), free_set, box)
+    return WitnessSpec(ExplicitWitness(operator, free_set, certificate), box)

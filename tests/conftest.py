@@ -127,7 +127,7 @@ def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
     """Oracle: D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
     d = displacement_op(alpha, cutoff).matrix
     mat = d @ parity_op(cutoff).matrix @ d.conj().T
-    return OperatorMatrix((mat + mat.conj().T) / 2.0, hermitian=True, norm_bound=1.0)
+    return OperatorMatrix((mat + mat.conj().T) / 2.0, hermitian=True)
 
 
 def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
@@ -200,11 +200,11 @@ def kraus_loss(eta: float, dim: int) -> KrausChannel:
                     + xlogy(m, eta) + j * math.log1p(-eta)
                 )
                 band = np.diag(np.exp(0.5 * log_w), j).astype(complex)
-                ops.append(OperatorMatrix(band, hermitian=False, norm_bound=1.0))
+                ops.append(OperatorMatrix(band, hermitian=False))
             break
         if coeff > 0.0:
             ops.append(
-                OperatorMatrix(math.sqrt(coeff) * damp @ a_power, hermitian=False, norm_bound=1.0)
+                OperatorMatrix(math.sqrt(coeff) * damp @ a_power, hermitian=False)
             )
         a_power = a @ a_power
         coeff *= (1.0 - eta) / (k + 1)

@@ -167,7 +167,7 @@ def test_05_activation_exactness():
             h = (h + h.conj().T) / 2.0
             h = h / np.abs(np.linalg.eigvalsh(h)).max() * rng.uniform(0.1, 1.0)
             spec = explicit_spec(
-                OperatorMatrix(h, hermitian=True, norm_bound=1.0),
+                OperatorMatrix(h, hermitian=True),
                 FreeSet.WIGNER_POSITIVE,
                 "randomized-acceptance",
             )

@@ -40,23 +40,23 @@ def random_unit_box_witness(rng, dim):
     h = (h + h.conj().T) / 2.0
     h = h / np.abs(np.linalg.eigvalsh(h)).max() * rng.uniform(0.2, 1.0)
     return explicit_spec(
-        OperatorMatrix(h, hermitian=True, norm_bound=1.0),
+        OperatorMatrix(h, hermitian=True),
         FreeSet.WIGNER_POSITIVE,
         "randomized-test",
     )
 
 
 def test_povm_examples():
-    zero = OperatorMatrix(np.zeros((6, 6)), hermitian=True, norm_bound=0.0)
+    zero = OperatorMatrix(np.zeros((6, 6)), hermitian=True)
     m_plus, m_minus = povm_from_witness(zero)
     assert np.allclose(m_plus.matrix, np.eye(6) / 2.0)
     m_plus, m_minus = povm_from_witness(parity_op(6))
     assert np.allclose(np.diag(m_minus.matrix), [0, 1, 0, 1, 0, 1])
     assert np.allclose(m_plus.matrix + m_minus.matrix, np.eye(6))
-    ident = OperatorMatrix(np.eye(6), hermitian=True, norm_bound=1.0)
+    ident = OperatorMatrix(np.eye(6), hermitian=True)
     _, m_minus = povm_from_witness(ident)
     assert np.allclose(m_minus.matrix, 0.0)
-    oversized = OperatorMatrix(1.5 * np.eye(4), hermitian=True, norm_bound=1.5)
+    oversized = OperatorMatrix(1.5 * np.eye(4), hermitian=True)
     with pytest.raises(ValueError):
         povm_from_witness(oversized)
 
@@ -114,7 +114,7 @@ def test_activation_builds_witness_once(monkeypatch):
 def _two_copy_case(cutoff, box=WitnessBox()):
     psi = cat(1.5, 1, cutoff)
     rho = pure_loss(0.9, cutoff).apply(psi.to_density())
-    return rho, two_copy_projector_spec(psi, 0.5, box)
+    return rho, two_copy_projector_spec(psi, 0.5, box=box)
 
 
 def test_two_copy_box_checked_past_old_budget():

@@ -208,7 +208,7 @@ def test_damping_examples():
 def test_kraus_channel_trace_preservation_checked():
     from cvactivation.fock import OperatorMatrix
 
-    half = OperatorMatrix(0.5 * np.eye(4), hermitian=True, norm_bound=0.5)
+    half = OperatorMatrix(0.5 * np.eye(4), hermitian=True)
     with pytest.raises(ValueError):
         KrausChannel((half,), label="broken")
 

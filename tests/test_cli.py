@@ -235,12 +235,14 @@ def test_config_error_exit_code(tmp_path):
 def test_truncation_error_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "cfg.json"
     # |alpha|^2 of the second overflows to inf, whose tail is all of the state;
-    # the cats' amplitudes do not yet underflow (a config error, from 38.6 on)
+    # the cats' amplitudes do not yet underflow (a config error, from 38.6 on);
+    # the thermal state leaks 0.905 above cutoff 10
     for state in (
         {"kind": "coherent", "alpha": [4.0, 0.0]},
         {"kind": "coherent", "alpha": 1e200},
         {"kind": "cat", "alpha": 20, "sign": 1},
         {"kind": "cat", "alpha": 30, "sign": 1},
+        {"kind": "thermal", "nbar": 100},
     ):
         cfgfile.write_text(json.dumps({"state": state, "cutoff": 10}))
         with warnings.catch_warnings():
@@ -248,6 +250,9 @@ def test_truncation_error_exit_code(tmp_path, capsys):
             assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("truncation error:") and len(err.splitlines()) == 1
+    out = tmp_path / "d.json"
+    assert run(["negativity-depth", "--config", cfgfile, "--out", out]) == 3
+    assert capsys.readouterr().err.startswith("truncation error: thermal leaks")
 
 
 def test_gkp_sweep_ec_needs_cutoff_14(tmp_path):

@@ -23,6 +23,7 @@ from cvactivation.fock import (
     trace_norm,
 )
 from cvactivation.states import fock, coherent, thermal
+from cvactivation.witnesses import DisplacedParity, WitnessBox
 
 from conftest import random_density
 
@@ -161,8 +162,11 @@ def test_density_matrix_invariants_enforced():
     [
         lambda bad: PureState(np.full(2, bad), FockCutoff(2)),
         lambda bad: DensityMatrix(np.full((2, 2), bad), FockCutoff(2)),
-        lambda bad: OperatorMatrix(np.full((2, 2), bad), hermitian=False, norm_bound=1.0),
-        lambda bad: OperatorMatrix(np.eye(2), hermitian=True, norm_bound=bad),
+        lambda bad: OperatorMatrix(np.full((2, 2), bad), hermitian=False),
+        lambda bad: WitnessBox(bad, 1.0),
+        lambda bad: WitnessBox(1.0, bad),
+        lambda bad: DisplacedParity(complex(bad, 0.0)),
+        lambda bad: DisplacedParity(complex(0.0, bad)),
     ],
 )
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -178,7 +182,7 @@ def test_pure_state_norm_enforced():
 
 def test_operator_hermitian_flag_checked():
     with pytest.raises(ValueError):
-        OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True, norm_bound=1)
+        OperatorMatrix(np.array([[0, 1], [0, 0]], dtype=complex), hermitian=True)
 
 
 def test_mixed_cutoff_rejected():
@@ -202,7 +206,7 @@ def test_fidelity_symmetric(rng):
 
 
 def test_trace_norm_examples():
-    assert trace_norm(OperatorMatrix(np.eye(7), hermitian=True, norm_bound=1.0)) == pytest.approx(7.0)
+    assert trace_norm(OperatorMatrix(np.eye(7), hermitian=True)) == pytest.approx(7.0)
     vac = fock(0, 5).to_density()
     one = fock(1, 5).to_density()
     assert trace_norm(vac.matrix - vac.matrix) == 0.0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from cvactivation.states import (
     gkp_damped,
     hermite_functions,
     squeezed_coherent_amps,
+    _lattice_peaks,
+    _window,
 )
 
 from conftest import scipy_hermgauss_total
@@ -144,6 +147,21 @@ def test_comb_data_matches_wavefunction():
     assert centers.shape == envelope.shape
     assert envelope[len(envelope) // 2] == pytest.approx(1.0)  # central peak
     assert np.all(np.diff(centers) > 0)
+
+
+@pytest.mark.parametrize("logical", [0, 1])
+def test_comb_quiet_where_cosh_overflows(logical):
+    # the centers are the peaks over cosh(eps), bit for bit while cosh is
+    # finite; above eps ~ 710 it is inf, every center is 0 and no warning shows
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps in (0.05, 0.3, 2.0, 700.0):
+            params = GkpParams(epsilon=eps, logical=logical)
+            centers = gkp_comb(params)[0]
+            want = _lattice_peaks(logical, _window(params)) / np.cosh(eps)
+            assert centers.tobytes() == want.tobytes()
+        centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=1000.0, logical=logical))
+    assert np.all(centers == 0.0) and np.all(np.isfinite(envelope)) and sigma2 == 1.0
 
 
 def test_cutoff_doubling_moves_state_little():

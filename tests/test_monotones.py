@@ -169,7 +169,7 @@ def test_boundary_mixture_rejects_bad_conditions():
     with pytest.raises(ValueError):
         exact_boundary_mixture(vac, one, parity_op(dim), [0.5])  # Tr(X sigma) = 1 != 0
     sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(dim))
-    oversize = OperatorMatrix(2.0 * parity_op(dim).matrix, hermitian=True, norm_bound=2.0)
+    oversize = OperatorMatrix(2.0 * parity_op(dim).matrix, hermitian=True)
     with pytest.raises(ValueError):
         exact_boundary_mixture(sigma, one, oversize, [0.5])
 

@@ -2,6 +2,9 @@
 exponential, imports no scipy anywhere (its optimizer and special functions
 are numpy and math code, with scipy kept as the test oracle) and builds
 displacement operators only in fock.py and the Gaussian noise channel.
+Witness algebra lives in witnesses.py alone, with one projector family and
+no norm-bound rescale, and the package has at most 60 settable values
+(scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
@@ -75,6 +78,21 @@ def test_displacement_op_called_only_in_fock_and_gaussian_noise():
         and not (name == "channels.py" and int(where.split(":")[1]) in inside)
     ]
     assert not found, "\n".join(found)
+
+
+def test_one_witness_algebra():
+    # the projector is one family with a copy count, a witness's free set is
+    # its family's, and no norm-bound rescale is left
+    retired = ("rescale_to_box", "norm_bound", "PureProjector", "TwoCopyProjector")
+    found = [where for _, where, line in _lines() if any(name in line for name in retired)]
+    found += [where for name, where, line in _lines() if name == "monotones.py" and "np.vdot" in line]
+    assert not found, "\n".join(found)
+
+
+def test_settable_values_at_most_60():
+    script = SRC.parent.parent / "scripts" / "count_settable_values.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+    assert int(out.stdout.split()[-1]) <= 60
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

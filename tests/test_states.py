@@ -203,6 +203,17 @@ def test_thermal_distribution():
     assert rho.leakage == pytest.approx((0.5 / 1.5) ** 40, abs=1e-25)
 
 
+def test_thermal_tail_guard():
+    # the geometric tail (nbar/(nbar + 1))^d against STATE_TAIL_TOL, as every
+    # other factory: 0.905 at nbar 100, cutoff 10; 6.1e-7 at nbar 0.3
+    with pytest.raises(TruncationError, match="thermal leaks 9.053e-01"):
+        thermal(100.0, 10)
+    with pytest.raises(TruncationError):
+        thermal(1.0, 19)
+    assert thermal(1.0, 20).leakage == 0.5**20
+    assert thermal(0.3, 10).leakage == pytest.approx((0.3 / 1.3) ** 10, rel=1e-12)
+
+
 @pytest.mark.parametrize("nbar", [math.nan, math.inf, -1.0])
 def test_thermal_rejects_bad_nbar(nbar):
     with pytest.raises(ValueError, match="nbar"):

@@ -2,8 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from cvactivation import states, witnesses
 from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
@@ -21,15 +19,13 @@ from cvactivation.witnesses import (
     FIT_TAIL_TOL,
     FreeSet,
     GaussianFitConfig,
-    PureProjector,
-    TwoCopyProjector,
+    Projector,
     WitnessBox,
     check_box,
     displaced_parity_spec,
     explicit_spec,
     gaussian_fidelity,
     pure_projector_spec,
-    rescale_to_box,
     two_copy_projector_spec,
     witness_value,
     _fit_objective,
@@ -92,13 +88,53 @@ def test_two_copy_projector_value():
 @pytest.mark.parametrize("lam", [math.nan, math.inf, -0.2, 1.5])
 def test_projector_lambda_must_be_a_fidelity(lam):
     psi = fock(1, 6)
-    for family in (PureProjector, TwoCopyProjector):
+    for copies in (1, 2):
         with pytest.raises(ValueError):
-            family(psi, lam)
+            Projector(psi, lam, copies)
     with pytest.raises(ValueError):
         pure_projector_spec(psi, lam)
     with pytest.raises(ValueError):
         two_copy_projector_spec(psi, lam)
+
+
+@pytest.mark.parametrize("copies", [0, 3, -1, 1.5, True, None])
+def test_projector_copies_must_be_one_or_two(copies):
+    with pytest.raises((ValueError, TypeError)):
+        Projector(fock(1, 6), 0.5, copies)
+
+
+def test_each_family_fixes_its_free_set():
+    # the smallest free set each built-in family is feasible for, read from
+    # the family alone; an explicit witness carries the set it declares
+    psi = fock(1, 6)
+    box = WitnessBox(2.0, 3.0)
+    assert displaced_parity_spec(0.3j, box=box).free_set is FreeSet.WIGNER_POSITIVE
+    assert pure_projector_spec(psi, 0.5, box=box).free_set is FreeSet.GAUSSIAN_HULL
+    assert two_copy_projector_spec(psi, 0.5, box=box).free_set is FreeSet.GAUSSIAN_TWO_COPY
+    for free_set in FreeSet:
+        spec = explicit_spec(parity_op(6), free_set, "declared")
+        assert spec.free_set is free_set
+        assert spec.describe()["free_set"] == free_set.value
+    assert two_copy_projector_spec(psi, 0.5, box=box).describe() == {
+        "family": "two_copy_projector",
+        "lambda": 0.5,
+        "free_set": "gaussian_two_copy",
+        "box": [2.0, 3.0],
+    }
+
+
+@pytest.mark.parametrize("free_set", list(FreeSet))
+def test_spec_factories_take_no_free_set(free_set):
+    psi = fock(1, 6)
+    for build in (
+        lambda *a, **k: displaced_parity_spec(0.0, *a, **k),
+        lambda *a, **k: pure_projector_spec(psi, 0.5, *a, **k),
+        lambda *a, **k: two_copy_projector_spec(psi, 0.5, *a, **k),
+    ):
+        with pytest.raises(TypeError):
+            build(free_set)
+        with pytest.raises(TypeError):
+            build(free_set=free_set)
 
 
 def test_witness_value_examples():
@@ -126,40 +162,6 @@ def test_parity_value_exact_for_truncated_state():
     alpha = 2.0 + 1.0j
     oracle = -(math.pi / 2.0) * wigner_at(padded, alpha)
     assert witness_value(displaced_parity_spec(alpha), rho) == pytest.approx(oracle, abs=1e-12)
-
-
-def test_rescale_examples():
-    pi = parity_op(8)
-    box = WitnessBox(1, 1)
-    assert np.allclose(rescale_to_box(pi, box).matrix, pi.matrix)
-    double = OperatorMatrix(2.0 * pi.matrix, hermitian=True, norm_bound=2.0)
-    assert np.allclose(rescale_to_box(double, box).matrix, pi.matrix)
-    half = OperatorMatrix(0.5 * pi.matrix, hermitian=True, norm_bound=0.5)
-    scaled = rescale_to_box(half, WitnessBox(2, 3))
-    assert np.allclose(scaled.matrix, 2.0 * pi.matrix)
-    with pytest.raises(ValueError):
-        rescale_to_box(
-            OperatorMatrix(np.zeros((4, 4)), hermitian=True, norm_bound=0.0), box
-        )
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    n=st.floats(0.1, 3.0),
-    m=st.floats(0.1, 3.0),
-)
-def test_rescale_never_flips_sign(seed, n, m):
-    rng = np.random.default_rng(seed)
-    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (h + h.conj().T) / 2.0
-    norm = float(np.abs(np.linalg.eigvalsh(h)).max())
-    op = OperatorMatrix(h, hermitian=True, norm_bound=norm)
-    rho = random_density(rng, 6)
-    before = -float(np.real(np.trace(h @ rho.matrix)))
-    scaled = rescale_to_box(op, WitnessBox(n, m))
-    after = -float(np.real(np.trace(scaled.matrix @ rho.matrix)))
-    assert math.copysign(1.0, before) == math.copysign(1.0, after) or abs(before) < 1e-12
 
 
 def test_lift_witness_value_equality(rng):
@@ -480,7 +482,7 @@ def test_explicit_witness_carries_certificate():
 
 
 def test_witness_box_assertion():
-    big = OperatorMatrix(2.0 * np.eye(5), hermitian=True, norm_bound=2.0)
+    big = OperatorMatrix(2.0 * np.eye(5), hermitian=True)
     spec = explicit_spec(big, FreeSet.WIGNER_POSITIVE, "oversized")
     with pytest.raises(ValueError):
         check_box(spec.family)
