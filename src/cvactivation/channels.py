@@ -1,10 +1,9 @@
 """CPTP maps on the truncated Fock space.
 
-Pure loss (an exact binomial map on the diagonals of rho), additive Gaussian
-displacement noise, number damping, phase rotation and one deterministic round
-of grid-code error correction.  Channels are immutable once built and their
-application is a pure function, so parameter sweeps may apply them in
-parallel.
+Pure loss and additive Gaussian noise (exact binomial maps on the diagonals of
+rho), number damping, phase rotation and one deterministic round of grid-code
+error correction.  Channels are immutable once built and their application is
+a pure function, so parameter sweeps may apply them in parallel.
 """
 
 from __future__ import annotations
@@ -24,10 +23,8 @@ from .fock import (
     PureState,
     _occupied_dim,
     _quadrature_eigensystem,
-    _whole_fields,
     as_cutoff,
     checked_coherent_tail,
-    displacement_op,
 )
 from .states import SQRT_PI
 
@@ -50,12 +47,10 @@ class GaussNoiseParams:
     """Additive Gaussian displacement noise, variance sigma2 per quadrature."""
 
     sigma2: float
-    quad_order: int = 15
 
     def __post_init__(self):
         if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
             raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
-        _whole_fields(self, "quad_order")
 
 
 def sigma2_from_db(squeezing_db: float) -> float:
@@ -65,7 +60,8 @@ def sigma2_from_db(squeezing_db: float) -> float:
 
 @dataclass(frozen=True)
 class KrausChannel:
-    """Trace-preserving channel given by its Kraus elements."""
+    """Trace-preserving channel given by its Kraus elements: the dense form the
+    band maps below are tested against."""
 
     kraus_ops: tuple[OperatorMatrix, ...]
     label: str
@@ -119,7 +115,8 @@ class LossChannel:
             raise ValueError(f"loss(eta={self.eta}) not trace preserving: defect {dev:.3e}")
         self.bands.setflags(write=False)
 
-    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+    def _lowered(self, rho: DensityMatrix) -> tuple[np.ndarray, int]:
+        """The map on rho's matrix, unnormalized, and the levels it may occupy."""
         if rho.dim != len(self.bands):
             raise ValueError(f"channel dim {len(self.bands)} != state dim {rho.dim}")
         occ = _occupied_dim(rho.matrix[None])  # the map never raises a level
@@ -127,6 +124,10 @@ class LossChannel:
         for k in range(occ):
             b = self.bands[k, : occ - k]
             out[: occ - k, : occ - k] += np.outer(b, b) * rho.matrix[k:occ, k:occ]
+        return out, occ
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        out, _ = self._lowered(rho)
         tr = float(np.real(np.trace(out)))
         return DensityMatrix(out / tr, rho.cutoff, leakage=max(rho.leakage, abs(1.0 - tr)))
 
@@ -169,36 +170,43 @@ def _loss_log_bands(eta: float, dim: int, start: int) -> np.ndarray:
     return np.where(m + k < dim, np.exp(0.5 * log_w), 0.0)
 
 
-def _gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite nodes and weights summing to one: the eigenvalues of the
-    Jacobi matrix, off-diagonal sqrt(k/2), and the squared first components of
-    its unit eigenvectors (Golub and Welsch, Math. Comp. 23, 221 (1969))."""
-    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
-    return nodes, vectors[0] ** 2
+@dataclass(frozen=True, eq=False)
+class GaussNoiseChannel:
+    """Additive Gaussian noise of variance sigma2 as pure loss of transmissivity
+    eta = 1/(1 + sigma2) followed by the quantum-limited amplifier of gain 1/eta
+    (Caruso, Giovannetti and Holevo, New J. Phys. 8, 310 (2006)).
 
-
-def gaussian_noise(
-    params: GaussNoiseParams, cutoff: FockCutoff | int
-) -> KrausChannel:
-    """Random displacement noise as a Gauss-Hermite mixture of displacements.
-
-    rho -> sum_j w_j D(xi_j) rho D(xi_j)^dag with the 2-D product rule
-    alpha_ij = sigma (t_i + i t_j) on the nodes t_i of :func:`_gauss_hermite`,
-    weights the products of its weights, normalized to sum to one.  The
-    composition law G_a o G_b = G_(a+b) is the correctness oracle for the
-    discretization.
+    The amplifier raises each diagonal of rho: band k moves c_k(m) c_k(n)
+    rho_{m,n} to rho'_{m+k,n+k}, with c_k(m) = sqrt(C(m+k, k) eta^(m+1)
+    (1-eta)^k).  That is sqrt(eta) b_k(m) in the loss's bands, so one band
+    table serves both steps.  The weight the amplifier raises to level d or
+    above leaves the truncated space; it is reported as leakage and the rest
+    renormalized, not folded back in.
     """
-    cutoff = as_cutoff(cutoff)
-    sigma = math.sqrt(params.sigma2)
-    nodes, weights = _gauss_hermite(params.quad_order)
-    w2 = np.outer(weights, weights).ravel()
-    w2 = w2 / w2.sum()
-    alphas = (sigma * (nodes[:, None] + 1j * nodes[None, :])).ravel()
-    ops = tuple(
-        OperatorMatrix(math.sqrt(w) * displacement_op(al, cutoff).matrix, hermitian=False)
-        for w, al in zip(w2, alphas)
-    )
-    return KrausChannel(ops, label=f"gaussian_noise(sigma2={params.sigma2})")
+
+    sigma2: float
+    loss: LossChannel
+
+    def apply(self, rho: DensityMatrix) -> DensityMatrix:
+        lossy, occ = self.loss._lowered(rho)
+        dim = len(self.loss.bands)
+        out = np.zeros_like(lossy)
+        for k in range(dim):
+            top = min(occ, dim - k)
+            b = self.loss.bands[k, :top]
+            out[k : k + top, k : k + top] += np.outer(b, b) * lossy[:top, :top]
+        out *= self.loss.eta
+        tr = float(np.real(np.trace(out)))
+        return DensityMatrix(out / tr, rho.cutoff, leakage=max(rho.leakage, abs(1.0 - tr)))
+
+
+def gaussian_noise(params: GaussNoiseParams, cutoff: FockCutoff | int) -> GaussNoiseChannel:
+    """Random displacement noise rho -> int d^2 alpha exp(-|alpha|^2/sigma2)
+    D(alpha) rho D(alpha)^dag / (pi sigma2), applied exactly as loss then
+    amplification (:class:`GaussNoiseChannel`).  No quadrature is involved:
+    the map is exact on the truncated input, and the weight it raises above
+    the cutoff is the output's reported leakage."""
+    return GaussNoiseChannel(params.sigma2, pure_loss(1.0 / (1.0 + params.sigma2), cutoff))
 
 
 @dataclass(frozen=True)

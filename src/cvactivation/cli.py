@@ -87,12 +87,15 @@ TOOL_VERSION = __version__
 # size caps: a larger value exits 2 before any array is built
 MAX_CUTOFF = 200
 MAX_RESOLUTION = 400  # resolution and depth_resolution
-MAX_QUAD_ORDER = 30  # Gauss-Hermite nodes per axis of a noise channel
+# the gkp-sweep quad_order key: still parsed and capped, but the exact noise
+# map uses no quadrature, so it selects nothing
+MAX_QUAD_ORDER = 30
 MAX_PEAK_WINDOW = 100  # lattice peaks each side of a grid codeword
 MAX_SQUEEZING_DB = 30.0  # grid codewords; the comb window grows as 10^(dB/20)
-# radius and depth_radius: a coherent state of |alpha| 11.42 leaks
-# DISPLACEMENT_TAIL_TOL above MAX_CUTOFF levels, so beyond it no cutoff
-# keeps a grid point
+# radius, depth_radius and a parity witness's |alpha|: a coherent state of
+# |alpha| 11.42 leaks DISPLACEMENT_TAIL_TOL above MAX_CUTOFF levels, so beyond
+# it no cutoff keeps a grid point (and from |alpha| ~ 1e154 on, |2 alpha|^2
+# overflows in the Wigner value)
 MAX_RADIUS = 11.4
 
 
@@ -320,25 +323,32 @@ def _parse_state(spec, cutoff: int) -> DensityMatrix:
 _CHANNELS = {
     "loss": lambda s, dim: pure_loss(_number(s.get("eta", 1.0)), dim).apply,
     "gaussian_noise": lambda s, dim: gaussian_noise(
-        GaussNoiseParams(
-            _number(s.get("sigma2", 0.05)), _size(s.get("quad_order", 15), MAX_QUAD_ORDER)
-        ),
-        dim,
+        GaussNoiseParams(_number(s.get("sigma2", 0.05))), dim
     ).apply,
     "damping": lambda s, dim: damping(_number(s.get("epsilon", 0.1)), dim).apply,
 }
 
 
 def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> WitnessSpec:
+    """The projector witness with the fitted lambda, or with a given one at or above it:
+    below the maximal Gaussian fidelity the witness is not feasible."""
     lam = spec.get("lambda")
     psi = _parse_pure_state(spec.get("state"), cutoff)
-    if lam is None:
-        lam = gaussian_fidelity(psi, fit).max_fidelity
-    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, _number(lam))
+    fitted = gaussian_fidelity(psi, fit).max_fidelity
+    lam = fitted if lam is None else _number(lam)
+    if lam < fitted:
+        raise ValueError(f"lambda {lam} is below the fitted maximal Gaussian fidelity {fitted}")
+    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, lam)
+
+
+def _parity(spec, cutoff: int, fit: GaussianFitConfig) -> WitnessSpec:
+    alpha = _parse_complex(spec.get("alpha", 0))
+    _radius(abs(alpha))
+    return displaced_parity_spec(alpha)
 
 
 _WITNESSES = {
-    "parity": lambda s, dim, fit: displaced_parity_spec(_parse_complex(s.get("alpha", 0))),
+    "parity": _parity,
     "pure_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=False),
     "two_copy_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=True),
 }
@@ -372,7 +382,7 @@ def _loss_map(value, opts):
     if eta == 0.0:
         raise ValueError("amplified loss needs eta > 0 (the gain is 1/eta)")
     sigma2 = (1.0 - eta) / eta  # loss followed by gain-1/eta amplification
-    return gaussian_noise(GaussNoiseParams(sigma2, opts["quad_order"]), cutoff).apply
+    return gaussian_noise(GaussNoiseParams(sigma2), cutoff).apply
 
 
 def _codes(value, opts) -> list[tuple[float, GkpParams]]:
@@ -569,7 +579,7 @@ def run_property_suite(cfg: dict, opts: dict) -> int:
     rot = phase_rotation(0.7, cutoff)
     channels = [
         ("loss_0.9", pure_loss(0.9, cutoff).apply),
-        ("gaussian_noise_0.05", gaussian_noise(GaussNoiseParams(0.05, 12), cutoff).apply),
+        ("gaussian_noise_0.05", gaussian_noise(GaussNoiseParams(0.05), cutoff).apply),
         ("phase_rotation_0.7", lambda rho: apply_unitary(rot, rho)),
     ]
     report = property_suite(states, channels, cfg=opts["resolution"])
@@ -619,6 +629,7 @@ _COMMANDS = {
         "out": ("gkp_sweep.csv", _out_path),
         "cutoff": (30, _cutoff),
         "eta": (0.9, lambda v, o: LossParams(_number(v)).eta),
+        # selects nothing; it goes with bench v2 (ROADMAP item 9), whose tiny config sets it
         "quad_order": (15, lambda v, o: _size(v, MAX_QUAD_ORDER)),
         "loss_model": ("bare", _loss_map),
         "ec": (True, _flag),

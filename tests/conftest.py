@@ -213,6 +213,35 @@ def kraus_loss(eta: float, dim: int) -> KrausChannel:
     return KrausChannel(tuple(ops), label=f"loss(eta={eta})")
 
 
+def gauss_hermite(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights summing to one: the eigenvalues of the
+    Jacobi matrix, off-diagonal sqrt(k/2), and the squared first components of
+    its unit eigenvectors (Golub and Welsch, Math. Comp. 23, 221 (1969))."""
+    nodes, vectors = np.linalg.eigh(np.diag(np.sqrt(np.arange(1, order) / 2.0), -1))
+    return nodes, vectors[0] ** 2
+
+
+def kraus_noise(sigma2: float, dim: int, order: int) -> KrausChannel:
+    """Oracle: random displacement noise as a Gauss-Hermite mixture of displacements.
+
+    rho -> sum_j w_j D(xi_j) rho D(xi_j)^dag with the 2-D product rule
+    alpha_ij = sigma (t_i + i t_j) on the nodes t_i of :func:`gauss_hermite`,
+    weights the products of its weights, normalized to sum to one.  Each
+    truncated displacement is unitary on the truncated space, so the weight
+    the noise carries above the cutoff is folded back in, not reported.
+    """
+    sigma = math.sqrt(sigma2)
+    nodes, weights = gauss_hermite(order)
+    w2 = np.outer(weights, weights).ravel()
+    w2 = w2 / w2.sum()
+    alphas = (sigma * (nodes[:, None] + 1j * nodes[None, :])).ravel()
+    ops = tuple(
+        OperatorMatrix(math.sqrt(w) * displacement_op(al, dim).matrix, hermitian=False)
+        for w, al in zip(w2, alphas)
+    )
+    return KrausChannel(ops, label=f"gaussian_noise(sigma2={sigma2})")
+
+
 def scipy_hermgauss_total(n):
     """The Gauss-Hermite nodes and total weights from scipy, the test oracle."""
     x = roots_hermite(n)[0]

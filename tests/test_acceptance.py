@@ -253,7 +253,7 @@ def test_09_hierarchy_corpus():
                 0.3 * cat(1.5, -1, cutoff).to_density().matrix + 0.7 * vac.matrix,
                 FockCutoff(cutoff),
             ),
-            gaussian_noise(GaussNoiseParams(0.05, 12), cutoff).apply(one),
+            gaussian_noise(GaussNoiseParams(0.05), cutoff).apply(one),
         ]
         corpus += [fock(2, cutoff).to_density(), fock(3, cutoff).to_density()]
         assert len(corpus) >= 20
@@ -356,16 +356,14 @@ def test_11_gaussian_noise_ordering():
         params = GkpParams(epsilon=0.25)
         code = gkp_damped(params, cutoff).to_density()
         sigma2_small, sigma2_large = 0.02, 0.06
-        small = gaussian_noise(GaussNoiseParams(sigma2_small, 15), cutoff).apply(code)
-        large = gaussian_noise(GaussNoiseParams(sigma2_large, 15), cutoff).apply(code)
+        small = gaussian_noise(GaussNoiseParams(sigma2_small), cutoff).apply(code)
+        large = gaussian_noise(GaussNoiseParams(sigma2_large), cutoff).apply(code)
         cfg = FamilySearchConfig(depth=DepthSearchConfig(radius=2.8, resolution=35))
         bound_small = lower_bound(small, FreeSet.WIGNER_POSITIVE, cfg=cfg)
         bound_large = lower_bound(large, FreeSet.WIGNER_POSITIVE, cfg=cfg)
         assert bound_large.lower <= bound_small.lower + 1e-6
         # composition law: adding the difference reproduces the noisier state
-        step = gaussian_noise(
-            GaussNoiseParams(sigma2_large - sigma2_small, 15), cutoff
-        ).apply(small)
+        step = gaussian_noise(GaussNoiseParams(sigma2_large - sigma2_small), cutoff).apply(small)
         assert 0.5 * trace_norm(step.matrix - large.matrix) < 1e-4
 
 
@@ -384,7 +382,7 @@ def test_12_property_suites():
                 DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix, FockCutoff(cutoff)),
             ),
         ]
-        noise = gaussian_noise(GaussNoiseParams(0.05, 12), cutoff)
+        noise = gaussian_noise(GaussNoiseParams(0.05), cutoff)
         rot = phase_rotation(0.7, cutoff)
         channels = [
             ("loss_0.9", pure_loss(0.9, cutoff).apply),

@@ -1,3 +1,4 @@
+import importlib
 import math
 import tracemalloc
 
@@ -36,7 +37,10 @@ from cvactivation.channels import (
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_damped
 from cvactivation.wigner import wigner_grid
 
-from conftest import kraus_loss, random_density, wigner_at
+from conftest import gauss_hermite, kraus_loss, kraus_noise, random_density, wigner_at
+
+# the module, which the package's fock() function shadows as an attribute
+fock_module = importlib.import_module("cvactivation.fock")
 
 
 def trace_distance(a, b):
@@ -46,13 +50,6 @@ def trace_distance(a, b):
 def test_loss_params_validated():
     with pytest.raises(ValueError):
         LossParams(1.2)
-
-
-@pytest.mark.parametrize("order", [2.5, 0, math.inf])
-def test_gauss_noise_quad_order_must_be_a_whole_number(order):
-    with pytest.raises(ValueError):
-        GaussNoiseParams(0.05, order)
-    assert GaussNoiseParams(0.05, 5.0).quad_order == 5
 
 
 def test_loss_single_photon():
@@ -153,38 +150,101 @@ def test_loss_semigroup(rng):
 
 @pytest.mark.parametrize("order", range(1, 31))
 def test_gaussian_noise_nodes_match_roots_hermite(order):
-    # every quad_order up to the CLI cap of 30
-    nodes, weights = channels._gauss_hermite(order)
+    # the nodes of the quadrature oracle kraus_noise, up to order 30
+    nodes, weights = gauss_hermite(order)
     want_nodes, want_weights = roots_hermite(order)
     assert np.max(np.abs(nodes - want_nodes)) <= 1e-13
     assert np.max(np.abs(weights / weights.sum() - want_weights / want_weights.sum())) <= 1e-14
 
 
 def test_gaussian_noise_identity_limit():
-    ch = gaussian_noise(GaussNoiseParams(1e-12, 1), 15)
+    ch = gaussian_noise(GaussNoiseParams(1e-12), 15)
     rho = fock(1, 15).to_density()
     assert trace_distance(ch.apply(rho), rho) < 1e-6
 
 
 def test_gaussian_noise_heats_vacuum():
-    ch = gaussian_noise(GaussNoiseParams(0.05, 15), 40)
+    ch = gaussian_noise(GaussNoiseParams(0.05), 40)
     out = ch.apply(fock(0, 40).to_density())
     assert out.mean_photon_number() == pytest.approx(0.05, abs=2e-3)
 
 
 def test_gaussian_noise_composition_law():
-    a = gaussian_noise(GaussNoiseParams(0.07, 15), 30)
-    b = gaussian_noise(GaussNoiseParams(0.05, 15), 30)
-    c = gaussian_noise(GaussNoiseParams(0.12, 15), 30)
+    a = gaussian_noise(GaussNoiseParams(0.07), 30)
+    b = gaussian_noise(GaussNoiseParams(0.05), 30)
+    c = gaussian_noise(GaussNoiseParams(0.12), 30)
     for rho in (fock(1, 30).to_density(), coherent(0.7, 30).to_density()):
         assert trace_distance(a.apply(b.apply(rho)), c.apply(rho)) < 1e-4
 
 
 def test_gaussian_noise_preserves_wigner_positivity():
-    ch = gaussian_noise(GaussNoiseParams(0.08, 12), 40)
+    ch = gaussian_noise(GaussNoiseParams(0.08), 40)
     out = ch.apply(fock(0, 40).to_density())
     grid = wigner_grid(out, radius=3.0, resolution=40, validate_marginal=False)
     assert grid.min_value() >= -1e-6
+
+
+@pytest.mark.parametrize("sigma2", [0.05, 0.3, 2.0])
+def test_gaussian_noise_maps_vacuum_to_bose_einstein(sigma2):
+    # loss leaves the vacuum alone; the amplifier of gain 1 + sigma2 heats it
+    # to the thermal state of mean sigma2
+    dim = 40
+    out = gaussian_noise(GaussNoiseParams(sigma2), dim).apply(fock(0, dim).to_density())
+    k = np.arange(dim)
+    bose_einstein = sigma2**k / (1.0 + sigma2) ** (k + 1)
+    kept = bose_einstein.sum()
+    assert np.max(np.abs(out.matrix - np.diag(bose_einstein / kept))) <= 1e-12
+    assert out.leakage == pytest.approx(1.0 - kept, abs=1e-12)
+
+
+@pytest.mark.parametrize("sigma2", [0.05, 0.1])
+def test_gaussian_noise_leakage_is_the_weight_raised_above_the_cutoff(rng, sigma2):
+    # the same map at twice the cutoff, on the zero-padded input, puts the
+    # reported leakage on the levels at and above the cutoff (at these
+    # sigma2 it raises below 1e-14 of the weight past twice the cutoff)
+    dim = 20
+    rho = random_density(rng, 16, cutoff=dim)
+    out = gaussian_noise(GaussNoiseParams(sigma2), dim).apply(rho)
+    padded = np.zeros((2 * dim, 2 * dim), dtype=complex)
+    padded[:dim, :dim] = rho.matrix
+    wide = gaussian_noise(GaussNoiseParams(sigma2), 2 * dim).apply(
+        DensityMatrix(padded, FockCutoff(2 * dim))
+    )
+    above = float(np.real(np.trace(wide.matrix[dim:, dim:])))
+    assert out.leakage > 1e-6
+    assert out.leakage == pytest.approx(above, abs=1e-12)
+
+
+@pytest.mark.parametrize("make", [lambda d: fock(1, d), lambda d: coherent(0.7, d)])
+def test_gaussian_noise_matches_the_quadrature_oracle(make):
+    rho = make(40).to_density()
+    got = gaussian_noise(GaussNoiseParams(0.05), 40).apply(rho)
+    want = kraus_noise(0.05, 40, 30).apply(rho)
+    assert trace_distance(got, want) < 1e-10
+
+
+@pytest.mark.parametrize("db", [6.0, 10.0])
+def test_gaussian_noise_closer_to_the_untruncated_channel_than_the_quadrature(db):
+    # reference: the codeword and the exact map at cutoff 120, cut to 30;
+    # the quadrature route folds what leaves the cutoff back into the state
+    sigma2 = (1.0 - 0.9) / 0.9
+    code = gkp_damped(GkpParams.from_db(db), 30, tail_tol=1.0).to_density()
+    wide = gaussian_noise(GaussNoiseParams(sigma2), 120).apply(
+        gkp_damped(GkpParams.from_db(db), 120, tail_tol=1.0).to_density()
+    )
+    ref = wide.matrix[:30, :30] / np.real(np.trace(wide.matrix[:30, :30]))
+    exact = trace_norm(gaussian_noise(GaussNoiseParams(sigma2), 30).apply(code).matrix - ref)
+    quadrature = trace_norm(kraus_noise(sigma2, 30, 15).apply(code).matrix - ref)
+    assert exact < 0.2 * quadrature
+
+
+def test_gaussian_noise_builds_no_displacement_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("displacement_op called")
+
+    monkeypatch.setattr(fock_module, "displacement_op", refuse)
+    out = gaussian_noise(GaussNoiseParams(0.1), 30).apply(coherent(0.7, 30).to_density())
+    assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_noise_db_convention():
@@ -336,7 +396,7 @@ def test_ec_round_builds_no_displacement_operator(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("displacement_op called")
 
-    monkeypatch.setattr(channels, "displacement_op", refuse)
+    monkeypatch.setattr(fock_module, "displacement_op", refuse)
     code = gkp_damped(GkpParams.from_db(10.0), 30, tail_tol=1e-2)
     out = gkp_ec_round(pure_loss(0.9, 30).apply(code.to_density()), code)
     assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from cvactivation import cli, wigner
 from cvactivation.cli import main
 from cvactivation.fock import DISPLACEMENT_TAIL_TOL, coherent_tail_mass
-from cvactivation.states import GkpParams
+from cvactivation.states import GkpParams, fock
+from cvactivation.witnesses import GaussianFitConfig, gaussian_fidelity
 
 
 def run(args):
@@ -420,6 +421,12 @@ def _projector(family, lam):
         ("wigner", {"state": {"kind": "cat", "alpha": 1e200, "sign": 1}, "cutoff": 10}),
         # a subnormal e^(-|alpha|^2/2), whose squared amplitudes all underflow
         ("wigner", {"state": {"kind": "cat", "alpha": 38.6, "sign": 1}, "cutoff": 10}),
+        # a parity displacement whose |2 alpha|^2 overflows in the Wigner value
+        ("activate", {"witness": {"family": "parity", "alpha": -1e308}, "cutoff": 10}),
+        ("activate", {"witness": {"family": "parity", "alpha": [0, 1e154]}, "cutoff": 10}),
+        # the noise channel is exact: its spec has no quadrature order
+        ("activate", {"channel": {"kind": "gaussian_noise", "quad_order": 5}, "cutoff": 10}),
+        ("wigner", {"channel": {"kind": "gaussian_noise", "quad_order": 30}, "cutoff": 10}),
     ],
 )
 def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
@@ -454,8 +461,39 @@ def test_non_finite_wigner_values_exit_4(tmp_path, capsys, monkeypatch, command,
     assert "not finite" in capsys.readouterr().err
 
 
-def _weak_noise(**keys):
-    return {"kind": "gaussian_noise", "sigma2": 1e-3, **keys}
+def _lambda_run(tmp_path, family, lam):
+    """activate on a coherent input with a Fock 1 projector of the given lambda."""
+    cfg = {
+        "cutoff": 25,
+        "state": {"kind": "coherent", "alpha": 1.0},
+        "witness": {"family": family, "state": {"kind": "fock", "n": 1}, "lambda": lam},
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    return run(["activate", "--config", tmp_path / "cfg.json", "--out", tmp_path / "out.json"])
+
+
+def _fitted_fock1_lambda():
+    return gaussian_fidelity(fock(1, 25), GaussianFitConfig(seeds=[0, 1, 2, 3])).max_fidelity
+
+
+def test_projector_lambda_below_the_fit_exits_2(tmp_path, capsys):
+    # Fock 1's fitted maximal Gaussian fidelity is 0.4779, so lambda 0.1 is not
+    # a feasible witness; taken unchecked, it gave the coherent input E = 0.134
+    assert _lambda_run(tmp_path, "pure_projector", 0.1) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "lambda 0.1 is below" in err and repr(_fitted_fock1_lambda()) in err
+    assert not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("family", ["pure_projector", "two_copy_projector"])
+@pytest.mark.parametrize("at_fit", [True, False])
+def test_projector_lambda_at_or_above_the_fit_runs(tmp_path, family, at_fit):
+    # the fitted lambda itself, and the fuzz table's 0.48 just above it
+    lam = _fitted_fock1_lambda() if at_fit else 0.48
+    assert _lambda_run(tmp_path, family, lam) == 0
+    doc = json.loads((tmp_path / "out.json").read_text())
+    assert doc["result"]["entanglement_channel"]["witness"]["lambda"] == lam
 
 
 # (command, config at a size cap, the same config one step above it)
@@ -475,8 +513,8 @@ _CAPS = [
     ),
     (
         "activate",
-        {"channel": _weak_noise(quad_order=cli.MAX_QUAD_ORDER)},
-        {"channel": _weak_noise(quad_order=cli.MAX_QUAD_ORDER + 1)},
+        {"cutoff": cli.MAX_CUTOFF, "channel": {"kind": "gaussian_noise", "sigma2": 1e-3}},
+        {"cutoff": cli.MAX_CUTOFF + 1},
     ),
     (
         "wigner",
@@ -502,6 +540,11 @@ _CAPS = [
     ("wigner", {"radius": cli.MAX_RADIUS}, {"radius": cli.MAX_RADIUS + 1e-9}),
     ("negativity-depth", {"radius": cli.MAX_RADIUS}, {"radius": cli.MAX_RADIUS + 1e-9}),
     ("gkp-sweep", {"depth_radius": cli.MAX_RADIUS}, {"depth_radius": cli.MAX_RADIUS + 1e-9}),
+    (
+        "activate",
+        {"witness": {"family": "parity", "alpha": [0, -cli.MAX_RADIUS]}},
+        {"witness": {"family": "parity", "alpha": [0, -cli.MAX_RADIUS - 1e-9]}},
+    ),
 ]
 
 
@@ -603,7 +646,7 @@ _SPECS = {
     ],
     "channel": [
         {"kind": "loss", "eta": 0.6},
-        {"kind": "gaussian_noise", "sigma2": 0.05, "quad_order": 5},
+        {"kind": "gaussian_noise", "sigma2": 0.05},
         {"kind": "damping", "epsilon": 0.1},
     ],
     "witness": [

@@ -198,7 +198,7 @@ def test_property_suite_passes_on_corpus():
             ),
         ),
     ]
-    noise = gaussian_noise(GaussNoiseParams(0.05, 12), dim)
+    noise = gaussian_noise(GaussNoiseParams(0.05), dim)
     rot = phase_rotation(0.7, dim)
     channels = [
         ("loss_0.9", pure_loss(0.9, dim).apply),

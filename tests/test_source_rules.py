@@ -1,7 +1,7 @@
 """Source rules: the package builds no product-space operator and no matrix
 exponential, imports no scipy anywhere (its optimizer and special functions
 are numpy and math code, with scipy kept as the test oracle) and builds
-displacement operators only in fock.py and the Gaussian noise channel.
+displacement operators only in fock.py.
 Witness algebra lives in witnesses.py alone, with one projector family and
 no norm-bound rescale, and the package has at most 60 settable values
 (scripts/count_settable_values.py).
@@ -10,7 +10,6 @@ Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
 raises a grid-code sweep's peak memory)."""
 
-import ast
 import os
 import re
 import subprocess
@@ -63,19 +62,13 @@ def test_no_scipy_special_under_src():
     assert not found, "\n".join(found)
 
 
-def test_displacement_op_called_only_in_fock_and_gaussian_noise():
-    # gaussian_noise, a Gauss-Hermite mixture of displacements, is the last
-    # caller outside fock.py; the exact diagonal noise map of ROADMAP item 3
-    # removes it
-    tree = ast.parse((SRC / "channels.py").read_text(encoding="utf-8"))
-    (noise,) = [f for f in tree.body if getattr(f, "name", None) == "gaussian_noise"]
-    inside = range(noise.lineno, noise.end_lineno + 1)
+def test_displacement_op_called_only_in_fock():
+    # no module but fock.py (and the package's re-export) names it, so none
+    # builds a displacement operator
     found = [
         where
         for name, where, line in _lines()
-        if "displacement_op(" in line
-        and name != "fock.py"
-        and not (name == "channels.py" and int(where.split(":")[1]) in inside)
+        if "displacement_op" in line and name not in ("fock.py", "__init__.py")
     ]
     assert not found, "\n".join(found)
 
@@ -106,7 +99,7 @@ def test_cli_runs_load_no_scipy(tmp_path):
     runs = [
         ["loss-sweep"],
         ["wigner"],
-        # amplified, so that gaussian_noise builds its Gauss-Hermite nodes
+        # amplified, so that the sweep runs the Gaussian noise channel
         ["gkp-sweep", "--cutoff", "14", "--config", str(tmp_path / "gkp.json")],
         # the Gaussian fit, the package's one optimizer
         ["pure-bounds", "--cutoff", "12"],
