@@ -18,12 +18,11 @@ from .errors import TruncationError
 from .fock import (
     DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
-    FockCutoff,
     OperatorMatrix,
     PureState,
+    _dim,
     _occupied_dim,
     _quadrature_eigensystem,
-    as_cutoff,
     checked_coherent_tail,
 )
 from .states import SQRT_PI
@@ -31,31 +30,11 @@ from .states import SQRT_PI
 TRACE_PRESERVATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class LossParams:
-    """Transmissivity of the pure-loss channel."""
-
-    eta: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.eta <= 1.0:
-            raise ValueError(f"transmissivity must lie in [0, 1], got {self.eta}")
-
-
-@dataclass(frozen=True)
-class GaussNoiseParams:
-    """Additive Gaussian displacement noise, variance sigma2 per quadrature."""
-
-    sigma2: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.sigma2) and self.sigma2 > 0):
-            raise ValueError(f"sigma2 must be finite and positive, got {self.sigma2}")
-
-
-def sigma2_from_db(squeezing_db: float) -> float:
-    """Noise variance per quadrature for a squeezing level in dB: 0.5 * 10^(-s/10)."""
-    return 0.5 * 10.0 ** (-squeezing_db / 10.0)
+def _transmissivity(eta: float) -> float:
+    """A pure-loss transmissivity, refused outside [0, 1]."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError(f"transmissivity must lie in [0, 1], got {eta}")
+    return eta
 
 
 @dataclass(frozen=True)
@@ -92,9 +71,7 @@ class KrausChannel:
             out = out + k.matrix @ rho.matrix @ k.matrix.conj().T
         tr = float(np.real(np.trace(out)))
         defect = abs(1.0 - tr)
-        return DensityMatrix(
-            out / tr, rho.cutoff, leakage=max(rho.leakage, defect)
-        )
+        return DensityMatrix(out / tr, leakage=max(rho.leakage, defect))
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,18 +106,18 @@ class LossChannel:
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         out, _ = self._lowered(rho)
         tr = float(np.real(np.trace(out)))
-        return DensityMatrix(out / tr, rho.cutoff, leakage=max(rho.leakage, abs(1.0 - tr)))
+        return DensityMatrix(out / tr, leakage=max(rho.leakage, abs(1.0 - tr)))
 
 
-def pure_loss(params: LossParams | float, cutoff: FockCutoff | int) -> LossChannel:
+def pure_loss(eta: float, cutoff: int) -> LossChannel:
     """Pure-loss channel; band k is the superdiagonal of the Kraus element
     sqrt((1-eta)^k/k!) eta^(n/2) a^k, each entry formed as the dense element
     product forms it, so Fock inputs map bit for bit as through the elements.
     The ordering (damping after annihilation) is fixed by the single-photon
     identity eta |1><1| + (1-eta) |0><0|.
     """
-    eta = params.eta if isinstance(params, LossParams) else LossParams(params).eta
-    dim = as_cutoff(cutoff).dim
+    eta = _transmissivity(eta)
+    dim = _dim(cutoff)
     bands = np.zeros((dim, dim))
     damp = np.power(eta, np.arange(dim) / 2.0)
     a_power = np.ones(dim)  # (a^k)_{m,m+k} for m < dim - k
@@ -197,16 +174,18 @@ class GaussNoiseChannel:
             out[k : k + top, k : k + top] += np.outer(b, b) * lossy[:top, :top]
         out *= self.loss.eta
         tr = float(np.real(np.trace(out)))
-        return DensityMatrix(out / tr, rho.cutoff, leakage=max(rho.leakage, abs(1.0 - tr)))
+        return DensityMatrix(out / tr, leakage=max(rho.leakage, abs(1.0 - tr)))
 
 
-def gaussian_noise(params: GaussNoiseParams, cutoff: FockCutoff | int) -> GaussNoiseChannel:
+def gaussian_noise(sigma2: float, cutoff: int) -> GaussNoiseChannel:
     """Random displacement noise rho -> int d^2 alpha exp(-|alpha|^2/sigma2)
     D(alpha) rho D(alpha)^dag / (pi sigma2), applied exactly as loss then
     amplification (:class:`GaussNoiseChannel`).  No quadrature is involved:
     the map is exact on the truncated input, and the weight it raises above
     the cutoff is the output's reported leakage."""
-    return GaussNoiseChannel(params.sigma2, pure_loss(1.0 / (1.0 + params.sigma2), cutoff))
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise ValueError(f"sigma2 must be finite and positive, got {sigma2}")
+    return GaussNoiseChannel(sigma2, pure_loss(1.0 / (1.0 + sigma2), cutoff))
 
 
 @dataclass(frozen=True)
@@ -214,45 +193,33 @@ class DampingMap:
     """Normalized number damping rho -> N rho N / Tr(N rho N), N = exp(-eps n)."""
 
     epsilon: float
-    cutoff: FockCutoff
+    dim: int
 
     def __post_init__(self):
         if not (math.isfinite(self.epsilon) and self.epsilon >= 0):
             raise ValueError(f"epsilon must be finite and nonnegative, got {self.epsilon}")
-        object.__setattr__(self, "cutoff", as_cutoff(self.cutoff))
-
-    def _diag(self) -> np.ndarray:
-        # exp(-746 n) is already 0.0 for every n >= 1, so capping epsilon there
-        # leaves the factors unchanged and keeps epsilon * n from overflowing
-        return np.exp(-min(self.epsilon, 746.0) * np.arange(self.cutoff.dim))
+        object.__setattr__(self, "dim", _dim(self.dim))
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
-        if rho.dim != self.cutoff.dim:
+        if rho.dim != self.dim:
             raise ValueError("cutoff mismatch")
-        d = self._diag()
+        # exp(-746 n) is already 0.0 for every n >= 1, so capping epsilon there
+        # leaves the factors unchanged and keeps epsilon * n from overflowing
+        d = np.exp(-min(self.epsilon, 746.0) * np.arange(self.dim))
         out = d[:, None] * rho.matrix * d[None, :]
         tr = float(np.real(np.trace(out)))
         if tr <= 0.0:
             raise ValueError("damped state has zero trace")
-        return DensityMatrix(out / tr, rho.cutoff, leakage=rho.leakage)
-
-    def apply_pure(self, psi: PureState) -> PureState:
-        if psi.dim != self.cutoff.dim:
-            raise ValueError("cutoff mismatch")
-        amps = self._diag() * psi.amplitudes
-        nrm = np.linalg.norm(amps)
-        if nrm == 0.0:
-            raise ValueError("damped state has zero norm")
-        return PureState(amps / nrm, psi.cutoff, leakage=psi.leakage)
+        return DensityMatrix(out / tr, leakage=rho.leakage)
 
 
-def damping(epsilon: float, cutoff: FockCutoff | int) -> DampingMap:
-    return DampingMap(epsilon, as_cutoff(cutoff))
+def damping(epsilon: float, cutoff: int) -> DampingMap:
+    return DampingMap(epsilon, cutoff)
 
 
-def phase_rotation(theta: float, cutoff: FockCutoff | int) -> OperatorMatrix:
+def phase_rotation(theta: float, cutoff: int) -> OperatorMatrix:
     """Gaussian unitary exp(i theta n), free for every free set used here."""
-    dim = as_cutoff(cutoff).dim
+    dim = _dim(cutoff)
     return OperatorMatrix(np.diag(np.exp(1j * theta * np.arange(dim))), hermitian=False)
 
 
@@ -261,7 +228,7 @@ def apply_unitary(u: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:
         raise ValueError("dimension mismatch")
     out = u.matrix @ rho.matrix @ u.matrix.conj().T
     tr = float(np.real(np.trace(out)))
-    return DensityMatrix(out / tr, rho.cutoff, leakage=rho.leakage)
+    return DensityMatrix(out / tr, leakage=rho.leakage)
 
 
 def nearest_lattice_shift(value: float, spacing: float) -> float:
@@ -355,6 +322,4 @@ def gkp_ec_round(state: DensityMatrix, ancilla: PureState) -> DensityMatrix:
     if abs(tr - 1.0) > 1e-6:
         raise TruncationError(f"error-correction round lost trace: defect {abs(tr - 1.0):.3e}")
     rho = (rho + rho.conj().T) / 2.0
-    return DensityMatrix(
-        rho / tr, state.cutoff, leakage=max(state.leakage, ancilla.leakage, abs(tr - 1.0))
-    )
+    return DensityMatrix(rho / tr, leakage=max(state.leakage, ancilla.leakage, abs(tr - 1.0)))

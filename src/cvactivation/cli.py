@@ -28,8 +28,7 @@ import numpy as np
 from . import __version__
 from .activation import activate_entanglement, activate_steering
 from .channels import (
-    GaussNoiseParams,
-    LossParams,
+    _transmissivity,
     apply_unitary,
     damping,
     gaussian_noise,
@@ -38,13 +37,7 @@ from .channels import (
     pure_loss,
 )
 from .errors import ConfigError, InvariantError, TruncationError
-from .fock import (
-    DensityMatrix,
-    FockCutoff,
-    PureState,
-    parity_op,
-    pure_fidelity,
-)
+from .fock import DensityMatrix, PureState, _dim, parity_op, pure_fidelity
 from .monotones import (
     FamilySearchConfig,
     exact_boundary_mixture,
@@ -53,6 +46,7 @@ from .monotones import (
     pure_state_bounds,
 )
 from .states import (
+    STATE_TAIL_TOL,
     GaussianPureParams,
     GkpParams,
     cat,
@@ -73,6 +67,7 @@ from .wigner import (
     wigner_pure_comb_jet,
 )
 from .witnesses import (
+    DisplacedParity,
     FreeSet,
     GaussianFitConfig,
     WitnessSpec,
@@ -289,7 +284,9 @@ def _gkp_state(spec, cutoff: int) -> PureState:
         params = GkpParams.from_db(_number(spec.get("squeezing_db")), logical, window)
     else:
         params = GkpParams(_number(spec.get("epsilon", 0.2)), logical, window)
-    return gkp_damped(_codeword(params), cutoff, tail_tol=_tolerance(spec.get("tail_tol", 1e-6)))
+    return gkp_damped(
+        _codeword(params), cutoff, tail_tol=_tolerance(spec.get("tail_tol", STATE_TAIL_TOL))
+    )
 
 
 _PURE_STATES = {
@@ -322,9 +319,7 @@ def _parse_state(spec, cutoff: int) -> DensityMatrix:
 
 _CHANNELS = {
     "loss": lambda s, dim: pure_loss(_number(s.get("eta", 1.0)), dim).apply,
-    "gaussian_noise": lambda s, dim: gaussian_noise(
-        GaussNoiseParams(_number(s.get("sigma2", 0.05))), dim
-    ).apply,
+    "gaussian_noise": lambda s, dim: gaussian_noise(_number(s.get("sigma2", 0.05)), dim).apply,
     "damping": lambda s, dim: damping(_number(s.get("epsilon", 0.1)), dim).apply,
 }
 
@@ -382,7 +377,7 @@ def _loss_map(value, opts):
     if eta == 0.0:
         raise ValueError("amplified loss needs eta > 0 (the gain is 1/eta)")
     sigma2 = (1.0 - eta) / eta  # loss followed by gain-1/eta amplification
-    return gaussian_noise(GaussNoiseParams(sigma2), cutoff).apply
+    return gaussian_noise(sigma2, cutoff).apply
 
 
 def _codes(value, opts) -> list[tuple[float, GkpParams]]:
@@ -413,12 +408,12 @@ def _corpus(value, opts):
         ("lossy_photon_0.6", pure_loss(0.6, cutoff).apply(one)),
         ("odd_cat_1.2", cat(1.2, -1, cutoff).to_density()),
         ("vacuum", vac),
-        ("photon_vacuum_mix", DensityMatrix(0.5 * (one.matrix + vac.matrix), FockCutoff(cutoff))),
+        ("photon_vacuum_mix", DensityMatrix(0.5 * (one.matrix + vac.matrix))),
     ]
 
 
 def _cutoff(value, opts) -> int:
-    return FockCutoff(_size(value, MAX_CUTOFF)).dim
+    return _dim(_size(value, MAX_CUTOFF))
 
 
 
@@ -557,13 +552,9 @@ def run_boundary_mix(cfg: dict, opts: dict) -> int:
     cutoff = opts["cutoff"]
     vac = fock(0, cutoff).to_density()
     one = fock(1, cutoff).to_density()
-    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(cutoff))
+    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix))
     rows = exact_boundary_mixture(
-        sigma,
-        one,
-        parity_op(cutoff),
-        opts["t_grid"],
-        cfg=opts["resolution"],
+        sigma, one, DisplacedParity(0), opts["t_grid"], cfg=opts["resolution"]
     )
     write_csv(
         opts["out"],
@@ -579,7 +570,7 @@ def run_property_suite(cfg: dict, opts: dict) -> int:
     rot = phase_rotation(0.7, cutoff)
     channels = [
         ("loss_0.9", pure_loss(0.9, cutoff).apply),
-        ("gaussian_noise_0.05", gaussian_noise(GaussNoiseParams(0.05), cutoff).apply),
+        ("gaussian_noise_0.05", gaussian_noise(0.05, cutoff).apply),
         ("phase_rotation_0.7", lambda rho: apply_unitary(rot, rho)),
     ]
     report = property_suite(states, channels, cfg=opts["resolution"])
@@ -621,14 +612,14 @@ _COMMANDS = {
         "fock_n": (1, lambda v, o: fock(_index(v), o["cutoff"]).to_density()),
         "etas": (
             [round(0.1 * k, 1) for k in range(11)],
-            lambda v, o: sorted(LossParams(_number(e)).eta for e in v),
+            lambda v, o: sorted(_transmissivity(_number(e)) for e in v),
         ),
         "resolution": (40, lambda v, o: FamilySearchConfig(depth=_depth(v))),
     }),
     "gkp-sweep": (run_gkp_sweep, {
         "out": ("gkp_sweep.csv", _out_path),
         "cutoff": (30, _cutoff),
-        "eta": (0.9, lambda v, o: LossParams(_number(v)).eta),
+        "eta": (0.9, lambda v, o: _transmissivity(_number(v))),
         # selects nothing; it goes with bench v2 (ROADMAP item 9), whose tiny config sets it
         "quad_order": (15, lambda v, o: _size(v, MAX_QUAD_ORDER)),
         "loss_model": ("bare", _loss_map),

@@ -1,8 +1,8 @@
 """Truncated-Fock-space linear algebra.
 
-States, operators, norms and fidelity on the space spanned by Fock
-levels 0..dim-1.  Every object carries a :class:`FockCutoff` tag and
-interoperates only with objects of the same dimension.  All values are
+States, operators and norms on the space spanned by Fock levels
+0..dim-1.  An object's dimension is its array's, and it interoperates
+only with objects of the same dimension.  All values are
 immutable after construction and every operation is a pure function, so
 everything here is safe to share across threads.
 """
@@ -10,7 +10,7 @@ everything here is safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -25,25 +25,11 @@ POSITIVITY_TOL = 1e-9
 DISPLACEMENT_TAIL_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class FockCutoff:
-    """Truncated Fock space keeping levels 0..dim-1."""
-
-    dim: int
-
-    def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"cutoff dim must be an integer >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
-
-
-def as_cutoff(cutoff: FockCutoff | int) -> FockCutoff:
-    return cutoff if isinstance(cutoff, FockCutoff) else FockCutoff(int(cutoff))
-
-
-def _check_same_cutoff(a, b) -> None:
-    if a.cutoff.dim != b.cutoff.dim:
-        raise ValueError(f"mixed cutoffs: {a.cutoff.dim} vs {b.cutoff.dim}")
+def _dim(cutoff: int) -> int:
+    """A cutoff as the dimension it keeps, levels 0..dim-1: a whole number >= 2."""
+    if int(cutoff) != cutoff or cutoff < 2:
+        raise ValueError(f"cutoff dim must be an integer >= 2, got {cutoff}")
+    return int(cutoff)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -74,15 +60,11 @@ class PureState:
     """
 
     amplitudes: np.ndarray
-    cutoff: FockCutoff
-    leakage: float = 0.0
+    leakage: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        cutoff = as_cutoff(self.cutoff)
-        object.__setattr__(self, "cutoff", cutoff)
-        if amps.shape[0] != cutoff.dim:
-            raise ValueError(f"amplitude length {amps.shape[0]} != dim {cutoff.dim}")
+        _dim(amps.shape[0])
         _check_finite(amps, "amplitudes")
         nrm = float(np.linalg.norm(amps))
         if abs(nrm - 1.0) > 1e-10:
@@ -91,15 +73,11 @@ class PureState:
 
     @property
     def dim(self) -> int:
-        return self.cutoff.dim
+        return self.amplitudes.shape[0]
 
     def tail_mass(self, k: int) -> float:
         """Probability carried by Fock levels >= k."""
         return float(np.sum(np.abs(self.amplitudes[k:]) ** 2))
-
-    def overlap(self, other: "PureState") -> complex:
-        _check_same_cutoff(self, other)
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def expectation(self, op: "OperatorMatrix") -> complex:
         if op.dim != self.dim:
@@ -107,11 +85,7 @@ class PureState:
         return complex(np.vdot(self.amplitudes, op.matrix @ self.amplitudes))
 
     def to_density(self) -> "DensityMatrix":
-        return DensityMatrix(
-            np.outer(self.amplitudes, self.amplitudes.conj()),
-            self.cutoff,
-            leakage=self.leakage,
-        )
+        return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()), leakage=self.leakage)
 
 
 @dataclass(frozen=True)
@@ -125,15 +99,13 @@ class DensityMatrix:
     """
 
     matrix: np.ndarray
-    cutoff: FockCutoff
-    leakage: float = 0.0
+    leakage: float = field(default=0.0, kw_only=True)
 
     def __post_init__(self):
         mat = np.array(self.matrix, dtype=complex)
-        cutoff = as_cutoff(self.cutoff)
-        object.__setattr__(self, "cutoff", cutoff)
-        if mat.shape != (cutoff.dim, cutoff.dim):
-            raise ValueError(f"matrix shape {mat.shape} != ({cutoff.dim}, {cutoff.dim})")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValueError(f"density matrix must be square, got shape {mat.shape}")
+        _dim(mat.shape[0])
         _check_finite(mat, "density matrix")
         herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_dev > HERMITICITY_TOL:
@@ -149,7 +121,7 @@ class DensityMatrix:
 
     @property
     def dim(self) -> int:
-        return self.cutoff.dim
+        return self.matrix.shape[0]
 
     def expectation(self, op: "OperatorMatrix") -> complex:
         if op.dim != self.dim:
@@ -197,41 +169,24 @@ def annihilation_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim, dtype=float)), k=1).astype(complex)
 
 
-def ladder_ops(cutoff: FockCutoff | int) -> tuple[OperatorMatrix, OperatorMatrix, OperatorMatrix]:
-    """Annihilation, creation and number operators on the truncated space.
-
-    The commutator [a, a^dag] equals the identity only on the leading
-    (dim-1)-block; the corner element is a truncation artifact.
-    """
-    dim = as_cutoff(cutoff).dim
-    a = annihilation_matrix(dim)
-    adag = a.conj().T
-    n = adag @ a
-    return (
-        OperatorMatrix(a, hermitian=False),
-        OperatorMatrix(adag, hermitian=False),
-        OperatorMatrix(n, hermitian=True),
-    )
-
-
-def parity_op(cutoff: FockCutoff | int) -> OperatorMatrix:
+def parity_op(cutoff: int) -> OperatorMatrix:
     """Photon-number parity, diagonal (+1, -1, +1, ...); squares to identity."""
-    dim = as_cutoff(cutoff).dim
+    dim = _dim(cutoff)
     diag = (-1.0) ** np.arange(dim)
     return OperatorMatrix(np.diag(diag).astype(complex), hermitian=True)
 
 
-def position_op(cutoff: FockCutoff | int) -> OperatorMatrix:
+def position_op(cutoff: int) -> OperatorMatrix:
     """x = (a + a^dag)/sqrt(2), convention [x, p] = i."""
-    dim = as_cutoff(cutoff).dim
+    dim = _dim(cutoff)
     a = annihilation_matrix(dim)
     x = (a + a.conj().T) / np.sqrt(2.0)
     return OperatorMatrix(x, hermitian=True)
 
 
-def momentum_op(cutoff: FockCutoff | int) -> OperatorMatrix:
+def momentum_op(cutoff: int) -> OperatorMatrix:
     """p = -i (a - a^dag)/sqrt(2), convention [x, p] = i."""
-    dim = as_cutoff(cutoff).dim
+    dim = _dim(cutoff)
     a = annihilation_matrix(dim)
     p = -1j * (a - a.conj().T) / np.sqrt(2.0)
     return OperatorMatrix(p, hermitian=True)
@@ -314,7 +269,7 @@ def checked_coherent_tail(alpha: complex, dim: int, tail_tol: float, what: str) 
 
 def displacement_op(
     alpha: complex,
-    cutoff: FockCutoff | int,
+    cutoff: int,
     tail_tol: float = DISPLACEMENT_TAIL_TOL,
 ) -> OperatorMatrix:
     """Weyl displacement exp(alpha a^dag - alpha* a) on the truncated space.
@@ -324,7 +279,7 @@ def displacement_op(
     R V_p exp(-i sqrt(2) |alpha| Lambda_p) V_p^dag R^dag from the cached
     eigensystem of the truncated p.
     """
-    dim = as_cutoff(cutoff).dim
+    dim = _dim(cutoff)
     checked_coherent_tail(alpha, dim, tail_tol, "displacement")
     if alpha == 0:
         return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False)
@@ -333,22 +288,6 @@ def displacement_op(
     basis = rot * pvecs
     phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * pvals)
     return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False)
-
-
-def _psd_sqrt(mat: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
-
-
-def fidelity(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2, in [0, 1]."""
-    _check_same_cutoff(a, b)
-    sq = _psd_sqrt(a.matrix)
-    inner = sq @ b.matrix @ sq
-    vals = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    f = float(np.sum(np.sqrt(vals)) ** 2)
-    return min(max(f, 0.0), 1.0)
 
 
 def pure_fidelity(psi: PureState, rho: DensityMatrix) -> float:

@@ -16,9 +16,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvariantError
-from .fock import DensityMatrix, OperatorMatrix, PureState, trace_norm
-from .wigner import DepthSearchConfig, negativity_depth, wigner_batch
+from .fock import DensityMatrix, PureState, trace_norm
+from .wigner import DepthSearchConfig, negativity_depth
 from .witnesses import (
+    DisplacedParity,
+    Family,
     FreeSet,
     GaussianFidelityResult,
     GaussianFitConfig,
@@ -82,7 +84,7 @@ def _top_eigenvector(rho: DensityMatrix) -> PureState:
     """An eigenvector of the largest eigenvalue; the last index of ``np.argsort``
     fixes the pick when it is degenerate (as for the photon-vacuum half mix)."""
     vals, vecs = np.linalg.eigh(rho.matrix)
-    return PureState(vecs[:, np.argsort(vals)[-1]], rho.cutoff, leakage=rho.leakage)
+    return PureState(vecs[:, np.argsort(vals)[-1]], leakage=rho.leakage)
 
 
 # nested free sets, smallest first: a witness admissible for one stays admissible above
@@ -191,19 +193,20 @@ class BoundaryMixRow:
 def exact_boundary_mixture(
     sigma_free: DensityMatrix,
     tau: DensityMatrix,
-    witness: OperatorMatrix,
+    witness: Family,
     t_grid,
     cfg: FamilySearchConfig | None = None,
 ) -> list[BoundaryMixRow]:
     """Exact unit-box monotone values along (1-t) sigma + t tau.
 
     Requires Tr(X sigma) = 0 and Tr(X tau) = -1 within 1e-8 for a witness
-    X inside the unit box; then the monotone equals t exactly.  Each row
-    cross-checks that the Wigner-positive family search reaches t - 1e-6.
+    X of a feasible family inside the unit box; then the monotone equals t
+    exactly.  Each row cross-checks that the Wigner-positive family search
+    reaches t - 1e-6.
     """
     check_box(witness)
-    r_sigma = float(np.real(np.trace(witness.matrix @ sigma_free.matrix)))
-    r_tau = float(np.real(np.trace(witness.matrix @ tau.matrix)))
+    r_sigma = -violation(witness, sigma_free)
+    r_tau = -violation(witness, tau)
     if abs(r_sigma) > 1e-8 or abs(r_tau + 1.0) > 1e-8:
         raise ValueError(
             "boundary conditions violated: "
@@ -216,7 +219,6 @@ def exact_boundary_mixture(
             raise ValueError("mixture weight outside [0, 1]")
         mix = DensityMatrix(
             (1.0 - t) * sigma_free.matrix + t * tau.matrix,
-            sigma_free.cutoff,
             leakage=max(sigma_free.leakage, tau.leakage),
         )
         searched = lower_bound(mix, FreeSet.WIGNER_POSITIVE, WitnessBox(), cfg).lower
@@ -299,8 +301,8 @@ def _pooled_parity_bound(
     keeps the pairwise comparisons theorems of the shared family rather
     than artifacts of independent searches.
     """
-    vals = wigner_batch(rho, np.array(pool, dtype=complex))
-    return max(0.0, float(np.max(-vals)) * (math.pi / 2.0)) * min(box.n, box.m)
+    best = max(violation(DisplacedParity(alpha), rho) for alpha in pool)
+    return max(0.0, best) * min(box.n, box.m)
 
 
 def property_suite(
@@ -350,9 +352,7 @@ def property_suite(
             continue
         for p in CONVEXITY_WEIGHTS:
             mix = DensityMatrix(
-                p * ra.matrix + (1.0 - p) * rb.matrix,
-                ra.cutoff,
-                leakage=max(ra.leakage, rb.leakage),
+                p * ra.matrix + (1.0 - p) * rb.matrix, leakage=max(ra.leakage, rb.leakage)
             )
             pool = [
                 0j,

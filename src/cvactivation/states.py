@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TruncationError
-from .fock import (
-    DensityMatrix,
-    FockCutoff,
-    PureState,
-    _whole_fields,
-    as_cutoff,
-    checked_coherent_tail,
-)
+from .fock import DensityMatrix, PureState, _dim, _whole_fields, checked_coherent_tail
 
 # Reject factory outputs whose probability mass above the cutoff exceeds this.
 STATE_TAIL_TOL = 1e-6
@@ -103,14 +96,14 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def fock(n: int, cutoff: FockCutoff | int) -> PureState:
+def fock(n: int, cutoff: int) -> PureState:
     """Number state |n>."""
-    cutoff = as_cutoff(cutoff)
-    if not 0 <= n < cutoff.dim:
-        raise ValueError(f"Fock index {n} outside cutoff dim {cutoff.dim}")
-    amps = np.zeros(cutoff.dim, dtype=complex)
+    dim = _dim(cutoff)
+    if not 0 <= n < dim:
+        raise ValueError(f"Fock index {n} outside cutoff dim {dim}")
+    amps = np.zeros(dim, dtype=complex)
     amps[n] = 1.0
-    return PureState(amps, cutoff)
+    return PureState(amps)
 
 
 def _coherent_amps(alpha: complex, n_levels: int) -> np.ndarray:
@@ -122,12 +115,12 @@ def _coherent_amps(alpha: complex, n_levels: int) -> np.ndarray:
     return amps
 
 
-def coherent(alpha: complex, cutoff: FockCutoff | int) -> PureState:
+def coherent(alpha: complex, cutoff: int) -> PureState:
     """Coherent state |alpha>, renormalized; refused when it leaks more than 1e-8."""
-    cutoff = as_cutoff(cutoff)
-    tail = checked_coherent_tail(alpha, cutoff.dim, COHERENT_TAIL_TOL, "coherent")
-    amps = _coherent_amps(alpha, cutoff.dim)
-    return PureState(amps / np.linalg.norm(amps), cutoff, leakage=tail)
+    dim = _dim(cutoff)
+    tail = checked_coherent_tail(alpha, dim, COHERENT_TAIL_TOL, "coherent")
+    amps = _coherent_amps(alpha, dim)
+    return PureState(amps / np.linalg.norm(amps), leakage=tail)
 
 
 def squeezed_coherent_amps(
@@ -213,45 +206,44 @@ def _truncate_with_leakage(
 
 def gaussian_pure(
     params: GaussianPureParams,
-    cutoff: FockCutoff | int,
+    cutoff: int,
     r_max: float = DEFAULT_R_MAX,
     tail_tol: float = STATE_TAIL_TOL,
 ) -> PureState:
     """Pure Gaussian state D(alpha) S(r e^{i phi}) |0>."""
-    cutoff = as_cutoff(cutoff)
+    dim = _dim(cutoff)
     if params.r > r_max:
         raise ValueError(f"squeezing r={params.r} exceeds r_max={r_max}")
-    n_levels = 2 * cutoff.dim + 32
-    amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, n_levels)
-    kept, leak = _truncate_with_leakage(amps, cutoff.dim, tail_tol, "gaussian_pure")
-    return PureState(kept, cutoff, leakage=leak)
+    amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, 2 * dim + 32)
+    kept, leak = _truncate_with_leakage(amps, dim, tail_tol, "gaussian_pure")
+    return PureState(kept, leakage=leak)
 
 
-def cat(alpha: complex, sign: int, cutoff: FockCutoff | int) -> PureState:
+def cat(alpha: complex, sign: int, cutoff: int) -> PureState:
     """Normalized |alpha> + sign |-alpha>; sign=-1 has odd Fock support."""
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
     mag = abs(complex(alpha))
     if not math.exp(-0.5 * (mag * mag)) > 0.0:
         raise ValueError(f"cat alpha={alpha} is too large: e^(-|alpha|^2/2) underflows to 0")
-    cutoff = as_cutoff(cutoff)
-    n_levels = cutoff.dim + 64
+    dim = _dim(cutoff)
+    n_levels = dim + 64
     base = _coherent_amps(alpha, n_levels)
     parity = (-1.0) ** np.arange(n_levels)
     amps = base * (1.0 + sign * parity)
     try:
-        kept, leak = _truncate_with_leakage(amps, cutoff.dim, STATE_TAIL_TOL, "cat")
+        kept, leak = _truncate_with_leakage(amps, dim, STATE_TAIL_TOL, "cat")
     except ValueError:  # the zero vector: a subnormal e^(-|alpha|^2/2) squares to 0
         raise ValueError(
             f"cat alpha={alpha} is too large: every |c_n|^2 underflows to 0"
         ) from None
-    return PureState(kept, cutoff, leakage=leak)
+    return PureState(kept, leakage=leak)
 
 
-def photon_subtracted_squeezed(r: float, cutoff: FockCutoff | int) -> PureState:
+def photon_subtracted_squeezed(r: float, cutoff: int) -> PureState:
     """Normalized a S(r)|0>; supported on odd Fock levels only."""
-    cutoff = as_cutoff(cutoff)
-    n_levels = 2 * cutoff.dim + 32
+    dim = _dim(cutoff)
+    n_levels = 2 * dim + 32
     # the recurrence forms cosh(r) sqrt(n) for n <= n_levels
     if not (math.isfinite(r) and r < math.acosh(sys.float_info.max / math.sqrt(n_levels + 1))):
         raise ValueError(f"squeezing r={r} is not finite or overflows the amplitude recurrence")
@@ -259,13 +251,11 @@ def photon_subtracted_squeezed(r: float, cutoff: FockCutoff | int) -> PureState:
         raise ValueError("photon subtraction from vacuum (r=0) gives the zero vector")
     sq = squeezed_coherent_amps(0.0, r, 0.0, n_levels + 1)
     sub = np.sqrt(np.arange(1, n_levels + 1)) * sq[1:]
-    kept, leak = _truncate_with_leakage(
-        sub, cutoff.dim, STATE_TAIL_TOL, "photon_subtracted_squeezed"
-    )
-    return PureState(kept, cutoff, leakage=leak)
+    kept, leak = _truncate_with_leakage(sub, dim, STATE_TAIL_TOL, "photon_subtracted_squeezed")
+    return PureState(kept, leakage=leak)
 
 
-def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
+def thermal(nbar: float, cutoff: int) -> DensityMatrix:
     """Thermal state with mean photon number nbar, renormalized.
 
     Raises TruncationError when its tail above the cutoff exceeds
@@ -273,16 +263,16 @@ def thermal(nbar: float, cutoff: FockCutoff | int) -> DensityMatrix:
     """
     if not (math.isfinite(nbar) and nbar >= 0):
         raise ValueError(f"nbar must be finite and nonnegative, got {nbar}")
-    cutoff = as_cutoff(cutoff)
+    dim = _dim(cutoff)
     if nbar == 0:
-        return fock(0, cutoff).to_density()
+        return fock(0, dim).to_density()
     ratio = nbar / (nbar + 1.0)
-    probs = ratio ** np.arange(cutoff.dim)
-    leak = float(ratio ** cutoff.dim)  # exact geometric tail
+    probs = ratio ** np.arange(dim)
+    leak = float(ratio**dim)  # exact geometric tail
     if leak > STATE_TAIL_TOL:
-        raise TruncationError(f"thermal leaks {leak:.3e} > {STATE_TAIL_TOL:.1e} at dim {cutoff.dim}")
+        raise TruncationError(f"thermal leaks {leak:.3e} > {STATE_TAIL_TOL:.1e} at dim {dim}")
     probs /= probs.sum()
-    return DensityMatrix(np.diag(probs).astype(complex), cutoff, leakage=leak)
+    return DensityMatrix(np.diag(probs).astype(complex), leakage=leak)
 
 
 def _lattice_peaks(logical: int, window: int) -> np.ndarray:
@@ -344,7 +334,7 @@ def gkp_comb(params: GkpParams) -> tuple[np.ndarray, np.ndarray, float]:
 
 def gkp_damped(
     params: GkpParams,
-    cutoff: FockCutoff | int,
+    cutoff: int,
     tail_tol: float = STATE_TAIL_TOL,
 ) -> PureState:
     """Finite-energy square-lattice codeword exp(-eps n)|logical>, normalized.
@@ -354,10 +344,10 @@ def gkp_damped(
     exceeds ``tail_tol`` and ValueError when the peak window is too small:
     S -> S+2 moves an amplitude, scaled by the total mass, by more than 1e-8.
     """
-    cutoff = as_cutoff(cutoff)
+    dim = _dim(cutoff)
     window = _window(params)
-    amps, total = _gkp_amps(params, window, cutoff.dim)
-    amps_wide, total_wide = _gkp_amps(params, window + 2, cutoff.dim)
+    amps, total = _gkp_amps(params, window, dim)
+    amps_wide, total_wide = _gkp_amps(params, window + 2, dim)
     drift = float(np.max(np.abs(amps / math.sqrt(total) - amps_wide / math.sqrt(total_wide))))
     if drift > 1e-8:
         raise ValueError(
@@ -366,5 +356,5 @@ def gkp_damped(
     # the wide window is at least as good
     leak = max(0.0, 1.0 - float(np.sum(amps_wide * amps_wide)) / total_wide)
     if leak > tail_tol:
-        raise TruncationError(f"gkp_damped leaks {leak:.3e} > {tail_tol:.1e} at dim {cutoff.dim}")
-    return PureState(amps_wide / np.linalg.norm(amps_wide), cutoff, leakage=leak)
+        raise TruncationError(f"gkp_damped leaks {leak:.3e} > {tail_tol:.1e} at dim {dim}")
+    return PureState(amps_wide / np.linalg.norm(amps_wide), leakage=leak)

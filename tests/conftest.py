@@ -9,7 +9,6 @@ from cvactivation.channels import KrausChannel
 from cvactivation.errors import TruncationError
 from cvactivation.fock import (
     DensityMatrix,
-    FockCutoff,
     OperatorMatrix,
     annihilation_matrix,
     displacement_op,
@@ -33,7 +32,7 @@ def random_density(rng, dim, cutoff=None, rank=None):
     m /= np.real(np.trace(m))
     full = np.zeros((cutoff, cutoff), dtype=complex)
     full[:dim, :dim] = m
-    return DensityMatrix(full, FockCutoff(cutoff))
+    return DensityMatrix(full)
 
 
 def _post_measurement(rho4: np.ndarray, direction: np.ndarray) -> np.ndarray:
@@ -132,7 +131,7 @@ def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
 
 def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
     """Oracle: (2/pi) Tr[Pi(alpha) rho] through the displaced parity operator."""
-    val = rho.expectation(displaced_parity_matrix(alpha, rho.cutoff))
+    val = rho.expectation(displaced_parity_matrix(alpha, rho.dim))
     assert abs(val.imag) <= 1e-10, f"Wigner value has imaginary part {val.imag:.3e}"
     return (2.0 / math.pi) * val.real
 
@@ -151,7 +150,7 @@ def gaussian_objective_oracle(psi, r_max: float):
         try:
             cand = gaussian_pure(
                 GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi)),
-                psi.cutoff,
+                psi.dim,
                 r_max=r_max,
                 tail_tol=1e-4,
             )

@@ -20,7 +20,6 @@ from cvactivation.activation import (
     werner_analytics,
 )
 from cvactivation.channels import (
-    GaussNoiseParams,
     apply_unitary,
     gaussian_noise,
     gkp_ec_round,
@@ -29,7 +28,6 @@ from cvactivation.channels import (
 )
 from cvactivation.fock import (
     DensityMatrix,
-    FockCutoff,
     OperatorMatrix,
     parity_op,
     pure_fidelity,
@@ -64,6 +62,7 @@ from cvactivation.wigner import (
     wigner_pure_comb_jet,
 )
 from cvactivation.witnesses import (
+    DisplacedParity,
     FreeSet,
     displaced_parity_spec,
     explicit_spec,
@@ -204,9 +203,9 @@ def test_07_boundary_mixing_lemma():
         cutoff = 25
         vac = fock(0, cutoff).to_density()
         one = fock(1, cutoff).to_density()
-        sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(cutoff))
+        sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix))
         rows = exact_boundary_mixture(
-            sigma, one, parity_op(cutoff), [0.0, 0.25, 0.5, 0.75, 1.0], cfg=FAST
+            sigma, one, DisplacedParity(0), [0.0, 0.25, 0.5, 0.75, 1.0], cfg=FAST
         )
         for row in rows:
             assert row.exact_value == row.t
@@ -248,12 +247,11 @@ def test_09_hierarchy_corpus():
             gaussian_pure(GaussianPureParams(0.0, 0.6, 0.0), cutoff).to_density()
         ]
         corpus += [
-            DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix, FockCutoff(cutoff)),
+            DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix),
             DensityMatrix(
                 0.3 * cat(1.5, -1, cutoff).to_density().matrix + 0.7 * vac.matrix,
-                FockCutoff(cutoff),
             ),
-            gaussian_noise(GaussNoiseParams(0.05), cutoff).apply(one),
+            gaussian_noise(0.05, cutoff).apply(one),
         ]
         corpus += [fock(2, cutoff).to_density(), fock(3, cutoff).to_density()]
         assert len(corpus) >= 20
@@ -356,14 +354,14 @@ def test_11_gaussian_noise_ordering():
         params = GkpParams(epsilon=0.25)
         code = gkp_damped(params, cutoff).to_density()
         sigma2_small, sigma2_large = 0.02, 0.06
-        small = gaussian_noise(GaussNoiseParams(sigma2_small), cutoff).apply(code)
-        large = gaussian_noise(GaussNoiseParams(sigma2_large), cutoff).apply(code)
+        small = gaussian_noise(sigma2_small, cutoff).apply(code)
+        large = gaussian_noise(sigma2_large, cutoff).apply(code)
         cfg = FamilySearchConfig(depth=DepthSearchConfig(radius=2.8, resolution=35))
         bound_small = lower_bound(small, FreeSet.WIGNER_POSITIVE, cfg=cfg)
         bound_large = lower_bound(large, FreeSet.WIGNER_POSITIVE, cfg=cfg)
         assert bound_large.lower <= bound_small.lower + 1e-6
         # composition law: adding the difference reproduces the noisier state
-        step = gaussian_noise(GaussNoiseParams(sigma2_large - sigma2_small), cutoff).apply(small)
+        step = gaussian_noise(sigma2_large - sigma2_small, cutoff).apply(small)
         assert 0.5 * trace_norm(step.matrix - large.matrix) < 1e-4
 
 
@@ -379,10 +377,10 @@ def test_12_property_suites():
             ("vacuum", vac),
             (
                 "photon_vacuum_mix",
-                DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix, FockCutoff(cutoff)),
+                DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix),
             ),
         ]
-        noise = gaussian_noise(GaussNoiseParams(0.05), cutoff)
+        noise = gaussian_noise(0.05, cutoff)
         rot = phase_rotation(0.7, cutoff)
         channels = [
             ("loss_0.9", pure_loss(0.9, cutoff).apply),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, parity_op
+from cvactivation.fock import DensityMatrix, OperatorMatrix, parity_op
 from cvactivation.states import GaussianPureParams, cat, coherent, fock, gaussian_pure
 from cvactivation.channels import pure_loss
 from cvactivation import witnesses
@@ -162,7 +162,7 @@ def test_free_inputs_stay_separable_and_unsteerable(rng):
         gaussian_pure(GaussianPureParams(0.4, 0.5, 1.0), 40).to_density(),
     ]
     mix = DensityMatrix(
-        0.5 * frees[0].matrix + 0.5 * frees[1].matrix, FockCutoff(40)
+        0.5 * frees[0].matrix + 0.5 * frees[1].matrix
     )
     for rho in frees + [mix]:
         for spec in specs:

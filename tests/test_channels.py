@@ -9,7 +9,6 @@ from scipy.special import roots_hermite
 
 from cvactivation.fock import (
     DensityMatrix,
-    FockCutoff,
     PureState,
     annihilation_matrix,
     momentum_op,
@@ -21,10 +20,8 @@ from cvactivation.fock import (
 from cvactivation import channels
 from cvactivation.channels import (
     DampingMap,
-    GaussNoiseParams,
     KrausChannel,
     LossChannel,
-    LossParams,
     damping,
     gaussian_noise,
     gkp_ec_round,
@@ -32,7 +29,6 @@ from cvactivation.channels import (
     phase_rotation,
     apply_unitary,
     pure_loss,
-    sigma2_from_db,
 )
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_damped
 from cvactivation.wigner import wigner_grid
@@ -48,8 +44,15 @@ def trace_distance(a, b):
 
 
 def test_loss_params_validated():
-    with pytest.raises(ValueError):
-        LossParams(1.2)
+    for bad in (1.2, -0.1, math.nan):
+        with pytest.raises(ValueError, match=rf"transmissivity must lie in \[0, 1\], got {bad}$"):
+            pure_loss(bad, 5)
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.5, math.inf, math.nan])
+def test_noise_sigma2_validated(bad):
+    with pytest.raises(ValueError, match=f"sigma2 must be finite and positive, got {bad}$"):
+        gaussian_noise(bad, 5)
 
 
 def test_loss_single_photon():
@@ -158,27 +161,27 @@ def test_gaussian_noise_nodes_match_roots_hermite(order):
 
 
 def test_gaussian_noise_identity_limit():
-    ch = gaussian_noise(GaussNoiseParams(1e-12), 15)
+    ch = gaussian_noise(1e-12, 15)
     rho = fock(1, 15).to_density()
     assert trace_distance(ch.apply(rho), rho) < 1e-6
 
 
 def test_gaussian_noise_heats_vacuum():
-    ch = gaussian_noise(GaussNoiseParams(0.05), 40)
+    ch = gaussian_noise(0.05, 40)
     out = ch.apply(fock(0, 40).to_density())
     assert out.mean_photon_number() == pytest.approx(0.05, abs=2e-3)
 
 
 def test_gaussian_noise_composition_law():
-    a = gaussian_noise(GaussNoiseParams(0.07), 30)
-    b = gaussian_noise(GaussNoiseParams(0.05), 30)
-    c = gaussian_noise(GaussNoiseParams(0.12), 30)
+    a = gaussian_noise(0.07, 30)
+    b = gaussian_noise(0.05, 30)
+    c = gaussian_noise(0.12, 30)
     for rho in (fock(1, 30).to_density(), coherent(0.7, 30).to_density()):
         assert trace_distance(a.apply(b.apply(rho)), c.apply(rho)) < 1e-4
 
 
 def test_gaussian_noise_preserves_wigner_positivity():
-    ch = gaussian_noise(GaussNoiseParams(0.08), 40)
+    ch = gaussian_noise(0.08, 40)
     out = ch.apply(fock(0, 40).to_density())
     grid = wigner_grid(out, radius=3.0, resolution=40, validate_marginal=False)
     assert grid.min_value() >= -1e-6
@@ -189,7 +192,7 @@ def test_gaussian_noise_maps_vacuum_to_bose_einstein(sigma2):
     # loss leaves the vacuum alone; the amplifier of gain 1 + sigma2 heats it
     # to the thermal state of mean sigma2
     dim = 40
-    out = gaussian_noise(GaussNoiseParams(sigma2), dim).apply(fock(0, dim).to_density())
+    out = gaussian_noise(sigma2, dim).apply(fock(0, dim).to_density())
     k = np.arange(dim)
     bose_einstein = sigma2**k / (1.0 + sigma2) ** (k + 1)
     kept = bose_einstein.sum()
@@ -204,11 +207,11 @@ def test_gaussian_noise_leakage_is_the_weight_raised_above_the_cutoff(rng, sigma
     # sigma2 it raises below 1e-14 of the weight past twice the cutoff)
     dim = 20
     rho = random_density(rng, 16, cutoff=dim)
-    out = gaussian_noise(GaussNoiseParams(sigma2), dim).apply(rho)
+    out = gaussian_noise(sigma2, dim).apply(rho)
     padded = np.zeros((2 * dim, 2 * dim), dtype=complex)
     padded[:dim, :dim] = rho.matrix
-    wide = gaussian_noise(GaussNoiseParams(sigma2), 2 * dim).apply(
-        DensityMatrix(padded, FockCutoff(2 * dim))
+    wide = gaussian_noise(sigma2, 2 * dim).apply(
+        DensityMatrix(padded)
     )
     above = float(np.real(np.trace(wide.matrix[dim:, dim:])))
     assert out.leakage > 1e-6
@@ -218,7 +221,7 @@ def test_gaussian_noise_leakage_is_the_weight_raised_above_the_cutoff(rng, sigma
 @pytest.mark.parametrize("make", [lambda d: fock(1, d), lambda d: coherent(0.7, d)])
 def test_gaussian_noise_matches_the_quadrature_oracle(make):
     rho = make(40).to_density()
-    got = gaussian_noise(GaussNoiseParams(0.05), 40).apply(rho)
+    got = gaussian_noise(0.05, 40).apply(rho)
     want = kraus_noise(0.05, 40, 30).apply(rho)
     assert trace_distance(got, want) < 1e-10
 
@@ -229,11 +232,11 @@ def test_gaussian_noise_closer_to_the_untruncated_channel_than_the_quadrature(db
     # the quadrature route folds what leaves the cutoff back into the state
     sigma2 = (1.0 - 0.9) / 0.9
     code = gkp_damped(GkpParams.from_db(db), 30, tail_tol=1.0).to_density()
-    wide = gaussian_noise(GaussNoiseParams(sigma2), 120).apply(
+    wide = gaussian_noise(sigma2, 120).apply(
         gkp_damped(GkpParams.from_db(db), 120, tail_tol=1.0).to_density()
     )
     ref = wide.matrix[:30, :30] / np.real(np.trace(wide.matrix[:30, :30]))
-    exact = trace_norm(gaussian_noise(GaussNoiseParams(sigma2), 30).apply(code).matrix - ref)
+    exact = trace_norm(gaussian_noise(sigma2, 30).apply(code).matrix - ref)
     quadrature = trace_norm(kraus_noise(sigma2, 30, 15).apply(code).matrix - ref)
     assert exact < 0.2 * quadrature
 
@@ -243,24 +246,20 @@ def test_gaussian_noise_builds_no_displacement_operator(monkeypatch):
         raise AssertionError("displacement_op called")
 
     monkeypatch.setattr(fock_module, "displacement_op", refuse)
-    out = gaussian_noise(GaussNoiseParams(0.1), 30).apply(coherent(0.7, 30).to_density())
+    out = gaussian_noise(0.1, 30).apply(coherent(0.7, 30).to_density())
     assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_noise_db_convention():
-    assert sigma2_from_db(0.0) == pytest.approx(0.5)
-    assert sigma2_from_db(10.0) == pytest.approx(0.05)
 
 
 def test_damping_examples():
     dm = damping(0.0, 10)
     rho = coherent(0.8, 10).to_density()
     assert trace_distance(dm.apply(rho), rho) < 1e-12
-    one = fock(1, 10)
-    assert np.allclose(damping(0.7, 10).apply_pure(one).amplitudes, one.amplitudes)
-    psi = PureState(np.array([1, 0, 1, 0, 0], dtype=complex) / math.sqrt(2), FockCutoff(5))
-    out = damping(0.5, 5).apply_pure(psi)
-    assert abs(out.amplitudes[2] / out.amplitudes[0]) == pytest.approx(
+    one = fock(1, 10).to_density()
+    assert np.allclose(damping(0.7, 10).apply(one).matrix, one.matrix)
+    psi = PureState(np.array([1, 0, 1, 0, 0], dtype=complex) / math.sqrt(2))
+    out = damping(0.5, 5).apply(psi.to_density())
+    # N = exp(-n/2) scales the coherence between |0> and |2> by e^-1 against |0><0|
+    assert abs(out.matrix[2, 0] / out.matrix[0, 0]) == pytest.approx(
         math.exp(-1.0), abs=1e-12
     )
 
@@ -383,7 +382,7 @@ def test_ec_round_matches_dense_circuit():
     for rho, ancilla in (
         (clean, code),
         (pure_loss(0.9, 22).apply(clean), code),
-        (gaussian_noise(GaussNoiseParams(0.05), 22).apply(clean), code),
+        (gaussian_noise(0.05, 22).apply(clean), code),
         (pure_loss(0.9, 22).apply(sharp.to_density()), sharp),
     ):
         out = gkp_ec_round(rho, ancilla)

@@ -445,6 +445,35 @@ def test_malformed_config_exits_2(tmp_path, capsys, command, bad):
 
 
 @pytest.mark.parametrize(
+    "command, bad, message",
+    [
+        ("loss-sweep", {"cutoff": 1}, "cutoff dim must be an integer >= 2, got 1"),
+        ("activate", {"cutoff": 1.5}, "must be a whole number in [1, 200]"),
+        ("loss-sweep", {"etas": [0.5, 1.2]}, "transmissivity must lie in [0, 1], got 1.2"),
+        ("gkp-sweep", {"eta": 1.2}, "transmissivity must lie in [0, 1], got 1.2"),
+        ("activate", {"channel": {"kind": "loss", "eta": 1.2}}, "got 1.2"),
+        (
+            "activate",
+            {"channel": {"kind": "gaussian_noise", "sigma2": 0}},
+            "sigma2 must be finite and positive, got 0.0",
+        ),
+        ("activate", {"channel": {"kind": "gaussian_noise", "sigma2": -0.5}}, "positive, got -0.5"),
+        ("activate", {"channel": {"kind": "gaussian_noise", "sigma2": "inf"}}, "positive, got inf"),
+        ("activate", {"channel": {"kind": "gaussian_noise", "sigma2": "nan"}}, "positive, got nan"),
+    ],
+)
+def test_bad_cutoff_eta_and_sigma2_exit_2_with_the_library_message(
+    tmp_path, capsys, command, bad, message
+):
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps(bad))
+    assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command, bad",
     [
         ("negativity-depth", {"resolution": 4, "cutoff": 8}),

@@ -10,14 +10,11 @@ from scipy.special import gammainc
 from cvactivation.errors import TruncationError
 from cvactivation.fock import (
     DensityMatrix,
-    FockCutoff,
     OperatorMatrix,
     PureState,
     annihilation_matrix,
     coherent_tail_mass,
     displacement_op,
-    fidelity,
-    ladder_ops,
     parity_op,
     pure_fidelity,
     trace_norm,
@@ -29,22 +26,42 @@ from conftest import random_density
 
 
 def test_cutoff_requires_dim_two():
-    with pytest.raises(ValueError):
-        FockCutoff(1)
+    # a cutoff argument and an array's length are checked alike
+    for bad in (1, 1.5):
+        with pytest.raises(ValueError, match=f"cutoff dim must be an integer >= 2, got {bad}$"):
+            fock(0, bad)
+    with pytest.raises(ValueError, match="cutoff dim must be an integer >= 2, got 1$"):
+        PureState(np.ones(1))
+    with pytest.raises(ValueError, match="cutoff dim must be an integer >= 2, got 1$"):
+        DensityMatrix(np.ones((1, 1)))
+    with pytest.raises(ValueError, match="must be square"):
+        DensityMatrix(np.eye(3)[:2] / 2.0)
+
+
+def test_dim_is_the_arrays_and_leakage_is_keyword_only():
+    psi = PureState(np.array([0.6, 0.8, 0.0]), leakage=1e-9)
+    rho = psi.to_density()
+    assert (psi.dim, rho.dim, rho.leakage) == (3, 3, 1e-9)
+    # a stale positional cutoff fails loudly instead of becoming the leakage
+    with pytest.raises(TypeError):
+        PureState(psi.amplitudes, 3)
+    with pytest.raises(TypeError):
+        DensityMatrix(rho.matrix, 3)
 
 
 def test_ladder_matrix_elements():
-    a, adag, n = ladder_ops(3)
+    a = annihilation_matrix(3)
     one = np.array([0, 1, 0], dtype=complex)
     two = np.array([0, 0, 1], dtype=complex)
-    assert np.allclose(a.matrix @ one, [1, 0, 0])
-    assert np.allclose(a.matrix @ two, [0, math.sqrt(2), 0])
-    assert np.allclose(np.diag(n.matrix), [0, 1, 2])
+    assert np.allclose(a @ one, [1, 0, 0])
+    assert np.allclose(a @ two, [0, math.sqrt(2), 0])
+    assert np.allclose(np.diag(a.conj().T @ a), [0, 1, 2])
 
 
 def test_commutator_identity_on_leading_block():
-    a, adag, _ = ladder_ops(20)
-    comm = a.matrix @ adag.matrix - adag.matrix @ a.matrix
+    a = annihilation_matrix(20)
+    adag = a.conj().T
+    comm = a @ adag - adag @ a
     assert np.allclose(comm[:19, :19], np.eye(19))
 
 
@@ -63,9 +80,9 @@ def test_parity_thermal_expectation():
 
 
 def test_parity_conjugates_annihilation():
-    a, _, _ = ladder_ops(12)
+    a = annihilation_matrix(12)
     pi = parity_op(12).matrix
-    assert np.array_equal(pi @ a.matrix @ pi, -a.matrix)
+    assert np.array_equal(pi @ a @ pi, -a)
 
 
 def test_displacement_identity_at_zero():
@@ -148,20 +165,20 @@ def test_displacement_matches_dense_exponential(dim):
 def test_density_matrix_invariants_enforced():
     bad = np.diag([0.6, 0.6]).astype(complex)
     with pytest.raises(ValueError):
-        DensityMatrix(bad, FockCutoff(2))
+        DensityMatrix(bad)
     asym = np.array([[0.5, 0.1], [0.4, 0.5]], dtype=complex)
     with pytest.raises(ValueError):
-        DensityMatrix(asym, FockCutoff(2))
+        DensityMatrix(asym)
     neg = np.diag([1.2, -0.2]).astype(complex)
     with pytest.raises(ValueError):
-        DensityMatrix(neg, FockCutoff(2))
+        DensityMatrix(neg)
 
 
 @pytest.mark.parametrize(
     "build",
     [
-        lambda bad: PureState(np.full(2, bad), FockCutoff(2)),
-        lambda bad: DensityMatrix(np.full((2, 2), bad), FockCutoff(2)),
+        lambda bad: PureState(np.full(2, bad)),
+        lambda bad: DensityMatrix(np.full((2, 2), bad)),
         lambda bad: OperatorMatrix(np.full((2, 2), bad), hermitian=False),
         lambda bad: WitnessBox(bad, 1.0),
         lambda bad: WitnessBox(1.0, bad),
@@ -177,7 +194,7 @@ def test_constructors_reject_non_finite(build, bad):
 
 def test_pure_state_norm_enforced():
     with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]), FockCutoff(2))
+        PureState(np.array([1.0, 1.0]))
 
 
 def test_operator_hermitian_flag_checked():
@@ -187,22 +204,16 @@ def test_operator_hermitian_flag_checked():
 
 def test_mixed_cutoff_rejected():
     with pytest.raises(ValueError):
-        fidelity(fock(0, 4).to_density(), fock(0, 5).to_density())
+        pure_fidelity(fock(0, 4), fock(0, 5).to_density())
 
 
 def test_fidelity_examples():
-    vac = fock(0, 30).to_density()
+    vac = fock(0, 30)
     one = fock(1, 30).to_density()
     alpha = coherent(1.0, 30).to_density()
-    assert fidelity(vac, vac) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(vac, one) == pytest.approx(0.0, abs=1e-12)
-    assert fidelity(vac, alpha) == pytest.approx(math.exp(-1.0), abs=1e-8)
-
-
-def test_fidelity_symmetric(rng):
-    a = random_density(rng, 6)
-    b = random_density(rng, 6)
-    assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-8)
+    assert pure_fidelity(vac, vac.to_density()) == pytest.approx(1.0, abs=1e-12)
+    assert pure_fidelity(vac, one) == pytest.approx(0.0, abs=1e-12)
+    assert pure_fidelity(vac, alpha) == pytest.approx(math.exp(-1.0), abs=1e-8)
 
 
 def test_trace_norm_examples():
@@ -226,9 +237,10 @@ def test_two_copy_trace_norm_bound(rng):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_fuchs_van_de_graaff(seed):
     rng = np.random.default_rng(seed)
-    a = random_density(rng, 5)
+    vec = rng.normal(size=5) + 1j * rng.normal(size=5)
+    psi = PureState(vec / np.linalg.norm(vec))
     b = random_density(rng, 5)
-    f = fidelity(a, b)
-    half_dist = 0.5 * trace_norm(a.matrix - b.matrix)
+    f = pure_fidelity(psi, b)
+    half_dist = 0.5 * trace_norm(psi.to_density().matrix - b.matrix)
     assert 1.0 - math.sqrt(f) <= half_dist + 1e-9
     assert half_dist <= math.sqrt(1.0 - f) + 1e-9

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 from cvactivation import monotones
-from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
+from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GkpParams,
     cat,
@@ -12,7 +12,6 @@ from cvactivation.states import (
     thermal,
 )
 from cvactivation.channels import (
-    GaussNoiseParams,
     apply_unitary,
     gaussian_noise,
     phase_rotation,
@@ -29,7 +28,7 @@ from cvactivation.monotones import (
     pure_state_bounds,
 )
 from cvactivation.wigner import DepthSearchConfig
-from cvactivation.witnesses import FreeSet, WitnessBox
+from cvactivation.witnesses import DisplacedParity, ExplicitWitness, FreeSet, WitnessBox
 
 FAST = FamilySearchConfig(depth=DepthSearchConfig(resolution=30))
 
@@ -116,11 +115,10 @@ def test_family_search_fits_the_first_of_the_descending_argsort():
     dim = 20
     half = DensityMatrix(
         0.5 * (fock(0, dim).to_density().matrix + fock(1, dim).to_density().matrix),
-        FockCutoff(dim),
     )
     vals, vecs = np.linalg.eigh(half.matrix)
     assert vals[-1] == vals[-2] == pytest.approx(0.5)
-    expected = PureState(vecs[:, np.argsort(vals)[::-1][0]], dim).amplitudes
+    expected = PureState(vecs[:, np.argsort(vals)[::-1][0]]).amplitudes
     candidates, exact = monotones._family_search(
         half, FreeSet.GAUSSIAN_TWO_COPY, WitnessBox(), FAST
     )
@@ -153,9 +151,9 @@ def test_boundary_mixture_canonical():
     dim = 25
     vac = fock(0, dim).to_density()
     one = fock(1, dim).to_density()
-    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(dim))
+    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix))
     rows = exact_boundary_mixture(
-        sigma, one, parity_op(dim), [0.0, 0.25, 0.5, 0.75, 1.0], cfg=FAST
+        sigma, one, DisplacedParity(0), [0.0, 0.25, 0.5, 0.75, 1.0], cfg=FAST
     )
     for row in rows:
         assert row.exact_value == row.t
@@ -167,11 +165,13 @@ def test_boundary_mixture_rejects_bad_conditions():
     vac = fock(0, dim).to_density()
     one = fock(1, dim).to_density()
     with pytest.raises(ValueError):
-        exact_boundary_mixture(vac, one, parity_op(dim), [0.5])  # Tr(X sigma) = 1 != 0
-    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix), FockCutoff(dim))
+        exact_boundary_mixture(vac, one, DisplacedParity(0), [0.5])  # Tr(X sigma) = 1 != 0
+    sigma = DensityMatrix(0.5 * (vac.matrix + one.matrix))
     oversize = OperatorMatrix(2.0 * parity_op(dim).matrix, hermitian=True)
     with pytest.raises(ValueError):
-        exact_boundary_mixture(sigma, one, oversize, [0.5])
+        exact_boundary_mixture(
+            sigma, one, ExplicitWitness(oversize, FreeSet.WIGNER_POSITIVE, "2 Pi"), [0.5]
+        )
 
 
 def test_pure_state_bounds_examples():
@@ -194,11 +194,10 @@ def test_property_suite_passes_on_corpus():
             "mix",
             DensityMatrix(
                 0.6 * one.matrix + 0.4 * fock(0, dim).to_density().matrix,
-                FockCutoff(dim),
             ),
         ),
     ]
-    noise = gaussian_noise(GaussNoiseParams(0.05), dim)
+    noise = gaussian_noise(0.05, dim)
     rot = phase_rotation(0.7, dim)
     channels = [
         ("loss_0.9", pure_loss(0.9, dim).apply),
@@ -216,7 +215,7 @@ def test_property_suite_reports_failures():
     dim = 20
     one = fock(1, dim).to_density()
     half = DensityMatrix(
-        0.5 * one.matrix + 0.5 * fock(0, dim).to_density().matrix, FockCutoff(dim)
+        0.5 * one.matrix + 0.5 * fock(0, dim).to_density().matrix
     )
 
     def fake_channel(rho):

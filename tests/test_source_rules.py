@@ -3,8 +3,10 @@ exponential, imports no scipy anywhere (its optimizer and special functions
 are numpy and math code, with scipy kept as the test oracle) and builds
 displacement operators only in fock.py.
 Witness algebra lives in witnesses.py alone, with one projector family and
-no norm-bound rescale, and the package has at most 60 settable values
-(scripts/count_settable_values.py).
+no norm-bound rescale; monotones.py evaluates witnesses only through it.
+A state's dimension is its array's: no cutoff wrapper or parameter wrapper
+type is left, nor the utilities no computation calls.  The package has at
+most 59 settable values (scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
@@ -82,10 +84,39 @@ def test_one_witness_algebra():
     assert not found, "\n".join(found)
 
 
-def test_settable_values_at_most_60():
+def test_monotones_evaluates_witnesses_through_witnesses_py():
+    # no Wigner batch, dense operator or trace of its own: values come from
+    # violation, boxes from check_box
+    banned = ("wigner_batch", "OperatorMatrix", "np.trace")
+    found = [
+        where
+        for name, where, line in _lines()
+        if name == "monotones.py" and any(word in line for word in banned)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_retired_names_are_gone():
+    # the dimension is the array's, a cutoff a plain int and a channel's
+    # parameter a plain number; the uncalled utilities are deleted
+    retired = (
+        "FockCutoff",
+        "as_cutoff",
+        "LossParams",
+        "GaussNoiseParams",
+        "sigma2_from_db",
+        "ladder_ops",
+        "apply_pure",
+        "_psd_sqrt",
+    )
+    found = [where for _, where, line in _lines() if any(name in line for name in retired)]
+    assert not found, "\n".join(found)
+
+
+def test_settable_values_at_most_59():
     script = SRC.parent.parent / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
-    assert int(out.stdout.split()[-1]) <= 60
+    assert int(out.stdout.split()[-1]) <= 59
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from cvactivation.errors import InvariantError
-from cvactivation.fock import DensityMatrix, FockCutoff, annihilation_matrix
+from cvactivation.fock import DensityMatrix, annihilation_matrix
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_comb, gkp_damped
 from cvactivation.channels import pure_loss
 from cvactivation import wigner
@@ -165,7 +165,7 @@ def test_depth_mixture_linearity(rng):
     pts = pts.ravel()
     for p in (0.25, 0.6):
         mix = DensityMatrix(
-            p * a.matrix + (1 - p) * b.matrix, FockCutoff(24)
+            p * a.matrix + (1 - p) * b.matrix
         )
         wa = wigner_batch(a, pts)
         wb = wigner_batch(b, pts)
@@ -338,10 +338,10 @@ def test_values_do_not_depend_on_zero_padding(rng):
         pure_loss(0.3, 25).apply(one),
         pure_loss(0.7, 25).apply(one),
         # the vacuum/one mixture on the negativity boundary eta = 1/2
-        DensityMatrix(np.diag([0.5, 0.5] + [0.0] * 23).astype(complex), 25),
+        DensityMatrix(np.diag([0.5, 0.5] + [0.0] * 23).astype(complex)),
     ]
     for rho in states:
-        padded = DensityMatrix(np.pad(rho.matrix, (0, 55)), FockCutoff(80))
+        padded = DensityMatrix(np.pad(rho.matrix, (0, 55)))
         assert np.array_equal(wigner_batch(rho, pts), wigner_batch(padded, pts))
         for a, b in zip(wigner_jet(rho, pts), wigner_jet(padded, pts)):
             assert np.array_equal(a, b)
@@ -365,7 +365,7 @@ def test_recurrence_runs_on_the_exactly_occupied_block(monkeypatch):
     mat = np.array(rho.matrix)
     mat[dim - 1, 0] = 1e-300
     blocks.clear()
-    wigner_batch(DensityMatrix(mat, dim), pts)
+    wigner_batch(DensityMatrix(mat), pts)
     assert blocks == [dim]
 
 
@@ -420,7 +420,7 @@ def test_jet_on_the_block_matches_the_full_cutoff_route(monkeypatch, cutoff):
         # the lossy photon (1 - eta)|0><0| + eta|1><1|
         diag = np.zeros(cutoff, dtype=complex)
         diag[:2] = 1.0 - eta, eta
-        rho = DensityMatrix(np.diag(diag), cutoff)
+        rho = DensityMatrix(np.diag(diag))
         block = wigner_jet(rho, pts)
         with monkeypatch.context() as m:
             m.setattr(wigner, "_jet_stack", _full_cutoff_jet_stack)
@@ -431,7 +431,7 @@ def test_jet_on_the_block_matches_the_full_cutoff_route(monkeypatch, cutoff):
 
 def test_depth_cost_follows_the_occupied_block():
     # the lossy photon (1 - eta)|0><0| + eta|1><1| occupies levels 0 and 1 at any cutoff
-    rho = DensityMatrix(np.diag([0.3, 0.7] + [0.0] * 198).astype(complex), 200)
+    rho = DensityMatrix(np.diag([0.3, 0.7] + [0.0] * 198).astype(complex))
     best = math.inf
     for _ in range(3):
         start = time.perf_counter()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cvactivation import states, witnesses
-from cvactivation.fock import DensityMatrix, FockCutoff, OperatorMatrix, PureState, parity_op
+from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GaussianPureParams,
     cat,
@@ -158,7 +158,7 @@ def test_parity_value_exact_for_truncated_state():
     # far from the origin the cutoff-30 displacement is inexact; the value
     # must match the state zero-padded to cutoff 100
     rho = cat(1.3, -1, 30).to_density()
-    padded = DensityMatrix(np.pad(rho.matrix, (0, 70)), FockCutoff(100))
+    padded = DensityMatrix(np.pad(rho.matrix, (0, 70)))
     alpha = 2.0 + 1.0j
     oracle = -(math.pi / 2.0) * wigner_at(padded, alpha)
     assert witness_value(displaced_parity_spec(alpha), rho) == pytest.approx(oracle, abs=1e-12)
@@ -174,7 +174,7 @@ def test_lift_witness_value_equality(rng):
     assert lhs == pytest.approx(witness_value(displaced_parity_spec(0.0), rho), abs=1e-10)
     assert set(np.round(np.linalg.eigvalsh(lifted), 9)) <= {-1.0, 1.0}
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
-    psi = PureState(vec / np.linalg.norm(vec), FockCutoff(6))
+    psi = PureState(vec / np.linalg.norm(vec))
     proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
     dense = 0.49 * np.eye(36) - np.kron(proj, proj)
     lhs = -float(np.real(np.trace(dense @ rho2)))
@@ -263,7 +263,7 @@ def _threshold_draws(rng, dim, r_max, count):
 def test_fit_objective_bit_identical_to_built_state_oracle(dim):
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
-    random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)), dim)
+    random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)))
     r_max = GaussianFitConfig().r_max
     draws = [
         [rng.normal(0.0, 1.5), rng.normal(0.0, 1.5), rng.uniform(-2.5, 2.5), rng.uniform(-9, 9)]
@@ -285,7 +285,7 @@ def test_fit_objective_bit_identical_to_built_state_oracle(dim):
 
 def _top_eigenvector(rho):
     vals, vecs = np.linalg.eigh(rho.matrix)
-    return PureState(vecs[:, np.argmax(vals)], rho.cutoff)
+    return PureState(vecs[:, np.argmax(vals)])
 
 
 # fits through built candidate states, before the objective stopped building them
@@ -465,9 +465,9 @@ def test_gaussian_fidelity_invariant_under_rotation():
     rot = phase_rotation(0.9, 40)
     rotated = apply_unitary(rot, psi.to_density())
     vals, vecs = np.linalg.eigh(rotated.matrix)
-    from cvactivation.fock import PureState, FockCutoff
+    from cvactivation.fock import PureState
 
-    psi_rot = PureState(vecs[:, -1], FockCutoff(40))
+    psi_rot = PureState(vecs[:, -1])
     a = gaussian_fidelity(psi).max_fidelity
     b = gaussian_fidelity(psi_rot).max_fidelity
     assert a == pytest.approx(b, abs=1e-6)
