@@ -487,7 +487,7 @@ def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> fl
     """Best displaced-parity activation on the exact (untruncated) codeword."""
     centers, envelope, sigma2 = gkp_comb(params)
     res = negativity_depth_fn(
-        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
         lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
         depth_cfg.radius,
         depth_cfg,

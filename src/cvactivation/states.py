@@ -198,7 +198,7 @@ def _truncate_with_leakage(
     if total == 0.0:
         raise ValueError(f"{what}: zero vector")
     leak = float(np.sum(np.abs(amps_ext[dim:]) ** 2)) / total
-    if leak > tail_tol:
+    if not leak <= tail_tol:  # a NaN leak fails it too
         raise TruncationError(f"{what} leaks {leak:.3e} > {tail_tol:.1e} at dim {dim}")
     kept = amps_ext[:dim]
     return kept / np.linalg.norm(kept), leak

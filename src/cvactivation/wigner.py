@@ -4,22 +4,25 @@ Conventions: W(alpha) = (2/pi) Tr[Pi(alpha) rho] with Pi(alpha) the
 displaced parity, alpha = (x + i p)/sqrt(2), so the vacuum Wigner function
 is (2/pi) exp(-2|alpha|^2) and the integral over the complex plane is 1.
 
-Density matrices have one production route: :func:`wigner_batch`
-contracts the exact displaced-parity matrix elements Pi(alpha) =
-D(2 alpha) Pi against rho through a stable column recurrence, exact for
-the truncated state and fast on point batches.  The recurrence runs on
-the state's occupied Fock block only, up to its last level with an
-exactly nonzero entry, and once per distinct |alpha| with all Fock orders
-in lockstep, so N points with M distinct radii cost O(k^2 M + k N) for a
-block of k levels, not O(d^2 N) for the cutoff d.  Independent routes
-live in the test suite as oracles: the defining expression (parity
-conjugated by an explicit displacement), a Laguerre series and the same
-recurrence run one order at a time.  The same recurrence,
-run over a stack of operators, gives :func:`wigner_jet` the exact gradient
-and Hessian through the Bopp identities.  For grid-code states,
-:func:`wigner_pure_comb` evaluates the exact comb as one small matrix
-product over the distinct q and p of its points, and
-:func:`wigner_pure_comb_jet` gives its derivatives in closed form.
+Density matrices have one production route.  The Wigner function of a
+truncated operator is a finite sum of products of Hermite functions,
+W(alpha) = (2/sqrt(pi)) sum_ab G_ab psi_a(2 Re alpha) psi_b(2 Im alpha),
+exact for the truncated state.  The real coefficient matrix G has
+2k - 1 rows for an occupied block of k levels and is built once per
+operator (:func:`_coefficients`): the entries rho_mn with m + n = N are
+mapped by the 50:50 beam-splitter block of N photons, which the stable
+one-photon recursion of Risbo (J. Geodesy 70, 383 (1996)) builds in
+O(k^3) time and O(k^2) memory.  A grid scan is then one Hermite table per
+axis and two matrix products; scattered points take one table per
+coordinate and a row sum, O(k^2) per point; and the exact gradients and
+Hessians of :func:`wigner_jet` come from the derivative tables of the same
+Hermite functions.  Independent routes live in the test suite as oracles:
+the defining expression (parity conjugated by an explicit displacement), a
+Laguerre series, the Laguerre Clenshaw recurrence run one order at a time
+and the Bopp identities on that recurrence.  For grid-code states,
+:func:`wigner_pure_comb` evaluates the exact comb on a square grid as one
+small matrix product, and :func:`wigner_pure_comb_jet` gives its values
+and derivatives at scattered points in closed form.
 
 The negativity-depth search scans a grid with values only, then refines
 its best points in lockstep by trust-region Newton steps on those exact
@@ -39,123 +42,101 @@ from .fock import (
     DensityMatrix,
     _occupied_dim,
     _whole_fields,
-    annihilation_matrix,
     coherent_tail_mass,
 )
 from .states import hermite_functions
 
 WIGNER_BOUND = 2.0 / math.pi
 _BOUND_SLACK = 1e-9
+# W = _NORM sum_ab G_ab psi_a(2 Re alpha) psi_b(2 Im alpha)
+_NORM = 2.0 / math.sqrt(math.pi)
 
 
-# entries in each lockstep buffer (stack x orders x points): 2^19 complex
-# values, 8 MiB; larger batches run in chunks of points
-_LOCKSTEP_ENTRIES = 1 << 19
+def _coefficients(matrix: np.ndarray) -> np.ndarray:
+    """The real Hermite-product coefficients G of a Hermitian operator's Wigner function.
 
+    The Wigner function of |m><n| is that of the two-mode state |m, n>
+    turned by a 50:50 beam splitter, with the second mode Fourier
+    transformed.  So the entries rho_mn with m + n = N land on the
+    anti-diagonal a + b = N of G through the beam-splitter block
+    B_N[a, m] = <a, N - a| U |m, N - m>, with the Fourier phase (-i)^b; for a
+    Hermitian operator the imaginary parts cancel and G is real.
 
-def _clenshaw_orders(doubled: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clenshaw recurrences of every diagonal order of a stack, all orders in lockstep.
+    B_N comes from B_{N-1} by the one-photon recursion
+    N |m, N - m> = sqrt(m) a^dag |m - 1, N - m> + sqrt(N - m) b^dag |m, N - m - 1>,
+    with U a^dag U^dag = (a^dag + b^dag)/sqrt(2) and U b^dag U^dag =
+    (a^dag - b^dag)/sqrt(2): four neighbours of B_{N-1}, each weighted by
+    sqrt(...)/(N sqrt(2)) <= 1/sqrt(2) (Risbo's recursion at beta = pi/2), so
+    the recursion is stable.  Only the columns m the block holds are kept,
+    max(0, N - k + 1) to min(N, k - 1), and these need no others.
 
-    Order o of the (k, d, d) stack sums sum_n c_n (-1)^n sqrt(o! n!/(o+n)!)
-    L_n^o(x) over its diagonal c_n = doubled[:, n, n + o].  Returns the
-    final pairs (y0, y1), each of shape (k, d - 1, len(x)); the sum of
-    order o is y0[:, o] - y1[:, o] ((o + 1) - x) / sqrt(o + 1).
-
-    Run one order at a time (the test oracle ``laguerre_clenshaw``), the
-    recurrence of order o takes steps j = d - 3 - o down to 0, step j adds
-    coefficient c_j, and its factors depend on (o, j) only.  So step j,
-    run from d - 3 down to 0, advances the prefix of orders o <= d - 3 - j
-    at once: one numpy call per operation, and per element the same
-    operations in the same order, so the sums are bit-identical.
+    The operator is cut to its occupied block of k levels first (k >= 2),
+    so G has 2k - 1 rows and does not depend on zero padding.
     """
-    dim = doubled.shape[-1]
-    ones = np.ones_like(x, dtype=complex)
-    # order o starts from its last two coefficients, at rows d-2-o and d-1-o
-    y0 = doubled[:, dim - 2 :: -1, dim - 2, None] * ones
-    y1 = doubled[:, dim - 1 : 0 : -1, dim - 1, None] * ones
-    if dim > 2:
-        orders = np.arange(dim - 1)[:, None]
-        k = np.arange(2, dim)[None, :]  # k = j + 2 at step j, as in the per-order loop
-        shift = np.sqrt(((k - 1) * (orders + k - 1)) / ((orders + k) * k))[:, :, None]
-        centre = (orders + 2 * k - 1).astype(float)[:, :, None]
-        scale = np.sqrt(((orders + k) * k).astype(float))[:, :, None]
-        # the orders above the active prefix keep their starting pair in both
-        # y1 buffers, so swapping them never loses a start
-        spare = y1.copy()
-        arg = np.empty((dim - 1, x.size))
-        for j in range(dim - 3, -1, -1):
-            p = dim - 2 - j
-            y0p, y1p, new_y1, argp = y0[:, :p], y1[:, :p], spare[:, :p], arg[:p]
-            np.subtract(centre[:p, j], x, out=argp)
-            np.multiply(y1p, argp, out=new_y1)
-            np.divide(new_y1, scale[:p, j], out=new_y1)
-            np.subtract(y0p, new_y1, out=new_y1)
-            np.multiply(y1p, shift[:p, j], out=y0p)
-            np.subtract(doubled[:, j, j : dim - 2, None], y0p, out=y0p)
-            y1, spare = spare, y1
-    return y0, y1
+    k = _occupied_dim(matrix[None])
+    size = 2 * k - 1
+    # the anti-diagonal m + n = N of the block is the diagonal of offset
+    # k - 1 - N of its mirror image, read from m = max(0, N - k + 1) up
+    mirror = matrix[:k, k - 1 :: -1]
+    parts = np.stack([mirror.real, mirror.imag])
+    root = np.sqrt(np.arange(size + 1))
+    rows = np.arange(size)
+    anti = np.zeros((size, size, 2))  # B_N times the anti-diagonal, real and imaginary parts
+    anti[0, 0] = parts[:, 0, k - 1]
+    # B_{N-1} on its columns lo..hi, with a zero column on each side
+    padded = np.array([[0.0, 1.0, 0.0]])
+    lo = 0
+    for n in range(1, size):
+        new_lo, hi = max(0, n - k + 1), min(n, k - 1)
+        width = hi - new_lo + 1
+        scale = 1.0 / (n * math.sqrt(2.0))
+        start = new_lo - lo  # column new_lo - 1 of B_{N-1}
+        m_up = root[new_lo : hi + 1] * scale  # sqrt(m) and sqrt(N - m), scaled
+        m_down = root[n - hi : n - new_lo + 1][::-1] * scale
+        left = padded[:, start : start + width] * m_up
+        right = padded[:, start + 1 : start + 1 + width] * m_down
+        padded = np.zeros((n + 1, width + 2))
+        b_n = padded[:, 1:-1]
+        np.multiply(root[1 : n + 1, None], left + right, out=b_n[1:])
+        b_n[:-1] += root[n:0:-1, None] * (left - right)
+        anti[rows[: n + 1], n - rows[: n + 1]] = b_n @ parts.diagonal(k - 1 - n, 1, 2).T
+        lo = new_lo
+    # Re((-i)^b g): g's real part for even b, its imaginary part for odd b, signs + + - -
+    phase = rows % 4
+    sign = np.array([1.0, 1.0, -1.0, -1.0])[phase]
+    return np.where(phase % 2 == 0, anti[..., 0], anti[..., 1]) * sign
 
 
-def _wigner_points(doubled: np.ndarray, corner: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """:func:`_wigner_stack` on a batch of points, given the doubled block and
-    its scaled corner column; shape (k, N)."""
-    dim = doubled.shape[-1]
-    a2 = 2.0 * alphas
-    b = np.abs(a2) ** 2
-    if dim == 2:
-        # one order and no recurrence steps: nothing to share between points
-        x, at = b, slice(None)
-    else:
-        x, at = np.unique(b, return_inverse=True)
-    y0, y1 = _clenshaw_orders(doubled, x)
-    w = corner * np.ones_like(b, dtype=complex)
-    for order in range(dim - 2, -1, -1):
-        clen = y0[:, order] - y1[:, order] * ((order + 1) - x) / math.sqrt(order + 1)
-        w = clen[:, at] + w * a2 / math.sqrt(order + 1)
-    return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
+def _grid_values(coeffs: np.ndarray, axis: np.ndarray) -> np.ndarray:
+    """Values on the square grid over ``axis``, raveled as :func:`_grid_points`."""
+    table = hermite_functions(coeffs.shape[0], 2.0 * axis)
+    return _NORM * (table.T @ coeffs @ table).ravel()
 
 
-def _wigner_stack(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
-    """(2/pi) Tr[Pi(alpha) H] for a stack (k, d, d) of Hermitian H; shape (k, N).
+def _coordinates(alphas: np.ndarray) -> np.ndarray:
+    """2 Re alpha, then 2 Im alpha, in one array: one Hermite recurrence serves both."""
+    return 2.0 * np.concatenate([alphas.real, alphas.imag])
 
-    A Clenshaw recurrence over the diagonals of each H evaluates the
-    Fock-basis Laguerre series of the displaced parity; it is numerically
-    stable and exact for operators supported below the cutoff.  The sums
-    depend on |alpha| only, so they run once per distinct radius, for all
-    orders in lockstep (:func:`_clenshaw_orders`), and a Horner pass over
-    the orders combines them at every point.
 
-    The stack is first cut to its occupied block, levels 0..k-1 with k-1
-    the last level that holds an exactly nonzero entry anywhere in the
-    stack (k >= 2).  The levels above add only exact zeros, and the full
-    recurrence of each diagonal reaches the cut one's starting pair of
-    coefficients before any nonzero one enters, so the values are
-    bit-identical.  The cost is O(k^2 M + k N) for N points with M
-    distinct radii, not O(d^2 N).
+def _point_values(coeffs: np.ndarray, alphas: np.ndarray) -> np.ndarray:
+    """Values at scattered points: Hermite tables of both coordinates and a row sum."""
+    table = hermite_functions(coeffs.shape[0], _coordinates(alphas))
+    n = alphas.size
+    return _NORM * np.einsum("an,an->n", table[:, :n], coeffs @ table[:, n:])
 
-    The lockstep buffers hold stack x (k - 1) x points entries; batches
-    above ``_LOCKSTEP_ENTRIES`` run in chunks of points taken in radius
-    order, so that each chunk keeps its repeated radii.
+
+def _derivative_tables(size: int, u: np.ndarray):
+    """psi_n(u), psi_n'(u) and psi_n''(u) for n < size, rows indexed by n.
+
+    psi_n' = sqrt(n/2) psi_{n-1} - sqrt((n+1)/2) psi_{n+1} and
+    psi_n'' = (u^2 - 2n - 1) psi_n, both exact.
     """
-    dim = _occupied_dim(mats)
-    mats = mats[:, :dim, :dim]
-    doubled = mats * (2.0 - np.eye(dim))
-    corner = 2.0 * mats[:, 0, dim - 1, None]
-    if dim == 2 or (dim - 1) * len(mats) * alphas.size <= _LOCKSTEP_ENTRIES:
-        return _wigner_points(doubled, corner, alphas)
-    out = np.empty((len(mats), alphas.size))
-    ranked = np.argsort(np.abs(alphas), kind="stable")
-    size = max(1, _LOCKSTEP_ENTRIES // ((dim - 1) * len(mats)))
-    for start in range(0, alphas.size, size):
-        chunk = ranked[start : start + size]
-        out[:, chunk] = _wigner_points(doubled, corner, alphas[chunk])
-    return out
-
-
-def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
-    """Wigner values at an array of phase-space points."""
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    return _wigner_stack(rho.matrix[None], alphas)[0]
+    table = hermite_functions(size + 1, u)
+    n = np.arange(size)[:, None]
+    values = table[:size]
+    first = -np.sqrt((n + 1) / 2.0) * table[1:]
+    first[1:] += np.sqrt(n[1:] / 2.0) * table[: size - 1]
+    return values, first, (u * u - (2 * n + 1)) * values
 
 
 def _hessian(h_uu: np.ndarray, h_uv: np.ndarray, h_vv: np.ndarray) -> np.ndarray:
@@ -163,52 +144,37 @@ def _hessian(h_uu: np.ndarray, h_uv: np.ndarray, h_vv: np.ndarray) -> np.ndarray
     return np.stack([np.stack([h_uu, h_uv], -1), np.stack([h_uv, h_vv], -1)], -2)
 
 
-def _hermitian_parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """H1, H2 with x = H1 + i H2, so that W_x = W_H1 + i W_H2."""
-    xh = x.conj().T
-    return (x + xh) / 2.0, (x - xh) / 2j
+def _point_jet(coeffs: np.ndarray, alphas: np.ndarray):
+    """Values, gradients (N, 2) and Hessians (N, 2, 2) in (Re alpha, Im alpha)."""
+    tables = _derivative_tables(coeffs.shape[0], _coordinates(alphas))
+    n = alphas.size
+    h_re, d_re, dd_re = (table[:, :n] for table in tables)
+    g_h, g_d, g_dd = (coeffs @ table[:, n:] for table in tables)
+
+    def pair(x, y):
+        return _NORM * np.einsum("an,an->n", x, y)
+
+    # u = 2 Re alpha and v = 2 Im alpha: each derivative in alpha is twice one in u or v
+    grad = 2.0 * np.stack([pair(d_re, g_h), pair(h_re, g_d)], axis=-1)
+    hess = 4.0 * _hessian(pair(dd_re, g_h), pair(d_re, g_d), pair(h_re, g_dd))
+    return pair(h_re, g_h), grad, hess
 
 
-def _jet_stack(matrix: np.ndarray) -> np.ndarray:
-    """rho and the Hermitian parts of a rho, a^2 rho and a rho a^dag, on rho's occupied block."""
-    dim = _occupied_dim(matrix[None])
-    block = matrix[:dim, :dim]
-    lower = annihilation_matrix(dim)
-    a_rho = lower @ block
-    aa_rho = lower @ a_rho
-    return np.array(
-        [block, *_hermitian_parts(a_rho), *_hermitian_parts(aa_rho), a_rho @ lower.conj().T]
-    )
+def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
+    """Wigner values at an array of phase-space points."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    return _point_values(_coefficients(rho.matrix), alphas)
 
 
 def wigner_jet(rho: DensityMatrix, alphas: np.ndarray):
     """Wigner values with their exact gradients and Hessians in (Re alpha, Im alpha).
 
-    The derivatives are Wigner functions of the same kind (Bopp identities
-    dW_X/dalpha* = 2(W_aX - alpha W_X), dW_X/dalpha = 2(W_Xa^dag - alpha* W_X)),
-    so one stacked Clenshaw pass over rho and the Hermitian parts of
-    a rho, a^2 rho and a rho a^dag gives all three orders.  The identities
-    are exact for the truncated state: a rho, a^2 rho and a rho a^dag stay
-    below the cutoff.  They also stay inside rho's occupied block, so the
-    products are formed on that block.  Returns values (N,), gradients
-    (N, 2), Hessians (N, 2, 2).
+    Differentiates the Hermite-product form term by term, exact for the
+    truncated state.  Returns values (N,), gradients (N, 2), Hessians
+    (N, 2, 2).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    w, a_re, a_im, aa_re, aa_im, w_ara = _wigner_stack(_jet_stack(rho.matrix), alphas)
-    # W_X, dW/dalpha*, d^2W/dalpha*^2 and d^2W/dalpha dalpha* from the Bopp identities
-    w_a = a_re + 1j * a_im
-    w_aa = aa_re + 1j * aa_im
-    d_conj = 2.0 * (w_a - alphas * w)
-    d_conj2 = 4.0 * w_aa - 8.0 * alphas * w_a + 4.0 * alphas**2 * w
-    d_mixed = (
-        4.0 * w_ara - 8.0 * np.real(alphas.conj() * w_a) - 2.0 * w + 4.0 * np.abs(alphas) ** 2 * w
-    )
-    # d/dRe = d/dalpha + d/dalpha*, d/dIm = i (d/dalpha - d/dalpha*), W real
-    grad = 2.0 * np.stack([d_conj.real, d_conj.imag], axis=-1)
-    hess = _hessian(
-        2.0 * (d_mixed + d_conj2.real), 2.0 * d_conj2.imag, 2.0 * (d_mixed - d_conj2.real)
-    )
-    return w, grad, hess
+    return _point_jet(_coefficients(rho.matrix), alphas)
 
 
 def _comb_pairs(centers: np.ndarray, weights: np.ndarray, sigma2: float):
@@ -226,9 +192,9 @@ def wigner_pure_comb(
     centers: np.ndarray,
     weights: np.ndarray,
     sigma2: float,
-    alphas: np.ndarray,
+    axis: np.ndarray,
 ) -> np.ndarray:
-    """Exact Wigner function of a real comb of equal-width Gaussians.
+    """Exact Wigner function of a real comb of equal-width Gaussians, on a square grid.
 
     The wavefunction sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)) has a
     closed-form Wigner function built from pairwise Gaussian cross terms;
@@ -236,20 +202,19 @@ def wigner_pure_comb(
     grid-code states at arbitrary effective energy.
 
     Each cross term is G(q; mid_st) C(p; diff_st): one matrix product of a
-    Gaussian table over the distinct q with a cosine table over the distinct
-    p gives an (n_q, n_p) table that the points gather from.  For S peaks it
-    costs n_q n_p S^2: N S^2 on a tensor grid of N points, N^2 S^2 for N
-    scattered ones, so keep scattered sets small.
+    Gaussian table over the grid's q with a cosine table over its p gives
+    the values on the square grid over ``axis`` (Re alpha and Im alpha both
+    run over it), raveled as :func:`_grid_points`.  For S peaks and an axis
+    of n points it costs n^2 S^2.  :func:`wigner_pure_comb_jet` evaluates
+    scattered points.
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    q, q_at = np.unique(np.sqrt(2.0) * alphas.real, return_inverse=True)
-    p, p_at = np.unique(np.sqrt(2.0) * alphas.imag, return_inverse=True)
+    q = p = np.sqrt(2.0) * np.asarray(axis, dtype=float)
     mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
     # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
     gauss_q = np.exp(-((q[:, None] - mid.ravel()) ** 2) / sigma2)
     osc_p = ww.ravel() * np.cos(p[:, None] * diff.ravel())
     osc_p *= (np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm)[:, None]
-    return 2.0 * (gauss_q @ osc_p.T)[q_at, p_at]
+    return 2.0 * (gauss_q @ osc_p.T).ravel()
 
 
 def wigner_pure_comb_jet(
@@ -341,10 +306,13 @@ def default_radius(rho: DensityMatrix) -> float:
     return 3.0 * math.sqrt(max(rho.mean_photon_number(), 0.0)) + 2.0
 
 
-def _square_grid(radius: float, resolution: int) -> np.ndarray:
-    axis = np.linspace(-radius, radius, 2 * resolution + 1)
-    re, im = np.meshgrid(axis, axis, indexing="ij")
-    return (re + 1j * im).ravel()
+def _square_axis(radius: float, resolution: int) -> np.ndarray:
+    return np.linspace(-radius, radius, 2 * resolution + 1)
+
+
+def _grid_points(axis: np.ndarray) -> np.ndarray:
+    """The square grid over ``axis``, Re alpha the slow index."""
+    return (axis[:, None] + 1j * axis[None, :]).ravel()
 
 
 def _check_bound(values: np.ndarray) -> None:
@@ -366,41 +334,41 @@ def wigner_grid(
     """
     if radius is None:
         radius = default_radius(rho)
-    centers = _square_grid(radius, resolution)
+    axis = _square_axis(radius, resolution)
+    centers = _grid_points(axis)
     guard = coherent_tail_mass(centers, rho.dim) <= DISPLACEMENT_TAIL_TOL
-    kept = centers[guard]
-    dropped = centers[~guard]
-    values = wigner_batch(rho, kept)
+    table = _grid_values(_coefficients(rho.matrix), axis)
+    values = table[guard]
     _check_bound(values)
     grid = WignerGrid(
-        centers=kept,
+        centers=centers[guard],
         values=values,
         radius=float(radius),
         resolution=int(resolution),
-        dropped=dropped,
+        dropped=centers[~guard],
         leakage=rho.leakage,
     )
     if validate_marginal:
-        _marginal_check(rho, grid)
+        _marginal_check(rho, axis, table, guard, radius / resolution)
     return grid
 
 
-def _marginal_check(rho: DensityMatrix, grid: WignerGrid, tol: float = 2e-3) -> None:
-    """Integrate W over Im(alpha) and compare with sqrt(2) <x|rho|x>."""
-    n_axis = 2 * grid.resolution + 1
-    re_vals, counts = np.unique(np.round(grid.centers.real, 12), return_counts=True)
-    full_cols = re_vals[counts == n_axis]  # columns with no dropped points
-    if full_cols.size == 0:
+def _marginal_check(
+    rho: DensityMatrix,
+    axis: np.ndarray,
+    table: np.ndarray,
+    guard: np.ndarray,
+    step: float,
+    tol: float = 2e-3,
+) -> None:
+    """Integrate W over Im(alpha) and compare with sqrt(2) <x|rho|x>, on the grid
+    columns (fixed Re alpha) with no dropped point."""
+    n_axis = axis.size
+    full = guard.reshape(n_axis, n_axis).all(axis=1)
+    if not full.any():
         return
-    step = grid.radius / grid.resolution
-    sel = np.isin(np.round(grid.centers.real, 12), full_cols)
-    centers = grid.centers[sel]
-    values = grid.values[sel]
-    order = np.lexsort((centers.imag, centers.real))
-    values = values[order].reshape(full_cols.size, n_axis)
-    marg = np.trapezoid(values, dx=step, axis=1)
-    x = np.sqrt(2.0) * full_cols
-    basis = hermite_functions(rho.dim, x)
+    marg = np.trapezoid(table.reshape(n_axis, n_axis)[full], dx=step, axis=1)
+    basis = hermite_functions(rho.dim, np.sqrt(2.0) * axis[full])
     prob_x = np.real(np.einsum("nx,nm,mx->x", basis, rho.matrix, basis))
     ref = np.sqrt(2.0) * prob_x
     dev = float(np.max(np.abs(marg - ref)))
@@ -519,15 +487,17 @@ def negativity_depth_fn(
 ) -> NegativityDepthResult:
     """Depth search against an arbitrary batched Wigner evaluator.
 
-    ``value_fn`` maps an array of complex points to Wigner values and scans
-    the grid; ``jet_fn`` maps points to (values, gradients (N, 2), Hessians
-    (N, 2, 2)) in (Re alpha, Im alpha) and drives the refinement.  Shared
-    by the density-matrix search and the exact comb evaluator.
+    ``value_fn`` maps a real axis to the Wigner values on the square grid
+    over it, raveled as :func:`_grid_points`, and scans the grid; ``jet_fn``
+    maps complex points to (values, gradients (N, 2), Hessians (N, 2, 2)) in
+    (Re alpha, Im alpha) and drives the refinement.  Shared by the
+    density-matrix search and the exact comb evaluator.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
-    centers = _square_grid(radius, cfg.resolution)
-    values = value_fn(centers)
+    axis = _square_axis(radius, cfg.resolution)
+    centers = _grid_points(axis)
+    values = value_fn(axis)
     _check_bound(values)
     order = _lowest(values, cfg.refine_top)
     step = radius / cfg.resolution
@@ -560,11 +530,13 @@ def negativity_depth(
     Newton refinement of the best grid points on the exact gradient and
     Hessian of :func:`wigner_jet`; the result is a certified lower bound on
     the true depth, never below the grid minimum.  Ties between refined
-    optima break toward the largest depth, then the smallest |alpha|.
+    optima break toward the largest depth, then the smallest |alpha|.  The
+    scan and the refinement share one coefficient matrix.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
     radius = cfg.radius if cfg.radius is not None else default_radius(rho)
+    coeffs = _coefficients(rho.matrix)
     return negativity_depth_fn(
-        lambda pts: wigner_batch(rho, pts), lambda pts: wigner_jet(rho, pts), radius, cfg
+        lambda axis: _grid_values(coeffs, axis), lambda pts: _point_jet(coeffs, pts), radius, cfg
     )

@@ -122,6 +122,40 @@ def wigner_stack_per_order(mats: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) * np.real(w) * np.exp(-b / 2.0)
 
 
+def bopp_jet(rho: DensityMatrix, alphas: np.ndarray):
+    """Oracle: Wigner values, gradients and Hessians in (Re alpha, Im alpha) by the
+    Bopp identities dW_X/dalpha* = 2(W_aX - alpha W_X), dW_X/dalpha =
+    2(W_Xa^dag - alpha* W_X), evaluated by :func:`wigner_stack_per_order` on
+    rho and the Hermitian parts of a rho, a^2 rho and a rho a^dag at the full
+    cutoff.  Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
+    """
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+    lower = annihilation_matrix(rho.dim)
+    a_rho = lower @ rho.matrix
+    aa_rho = lower @ a_rho
+
+    def parts(x):
+        return (x + x.conj().T) / 2.0, (x - x.conj().T) / 2j
+
+    stack = np.array([rho.matrix, *parts(a_rho), *parts(aa_rho), a_rho @ lower.conj().T])
+    w, a_re, a_im, aa_re, aa_im, w_ara = wigner_stack_per_order(stack, alphas)
+    w_a = a_re + 1j * a_im
+    w_aa = aa_re + 1j * aa_im
+    # dW/dalpha*, d^2W/dalpha*^2 and d^2W/dalpha dalpha*
+    d_conj = 2.0 * (w_a - alphas * w)
+    d_conj2 = 4.0 * w_aa - 8.0 * alphas * w_a + 4.0 * alphas**2 * w
+    d_mixed = (
+        4.0 * w_ara - 8.0 * np.real(alphas.conj() * w_a) - 2.0 * w + 4.0 * np.abs(alphas) ** 2 * w
+    )
+    # d/dRe = d/dalpha + d/dalpha*, d/dIm = i (d/dalpha - d/dalpha*), W real
+    grad = 2.0 * np.stack([d_conj.real, d_conj.imag], axis=-1)
+    h_rr = 2.0 * (d_mixed + d_conj2.real)
+    h_ri = 2.0 * d_conj2.imag
+    h_ii = 2.0 * (d_mixed - d_conj2.real)
+    hess = np.stack([np.stack([h_rr, h_ri], -1), np.stack([h_ri, h_ii], -1)], -2)
+    return w, grad, hess
+
+
 def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
     """Oracle: D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
     d = displacement_op(alpha, cutoff).matrix

@@ -277,7 +277,7 @@ def gkp_sweep_rows():
         params = GkpParams.from_db(db)
         centers, envelope, sigma2 = gkp_comb(params)
         e_in = (math.pi / 4.0) * negativity_depth_fn(
-            lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+            lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
             lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
             2.8,
             depth_cfg,

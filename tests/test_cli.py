@@ -256,6 +256,19 @@ def test_truncation_error_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("truncation error: thermal leaks")
 
 
+def test_overflowing_gaussian_exits_3(tmp_path, capsys):
+    # its extended amplitudes overflow and its leak is NaN, which the
+    # truncation guard refuses
+    cfgfile = tmp_path / "cfg.json"
+    state = {"kind": "gaussian", "alpha": 1e6}
+    cfgfile.write_text(json.dumps({"cutoff": 10, "resolution": 4, "state": state}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert run(["negativity-depth", "--config", cfgfile, "--out", tmp_path / "d.json"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("truncation error:") and len(err.splitlines()) == 1
+    assert not (tmp_path / "d.json").exists()
+
+
 def test_gkp_sweep_ec_needs_cutoff_14(tmp_path):
     # the ancilla check reads the translation by i sqrt(pi/2), which leaks
     # above the displacement tolerance at every cutoff up to 13
@@ -483,7 +496,7 @@ def test_bad_cutoff_eta_and_sigma2_exit_2_with_the_library_message(
 def test_non_finite_wigner_values_exit_4(tmp_path, capsys, monkeypatch, command, bad):
     # no config within the caps yields a non-finite Wigner value, so the
     # search grid is made to hold one, as an overflowing radius once did
-    monkeypatch.setattr(wigner, "_square_grid", lambda radius, resolution: np.array([np.nan, 0j]))
+    monkeypatch.setattr(wigner, "_square_axis", lambda radius, resolution: np.array([np.nan, 0.0]))
     cfgfile = tmp_path / "cfg.json"
     cfgfile.write_text(json.dumps(bad))
     assert run([command, "--config", cfgfile, "--out", tmp_path / "out"]) == 4

@@ -5,7 +5,9 @@ displacement operators only in fock.py.
 Witness algebra lives in witnesses.py alone, with one projector family and
 no norm-bound rescale; monotones.py evaluates witnesses only through it.
 A state's dimension is its array's: no cutoff wrapper or parameter wrapper
-type is left, nor the utilities no computation calls.  The package has at
+type is left, nor the utilities no computation calls.  Wigner values come
+from one Hermite-product coefficient matrix: the Clenshaw evaluator is
+gone, and wigner.py calls neither np.linalg nor np.unique.  The package has at
 most 59 settable values (scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
@@ -108,8 +110,27 @@ def test_retired_names_are_gone():
         "ladder_ops",
         "apply_pure",
         "_psd_sqrt",
+        # the Laguerre Clenshaw evaluator, replaced by the Hermite-product form
+        "_clenshaw_orders",
+        "_wigner_points",
+        "_wigner_stack",
+        "_LOCKSTEP_ENTRIES",
+        "_jet_stack",
+        "_hermitian_parts",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
+    assert not found, "\n".join(found)
+
+
+def test_wigner_py_calls_no_linalg_and_no_unique():
+    # the coefficients come from a recursion, not an eigensolver (whose
+    # LAPACK load alone raises a run's peak memory), and the grid scans take
+    # their axis, so no point set is reduced to its distinct values
+    found = [
+        where
+        for name, where, line in _lines()
+        if name == "wigner.py" and ("np.linalg" in line or "np.unique" in line)
+    ]
     assert not found, "\n".join(found)
 
 

@@ -144,6 +144,14 @@ def test_gaussian_pure_special_cases():
         gaussian_pure(GaussianPureParams(0.0, 3.0, 0.0), 30)
 
 
+def test_gaussian_pure_refuses_a_nan_leak():
+    # the extended amplitudes overflow, so the leak is inf/inf = NaN; the
+    # guard is written so that NaN fails it
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(TruncationError, match="leaks nan"):
+            gaussian_pure(GaussianPureParams(1e6), 10)
+
+
 def test_cat_parity_structure():
     odd = cat(1.5, -1, 30)
     assert odd.expectation(parity_op(30)).real == pytest.approx(-1.0, abs=1e-12)

@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from cvactivation.errors import InvariantError
-from cvactivation.fock import DensityMatrix, annihilation_matrix
+from cvactivation.fock import DensityMatrix
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_comb, gkp_damped
 from cvactivation.channels import pure_loss
 from cvactivation import wigner
@@ -23,7 +23,13 @@ from cvactivation.wigner import (
     wigner_pure_comb_jet,
 )
 
-from conftest import displaced_parity_matrix, random_density, wigner_at, wigner_stack_per_order
+from conftest import (
+    bopp_jet,
+    displaced_parity_matrix,
+    random_density,
+    wigner_at,
+    wigner_stack_per_order,
+)
 
 
 def laguerre_series(rho, alpha):
@@ -178,17 +184,17 @@ def test_pure_comb_matches_series():
     params = GkpParams(epsilon=0.2)
     rho = gkp_damped(params, 90).to_density()
     centers, envelope, sigma2 = gkp_comb(params)
-    pts = np.array([0.0, 0.4 + 0.2j, 1.25 + 0.63j, 0.9j, 1.77 / math.sqrt(2) * (1 + 1j)])
-    exact = wigner_pure_comb(centers, envelope, sigma2, pts)
-    series = wigner_batch(rho, pts)
+    axis = np.array([-1.25, 0.0, 0.2, 0.4, 0.63, 0.9, 1.77 / math.sqrt(2)])
+    exact = wigner_pure_comb(centers, envelope, sigma2, axis)
+    series = wigner_batch(rho, wigner._grid_points(axis))
     assert np.max(np.abs(exact - series)) < 1e-5
 
 
 def test_pure_comb_vacuum_limit():
     # single unit-weight peak of variance 1 is the vacuum
-    pts = np.array([0.0, 0.5 + 0.3j])
-    vals = wigner_pure_comb(np.array([0.0]), np.array([1.0]), 1.0, pts)
-    expect = (2.0 / math.pi) * np.exp(-2.0 * np.abs(pts) ** 2)
+    axis = np.array([-0.5, 0.0, 0.3])
+    vals = wigner_pure_comb(np.array([0.0]), np.array([1.0]), 1.0, axis)
+    expect = (2.0 / math.pi) * np.exp(-2.0 * np.abs(wigner._grid_points(axis)) ** 2)
     assert np.max(np.abs(vals - expect)) < 1e-12
 
 
@@ -207,22 +213,24 @@ def pairwise_comb_reference(centers, weights, sigma2, alphas):
 
 
 # the gkp-sweep depth grid: radius 2.8, resolution 35, 71 x 71 points
-SWEEP_GRID = wigner._square_grid(2.8, 35)
+SWEEP_AXIS = wigner._square_axis(2.8, 35)
+SWEEP_GRID = wigner._grid_points(SWEEP_AXIS)
 
 
 @pytest.mark.parametrize("db", [6.0, 10.0, 14.0, 16.5])
 def test_pure_comb_matches_pairwise_reference(db):
     centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
-    fast = wigner_pure_comb(centers, envelope, sigma2, SWEEP_GRID)
+    fast = wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)
     ref = pairwise_comb_reference(centers, envelope, sigma2, SWEEP_GRID)
     assert fast.shape == ref.shape
     assert np.max(np.abs(fast - ref)) < 1e-13
-    # scattered points, some sharing a real part, some an imaginary part, one repeated
+    # scattered points, some sharing a real part, some an imaginary part, one
+    # repeated, through the jet's values
     pts = np.array(
         [0.3 + 0.1j, -1.2 + 0.1j, 0.3 - 0.7j, 0.05 + 0.4j, -1.2 - 0.7j, 0.3 + 0.1j,
          1.1 + 0.4j, -0.6 + 1.3j, 0.05 - 0.7j, 1.1 - 0.25j, 0.9j, -1.2 + 1.3j]
     )
-    fast = wigner_pure_comb(centers, envelope, sigma2, pts)
+    fast = wigner_pure_comb_jet(centers, envelope, sigma2, pts)[0]
     ref = pairwise_comb_reference(centers, envelope, sigma2, pts)
     assert fast.shape == (pts.size,)
     assert np.max(np.abs(fast - ref)) < 1e-13
@@ -232,7 +240,7 @@ def test_pure_comb_grid_scan_memory():
     centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
     tracemalloc.start()
     try:
-        wigner_pure_comb(centers, envelope, sigma2, SWEEP_GRID)
+        wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -246,7 +254,7 @@ def test_depth_fn_route_matches_density_route():
     cfg = DepthSearchConfig(radius=2.8, resolution=30)
     direct = negativity_depth(rho, cfg)
     via_fn = negativity_depth_fn(
-        lambda pts: wigner_pure_comb(centers, envelope, sigma2, pts),
+        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
         lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
         2.8,
         cfg,
@@ -299,26 +307,9 @@ def test_comb_jet_matches_central_differences(rng):
         centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
         assert_jet_matches(
             lambda p: wigner_pure_comb_jet(centers, envelope, sigma2, p),
-            lambda p: wigner_pure_comb(centers, envelope, sigma2, p),
+            lambda p: pairwise_comb_reference(centers, envelope, sigma2, p),
             pts,
         )
-
-
-def test_depth_search_makes_few_evaluator_calls(monkeypatch):
-    # grid scan plus lockstep refinement: one batched call per step
-    calls = []
-    for name in ("wigner_batch", "wigner_jet"):
-        original = getattr(wigner, name, None)
-        if original is not None:
-            monkeypatch.setattr(
-                wigner, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
-            )
-    rho = pure_loss(0.7, 40).apply(fock(1, 40).to_density())
-    res = negativity_depth(rho)
-    assert res.depth == pytest.approx((2.0 / math.pi) * 0.4, abs=1e-12)
-    assert res.refinement_converged
-    assert calls.count("wigner_batch") == 1
-    assert len(calls) <= 30
 
 
 def test_values_do_not_depend_on_zero_padding(rng):
@@ -347,26 +338,49 @@ def test_values_do_not_depend_on_zero_padding(rng):
             assert np.array_equal(a, b)
 
 
+def test_depth_search_makes_few_evaluator_calls(monkeypatch):
+    # one coefficient build and one grid scan, then one batched jet call per
+    # lockstep refinement step, all on the same coefficients
+    calls = []
+    for name in ("_coefficients", "_grid_values", "_point_jet"):
+        original = getattr(wigner, name)
+        monkeypatch.setattr(
+            wigner, name, lambda *a, _f=original, _n=name: calls.append(_n) or _f(*a)
+        )
+    rho = pure_loss(0.7, 40).apply(fock(1, 40).to_density())
+    res = negativity_depth(rho)
+    assert res.depth == pytest.approx((2.0 / math.pi) * 0.4, abs=1e-12)
+    assert res.refinement_converged
+    assert calls[:2] == ["_coefficients", "_grid_values"]
+    assert calls.count("_coefficients") == 1 and calls.count("_grid_values") == 1
+    assert len(calls) <= 30
+    calls.clear()
+    code = gkp_damped(GkpParams.from_db(10.0), 30, tail_tol=1.0).to_density()
+    negativity_depth(code, DepthSearchConfig(radius=2.8, resolution=35))
+    assert calls.count("_coefficients") == 1 and calls.count("_grid_values") == 1
+
+
 def test_recurrence_runs_on_the_exactly_occupied_block(monkeypatch):
-    blocks = []
-    original = wigner._clenshaw_orders
+    sizes = []
+    original = wigner._coefficients
     monkeypatch.setattr(
-        wigner, "_clenshaw_orders", lambda d, x: blocks.append(d.shape[-1]) or original(d, x)
+        wigner, "_coefficients", lambda m: sizes.append(original(m).shape) or original(m)
     )
     dim = 25
     rho = pure_loss(0.6, dim).apply(fock(1, dim).to_density())
     pts = np.array([0j, 0.4 - 0.3j])
+    # two levels: the anti-diagonals m + n < 3, so three Hermite orders per axis
     wigner_batch(rho, pts)
-    assert blocks == [2]
-    blocks.clear()
+    assert sizes == [(3, 3)]
+    sizes.clear()
     wigner_jet(rho, pts)
-    assert blocks == [2]
+    assert sizes == [(3, 3)]
     # any exactly nonzero entry counts, however small
     mat = np.array(rho.matrix)
     mat[dim - 1, 0] = 1e-300
-    blocks.clear()
+    sizes.clear()
     wigner_batch(DensityMatrix(mat), pts)
-    assert blocks == [dim]
+    assert sizes == [(2 * dim - 1, 2 * dim - 1)]
 
 
 def _hermitian_stack(rng, k, block, cutoff):
@@ -378,55 +392,102 @@ def _hermitian_stack(rng, k, block, cutoff):
 
 @pytest.mark.parametrize("k", [1, 6])
 @pytest.mark.parametrize("block", [2, 3, 4, 5, 12, 30, 60])
-def test_lockstep_kernel_matches_per_order_oracle(rng, monkeypatch, k, block):
+def test_lockstep_kernel_matches_per_order_oracle(rng, k, block):
+    # the production kernel sums every Fock order of an operator at once, on
+    # the grid (two matrix products) and at scattered points (a row sum);
+    # the oracle runs one Laguerre order at a time over a stack of k operators
     axis = np.linspace(-2.5, 2.5, 21)
     point_sets = [
         np.array([0.3 - 0.7j]),
         np.array([0j]),
-        # a grid repeats its radii; the random points do not
-        (axis[:, None] + 1j * axis[None, :]).ravel(),
         rng.normal(0.0, 1.5, 40) + 1j * rng.normal(0.0, 1.5, 40),
     ]
     for cutoff in (block, block + 5):
         mats = _hermitian_stack(rng, k, block, cutoff)
-        for pts in point_sets:
-            lockstep = wigner._wigner_stack(mats, pts)
-            assert np.array_equal(lockstep, wigner_stack_per_order(mats, pts))
-    # batches above the buffer size run in chunks of points
-    monkeypatch.setattr(wigner, "_LOCKSTEP_ENTRIES", 7 * k * (block - 1))
-    pts = point_sets[2]
-    assert np.array_equal(wigner._wigner_stack(mats, pts), wigner_stack_per_order(mats, pts))
+        grid_ref = wigner_stack_per_order(mats, wigner._grid_points(axis))
+        refs = [wigner_stack_per_order(mats, pts) for pts in point_sets]
+        for mat, grid_row, *rows in zip(mats, grid_ref, *refs):
+            # entries of size ~sqrt(block): the bound scales with the values
+            tol = 1e-13 * max(1.0, float(np.max(np.abs(grid_row))))
+            coeffs = wigner._coefficients(mat)
+            assert np.max(np.abs(wigner._grid_values(coeffs, axis) - grid_row)) < tol
+            for pts, row in zip(point_sets, rows):
+                assert np.max(np.abs(wigner._point_values(coeffs, pts) - row)) < tol
 
 
-def _full_cutoff_jet_stack(matrix):
-    """The jet stack formed at the full cutoff, before the stack is cut to its block."""
-    lower = annihilation_matrix(matrix.shape[0])
-    a_rho = lower @ matrix
-    aa_rho = lower @ a_rho
-    return np.array(
-        [
-            matrix,
-            *wigner._hermitian_parts(a_rho),
-            *wigner._hermitian_parts(aa_rho),
-            a_rho @ lower.conj().T,
-        ]
+def test_values_match_the_per_order_and_displaced_parity_oracles(rng):
+    pts = rng.normal(0.0, 1.5, 40) + 1j * rng.normal(0.0, 1.5, 40)
+    for dim in (2, 3, 5, 8, 13, 21, 34, 47, 60):
+        rho = random_density(rng, dim, cutoff=dim + 3)
+        ref = wigner_stack_per_order(rho.matrix[None], pts)[0]
+        assert np.max(np.abs(wigner_batch(rho, pts) - ref)) < 1e-13
+    # the displaced-parity oracle is exact once its truncated displacement
+    # holds the state: small blocks far below the cutoff
+    near = rng.normal(0.0, 0.8, 6) + 1j * rng.normal(0.0, 0.8, 6)
+    for dim in (2, 5, 10):
+        rho = random_density(rng, dim, cutoff=90)
+        ref = np.array([wigner_at(rho, a) for a in near])
+        assert np.max(np.abs(wigner_batch(rho, near) - ref)) < 1e-13
+
+
+def test_fock_119_matches_the_per_order_oracle(rng):
+    rho = fock(119, 120).to_density()
+    axis = np.linspace(-4.0, 4.0, 17)
+    grid = wigner._grid_points(axis)
+    pts = np.concatenate([grid, rng.normal(0.0, 3.0, 40) + 1j * rng.normal(0.0, 3.0, 40)])
+    ref = wigner_stack_per_order(rho.matrix[None], pts)[0]
+    assert np.max(np.abs(wigner_batch(rho, pts) - ref)) < 1e-13
+    values = wigner._grid_values(wigner._coefficients(rho.matrix), axis)
+    assert np.max(np.abs(values - ref[: grid.size])) < 1e-13
+
+
+def assert_jet_matches_bopp(rho, pts):
+    for got, ref, tol in zip(wigner_jet(rho, pts), bopp_jet(rho, pts), (1e-13, 1e-11, 1e-11)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) < tol
+
+
+def test_jet_matches_the_bopp_identity_oracle(rng):
+    pts = np.concatenate(
+        [rng.uniform(-2.0, 2.0, 12) + 1j * rng.uniform(-2.0, 2.0, 12), [0j, 0.4 - 0.3j]]
     )
+    one = fock(1, 30).to_density()
+    code = gkp_damped(GkpParams.from_db(10.0), 40, tail_tol=1.0).to_density()
+    states = [
+        *(random_density(rng, dim, cutoff=dim + 3) for dim in (2, 3, 7, 20, 40)),
+        cat(2.0, 1, 30).to_density(),
+        pure_loss(0.7, 30).apply(one),
+        fock(5, 30).to_density(),
+        coherent(1.2 - 0.5j, 30).to_density(),
+        pure_loss(0.9, 40).apply(code),
+    ]
+    for rho in states:
+        assert_jet_matches_bopp(rho, pts)
 
 
 @pytest.mark.parametrize("cutoff", [25, 200])
-def test_jet_on_the_block_matches_the_full_cutoff_route(monkeypatch, cutoff):
+def test_jet_on_the_block_matches_the_full_cutoff_route(cutoff):
+    # the jet works on the two occupied levels, the Bopp oracle at the full cutoff
     pts = np.array([0j, 0.4 - 0.3j, -1.1 + 0.2j, 0.05j])
     for eta in (0.3, 0.6, 0.95):
         # the lossy photon (1 - eta)|0><0| + eta|1><1|
         diag = np.zeros(cutoff, dtype=complex)
         diag[:2] = 1.0 - eta, eta
-        rho = DensityMatrix(np.diag(diag))
-        block = wigner_jet(rho, pts)
-        with monkeypatch.context() as m:
-            m.setattr(wigner, "_jet_stack", _full_cutoff_jet_stack)
-            full = wigner_jet(rho, pts)
-        for a, b in zip(block, full):
-            assert np.array_equal(a, b)
+        assert_jet_matches_bopp(DensityMatrix(np.diag(diag)), pts)
+
+
+def test_depth_search_memory_at_cutoff_200():
+    # a 14 dB codeword occupies 199 levels at cutoff 200; a table of every
+    # beam-splitter block up to 396 photons would hold about 170 MB
+    rho = gkp_damped(GkpParams.from_db(14.0), 200, tail_tol=1.0).to_density()
+    tracemalloc.start()
+    try:
+        res = negativity_depth(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.depth > 0.0
+    assert peak < 20e6
 
 
 def test_depth_cost_follows_the_occupied_block():
@@ -465,7 +526,7 @@ def test_lowest_grid_points_match_the_stable_argsort(eta):
     # a phase-invariant state ties exactly at equal radii, so the seeds'
     # order among ties must follow the grid index as the stable sort's does
     rho = pure_loss(eta, 25).apply(fock(1, 25).to_density())
-    values = wigner_batch(rho, wigner._square_grid(2.5, 40))
+    values = wigner_batch(rho, wigner._grid_points(wigner._square_axis(2.5, 40)))
     full = np.argsort(values, kind="stable")
     assert np.unique(values[full[:5]]).size < 5  # the first seeds hold a tie
     for k in (1, 2, 3, 5, 8, 100, values.size - 1, values.size, values.size + 5):
