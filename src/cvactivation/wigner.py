@@ -19,10 +19,10 @@ Hessians of :func:`wigner_jet` come from the derivative tables of the same
 Hermite functions.  Independent routes live in the test suite as oracles:
 the defining expression (parity conjugated by an explicit displacement), a
 Laguerre series, the Laguerre Clenshaw recurrence run one order at a time
-and the Bopp identities on that recurrence.  For grid-code states,
-:func:`wigner_pure_comb` evaluates the exact comb on a square grid as one
-small matrix product, and :func:`wigner_pure_comb_jet` gives its values
-and derivatives at scattered points in closed form.
+and the Bopp identities on that recurrence.  The exact grid-code comb has
+the same product form with closed-form Gaussian and cosine tables
+(:func:`_comb_coefficients`), and goes through the same grid product and
+jet assembly.
 
 The negativity-depth search scans a grid with values only, then refines
 its best points in lockstep by trust-region Newton steps on those exact
@@ -107,10 +107,15 @@ def _coefficients(matrix: np.ndarray) -> np.ndarray:
     return np.where(phase % 2 == 0, anti[..., 0], anti[..., 1]) * sign
 
 
+def _grid_product(coeffs: np.ndarray, u_table: np.ndarray, v_table: np.ndarray, norm: float):
+    """norm sum_ab C_ab u_a v_b on a square grid, the u coordinate the slow index."""
+    return norm * (u_table.T @ coeffs @ v_table).ravel()
+
+
 def _grid_values(coeffs: np.ndarray, axis: np.ndarray) -> np.ndarray:
     """Values on the square grid over ``axis``, raveled as :func:`_grid_points`."""
     table = hermite_functions(coeffs.shape[0], 2.0 * axis)
-    return _NORM * (table.T @ coeffs @ table).ravel()
+    return _grid_product(coeffs, table, table, _NORM)
 
 
 def _coordinates(alphas: np.ndarray) -> np.ndarray:
@@ -139,25 +144,28 @@ def _derivative_tables(size: int, u: np.ndarray):
     return values, first, (u * u - (2 * n + 1)) * values
 
 
-def _hessian(h_uu: np.ndarray, h_uv: np.ndarray, h_vv: np.ndarray) -> np.ndarray:
-    """Stack per-point second derivatives into symmetric (N, 2, 2) Hessians."""
-    return np.stack([np.stack([h_uu, h_uv], -1), np.stack([h_uv, h_vv], -1)], -2)
+def _product_jet(coeffs: np.ndarray, u_tables, v_tables, norm: float, scale: float):
+    """Values, gradients (N, 2) and Hessians (N, 2, 2) in (Re alpha, Im alpha) of
+    W = norm sum_ab C_ab u_a(x) v_b(y), x = scale Re alpha, y = scale Im alpha, from
+    the tables (one column per point) of u_a, u_a', u_a'' and of v_b, v_b', v_b''."""
+    h_u, d_u, dd_u = u_tables
+    g_h, g_d, g_dd = (coeffs @ table for table in v_tables)
+
+    def pair(x, y):
+        return norm * np.einsum("an,an->n", x, y)
+
+    h_uu, h_uv, h_vv = pair(dd_u, g_h), pair(d_u, g_d), pair(h_u, g_dd)
+    grad = scale * np.stack([pair(d_u, g_h), pair(h_u, g_d)], axis=-1)
+    hess = scale * scale * np.stack([np.stack([h_uu, h_uv], -1), np.stack([h_uv, h_vv], -1)], -2)
+    return pair(h_u, g_h), grad, hess
 
 
 def _point_jet(coeffs: np.ndarray, alphas: np.ndarray):
     """Values, gradients (N, 2) and Hessians (N, 2, 2) in (Re alpha, Im alpha)."""
     tables = _derivative_tables(coeffs.shape[0], _coordinates(alphas))
     n = alphas.size
-    h_re, d_re, dd_re = (table[:, :n] for table in tables)
-    g_h, g_d, g_dd = (coeffs @ table[:, n:] for table in tables)
-
-    def pair(x, y):
-        return _NORM * np.einsum("an,an->n", x, y)
-
-    # u = 2 Re alpha and v = 2 Im alpha: each derivative in alpha is twice one in u or v
-    grad = 2.0 * np.stack([pair(d_re, g_h), pair(h_re, g_d)], axis=-1)
-    hess = 4.0 * _hessian(pair(dd_re, g_h), pair(d_re, g_d), pair(h_re, g_dd))
-    return pair(h_re, g_h), grad, hess
+    re, im = [table[:, :n] for table in tables], [table[:, n:] for table in tables]
+    return _product_jet(coeffs, re, im, _NORM, 2.0)
 
 
 def wigner_batch(rho: DensityMatrix, alphas: np.ndarray) -> np.ndarray:
@@ -177,15 +185,32 @@ def wigner_jet(rho: DensityMatrix, alphas: np.ndarray):
     return _point_jet(_coefficients(rho.matrix), alphas)
 
 
-def _comb_pairs(centers: np.ndarray, weights: np.ndarray, sigma2: float):
-    """Pair midpoints, separations, weight products and the norm of a comb."""
+def _comb_coefficients(centers: np.ndarray, weights: np.ndarray, sigma2: float):
+    """C, midpoints m_a, separations d_b and norm of W = norm sum_ab C_ab g_a(q) h_b(p).
+
+    Peaks s and t add w_s w_t exp(-(q - mid)^2 / sigma^2) exp(-sigma^2 p^2)
+    cos(p (mu_t - mu_s)); on a lattice mid depends only on a = s + t and the
+    cosine only on b = |t - s|, so C is (2S - 1) x S.  The norm is
+    2 sqrt(sigma^2 / pi) over the squared norm of the wavefunction.
+    """
     mu = np.asarray(centers, dtype=float)
     w = np.asarray(weights, dtype=float)
-    mid = 0.5 * (mu[:, None] + mu[None, :])
-    diff = mu[None, :] - mu[:, None]
-    ww = w[:, None] * w[None, :]
-    norm = float(np.sum(ww * np.sqrt(np.pi * sigma2) * np.exp(-(diff**2) / (4.0 * sigma2))))
-    return mid, diff, ww, norm
+    if mu.ndim != 1 or mu.size == 0 or mu.shape != w.shape:
+        raise ValueError("centers and weights must be 1-D of one nonzero length")
+    size = mu.size
+    step = (mu[-1] - mu[0]) / max(size - 1, 1)
+    # written so that NaN fails it too
+    if not np.all(np.abs(np.diff(mu) - step) <= 1e-12 * abs(step)):
+        raise ValueError("the comb's centers must be equally spaced")
+    s, t = np.triu_indices(size)
+    coeffs = np.zeros((2 * size - 1, size))
+    coeffs[s + t, t - s] = np.where(t > s, 2.0, 1.0) * w[s] * w[t]
+    # m_a from a central pair, d_b from the mean step: these track the pair sums best
+    a = np.arange(2 * size - 1)
+    mid = 0.5 * (mu[a // 2] + mu[(a + 1) // 2])
+    sep = step * np.arange(size)
+    norm = 2.0 / (np.pi * (coeffs.sum(axis=0) @ np.exp(-(sep**2) / (4.0 * sigma2))))
+    return coeffs, mid, sep, norm
 
 
 def wigner_pure_comb(
@@ -194,27 +219,22 @@ def wigner_pure_comb(
     sigma2: float,
     axis: np.ndarray,
 ) -> np.ndarray:
-    """Exact Wigner function of a real comb of equal-width Gaussians, on a square grid.
+    """Exact Wigner function of a real comb of equally spaced, equal-width Gaussians.
 
     The wavefunction sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)) has a
-    closed-form Wigner function built from pairwise Gaussian cross terms;
-    no Fock truncation enters, so this is the reference evaluator for
-    grid-code states at arbitrary effective energy.
-
-    Each cross term is G(q; mid_st) C(p; diff_st): one matrix product of a
-    Gaussian table over the grid's q with a cosine table over its p gives
-    the values on the square grid over ``axis`` (Re alpha and Im alpha both
-    run over it), raveled as :func:`_grid_points`.  For S peaks and an axis
-    of n points it costs n^2 S^2.  :func:`wigner_pure_comb_jet` evaluates
-    scattered points.
+    closed-form Wigner function; no Fock truncation enters, so this is the
+    reference evaluator for grid-code states at arbitrary effective energy.
+    Values on the square grid over ``axis`` (q = sqrt(2) Re alpha and
+    p = sqrt(2) Im alpha), raveled as :func:`_grid_points`, are one product
+    of a Gaussian table of n (2S - 1) and a cosine table of n S entries, for
+    S peaks and n axis points.  Raises ValueError unless the centers are
+    equally spaced and as many as the weights.
     """
-    q = p = np.sqrt(2.0) * np.asarray(axis, dtype=float)
-    mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
-    # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
-    gauss_q = np.exp(-((q[:, None] - mid.ravel()) ** 2) / sigma2)
-    osc_p = ww.ravel() * np.cos(p[:, None] * diff.ravel())
-    osc_p *= (np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm)[:, None]
-    return 2.0 * (gauss_q @ osc_p.T).ravel()
+    coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
+    x = np.sqrt(2.0) * np.asarray(axis, dtype=float)
+    gauss = np.exp(-((x - mid[:, None]) ** 2) / sigma2)
+    osc = np.exp(-sigma2 * x**2) * np.cos(sep[:, None] * x)
+    return _grid_product(coeffs, gauss, osc, norm)
 
 
 def wigner_pure_comb_jet(
@@ -225,45 +245,24 @@ def wigner_pure_comb_jet(
 ):
     """:func:`wigner_pure_comb` with its exact gradients and Hessians in (Re alpha, Im alpha).
 
-    Differentiates each Gaussian x cosine cross term in closed form.
+    Differentiates the Gaussian and cosine tables in closed form.
     Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
     """
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    q = np.sqrt(2.0) * alphas.real
+    coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
+    dq = np.sqrt(2.0) * alphas.real - mid[:, None]
+    g = np.exp(-(dq**2) / sigma2)
+    gauss = (g, (-2.0 / sigma2) * dq * g, (4.0 * dq**2 / sigma2**2 - 2.0 / sigma2) * g)
+    # with tp = 2 sigma^2 p, the p-derivatives of exp(-sigma^2 p^2) cos(p d) are
+    # exp(-sigma^2 p^2) (-tp cos - d sin), then ((tp^2 - 2 sigma^2 - d^2) cos + 2 tp d sin)
     p = np.sqrt(2.0) * alphas.imag
-    mid, diff, ww, norm = _comb_pairs(centers, weights, sigma2)
-    dq = q[:, None, None] - mid[None, :, :]
-    gauss = ww * np.exp(-(dq**2) / sigma2)
-    gauss_q = (-2.0 / sigma2) * dq * gauss
-    gauss_qq = (4.0 * dq**2 / sigma2**2 - 2.0 / sigma2) * gauss
-    phase = p[:, None, None] * diff[None, :, :]
-    cos, sin = np.cos(phase), np.sin(phase)
-    s0, s_q, s_qq, s_d, s_dd, s_qd = (
-        np.sum(terms, axis=(1, 2))
-        for terms in (
-            gauss * cos,
-            gauss_q * cos,
-            gauss_qq * cos,
-            gauss * diff * sin,
-            gauss * diff**2 * cos,
-            gauss_q * diff * sin,
-        )
-    )
-    # with tp = 2 sigma^2 p, the p-derivatives of exp(-sigma^2 p^2) cos(p diff)
-    # are exp(-sigma^2 p^2) times (-tp cos - diff sin), then
-    # ((tp^2 - 2 sigma^2 - diff^2) cos + 2 tp diff sin)
-    pref = 2.0 * np.sqrt(sigma2 / np.pi) * np.exp(-sigma2 * p**2) / norm
+    d = sep[:, None]
     tp = 2.0 * sigma2 * p
-    w = pref * s0
-    w_q = pref * s_q
-    w_qq = pref * s_qq
-    w_p = pref * (-tp * s0 - s_d)
-    w_pp = pref * ((tp**2 - 2.0 * sigma2) * s0 - s_dd + 2.0 * tp * s_d)
-    w_qp = pref * (-tp * s_q - s_qd)
+    damp = np.exp(-sigma2 * p**2)
+    cos, sin = damp * np.cos(d * p), damp * np.sin(d * p)
+    osc = (cos, -tp * cos - d * sin, (tp**2 - 2.0 * sigma2 - d**2) * cos + 2.0 * tp * d * sin)
     # alpha = (q + i p)/sqrt(2): d/dRe alpha = sqrt(2) d/dq, d/dIm alpha = sqrt(2) d/dp
-    grad = np.sqrt(2.0) * np.stack([w_q, w_p], axis=-1)
-    hess = 2.0 * _hessian(w_qq, w_qp, w_pp)
-    return w, grad, hess
+    return _product_jet(coeffs, gauss, osc, norm, np.sqrt(2.0))
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,6 @@ import warnings
 import numpy as np
 import pytest
 
-from cvactivation import wigner
 from cvactivation.errors import TruncationError
 from cvactivation.fock import pure_fidelity
 from cvactivation.states import (
@@ -74,7 +73,10 @@ def projected_comb(params, dim):
     centers, envelope, sigma2 = gkp_comb(params)
     comb = np.exp(-((nodes[:, None] - centers[None, :]) ** 2) / (2.0 * sigma2)) @ envelope
     amps = hermite_functions(n_levels, nodes) @ (lam * comb)
-    return amps, wigner._comb_pairs(centers, envelope, sigma2)[3]
+    # the integral of comb^2: sqrt(pi sigma^2) exp(-(mu_s - mu_t)^2 / (4 sigma^2)) per pair
+    diff = centers[:, None] - centers[None, :]
+    pair_norm = np.sqrt(np.pi * sigma2) * np.exp(-(diff**2) / (4.0 * sigma2))
+    return amps, float(envelope @ pair_norm @ envelope)
 
 
 @pytest.mark.parametrize(

@@ -7,8 +7,9 @@ no norm-bound rescale; monotones.py evaluates witnesses only through it.
 A state's dimension is its array's: no cutoff wrapper or parameter wrapper
 type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
-gone, and wigner.py calls neither np.linalg nor np.unique.  The package has at
-most 59 settable values (scripts/count_settable_values.py).
+gone, as are the comb's pairwise tables, and wigner.py calls neither
+np.linalg nor np.unique.  The package has at most 59 settable values
+(scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
@@ -117,6 +118,8 @@ def test_retired_names_are_gone():
         "_LOCKSTEP_ENTRIES",
         "_jet_stack",
         "_hermitian_parts",
+        # the comb's pairwise tables, replaced by its product form
+        "_comb_pairs",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)

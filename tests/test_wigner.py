@@ -203,7 +203,11 @@ def pairwise_comb_reference(centers, weights, sigma2, alphas):
     alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
     q = np.sqrt(2.0) * alphas.real
     p = np.sqrt(2.0) * alphas.imag
-    mid, diff, ww, norm = wigner._comb_pairs(centers, weights, sigma2)
+    mu = np.asarray(centers, dtype=float)
+    mid = 0.5 * (mu[:, None] + mu[None, :])
+    diff = mu[None, :] - mu[:, None]
+    ww = np.outer(weights, weights)
+    norm = np.sum(ww * np.sqrt(np.pi * sigma2) * np.exp(-(diff**2) / (4.0 * sigma2)))
     # cross term (s,t): (sigma/sqrt(pi)) exp(-(q-mid)^2/sigma^2 - sigma^2 p^2) cos(p diff)
     gauss_q = np.exp(-((q[:, None, None] - mid[None, :, :]) ** 2) / sigma2)
     osc = np.cos(p[:, None, None] * diff[None, :, :])
@@ -236,15 +240,49 @@ def test_pure_comb_matches_pairwise_reference(db):
     assert np.max(np.abs(fast - ref)) < 1e-13
 
 
-def test_pure_comb_grid_scan_memory():
-    centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
+def _peak_bytes(fn):
     tracemalloc.start()
     try:
-        wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)
+        fn()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 20e6
+    return peak
+
+
+def test_pure_comb_grid_scan_memory():
+    # a table per axis, no S^2 pair columns: the pairwise scan peaked at 2.4 MB
+    centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
+    assert _peak_bytes(lambda: wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)) < 1e6
+
+
+def test_pure_comb_jet_memory(rng):
+    # no (N, S, S) pair tensors: they peaked at 5.8 MB on 40 points
+    centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
+    pts = rng.uniform(-2.8, 2.8, 40) + 1j * rng.uniform(-2.8, 2.8, 40)
+    assert _peak_bytes(lambda: wigner_pure_comb_jet(centers, envelope, sigma2, pts)) < 1e6
+
+
+@pytest.mark.parametrize("evaluate", [wigner_pure_comb, wigner_pure_comb_jet])
+def test_pure_comb_refuses_an_uneven_or_mismatched_comb(evaluate):
+    centers = np.array([-2.0, 0.0, 2.0, 4.0])
+    weights = np.ones(4)
+    uneven = centers + np.array([0.0, 0.0, 1e-9, 0.0])
+    with pytest.raises(ValueError, match="equally spaced"):
+        evaluate(uneven, weights, 0.1, np.array([0.0, 0.5]))
+    with pytest.raises(ValueError, match="one nonzero length"):
+        evaluate(centers, weights[:3], 0.1, np.array([0.0, 0.5]))
+
+
+@pytest.mark.parametrize("logical", [0, 1])
+def test_every_gkp_comb_is_a_lattice(logical):
+    # 6-16.5 dB, and eps = 1000, where every center is 0 and the step is 0
+    epsilons = [GkpParams.from_db(db).epsilon for db in (6.0, 8.0, 10.0, 12.0, 14.0, 16.5)]
+    for eps in epsilons + [1000.0]:
+        centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=eps, logical=logical))
+        values = wigner_pure_comb(centers, envelope, sigma2, np.array([-0.3, 0.0, 0.4]))
+        jet = wigner_pure_comb_jet(centers, envelope, sigma2, np.array([0.2 - 0.1j]))
+        assert np.all(np.isfinite(values)) and all(np.all(np.isfinite(part)) for part in jet)
 
 
 def test_depth_fn_route_matches_density_route():
