@@ -100,7 +100,7 @@ class ActivationOutcome:
     discord: float
     chsh: float
     classification: Classification
-    witness: WitnessSpec | None = None
+    witness: WitnessSpec | None
 
     def to_dict(self) -> dict:
         return {
@@ -166,8 +166,9 @@ def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix
 def _detection(rho: DensityMatrix, spec: WitnessSpec) -> tuple[float, float]:
     """Violation -Tr(W rho) and p = Tr(M_- rho) of a witness in the unit box.
 
-    The witness is evaluated once, and its box, clipped to the unit box the
-    POVM needs, is checked every time from the closed-form spectrum of its
+    W is the spec's witness in its box clipped to the unit box the POVM
+    needs, so a built-in family is scaled by min(n, m, 1).  It is evaluated
+    once and checked every time from the closed-form spectrum of its
     family; no built-in family is materialised at any cutoff.
     """
     checked = replace(spec, box=WitnessBox(min(spec.box.n, 1.0), min(spec.box.m, 1.0)))

@@ -60,21 +60,18 @@ from .states import (
 )
 from .wigner import (
     DepthSearchConfig,
+    _comb_evaluators,
     negativity_depth,
     negativity_depth_fn,
     wigner_grid,
-    wigner_pure_comb,
-    wigner_pure_comb_jet,
 )
 from .witnesses import (
     DisplacedParity,
     FreeSet,
     GaussianFitConfig,
+    Projector,
     WitnessSpec,
-    displaced_parity_spec,
     gaussian_fidelity,
-    pure_projector_spec,
-    two_copy_projector_spec,
 )
 
 TOOL_VERSION = __version__
@@ -333,13 +330,13 @@ def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> Wit
     lam = fitted if lam is None else _number(lam)
     if lam < fitted:
         raise ValueError(f"lambda {lam} is below the fitted maximal Gaussian fidelity {fitted}")
-    return (two_copy_projector_spec if two_copy else pure_projector_spec)(psi, lam)
+    return WitnessSpec(Projector(psi, lam, 2 if two_copy else 1))
 
 
 def _parity(spec, cutoff: int, fit: GaussianFitConfig) -> WitnessSpec:
     alpha = _parse_complex(spec.get("alpha", 0))
     _radius(abs(alpha))
-    return displaced_parity_spec(alpha)
+    return WitnessSpec(DisplacedParity(alpha))
 
 
 _WITNESSES = {
@@ -484,14 +481,10 @@ def run_loss_sweep(cfg: dict, opts: dict) -> int:
 
 
 def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> float:
-    """Best displaced-parity activation on the exact (untruncated) codeword."""
-    centers, envelope, sigma2 = gkp_comb(params)
-    res = negativity_depth_fn(
-        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
-        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
-        depth_cfg.radius,
-        depth_cfg,
-    )
+    """Best displaced-parity activation on the exact (untruncated) codeword; the
+    comb's coefficient matrix is built once for the whole depth search."""
+    value_fn, jet_fn = _comb_evaluators(*gkp_comb(params))
+    res = negativity_depth_fn(value_fn, jet_fn, depth_cfg.radius, depth_cfg)
     return (math.pi / 4.0) * res.depth
 
 

@@ -28,7 +28,6 @@ from .witnesses import (
     WitnessBox,
     WitnessSpec,
     check_box,
-    displaced_parity_spec,
     gaussian_fidelity,
     violation,
     witness_value,
@@ -96,34 +95,37 @@ def _family_search(
 ) -> tuple[list[tuple[float, WitnessSpec]], bool]:
     """Witness candidates up to free set ``top``, plus exactness flag.
 
-    Each spec's family fixes the lowest free set it is admissible for.  The
-    displaced-parity candidate comes first, with its value in the unit box.
+    Each spec's family fixes the lowest free set it is admissible for, and
+    each value is the spec's own, scale included.  The displaced-parity
+    candidate comes first: the depth search's optimum times the scale, or
+    the scale itself for an odd-parity state, whose parity violation is 1.
     One Gaussian fit of the top eigenvector yields both the hull projector
-    and its two-copy lift, each valued by :func:`violation`; the
+    and its two-copy lift, each valued by :func:`witness_value`; the
     Wigner-positive level runs no fit at all.
     """
     cfg = cfg or FamilySearchConfig()
     if is_odd_parity(rho):
-        value = witness_value(displaced_parity_spec(0.0), rho)
+        spec = WitnessSpec(DisplacedParity(0.0), box)
+        value = violation(spec.family, rho)
         if abs(value - 1.0) > 1e-9:
             raise InvariantError(
                 f"odd-parity state should violate parity by 1, got {value}"
             )
-        parity = [(1.0, displaced_parity_spec(0.0, box=box))]
+        parity = [(spec.scale, spec)]
         if box.n == box.m == 1.0:
             # odd-parity states saturate the unit box for every free set in
             # the hierarchy, so the chain is pinched at 1 exactly
             return parity, True
     else:
         depth = negativity_depth(rho, cfg.depth)
-        spec = displaced_parity_spec(depth.argmin_alpha, box=box)
-        parity = [((math.pi / 2.0) * depth.depth, spec)]
+        spec = WitnessSpec(DisplacedParity(depth.argmin_alpha), box)
+        parity = [(spec.scale * ((math.pi / 2.0) * depth.depth), spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
     psi = _top_eigenvector(rho)
     lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
     projectors = [WitnessSpec(Projector(psi, lam, copies), box) for copies in (1, 2)]
-    return [*parity, *((violation(spec.family, rho), spec) for spec in projectors)], False
+    return [*parity, *((witness_value(spec, rho), spec) for spec in projectors)], False
 
 
 def _best_bound(
@@ -131,8 +133,9 @@ def _best_bound(
 ) -> MonotoneBound:
     """Bound from the best candidate admissible for ``free_set``.
 
-    Family values live in the unit box and are scaled by min(n, m); the
-    upper bound is n (the box cap) unless the exact odd-parity case applies.
+    Candidate values are their specs' :func:`witness_value`, already scaled
+    into the box; the upper bound is n (the box cap) unless the exact
+    odd-parity case applies.
     """
     if exact:
         return MonotoneBound(1.0, 1.0, candidates[0][1], free_set, exact=True)
@@ -141,8 +144,7 @@ def _best_bound(
         (c for c in candidates if _HIERARCHY.index(c[1].free_set) <= level),
         key=lambda c: c[0],
     )
-    lower = max(0.0, best_value) * min(box.n, box.m)
-    return MonotoneBound(min(lower, box.n), box.n, best_spec, free_set, exact=False)
+    return MonotoneBound(min(max(0.0, best_value), box.n), box.n, best_spec, free_set)
 
 
 def lower_bound(
@@ -295,14 +297,14 @@ class PropertyReport:
 def _pooled_parity_bound(
     rho: DensityMatrix, pool: list[complex], box: WitnessBox
 ) -> float:
-    """Unit-box parity-family bound over a shared candidate pool.
+    """Parity-family bound in ``box`` over a shared candidate pool, each value
+    the :func:`witness_value` of its spec.
 
     Evaluating every state on the union of all searched displacements
     keeps the pairwise comparisons theorems of the shared family rather
     than artifacts of independent searches.
     """
-    best = max(violation(DisplacedParity(alpha), rho) for alpha in pool)
-    return max(0.0, best) * min(box.n, box.m)
+    return max(0.0, *(witness_value(WitnessSpec(DisplacedParity(a), box), rho) for a in pool))
 
 
 def property_suite(

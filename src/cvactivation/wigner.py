@@ -50,6 +50,8 @@ WIGNER_BOUND = 2.0 / math.pi
 _BOUND_SLACK = 1e-9
 # W = _NORM sum_ab G_ab psi_a(2 Re alpha) psi_b(2 Im alpha)
 _NORM = 2.0 / math.sqrt(math.pi)
+# largest deviation of wigner_grid's integrated x-marginal from <x|rho|x>
+MARGINAL_TOL = 2e-3
 
 
 def _coefficients(matrix: np.ndarray) -> np.ndarray:
@@ -213,6 +215,37 @@ def _comb_coefficients(centers: np.ndarray, weights: np.ndarray, sigma2: float):
     return coeffs, mid, sep, norm
 
 
+def _comb_evaluators(centers: np.ndarray, weights: np.ndarray, sigma2: float):
+    """The grid-value and jet evaluators of :func:`wigner_pure_comb` and
+    :func:`wigner_pure_comb_jet`, sharing one coefficient matrix, so that a
+    depth search builds it once."""
+    coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
+
+    def values(axis: np.ndarray) -> np.ndarray:
+        x = np.sqrt(2.0) * np.asarray(axis, dtype=float)
+        gauss = np.exp(-((x - mid[:, None]) ** 2) / sigma2)
+        osc = np.exp(-sigma2 * x**2) * np.cos(sep[:, None] * x)
+        return _grid_product(coeffs, gauss, osc, norm)
+
+    def jet(alphas: np.ndarray):
+        alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
+        dq = np.sqrt(2.0) * alphas.real - mid[:, None]
+        g = np.exp(-(dq**2) / sigma2)
+        gauss = (g, (-2.0 / sigma2) * dq * g, (4.0 * dq**2 / sigma2**2 - 2.0 / sigma2) * g)
+        # with tp = 2 sigma^2 p, the p-derivatives of exp(-sigma^2 p^2) cos(p d) are
+        # exp(-sigma^2 p^2) (-tp cos - d sin), then ((tp^2 - 2 sigma^2 - d^2) cos + 2 tp d sin)
+        p = np.sqrt(2.0) * alphas.imag
+        d = sep[:, None]
+        tp = 2.0 * sigma2 * p
+        damp = np.exp(-sigma2 * p**2)
+        cos, sin = damp * np.cos(d * p), damp * np.sin(d * p)
+        osc = (cos, -tp * cos - d * sin, (tp**2 - 2.0 * sigma2 - d**2) * cos + 2.0 * tp * d * sin)
+        # alpha = (q + i p)/sqrt(2): d/dRe alpha = sqrt(2) d/dq, d/dIm alpha = sqrt(2) d/dp
+        return _product_jet(coeffs, gauss, osc, norm, np.sqrt(2.0))
+
+    return values, jet
+
+
 def wigner_pure_comb(
     centers: np.ndarray,
     weights: np.ndarray,
@@ -230,11 +263,7 @@ def wigner_pure_comb(
     S peaks and n axis points.  Raises ValueError unless the centers are
     equally spaced and as many as the weights.
     """
-    coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
-    x = np.sqrt(2.0) * np.asarray(axis, dtype=float)
-    gauss = np.exp(-((x - mid[:, None]) ** 2) / sigma2)
-    osc = np.exp(-sigma2 * x**2) * np.cos(sep[:, None] * x)
-    return _grid_product(coeffs, gauss, osc, norm)
+    return _comb_evaluators(centers, weights, sigma2)[0](axis)
 
 
 def wigner_pure_comb_jet(
@@ -248,21 +277,7 @@ def wigner_pure_comb_jet(
     Differentiates the Gaussian and cosine tables in closed form.
     Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
     """
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=complex))
-    coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
-    dq = np.sqrt(2.0) * alphas.real - mid[:, None]
-    g = np.exp(-(dq**2) / sigma2)
-    gauss = (g, (-2.0 / sigma2) * dq * g, (4.0 * dq**2 / sigma2**2 - 2.0 / sigma2) * g)
-    # with tp = 2 sigma^2 p, the p-derivatives of exp(-sigma^2 p^2) cos(p d) are
-    # exp(-sigma^2 p^2) (-tp cos - d sin), then ((tp^2 - 2 sigma^2 - d^2) cos + 2 tp d sin)
-    p = np.sqrt(2.0) * alphas.imag
-    d = sep[:, None]
-    tp = 2.0 * sigma2 * p
-    damp = np.exp(-sigma2 * p**2)
-    cos, sin = damp * np.cos(d * p), damp * np.sin(d * p)
-    osc = (cos, -tp * cos - d * sin, (tp**2 - 2.0 * sigma2 - d**2) * cos + 2.0 * tp * d * sin)
-    # alpha = (q + i p)/sqrt(2): d/dRe alpha = sqrt(2) d/dq, d/dIm alpha = sqrt(2) d/dp
-    return _product_jet(coeffs, gauss, osc, norm, np.sqrt(2.0))
+    return _comb_evaluators(centers, weights, sigma2)[1](alphas)
 
 
 @dataclass(frozen=True)
@@ -278,7 +293,7 @@ class WignerGrid:
     radius: float
     resolution: int
     dropped: np.ndarray
-    leakage: float = 0.0
+    leakage: float
 
     @property
     def cell_area(self) -> float:
@@ -358,7 +373,6 @@ def _marginal_check(
     table: np.ndarray,
     guard: np.ndarray,
     step: float,
-    tol: float = 2e-3,
 ) -> None:
     """Integrate W over Im(alpha) and compare with sqrt(2) <x|rho|x>, on the grid
     columns (fixed Re alpha) with no dropped point."""
@@ -371,10 +385,10 @@ def _marginal_check(
     prob_x = np.real(np.einsum("nx,nm,mx->x", basis, rho.matrix, basis))
     ref = np.sqrt(2.0) * prob_x
     dev = float(np.max(np.abs(marg - ref)))
-    if dev > tol:
+    if dev > MARGINAL_TOL:
         raise InvariantError(
             f"Wigner x-marginal deviates from the quadrature distribution by "
-            f"{dev:.3e} > {tol:.1e}; raise the grid resolution or radius"
+            f"{dev:.3e} > {MARGINAL_TOL:.1e}; raise the grid resolution or radius"
         )
 
 

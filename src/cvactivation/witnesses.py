@@ -14,6 +14,11 @@ value.  Which free set a witness is feasible for is fixed by its family
 * explicit caller-supplied operators, feasible for the set the caller
   declares with a certificate tag (the engine verifies the box, never
   feasibility).
+
+A witness is built only as :class:`WitnessSpec` (family, box), and the spec
+owns how its family meets the box: it is scale times the family, scale =
+min(n, m) for a built-in (unit-box) family and 1 for an explicit operator.
+:func:`witness_value` checks the scaled witness against the box.
 """
 
 from __future__ import annotations
@@ -68,9 +73,10 @@ class WitnessBox:
 
 @dataclass(frozen=True)
 class DisplacedParity:
-    alpha: complex = 0.0
+    alpha: complex
 
     def __post_init__(self):
+        object.__setattr__(self, "alpha", complex(self.alpha))
         if not cmath.isfinite(self.alpha):
             raise ValueError(f"parity displacement must be finite, got {self.alpha}")
 
@@ -85,6 +91,7 @@ class Projector:
     copies: int
 
     def __post_init__(self):
+        object.__setattr__(self, "lam", float(self.lam))
         if not (math.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
             raise ValueError(f"projector lambda must be a fidelity in [0, 1], got {self.lam}")
         if self.copies not in (1, 2) or isinstance(self.copies, bool):
@@ -94,6 +101,9 @@ class Projector:
 
 @dataclass(frozen=True)
 class ExplicitWitness:
+    """A caller's operator: its certificate tag travels with every result, so
+    the bounds are labeled conditional on the caller's feasibility claim."""
+
     operator: OperatorMatrix
     free_set: FreeSet
     certificate: str
@@ -108,6 +118,14 @@ class WitnessSpec:
 
     family: Family
     box: WitnessBox = WitnessBox()
+
+    @property
+    def scale(self) -> float:
+        """Factor taking the family into the box: min(n, m) for a unit-box built-in
+        family, 1 for an explicit operator."""
+        if isinstance(self.family, ExplicitWitness):
+            return 1.0
+        return min(self.box.n, self.box.m)
 
     @property
     def free_set(self) -> FreeSet:
@@ -137,7 +155,12 @@ class WitnessSpec:
 
 
 def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) -> tuple[float, float]:
-    """Ends (lowest, highest) of the witness spectrum, asserted inside the box.
+    """Ends (lowest, highest) of the witness spectrum, asserted inside the box."""
+    return _scaled_ends(witness, 1.0, box)
+
+
+def _scaled_ends(witness: Family | OperatorMatrix, scale: float, box: WitnessBox) -> tuple[float, float]:
+    """Ends of the spectrum of scale * witness, asserted inside the box.
 
     Built-in families have closed-form spectra: displaced parity lies in
     [-1, 1] (the compression of a unitary involution), a k-copy projector
@@ -153,6 +176,7 @@ def check_box(witness: Family | OperatorMatrix, box: WitnessBox = WitnessBox()) 
         lo, hi = -1.0, 1.0
     else:
         lo, hi = witness.lam**witness.copies - 1.0, witness.lam**witness.copies
+    lo, hi = scale * lo, scale * hi
     if lo < -box.n - BOX_TOL or hi > box.m + BOX_TOL:
         raise ValueError(
             f"witness spectrum [{lo:.6f}, {hi:.6f}] outside box [-{box.n}, {box.m}]"
@@ -184,10 +208,10 @@ def violation(witness: Family, rho: DensityMatrix) -> float:
 
 
 def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
-    """Signed violation -Tr(W rho), positive iff the witness detects rho,
-    after :func:`check_box` has placed the witness inside the spec's box."""
-    check_box(spec.family, spec.box)
-    return violation(spec.family, rho)
+    """Signed violation -Tr(W rho) of the spec's witness W = scale * family,
+    positive iff W detects rho, once W's spectrum is asserted inside the box."""
+    _scaled_ends(spec.family, spec.scale, spec.box)
+    return spec.scale * violation(spec.family, rho)
 
 
 @dataclass(frozen=True)
@@ -424,32 +448,3 @@ def gaussian_fidelity(
         n_converged=len(converged_vals),
     )
 
-
-def displaced_parity_spec(alpha: complex, *, box: WitnessBox = WitnessBox()) -> WitnessSpec:
-    return WitnessSpec(DisplacedParity(complex(alpha)), box)
-
-
-def pure_projector_spec(
-    psi: PureState, lam: float, *, box: WitnessBox = WitnessBox()
-) -> WitnessSpec:
-    return WitnessSpec(Projector(psi, float(lam), 1), box)
-
-
-def two_copy_projector_spec(
-    psi: PureState, lam: float, *, box: WitnessBox = WitnessBox()
-) -> WitnessSpec:
-    return WitnessSpec(Projector(psi, float(lam), 2), box)
-
-
-def explicit_spec(
-    operator: OperatorMatrix,
-    free_set: FreeSet,
-    certificate: str,
-    box: WitnessBox = WitnessBox(),
-) -> WitnessSpec:
-    """Uncertifiable witnesses must declare their provenance.
-
-    The certificate travels with every result produced from the spec, so
-    downstream bounds are labeled conditional on the caller's claim.
-    """
-    return WitnessSpec(ExplicitWitness(operator, free_set, certificate), box)

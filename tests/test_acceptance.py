@@ -63,9 +63,9 @@ from cvactivation.wigner import (
 )
 from cvactivation.witnesses import (
     DisplacedParity,
+    ExplicitWitness,
     FreeSet,
-    displaced_parity_spec,
-    explicit_spec,
+    WitnessSpec,
     gaussian_fidelity,
 )
 
@@ -135,7 +135,7 @@ def test_03_fock_n_parity_bound():
 def test_04_odd_parity_maximality():
     with criterion("04 odd-parity-maximality"):
         cutoff = 30
-        pi_spec = displaced_parity_spec(0.0)
+        pi_spec = WitnessSpec(DisplacedParity(0.0))
         states = [
             fock(1, cutoff),
             cat(1.0, -1, cutoff),
@@ -165,10 +165,12 @@ def test_05_activation_exactness():
             h = rng.normal(size=(10, 10)) + 1j * rng.normal(size=(10, 10))
             h = (h + h.conj().T) / 2.0
             h = h / np.abs(np.linalg.eigvalsh(h)).max() * rng.uniform(0.1, 1.0)
-            spec = explicit_spec(
-                OperatorMatrix(h, hermitian=True),
-                FreeSet.WIGNER_POSITIVE,
-                "randomized-acceptance",
+            spec = WitnessSpec(
+                ExplicitWitness(
+                    OperatorMatrix(h, hermitian=True),
+                    FreeSet.WIGNER_POSITIVE,
+                    "randomized-acceptance",
+                )
             )
             value = -float(np.real(np.trace(h @ rho.matrix)))
             ent = activate_entanglement(rho, spec)

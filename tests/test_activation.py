@@ -25,11 +25,12 @@ from cvactivation.activation import (
 from cvactivation.monotones import FamilySearchConfig, lower_bound
 from cvactivation.wigner import DepthSearchConfig, negativity_depth
 from cvactivation.witnesses import (
+    DisplacedParity,
+    ExplicitWitness,
     FreeSet,
+    Projector,
     WitnessBox,
-    displaced_parity_spec,
-    explicit_spec,
-    two_copy_projector_spec,
+    WitnessSpec,
 )
 
 from conftest import projective_discord, random_density
@@ -39,10 +40,8 @@ def random_unit_box_witness(rng, dim):
     h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (h + h.conj().T) / 2.0
     h = h / np.abs(np.linalg.eigvalsh(h)).max() * rng.uniform(0.2, 1.0)
-    return explicit_spec(
-        OperatorMatrix(h, hermitian=True),
-        FreeSet.WIGNER_POSITIVE,
-        "randomized-test",
+    return WitnessSpec(
+        ExplicitWitness(OperatorMatrix(h, hermitian=True), FreeSet.WIGNER_POSITIVE, "randomized-test")
     )
 
 
@@ -62,7 +61,7 @@ def test_povm_examples():
 
 
 def test_activation_examples():
-    pi_spec = displaced_parity_spec(0.0)
+    pi_spec = WitnessSpec(DisplacedParity(0.0))
     one = fock(1, 20).to_density()
     out = activate_entanglement(one, pi_spec)
     assert out.entanglement == pytest.approx(0.5)
@@ -78,7 +77,7 @@ def test_activation_examples():
 
 
 def test_steering_examples():
-    pi_spec = displaced_parity_spec(0.0)
+    pi_spec = WitnessSpec(DisplacedParity(0.0))
     one = fock(1, 20).to_density()
     out = activate_steering(one, pi_spec)
     assert out.steering == pytest.approx(1.0)
@@ -104,7 +103,7 @@ def test_activation_builds_witness_once(monkeypatch):
     # witness_value evaluates a parity witness through the witnesses module
     monkeypatch.setattr(witnesses, "wigner_batch", counting)
     rho = pure_loss(0.7, 20).apply(fock(1, 20).to_density())
-    spec = displaced_parity_spec(0.3 - 0.1j)
+    spec = WitnessSpec(DisplacedParity(0.3 - 0.1j))
     for channel in (activate_entanglement, activate_steering):
         calls.clear()
         channel(rho, spec)
@@ -114,15 +113,24 @@ def test_activation_builds_witness_once(monkeypatch):
 def _two_copy_case(cutoff, box=WitnessBox()):
     psi = cat(1.5, 1, cutoff)
     rho = pure_loss(0.9, cutoff).apply(psi.to_density())
-    return rho, two_copy_projector_spec(psi, 0.5, box=box)
+    return rho, WitnessSpec(Projector(psi, 0.5, 2), box)
 
 
 def test_two_copy_box_checked_past_old_budget():
-    # cutoff 80 is a 6400-dim two-copy space; the box is still checked there
+    # cutoff 80 is a 6400-dim two-copy space; a box below 1 scales the
+    # witness by min(n, m) = 0.3, checked from its closed-form spectrum
     rho, spec = _two_copy_case(80, WitnessBox(0.3, 1.0))
-    for channel in (activate_entanglement, activate_steering):
-        with pytest.raises(ValueError, match="outside box"):
-            channel(rho, spec)
+    start = time.perf_counter()
+    ent = activate_entanglement(rho, spec)
+    steer = activate_steering(rho, spec)
+    assert time.perf_counter() - start < 1.0
+    psi = spec.family.psi.amplitudes
+    overlap = float(np.real(np.vdot(psi, rho.matrix @ psi)))
+    assert spec.scale == 0.3
+    assert steer.steering == pytest.approx(0.3 * max(0.0, overlap**2 - 0.25), abs=1e-12)
+    assert steer.steering > 0.0
+    assert ent.entanglement == pytest.approx(steer.steering / 2.0, abs=1e-12)
+    assert steer.witness.describe()["box"] == [0.3, 1.0]
 
 
 def test_two_copy_activation_builds_no_product_space():
@@ -155,7 +163,7 @@ def test_activation_exactness_random_pairs(rng):
 
 
 def test_free_inputs_stay_separable_and_unsteerable(rng):
-    specs = [displaced_parity_spec(0.0), displaced_parity_spec(0.7 - 0.4j)]
+    specs = [WitnessSpec(DisplacedParity(0.0)), WitnessSpec(DisplacedParity(0.7 - 0.4j))]
     frees = [
         fock(0, 40).to_density(),
         coherent(0.9, 40).to_density(),

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cvactivation import cli, wigner
 from cvactivation.errors import TruncationError
 from cvactivation.fock import pure_fidelity
 from cvactivation.states import (
@@ -16,6 +17,8 @@ from cvactivation.states import (
     _lattice_peaks,
     _window,
 )
+
+from cvactivation.wigner import DepthSearchConfig
 
 from conftest import scipy_hermgauss_total
 
@@ -173,3 +176,19 @@ def test_cutoff_doubling_moves_state_little():
     pi_small = float(np.sum(np.abs(small.amplitudes) ** 2 * (-1.0) ** np.arange(40)))
     pi_large = float(np.sum(np.abs(large.amplitudes) ** 2 * (-1.0) ** np.arange(80)))
     assert abs(pi_small - pi_large) < 1e-6
+
+
+def test_comb_coefficients_built_once_per_depth_search(monkeypatch):
+    # the gkp-sweep input activation scans the grid and refines every seed
+    # on one coefficient matrix, not on one per evaluator call
+    builds = []
+    original = wigner._comb_coefficients
+
+    def counting(*args):
+        builds.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(wigner, "_comb_coefficients", counting)
+    depth_cfg = DepthSearchConfig(radius=2.8, resolution=35)
+    assert cli._gkp_input_activation(GkpParams.from_db(16.5), depth_cfg) > 0.0
+    assert len(builds) == 1

@@ -28,7 +28,14 @@ from cvactivation.monotones import (
     pure_state_bounds,
 )
 from cvactivation.wigner import DepthSearchConfig
-from cvactivation.witnesses import DisplacedParity, ExplicitWitness, FreeSet, WitnessBox
+from cvactivation.witnesses import (
+    DisplacedParity,
+    ExplicitWitness,
+    FreeSet,
+    GaussianFitConfig,
+    WitnessBox,
+    witness_value,
+)
 
 FAST = FamilySearchConfig(depth=DepthSearchConfig(resolution=30))
 
@@ -75,6 +82,25 @@ def test_lower_bound_box_scaling():
     boxed = lower_bound(rho, FreeSet.WIGNER_POSITIVE, WitnessBox(2.0, 3.0), cfg=FAST)
     assert boxed.lower == pytest.approx(2.0 * unit.lower, abs=1e-9)
     assert boxed.upper == 2.0
+
+
+@pytest.mark.parametrize("box", [WitnessBox(0.5, 0.7), WitnessBox(2.0, 3.0), WitnessBox()])
+def test_reported_witness_rechecks_to_its_bound(box):
+    # the certificate re-derives its own number: the reported spec's
+    # witness_value is the bound, box and scale included
+    cfg = FamilySearchConfig(
+        depth=DepthSearchConfig(resolution=20, refine_top=2), gaussian=GaussianFitConfig(n_starts=4)
+    )
+    searched = [fock(2, 30).to_density(), pure_loss(0.8, 30).apply(fock(1, 30).to_density())]
+    for rho in searched:
+        for bound in hierarchy_check(rho, box, cfg):
+            assert witness_value(bound.witness, rho) == bound.lower
+    # the exact odd-parity path reports the theorem value, min(n, m) times a
+    # parity violation of 1, which the witness evaluates to rounding
+    odd = cat(1.5, -1, 30).to_density()
+    for bound in hierarchy_check(odd, box, cfg):
+        assert bound.lower == min(box.n, box.m)
+        assert witness_value(bound.witness, odd) == pytest.approx(bound.lower, rel=0, abs=1e-12)
 
 
 def test_hierarchy_odd_states_pinned():

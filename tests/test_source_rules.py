@@ -4,11 +4,14 @@ are numpy and math code, with scipy kept as the test oracle) and builds
 displacement operators only in fock.py.
 Witness algebra lives in witnesses.py alone, with one projector family and
 no norm-bound rescale; monotones.py evaluates witnesses only through it.
+A witness is built only as WitnessSpec(family, box): the spec factories are
+gone, and the min(n, m) rule that fits a family into its box is written in
+witnesses.py alone.
 A state's dimension is its array's: no cutoff wrapper or parameter wrapper
 type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
-np.linalg nor np.unique.  The package has at most 59 settable values
+np.linalg nor np.unique.  The package has at most 51 settable values
 (scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
@@ -120,6 +123,11 @@ def test_retired_names_are_gone():
         "_hermitian_parts",
         # the comb's pairwise tables, replaced by its product form
         "_comb_pairs",
+        # the spec factories, replaced by WitnessSpec(family, box)
+        "displaced_parity_spec",
+        "pure_projector_spec",
+        "two_copy_projector_spec",
+        "explicit_spec",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
@@ -137,10 +145,22 @@ def test_wigner_py_calls_no_linalg_and_no_unique():
     assert not found, "\n".join(found)
 
 
-def test_settable_values_at_most_59():
+def test_box_scale_rule_only_in_witnesses_py():
+    # WitnessSpec.scale owns how a family meets its box; no caller keeps a
+    # copy of the min(n, m) factor
+    pattern = re.compile(r"min\(\s*[\w.]*\bbox\.[nm]\s*,\s*[\w.]*\bbox\.[nm]\s*\)")
+    found = [
+        where
+        for name, where, line in _lines()
+        if name != "witnesses.py" and pattern.search(line)
+    ]
+    assert not found, "\n".join(found)
+
+
+def test_settable_values_at_most_51():
     script = SRC.parent.parent / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
-    assert int(out.stdout.split()[-1]) <= 59
+    assert int(out.stdout.split()[-1]) <= 51
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

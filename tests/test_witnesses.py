@@ -16,17 +16,16 @@ from cvactivation.states import (
 )
 from cvactivation.channels import apply_unitary, pure_loss, phase_rotation
 from cvactivation.witnesses import (
+    DisplacedParity,
+    ExplicitWitness,
     FIT_TAIL_TOL,
     FreeSet,
     GaussianFitConfig,
     Projector,
     WitnessBox,
+    WitnessSpec,
     check_box,
-    displaced_parity_spec,
-    explicit_spec,
     gaussian_fidelity,
-    pure_projector_spec,
-    two_copy_projector_spec,
     witness_value,
     _fit_objective,
     _informed_starts,
@@ -48,7 +47,7 @@ FOCK1_GAUSSIAN_FIDELITY = 0.4778894120
 
 def test_displaced_parity_matrix_spectrum():
     alpha = 0.6 - 0.3j
-    assert check_box(displaced_parity_spec(alpha).family) == (-1.0, 1.0)
+    assert check_box(DisplacedParity(alpha)) == (-1.0, 1.0)
     assert np.allclose(np.diag(displaced_parity_matrix(0.0, 12).matrix), (-1.0) ** np.arange(12))
     vals = np.linalg.eigvalsh(displaced_parity_matrix(alpha, 30).matrix)
     assert vals[0] == pytest.approx(-1.0, abs=1e-10)
@@ -63,7 +62,7 @@ def test_displaced_parity_matrix_spectrum():
 def test_pure_projector_spectrum():
     psi = cat(1.2, -1, 10)
     lam = 0.4778894
-    lo, hi = check_box(pure_projector_spec(psi, lam).family)
+    lo, hi = check_box(Projector(psi, lam, 1))
     dense = lam * np.eye(10) - np.outer(psi.amplitudes, psi.amplitudes.conj())
     vals = np.linalg.eigvalsh(dense)
     assert (lo, hi) == pytest.approx((lam - 1.0, lam), abs=1e-15)
@@ -74,7 +73,7 @@ def test_pure_projector_spectrum():
 def test_two_copy_projector_value():
     psi = fock(1, 8)
     lam = 0.5
-    spec = two_copy_projector_spec(psi, lam)
+    spec = WitnessSpec(Projector(psi, lam, 2))
     rho = psi.to_density()
     assert witness_value(spec, rho) == pytest.approx(1.0 - lam**2, abs=1e-12)
     lo, hi = check_box(spec.family)
@@ -91,10 +90,6 @@ def test_projector_lambda_must_be_a_fidelity(lam):
     for copies in (1, 2):
         with pytest.raises(ValueError):
             Projector(psi, lam, copies)
-    with pytest.raises(ValueError):
-        pure_projector_spec(psi, lam)
-    with pytest.raises(ValueError):
-        two_copy_projector_spec(psi, lam)
 
 
 @pytest.mark.parametrize("copies", [0, 3, -1, 1.5, True, None])
@@ -108,14 +103,14 @@ def test_each_family_fixes_its_free_set():
     # the family alone; an explicit witness carries the set it declares
     psi = fock(1, 6)
     box = WitnessBox(2.0, 3.0)
-    assert displaced_parity_spec(0.3j, box=box).free_set is FreeSet.WIGNER_POSITIVE
-    assert pure_projector_spec(psi, 0.5, box=box).free_set is FreeSet.GAUSSIAN_HULL
-    assert two_copy_projector_spec(psi, 0.5, box=box).free_set is FreeSet.GAUSSIAN_TWO_COPY
+    assert WitnessSpec(DisplacedParity(0.3j), box).free_set is FreeSet.WIGNER_POSITIVE
+    assert WitnessSpec(Projector(psi, 0.5, 1), box).free_set is FreeSet.GAUSSIAN_HULL
+    assert WitnessSpec(Projector(psi, 0.5, 2), box).free_set is FreeSet.GAUSSIAN_TWO_COPY
     for free_set in FreeSet:
-        spec = explicit_spec(parity_op(6), free_set, "declared")
+        spec = WitnessSpec(ExplicitWitness(parity_op(6), free_set, "declared"))
         assert spec.free_set is free_set
         assert spec.describe()["free_set"] == free_set.value
-    assert two_copy_projector_spec(psi, 0.5, box=box).describe() == {
+    assert WitnessSpec(Projector(psi, 0.5, 2), box).describe() == {
         "family": "two_copy_projector",
         "lambda": 0.5,
         "free_set": "gaussian_two_copy",
@@ -124,23 +119,25 @@ def test_each_family_fixes_its_free_set():
 
 
 @pytest.mark.parametrize("free_set", list(FreeSet))
-def test_spec_factories_take_no_free_set(free_set):
+def test_witness_spec_takes_no_free_set(free_set):
+    # a built-in family's free set is its own; neither the spec nor the
+    # family accepts one
     psi = fock(1, 6)
-    for build in (
-        lambda *a, **k: displaced_parity_spec(0.0, *a, **k),
-        lambda *a, **k: pure_projector_spec(psi, 0.5, *a, **k),
-        lambda *a, **k: two_copy_projector_spec(psi, 0.5, *a, **k),
-    ):
+    for family in (DisplacedParity(0.0), Projector(psi, 0.5, 1), Projector(psi, 0.5, 2)):
         with pytest.raises(TypeError):
-            build(free_set)
+            WitnessSpec(family, WitnessBox(), free_set)
         with pytest.raises(TypeError):
-            build(free_set=free_set)
+            WitnessSpec(family, free_set=free_set)
+    with pytest.raises(TypeError):
+        DisplacedParity(0.0, free_set)
+    with pytest.raises(TypeError):
+        Projector(psi, 0.5, 1, free_set)
 
 
 def test_witness_value_examples():
     one = fock(1, 20).to_density()
     vac = fock(0, 20).to_density()
-    pi_spec = displaced_parity_spec(0.0)
+    pi_spec = WitnessSpec(DisplacedParity(0.0))
     assert witness_value(pi_spec, one) == pytest.approx(1.0, abs=1e-12)
     assert witness_value(pi_spec, vac) == pytest.approx(-1.0, abs=1e-12)
 
@@ -148,7 +145,7 @@ def test_witness_value_examples():
 def test_witness_value_matches_wigner():
     rho = cat(1.3, -1, 30).to_density()
     alpha = 0.4 + 0.2j
-    spec = displaced_parity_spec(alpha)
+    spec = WitnessSpec(DisplacedParity(alpha))
     assert witness_value(spec, rho) == pytest.approx(
         -(math.pi / 2.0) * wigner_at(rho, alpha), abs=1e-10
     )
@@ -161,7 +158,7 @@ def test_parity_value_exact_for_truncated_state():
     padded = DensityMatrix(np.pad(rho.matrix, (0, 70)))
     alpha = 2.0 + 1.0j
     oracle = -(math.pi / 2.0) * wigner_at(padded, alpha)
-    assert witness_value(displaced_parity_spec(alpha), rho) == pytest.approx(oracle, abs=1e-12)
+    assert witness_value(WitnessSpec(DisplacedParity(alpha)), rho) == pytest.approx(oracle, abs=1e-12)
 
 
 def test_lift_witness_value_equality(rng):
@@ -171,14 +168,14 @@ def test_lift_witness_value_equality(rng):
     rho2 = np.kron(rho.matrix, rho.matrix)
     lifted = np.kron(parity_op(6).matrix, np.eye(6))
     lhs = -float(np.real(np.trace(lifted @ rho2)))
-    assert lhs == pytest.approx(witness_value(displaced_parity_spec(0.0), rho), abs=1e-10)
+    assert lhs == pytest.approx(witness_value(WitnessSpec(DisplacedParity(0.0)), rho), abs=1e-10)
     assert set(np.round(np.linalg.eigvalsh(lifted), 9)) <= {-1.0, 1.0}
     vec = rng.normal(size=6) + 1j * rng.normal(size=6)
     psi = PureState(vec / np.linalg.norm(vec))
     proj = np.outer(psi.amplitudes, psi.amplitudes.conj())
     dense = 0.49 * np.eye(36) - np.kron(proj, proj)
     lhs = -float(np.real(np.trace(dense @ rho2)))
-    assert lhs == pytest.approx(witness_value(two_copy_projector_spec(psi, 0.7), rho), abs=1e-12)
+    assert lhs == pytest.approx(witness_value(WitnessSpec(Projector(psi, 0.7, 2)), rho), abs=1e-12)
 
 
 def test_gaussian_fidelity_gaussian_inputs():
@@ -441,14 +438,14 @@ def test_parity_feasible_on_gaussian_states(rng):
         )
         sigma = gaussian_pure(params, dim).to_density()
         alpha = rng.normal(0, 0.8) + 1j * rng.normal(0, 0.8)
-        assert witness_value(displaced_parity_spec(alpha), sigma) <= 1e-8
+        assert witness_value(WitnessSpec(DisplacedParity(alpha)), sigma) <= 1e-8
 
 
 def test_projector_feasible_on_random_gaussians(rng):
     dim = 120
     psi = fock(1, dim)
     lam = gaussian_fidelity(psi).max_fidelity
-    spec = pure_projector_spec(psi, lam)
+    spec = WitnessSpec(Projector(psi, lam, 1))
     for _ in range(200):
         params = GaussianPureParams(
             rng.normal(0, 0.6) + 1j * rng.normal(0, 0.6),
@@ -475,7 +472,7 @@ def test_gaussian_fidelity_invariant_under_rotation():
 
 def test_explicit_witness_carries_certificate():
     pi = parity_op(6)
-    spec = explicit_spec(pi, FreeSet.WIGNER_POSITIVE, "parity-is-feasible")
+    spec = WitnessSpec(ExplicitWitness(pi, FreeSet.WIGNER_POSITIVE, "parity-is-feasible"))
     assert spec.describe()["certificate"] == "parity-is-feasible"
     one = fock(1, 6).to_density()
     assert witness_value(spec, one) == pytest.approx(1.0)
@@ -483,9 +480,13 @@ def test_explicit_witness_carries_certificate():
 
 def test_witness_box_assertion():
     big = OperatorMatrix(2.0 * np.eye(5), hermitian=True)
-    spec = explicit_spec(big, FreeSet.WIGNER_POSITIVE, "oversized")
+    spec = WitnessSpec(ExplicitWitness(big, FreeSet.WIGNER_POSITIVE, "oversized"))
     with pytest.raises(ValueError):
         check_box(spec.family)
     with pytest.raises(ValueError):
         witness_value(spec, fock(0, 5).to_density())
     assert check_box(spec.family, WitnessBox(1.0, 2.0)) == pytest.approx((2.0, 2.0))
+    # an explicit operator is taken as given, scale 1 in any box
+    boxed = WitnessSpec(spec.family, WitnessBox(0.5, 2.0))
+    assert boxed.scale == 1.0
+    assert witness_value(boxed, fock(0, 5).to_density()) == pytest.approx(-2.0)
