@@ -133,45 +133,35 @@ def squeezed_coherent_amps(
     forward recurrence for the amplitudes,
     c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1}) / (mu sqrt(n+1)).
 
-    Cost: O(n_levels) steps on Python complex scalars, after one vectorised
-    sqrt.  The result is bit-identical to the same recurrence run in numpy
-    scalars: the products are taken in the same order, and numpy's division
-    of a complex by a real d, which promotes d and multiplies by 1/d, is
-    reproduced as a product with the complex 1/d - 0j (the negative zero
-    gives zero parts numpy's signs).
+    Cost: one vectorised sqrt table, then O(n_levels) steps of
+    :func:`_squeezed_coherent_steps` on Python complex scalars.
     """
-    return _squeezed_coherent_extend(np.ones(1, dtype=complex), alpha, r, phi, n_levels)
+    roots = np.sqrt(np.arange(n_levels, dtype=float)).astype(complex).tolist()
+    amps = [1.0 + 0j, *_squeezed_coherent_steps(alpha, r, phi, roots)]
+    return np.array(amps[:n_levels], dtype=complex)
 
 
-def _squeezed_coherent_extend(
-    head: np.ndarray, alpha: complex, r: float, phi: float, n_levels: int
-) -> np.ndarray:
-    """The first n_levels :func:`squeezed_coherent_amps`, given the first
-    len(head) >= 1 of them: the recurrence continues from head's last two
-    values, and every value is the one a run from level 0 gives."""
+def _squeezed_coherent_steps(alpha: complex, r: float, phi: float, roots: list[complex]):
+    """The amplitudes c_n, n = 1 .. len(roots) - 1 (and c_1 always), one at a
+    time after c_0 = 1, given the table roots[n] = sqrt(n), which may serve many runs.
+
+    Each value is bit-identical to the recurrence run in numpy scalars:
+    mu, nu, gamma and c_1 are taken in numpy, the products in the same
+    order, and numpy's division of a complex by a real d, which promotes d
+    and multiplies by 1/d, is reproduced as a product with the complex
+    1/d - 0j (the negative zero gives zero parts numpy's signs).  Complex
+    operands throughout: Python's complex * complex is numpy's product in
+    every version, while complex * float is not from 3.14 on.
+    """
     mu = np.cosh(r)
     nu = np.exp(1j * phi) * np.sinh(r)
     gamma = mu * alpha + nu * np.conj(alpha)
-    amps = np.zeros(n_levels, dtype=complex)
-    start = len(head)
-    amps[:start] = head
-    if start == 1 and n_levels > 1:
-        amps[1] = gamma / mu
-        start = 2
-    if n_levels > start:
-        # sqrt(n) for n = start - 1 .. n_levels - 1, elementwise as over 0 .. n_levels - 1
-        root = np.sqrt(np.arange(start - 1, n_levels, dtype=float))
-        # complex operands throughout: Python's complex * complex is numpy's
-        # product in every version, while complex * float is not from 3.14 on
-        inv = np.conj((1.0 / (mu * root[1:])).astype(complex)).tolist()
-        g, v = complex(gamma), complex(nu)
-        prev, cur = complex(amps[start - 2]), complex(amps[start - 1])
-        out = []
-        for s, c in zip(root[:-1].astype(complex).tolist(), inv):
-            prev, cur = cur, (g * cur - v * s * prev) * c
-            out.append(cur)
-        amps[start:] = out
-    return amps
+    prev, cur = 1.0 + 0j, complex(gamma / mu)
+    yield cur
+    gamma, nu, mu = complex(gamma), complex(nu), float(mu)
+    for n in range(2, len(roots)):
+        prev, cur = cur, (gamma * cur - nu * roots[n - 1] * prev) * complex(1.0 / (mu * roots[n].real), -0.0)
+        yield cur
 
 
 def squeezed_coherent_mass(alpha: complex, r: float, phi: float) -> float:

@@ -26,6 +26,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from itertools import islice
 from dataclasses import dataclass
 from enum import Enum
 
@@ -36,9 +37,8 @@ from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite, _whol
 from .states import (
     DEFAULT_R_MAX,
     GaussianPureParams,
-    _squeezed_coherent_extend,
+    _squeezed_coherent_steps,
     _truncate_with_leakage,
-    squeezed_coherent_amps,
     squeezed_coherent_mass,
 )
 from .wigner import wigner_batch
@@ -293,35 +293,60 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
     return starts[: cfg.n_starts]
 
 
+def _sq_norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) ** 2, bit for bit: the dot products norm takes, without its wrapper."""
+    return float(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def _fit_objective(psi: PureState, r_max: float):
     """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
 
     G equals, bit for bit, the :func:`~cvactivation.states.gaussian_pure`
     state at psi's cutoff with tail tolerance ``FIT_TAIL_TOL``, and a
-    candidate leaking more scores 0, but no state is built.
+    candidate leaking more scores 0, but no state is built.  The sqrt table
+    of the recurrence is built once, for the 2d + 32 levels that state
+    checks.  Past the head check, the tail mass P above the cutoff is
+    summed level by level against the head mass H: P/(H + P) above
+    ``FIT_TAIL_TOL`` (1 + 1e-9) rejects at once, as the leak over 2d + 32
+    levels is at least that, and below ``FIT_TAIL_TOL`` (1 - 1e-9) at
+    level 2d + 32 keeps the head.  The margin dwarfs the sums' rounding;
+    inside it, or for a P that is not finite, the state's own check decides.
     """
     amps, dim = psi.amplitudes, psi.dim
-    n_ext = 2 * dim + 32
     keep = 1.0 - (FIT_TAIL_TOL - 1e-10)
+    reject, accept = FIT_TAIL_TOL * (1.0 + 1e-9), FIT_TAIL_TOL * (1.0 - 1e-9)
+    roots = np.sqrt(np.arange(2 * dim + 32, dtype=float)).astype(complex).tolist()
+
+    def score(kept: np.ndarray) -> float:
+        # normalised a second time, as the PureState constructor does
+        return -abs(np.vdot(amps, kept / math.sqrt(_sq_norm(kept)))) ** 2
 
     def objective(params: np.ndarray) -> float:
         re_a, im_a, r, phi = params
         r = min(abs(r), r_max)
         g = GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi))
-        head = squeezed_coherent_amps(g.alpha, g.r, g.phi, dim)
-        nrm = np.linalg.norm(head)
+        steps = _squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)
+        levels = [1.0 + 0j, *islice(steps, dim - 1)]
+        head = np.array(levels)
+        mass = _sq_norm(head)
+        nrm = math.sqrt(mass)
         # an overflowing head (infinite mass too) takes the 2d + 32 route below
-        if keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
-            kept = head / nrm
-        else:
-            ext = _squeezed_coherent_extend(head, g.alpha, g.r, g.phi, n_ext)
-            try:
-                kept, _ = _truncate_with_leakage(ext, dim, FIT_TAIL_TOL, "gaussian_pure")
-            except TruncationError:
-                return 0.0
-            _check_finite(kept, "amplitudes")  # a NaN leak passes the check above
-        # normalised a second time, as the PureState constructor does
-        return -abs(np.vdot(amps, kept / float(np.linalg.norm(kept)))) ** 2
+        if not keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
+            # P/(H + P) > t is P > t H/(1 - t), false for a NaN H or P
+            tail, limit = 0.0, mass * reject / (1.0 - reject)
+            for c in steps:
+                levels.append(c)
+                tail += abs(c) ** 2
+                if tail > limit:
+                    return 0.0
+            if not tail < mass * accept / (1.0 - accept) < math.inf:
+                try:
+                    kept, _ = _truncate_with_leakage(np.array(levels), dim, FIT_TAIL_TOL, "gaussian_pure")
+                except TruncationError:
+                    return 0.0
+                _check_finite(kept, "amplitudes")  # a NaN leak passes the check above
+                return score(kept)
+        return score(head / nrm)
 
     return objective
 
@@ -405,15 +430,18 @@ def gaussian_fidelity(
     visible.  A start whose bytes repeat an earlier one's (the first two,
     whenever <a> = 0) reuses that run and is counted again.
 
-    Per candidate the cost is one amplitude recurrence to the cutoff d, its
+    Per candidate the cost is one amplitude recurrence to the cutoff d, run
+    on sqrt tables that :func:`_fit_objective` builds once per fit, its
     norm and the closed-form total mass of the amplitudes
     (:func:`~cvactivation.states.squeezed_coherent_mass`).  The mass gives
     the leak of the whole tail above the cutoff, leak_inf = 1 - head/total,
     which bounds the leak over the 2d + 32 levels that ``gaussian_pure``
     checks.  A candidate with leak_inf <= FIT_TAIL_TOL - 1e-10 (the margin
-    covers rounding) is accepted at once; any other also runs the
-    2d + 32-level recurrence, continued from the head's last two
-    amplitudes, and keeps that check's decision.
+    covers rounding) is accepted at once.  Any other continues the
+    recurrence past the cutoff and adds up its tail: it is rejected as
+    soon as the tail levels made so far leak more than the tolerance, and
+    accepted at level 2d + 32 if they leak clearly less; only a leak within
+    a relative 1e-9 of the tolerance takes that check's own sums.
     """
     if cfg is None:
         cfg = GaussianFitConfig()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cvactivation import states, witnesses
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
@@ -298,6 +300,14 @@ _FOCK2_FIT = (
     "r=0.6584793948186235, phi=6.272629024766101), "
     "multistart_spread=0.38131938635765966, n_converged=7)"
 )
+# about a fifth of this fit's candidates leak past the head check and run the
+# 2d + 32-level tail
+_EVEN_CAT_FIT = (
+    "GaussianFidelityResult(max_fidelity=0.561672549733006, "
+    "argmax=GaussianPureParams(alpha=(-0.0067848562229096965-0.0005230544733841273j), "
+    "r=1.1743935697533323, phi=3.141611515156292), "
+    "multistart_spread=0.4952743139244569, n_converged=9)"
+)
 
 
 @pytest.mark.parametrize(
@@ -307,8 +317,9 @@ _FOCK2_FIT = (
         (lambda: fock(2, 30), _FOCK2_FIT),
         # the lossy photon's top eigenvector is |1> up to a sign
         (lambda: _top_eigenvector(pure_loss(0.7, 30).apply(fock(1, 30).to_density())), _FOCK1_FIT),
+        (lambda: cat(2.0, 1, 40), _EVEN_CAT_FIT),
     ],
-    ids=["fock1", "fock2", "lossy_photon"],
+    ids=["fock1", "fock2", "lossy_photon", "even_cat"],
 )
 def test_gaussian_fidelity_pinned(make, expected):
     assert repr(gaussian_fidelity(make())) == expected
@@ -365,6 +376,27 @@ def test_nelder_mead_bit_identical_to_scipy_edge_runs():
     # fail and each step is a shrink, two evaluations plus one per vertex
     fun, success, nfev = _same_run(objective, np.array([8.0, 0.0, 0.0, 0.0]), 400)
     assert (fun, success) == (0.0, True) and (nfev - 5) % 6 == 0
+
+
+# zero coordinates take the 0.00025 first step; Re alpha >= 8 starts on the
+# all-leak plateau, where every value ties at 0
+_START_COORDINATE = st.one_of(st.just(0.0), st.floats(-2.5, 2.5))
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(
+    x0=st.tuples(
+        st.one_of(_START_COORDINATE, st.floats(8.0, 12.0)),
+        _START_COORDINATE,
+        _START_COORDINATE,
+        st.one_of(st.just(0.0), st.floats(0.0, 7.0)),
+    )
+)
+@example(x0=(0.0, 0.0, 0.0, 0.0))
+@example(x0=(8.0, 0.0, 0.3, 1.0))
+def test_nelder_mead_bit_identical_to_scipy_from_drawn_starts(x0):
+    objective = _fit_objective(fock(1, 20), GaussianFitConfig().r_max)
+    _same_run(objective, np.array(x0), 400)
 
 
 def test_a_repeated_start_runs_once(monkeypatch):
