@@ -427,7 +427,9 @@ def gaussian_fidelity(
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
     multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
     spread between converged starts is reported so optimizer traps are
-    visible.  A start whose bytes repeat an earlier one's (the first two,
+    visible.  A start counts as converged only at a fidelity above 0: a run
+    that never left the all-leak plateau, where every candidate scores 0,
+    stopped without finding anything.  A start whose bytes repeat an earlier one's (the first two,
     whenever <a> = 0) reuses that run and is counted again.
 
     Per candidate the cost is one amplitude recurrence to the cutoff d, run
@@ -459,7 +461,7 @@ def gaussian_fidelity(
             runs[start.tobytes()] = _nelder_mead(objective, start, cfg.maxiter)
         x, fun, converged, _ = runs[start.tobytes()]
         fid = -float(fun)
-        if converged:
+        if converged and fid > 0.0:
             converged_vals.append(fid)
         if best is None or fid > best[0]:
             best = (fid, x)

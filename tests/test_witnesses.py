@@ -287,18 +287,19 @@ def _top_eigenvector(rho):
     return PureState(vecs[:, np.argmax(vals)])
 
 
-# fits through built candidate states, before the objective stopped building them
+# fits through built candidate states, before the objective stopped building
+# them; the spread and count leave out the starts stuck on the all-leak plateau
 _FOCK1_FIT = (
     "GaussianFidelityResult(max_fidelity=0.4778894124995779, "
     "argmax=GaussianPureParams(alpha=(-0.7470114020176348+0.32960679222043465j), "
     "r=0.5493061494070621, phi=5.452104864327408), "
-    "multistart_spread=0.4778894124995779, n_converged=16)"
+    "multistart_spread=0.11000997132814377, n_converged=13)"
 )
 _FOCK2_FIT = (
     "GaussianFidelityResult(max_fidelity=0.38131938635765966, "
     "argmax=GaussianPureParams(alpha=(1.2247277233269878-0.006464347462329931j), "
     "r=0.6584793948186235, phi=6.272629024766101), "
-    "multistart_spread=0.38131938635765966, n_converged=7)"
+    "multistart_spread=0.19165230119853055, n_converged=4)"
 )
 # about a fifth of this fit's candidates leak past the head check and run the
 # 2d + 32-level tail
@@ -411,7 +412,7 @@ def test_a_repeated_start_runs_once(monkeypatch):
         return run(objective, x0, maxiter)
 
     monkeypatch.setattr(witnesses, "_nelder_mead", counted)
-    # both starts are still counted: n_converged stays 16
+    # both starts are still counted: n_converged stays 13
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
     assert len(ran) == len(starts) - 1
