@@ -10,7 +10,6 @@ convexity, Lipschitz continuity) evaluated at the searched-family level.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,8 +96,9 @@ def _family_search(
 
     Each spec's family fixes the lowest free set it is admissible for, and
     each value is the spec's own, scale included.  The displaced-parity
-    candidate comes first: the depth search's optimum times the scale, or
-    the scale itself for an odd-parity state, whose parity violation is 1.
+    candidate comes first: its :func:`witness_value` at the depth search's
+    optimum (0 at zero depth), or the scale itself for an odd-parity state,
+    whose parity violation is 1.
     One Gaussian fit of the top eigenvector yields both the hull projector
     and its two-copy lift, each valued by :func:`witness_value`; the
     Wigner-positive level runs no fit at all.
@@ -119,7 +119,7 @@ def _family_search(
     else:
         depth = negativity_depth(rho, cfg.depth)
         spec = WitnessSpec(DisplacedParity(depth.argmin_alpha), box)
-        parity = [(spec.scale * ((math.pi / 2.0) * depth.depth), spec)]
+        parity = [(witness_value(spec, rho) if depth.depth > 0.0 else 0.0, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
     psi = _top_eigenvector(rho)

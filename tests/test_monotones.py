@@ -95,6 +95,19 @@ def test_reported_witness_rechecks_to_its_bound(box):
     for rho in searched:
         for bound in hierarchy_check(rho, box, cfg):
             assert witness_value(bound.witness, rho) == bound.lower
+    # acceptance-09 states whose depth search sums W in another order than
+    # witness_value, 1e-16 apart when the parity bound was the search's own value
+    corpus_cfg = FamilySearchConfig(
+        depth=DepthSearchConfig(resolution=30, refine_top=3), gaussian=GaussianFitConfig(n_starts=4)
+    )
+    corpus = [
+        pure_loss(0.7, 40).apply(fock(1, 40).to_density()),
+        cat(1.5, +1, 40).to_density(),
+        gkp_damped(GkpParams(epsilon=0.4), 40).to_density(),
+    ]
+    for rho in corpus:
+        for bound in hierarchy_check(rho, box, corpus_cfg):
+            assert witness_value(bound.witness, rho) == bound.lower
     # the exact odd-parity path reports the theorem value, min(n, m) times a
     # parity violation of 1, which the witness evaluates to rounding
     odd = cat(1.5, -1, 30).to_density()
