@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Run all eight CLI subcommands at their default configs into one directory.
 
-Usage: python scripts/snapshot_defaults.py <dir>
+Usage: python scripts/snapshot_defaults.py <dir> [<baseline dir>]
 
 Each subcommand writes one fixed relative ``--out`` name inside ``<dir>``.
 The ``out`` path is part of the config hashed into every output's metadata,
 so absolute paths would make two identical runs look different; with
-relative names, one ``diff -r`` between the directories written from two
-checkouts lists every change in a default output.  The package is imported
-from the ``src/`` of the checkout that holds this script.
+relative names, the directories written from two checkouts compare file
+by file.  Given a baseline directory (one written by this script from
+another checkout), every output is compared with the baseline's byte for
+byte, the files that differ are listed, and the exit code is 1 if any
+do.  The package is imported from the ``src/`` of the checkout that holds
+this script.
 """
 
 import os
@@ -44,7 +47,25 @@ def snapshot(out_dir: str) -> int:
     return 0
 
 
+def differing(out_dir: Path, baseline: Path) -> list[str]:
+    """The outputs whose bytes differ from the baseline's, or that it lacks."""
+    return [
+        name
+        for name in OUTPUTS.values()
+        if not (baseline / name).is_file()
+        or (out_dir / name).read_bytes() != (baseline / name).read_bytes()
+    ]
+
+
 if __name__ == "__main__":
-    if len(sys.argv) != 2:
+    if len(sys.argv) not in (2, 3):
         raise SystemExit(__doc__.split("\n\n")[1])
-    raise SystemExit(snapshot(sys.argv[1]))
+    out_dir, *baseline = (Path(arg).resolve() for arg in sys.argv[1:])
+    code = snapshot(str(out_dir))
+    if code == 0 and baseline:
+        differ = differing(out_dir, baseline[0])
+        for name in differ:
+            print(f"differs from {baseline[0]}: {name}")
+        print(f"{len(OUTPUTS) - len(differ)} of {len(OUTPUTS)} outputs byte-identical to the baseline")
+        code = 1 if differ else 0
+    raise SystemExit(code)

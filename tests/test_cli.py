@@ -741,3 +741,21 @@ def test_exit_code_fuzz(case):
             assert not out.exists(), (command, cfg)
         if "zz_unknown" in json.dumps(cfg):
             assert rc != 0, (command, cfg)  # an unknown key never yields a result
+
+
+def test_snapshot_baseline_lists_the_differing_outputs(tmp_path):
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "snapshot_defaults.py"
+    spec = importlib.util.spec_from_file_location("snapshot_defaults", path)
+    snapshot = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(snapshot)
+    new, base = tmp_path / "new", tmp_path / "base"
+    for out_dir in (new, base):
+        out_dir.mkdir()
+        for name in snapshot.OUTPUTS.values():
+            (out_dir / name).write_bytes(b"0.3999999999999999\n")
+    assert snapshot.differing(new, base) == []
+    (new / "loss_sweep.csv").write_bytes(b"0.3999999999999998\n")
+    (base / "wigner.csv").unlink()
+    assert snapshot.differing(new, base) == ["wigner.csv", "loss_sweep.csv"]
