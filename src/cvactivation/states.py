@@ -142,8 +142,8 @@ def squeezed_coherent_amps(
 
 
 def _squeezed_coherent_steps(alpha: complex, r: float, phi: float, roots: list[complex]):
-    """The amplitudes c_n, n = 1 .. len(roots) - 1 (and c_1 always), one at a
-    time after c_0 = 1, given the table roots[n] = sqrt(n), which may serve many runs.
+    """Yield c_1, c_2, .., c_{len(roots) - 1} after c_0 = 1 (c_1 for any table),
+    given roots[n] = sqrt(n) as a complex: a table one caller may build for many runs.
 
     Each value is bit-identical to the recurrence run in numpy scalars:
     mu, nu, gamma and c_1 are taken in numpy, the products in the same

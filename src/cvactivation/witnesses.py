@@ -309,8 +309,10 @@ def _fit_objective(psi: PureState, r_max: float):
     summed level by level against the head mass H: P/(H + P) above
     ``FIT_TAIL_TOL`` (1 + 1e-9) rejects at once, as the leak over 2d + 32
     levels is at least that, and below ``FIT_TAIL_TOL`` (1 - 1e-9) at
-    level 2d + 32 keeps the head.  The margin dwarfs the sums' rounding;
-    inside it, or for a P that is not finite, the state's own check decides.
+    level 2d + 32 keeps the head, normalised by the dot products that
+    check takes over the same values.  The margin dwarfs the sums'
+    rounding; inside it, or for an H that is not finite, the state's own
+    check decides.
     """
     amps, dim = psi.amplitudes, psi.dim
     keep = 1.0 - (FIT_TAIL_TOL - 1e-10)
@@ -332,7 +334,8 @@ def _fit_objective(psi: PureState, r_max: float):
         nrm = math.sqrt(mass)
         # an overflowing head (infinite mass too) takes the 2d + 32 route below
         if not keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
-            # P/(H + P) > t is P > t H/(1 - t), false for a NaN H or P
+            # P/(H + P) > t as P > t H/(1 - t): false for a NaN H or P, true for
+            # an infinite P with a finite H, whose NaN leak the state's check rejects
             tail, limit = 0.0, mass * reject / (1.0 - reject)
             for c in steps:
                 levels.append(c)
@@ -429,21 +432,20 @@ def gaussian_fidelity(
     spread between converged starts is reported so optimizer traps are
     visible.  A start counts as converged only at a fidelity above 0: a run
     that never left the all-leak plateau, where every candidate scores 0,
-    stopped without finding anything.  A start whose bytes repeat an earlier one's (the first two,
-    whenever <a> = 0) reuses that run and is counted again.
+    found nothing.  A start whose bytes repeat an earlier one's (the first
+    two, whenever <a> = 0) reuses that run and is counted again.
 
-    Per candidate the cost is one amplitude recurrence to the cutoff d, run
-    on sqrt tables that :func:`_fit_objective` builds once per fit, its
-    norm and the closed-form total mass of the amplitudes
+    Per candidate the cost is one amplitude recurrence to the cutoff d, on
+    a sqrt table built once per fit, its norm and the closed-form total
+    mass of the amplitudes
     (:func:`~cvactivation.states.squeezed_coherent_mass`).  The mass gives
     the leak of the whole tail above the cutoff, leak_inf = 1 - head/total,
     which bounds the leak over the 2d + 32 levels that ``gaussian_pure``
     checks.  A candidate with leak_inf <= FIT_TAIL_TOL - 1e-10 (the margin
     covers rounding) is accepted at once.  Any other continues the
-    recurrence past the cutoff and adds up its tail: it is rejected as
-    soon as the tail levels made so far leak more than the tolerance, and
-    accepted at level 2d + 32 if they leak clearly less; only a leak within
-    a relative 1e-9 of the tolerance takes that check's own sums.
+    recurrence and sums its tail: it is rejected as soon as the levels so
+    far leak more than the tolerance, and accepted at level 2d + 32 if they
+    leak clearly less (:func:`_fit_objective`).
     """
     if cfg is None:
         cfg = GaussianFitConfig()
