@@ -26,9 +26,9 @@ from __future__ import annotations
 import cmath
 import math
 import operator
-from itertools import islice
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 import numpy as np
 
