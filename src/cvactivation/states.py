@@ -194,18 +194,18 @@ def _truncate_with_leakage(
     return kept / np.linalg.norm(kept), leak
 
 
-def gaussian_pure(
-    params: GaussianPureParams,
-    cutoff: int,
-    r_max: float = DEFAULT_R_MAX,
-    tail_tol: float = STATE_TAIL_TOL,
-) -> PureState:
-    """Pure Gaussian state D(alpha) S(r e^{i phi}) |0>."""
+def gaussian_pure(params: GaussianPureParams, cutoff: int) -> PureState:
+    """Pure Gaussian state D(alpha) S(r e^{i phi}) |0>, renormalized.
+
+    Refused for r above ``DEFAULT_R_MAX`` (ValueError) and when more than
+    ``STATE_TAIL_TOL`` of its first 2 cutoff + 32 levels lies above the
+    cutoff (TruncationError).
+    """
     dim = _dim(cutoff)
-    if params.r > r_max:
-        raise ValueError(f"squeezing r={params.r} exceeds r_max={r_max}")
+    if params.r > DEFAULT_R_MAX:
+        raise ValueError(f"squeezing r={params.r} exceeds r_max={DEFAULT_R_MAX}")
     amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, 2 * dim + 32)
-    kept, leak = _truncate_with_leakage(amps, dim, tail_tol, "gaussian_pure")
+    kept, leak = _truncate_with_leakage(amps, dim, STATE_TAIL_TOL, "gaussian_pure")
     return PureState(kept, leakage=leak)
 
 

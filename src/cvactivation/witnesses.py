@@ -28,24 +28,15 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 import numpy as np
 
 from .errors import TruncationError
-from .fock import DensityMatrix, OperatorMatrix, PureState, _check_finite, _whole_fields
-from .states import (
-    DEFAULT_R_MAX,
-    GaussianPureParams,
-    _squeezed_coherent_steps,
-    _truncate_with_leakage,
-    squeezed_coherent_mass,
-)
+from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
+from .states import DEFAULT_R_MAX, GaussianPureParams, _squeezed_coherent_steps, squeezed_coherent_mass
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
-# A fit candidate whose Fock tail above the cutoff exceeds this scores 0.
-FIT_TAIL_TOL = 1e-4
 # _nelder_mead stops once the simplex spans at most these in value and in parameters.
 FIT_FATOL = 1e-12
 FIT_XATOL = 1e-8
@@ -293,63 +284,28 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
     return starts[: cfg.n_starts]
 
 
-def _sq_norm(x: np.ndarray) -> float:
-    """np.linalg.norm(x) ** 2, bit for bit: the dot products norm takes, without its wrapper."""
-    return float(x.real.dot(x.real) + x.imag.dot(x.imag))
-
-
 def _fit_objective(psi: PureState, r_max: float):
     """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
 
-    G equals, bit for bit, the :func:`~cvactivation.states.gaussian_pure`
-    state at psi's cutoff with tail tolerance ``FIT_TAIL_TOL``, and a
-    candidate leaking more scores 0, but no state is built.  The sqrt table
-    of the recurrence is built once, for the 2d + 32 levels that state
-    checks.  Past the head check, the tail mass P above the cutoff is
-    summed level by level against the head mass H: P/(H + P) above
-    ``FIT_TAIL_TOL`` (1 + 1e-9) rejects at once, as the leak over 2d + 32
-    levels is at least that, and below ``FIT_TAIL_TOL`` (1 - 1e-9) at
-    level 2d + 32 keeps the head, normalised by the dot products that
-    check takes over the same values.  The margin dwarfs the sums'
-    rounding; inside it, or for an H that is not finite, the state's own
-    check decides.
+    The exact fidelity with the untruncated G: psi lives below its cutoff d,
+    so the overlap needs only G's first d amplitudes c_n (c_0 = 1), run on a
+    sqrt table built once per fit, and their total mass sum_n |c_n|^2 is
+    closed-form (:func:`~cvactivation.states.squeezed_coherent_mass`).  No
+    tail is cut and nothing is renormalised, so the score does not depend
+    on the cutoff.  A candidate whose mass overflows (or whose overlap is
+    not finite) scores 0.
     """
-    amps, dim = psi.amplitudes, psi.dim
-    keep = 1.0 - (FIT_TAIL_TOL - 1e-10)
-    reject, accept = FIT_TAIL_TOL * (1.0 + 1e-9), FIT_TAIL_TOL * (1.0 - 1e-9)
-    roots = np.sqrt(np.arange(2 * dim + 32, dtype=float)).astype(complex).tolist()
-
-    def score(kept: np.ndarray) -> float:
-        # normalised a second time, as the PureState constructor does
-        return -abs(np.vdot(amps, kept / math.sqrt(_sq_norm(kept)))) ** 2
+    amps = psi.amplitudes
+    roots = np.sqrt(np.arange(psi.dim, dtype=float)).astype(complex).tolist()
 
     def objective(params: np.ndarray) -> float:
         re_a, im_a, r, phi = params
-        r = min(abs(r), r_max)
-        g = GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi))
-        steps = _squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)
-        levels = [1.0 + 0j, *islice(steps, dim - 1)]
-        head = np.array(levels)
-        mass = _sq_norm(head)
-        nrm = math.sqrt(mass)
-        # an overflowing head (infinite mass too) takes the 2d + 32 route below
-        if not keep * squeezed_coherent_mass(g.alpha, g.r, g.phi) <= nrm * nrm < math.inf:
-            # P/(H + P) > t as P > t H/(1 - t): false for a NaN H or P, true for
-            # an infinite P with a finite H, whose NaN leak the state's check rejects
-            tail, limit = 0.0, mass * reject / (1.0 - reject)
-            for c in steps:
-                levels.append(c)
-                tail += abs(c) ** 2
-                if tail > limit:
-                    return 0.0
-            if not tail < mass * accept / (1.0 - accept) < math.inf:
-                try:
-                    kept, _ = _truncate_with_leakage(np.array(levels), dim, FIT_TAIL_TOL, "gaussian_pure")
-                except TruncationError:
-                    return 0.0
-                _check_finite(kept, "amplitudes")  # a NaN leak passes the check above
-                return score(kept)
-        return score(head / nrm)
+        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi))
+        # c_1 .. c_{d-1} from a table of d roots
+        head = np.array([1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)])
+        overlap = abs(np.vdot(amps, head)) ** 2
+        mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)
+        return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective
 
@@ -431,21 +387,17 @@ def gaussian_fidelity(
     multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
     spread between converged starts is reported so optimizer traps are
     visible.  A start counts as converged only at a fidelity above 0: a run
-    that never left the all-leak plateau, where every candidate scores 0,
-    found nothing.  A start whose bytes repeat an earlier one's (the first
-    two, whenever <a> = 0) reuses that run and is counted again.
+    that never left the overflow plateau, where every candidate's mass
+    overflows and scores 0, found nothing.  A start whose bytes repeat an
+    earlier one's (the first two, whenever <a> = 0) reuses that run and is
+    counted again.
 
-    Per candidate the cost is one amplitude recurrence to the cutoff d, on
-    a sqrt table built once per fit, its norm and the closed-form total
-    mass of the amplitudes
-    (:func:`~cvactivation.states.squeezed_coherent_mass`).  The mass gives
-    the leak of the whole tail above the cutoff, leak_inf = 1 - head/total,
-    which bounds the leak over the 2d + 32 levels that ``gaussian_pure``
-    checks.  A candidate with leak_inf <= FIT_TAIL_TOL - 1e-10 (the margin
-    covers rounding) is accepted at once.  Any other continues the
-    recurrence and sums its tail: it is rejected as soon as the levels so
-    far leak more than the tolerance, and accepted at level 2d + 32 if they
-    leak clearly less (:func:`_fit_objective`).
+    Each candidate is scored by its exact fidelity with the untruncated
+    Gaussian (:func:`_fit_objective`): one amplitude recurrence to the
+    cutoff d, on a sqrt table built once per fit, divided by the
+    closed-form total mass of the amplitudes
+    (:func:`~cvactivation.states.squeezed_coherent_mass`).  No tail
+    tolerance rejects a candidate.
     """
     if cfg is None:
         cfg = GaussianFitConfig()

@@ -1,3 +1,4 @@
+import functools
 import math
 import sys
 
@@ -6,7 +7,6 @@ import pytest
 from scipy.special import gammaln, roots_hermite, xlogy
 
 from cvactivation.channels import KrausChannel
-from cvactivation.errors import TruncationError
 from cvactivation.fock import (
     DensityMatrix,
     OperatorMatrix,
@@ -14,7 +14,7 @@ from cvactivation.fock import (
     displacement_op,
     parity_op,
 )
-from cvactivation.states import GaussianPureParams, gaussian_pure, hermite_functions
+from cvactivation.states import hermite_functions, squeezed_coherent_amps, squeezed_coherent_mass
 from cvactivation.witnesses import FIT_FATOL, FIT_XATOL
 
 
@@ -170,27 +170,35 @@ def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
     return (2.0 / math.pi) * val.real
 
 
-def gaussian_objective_oracle(psi, r_max: float):
-    """Oracle: the Gaussian-fit objective through a built candidate state.
+@functools.lru_cache(maxsize=4096)
+def _long_expansion(alpha: complex, r: float, phi: float, dim: int):
+    """First dim amplitudes of D(alpha) S(r e^{i phi})|0> (c_0 = 1) and the sum
+    of |c_n|^2 over N levels, N doubled from 2 dim until a doubling adds less
+    than 1e-16 of the sum; None where the closed-form mass overflows."""
+    if squeezed_coherent_mass(alpha, r, phi) == math.inf:
+        return None
+    n_levels, total = dim, 0.0
+    while True:
+        n_levels *= 2
+        amps = squeezed_coherent_amps(alpha, r, phi, n_levels)
+        total, last = float(np.sum(np.abs(amps) ** 2)), total
+        if total - last < 1e-16 * total:
+            return amps[:dim], total
 
-    Each candidate is the :func:`gaussian_pure` state at psi's cutoff with
-    tail tolerance 1e-4, scoring 0 when it leaks more.
-    """
+
+def long_expansion_objective(psi, r_max: float):
+    """Oracle: the Gaussian-fit objective -|<psi|G>|^2 through a long Fock
+    expansion of G, normalised by the sum of its own levels; 0 where the
+    closed-form mass of G overflows."""
     amps = psi.amplitudes
 
     def objective(params) -> float:
         re_a, im_a, r, phi = params
-        r = min(abs(r), r_max)
-        try:
-            cand = gaussian_pure(
-                GaussianPureParams(complex(re_a, im_a), r, phi % (2.0 * np.pi)),
-                psi.dim,
-                r_max=r_max,
-                tail_tol=1e-4,
-            )
-        except TruncationError:
+        expansion = _long_expansion(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi), psi.dim)
+        if expansion is None:
             return 0.0
-        return -abs(np.vdot(amps, cand.amplitudes)) ** 2
+        head, total = expansion
+        return -abs(np.vdot(amps, head)) ** 2 / total
 
     return objective
 

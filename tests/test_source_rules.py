@@ -11,7 +11,7 @@ A state's dimension is its array's: no cutoff wrapper or parameter wrapper
 type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
-np.linalg nor np.unique.  The package has at most 51 settable values
+np.linalg nor np.unique.  The package has at most 49 settable values
 (scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
@@ -128,6 +128,9 @@ def test_retired_names_are_gone():
         "pure_projector_spec",
         "two_copy_projector_spec",
         "explicit_spec",
+        # the Gaussian fit's tail tolerance, replaced by the exact fidelity
+        "FIT_TAIL_TOL",
+        "_sq_norm",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
@@ -157,10 +160,10 @@ def test_box_scale_rule_only_in_witnesses_py():
     assert not found, "\n".join(found)
 
 
-def test_settable_values_at_most_51():
+def test_settable_values_at_most_49():
     script = SRC.parent.parent / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
-    assert int(out.stdout.split()[-1]) <= 51
+    assert int(out.stdout.split()[-1]) <= 49
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

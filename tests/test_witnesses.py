@@ -14,13 +14,13 @@ from cvactivation.states import (
     fock,
     gaussian_pure,
     squeezed_coherent_amps,
+    squeezed_coherent_mass,
     thermal,
 )
 from cvactivation.channels import apply_unitary, pure_loss, phase_rotation
 from cvactivation.witnesses import (
     DisplacedParity,
     ExplicitWitness,
-    FIT_TAIL_TOL,
     FreeSet,
     GaussianFitConfig,
     Projector,
@@ -36,7 +36,7 @@ from cvactivation.witnesses import (
 
 from conftest import (
     displaced_parity_matrix,
-    gaussian_objective_oracle,
+    long_expansion_objective,
     random_density,
     scipy_nelder_mead,
     wigner_at,
@@ -45,6 +45,10 @@ from conftest import (
 # dense-grid search over (|alpha|, r, phi) refined to 4e-4 resolution;
 # regenerate with scripts/compute_gaussian_fidelity_oracle.py
 FOCK1_GAUSSIAN_FIDELITY = 0.4778894120
+# the squeezed vacuum r = 1.388236, phi = pi against the even cat alpha = 2,
+# built at cutoff 300 (scripts/compute_gaussian_fidelity_oracle.py --cat 2
+# scans the same value)
+EVEN_CAT_GAUSSIAN_FIDELITY = 0.5876963325749
 
 
 def test_displaced_parity_matrix_spectrum():
@@ -193,6 +197,29 @@ def test_gaussian_fidelity_fock1_matches_grid_oracle():
     assert res.n_converged > 0
 
 
+def test_gaussian_fidelity_of_a_photon_does_not_depend_on_the_cutoff():
+    # the objective is the exact fidelity, so padding |1> with empty levels
+    # changes no score
+    lams = [gaussian_fidelity(fock(1, dim)).max_fidelity for dim in (12, 20, 30, 40, 60)]
+    assert lams == [lams[0]] * 5
+    assert abs(lams[0] - FOCK1_GAUSSIAN_FIDELITY) <= 1e-9
+
+
+@pytest.mark.parametrize("alpha", [2.0, 2.0j])
+def test_gaussian_fidelity_of_the_even_cat_reaches_its_squeezed_vacuum(alpha):
+    # reached by the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3
+    # of its mass above cutoff 40
+    assert gaussian_fidelity(cat(alpha, 1, 40)).max_fidelity >= EVEN_CAT_GAUSSIAN_FIDELITY - 1e-9
+
+
+def test_even_cat_projector_feasible_on_its_squeezed_vacuum():
+    lam = gaussian_fidelity(cat(2.0, 1, 40)).max_fidelity
+    sigma = gaussian_pure(GaussianPureParams(0.0, 1.388236137394026, math.pi), 300).to_density()
+    spec = WitnessSpec(Projector(cat(2.0, 1, 300), lam, 1))
+    # the signed violation is the fidelity with the cat minus lambda
+    assert witness_value(spec, sigma) <= 1e-12
+
+
 @pytest.mark.parametrize(
     "bad",
     [
@@ -223,43 +250,8 @@ def test_gaussian_fit_config_keeps_valid_values():
     assert GaussianFitConfig(seeds=[5, 6], r_max=0.0).seeds == (5, 6)
 
 
-def _fit_leak(alpha, r, phi, dim):
-    """Tail share above the cutoff over the 2 dim + 32 levels gaussian_pure checks."""
-    w = np.abs(squeezed_coherent_amps(alpha, r, phi, 2 * dim + 32)) ** 2
-    return float(np.sum(w[dim:])) / float(np.sum(w))
-
-
-def _threshold_draws(rng, dim, r_max, count):
-    """(Re alpha, Im alpha, r, phi) whose 2d+32 leak lies within 1e-9 of the tolerance.
-
-    |alpha| is bisected along a random direction to a leak of
-    FIT_TAIL_TOL + delta, delta between -1e-9 and 1e-9.
-    """
-    deltas = (-1e-9, -3e-10, -1e-10, -1e-11, 0.0, 1e-11, 1e-10, 3e-10, 1e-9)
-    draws = []
-    while len(draws) < count:
-        r = r_max if rng.uniform() < 0.3 else float(rng.uniform(0.0, r_max))
-        phi, theta = rng.uniform(0.0, 2.0 * math.pi, size=2)
-        if _fit_leak(0j, r, phi, dim) > FIT_TAIL_TOL:
-            continue
-        unit = complex(math.cos(theta), math.sin(theta))
-        hi = 1.0
-        while _fit_leak(hi * unit, r, phi, dim) <= FIT_TAIL_TOL:
-            hi *= 2.0
-        for delta in deltas:
-            lo, up = 0.0, hi
-            while lo < (mid := 0.5 * (lo + up)) < up:
-                if _fit_leak(mid * unit, r, phi, dim) <= FIT_TAIL_TOL + delta:
-                    lo = mid
-                else:
-                    up = mid
-            alpha = lo * unit
-            draws.append([alpha.real, alpha.imag, r, phi])
-    return draws
-
-
 @pytest.mark.parametrize("dim", [12, 30, 40])
-def test_fit_objective_bit_identical_to_built_state_oracle(dim):
+def test_fit_objective_matches_long_expansion_oracle(dim):
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
     random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)))
@@ -269,17 +261,27 @@ def test_fit_objective_bit_identical_to_built_state_oracle(dim):
         for _ in range(1200)
     ]
     draws += [[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), r_max, rng.uniform(0, 7)] for _ in range(100)]
-    draws += _threshold_draws(rng, dim, r_max, 90)
-    scored = rejected = 0
+    # |alpha|^2 between d/4 and d: much of G lies above the cutoff
+    for _ in range(100):
+        alpha = rng.uniform(0.5, 1.0) * math.sqrt(dim) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        draws.append([alpha.real, alpha.imag, rng.uniform(0.0, 1.0), rng.uniform(0, 7)])
     for psi in (fock(1, dim), fock(2, dim), random_psi):
-        new, old = _fit_objective(psi, r_max), gaussian_objective_oracle(psi, r_max)
+        new, want = _fit_objective(psi, r_max), long_expansion_objective(psi, r_max)
         for x in draws:
-            want = old(x)
-            assert new(x) == want, (dim, x)
-            scored += want != 0.0
-            rejected += want == 0.0
-    # both sides of the tail tolerance were reached
-    assert min(scored, rejected) > 300
+            assert abs(new(x) - want(x)) <= 1e-12 * abs(want(x)), (dim, x)
+
+    def leak(x):
+        """Share of G's mass above the cutoff."""
+        alpha, r, phi = complex(x[0], x[1]), min(abs(x[2]), r_max), x[3] % (2.0 * math.pi)
+        head = squeezed_coherent_amps(alpha, r, phi, dim)
+        return 1.0 - float(np.sum(np.abs(head) ** 2)) / squeezed_coherent_mass(alpha, r, phi)
+
+    # a candidate with much of its mass above the cutoff still scores its
+    # fidelity: |<1|G>|^2 = |c_1|^2 / mass > 0 for alpha != 0
+    leaky = [x for x in draws if leak(x) > 1e-3]
+    one = _fit_objective(fock(1, dim), r_max)
+    assert len(leaky) >= 100
+    assert all(one(x) < 0.0 for x in leaky)
 
 
 def _top_eigenvector(rho):
@@ -287,27 +289,27 @@ def _top_eigenvector(rho):
     return PureState(vecs[:, np.argmax(vals)])
 
 
-# fits through built candidate states, before the objective stopped building
-# them; the spread and count leave out the starts stuck on the all-leak plateau
+# fits scored by the exact fidelity with the untruncated Gaussian; the spread
+# and count leave out only starts that never left the overflow plateau
 _FOCK1_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.4778894124995779, "
-    "argmax=GaussianPureParams(alpha=(-0.7470114020176348+0.32960679222043465j), "
-    "r=0.5493061494070621, phi=5.452104864327408), "
-    "multistart_spread=0.11000997132814377, n_converged=13)"
+    "GaussianFidelityResult(max_fidelity=0.47788941237673843, "
+    "argmax=GaussianPureParams(alpha=(0.7651291297277738-0.28503346345874336j), "
+    "r=0.5493061445628468, phi=5.569978671360402), "
+    "multistart_spread=0.2858405590127371, n_converged=15)"
 )
 _FOCK2_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.38131938635765966, "
-    "argmax=GaussianPureParams(alpha=(1.2247277233269878-0.006464347462329931j), "
-    "r=0.6584793948186235, phi=6.272629024766101), "
-    "multistart_spread=0.19165230119853055, n_converged=4)"
+    "GaussianFidelityResult(max_fidelity=0.38131937955276457, "
+    "argmax=GaussianPureParams(alpha=(1.213894927465053+0.16266257856801147j), "
+    "r=0.6584789447067296, phi=0.2664140041533644), "
+    "multistart_spread=0.18886928982288928, n_converged=16)"
 )
-# about a fifth of this fit's candidates leak past the head check and run the
-# 2d + 32-level tail
+# the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3 of its mass
+# above the cutoff
 _EVEN_CAT_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.561672549733006, "
-    "argmax=GaussianPureParams(alpha=(-0.0067848562229096965-0.0005230544733841273j), "
-    "r=1.1743935697533323, phi=3.141611515156292), "
-    "multistart_spread=0.4952743139244569, n_converged=9)"
+    "GaussianFidelityResult(max_fidelity=0.5876963325748955, "
+    "argmax=GaussianPureParams(alpha=(7.646189217678068e-09+1.7692247857870412e-09j), "
+    "r=1.3882361425057779, phi=3.1415926543238823), "
+    "multistart_spread=0.5510768277441274, n_converged=13)"
 )
 
 
@@ -372,29 +374,30 @@ def test_nelder_mead_bit_identical_to_scipy_edge_runs():
     _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 400)
     # stopped by maxiter before the simplex converges
     assert _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 40)[1] is False
-    # every candidate near alpha = 8 leaks above the cutoff and scores 0: on
-    # that plateau, with every value tied, reflection and inside contraction
-    # fail and each step is a shrink, two evaluations plus one per vertex
-    fun, success, nfev = _same_run(objective, np.array([8.0, 0.0, 0.0, 0.0]), 400)
+    # every candidate near alpha = 30 with little squeezing has a closed-form
+    # mass that overflows and scores 0: on that plateau, with every value
+    # tied, reflection and inside contraction fail and each step is a
+    # shrink, two evaluations plus one per vertex
+    fun, success, nfev = _same_run(objective, np.array([30.0, 0.0, 0.0, 0.0]), 400)
     assert (fun, success) == (0.0, True) and (nfev - 5) % 6 == 0
 
 
-# zero coordinates take the 0.00025 first step; Re alpha >= 8 starts on the
-# all-leak plateau, where every value ties at 0
+# zero coordinates take the 0.00025 first step; Re alpha >= 30 with little
+# squeezing starts on the overflow plateau, where every value ties at 0
 _START_COORDINATE = st.one_of(st.just(0.0), st.floats(-2.5, 2.5))
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(
     x0=st.tuples(
-        st.one_of(_START_COORDINATE, st.floats(8.0, 12.0)),
+        st.one_of(_START_COORDINATE, st.floats(30.0, 40.0)),
         _START_COORDINATE,
         _START_COORDINATE,
         st.one_of(st.just(0.0), st.floats(0.0, 7.0)),
     )
 )
 @example(x0=(0.0, 0.0, 0.0, 0.0))
-@example(x0=(8.0, 0.0, 0.3, 1.0))
+@example(x0=(30.0, 0.0, 0.3, 1.0))
 def test_nelder_mead_bit_identical_to_scipy_from_drawn_starts(x0):
     objective = _fit_objective(fock(1, 20), GaussianFitConfig().r_max)
     _same_run(objective, np.array(x0), 400)
@@ -412,7 +415,7 @@ def test_a_repeated_start_runs_once(monkeypatch):
         return run(objective, x0, maxiter)
 
     monkeypatch.setattr(witnesses, "_nelder_mead", counted)
-    # both starts are still counted: n_converged stays 13
+    # both starts are still counted: n_converged stays 15
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
     assert len(ran) == len(starts) - 1
