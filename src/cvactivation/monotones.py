@@ -26,6 +26,7 @@ from .witnesses import (
     Projector,
     WitnessBox,
     WitnessSpec,
+    _parity_witness_value,
     check_box,
     gaussian_fidelity,
     violation,
@@ -97,8 +98,10 @@ def _family_search(
     Each spec's family fixes the lowest free set it is admissible for, and
     each value is the spec's own, scale included.  The displaced-parity
     candidate comes first: its :func:`witness_value` at the depth search's
-    optimum (0 at zero depth), or the scale itself for an odd-parity state,
-    whose parity violation is 1.
+    optimum (0 at zero depth), taken from the Wigner value the search
+    evaluated there on its own coefficient matrix
+    (``NegativityDepthResult.argmin_wigner``), so no second build is made;
+    or the scale itself for an odd-parity state, whose parity violation is 1.
     One Gaussian fit of the top eigenvector yields both the hull projector
     and its two-copy lift, each valued by :func:`witness_value`; the
     Wigner-positive level runs no fit at all.
@@ -119,7 +122,8 @@ def _family_search(
     else:
         depth = negativity_depth(rho, cfg.depth)
         spec = WitnessSpec(DisplacedParity(depth.argmin_alpha), box)
-        parity = [(witness_value(spec, rho) if depth.depth > 0.0 else 0.0, spec)]
+        value = _parity_witness_value(spec, depth.argmin_wigner) if depth.depth > 0.0 else 0.0
+        parity = [(value, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
     psi = _top_eigenvector(rho)

@@ -31,6 +31,7 @@ derivatives, one batched evaluator call per step.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -413,9 +414,19 @@ class DepthSearchConfig:
 
 @dataclass(frozen=True)
 class NegativityDepthResult:
+    """The depth found, where, and whether every refined seed became stationary.
+
+    ``argmin_wigner`` is W(argmin_alpha) by the :func:`wigner_batch` route on
+    the searched operator's own coefficient matrix, bit-identical to
+    ``wigner_batch(rho, argmin_alpha)``; :func:`negativity_depth` sets it
+    when the depth is positive, and it is None otherwise and from
+    :func:`negativity_depth_fn`, whose evaluators have no such route.
+    """
+
     depth: float
     argmin_alpha: complex
     refinement_converged: bool
+    argmin_wigner: float | None
 
     def __post_init__(self):
         if self.depth < 0:
@@ -531,6 +542,7 @@ def negativity_depth_fn(
         depth=min(depth, WIGNER_BOUND),
         argmin_alpha=argmin,
         refinement_converged=bool(np.all(stationary)),
+        argmin_wigner=None,
     )
 
 
@@ -544,12 +556,17 @@ def negativity_depth(
     Hessian of :func:`wigner_jet`; the result is a certified lower bound on
     the true depth, never below the grid minimum.  Ties between refined
     optima break toward the largest depth, then the smallest |alpha|.  The
-    scan and the refinement share one coefficient matrix.
+    scan, the refinement and, at a positive depth, the value W(argmin) of
+    ``argmin_wigner`` share one coefficient matrix.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
     radius = cfg.radius if cfg.radius is not None else default_radius(rho)
     coeffs = _coefficients(rho.matrix)
-    return negativity_depth_fn(
+    res = negativity_depth_fn(
         lambda axis: _grid_values(coeffs, axis), lambda pts: _point_jet(coeffs, pts), radius, cfg
     )
+    if res.depth == 0.0:
+        return res
+    value = float(_point_values(coeffs, np.array([res.argmin_alpha]))[0])
+    return dataclasses.replace(res, argmin_wigner=value)

@@ -184,7 +184,7 @@ def violation(witness: Family, rho: DensityMatrix) -> float:
     |psi><psi|^(xk)), so only an explicit operator is ever a matrix.
     """
     if isinstance(witness, DisplacedParity):
-        return -(math.pi / 2.0) * float(wigner_batch(rho, witness.alpha)[0])
+        return _parity_violation(float(wigner_batch(rho, witness.alpha)[0]))
     if isinstance(witness, ExplicitWitness):
         if witness.operator.dim != rho.dim:
             raise ValueError("witness dimension mismatch")
@@ -198,11 +198,23 @@ def violation(witness: Family, rho: DensityMatrix) -> float:
     return overlap**witness.copies - witness.lam**witness.copies
 
 
+def _parity_violation(wigner: float) -> float:
+    """-Tr(Pi(alpha) rho) from the Wigner value W(alpha) = (2/pi) Tr(Pi(alpha) rho)."""
+    return -(math.pi / 2.0) * wigner
+
+
 def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
     """Signed violation -Tr(W rho) of the spec's witness W = scale * family,
     positive iff W detects rho, once W's spectrum is asserted inside the box."""
     _scaled_ends(spec.family, spec.scale, spec.box)
     return spec.scale * violation(spec.family, rho)
+
+
+def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
+    """:func:`witness_value` of a displaced-parity spec from rho's Wigner value
+    at its displacement, for a caller that already holds that value."""
+    _scaled_ends(spec.family, spec.scale, spec.box)
+    return spec.scale * _parity_violation(wigner)
 
 
 @dataclass(frozen=True)
@@ -287,22 +299,29 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
 def _fit_objective(psi: PureState, r_max: float):
     """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
 
-    The exact fidelity with the untruncated G: psi lives below its cutoff d,
-    so the overlap needs only G's first d amplitudes c_n (c_0 = 1), run on a
-    sqrt table built once per fit, and their total mass sum_n |c_n|^2 is
-    closed-form (:func:`~cvactivation.states.squeezed_coherent_mass`).  No
-    tail is cut and nothing is renormalised, so the score does not depend
-    on the cutoff.  A candidate whose mass overflows (or whose overlap is
-    not finite) scores 0.
+    The exact fidelity with the untruncated G: the overlap needs G's
+    amplitudes c_n (c_0 = 1) only where psi is nonzero, so the recurrence
+    runs to psi's top occupied level k (at least to c_1, which it always
+    yields), on a sqrt table built once per fit, into a buffer whose levels
+    above are zeros.  The buffer keeps the cutoff's length and so the dot
+    product's summation order; G's amplitudes are finite wherever its mass
+    is, so every score equals the one with all d amplitudes bit for bit.
+    Their total mass sum_n |c_n|^2 is closed-form
+    (:func:`~cvactivation.states.squeezed_coherent_mass`).  No tail is cut
+    and nothing is renormalised, so the score does not depend on the
+    cutoff.  A candidate whose mass overflows (or whose overlap is not
+    finite) scores 0.
     """
     amps = psi.amplitudes
-    roots = np.sqrt(np.arange(psi.dim, dtype=float)).astype(complex).tolist()
+    levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
+    roots = np.sqrt(np.arange(levels, dtype=float)).astype(complex).tolist()
+    head = np.zeros(psi.dim, dtype=complex)
 
     def objective(params: np.ndarray) -> float:
         re_a, im_a, r, phi = params
         g = GaussianPureParams(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi))
-        # c_1 .. c_{d-1} from a table of d roots
-        head = np.array([1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)])
+        # c_0 .. c_{levels - 1}; the levels above stay 0
+        head[:levels] = [1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)]
         overlap = abs(np.vdot(amps, head)) ** 2
         mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)
         return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
@@ -393,11 +412,11 @@ def gaussian_fidelity(
     counted again.
 
     Each candidate is scored by its exact fidelity with the untruncated
-    Gaussian (:func:`_fit_objective`): one amplitude recurrence to the
-    cutoff d, on a sqrt table built once per fit, divided by the
-    closed-form total mass of the amplitudes
-    (:func:`~cvactivation.states.squeezed_coherent_mass`).  No tail
-    tolerance rejects a candidate.
+    Gaussian (:func:`_fit_objective`): one amplitude recurrence to psi's
+    top occupied level, on a sqrt table built once per fit and padded with
+    zeros to the cutoff d, divided by the closed-form total mass of the
+    amplitudes (:func:`~cvactivation.states.squeezed_coherent_mass`).  No
+    tail tolerance rejects a candidate.
     """
     if cfg is None:
         cfg = GaussianFitConfig()

@@ -14,7 +14,13 @@ from cvactivation.fock import (
     displacement_op,
     parity_op,
 )
-from cvactivation.states import hermite_functions, squeezed_coherent_amps, squeezed_coherent_mass
+from cvactivation.states import (
+    GaussianPureParams,
+    _squeezed_coherent_steps,
+    hermite_functions,
+    squeezed_coherent_amps,
+    squeezed_coherent_mass,
+)
 from cvactivation.witnesses import FIT_FATOL, FIT_XATOL
 
 
@@ -199,6 +205,24 @@ def long_expansion_objective(psi, r_max: float):
             return 0.0
         head, total = expansion
         return -abs(np.vdot(amps, head)) ** 2 / total
+
+    return objective
+
+
+def full_cutoff_objective(psi, r_max: float):
+    """Oracle: the Gaussian-fit objective -|<psi|G>|^2 / mass with the recurrence
+    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies;
+    0 where the closed-form mass of G (or the overlap) is not finite."""
+    amps = psi.amplitudes
+    roots = np.sqrt(np.arange(psi.dim, dtype=float)).astype(complex).tolist()
+
+    def objective(params) -> float:
+        re_a, im_a, r, phi = params
+        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi))
+        head = np.array([1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)])
+        overlap = abs(np.vdot(amps, head)) ** 2
+        mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)
+        return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective
 

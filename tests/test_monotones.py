@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from cvactivation import monotones
+from cvactivation import monotones, wigner
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GkpParams,
@@ -184,6 +184,22 @@ def test_hierarchy_runs_one_family_search(monkeypatch):
     rho = pure_loss(0.7, 15).apply(fock(1, 15).to_density())
     hierarchy_check(rho, cfg=FAST)
     assert calls == {"negativity_depth": 1, "gaussian_fidelity": 1}
+
+
+def test_family_search_builds_one_coefficient_matrix(monkeypatch):
+    # the parity candidate is valued on the Wigner coefficient matrix the
+    # depth search built, not on a second one
+    built = []
+    original = wigner._coefficients
+    monkeypatch.setattr(wigner, "_coefficients", lambda m: built.append(1) or original(m))
+    rho = pure_loss(0.7, 25).apply(fock(1, 25).to_density())
+    wn = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=FAST)
+    assert len(built) == 1
+    built.clear()
+    wn_boxed = hierarchy_check(rho, WitnessBox(0.5, 0.7), cfg=FAST)[0]
+    assert len(built) == 1
+    for bound in (wn, wn_boxed):
+        assert bound.lower > 0.0 and witness_value(bound.witness, rho) == bound.lower
 
 
 def test_boundary_mixture_canonical():

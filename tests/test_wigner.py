@@ -156,6 +156,29 @@ def test_depth_examples():
     assert res.refinement_converged
 
 
+def test_depth_reports_the_batch_value_at_its_optimum():
+    # the depth search's own coefficient matrix gives wigner_batch's bits at
+    # the optimum; there is none to give at zero depth or on a bare evaluator
+    for rho in (
+        pure_loss(0.7, 25).apply(fock(1, 25).to_density()),
+        fock(2, 30).to_density(),
+        cat(1.5, -1, 30).to_density(),
+    ):
+        res = negativity_depth(rho, DepthSearchConfig(resolution=25))
+        assert res.depth > 0.0
+        assert res.argmin_wigner == wigner_batch(rho, res.argmin_alpha)[0]
+        assert res.argmin_wigner == pytest.approx(-res.depth, abs=1e-12)
+    assert negativity_depth(coherent(1.0, 30).to_density()).argmin_wigner is None
+    centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=0.3))
+    via_fn = negativity_depth_fn(
+        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
+        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+        2.8,
+        DepthSearchConfig(radius=2.8, resolution=20),
+    )
+    assert via_fn.depth > 0.0 and via_fn.argmin_wigner is None
+
+
 def test_depth_never_exceeds_wigner_bound(rng):
     for _ in range(5):
         rho = random_density(rng, 8, cutoff=24)

@@ -36,6 +36,7 @@ from cvactivation.witnesses import (
 
 from conftest import (
     displaced_parity_matrix,
+    full_cutoff_objective,
     long_expansion_objective,
     random_density,
     scipy_nelder_mead,
@@ -250,8 +251,9 @@ def test_gaussian_fit_config_keeps_valid_values():
     assert GaussianFitConfig(seeds=[5, 6], r_max=0.0).seeds == (5, 6)
 
 
-@pytest.mark.parametrize("dim", [12, 30, 40])
-def test_fit_objective_matches_long_expansion_oracle(dim):
+def _objective_draws(dim):
+    """A random state on the lowest third of the levels (the rest zeros) and
+    1,400 candidates (Re alpha, Im alpha, r, phi) for the objective tests."""
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
     random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)))
@@ -265,6 +267,13 @@ def test_fit_objective_matches_long_expansion_oracle(dim):
     for _ in range(100):
         alpha = rng.uniform(0.5, 1.0) * math.sqrt(dim) * np.exp(1j * rng.uniform(0, 2 * math.pi))
         draws.append([alpha.real, alpha.imag, rng.uniform(0.0, 1.0), rng.uniform(0, 7)])
+    return random_psi, draws
+
+
+@pytest.mark.parametrize("dim", [12, 30, 40])
+def test_fit_objective_matches_long_expansion_oracle(dim):
+    random_psi, draws = _objective_draws(dim)
+    r_max = GaussianFitConfig().r_max
     for psi in (fock(1, dim), fock(2, dim), random_psi):
         new, want = _fit_objective(psi, r_max), long_expansion_objective(psi, r_max)
         for x in draws:
@@ -287,6 +296,33 @@ def test_fit_objective_matches_long_expansion_oracle(dim):
 def _top_eigenvector(rho):
     vals, vecs = np.linalg.eigh(rho.matrix)
     return PureState(vecs[:, np.argmax(vals)])
+
+
+@pytest.mark.parametrize("dim", [12, 30, 40])
+def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
+    # the recurrence stops at psi's top occupied level and the levels above
+    # are zeros: every score equals the one with all d amplitudes, bit for bit
+    random_psi, draws = _objective_draws(dim)
+    r_max = GaussianFitConfig().r_max
+    # Re alpha >= 30 with little squeezing: the closed-form mass overflows
+    rng = np.random.default_rng(dim + 1)
+    plateau = [
+        [rng.uniform(30.0, 40.0), rng.normal(0.0, 1.0), rng.uniform(-0.1, 0.1), rng.uniform(0, 7)]
+        for _ in range(50)
+    ]
+    assert all(squeezed_coherent_mass(complex(x[0], x[1]), abs(x[2]), x[3]) == math.inf for x in plateau)
+    targets = [fock(n, dim) for n in range(4)]  # |0> runs the two-root minimum
+    targets += [_top_eigenvector(pure_loss(0.8, dim).apply(fock(2, dim).to_density())), random_psi]
+    if dim == 40:
+        even = cat(2.0, 1, dim)
+        assert even.amplitudes[-1] == 0.0  # its top occupied level is 38
+        targets.append(even)
+    for psi in targets:
+        cut, full = _fit_objective(psi, r_max), full_cutoff_objective(psi, r_max)
+        for x in draws:
+            assert cut(x) == full(x), (dim, x)
+        for x in plateau:
+            assert cut(x) == full(x) == 0.0, (dim, x)
 
 
 # fits scored by the exact fidelity with the untruncated Gaussian; the spread
@@ -326,6 +362,21 @@ _EVEN_CAT_FIT = (
 )
 def test_gaussian_fidelity_pinned(make, expected):
     assert repr(gaussian_fidelity(make())) == expected
+
+
+def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
+    tables = []
+    steps = witnesses._squeezed_coherent_steps
+
+    def recorded(alpha, r, phi, roots):
+        tables.append(len(roots))
+        return steps(alpha, r, phi, roots)
+
+    monkeypatch.setattr(witnesses, "_squeezed_coherent_steps", recorded)
+    for n, roots, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
+        tables.clear()
+        assert repr(gaussian_fidelity(fock(n, 30))) == expected
+        assert len(tables) > 1000 and set(tables) == {roots}
 
 
 def _same_run(objective, x0, maxiter):
