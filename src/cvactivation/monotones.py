@@ -98,10 +98,10 @@ def _family_search(
     Each spec's family fixes the lowest free set it is admissible for, and
     each value is the spec's own, scale included.  The displaced-parity
     candidate comes first: its :func:`witness_value` at the depth search's
-    optimum (0 at zero depth), taken from the Wigner value the search
-    evaluated there on its own coefficient matrix
-    (``NegativityDepthResult.argmin_wigner``), so no second build is made;
-    or the scale itself for an odd-parity state, whose parity violation is 1.
+    optimum (0 at zero depth), from W there on the search's own coefficient
+    matrix (``NegativityDepthResult.wigner_at``), so no second build is
+    made; or the scale itself for an odd-parity state, whose parity
+    violation is 1.
     One Gaussian fit of the top eigenvector yields both the hull projector
     and its two-copy lift, each valued by :func:`witness_value`; the
     Wigner-positive level runs no fit at all.
@@ -122,7 +122,10 @@ def _family_search(
     else:
         depth = negativity_depth(rho, cfg.depth)
         spec = WitnessSpec(DisplacedParity(depth.argmin_alpha), box)
-        value = _parity_witness_value(spec, depth.argmin_wigner) if depth.depth > 0.0 else 0.0
+        value = 0.0
+        if depth.depth > 0.0:
+            wigner = float(depth.wigner_at(np.array([depth.argmin_alpha]))[0])
+            value = _parity_witness_value(spec, wigner)
         parity = [(value, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -416,17 +417,18 @@ class DepthSearchConfig:
 class NegativityDepthResult:
     """The depth found, where, and whether every refined seed became stationary.
 
-    ``argmin_wigner`` is W(argmin_alpha) by the :func:`wigner_batch` route on
-    the searched operator's own coefficient matrix, bit-identical to
-    ``wigner_batch(rho, argmin_alpha)``; :func:`negativity_depth` sets it
-    when the depth is positive, and it is None otherwise and from
-    :func:`negativity_depth_fn`, whose evaluators have no such route.
+    ``wigner_at`` maps a 1-D complex array of points to the Wigner values
+    there, on the searched operator's own coefficient matrix by the
+    :func:`wigner_batch` route, bit-identical to ``wigner_batch(rho, points)``:
+    a caller that needs W at ``argmin_alpha`` makes no second build.  It is
+    None from :func:`negativity_depth_fn`, whose evaluators have no such
+    route.
     """
 
     depth: float
     argmin_alpha: complex
     refinement_converged: bool
-    argmin_wigner: float | None
+    wigner_at: Callable[[np.ndarray], np.ndarray] | None
 
     def __post_init__(self):
         if self.depth < 0:
@@ -542,7 +544,7 @@ def negativity_depth_fn(
         depth=min(depth, WIGNER_BOUND),
         argmin_alpha=argmin,
         refinement_converged=bool(np.all(stationary)),
-        argmin_wigner=None,
+        wigner_at=None,
     )
 
 
@@ -556,8 +558,8 @@ def negativity_depth(
     Hessian of :func:`wigner_jet`; the result is a certified lower bound on
     the true depth, never below the grid minimum.  Ties between refined
     optima break toward the largest depth, then the smallest |alpha|.  The
-    scan, the refinement and, at a positive depth, the value W(argmin) of
-    ``argmin_wigner`` share one coefficient matrix.
+    scan, the refinement and the result's ``wigner_at`` share one
+    coefficient matrix.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
@@ -566,7 +568,4 @@ def negativity_depth(
     res = negativity_depth_fn(
         lambda axis: _grid_values(coeffs, axis), lambda pts: _point_jet(coeffs, pts), radius, cfg
     )
-    if res.depth == 0.0:
-        return res
-    value = float(_point_values(coeffs, np.array([res.argmin_alpha]))[0])
-    return dataclasses.replace(res, argmin_wigner=value)
+    return dataclasses.replace(res, wigner_at=lambda alphas: _point_values(coeffs, alphas))

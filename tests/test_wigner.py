@@ -156,19 +156,21 @@ def test_depth_examples():
     assert res.refinement_converged
 
 
-def test_depth_reports_the_batch_value_at_its_optimum():
-    # the depth search's own coefficient matrix gives wigner_batch's bits at
-    # the optimum; there is none to give at zero depth or on a bare evaluator
+def test_depth_result_evaluates_on_the_searched_coefficients():
+    # the depth search's own coefficient matrix gives wigner_batch's bits;
+    # a search on bare evaluators has no such route
     for rho in (
         pure_loss(0.7, 25).apply(fock(1, 25).to_density()),
         fock(2, 30).to_density(),
         cat(1.5, -1, 30).to_density(),
+        coherent(1.0, 30).to_density(),
     ):
         res = negativity_depth(rho, DepthSearchConfig(resolution=25))
-        assert res.depth > 0.0
-        assert res.argmin_wigner == wigner_batch(rho, res.argmin_alpha)[0]
-        assert res.argmin_wigner == pytest.approx(-res.depth, abs=1e-12)
-    assert negativity_depth(coherent(1.0, 30).to_density()).argmin_wigner is None
+        pts = np.array([res.argmin_alpha, 0.3 - 0.2j])
+        assert np.array_equal(res.wigner_at(pts), wigner_batch(rho, pts))
+        at_argmin = res.wigner_at(pts[:1])[0]
+        assert at_argmin == wigner_batch(rho, res.argmin_alpha)[0]
+        assert min(at_argmin, 0.0) == pytest.approx(-res.depth, abs=1e-12)
     centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=0.3))
     via_fn = negativity_depth_fn(
         lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
@@ -176,7 +178,7 @@ def test_depth_reports_the_batch_value_at_its_optimum():
         2.8,
         DepthSearchConfig(radius=2.8, resolution=20),
     )
-    assert via_fn.depth > 0.0 and via_fn.argmin_wigner is None
+    assert via_fn.depth > 0.0 and via_fn.wigner_at is None
 
 
 def test_depth_never_exceeds_wigner_bound(rng):
