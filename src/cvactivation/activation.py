@@ -20,8 +20,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import InvariantError
-from .fock import DensityMatrix, OperatorMatrix
-from .witnesses import WitnessBox, WitnessSpec, check_box, witness_value
+from .fock import DensityMatrix
+from .witnesses import WitnessBox, WitnessSpec, witness_value
 
 Q_SEPARABLE = 1.0 / 3.0
 Q_STEERING = 0.5
@@ -154,15 +154,6 @@ def werner_analytics(
     )
 
 
-def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """Two-outcome POVM (I + W)/2, (I - W)/2 for a unit-box witness."""
-    check_box(w)
-    eye = np.eye(w.dim)
-    m_plus = OperatorMatrix((eye + w.matrix) / 2.0, hermitian=True)
-    m_minus = OperatorMatrix((eye - w.matrix) / 2.0, hermitian=True)
-    return m_plus, m_minus
-
-
 def _detection(rho: DensityMatrix, spec: WitnessSpec) -> tuple[float, float]:
     """Violation -Tr(W rho) and p = Tr(M_- rho) of a witness in the unit box.
 
@@ -211,11 +202,3 @@ def activate_steering(rho: DensityMatrix, spec: WitnessSpec) -> ActivationOutcom
         )
     return outcome
 
-
-def discord_certificate(outcome: ActivationOutcome) -> bool:
-    """True certifies a resourceful input; False is inconclusive.
-
-    Free inputs reach discord up to 1/18 through the activation channel,
-    so only D > 1/18 certifies anything.
-    """
-    return outcome.discord > 1.0 / 18.0

@@ -60,7 +60,7 @@ from .states import (
 )
 from .wigner import (
     DepthSearchConfig,
-    _comb_evaluators,
+    comb_evaluators,
     negativity_depth,
     negativity_depth_fn,
     wigner_grid,
@@ -483,7 +483,7 @@ def run_loss_sweep(cfg: dict, opts: dict) -> int:
 def _gkp_input_activation(params: GkpParams, depth_cfg: DepthSearchConfig) -> float:
     """Best displaced-parity activation on the exact (untruncated) codeword; the
     comb's coefficient matrix is built once for the whole depth search."""
-    value_fn, jet_fn = _comb_evaluators(*gkp_comb(params))
+    value_fn, jet_fn = comb_evaluators(*gkp_comb(params))
     res = negativity_depth_fn(value_fn, jet_fn, depth_cfg.radius, depth_cfg)
     return (math.pi / 4.0) * res.depth
 

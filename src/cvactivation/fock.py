@@ -267,29 +267,6 @@ def checked_coherent_tail(alpha: complex, dim: int, tail_tol: float, what: str) 
     return tail
 
 
-def displacement_op(
-    alpha: complex,
-    cutoff: int,
-    tail_tol: float = DISPLACEMENT_TAIL_TOL,
-) -> OperatorMatrix:
-    """Weyl displacement exp(alpha a^dag - alpha* a) on the truncated space.
-
-    With alpha = |alpha| e^{i theta} the generator is R (-i sqrt(2) |alpha| p) R^dag,
-    R = exp(i theta n), so the exact exponential of the truncated generator is
-    R V_p exp(-i sqrt(2) |alpha| Lambda_p) V_p^dag R^dag from the cached
-    eigensystem of the truncated p.
-    """
-    dim = _dim(cutoff)
-    checked_coherent_tail(alpha, dim, tail_tol, "displacement")
-    if alpha == 0:
-        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False)
-    _, (pvals, pvecs) = _quadrature_eigensystem(dim)
-    rot = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None]
-    basis = rot * pvecs
-    phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * pvals)
-    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False)
-
-
 def pure_fidelity(psi: PureState, rho: DensityMatrix) -> float:
     """<psi|rho|psi>, the Uhlmann fidelity for a pure first argument."""
     if psi.dim != rho.dim:

@@ -19,10 +19,10 @@ Hessians of :func:`wigner_jet` come from the derivative tables of the same
 Hermite functions.  Independent routes live in the test suite as oracles:
 the defining expression (parity conjugated by an explicit displacement), a
 Laguerre series, the Laguerre Clenshaw recurrence run one order at a time
-and the Bopp identities on that recurrence.  The exact grid-code comb has
-the same product form with closed-form Gaussian and cosine tables
-(:func:`_comb_coefficients`), and goes through the same grid product and
-jet assembly.
+and the Bopp identities on that recurrence.  The exact grid-code comb
+(:func:`comb_evaluators`) has the same product form with closed-form
+Gaussian and cosine tables (:func:`_comb_coefficients`), and goes through
+the same grid product and jet assembly.
 
 The negativity-depth search scans a grid with values only, then refines
 its best points in lockstep by trust-region Newton steps on those exact
@@ -217,10 +217,23 @@ def _comb_coefficients(centers: np.ndarray, weights: np.ndarray, sigma2: float):
     return coeffs, mid, sep, norm
 
 
-def _comb_evaluators(centers: np.ndarray, weights: np.ndarray, sigma2: float):
-    """The grid-value and jet evaluators of :func:`wigner_pure_comb` and
-    :func:`wigner_pure_comb_jet`, sharing one coefficient matrix, so that a
-    depth search builds it once."""
+def comb_evaluators(centers: np.ndarray, weights: np.ndarray, sigma2: float):
+    """Exact Wigner evaluators of a real comb of equally spaced, equal-width Gaussians.
+
+    The wavefunction sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)) has a
+    closed-form Wigner function; no Fock truncation enters, so this is the
+    reference evaluator for grid-code states at arbitrary effective energy.
+    Returns the pair (values, jet), which share one coefficient matrix, so a
+    depth search builds it once.  ``values(axis)`` gives the Wigner values
+    on the square grid over ``axis`` (q = sqrt(2) Re alpha and
+    p = sqrt(2) Im alpha), raveled as :func:`_grid_points`, as one product
+    of a Gaussian table of n (2S - 1) and a cosine table of n S entries, for
+    S peaks and n axis points.  ``jet(alphas)`` gives the values (N,) with
+    their exact gradients (N, 2) and Hessians (N, 2, 2) in
+    (Re alpha, Im alpha), differentiating both tables in closed form.
+    Raises ValueError unless the centers are equally spaced and as many as
+    the weights.
+    """
     coeffs, mid, sep, norm = _comb_coefficients(centers, weights, sigma2)
 
     def values(axis: np.ndarray) -> np.ndarray:
@@ -246,40 +259,6 @@ def _comb_evaluators(centers: np.ndarray, weights: np.ndarray, sigma2: float):
         return _product_jet(coeffs, gauss, osc, norm, np.sqrt(2.0))
 
     return values, jet
-
-
-def wigner_pure_comb(
-    centers: np.ndarray,
-    weights: np.ndarray,
-    sigma2: float,
-    axis: np.ndarray,
-) -> np.ndarray:
-    """Exact Wigner function of a real comb of equally spaced, equal-width Gaussians.
-
-    The wavefunction sum_s w_s exp(-(x - mu_s)^2 / (2 sigma^2)) has a
-    closed-form Wigner function; no Fock truncation enters, so this is the
-    reference evaluator for grid-code states at arbitrary effective energy.
-    Values on the square grid over ``axis`` (q = sqrt(2) Re alpha and
-    p = sqrt(2) Im alpha), raveled as :func:`_grid_points`, are one product
-    of a Gaussian table of n (2S - 1) and a cosine table of n S entries, for
-    S peaks and n axis points.  Raises ValueError unless the centers are
-    equally spaced and as many as the weights.
-    """
-    return _comb_evaluators(centers, weights, sigma2)[0](axis)
-
-
-def wigner_pure_comb_jet(
-    centers: np.ndarray,
-    weights: np.ndarray,
-    sigma2: float,
-    alphas: np.ndarray,
-):
-    """:func:`wigner_pure_comb` with its exact gradients and Hessians in (Re alpha, Im alpha).
-
-    Differentiates the Gaussian and cosine tables in closed form.
-    Returns values (N,), gradients (N, 2), Hessians (N, 2, 2).
-    """
-    return _comb_evaluators(centers, weights, sigma2)[1](alphas)
 
 
 @dataclass(frozen=True)

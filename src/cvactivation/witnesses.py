@@ -221,15 +221,12 @@ def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
 class GaussianFitConfig:
     """Multistart Nelder-Mead settings for the Gaussian-fidelity search."""
 
-    r_max: float = DEFAULT_R_MAX
     n_starts: int = 16
     seeds: tuple[int, ...] = (0, 1, 2, 3)
     maxiter: int = 400
 
     def __post_init__(self):
         _whole_fields(self, "n_starts", "maxiter")
-        if not (math.isfinite(self.r_max) and self.r_max >= 0):
-            raise ValueError(f"r_max must be finite and nonnegative, got {self.r_max}")
         seeds = tuple(operator.index(s) for s in self.seeds)
         if min(seeds, default=0) < 0 or any(isinstance(s, bool) for s in self.seeds):
             raise ValueError(f"seeds must be nonnegative integers, got {self.seeds}")
@@ -288,7 +285,7 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
                 [
                     a_mean.real + rng.normal(0.0, 0.7),
                     a_mean.imag + rng.normal(0.0, 0.7),
-                    rng.uniform(0.0, min(cfg.r_max, 1.2)),
+                    rng.uniform(0.0, 1.2),
                     rng.uniform(0.0, 2.0 * np.pi),
                 ]
             )
@@ -296,7 +293,7 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
     return starts[: cfg.n_starts]
 
 
-def _fit_objective(psi: PureState, r_max: float):
+def _fit_objective(psi: PureState):
     """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
 
     The exact fidelity with the untruncated G: the overlap needs G's
@@ -310,7 +307,9 @@ def _fit_objective(psi: PureState, r_max: float):
     (:func:`~cvactivation.states.squeezed_coherent_mass`).  No tail is cut
     and nothing is renormalised, so the score does not depend on the
     cutoff.  A candidate whose mass overflows (or whose overlap is not
-    finite) scores 0.
+    finite) scores 0.  r is clamped at ``DEFAULT_R_MAX``, the largest
+    squeezing :func:`~cvactivation.states.gaussian_pure` builds, so the
+    score is flat in r beyond it.
     """
     amps = psi.amplitudes
     levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
@@ -319,7 +318,7 @@ def _fit_objective(psi: PureState, r_max: float):
 
     def objective(params: np.ndarray) -> float:
         re_a, im_a, r, phi = params
-        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi))
+        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX), phi % (2.0 * np.pi))
         # c_0 .. c_{levels - 1}; the levels above stay 0
         head[:levels] = [1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)]
         overlap = abs(np.vdot(amps, head)) ** 2
@@ -405,11 +404,13 @@ def gaussian_fidelity(
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
     multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
     spread between converged starts is reported so optimizer traps are
-    visible.  A start counts as converged only at a fidelity above 0: a run
-    that never left the overflow plateau, where every candidate's mass
-    overflows and scores 0, found nothing.  A start whose bytes repeat an
-    earlier one's (the first two, whenever <a> = 0) reuses that run and is
-    counted again.
+    visible.  A start counts as converged only at a fidelity above 0 and
+    with |r| <= ``DEFAULT_R_MAX`` at its end point: a run that never left
+    the overflow plateau, where every candidate's mass overflows and scores
+    0, found nothing, and one that ends beyond the r clamp, where the score
+    is flat in r, stopped on the clamp, not at an optimum.  A start whose
+    bytes repeat an earlier one's (the first two, whenever <a> = 0) reuses
+    that run and is counted again.
 
     Each candidate is scored by its exact fidelity with the untruncated
     Gaussian (:func:`_fit_objective`): one amplitude recurrence to psi's
@@ -425,7 +426,7 @@ def gaussian_fidelity(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    objective = _fit_objective(psi, cfg.r_max)
+    objective = _fit_objective(psi)
     best: tuple[float, np.ndarray] | None = None
     converged_vals = []
     runs = {}  # start bytes -> run: a repeated start reruns nothing
@@ -434,7 +435,7 @@ def gaussian_fidelity(
             runs[start.tobytes()] = _nelder_mead(objective, start, cfg.maxiter)
         x, fun, converged, _ = runs[start.tobytes()]
         fid = -float(fun)
-        if converged and fid > 0.0:
+        if converged and fid > 0.0 and abs(x[2]) <= DEFAULT_R_MAX:
             converged_vals.append(fid)
         if best is None or fid > best[0]:
             best = (fid, x)
@@ -442,7 +443,7 @@ def gaussian_fidelity(
     fid, x = best
     spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else 0.0
     params = GaussianPureParams(
-        complex(x[0], x[1]), min(abs(x[2]), cfg.r_max), x[3] % (2.0 * np.pi)
+        complex(x[0], x[1]), min(abs(x[2]), DEFAULT_R_MAX), x[3] % (2.0 * np.pi)
     )
     return GaussianFidelityResult(
         max_fidelity=max(0.0, min(fid, 1.0)),

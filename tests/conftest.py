@@ -6,22 +6,27 @@ import numpy as np
 import pytest
 from scipy.special import gammaln, roots_hermite, xlogy
 
+from cvactivation.activation import ActivationOutcome
 from cvactivation.channels import KrausChannel
 from cvactivation.fock import (
+    DISPLACEMENT_TAIL_TOL,
     DensityMatrix,
     OperatorMatrix,
+    _dim,
+    _quadrature_eigensystem,
     annihilation_matrix,
-    displacement_op,
+    checked_coherent_tail,
     parity_op,
 )
 from cvactivation.states import (
+    DEFAULT_R_MAX,
     GaussianPureParams,
     _squeezed_coherent_steps,
     hermite_functions,
     squeezed_coherent_amps,
     squeezed_coherent_mass,
 )
-from cvactivation.witnesses import FIT_FATOL, FIT_XATOL
+from cvactivation.witnesses import FIT_FATOL, FIT_XATOL, check_box
 
 
 @pytest.fixture
@@ -85,6 +90,25 @@ def projective_discord(rho4: np.ndarray, n_starts: int = 24) -> float:
         res = minimize(dist2, x0=seed, method="Nelder-Mead", options={"fatol": 1e-12})
         best = min(best, float(res.fun))
     return best
+
+
+def povm_from_witness(w: OperatorMatrix) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """Oracle: the two-outcome POVM (I + W)/2, (I - W)/2 of a unit-box witness,
+    which the activation channel measures."""
+    check_box(w)
+    eye = np.eye(w.dim)
+    m_plus = OperatorMatrix((eye + w.matrix) / 2.0, hermitian=True)
+    m_minus = OperatorMatrix((eye - w.matrix) / 2.0, hermitian=True)
+    return m_plus, m_minus
+
+
+def discord_certificate(outcome: ActivationOutcome) -> bool:
+    """True certifies a resourceful input; False is inconclusive.
+
+    Free inputs reach discord up to 1/18 through the activation channel,
+    so only D > 1/18 certifies anything.
+    """
+    return outcome.discord > 1.0 / 18.0
 
 
 def laguerre_clenshaw(order: int, x: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -162,6 +186,30 @@ def bopp_jet(rho: DensityMatrix, alphas: np.ndarray):
     return w, grad, hess
 
 
+def displacement_op(
+    alpha: complex,
+    cutoff: int,
+    tail_tol: float = DISPLACEMENT_TAIL_TOL,
+) -> OperatorMatrix:
+    """Oracle: Weyl displacement exp(alpha a^dag - alpha* a) on the truncated space.
+
+    With alpha = |alpha| e^{i theta} the generator is R (-i sqrt(2) |alpha| p) R^dag,
+    R = exp(i theta n), so the exact exponential of the truncated generator is
+    R V_p exp(-i sqrt(2) |alpha| Lambda_p) V_p^dag R^dag from the cached
+    eigensystem of the truncated p.  Refused with a TruncationError when the
+    coherent state |alpha> leaks more than ``tail_tol`` above the cutoff.
+    """
+    dim = _dim(cutoff)
+    checked_coherent_tail(alpha, dim, tail_tol, "displacement")
+    if alpha == 0:
+        return OperatorMatrix(np.eye(dim, dtype=complex), hermitian=False)
+    _, (pvals, pvecs) = _quadrature_eigensystem(dim)
+    rot = np.exp(1j * np.angle(alpha) * np.arange(dim))[:, None]
+    basis = rot * pvecs
+    phases = np.exp(-1j * math.sqrt(2.0) * abs(alpha) * pvals)
+    return OperatorMatrix((basis * phases) @ basis.conj().T, hermitian=False)
+
+
 def displaced_parity_matrix(alpha: complex, cutoff) -> OperatorMatrix:
     """Oracle: D(alpha) Pi D(alpha)^dag; unitary conjugation keeps the spectrum +-1."""
     d = displacement_op(alpha, cutoff).matrix
@@ -192,15 +240,16 @@ def _long_expansion(alpha: complex, r: float, phi: float, dim: int):
             return amps[:dim], total
 
 
-def long_expansion_objective(psi, r_max: float):
+def long_expansion_objective(psi):
     """Oracle: the Gaussian-fit objective -|<psi|G>|^2 through a long Fock
-    expansion of G, normalised by the sum of its own levels; 0 where the
-    closed-form mass of G overflows."""
+    expansion of G, normalised by the sum of its own levels, with r clamped
+    at ``DEFAULT_R_MAX``; 0 where the closed-form mass of G overflows."""
     amps = psi.amplitudes
 
     def objective(params) -> float:
         re_a, im_a, r, phi = params
-        expansion = _long_expansion(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi), psi.dim)
+        alpha, r = complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX)
+        expansion = _long_expansion(alpha, r, phi % (2.0 * np.pi), psi.dim)
         if expansion is None:
             return 0.0
         head, total = expansion
@@ -209,16 +258,17 @@ def long_expansion_objective(psi, r_max: float):
     return objective
 
 
-def full_cutoff_objective(psi, r_max: float):
+def full_cutoff_objective(psi):
     """Oracle: the Gaussian-fit objective -|<psi|G>|^2 / mass with the recurrence
-    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies;
-    0 where the closed-form mass of G (or the overlap) is not finite."""
+    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies,
+    with r clamped at ``DEFAULT_R_MAX``; 0 where the closed-form mass of G (or
+    the overlap) is not finite."""
     amps = psi.amplitudes
     roots = np.sqrt(np.arange(psi.dim, dtype=float)).astype(complex).tolist()
 
     def objective(params) -> float:
         re_a, im_a, r, phi = params
-        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), r_max), phi % (2.0 * np.pi))
+        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX), phi % (2.0 * np.pi))
         head = np.array([1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)])
         overlap = abs(np.vdot(amps, head)) ** 2
         mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)

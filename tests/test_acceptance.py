@@ -55,11 +55,10 @@ from cvactivation.states import (
 )
 from cvactivation.wigner import (
     DepthSearchConfig,
+    comb_evaluators,
     negativity_depth,
     negativity_depth_fn,
     wigner_grid,
-    wigner_pure_comb,
-    wigner_pure_comb_jet,
 )
 from cvactivation.witnesses import (
     DisplacedParity,
@@ -279,8 +278,7 @@ def gkp_sweep_rows():
         params = GkpParams.from_db(db)
         centers, envelope, sigma2 = gkp_comb(params)
         e_in = (math.pi / 4.0) * negativity_depth_fn(
-            lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
-            lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+            *comb_evaluators(centers, envelope, sigma2),
             2.8,
             depth_cfg,
         ).depth

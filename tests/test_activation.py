@@ -16,10 +16,8 @@ from cvactivation.activation import (
     activate_entanglement,
     activate_steering,
     classify,
-    discord_certificate,
     geometric_discord,
     negativity_two_qubit,
-    povm_from_witness,
     werner_analytics,
 )
 from cvactivation.monotones import FamilySearchConfig, lower_bound
@@ -33,7 +31,7 @@ from cvactivation.witnesses import (
     WitnessSpec,
 )
 
-from conftest import projective_discord, random_density
+from conftest import discord_certificate, povm_from_witness, projective_discord, random_density
 
 
 def random_unit_box_witness(rng, dim):

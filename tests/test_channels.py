@@ -1,4 +1,3 @@
-import importlib
 import math
 import tracemalloc
 
@@ -34,9 +33,6 @@ from cvactivation.states import GkpParams, cat, coherent, fock, gkp_damped
 from cvactivation.wigner import wigner_grid
 
 from conftest import gauss_hermite, kraus_loss, kraus_noise, random_density, wigner_at
-
-# the module, which the package's fock() function shadows as an attribute
-fock_module = importlib.import_module("cvactivation.fock")
 
 
 def trace_distance(a, b):
@@ -241,15 +237,6 @@ def test_gaussian_noise_closer_to_the_untruncated_channel_than_the_quadrature(db
     assert exact < 0.2 * quadrature
 
 
-def test_gaussian_noise_builds_no_displacement_operator(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("displacement_op called")
-
-    monkeypatch.setattr(fock_module, "displacement_op", refuse)
-    out = gaussian_noise(0.1, 30).apply(coherent(0.7, 30).to_density())
-    assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_damping_examples():
     dm = damping(0.0, 10)
     rho = coherent(0.8, 10).to_density()
@@ -388,18 +375,6 @@ def test_ec_round_matches_dense_circuit():
         out = gkp_ec_round(rho, ancilla)
         oracle = _dense_ec_round(rho.matrix, ancilla.amplitudes)
         assert np.max(np.abs(out.matrix - oracle)) < 1e-12
-
-
-def test_ec_round_builds_no_displacement_operator(monkeypatch):
-    # each correction is a phase in the cached quadrature eigenbasis
-    def refuse(*args, **kwargs):
-        raise AssertionError("displacement_op called")
-
-    monkeypatch.setattr(fock_module, "displacement_op", refuse)
-    code = gkp_damped(GkpParams.from_db(10.0), 30, tail_tol=1e-2)
-    out = gkp_ec_round(pure_loss(0.9, 30).apply(code.to_density()), code)
-    assert np.real(np.trace(out.matrix)) == pytest.approx(1.0, abs=1e-12)
-    assert np.linalg.eigvalsh(out.matrix)[0] > -1e-9
 
 
 def test_ec_round_beyond_old_budget():

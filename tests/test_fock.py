@@ -14,7 +14,6 @@ from cvactivation.fock import (
     PureState,
     annihilation_matrix,
     coherent_tail_mass,
-    displacement_op,
     parity_op,
     pure_fidelity,
     trace_norm,
@@ -22,7 +21,7 @@ from cvactivation.fock import (
 from cvactivation.states import fock, coherent, thermal
 from cvactivation.witnesses import DisplacedParity, WitnessBox
 
-from conftest import random_density
+from conftest import displacement_op, random_density
 
 
 def test_cutoff_requires_dim_two():

@@ -1,7 +1,7 @@
 """Source rules: the package builds no product-space operator and no matrix
 exponential, imports no scipy anywhere (its optimizer and special functions
-are numpy and math code, with scipy kept as the test oracle) and builds
-displacement operators only in fock.py.
+are numpy and math code, with scipy kept as the test oracle) and builds no
+dense displacement operator (that one is a test oracle).
 Witness algebra lives in witnesses.py alone, with one projector family and
 no norm-bound rescale; monotones.py evaluates witnesses only through it.
 A witness is built only as WitnessSpec(family, box): the spec factories are
@@ -11,7 +11,7 @@ A state's dimension is its array's: no cutoff wrapper or parameter wrapper
 type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
-np.linalg nor np.unique.  The package has at most 49 settable values
+np.linalg nor np.unique.  The package has at most 47 settable values
 (scripts/count_settable_values.py).
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
@@ -70,17 +70,6 @@ def test_no_scipy_special_under_src():
     assert not found, "\n".join(found)
 
 
-def test_displacement_op_called_only_in_fock():
-    # no module but fock.py (and the package's re-export) names it, so none
-    # builds a displacement operator
-    found = [
-        where
-        for name, where, line in _lines()
-        if "displacement_op" in line and name not in ("fock.py", "__init__.py")
-    ]
-    assert not found, "\n".join(found)
-
-
 def test_one_witness_algebra():
     # the projector is one family with a copy count, a witness's free set is
     # its family's, and no norm-bound rescale is left
@@ -131,6 +120,16 @@ def test_retired_names_are_gone():
         # the Gaussian fit's tail tolerance, replaced by the exact fidelity
         "FIT_TAIL_TOL",
         "_sq_norm",
+        # code only tests called, now their oracles in conftest.py: the dense
+        # displacement (so no package code builds one), the materialised POVM
+        # and the discord threshold
+        "displacement_op",
+        "povm_from_witness",
+        "discord_certificate",
+        # the comb's one-line wrappers (the name covers wigner_pure_comb_jet),
+        # replaced by the public comb_evaluators pair
+        "wigner_pure_comb",
+        "_comb_evaluators",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
@@ -160,10 +159,10 @@ def test_box_scale_rule_only_in_witnesses_py():
     assert not found, "\n".join(found)
 
 
-def test_settable_values_at_most_49():
+def test_settable_values_at_most_47():
     script = SRC.parent.parent / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
-    assert int(out.stdout.split()[-1]) <= 49
+    assert int(out.stdout.split()[-1]) <= 47
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

@@ -14,13 +14,12 @@ from cvactivation import wigner
 from cvactivation.wigner import (
     DepthSearchConfig,
     WIGNER_BOUND,
+    comb_evaluators,
     negativity_depth,
     negativity_depth_fn,
     wigner_batch,
     wigner_grid,
     wigner_jet,
-    wigner_pure_comb,
-    wigner_pure_comb_jet,
 )
 
 from conftest import (
@@ -173,8 +172,7 @@ def test_depth_result_evaluates_on_the_searched_coefficients():
         assert min(at_argmin, 0.0) == pytest.approx(-res.depth, abs=1e-12)
     centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=0.3))
     via_fn = negativity_depth_fn(
-        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
-        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+        *comb_evaluators(centers, envelope, sigma2),
         2.8,
         DepthSearchConfig(radius=2.8, resolution=20),
     )
@@ -210,7 +208,7 @@ def test_pure_comb_matches_series():
     rho = gkp_damped(params, 90).to_density()
     centers, envelope, sigma2 = gkp_comb(params)
     axis = np.array([-1.25, 0.0, 0.2, 0.4, 0.63, 0.9, 1.77 / math.sqrt(2)])
-    exact = wigner_pure_comb(centers, envelope, sigma2, axis)
+    exact = comb_evaluators(centers, envelope, sigma2)[0](axis)
     series = wigner_batch(rho, wigner._grid_points(axis))
     assert np.max(np.abs(exact - series)) < 1e-5
 
@@ -218,7 +216,7 @@ def test_pure_comb_matches_series():
 def test_pure_comb_vacuum_limit():
     # single unit-weight peak of variance 1 is the vacuum
     axis = np.array([-0.5, 0.0, 0.3])
-    vals = wigner_pure_comb(np.array([0.0]), np.array([1.0]), 1.0, axis)
+    vals = comb_evaluators(np.array([0.0]), np.array([1.0]), 1.0)[0](axis)
     expect = (2.0 / math.pi) * np.exp(-2.0 * np.abs(wigner._grid_points(axis)) ** 2)
     assert np.max(np.abs(vals - expect)) < 1e-12
 
@@ -249,7 +247,7 @@ SWEEP_GRID = wigner._grid_points(SWEEP_AXIS)
 @pytest.mark.parametrize("db", [6.0, 10.0, 14.0, 16.5])
 def test_pure_comb_matches_pairwise_reference(db):
     centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
-    fast = wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)
+    fast = comb_evaluators(centers, envelope, sigma2)[0](SWEEP_AXIS)
     ref = pairwise_comb_reference(centers, envelope, sigma2, SWEEP_GRID)
     assert fast.shape == ref.shape
     assert np.max(np.abs(fast - ref)) < 1e-13
@@ -259,7 +257,7 @@ def test_pure_comb_matches_pairwise_reference(db):
         [0.3 + 0.1j, -1.2 + 0.1j, 0.3 - 0.7j, 0.05 + 0.4j, -1.2 - 0.7j, 0.3 + 0.1j,
          1.1 + 0.4j, -0.6 + 1.3j, 0.05 - 0.7j, 1.1 - 0.25j, 0.9j, -1.2 + 1.3j]
     )
-    fast = wigner_pure_comb_jet(centers, envelope, sigma2, pts)[0]
+    fast = comb_evaluators(centers, envelope, sigma2)[1](pts)[0]
     ref = pairwise_comb_reference(centers, envelope, sigma2, pts)
     assert fast.shape == (pts.size,)
     assert np.max(np.abs(fast - ref)) < 1e-13
@@ -278,25 +276,25 @@ def _peak_bytes(fn):
 def test_pure_comb_grid_scan_memory():
     # a table per axis, no S^2 pair columns: the pairwise scan peaked at 2.4 MB
     centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
-    assert _peak_bytes(lambda: wigner_pure_comb(centers, envelope, sigma2, SWEEP_AXIS)) < 1e6
+    assert _peak_bytes(lambda: comb_evaluators(centers, envelope, sigma2)[0](SWEEP_AXIS)) < 1e6
 
 
 def test_pure_comb_jet_memory(rng):
     # no (N, S, S) pair tensors: they peaked at 5.8 MB on 40 points
     centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(16.5))
     pts = rng.uniform(-2.8, 2.8, 40) + 1j * rng.uniform(-2.8, 2.8, 40)
-    assert _peak_bytes(lambda: wigner_pure_comb_jet(centers, envelope, sigma2, pts)) < 1e6
+    assert _peak_bytes(lambda: comb_evaluators(centers, envelope, sigma2)[1](pts)) < 1e6
 
 
-@pytest.mark.parametrize("evaluate", [wigner_pure_comb, wigner_pure_comb_jet])
-def test_pure_comb_refuses_an_uneven_or_mismatched_comb(evaluate):
+@pytest.mark.parametrize("which", [0, 1], ids=["values", "jet"])
+def test_pure_comb_refuses_an_uneven_or_mismatched_comb(which):
     centers = np.array([-2.0, 0.0, 2.0, 4.0])
     weights = np.ones(4)
     uneven = centers + np.array([0.0, 0.0, 1e-9, 0.0])
     with pytest.raises(ValueError, match="equally spaced"):
-        evaluate(uneven, weights, 0.1, np.array([0.0, 0.5]))
+        comb_evaluators(uneven, weights, 0.1)[which](np.array([0.0, 0.5]))
     with pytest.raises(ValueError, match="one nonzero length"):
-        evaluate(centers, weights[:3], 0.1, np.array([0.0, 0.5]))
+        comb_evaluators(centers, weights[:3], 0.1)[which](np.array([0.0, 0.5]))
 
 
 @pytest.mark.parametrize("logical", [0, 1])
@@ -305,8 +303,9 @@ def test_every_gkp_comb_is_a_lattice(logical):
     epsilons = [GkpParams.from_db(db).epsilon for db in (6.0, 8.0, 10.0, 12.0, 14.0, 16.5)]
     for eps in epsilons + [1000.0]:
         centers, envelope, sigma2 = gkp_comb(GkpParams(epsilon=eps, logical=logical))
-        values = wigner_pure_comb(centers, envelope, sigma2, np.array([-0.3, 0.0, 0.4]))
-        jet = wigner_pure_comb_jet(centers, envelope, sigma2, np.array([0.2 - 0.1j]))
+        value_fn, jet_fn = comb_evaluators(centers, envelope, sigma2)
+        values = value_fn(np.array([-0.3, 0.0, 0.4]))
+        jet = jet_fn(np.array([0.2 - 0.1j]))
         assert np.all(np.isfinite(values)) and all(np.all(np.isfinite(part)) for part in jet)
 
 
@@ -317,8 +316,7 @@ def test_depth_fn_route_matches_density_route():
     cfg = DepthSearchConfig(radius=2.8, resolution=30)
     direct = negativity_depth(rho, cfg)
     via_fn = negativity_depth_fn(
-        lambda axis: wigner_pure_comb(centers, envelope, sigma2, axis),
-        lambda pts: wigner_pure_comb_jet(centers, envelope, sigma2, pts),
+        *comb_evaluators(centers, envelope, sigma2),
         2.8,
         cfg,
     )
@@ -369,7 +367,7 @@ def test_comb_jet_matches_central_differences(rng):
     for db in (6.0, 10.0, 14.0):
         centers, envelope, sigma2 = gkp_comb(GkpParams.from_db(db))
         assert_jet_matches(
-            lambda p: wigner_pure_comb_jet(centers, envelope, sigma2, p),
+            comb_evaluators(centers, envelope, sigma2)[1],
             lambda p: pairwise_comb_reference(centers, envelope, sigma2, p),
             pts,
         )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cvactivation import states, witnesses
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
+    DEFAULT_R_MAX,
     GaussianPureParams,
     cat,
     coherent,
@@ -228,12 +229,8 @@ def test_even_cat_projector_feasible_on_its_squeezed_vacuum():
         {"n_starts": 2.5},
         {"maxiter": 0},
         {"maxiter": math.inf},
-        {"r_max": -0.5},
-        {"r_max": math.nan},
-        {"r_max": math.inf},
         {"n_starts": -3},
         {"maxiter": 2.5},
-        {"r_max": -math.inf},
         {"seeds": (True,)},
         {"seeds": (0, -1)},
         {"seeds": (0.5,)},
@@ -248,7 +245,7 @@ def test_gaussian_fit_config_rejects_bad_values(bad):
 def test_gaussian_fit_config_keeps_valid_values():
     small = GaussianFitConfig(n_starts=2, maxiter=40)
     assert (small.n_starts, small.maxiter) == (2, 40)
-    assert GaussianFitConfig(seeds=[5, 6], r_max=0.0).seeds == (5, 6)
+    assert GaussianFitConfig(seeds=[5, 6]).seeds == (5, 6)
 
 
 def _objective_draws(dim):
@@ -257,12 +254,11 @@ def _objective_draws(dim):
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
     random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)))
-    r_max = GaussianFitConfig().r_max
     draws = [
         [rng.normal(0.0, 1.5), rng.normal(0.0, 1.5), rng.uniform(-2.5, 2.5), rng.uniform(-9, 9)]
         for _ in range(1200)
     ]
-    draws += [[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), r_max, rng.uniform(0, 7)] for _ in range(100)]
+    draws += [[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), DEFAULT_R_MAX, rng.uniform(0, 7)] for _ in range(100)]
     # |alpha|^2 between d/4 and d: much of G lies above the cutoff
     for _ in range(100):
         alpha = rng.uniform(0.5, 1.0) * math.sqrt(dim) * np.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -273,22 +269,21 @@ def _objective_draws(dim):
 @pytest.mark.parametrize("dim", [12, 30, 40])
 def test_fit_objective_matches_long_expansion_oracle(dim):
     random_psi, draws = _objective_draws(dim)
-    r_max = GaussianFitConfig().r_max
     for psi in (fock(1, dim), fock(2, dim), random_psi):
-        new, want = _fit_objective(psi, r_max), long_expansion_objective(psi, r_max)
+        new, want = _fit_objective(psi), long_expansion_objective(psi)
         for x in draws:
             assert abs(new(x) - want(x)) <= 1e-12 * abs(want(x)), (dim, x)
 
     def leak(x):
         """Share of G's mass above the cutoff."""
-        alpha, r, phi = complex(x[0], x[1]), min(abs(x[2]), r_max), x[3] % (2.0 * math.pi)
+        alpha, r, phi = complex(x[0], x[1]), min(abs(x[2]), DEFAULT_R_MAX), x[3] % (2.0 * math.pi)
         head = squeezed_coherent_amps(alpha, r, phi, dim)
         return 1.0 - float(np.sum(np.abs(head) ** 2)) / squeezed_coherent_mass(alpha, r, phi)
 
     # a candidate with much of its mass above the cutoff still scores its
     # fidelity: |<1|G>|^2 = |c_1|^2 / mass > 0 for alpha != 0
     leaky = [x for x in draws if leak(x) > 1e-3]
-    one = _fit_objective(fock(1, dim), r_max)
+    one = _fit_objective(fock(1, dim))
     assert len(leaky) >= 100
     assert all(one(x) < 0.0 for x in leaky)
 
@@ -303,7 +298,6 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
     # the recurrence stops at psi's top occupied level and the levels above
     # are zeros: every score equals the one with all d amplitudes, bit for bit
     random_psi, draws = _objective_draws(dim)
-    r_max = GaussianFitConfig().r_max
     # Re alpha >= 30 with little squeezing: the closed-form mass overflows
     rng = np.random.default_rng(dim + 1)
     plateau = [
@@ -318,7 +312,7 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
         assert even.amplitudes[-1] == 0.0  # its top occupied level is 38
         targets.append(even)
     for psi in targets:
-        cut, full = _fit_objective(psi, r_max), full_cutoff_objective(psi, r_max)
+        cut, full = _fit_objective(psi), full_cutoff_objective(psi)
         for x in draws:
             assert cut(x) == full(x), (dim, x)
         for x in plateau:
@@ -326,12 +320,13 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
 
 
 # fits scored by the exact fidelity with the untruncated Gaussian; the spread
-# and count leave out only starts that never left the overflow plateau
+# and count leave out starts that never left the overflow plateau and starts
+# that ended beyond the r clamp
 _FOCK1_FIT = (
     "GaussianFidelityResult(max_fidelity=0.47788941237673843, "
     "argmax=GaussianPureParams(alpha=(0.7651291297277738-0.28503346345874336j), "
     "r=0.5493061445628468, phi=5.569978671360402), "
-    "multistart_spread=0.2858405590127371, n_converged=15)"
+    "multistart_spread=0.11000997120530442, n_converged=13)"
 )
 _FOCK2_FIT = (
     "GaussianFidelityResult(max_fidelity=0.38131937955276457, "
@@ -362,6 +357,25 @@ _EVEN_CAT_FIT = (
 )
 def test_gaussian_fidelity_pinned(make, expected):
     assert repr(gaussian_fidelity(make())) == expected
+
+
+def test_a_start_that_ends_beyond_the_r_clamp_is_not_counted():
+    # the objective is flat in r beyond DEFAULT_R_MAX, so a simplex can drift
+    # out along r and stop there: for |1>, informed starts 3 and 4 end at
+    # r = -16.2 and -92.1 with fidelity 0.192, far below the optimum 0.478
+    psi = fock(1, 30)
+    cfg = GaussianFitConfig()
+    objective = _fit_objective(psi)
+    runs = [_nelder_mead(objective, x0, cfg.maxiter) for x0 in _informed_starts(psi, cfg)]
+    clamped = [i for i, (x, _, _, _) in enumerate(runs) if abs(x[2]) > DEFAULT_R_MAX]
+    assert clamped == [3, 4]
+    for i in clamped:
+        x, fun, converged, _ = runs[i]
+        assert converged and -fun == pytest.approx(0.192049, abs=1e-6)
+    counted = [-fun for x, fun, converged, _ in runs if converged and abs(x[2]) <= DEFAULT_R_MAX]
+    res = gaussian_fidelity(psi)
+    assert res.n_converged == len(counted) == 13
+    assert res.multistart_spread == max(counted) - min(counted)
 
 
 def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
@@ -414,13 +428,13 @@ _FIT_STATES = {
 def test_nelder_mead_bit_identical_to_scipy(name, dim):
     psi = _FIT_STATES[name](dim)
     cfg = GaussianFitConfig()
-    objective = _fit_objective(psi, cfg.r_max)
+    objective = _fit_objective(psi)
     for x0 in _informed_starts(psi, cfg):
         _same_run(objective, x0, cfg.maxiter)
 
 
 def test_nelder_mead_bit_identical_to_scipy_edge_runs():
-    objective = _fit_objective(fock(1, 20), GaussianFitConfig().r_max)
+    objective = _fit_objective(fock(1, 20))
     # zero coordinates take the 0.00025 step instead of 5 %
     _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 400)
     # stopped by maxiter before the simplex converges
@@ -450,7 +464,7 @@ _START_COORDINATE = st.one_of(st.just(0.0), st.floats(-2.5, 2.5))
 @example(x0=(0.0, 0.0, 0.0, 0.0))
 @example(x0=(30.0, 0.0, 0.3, 1.0))
 def test_nelder_mead_bit_identical_to_scipy_from_drawn_starts(x0):
-    objective = _fit_objective(fock(1, 20), GaussianFitConfig().r_max)
+    objective = _fit_objective(fock(1, 20))
     _same_run(objective, np.array(x0), 400)
 
 
@@ -466,7 +480,7 @@ def test_a_repeated_start_runs_once(monkeypatch):
         return run(objective, x0, maxiter)
 
     monkeypatch.setattr(witnesses, "_nelder_mead", counted)
-    # both starts are still counted: n_converged stays 15
+    # both starts are still counted: n_converged stays 13
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
     assert len(ran) == len(starts) - 1
