@@ -70,6 +70,14 @@ def test_no_scipy_special_under_src():
     assert not found, "\n".join(found)
 
 
+def test_displacement_op_called_only_in_fock():
+    # the dense displacement is a test oracle in conftest.py now, so no
+    # module names it, fock.py and the package's re-export included, and
+    # none builds a displacement operator
+    found = [where for _, where, line in _lines() if "displacement_op" in line]
+    assert not found, "\n".join(found)
+
+
 def test_one_witness_algebra():
     # the projector is one family with a copy count, a witness's free set is
     # its family's, and no norm-bound rescale is left
@@ -120,10 +128,9 @@ def test_retired_names_are_gone():
         # the Gaussian fit's tail tolerance, replaced by the exact fidelity
         "FIT_TAIL_TOL",
         "_sq_norm",
-        # code only tests called, now their oracles in conftest.py: the dense
-        # displacement (so no package code builds one), the materialised POVM
-        # and the discord threshold
-        "displacement_op",
+        # code only tests called, now their oracles in conftest.py: the
+        # materialised POVM and the discord threshold (the dense displacement
+        # has its own rule above)
         "povm_from_witness",
         "discord_certificate",
         # the comb's one-line wrappers (the name covers wigner_pure_comb_jet),
