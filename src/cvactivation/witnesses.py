@@ -40,6 +40,7 @@ BOX_TOL = 1e-9
 # _nelder_mead stops once the simplex spans at most these in value and in parameters.
 FIT_FATOL = 1e-12
 FIT_XATOL = 1e-8
+_TWO_PI = 2.0 * math.pi
 
 
 class FreeSet(str, Enum):
@@ -310,19 +311,28 @@ def _fit_objective(psi: PureState):
     finite) scores 0.  r is clamped at ``DEFAULT_R_MAX``, the largest
     squeezing :func:`~cvactivation.states.gaussian_pure` builds, so the
     score is flat in r beyond it.
+
+    The objective takes any sequence of four floats (the simplex passes
+    lists) and works on Python scalars: it builds no
+    :class:`~cvactivation.states.GaussianPureParams` but keeps that class's
+    checks and arithmetic, a ValueError for a non-finite parameter and phi
+    reduced mod 2 pi twice, once here and once as the class does.
     """
     amps = psi.amplitudes
     levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
     roots = np.sqrt(np.arange(levels, dtype=float)).astype(complex).tolist()
     head = np.zeros(psi.dim, dtype=complex)
 
-    def objective(params: np.ndarray) -> float:
+    def objective(params) -> float:
         re_a, im_a, r, phi = params
-        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX), phi % (2.0 * np.pi))
+        alpha, r, phi = complex(re_a, im_a), float(min(abs(r), DEFAULT_R_MAX)), float(phi % _TWO_PI)
+        if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
+            raise ValueError(f"Gaussian parameters must be finite, got {alpha}, {r}, {phi}")
+        phi %= _TWO_PI
         # c_0 .. c_{levels - 1}; the levels above stay 0
-        head[:levels] = [1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)]
+        head[:levels] = [1.0 + 0j, *_squeezed_coherent_steps(alpha, r, phi, roots)]
         overlap = abs(np.vdot(amps, head)) ** 2
-        mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)
+        mass = squeezed_coherent_mass(alpha, r, phi)
         return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective
@@ -332,67 +342,85 @@ def _nelder_mead(objective, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, f
     """Minimise ``objective`` from ``x0`` by the simplex method of Nelder and
     Mead (Comput. J. 7, 308 (1965)).
 
-    The non-adaptive, unbounded method with no limit on evaluations.  It makes
-    the array operations of the reference implementation the tests hold as
-    its oracle, in the same order, so its results are bit-identical to that
-    one's.  Reflection 1, expansion 2, contraction and shrink 1/2; the first
-    simplex steps 5 % along each coordinate (0.00025 from zero).  It stops
-    once the simplex spans at most ``FIT_XATOL`` in every parameter and
-    ``FIT_FATOL`` in value.  Returns the best vertex, its value, whether the
-    run stopped before ``maxiter`` iterations, and the number of evaluations.
+    The non-adaptive, unbounded method with no limit on evaluations.  It does
+    the arithmetic of the reference implementation the tests hold as its
+    oracle, in the same order, so its results are bit-identical to that
+    one's for a float64 start.  The simplex is kept as Python lists of
+    floats, and each point is passed to ``objective`` as a fresh list.  The
+    centroid adds the vertices row by row, as numpy's reduction over the
+    simplex's rows does (``sum`` would not: its leading 0 turns a -0.0 into
+    0.0).  The ranking is np.argsort's.  Python's ``sorted`` gives the same
+    order when the values are distinct; on a tie (the overflow plateau,
+    where every value is 0, or -0.0 against 0.0) or a NaN the ranking is
+    np.argsort itself, whose SIMD sort is not stable and so orders equal
+    values its own way.
+
+    Reflection 1, expansion 2, contraction and shrink 1/2; the first simplex
+    steps 5 % along each coordinate (0.00025 from zero).  It stops once the
+    simplex spans at most ``FIT_XATOL`` in every parameter and ``FIT_FATOL``
+    in value.  Returns the best vertex, its value, whether the run stopped
+    before ``maxiter`` iterations, and the number of evaluations.
     """
     nfev = 0
 
-    def f(x: np.ndarray) -> float:
+    def f(x: list[float]) -> float:
         nonlocal nfev
         nfev += 1
-        return objective(x)
+        return float(objective(x))
 
-    def ranked(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        ind = np.argsort(fsim)
-        return np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    def ranked(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
+        order = sorted(range(len(fsim)), key=fsim.__getitem__)
+        values = [fsim[i] for i in order]
+        if not all(map(operator.lt, values, values[1:])):  # a tie or a NaN
+            order = np.argsort(fsim).tolist()
+            values = [fsim[i] for i in order]
+        return [sim[i] for i in order], values
 
-    n = len(x0)
-    sim = np.empty((n + 1, n), dtype=x0.dtype)
-    sim[0] = x0
+    start = np.asarray(x0, dtype=float).tolist()
+    n = len(start)
+    sim = [start]
     for k in range(n):
-        y = np.array(x0, copy=True)
+        y = list(start)
         y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim[k + 1] = y
-    fsim = np.array([f(vertex) for vertex in sim], dtype=float)
+        sim.append(y)
+    fsim = [f(vertex) for vertex in sim]
     sim, fsim = ranked(*ranked(sim, fsim))  # twice, as the reference does: ties may move
     iterations = 1
     while iterations < maxiter and not (
-        np.max(np.abs(sim[1:] - sim[0])) <= FIT_XATOL
-        and np.max(np.abs(fsim[0] - fsim[1:])) <= FIT_FATOL
+        all(abs(v - w) <= FIT_XATOL for vertex in sim[1:] for v, w in zip(vertex, sim[0]))
+        and all(abs(fsim[0] - fv) <= FIT_FATOL for fv in fsim[1:])
     ):
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
+        total = sim[0]
+        for vertex in sim[1:-1]:
+            total = [t + v for t, v in zip(total, vertex)]
+        xbar = [t / n for t in total]
+        worst = sim[-1]
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
+            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
             fxe = f(xe)
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc <= fxr
             else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
                 fxc = f(xc)
                 accept = fxc < fsim[-1]
             if accept:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
                 for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(sim[0], sim[j])]
                     fsim[j] = f(sim[j])
         iterations += 1
         sim, fsim = ranked(sim, fsim)
-    return sim[0], np.min(fsim), iterations < maxiter, nfev
+    return np.array(sim[0]), np.min(fsim), iterations < maxiter, nfev
 
 
 def gaussian_fidelity(

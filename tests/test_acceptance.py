@@ -58,7 +58,6 @@ from cvactivation.wigner import (
     comb_evaluators,
     negativity_depth,
     negativity_depth_fn,
-    wigner_grid,
 )
 from cvactivation.witnesses import (
     DisplacedParity,

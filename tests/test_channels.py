@@ -18,7 +18,6 @@ from cvactivation.fock import (
 )
 from cvactivation import channels
 from cvactivation.channels import (
-    DampingMap,
     KrausChannel,
     LossChannel,
     damping,

@@ -13,11 +13,13 @@ from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
 np.linalg nor np.unique.  The package has at most 47 settable values
 (scripts/count_settable_values.py).
+No module under src/, tests/ or scripts/ imports a name it never uses.
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
 raises a grid-code sweep's peak memory)."""
 
+import ast
 import os
 import re
 import subprocess
@@ -25,6 +27,7 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cvactivation"
+ROOT = SRC.parent.parent
 # an expression, run in the subprocess, that is True once any scipy module is loaded
 SCIPY_LOADED = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
 POLYNOMIAL_LOADED = "any(m.startswith('numpy.polynomial') for m in sys.modules)"
@@ -166,8 +169,41 @@ def test_box_scale_rule_only_in_witnesses_py():
     assert not found, "\n".join(found)
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names ``path`` imports and never uses: no Name node loads them and no
+    attribute chain starts from them.  A name listed in ``__all__`` is a
+    re-export, and ``from __future__ import annotations`` binds nothing."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = alias.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [
+        f"{path.relative_to(ROOT)}:{lineno}: {name}"
+        for name, lineno in sorted(imported.items(), key=lambda item: item[1])
+        if name not in used
+    ]
+
+
+def test_no_unused_imports():
+    paths = [path for folder in ("src", "tests", "scripts") for path in sorted((ROOT / folder).rglob("*.py"))]
+    assert len(paths) > 20
+    found = [where for path in paths for where in _unused_imports(path)]
+    assert not found, "\n".join(found)
+
+
 def test_settable_values_at_most_47():
-    script = SRC.parent.parent / "scripts" / "count_settable_values.py"
+    script = ROOT / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
     assert int(out.stdout.split()[-1]) <= 47
 
