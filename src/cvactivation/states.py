@@ -123,71 +123,49 @@ def coherent(alpha: complex, cutoff: int) -> PureState:
     return PureState(amps / np.linalg.norm(amps), leakage=tail)
 
 
-def squeezed_coherent_amps(
-    alpha: complex, r: float, phi: float, n_levels: int
-) -> np.ndarray:
-    """Unnormalized Fock amplitudes of D(alpha) S(r e^{i phi}) |0>.
+def to_chart(params: GaussianPureParams) -> tuple[complex, complex]:
+    """Bargmann chart point (b, t) of D(alpha) S(r e^{i phi}) |0>.
 
-    Uses the annihilator identity [mu a + nu a^dag - (mu alpha + nu alpha*)]
-    |psi> = 0 with mu = cosh r, nu = e^{i phi} sinh r, which gives a stable
-    forward recurrence for the amplitudes,
-    c_{n+1} = (gamma c_n - nu sqrt(n) c_{n-1}) / (mu sqrt(n+1)).
-
-    Cost: one vectorised sqrt table, then O(n_levels) steps of
-    :func:`_squeezed_coherent_steps` on Python complex scalars.
+    Its Bargmann function is proportional to exp(b z - t z^2 / 2) with
+    t = e^{i phi} tanh r in the open unit disk and b = alpha + t conj(alpha)
+    (Chabaud, Markham and Grosshans, PRL 124, 063605 (2020)).
     """
-    roots = np.sqrt(np.arange(n_levels, dtype=float)).astype(complex).tolist()
-    amps = [1.0 + 0j, *_squeezed_coherent_steps(alpha, r, phi, roots)]
-    return np.array(amps[:n_levels], dtype=complex)
+    alpha = params.alpha
+    t = cmath.exp(1j * params.phi) * math.tanh(params.r)
+    return alpha + t * alpha.conjugate(), t
 
 
-def _squeezed_coherent_steps(alpha: complex, r: float, phi: float, roots: list[complex]):
-    """Yield c_1, c_2, .., c_{len(roots) - 1} after c_0 = 1 (c_1 for any table),
-    given roots[n] = sqrt(n) as a complex: a table one caller may build for many runs.
+def from_chart(b: complex, t: complex) -> GaussianPureParams:
+    """The inverse of :func:`to_chart`: alpha = (b - t conj(b)) / (1 - |t|^2),
+    r = artanh |t| and phi = arg t."""
+    b, t = complex(b), complex(t)
+    return GaussianPureParams((b - t * b.conjugate()) / (1.0 - abs(t) ** 2), math.atanh(abs(t)), cmath.phase(t))
 
-    For finite inputs each value is bit-identical to the recurrence run in
-    numpy scalars.  Only cosh r, sinh r and e^{i phi} stay numpy ufunc
-    calls: np.cosh and np.sinh differ from math.cosh and math.sinh in the
-    last bit for about 18 % and 27 % of r drawn over [0, 2] (numpy 2.4,
-    AVX-512), and nothing promises that cmath.exp matches np.exp either.
-    mu, nu, gamma and c_1 are then Python numbers, each product taken as
-    numpy takes it: a real operand promoted to a complex one with zero
-    imaginary part, while a real alpha stays real in mu alpha and in its
-    conjugate.  numpy divides a complex by a real d by Smith's formula with
-    a zero imaginary part; c_1 = gamma / mu writes that formula out, and the
-    later levels reproduce it as a product with the complex 1/d - 0j (the
-    negative zero gives zero parts numpy's signs; only a part that
-    underflows to zero can take the other sign).  Complex operands
-    throughout: Python's complex * complex is numpy's product in every
-    version, while complex * float is not from 3.14 on.
+
+def gaussian_amps(b: complex, t: complex, levels: int) -> np.ndarray:
+    """Fock amplitudes c_n = <n|G>/<0|G>, n < levels, of the pure Gaussian G
+    at the chart point (b, t) (:func:`to_chart`).
+
+    exp(b z - t z^2 / 2) = sum_n c_n z^n / sqrt(n!) gives c_0 = 1, c_1 = b and
+    c_{n+1} = (b c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
     """
-    mu = float(np.cosh(r))
-    nu = complex(np.exp(1j * phi)) * complex(np.sinh(r))
-    mu_alpha = complex(mu) * alpha if isinstance(alpha, complex) else complex(mu * alpha)
-    gamma = mu_alpha + nu * complex(alpha.conjugate())
-    inv = 1.0 / mu
-    prev, cur = 1.0 + 0j, complex((gamma.real + gamma.imag * 0.0) * inv, (gamma.imag - gamma.real * 0.0) * inv)
-    yield cur
-    for n in range(2, len(roots)):
-        prev, cur = cur, (gamma * cur - nu * roots[n - 1] * prev) * complex(1.0 / (mu * roots[n].real), -0.0)
-        yield cur
+    amps = [1.0 + 0j, complex(b)]
+    for n in range(1, levels - 1):
+        amps.append((b * amps[n] - t * math.sqrt(n) * amps[n - 1]) / math.sqrt(n + 1))
+    return np.array(amps[:levels], dtype=complex)
 
 
-def squeezed_coherent_mass(alpha: complex, r: float, phi: float) -> float:
-    """Total mass sum_n |c_n|^2 of the :func:`squeezed_coherent_amps` amplitudes.
+def gaussian_mass(b: complex, t: complex, mu2: float) -> float:
+    """Total mass sum_n |c_n|^2 = 1/|<0|G>|^2 of the :func:`gaussian_amps`
+    amplitudes: mu exp(mu^2 (|b|^2 - Re(conj(t) b^2))) with
+    mu^2 = 1/(1 - |t|^2) = cosh^2 r.
 
-    c_n = <n|psi>/<0|psi>, so the sum is 1/|<0|D(alpha) S(r e^{i phi})|0>|^2.
-    With b = gamma/mu and t = nu/mu it reads
-    (1 - |t|^2)^(-1/2) exp((|b|^2 - Re(conj(t) b^2)) / (1 - |t|^2)); as
-    1 - |t|^2 = 1/mu^2 this is mu exp(|gamma|^2 - Re(conj(nu) gamma^2)/mu),
-    the form evaluated.  Infinite when the exponent leaves the float range.
+    The caller passes ``mu2``, so one that holds it exactly (1 + |w|^2 for
+    t = w / sqrt(1 + |w|^2)) never forms 1 - |t|^2 by a subtraction.
+    Infinite when the exponent leaves the float range.
     """
-    alpha = complex(alpha)
-    mu = math.cosh(r)
-    nu = cmath.exp(1j * phi) * math.sinh(r)
-    gamma = mu * alpha + nu * alpha.conjugate()
-    exponent = abs(gamma) * abs(gamma) - (nu.conjugate() * gamma * gamma).real / mu
-    return mu * math.exp(exponent) if exponent < 700.0 else math.inf
+    exponent = mu2 * (abs(b) * abs(b) - (t.conjugate() * b * b).real)
+    return math.sqrt(mu2) * math.exp(exponent) if exponent < 700.0 else math.inf
 
 
 def _truncate_with_leakage(
@@ -206,14 +184,18 @@ def _truncate_with_leakage(
 def gaussian_pure(params: GaussianPureParams, cutoff: int) -> PureState:
     """Pure Gaussian state D(alpha) S(r e^{i phi}) |0>, renormalized.
 
-    Refused for r above ``DEFAULT_R_MAX`` (ValueError) and when more than
-    ``STATE_TAIL_TOL`` of its first 2 cutoff + 32 levels lies above the
-    cutoff (TruncationError).
+    Refused for r above ``DEFAULT_R_MAX`` (ValueError), before any array is
+    built when its total mass (:func:`gaussian_mass`) is not finite, and when
+    more than ``STATE_TAIL_TOL`` of its first 2 cutoff + 32 levels lies above
+    the cutoff (TruncationError).
     """
     dim = _dim(cutoff)
     if params.r > DEFAULT_R_MAX:
         raise ValueError(f"squeezing r={params.r} exceeds r_max={DEFAULT_R_MAX}")
-    amps = squeezed_coherent_amps(params.alpha, params.r, params.phi, 2 * dim + 32)
+    b, t = to_chart(params)
+    if not gaussian_mass(b, t, math.cosh(params.r) ** 2) < math.inf:
+        raise TruncationError(f"gaussian_pure: the mass of {params} is not finite")
+    amps = gaussian_amps(b, t, 2 * dim + 32)
     kept, leak = _truncate_with_leakage(amps, dim, STATE_TAIL_TOL, "gaussian_pure")
     return PureState(kept, leakage=leak)
 
@@ -243,12 +225,12 @@ def photon_subtracted_squeezed(r: float, cutoff: int) -> PureState:
     """Normalized a S(r)|0>; supported on odd Fock levels only."""
     dim = _dim(cutoff)
     n_levels = 2 * dim + 32
-    # the recurrence forms cosh(r) sqrt(n) for n <= n_levels
+    # the factory's input range: cosh(r) sqrt(n) finite for n <= n_levels
     if not (math.isfinite(r) and r < math.acosh(sys.float_info.max / math.sqrt(n_levels + 1))):
-        raise ValueError(f"squeezing r={r} is not finite or overflows the amplitude recurrence")
+        raise ValueError(f"squeezing r={r} is not finite or too large: cosh(r) sqrt({n_levels + 1}) overflows")
     if r <= 0:
         raise ValueError("photon subtraction from vacuum (r=0) gives the zero vector")
-    sq = squeezed_coherent_amps(0.0, r, 0.0, n_levels + 1)
+    sq = gaussian_amps(0.0, math.tanh(r), n_levels + 1)
     sub = np.sqrt(np.arange(1, n_levels + 1)) * sq[1:]
     kept, leak = _truncate_with_leakage(sub, dim, STATE_TAIL_TOL, "photon_subtracted_squeezed")
     return PureState(kept, leakage=leak)

@@ -33,14 +33,13 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
-from .states import DEFAULT_R_MAX, GaussianPureParams, _squeezed_coherent_steps, squeezed_coherent_mass
+from .states import GaussianPureParams, from_chart, gaussian_amps, gaussian_mass, to_chart
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
 # _nelder_mead stops once the simplex spans at most these in value and in parameters.
 FIT_FATOL = 1e-12
 FIT_XATOL = 1e-8
-_TWO_PI = 2.0 * math.pi
 
 
 class FreeSet(str, Enum):
@@ -262,17 +261,19 @@ class GaussianFidelityResult:
 
 
 def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]:
+    """Starts (Re alpha, Im alpha, r, phi) near psi's mean displacement, then
+    seeded draws, each mapped to the fit's chart (:func:`_chart_point`)."""
     amps = psi.amplitudes
     dim = psi.dim
     idx = np.arange(dim)
     a_mean = complex(np.vdot(amps[:-1], np.sqrt(idx[1:]) * amps[1:]))
     starts = [
-        np.array([a_mean.real, a_mean.imag, 0.0, 0.0]),
-        np.array([0.0, 0.0, 0.0, 0.0]),
-        np.array([a_mean.real, a_mean.imag, 0.4, 0.0]),
-        np.array([a_mean.real, a_mean.imag, 0.4, np.pi]),
-        np.array([a_mean.real, a_mean.imag, 0.4, np.pi / 2]),
-        np.array([abs(a_mean) + 0.5, 0.0, 0.2, 0.0]),
+        (a_mean.real, a_mean.imag, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (a_mean.real, a_mean.imag, 0.4, 0.0),
+        (a_mean.real, a_mean.imag, 0.4, np.pi),
+        (a_mean.real, a_mean.imag, 0.4, np.pi / 2),
+        (abs(a_mean) + 0.5, 0.0, 0.2, 0.0),
     ]
     rngs = [np.random.default_rng(seed) for seed in cfg.seeds] or [
         np.random.default_rng(0)
@@ -282,57 +283,63 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
         rng = rngs[i % len(rngs)]
         i += 1
         starts.append(
-            np.array(
-                [
-                    a_mean.real + rng.normal(0.0, 0.7),
-                    a_mean.imag + rng.normal(0.0, 0.7),
-                    rng.uniform(0.0, 1.2),
-                    rng.uniform(0.0, 2.0 * np.pi),
-                ]
+            (
+                a_mean.real + rng.normal(0.0, 0.7),
+                a_mean.imag + rng.normal(0.0, 0.7),
+                rng.uniform(0.0, 1.2),
+                rng.uniform(0.0, 2.0 * np.pi),
             )
         )
-    return starts[: cfg.n_starts]
+    return [
+        _chart_point(GaussianPureParams(complex(re, im), r, phi))
+        for re, im, r, phi in starts[: cfg.n_starts]
+    ]
+
+
+def _chart_point(params: GaussianPureParams) -> np.ndarray:
+    """(Re b, Im b, Re w, Im w) of a pure Gaussian, with (b, t) its chart point
+    (:func:`~cvactivation.states.to_chart`) and w = t / sqrt(1 - |t|^2)."""
+    b, t = to_chart(params)
+    w = t / math.sqrt(1.0 - abs(t) ** 2)
+    return np.array([b.real, b.imag, w.real, w.imag])
 
 
 def _fit_objective(psi: PureState):
-    """-|<psi|G>|^2 over (Re alpha, Im alpha, r, phi), G = D(alpha) S(r e^{i phi})|0>.
+    """-|<psi|G>|^2 over (Re b, Im b, Re w, Im w), G the pure Gaussian at the
+    chart point (b, t) with t = w / sqrt(1 + |w|^2).
+
+    Every w in the plane is a point t of the open unit disk, and
+    1 - |t|^2 = 1/(1 + |w|^2) is formed without a subtraction, so every
+    pure Gaussian is reachable and none needs a clamp.
 
     The exact fidelity with the untruncated G: the overlap needs G's
     amplitudes c_n (c_0 = 1) only where psi is nonzero, so the recurrence
-    runs to psi's top occupied level k (at least to c_1, which it always
-    yields), on a sqrt table built once per fit, into a buffer whose levels
-    above are zeros.  The buffer keeps the cutoff's length and so the dot
-    product's summation order; G's amplitudes are finite wherever its mass
-    is, so every score equals the one with all d amplitudes bit for bit.
-    Their total mass sum_n |c_n|^2 is closed-form
-    (:func:`~cvactivation.states.squeezed_coherent_mass`).  No tail is cut
-    and nothing is renormalised, so the score does not depend on the
-    cutoff.  A candidate whose mass overflows (or whose overlap is not
-    finite) scores 0.  r is clamped at ``DEFAULT_R_MAX``, the largest
-    squeezing :func:`~cvactivation.states.gaussian_pure` builds, so the
-    score is flat in r beyond it.
-
-    The objective takes any sequence of four floats (the simplex passes
-    lists) and works on Python scalars: it builds no
-    :class:`~cvactivation.states.GaussianPureParams` but keeps that class's
-    checks and arithmetic, a ValueError for a non-finite parameter and phi
-    reduced mod 2 pi twice, once here and once as the class does.
+    (:func:`~cvactivation.states.gaussian_amps`) runs to psi's top occupied
+    level k (at least to c_1), into a buffer whose levels above are zeros.
+    The buffer keeps the cutoff's length and so the dot product's summation
+    order; G's amplitudes are finite wherever its mass is, so every score
+    equals the one with all d amplitudes bit for bit.  Their total mass
+    sum_n |c_n|^2 is closed-form
+    (:func:`~cvactivation.states.gaussian_mass`).  No tail is cut and
+    nothing is renormalised, so the score does not depend on the cutoff.
+    A candidate whose mass overflows (or whose overlap is not finite)
+    scores 0, and a non-finite parameter is a ValueError.
     """
     amps = psi.amplitudes
     levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
-    roots = np.sqrt(np.arange(levels, dtype=float)).astype(complex).tolist()
     head = np.zeros(psi.dim, dtype=complex)
 
     def objective(params) -> float:
-        re_a, im_a, r, phi = params
-        alpha, r, phi = complex(re_a, im_a), float(min(abs(r), DEFAULT_R_MAX)), float(phi % _TWO_PI)
-        if not (cmath.isfinite(alpha) and math.isfinite(r) and math.isfinite(phi)):
-            raise ValueError(f"Gaussian parameters must be finite, got {alpha}, {r}, {phi}")
-        phi %= _TWO_PI
+        re_b, im_b, re_w, im_w = params
+        b, w = complex(re_b, im_b), complex(re_w, im_w)
+        if not (cmath.isfinite(b) and cmath.isfinite(w)):
+            raise ValueError(f"Gaussian chart parameters must be finite, got {b}, {w}")
+        mu2 = 1.0 + (re_w * re_w + im_w * im_w)
+        t = w / math.sqrt(mu2)
         # c_0 .. c_{levels - 1}; the levels above stay 0
-        head[:levels] = [1.0 + 0j, *_squeezed_coherent_steps(alpha, r, phi, roots)]
+        head[:levels] = gaussian_amps(b, t, levels)
         overlap = abs(np.vdot(amps, head)) ** 2
-        mass = squeezed_coherent_mass(alpha, r, phi)
+        mass = gaussian_mass(b, t, mu2)
         return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective
@@ -430,22 +437,24 @@ def gaussian_fidelity(
 
     Pure candidates suffice: the fidelity is linear in the Gaussian state
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
-    multistart :func:`_nelder_mead` over (Re alpha, Im alpha, r, phi); the
+    multistart :func:`_nelder_mead` in the chart (Re b, Im b, Re w, Im w)
+    of :func:`_fit_objective`, where every pure Gaussian is a point; the
     spread between converged starts is reported so optimizer traps are
-    visible.  A start counts as converged only at a fidelity above 0 and
-    with |r| <= ``DEFAULT_R_MAX`` at its end point: a run that never left
-    the overflow plateau, where every candidate's mass overflows and scores
-    0, found nothing, and one that ends beyond the r clamp, where the score
-    is flat in r, stopped on the clamp, not at an optimum.  A start whose
-    bytes repeat an earlier one's (the first two, whenever <a> = 0) reuses
-    that run and is counted again.
+    visible.  A start counts as converged only at a fidelity above 0: a run
+    that never left the overflow plateau, where every candidate's mass
+    overflows and scores 0, found nothing.  A start whose bytes repeat an
+    earlier one's (the first two, whenever <a> = 0) reuses that run and is
+    counted again.
 
     Each candidate is scored by its exact fidelity with the untruncated
     Gaussian (:func:`_fit_objective`): one amplitude recurrence to psi's
-    top occupied level, on a sqrt table built once per fit and padded with
-    zeros to the cutoff d, divided by the closed-form total mass of the
-    amplitudes (:func:`~cvactivation.states.squeezed_coherent_mass`).  No
-    tail tolerance rejects a candidate.
+    top occupied level, padded with zeros to the cutoff d, divided by the
+    closed-form total mass of the amplitudes
+    (:func:`~cvactivation.states.gaussian_mass`).  No tail tolerance
+    rejects a candidate.  The best point is converted back to
+    (alpha, r, phi) once (:func:`~cvactivation.states.from_chart`).  Its r
+    may exceed ``states.DEFAULT_R_MAX``, the largest squeezing
+    :func:`~cvactivation.states.gaussian_pure` builds.
     """
     if cfg is None:
         cfg = GaussianFitConfig()
@@ -463,20 +472,17 @@ def gaussian_fidelity(
             runs[start.tobytes()] = _nelder_mead(objective, start, cfg.maxiter)
         x, fun, converged, _ = runs[start.tobytes()]
         fid = -float(fun)
-        if converged and fid > 0.0 and abs(x[2]) <= DEFAULT_R_MAX:
+        if converged and fid > 0.0:
             converged_vals.append(fid)
         if best is None or fid > best[0]:
             best = (fid, x)
     assert best is not None
     fid, x = best
     spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else 0.0
-    params = GaussianPureParams(
-        complex(x[0], x[1]), min(abs(x[2]), DEFAULT_R_MAX), x[3] % (2.0 * np.pi)
-    )
+    t = complex(x[2], x[3]) / math.sqrt(1.0 + (x[2] * x[2] + x[3] * x[3]))
     return GaussianFidelityResult(
         max_fidelity=max(0.0, min(fid, 1.0)),
-        argmax=params,
+        argmax=from_chart(complex(x[0], x[1]), t),
         multistart_spread=spread,
         n_converged=len(converged_vals),
     )
-

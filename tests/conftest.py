@@ -18,14 +18,7 @@ from cvactivation.fock import (
     checked_coherent_tail,
     parity_op,
 )
-from cvactivation.states import (
-    DEFAULT_R_MAX,
-    GaussianPureParams,
-    _squeezed_coherent_steps,
-    hermite_functions,
-    squeezed_coherent_amps,
-    squeezed_coherent_mass,
-)
+from cvactivation.states import gaussian_amps, gaussian_mass, hermite_functions
 from cvactivation.witnesses import FIT_FATOL, FIT_XATOL, check_box
 
 
@@ -224,32 +217,38 @@ def wigner_at(rho: DensityMatrix, alpha: complex) -> float:
     return (2.0 / math.pi) * val.real
 
 
+def unpack_chart(params):
+    """The chart point (b, t) and mu^2 = 1/(1 - |t|^2) = 1 + |w|^2 of the fit's
+    parameters (Re b, Im b, Re w, Im w), t = w / sqrt(1 + |w|^2)."""
+    re_b, im_b, re_w, im_w = params
+    mu2 = 1.0 + (re_w * re_w + im_w * im_w)
+    return complex(re_b, im_b), complex(re_w, im_w) / math.sqrt(mu2), mu2
+
+
 @functools.lru_cache(maxsize=4096)
-def _long_expansion(alpha: complex, r: float, phi: float, dim: int):
-    """First dim amplitudes of D(alpha) S(r e^{i phi})|0> (c_0 = 1) and the sum
+def _long_expansion(b: complex, t: complex, mu2: float, dim: int):
+    """First dim amplitudes of the Gaussian at (b, t) (c_0 = 1) and the sum
     of |c_n|^2 over N levels, N doubled from 2 dim until a doubling adds less
     than 1e-16 of the sum; None where the closed-form mass overflows."""
-    if squeezed_coherent_mass(alpha, r, phi) == math.inf:
+    if gaussian_mass(b, t, mu2) == math.inf:
         return None
     n_levels, total = dim, 0.0
     while True:
         n_levels *= 2
-        amps = squeezed_coherent_amps(alpha, r, phi, n_levels)
+        amps = gaussian_amps(b, t, n_levels)
         total, last = float(np.sum(np.abs(amps) ** 2)), total
         if total - last < 1e-16 * total:
             return amps[:dim], total
 
 
 def long_expansion_objective(psi):
-    """Oracle: the Gaussian-fit objective -|<psi|G>|^2 through a long Fock
-    expansion of G, normalised by the sum of its own levels, with r clamped
-    at ``DEFAULT_R_MAX``; 0 where the closed-form mass of G overflows."""
+    """Oracle: the Gaussian-fit objective -|<psi|G>|^2 over (Re b, Im b, Re w,
+    Im w) through a long Fock expansion of G, normalised by the sum of its
+    own levels; 0 where the closed-form mass of G overflows."""
     amps = psi.amplitudes
 
     def objective(params) -> float:
-        re_a, im_a, r, phi = params
-        alpha, r = complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX)
-        expansion = _long_expansion(alpha, r, phi % (2.0 * np.pi), psi.dim)
+        expansion = _long_expansion(*unpack_chart(params), psi.dim)
         if expansion is None:
             return 0.0
         head, total = expansion
@@ -260,18 +259,14 @@ def long_expansion_objective(psi):
 
 def full_cutoff_objective(psi):
     """Oracle: the Gaussian-fit objective -|<psi|G>|^2 / mass with the recurrence
-    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies,
-    with r clamped at ``DEFAULT_R_MAX``; 0 where the closed-form mass of G (or
-    the overlap) is not finite."""
+    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies;
+    0 where the closed-form mass of G (or the overlap) is not finite."""
     amps = psi.amplitudes
-    roots = np.sqrt(np.arange(psi.dim, dtype=float)).astype(complex).tolist()
 
     def objective(params) -> float:
-        re_a, im_a, r, phi = params
-        g = GaussianPureParams(complex(re_a, im_a), min(abs(r), DEFAULT_R_MAX), phi % (2.0 * np.pi))
-        head = np.array([1.0 + 0j, *_squeezed_coherent_steps(g.alpha, g.r, g.phi, roots)])
-        overlap = abs(np.vdot(amps, head)) ** 2
-        mass = squeezed_coherent_mass(g.alpha, g.r, g.phi)
+        b, t, mu2 = unpack_chart(params)
+        overlap = abs(np.vdot(amps, gaussian_amps(b, t, psi.dim))) ** 2
+        mass = gaussian_mass(b, t, mu2)
         return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective

@@ -257,16 +257,28 @@ def test_truncation_error_exit_code(tmp_path, capsys):
 
 
 def test_overflowing_gaussian_exits_3(tmp_path, capsys):
-    # its extended amplitudes overflow and its leak is NaN, which the
-    # truncation guard refuses
+    # its closed-form mass overflows, which gaussian_pure refuses before it
+    # builds any amplitude
     cfgfile = tmp_path / "cfg.json"
     state = {"kind": "gaussian", "alpha": 1e6}
     cfgfile.write_text(json.dumps({"cutoff": 10, "resolution": 4, "state": state}))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert run(["negativity-depth", "--config", cfgfile, "--out", tmp_path / "d.json"]) == 3
+    assert run(["negativity-depth", "--config", cfgfile, "--out", tmp_path / "d.json"]) == 3
     err = capsys.readouterr().err
     assert err.startswith("truncation error:") and len(err.splitlines()) == 1
     assert not (tmp_path / "d.json").exists()
+
+
+def test_overflowing_gaussian_exits_3_without_a_warning(tmp_path, capsys):
+    # main turns an exception into an exit code but lets a numpy warning
+    # through to stderr, so the exit-code fuzz cannot see one
+    cfgfile = tmp_path / "cfg.json"
+    state = {"kind": "gaussian", "alpha": 1e308, "r": 0.2, "phi": 0.1}
+    cfgfile.write_text(json.dumps({"cutoff": 10, "state": state}))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err.startswith("truncation error:")
 
 
 def test_gkp_sweep_ec_needs_cutoff_14(tmp_path):

@@ -8,12 +8,14 @@ from cvactivation import cli, wigner
 from cvactivation.errors import TruncationError
 from cvactivation.fock import pure_fidelity
 from cvactivation.states import (
+    GaussianPureParams,
     GkpParams,
     fock,
+    gaussian_amps,
     gkp_comb,
     gkp_damped,
     hermite_functions,
-    squeezed_coherent_amps,
+    to_chart,
     _lattice_peaks,
     _window,
 )
@@ -38,7 +40,7 @@ def reference_squeezed_comb(eps, dim, logical=0, window=8):
     total = np.zeros(dim, dtype=complex)
     for y in peaks:
         weight = math.exp(-0.5 * kappa2 * y * y)
-        amps = squeezed_coherent_amps(y / math.sqrt(2.0), r, 0.0, 4 * dim)
+        amps = gaussian_amps(*to_chart(GaussianPureParams(y / math.sqrt(2.0), r)), 4 * dim)
         amps /= np.linalg.norm(amps)
         total += weight * amps[:dim]
     return total / np.linalg.norm(total)

@@ -13,6 +13,8 @@ from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
 np.linalg nor np.unique.  The package has at most 47 settable values
 (scripts/count_settable_values.py).
+The Gaussian fit runs in the Bargmann chart: witnesses.py names no r clamp
+and no cosh or sinh, and the squeezed-coherent route is gone.
 No module under src/, tests/ or scripts/ imports a name it never uses.
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
@@ -140,8 +142,38 @@ def test_retired_names_are_gone():
         # replaced by the public comb_evaluators pair
         "wigner_pure_comb",
         "_comb_evaluators",
+        # the squeezed-coherent route of the Gaussian fit and its phase
+        # reduction, replaced by the Bargmann chart (b, t)
+        "_squeezed_coherent_steps",
+        "squeezed_coherent_mass",
+        "squeezed_coherent_amps",
+        "_TWO_PI",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
+    assert not found, "\n".join(found)
+
+
+def test_gaussian_fit_uses_no_r_clamp_and_no_hyperbolic_functions():
+    # the fit runs in the chart (b, w) with t = w / sqrt(1 + |w|^2), which
+    # reaches every pure Gaussian: no code in witnesses.py names the r clamp
+    # or a cosh or sinh (its docstrings may still name the clamp)
+    tree = ast.parse((SRC / "witnesses.py").read_text(encoding="utf-8"))
+    names = [
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        for name in (
+            [node.id] if isinstance(node, ast.Name)
+            else [node.attr] if isinstance(node, ast.Attribute)
+            else [alias.asname or alias.name for alias in node.names] if isinstance(node, ast.ImportFrom)
+            else []
+        )
+    ]
+    assert len(names) > 100
+    found = [
+        f"witnesses.py:{lineno}: {name}"
+        for lineno, name in names
+        if name == "DEFAULT_R_MAX" or "cosh" in name or "sinh" in name
+    ]
     assert not found, "\n".join(found)
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import warnings
 
@@ -13,11 +14,13 @@ from cvactivation.states import (
     cat,
     coherent,
     fock,
+    from_chart,
+    gaussian_amps,
+    gaussian_mass,
     gaussian_pure,
     photon_subtracted_squeezed,
-    squeezed_coherent_amps,
-    squeezed_coherent_mass,
     thermal,
+    to_chart,
 )
 
 
@@ -106,14 +109,38 @@ def _oracle_draws():
     return edge + random
 
 
-def test_squeezed_coherent_amps_bit_identical_to_numpy_scalars():
-    # also byte-equal, so the signs of zero parts (alpha = 0, real inputs) match
+def test_gaussian_amps_match_numpy_scalar_oracle():
+    # the chart's recurrence after the conversion to (b, t) against the
+    # squeezed-coherent recurrence of D(alpha) S(r e^{i phi})|0>
     for i, (alpha, r, phi) in enumerate(_oracle_draws()):
+        b, t = to_chart(GaussianPureParams(alpha, r, phi))
         for n_levels in (1, 2, 3, 92, 152) if i < 60 else (92,):
-            fast = squeezed_coherent_amps(alpha, r, phi, n_levels)
+            fast = gaussian_amps(b, t, n_levels)
             oracle = _squeezed_coherent_amps_oracle(alpha, r, phi, n_levels)
-            assert np.array_equal(fast, oracle), (alpha, r, phi, n_levels)
-            assert fast.tobytes() == oracle.tobytes(), (alpha, r, phi, n_levels)
+            assert fast.shape == oracle.shape
+            np.testing.assert_allclose(fast, oracle, rtol=1e-12, err_msg=str((alpha, r, phi, n_levels)))
+
+
+def _chart_draws():
+    """(alpha, r, phi) with r up to artanh(0.999) = 3.8, past DEFAULT_R_MAX."""
+    rng = np.random.default_rng(13)
+    return [
+        (complex(*rng.normal(0.0, 1.5, size=2)), math.atanh(rng.uniform(0.0, 0.999)), rng.uniform(0, 7))
+        for _ in range(200)
+    ]
+
+
+def test_chart_conversion_round_trip():
+    for alpha, r, phi in _oracle_draws() + _chart_draws():
+        params = GaussianPureParams(alpha, r, phi)
+        back = from_chart(*to_chart(params))
+        assert abs(back.alpha - params.alpha) <= 1e-12 * max(1.0, abs(params.alpha))
+        assert back.r == pytest.approx(params.r, abs=1e-12)
+        if params.r > 1e-9:
+            assert abs(cmath.exp(1j * back.phi) - cmath.exp(1j * params.phi)) <= 1e-12
+    b, t = to_chart(GaussianPureParams(0.5 - 0.2j, 0.7, 1.1))
+    assert t == pytest.approx(cmath.exp(1.1j) * math.tanh(0.7), abs=1e-15)
+    assert b == pytest.approx((0.5 - 0.2j) + t * (0.5 + 0.2j), abs=1e-15)
 
 
 @pytest.mark.parametrize(
@@ -144,12 +171,14 @@ def test_gaussian_pure_special_cases():
         gaussian_pure(GaussianPureParams(0.0, 3.0, 0.0), 30)
 
 
-def test_gaussian_pure_refuses_a_nan_leak():
-    # the extended amplitudes overflow, so the leak is inf/inf = NaN; the
-    # guard is written so that NaN fails it
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(TruncationError, match="leaks nan"):
-            gaussian_pure(GaussianPureParams(1e6), 10)
+@pytest.mark.parametrize("alpha", [1e6, 1e308, complex(1e200, -1e200)])
+def test_gaussian_pure_refuses_an_infinite_mass(alpha):
+    # the closed-form mass overflows, so no amplitude is built: numpy warns
+    # of no overflow and no NaN leak is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError, match="mass of .* is not finite"):
+            gaussian_pure(GaussianPureParams(alpha, 0.2, 0.1), 10)
 
 
 def test_cat_parity_structure():
@@ -175,7 +204,7 @@ def test_photon_subtracted_squeezed():
     assert pss.expectation(parity_op(30)).real == pytest.approx(-1.0, abs=1e-12)
     assert np.max(np.abs(pss.amplitudes[::2])) < 1e-12
     # a S(r)|0> has the amplitudes of the squeezed vacuum shifted down
-    sq = squeezed_coherent_amps(0.0, 0.5, 0.0, 40)
+    sq = gaussian_amps(0.0, math.tanh(0.5), 40)
     manual = np.sqrt(np.arange(1, 40)) * sq[1:]
     manual = manual[:30] / np.linalg.norm(manual)
     assert np.max(np.abs(np.abs(pss.amplitudes) - np.abs(manual[:30]))) < 1e-9
@@ -190,17 +219,21 @@ def test_photon_subtracted_squeezed_rejects_unusable_r(r):
             photon_subtracted_squeezed(r, 20)
 
 
-def test_squeezed_coherent_mass_matches_long_sum():
+def test_gaussian_mass_matches_long_sum():
     rng = np.random.default_rng(11)
-    draws = [(0j, 0.0, 0.0), (0j, DEFAULT_R_MAX, 1.0), (2.0 + 1.0j, 0.0, 0.0)]
+    draws = [(0j, 0.0, 0.0), (0j, DEFAULT_R_MAX, 1.0), (2.0 + 1.0j, 0.0, 0.0), (0j, math.atanh(0.999), 2.0)]
     draws += [
         (complex(*rng.normal(0.0, 1.5, size=2)), rng.uniform(0.0, DEFAULT_R_MAX), rng.uniform(0, 7))
         for _ in range(200)
     ]
+    # |t| up to 0.999: squeezing beyond DEFAULT_R_MAX, which the fit reaches
+    draws += _chart_draws()[:40]
     for alpha, r, phi in draws:
-        total = float(np.sum(np.abs(squeezed_coherent_amps(alpha, r, phi, 1500)) ** 2))
-        assert squeezed_coherent_mass(alpha, r, phi) == pytest.approx(total, rel=1e-12)
-    assert squeezed_coherent_mass(1e3, 0.0, 0.0) == math.inf
+        b, t = to_chart(GaussianPureParams(alpha, r, phi))
+        # |c_n|^2 decays like |t|^n n^(-1/2): 40,000 levels leave < 1e-16 at |t| = 0.999
+        total = float(np.sum(np.abs(gaussian_amps(b, t, 1500 if r <= DEFAULT_R_MAX else 40000)) ** 2))
+        assert gaussian_mass(b, t, math.cosh(r) ** 2) == pytest.approx(total, rel=1e-12), (alpha, r, phi)
+    assert gaussian_mass(1e3, 0.0, 1.0) == math.inf
 
 
 def test_thermal_distribution():

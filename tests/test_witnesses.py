@@ -13,9 +13,9 @@ from cvactivation.states import (
     cat,
     coherent,
     fock,
+    gaussian_amps,
+    gaussian_mass,
     gaussian_pure,
-    squeezed_coherent_amps,
-    squeezed_coherent_mass,
     thermal,
 )
 from cvactivation.channels import apply_unitary, pure_loss, phase_rotation
@@ -41,6 +41,7 @@ from conftest import (
     long_expansion_objective,
     random_density,
     scipy_nelder_mead,
+    unpack_chart,
     wigner_at,
 )
 
@@ -248,21 +249,35 @@ def test_gaussian_fit_config_keeps_valid_values():
     assert GaussianFitConfig(seeds=[5, 6]).seeds == (5, 6)
 
 
+def _chart_point(alpha, r, phi):
+    """The fit's parameters (Re b, Im b, Re w, Im w) of D(alpha) S(r e^{i phi})|0>:
+    w = e^{i phi} sinh r and b = alpha + e^{i phi} tanh r conj(alpha)."""
+    alpha, rot = complex(alpha), complex(np.exp(1j * phi))
+    b = alpha + rot * math.tanh(r) * alpha.conjugate()
+    w = rot * math.sinh(r)
+    return [b.real, b.imag, w.real, w.imag]
+
+
 def _objective_draws(dim):
     """A random state on the lowest third of the levels (the rest zeros) and
-    1,400 candidates (Re alpha, Im alpha, r, phi) for the objective tests."""
+    1,400 candidates for the objective tests, drawn as (alpha, r, phi) and
+    mapped to the fit's chart."""
     rng = np.random.default_rng(dim)
     amps = rng.normal(size=dim // 3) + 1j * rng.normal(size=dim // 3)
     random_psi = PureState(np.pad(amps / np.linalg.norm(amps), (0, dim - dim // 3)))
     draws = [
-        [rng.normal(0.0, 1.5), rng.normal(0.0, 1.5), rng.uniform(-2.5, 2.5), rng.uniform(-9, 9)]
+        _chart_point(complex(rng.normal(0.0, 1.5), rng.normal(0.0, 1.5)), abs(rng.uniform(-2.5, 2.5)), rng.uniform(-9, 9))
         for _ in range(1200)
     ]
-    draws += [[rng.normal(0.0, 1.0), rng.normal(0.0, 1.0), DEFAULT_R_MAX, rng.uniform(0, 7)] for _ in range(100)]
+    # squeezing beyond DEFAULT_R_MAX, up to |t| = tanh 3 = 0.995
+    draws += [
+        _chart_point(complex(rng.normal(0.0, 1.0), rng.normal(0.0, 1.0)), rng.uniform(DEFAULT_R_MAX, 3.0), rng.uniform(0, 7))
+        for _ in range(100)
+    ]
     # |alpha|^2 between d/4 and d: much of G lies above the cutoff
     for _ in range(100):
         alpha = rng.uniform(0.5, 1.0) * math.sqrt(dim) * np.exp(1j * rng.uniform(0, 2 * math.pi))
-        draws.append([alpha.real, alpha.imag, rng.uniform(0.0, 1.0), rng.uniform(0, 7)])
+        draws.append(_chart_point(alpha, rng.uniform(0.0, 1.0), rng.uniform(0, 7)))
     return random_psi, draws
 
 
@@ -276,9 +291,8 @@ def test_fit_objective_matches_long_expansion_oracle(dim):
 
     def leak(x):
         """Share of G's mass above the cutoff."""
-        alpha, r, phi = complex(x[0], x[1]), min(abs(x[2]), DEFAULT_R_MAX), x[3] % (2.0 * math.pi)
-        head = squeezed_coherent_amps(alpha, r, phi, dim)
-        return 1.0 - float(np.sum(np.abs(head) ** 2)) / squeezed_coherent_mass(alpha, r, phi)
+        b, t, mu2 = unpack_chart(x)
+        return 1.0 - float(np.sum(np.abs(gaussian_amps(b, t, dim)) ** 2)) / gaussian_mass(b, t, mu2)
 
     # a candidate with much of its mass above the cutoff still scores its
     # fidelity: |<1|G>|^2 = |c_1|^2 / mass > 0 for alpha != 0
@@ -301,10 +315,10 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
     # Re alpha >= 30 with little squeezing: the closed-form mass overflows
     rng = np.random.default_rng(dim + 1)
     plateau = [
-        [rng.uniform(30.0, 40.0), rng.normal(0.0, 1.0), rng.uniform(-0.1, 0.1), rng.uniform(0, 7)]
+        _chart_point(complex(rng.uniform(30.0, 40.0), rng.normal(0.0, 1.0)), abs(rng.uniform(-0.1, 0.1)), rng.uniform(0, 7))
         for _ in range(50)
     ]
-    assert all(squeezed_coherent_mass(complex(x[0], x[1]), abs(x[2]), x[3]) == math.inf for x in plateau)
+    assert all(gaussian_mass(*unpack_chart(x)) == math.inf for x in plateau)
     targets = [fock(n, dim) for n in range(4)]  # |0> runs the two-root minimum
     targets += [_top_eigenvector(pure_loss(0.8, dim).apply(fock(2, dim).to_density())), random_psi]
     if dim == 40:
@@ -320,27 +334,26 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
 
 
 # fits scored by the exact fidelity with the untruncated Gaussian; the spread
-# and count leave out starts that never left the overflow plateau and starts
-# that ended beyond the r clamp
+# and count leave out starts that never left the overflow plateau
 _FOCK1_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.47788941237673843, "
-    "argmax=GaussianPureParams(alpha=(0.7651291297277738-0.28503346345874336j), "
-    "r=0.5493061445628468, phi=5.569978671360402), "
-    "multistart_spread=0.11000997120530442, n_converged=13)"
+    "GaussianFidelityResult(max_fidelity=0.47788941237673827, "
+    "argmax=GaussianPureParams(alpha=(0.7495672668567702-0.3237523443356416j), "
+    "r=0.5493061527131547, phi=5.46775234288212), "
+    "multistart_spread=3.3306690738754696e-16, n_converged=16)"
 )
 _FOCK2_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.38131937955276457, "
-    "argmax=GaussianPureParams(alpha=(1.213894927465053+0.16266257856801147j), "
-    "r=0.6584789447067296, phi=0.2664140041533644), "
-    "multistart_spread=0.18886928982288928, n_converged=16)"
+    "GaussianFidelityResult(max_fidelity=0.3813193795527642, "
+    "argmax=GaussianPureParams(alpha=(0.07163870167649028-1.22264791125513j), "
+    "r=0.6584789529903708, phi=3.2586449637823027), "
+    "multistart_spread=0.18886928982288892, n_converged=16)"
 )
 # the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3 of its mass
 # above the cutoff
 _EVEN_CAT_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.5876963325748955, "
-    "argmax=GaussianPureParams(alpha=(7.646189217678068e-09+1.7692247857870412e-09j), "
-    "r=1.3882361425057779, phi=3.1415926543238823), "
-    "multistart_spread=0.5510768277441274, n_converged=13)"
+    "GaussianFidelityResult(max_fidelity=0.5876963325748954, "
+    "argmax=GaussianPureParams(alpha=(-2.6459309732218083e-08+7.836200756287305e-10j), "
+    "r=1.3882361348400127, phi=3.14159265421234), "
+    "multistart_spread=0.08752008887234719, n_converged=13)"
 )
 
 
@@ -359,38 +372,37 @@ def test_gaussian_fidelity_pinned(make, expected):
     assert repr(gaussian_fidelity(make())) == expected
 
 
-def test_a_start_that_ends_beyond_the_r_clamp_is_not_counted():
-    # the objective is flat in r beyond DEFAULT_R_MAX, so a simplex can drift
-    # out along r and stop there: for |1>, informed starts 3 and 4 end at
-    # r = -16.2 and -92.1 with fidelity 0.192, far below the optimum 0.478
-    psi = fock(1, 30)
-    cfg = GaussianFitConfig()
-    objective = _fit_objective(psi)
-    runs = [_nelder_mead(objective, x0, cfg.maxiter) for x0 in _informed_starts(psi, cfg)]
-    clamped = [i for i, (x, _, _, _) in enumerate(runs) if abs(x[2]) > DEFAULT_R_MAX]
-    assert clamped == [3, 4]
-    for i in clamped:
-        x, fun, converged, _ = runs[i]
-        assert converged and -fun == pytest.approx(0.192049, abs=1e-6)
-    counted = [-fun for x, fun, converged, _ in runs if converged and abs(x[2]) <= DEFAULT_R_MAX]
-    res = gaussian_fidelity(psi)
-    assert res.n_converged == len(counted) == 13
-    assert res.multistart_spread == max(counted) - min(counted)
+def test_every_start_of_a_photon_converges():
+    # in the chart no start can drift out along a flat r direction: all 16
+    # starts of |1> converge, to one optimum
+    res = gaussian_fidelity(fock(1, 30))
+    assert res.n_converged == 16
+    assert res.multistart_spread <= 1e-15
+
+
+def test_gaussian_fidelity_matches_closed_forms():
+    # with b, t real: F(|1>) = b^2 sqrt(1 - t^2) e^(-b^2/(1 + t)), largest at
+    # b^2 = 3/2, t = 1/2; F(|2>) is largest at b^2 = 2 + sqrt 3, t = 1/sqrt 3
+    lam1 = 3.0 * math.sqrt(3.0) / (4.0 * math.e)
+    lam2 = 2.0 * (1.0 + 1.0 / math.sqrt(3.0)) ** 2 * math.sqrt(2.0 / 3.0) * math.exp(-(3.0 + math.sqrt(3.0)) / 2.0)
+    assert abs(gaussian_fidelity(fock(1, 30)).max_fidelity - lam1) <= 1e-12
+    assert abs(gaussian_fidelity(fock(2, 30)).max_fidelity - lam2) <= 1e-12
+    assert gaussian_fidelity(cat(2.0, 1, 40)).max_fidelity >= 0.5876963325
 
 
 def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
     tables = []
-    steps = witnesses._squeezed_coherent_steps
+    amps = witnesses.gaussian_amps
 
-    def recorded(alpha, r, phi, roots):
-        tables.append(len(roots))
-        return steps(alpha, r, phi, roots)
+    def recorded(b, t, levels):
+        tables.append(levels)
+        return amps(b, t, levels)
 
-    monkeypatch.setattr(witnesses, "_squeezed_coherent_steps", recorded)
-    for n, roots, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
+    monkeypatch.setattr(witnesses, "gaussian_amps", recorded)
+    for n, levels, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
         tables.clear()
         assert repr(gaussian_fidelity(fock(n, 30))) == expected
-        assert len(tables) > 1000 and set(tables) == {roots}
+        assert len(tables) > 1000 and set(tables) == {levels}
 
 
 def _same_run(objective, x0, maxiter):
@@ -472,8 +484,10 @@ def test_nelder_mead_bit_identical_to_scipy_from_drawn_starts(x0):
 def test_nelder_mead_bit_identical_to_scipy_on_ties(monkeypatch, x0):
     # values rounded to 0.01 tie in the middle of a run, between vertices
     # that still differ, not only on a plateau where every value is equal:
-    # those rankings must be np.argsort's own order
+    # those rankings must be np.argsort's own order.  x0 is (alpha, r, phi),
+    # mapped to the fit's chart
     fit = _fit_objective(fock(1, 20))
+    x0 = _chart_point(complex(x0[0], x0[1]), x0[2], x0[3])
 
     def objective(x):
         return round(fit(x), 2)
@@ -488,9 +502,9 @@ def test_nelder_mead_bit_identical_to_scipy_on_ties(monkeypatch, x0):
 
 
 # evaluations per distinct start of the fits of |1> and |2> at cutoff 30, in
-# start order (the first two starts coincide, <a> = 0): 5,717 and 6,453 in all
-_FOCK1_NFEV = [451, 694, 359, 371, 397, 394, 319, 402, 468, 282, 301, 328, 324, 266, 361]
-_FOCK2_NFEV = [459, 420, 481, 545, 413, 540, 314, 345, 370, 445, 508, 292, 319, 595, 407]
+# start order (the first two starts coincide, <a> = 0): 5,902 and 5,424 in all
+_FOCK1_NFEV = [576, 499, 515, 509, 345, 431, 353, 389, 452, 297, 307, 320, 303, 278, 328]
+_FOCK2_NFEV = [440, 366, 403, 359, 383, 533, 340, 303, 379, 301, 346, 277, 289, 360, 345]
 
 
 @pytest.mark.parametrize("n, expected", [(1, _FOCK1_NFEV), (2, _FOCK2_NFEV)], ids=["fock1", "fock2"])
@@ -513,14 +527,14 @@ def test_gaussian_fit_evaluation_counts_pinned(n, expected):
         [0.0, 0.0, math.nan, 0.0],
         [0.0, 0.0, 0.0, math.nan],
         [0.0, 0.0, 0.0, math.inf],
+        [0.0, 0.0, -math.inf, 0.0],
     ],
 )
 def test_fit_objective_refuses_non_finite_parameters(x, make):
-    # as GaussianPureParams does; an infinite r is clamped, so it is no error
+    # as GaussianPureParams does, for b and for w alike
     objective = _fit_objective(fock(1, 12))
     with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="must be finite"):
         objective(make(x))
-    assert objective([0.3, 0.0, math.inf, 0.0]) == objective([0.3, 0.0, DEFAULT_R_MAX, 0.0])
 
 
 def test_a_repeated_start_runs_once(monkeypatch):
@@ -535,7 +549,7 @@ def test_a_repeated_start_runs_once(monkeypatch):
         return run(objective, x0, maxiter)
 
     monkeypatch.setattr(witnesses, "_nelder_mead", counted)
-    # both starts are still counted: n_converged stays 13
+    # both starts are still counted: n_converged stays 16
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
     assert len(ran) == len(starts) - 1
