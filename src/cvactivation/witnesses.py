@@ -37,9 +37,18 @@ from .states import GaussianPureParams, from_chart, gaussian_amps, gaussian_mass
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
-# _nelder_mead stops once the simplex spans at most these in value and in parameters.
-FIT_FATOL = 1e-12
-FIT_XATOL = 1e-8
+# the Gaussian fit's lockstep Newton: a start is stationary once
+# |grad(-log F)| <= _FIT_GRAD_TOL or once its trust radius, _FIT_RADIUS at
+# the start, has collapsed below _FIT_MIN_RADIUS; a step is accepted when it
+# realises more than _FIT_ACCEPT of its predicted decrease; a start at F = 0
+# first moves a zero Re b to _FIT_NUDGE, the first step of a simplex from zero
+_FIT_GRAD_TOL = 1e-10
+_FIT_MIN_RADIUS = 1e-9
+_FIT_RADIUS = 1.0
+_FIT_ACCEPT = 0.15
+_FIT_NUDGE = 0.00025
+# at most this many Newton steps on the shift sigma of a boundary step
+_SECULAR_STEPS = 30
 
 
 class FreeSet(str, Enum):
@@ -219,7 +228,9 @@ def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
 
 @dataclass(frozen=True)
 class GaussianFitConfig:
-    """Multistart Nelder-Mead settings for the Gaussian-fidelity search."""
+    """Settings of the Gaussian-fidelity search: ``n_starts`` starts from
+    :func:`_informed_starts` (their seeded draws from ``seeds``), run in
+    lockstep by a trust-region Newton for at most ``maxiter`` steps."""
 
     n_starts: int = 16
     seeds: tuple[int, ...] = (0, 1, 2, 3)
@@ -235,12 +246,15 @@ class GaussianFitConfig:
 
 @dataclass(frozen=True)
 class GaussianFidelityResult:
-    """Best found fidelity sup |<psi|D(a)S(r e^{i phi})|0>|^2 with provenance."""
+    """Best found fidelity sup |<psi|D(a)S(r e^{i phi})|0>|^2 with provenance:
+    the spread and count of the converged starts, and the number of lockstep
+    Newton steps run."""
 
     max_fidelity: float
     argmax: GaussianPureParams
     multistart_spread: float
     n_converged: int
+    steps: int
 
     def __post_init__(self):
         if not 0.0 <= self.max_fidelity <= 1.0 + 1e-12:
@@ -257,6 +271,7 @@ class GaussianFidelityResult:
             },
             "multistart_spread": self.multistart_spread,
             "n_converged": self.n_converged,
+            "steps": self.steps,
         }
 
 
@@ -345,89 +360,173 @@ def _fit_objective(psi: PureState):
     return objective
 
 
-def _nelder_mead(objective, x0: np.ndarray, maxiter: int) -> tuple[np.ndarray, float, bool, int]:
-    """Minimise ``objective`` from ``x0`` by the simplex method of Nelder and
-    Mead (Comput. J. 7, 308 (1965)).
+def _fit_jet(psi: PureState):
+    """Value, gradient and Hessian of -log F over (Re b, Im b, Re w, Im w), F
+    the fidelity :func:`_fit_objective` scores, at a stack of chart points.
 
-    The non-adaptive, unbounded method with no limit on evaluations.  It does
-    the arithmetic of the reference implementation the tests hold as its
-    oracle, in the same order, so its results are bit-identical to that
-    one's for a float64 start.  The simplex is kept as Python lists of
-    floats, and each point is passed to ``objective`` as a fresh list.  The
-    centroid adds the vertices row by row, as numpy's reduction over the
-    simplex's rows does (``sum`` would not: its leading 0 turns a -0.0 into
-    0.0).  The ranking is np.argsort's.  Python's ``sorted`` gives the same
-    order when the values are distinct; on a tie (the overflow plateau,
-    where every value is 0, or -0.0 against 0.0) or a NaN the ranking is
-    np.argsort itself, whose SIMD sort is not stable and so orders equal
-    values its own way.
+    One table of the Gaussian's amplitudes c_m (:func:`~cvactivation.states.gaussian_amps`),
+    m up to psi's top occupied level, gives the overlap A = sum_n conj(psi_n) c_n
+    and all its derivatives in b and t: c_n is holomorphic in both, with
+    dc_n/db = sqrt(n) c_{n-1} and dc_n/dt = -sqrt(n (n-1)) c_{n-2} / 2, so each
+    derivative up to the second is a shifted sum
+    D_k = sum_m conj(psi_{m+k}) sqrt((m+k)! / m!) c_m, k = 0 .. 4.  The log mass
+    is closed-form, log M = log(mu^2) / 2 + mu^2 |b|^2 - mu Re(conj(w) b^2) with
+    mu^2 = 1 + |w|^2 (:func:`~cvactivation.states.gaussian_mass`), and
+    t = w / mu is chained in by its first and second derivatives in w.
 
-    Reflection 1, expansion 2, contraction and shrink 1/2; the first simplex
-    steps 5 % along each coordinate (0.00025 from zero).  It stops once the
-    simplex spans at most ``FIT_XATOL`` in every parameter and ``FIT_FATOL``
-    in value.  Returns the best vertex, its value, whether the run stopped
-    before ``maxiter`` iterations, and the number of evaluations.
+    Returns -log F = log M - log |A|^2 (k,), its gradients (k, 4) and Hessians
+    (k, 4, 4) for points (k, 4); the value is +inf where A = 0.
     """
-    nfev = 0
+    amps = psi.amplitudes
+    levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
+    shifts = np.zeros((5, levels), dtype=complex)
+    rise = np.ones(levels)  # sqrt((m+k)! / m!)
+    for k in range(5):
+        kept = max(levels - k, 0)
+        shifts[k, :kept] = amps[k:levels].conj() * rise[:kept]
+        rise = rise * np.sqrt(np.arange(k + 1, levels + k + 1))
+    unit = np.array([1.0, 1j])
+    eye = np.eye(2)
 
-    def f(x: list[float]) -> float:
-        nonlocal nfev
-        nfev += 1
-        return float(objective(x))
+    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # A = 0 gives +inf and NaNs
+    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        b_v, w_v = x[:, :2], x[:, 2:]
+        b_re, b_im, w_re, w_im = x.T
+        b, w = b_re + 1j * b_im, w_re + 1j * w_im
+        mu2 = 1.0 + (w_re * w_re + w_im * w_im)
+        mu = np.sqrt(mu2)
+        mu3 = mu * mu2
+        d = gaussian_amps(b, w / mu, levels) @ shifts.T
+        # first and second derivatives of log A in (b, t)
+        q = d[:, 1:] / d[:, :1]
+        g_b, g_t = q[:, 0], -0.5 * q[:, 1]
+        g_bb, g_bt, g_tt = q[:, 1] - g_b * g_b, -0.5 * q[:, 2] - g_b * g_t, 0.25 * q[:, 3] - g_t * g_t
+        log_overlap = 2.0 * np.log(np.abs(d[:, 0]))
+        # b moves with (Re b, Im b) along e = (1, i); t = w / mu with
+        # dt/dw_j = e_j / mu - w w_j / mu^3 and
+        # d2t/dw_j dw_k = -(e_j w_k + e_k w_j + w delta_jk) / mu^3 + 3 w w_j w_k / mu^5
+        dt = unit / mu[:, None] - (w / mu3)[:, None] * w_v
+        ww = w_v[:, :, None] * w_v[:, None, :]
+        cross = unit[:, None] * w_v[:, None, :]
+        d2t = (3.0 * w / (mu3 * mu2))[:, None, None] * ww - (
+            cross + cross.transpose(0, 2, 1) + w[:, None, None] * eye
+        ) / mu3[:, None, None]
 
-    def ranked(sim: list[list[float]], fsim: list[float]) -> tuple[list[list[float]], list[float]]:
-        order = sorted(range(len(fsim)), key=fsim.__getitem__)
-        values = [fsim[i] for i in order]
-        if not all(map(operator.lt, values, values[1:])):  # a tie or a NaN
-            order = np.argsort(fsim).tolist()
-            values = [fsim[i] for i in order]
-        return [sim[i] for i in order], values
+        # log M = log(mu^2) / 2 + mu^2 |b|^2 - mu p with p = Re(conj(w) b^2);
+        # b2 = (Re b^2, Im b^2) = dp/dw and p_b = dp/db
+        b2 = np.column_stack([b_re * b_re - b_im * b_im, 2.0 * b_re * b_im])
+        bb = b_re * b_re + b_im * b_im
+        p = w_re * b2[:, 0] + w_im * b2[:, 1]
+        p_b = 2.0 * np.column_stack([w_re * b_re + w_im * b_im, w_im * b_re - w_re * b_im])
+        along_w = 1.0 / mu2 + 2.0 * bb - p / mu
+        value = 0.5 * np.log1p(w_re * w_re + w_im * w_im) + mu2 * bb - mu * p - log_overlap
 
-    start = np.asarray(x0, dtype=float).tolist()
-    n = len(start)
-    sim = [start]
-    for k in range(n):
-        y = list(start)
-        y[k] = 1.05 * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-    fsim = [f(vertex) for vertex in sim]
-    sim, fsim = ranked(*ranked(sim, fsim))  # twice, as the reference does: ties may move
-    iterations = 1
-    while iterations < maxiter and not (
-        all(abs(v - w) <= FIT_XATOL for vertex in sim[1:] for v, w in zip(vertex, sim[0]))
-        and all(abs(fsim[0] - fv) <= FIT_FATOL for fv in fsim[1:])
-    ):
-        total = sim[0]
-        for vertex in sim[1:-1]:
-            total = [t + v for t, v in zip(total, vertex)]
-        xbar = [t / n for t in total]
-        worst = sim[-1]
-        xr = [2 * c - w for c, w in zip(xbar, worst)]
-        fxr = f(xr)
-        if fxr < fsim[0]:
-            xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-            fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc <= fxr
-            else:  # inside contraction
-                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                fxc = f(xc)
-                accept = fxc < fsim[-1]
-            if accept:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(sim[0], sim[j])]
-                    fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = ranked(sim, fsim)
-    return np.array(sim[0]), np.min(fsim), iterations < maxiter, nfev
+        # each block: the log mass's, less twice Re log A's
+        grad = np.empty((len(x), 4))
+        grad[:, :2] = 2.0 * mu2[:, None] * b_v - mu[:, None] * p_b - 2.0 * (g_b[:, None] * unit).real
+        grad[:, 2:] = along_w[:, None] * w_v - mu[:, None] * b2 - 2.0 * (g_t[:, None] * dt).real
+        hess = np.empty((len(x), 4, 4))
+        # b-b: 2 mu^2 I - 2 Re(z e_a e_c) with z = mu conj(w) + g_bb, and
+        # Re(z e_a e_c) = [[Re z, -Im z], [-Im z, -Re z]]
+        z = mu * w.conjugate() + g_bb
+        hess[:, 0, 0], hess[:, 1, 1] = 2.0 * (mu2 - z.real), 2.0 * (mu2 + z.real)
+        hess[:, 0, 1] = hess[:, 1, 0] = 2.0 * z.imag
+        # b-w: the w_j-derivative of the log mass's b-gradient, less 2 Re(g_bt e_a dt_j)
+        hess[:, :2, 2:] = (
+            4.0 * b_v[:, :, None] * w_v[:, None, :]
+            - p_b[:, :, None] * (w_v / mu[:, None])[:, None, :]
+            - 2.0 * mu[:, None, None] * np.stack([b_v, np.column_stack([-b_im, b_re])], 1)
+            - 2.0 * (g_bt[:, None, None] * unit[:, None] * dt[:, None, :]).real
+        )
+        hess[:, 2:, :2] = hess[:, :2, 2:].transpose(0, 2, 1)
+        hess[:, 2:, 2:] = (
+            along_w[:, None, None] * eye
+            + (p / mu3 - 2.0 / (mu2 * mu2))[:, None, None] * ww
+            - (w_v[:, :, None] * b2[:, None, :] + b2[:, :, None] * w_v[:, None, :]) / mu[:, None, None]
+            - 2.0 * (g_tt[:, None, None] * dt[:, :, None] * dt[:, None, :] + g_t[:, None, None] * d2t).real
+        )
+        return value, grad, hess
+
+    return jet
+
+
+def _trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.ndarray:
+    """Minimisers of the model g.p + p.H.p / 2 over |p| <= radius, one per row;
+    shapes (k, 4), (k, 4, 4), (k,), every g nonzero.
+
+    From each H's eigensystem (Nocedal and Wright, Numerical Optimization,
+    section 4.3): the Newton step where H is positive definite and the step
+    fits inside the radius; else p = -(H + sigma I)^-1 g on the boundary,
+    with sigma > max(0, -lambda_min) found by Newton's method on
+    1 / |p(sigma)|.  Where even the least shift leaves p inside (g has no
+    part along the lowest eigenvector), that p is the step.  A plain Cauchy
+    step would not do: psi's symmetries make H singular along whole orbits
+    (every rotation of a Gaussian fits a Fock state equally), and descent
+    along -g alone then converges only linearly.
+    """
+    vals, vecs = np.linalg.eigh(hess)
+    coef = -np.einsum("kji,kj->ki", vecs, grad)  # the step is vecs @ (coef / (vals + sigma))
+    lowest = vals[:, 0]
+    sigma = np.where(lowest > 0.0, 0.0, 1e-12 * (1.0 + np.abs(vals).max(1)) - lowest)
+    for _ in range(_SECULAR_STEPS):
+        shifted = coef / (vals + sigma[:, None])
+        length = np.linalg.norm(shifted, axis=1)
+        outside = length > radius * (1.0 + 1e-3)
+        if not outside.any():
+            break
+        slope = np.sum(shifted * shifted / (vals + sigma[:, None]), axis=1)
+        sigma = np.where(outside, sigma + length * length / slope * (length - radius) / radius, sigma)
+    step = np.einsum("kij,kj->ki", vecs, coef / (vals + sigma[:, None]))
+    return step * np.minimum(1.0, radius / np.linalg.norm(step, axis=1))[:, None]
+
+
+def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """Trust-region Newton descent of -log F from every start at once, with
+    the radius rule of Nocedal and Wright's Algorithm 4.1.
+
+    One ``jet`` call per step evaluates the trial points of all starts not
+    yet stationary.  A step is accepted only if it realises more than
+    ``_FIT_ACCEPT`` of the decrease its model predicts, so only if it raises
+    F.  A step that realises less than a quarter shrinks the radius to a
+    quarter of its length; one on the boundary that realises more than three
+    quarters doubles it.  A start at which F = 0
+    (A = 0, as at b = 0 for an odd psi) first moves a zero Re b to
+    ``_FIT_NUDGE``; one whose value or derivatives are not finite is
+    dropped.  Returns the final points, a per-start stationarity flag and
+    the number of steps run, at most ``maxiter``.
+    """
+    x = np.array(starts, dtype=float)
+    f, grad, hess = jet(x)
+    flat = f == np.inf
+    if flat.any():
+        x[flat, 0] = np.where(x[flat, 0] == 0.0, _FIT_NUDGE, x[flat, 0])
+        f[flat], grad[flat], hess[flat] = jet(x[flat])
+    radii = np.full(len(x), _FIT_RADIUS)
+
+    def status() -> tuple[np.ndarray, np.ndarray]:
+        """(stationary, live) per start."""
+        finite = np.isfinite(f) & np.isfinite(grad).all(1) & np.isfinite(hess).all((1, 2))
+        done = (np.linalg.norm(grad, axis=1) <= _FIT_GRAD_TOL) | (radii < _FIT_MIN_RADIUS)
+        return finite & done, finite & ~done
+
+    steps = 0
+    while steps < maxiter:
+        live = np.flatnonzero(status()[1])
+        if live.size == 0:
+            break
+        steps += 1
+        step = _trust_steps(grad[live], hess[live], radii[live])
+        trial = x[live] + step
+        f_t, grad_t, hess_t = jet(trial)
+        predicted = -np.einsum("ki,ki->k", step, grad[live] + 0.5 * np.einsum("kij,kj->ki", hess[live], step))
+        realised = (f[live] - f_t) / predicted  # NaN or -inf where the trial is not finite
+        length = np.linalg.norm(step, axis=1)
+        boundary = (realised > 0.75) & (length >= 0.99 * radii[live])
+        radii[live] = np.where(realised >= 0.25, np.where(boundary, 2.0, 1.0) * radii[live], length / 4.0)
+        better = realised > _FIT_ACCEPT
+        moved = live[better]
+        x[moved], f[moved], grad[moved], hess[moved] = trial[better], f_t[better], grad_t[better], hess_t[better]
+    return x, status()[0], steps
 
 
 def gaussian_fidelity(
@@ -437,19 +536,20 @@ def gaussian_fidelity(
 
     Pure candidates suffice: the fidelity is linear in the Gaussian state
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
-    multistart :func:`_nelder_mead` in the chart (Re b, Im b, Re w, Im w)
-    of :func:`_fit_objective`, where every pure Gaussian is a point; the
-    spread between converged starts is reported so optimizer traps are
-    visible.  A start counts as converged only at a fidelity above 0: a run
-    that never left the overflow plateau, where every candidate's mass
-    overflows and scores 0, found nothing.  A start whose bytes repeat an
-    earlier one's (the first two, whenever <a> = 0) reuses that run and is
-    counted again.
+    multistart in the chart (Re b, Im b, Re w, Im w) of :func:`_fit_objective`,
+    where every pure Gaussian is a point: all starts run at once, as one
+    trust-region Newton descent of -log F (:func:`_lockstep_newton`) on the
+    exact value, gradient and Hessian of :func:`_fit_jet`, one batched jet
+    per step.  The spread between converged starts is reported so optimizer
+    traps are visible.  A start counts as converged once it is stationary
+    within ``cfg.maxiter`` steps at a fidelity above 0.  A start whose bytes
+    repeat an earlier one's (the first two, whenever <a> = 0) runs once and
+    is counted again.
 
-    Each candidate is scored by its exact fidelity with the untruncated
-    Gaussian (:func:`_fit_objective`): one amplitude recurrence to psi's
-    top occupied level, padded with zeros to the cutoff d, divided by the
-    closed-form total mass of the amplitudes
+    Each start's end point is scored by its exact fidelity with the
+    untruncated Gaussian (:func:`_fit_objective`): one amplitude recurrence
+    to psi's top occupied level, padded with zeros to the cutoff d, divided
+    by the closed-form total mass of the amplitudes
     (:func:`~cvactivation.states.gaussian_mass`).  No tail tolerance
     rejects a candidate.  The best point is converted back to
     (alpha, r, phi) once (:func:`~cvactivation.states.from_chart`).  Its r
@@ -464,14 +564,14 @@ def gaussian_fidelity(
             "optimizing the Gaussian fidelity"
         )
     objective = _fit_objective(psi)
+    starts = _informed_starts(psi, cfg)
+    runs = {start.tobytes(): start for start in starts}  # a repeated start runs once
+    points, stationary, steps = _lockstep_newton(_fit_jet(psi), np.array(list(runs.values())), cfg.maxiter)
+    scores = {key: (-objective(x.tolist()), done, x) for key, x, done in zip(runs, points, stationary)}
     best: tuple[float, np.ndarray] | None = None
     converged_vals = []
-    runs = {}  # start bytes -> run: a repeated start reruns nothing
-    for start in _informed_starts(psi, cfg):
-        if start.tobytes() not in runs:
-            runs[start.tobytes()] = _nelder_mead(objective, start, cfg.maxiter)
-        x, fun, converged, _ = runs[start.tobytes()]
-        fid = -float(fun)
+    for start in starts:
+        fid, converged, x = scores[start.tobytes()]
         if converged and fid > 0.0:
             converged_vals.append(fid)
         if best is None or fid > best[0]:
@@ -485,4 +585,5 @@ def gaussian_fidelity(
         argmax=from_chart(complex(x[0], x[1]), t),
         multistart_spread=spread,
         n_converged=len(converged_vals),
+        steps=steps,
     )

@@ -19,7 +19,7 @@ from cvactivation.fock import (
     parity_op,
 )
 from cvactivation.states import gaussian_amps, gaussian_mass, hermite_functions
-from cvactivation.witnesses import FIT_FATOL, FIT_XATOL, check_box
+from cvactivation.witnesses import check_box
 
 
 @pytest.fixture
@@ -270,23 +270,6 @@ def full_cutoff_objective(psi):
         return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
 
     return objective
-
-
-def scipy_nelder_mead(objective, x0, maxiter: int):
-    """Oracle: scipy's Nelder-Mead with the Gaussian fit's tolerances.
-
-    Returns (x, fun, success, nfev), the tuple ``witnesses._nelder_mead``
-    returns.
-    """
-    from scipy.optimize import minimize
-
-    res = minimize(
-        objective,
-        x0=x0,
-        method="Nelder-Mead",
-        options={"maxiter": maxiter, "fatol": FIT_FATOL, "xatol": FIT_XATOL},
-    )
-    return res.x, res.fun, res.success, res.nfev
 
 
 def kraus_loss(eta: float, dim: int) -> KrausChannel:

@@ -126,6 +126,8 @@ def test_pure_bounds_command(tmp_path):
     assert res["gng_lower"] == pytest.approx(0.0, abs=1e-6)
     assert res["sng_lower"] == pytest.approx(0.0, abs=1e-6)
     assert res["activated_steering_floor_sng"] == res["sng_lower"]
+    # the fit reports its lockstep Newton steps, at most the default maxiter
+    assert 0 < res["gaussian_fit"]["steps"] <= GaussianFitConfig().maxiter
 
 
 def test_activate_command(tmp_path):

@@ -55,13 +55,12 @@ def test_no_scipy_under_src():
 
 
 def test_scipy_optimize_only_in_the_gaussian_fit():
-    # the Gaussian fit's Nelder-Mead is now in-package, so scipy.optimize
-    # appears nowhere and the one optimizer stays in witnesses.py
+    # the Gaussian fit is a lockstep trust-region Newton on exact jets: no
+    # scipy.optimize and no Nelder-Mead, by any spelling, anywhere under src/
     found = [
         where
-        for name, where, line in _lines()
-        if re.search(r"scipy\.optimize|from scipy import .*optimize", line)
-        or ("_nelder_mead" in line and name != "witnesses.py")
+        for _, where, line in _lines()
+        if re.search(r"scipy\.optimize|from scipy import .*optimize", line) or "nelder" in line.lower()
     ]
     assert not found, "\n".join(found)
 
@@ -148,6 +147,9 @@ def test_retired_names_are_gone():
         "squeezed_coherent_mass",
         "squeezed_coherent_amps",
         "_TWO_PI",
+        # the simplex's stopping tolerances, gone with the simplex
+        "FIT_FATOL",
+        "FIT_XATOL",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)

@@ -2,23 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from cvactivation import states, witnesses
+from cvactivation import monotones, states, witnesses
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     DEFAULT_R_MAX,
     GaussianPureParams,
+    GkpParams,
     cat,
     coherent,
     fock,
     gaussian_amps,
     gaussian_mass,
     gaussian_pure,
+    gkp_damped,
+    photon_subtracted_squeezed,
     thermal,
 )
-from cvactivation.channels import apply_unitary, pure_loss, phase_rotation
+from cvactivation.channels import apply_unitary, gaussian_noise, pure_loss, phase_rotation
 from cvactivation.witnesses import (
     DisplacedParity,
     ExplicitWitness,
@@ -30,9 +31,9 @@ from cvactivation.witnesses import (
     check_box,
     gaussian_fidelity,
     witness_value,
+    _fit_jet,
     _fit_objective,
     _informed_starts,
-    _nelder_mead,
 )
 
 from conftest import (
@@ -40,7 +41,6 @@ from conftest import (
     full_cutoff_objective,
     long_expansion_objective,
     random_density,
-    scipy_nelder_mead,
     unpack_chart,
     wigner_at,
 )
@@ -334,26 +334,26 @@ def test_fit_objective_bit_identical_to_full_cutoff_oracle(dim):
 
 
 # fits scored by the exact fidelity with the untruncated Gaussian; the spread
-# and count leave out starts that never left the overflow plateau
+# and count leave out starts that end at F = 0 or are not stationary
 _FOCK1_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.47788941237673827, "
-    "argmax=GaussianPureParams(alpha=(0.7495672668567702-0.3237523443356416j), "
-    "r=0.5493061527131547, phi=5.46775234288212), "
-    "multistart_spread=3.3306690738754696e-16, n_converged=16)"
+    "GaussianFidelityResult(max_fidelity=0.47788941237673815, "
+    "argmax=GaussianPureParams(alpha=(0.8164918441608865+0.002781202153991467j), "
+    "r=0.5493061443340665, phi=0.00681253932274517), "
+    "multistart_spread=3.885780586188048e-16, n_converged=16, steps=32)"
 )
 _FOCK2_FIT = (
     "GaussianFidelityResult(max_fidelity=0.3813193795527642, "
-    "argmax=GaussianPureParams(alpha=(0.07163870167649028-1.22264791125513j), "
-    "r=0.6584789529903708, phi=3.2586449637823027), "
-    "multistart_spread=0.18886928982288892, n_converged=16)"
+    "argmax=GaussianPureParams(alpha=(1.0751632508452622-0.5865355778137213j), "
+    "r=0.6584789484553926, phi=5.284373024985449), "
+    "multistart_spread=0.188869289822889, n_converged=16, steps=49)"
 )
 # the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3 of its mass
 # above the cutoff
 _EVEN_CAT_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.5876963325748954, "
-    "argmax=GaussianPureParams(alpha=(-2.6459309732218083e-08+7.836200756287305e-10j), "
-    "r=1.3882361348400127, phi=3.14159265421234), "
-    "multistart_spread=0.08752008887234719, n_converged=13)"
+    "GaussianFidelityResult(max_fidelity=0.5876963325748955, "
+    "argmax=GaussianPureParams(alpha=0j, "
+    "r=1.38823614036144, phi=3.141592653589793), "
+    "multistart_spread=0.08752008887234763, n_converged=16, steps=11)"
 )
 
 
@@ -385,9 +385,138 @@ def test_gaussian_fidelity_matches_closed_forms():
     # b^2 = 3/2, t = 1/2; F(|2>) is largest at b^2 = 2 + sqrt 3, t = 1/sqrt 3
     lam1 = 3.0 * math.sqrt(3.0) / (4.0 * math.e)
     lam2 = 2.0 * (1.0 + 1.0 / math.sqrt(3.0)) ** 2 * math.sqrt(2.0 / 3.0) * math.exp(-(3.0 + math.sqrt(3.0)) / 2.0)
-    assert abs(gaussian_fidelity(fock(1, 30)).max_fidelity - lam1) <= 1e-12
-    assert abs(gaussian_fidelity(fock(2, 30)).max_fidelity - lam2) <= 1e-12
+    assert abs(gaussian_fidelity(fock(1, 30)).max_fidelity - lam1) <= 1e-15
+    assert abs(gaussian_fidelity(fock(2, 30)).max_fidelity - lam2) <= 1e-15
+    assert abs(gaussian_fidelity(fock(3, 30)).max_fidelity - 0.3325012363627063) <= 1e-14
     assert gaussian_fidelity(cat(2.0, 1, 40)).max_fidelity >= 0.5876963325
+
+
+def test_gaussian_fidelity_of_a_subtracted_squeezed_state_reaches_the_multistart_gaussian():
+    # a Gaussian the multistart Nelder-Mead fit reached has this fidelity with
+    # the truncated a S(0.5)|0>, above the lambda that fit reported
+    assert gaussian_fidelity(photon_subtracted_squeezed(0.5, 40)).max_fidelity >= 0.4778894129298322
+
+
+def test_every_start_of_a_coherent_state_converges():
+    res = gaussian_fidelity(coherent(1.0, 40))
+    assert res.n_converged == 16
+    assert abs(res.max_fidelity - 1.0) <= 1e-15
+
+
+def test_gaussian_fit_steps_are_capped_and_reported():
+    psi = fock(2, 20)
+    capped = gaussian_fidelity(psi, GaussianFitConfig(maxiter=3))
+    assert capped.steps == 3 and capped.n_converged < 16
+    full = gaussian_fidelity(psi)
+    assert 3 < full.steps < GaussianFitConfig().maxiter
+    assert full.to_dict()["steps"] == full.steps
+
+
+# lambda as the multistart Nelder-Mead fit found it at commit
+# 9faa7414ffbeac7c5406152f46d0975c0548acc4, for the pure states of acceptance
+# criterion 08 (|1> at cutoff 40 is also the pure-bounds default) and the top
+# eigenvector of each criterion-09 state that runs a fit; all at cutoff 40
+def _acceptance_09_state(name):
+    one, vac = fock(1, 40).to_density(), fock(0, 40).to_density()
+    return {
+        "loss_0.55": lambda: pure_loss(0.55, 40).apply(one),
+        "loss_0.7": lambda: pure_loss(0.7, 40).apply(one),
+        "loss_0.85": lambda: pure_loss(0.85, 40).apply(one),
+        "even_cat_1.5": lambda: cat(1.5, 1, 40).to_density(),
+        "gkp_0.25": lambda: gkp_damped(GkpParams(epsilon=0.25), 40).to_density(),
+        "gkp_0.4": lambda: gkp_damped(GkpParams(epsilon=0.4), 40).to_density(),
+        "coherent_0.7": lambda: coherent(0.7, 40).to_density(),
+        "vacuum": lambda: vac,
+        "thermal_0.5": lambda: thermal(0.5, 40),
+        "squeezed_0.6": lambda: gaussian_pure(GaussianPureParams(0.0, 0.6, 0.0), 40).to_density(),
+        "photon_vacuum_half": lambda: DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix),
+        "odd_cat_vacuum": lambda: DensityMatrix(0.3 * cat(1.5, -1, 40).to_density().matrix + 0.7 * vac.matrix),
+        "noisy_photon": lambda: gaussian_noise(0.05, 40).apply(one),
+        "fock2": lambda: fock(2, 40).to_density(),
+    }[name]()
+
+
+_FROZEN_LAMBDA = {
+    "fock0": (lambda: fock(0, 40), 1.0),
+    "coherent_1": (lambda: coherent(1.0, 40), 1.0),
+    "fock1": (lambda: fock(1, 40), 0.47788941237673827),
+    "odd_cat_1.5": (lambda: cat(1.5, -1, 40), 0.49652839160718026),
+    "subtracted_0.6": (lambda: photon_subtracted_squeezed(0.6, 40), 0.47788944010820145),
+    **{
+        f"top_{name}": (lambda name=name: monotones._top_eigenvector(_acceptance_09_state(name)), lam)
+        for name, lam in {
+            "loss_0.55": 0.47788941237673827,
+            "loss_0.7": 0.47788941237673827,
+            "loss_0.85": 0.47788941237673827,
+            "even_cat_1.5": 0.7567699879360665,
+            "gkp_0.25": 0.9156375882177424,
+            "gkp_0.4": 0.9834045309024486,
+            "coherent_0.7": 1.0,
+            "vacuum": 1.0,
+            "thermal_0.5": 1.0,
+            "squeezed_0.6": 0.9999999999976641,
+            "photon_vacuum_half": 0.47788941237673827,
+            "odd_cat_vacuum": 1.0,
+            "noisy_photon": 0.47788941237673827,
+            "fock2": 0.3813193795527642,
+        }.items()
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_LAMBDA))
+def test_gaussian_fidelity_never_below_the_frozen_table(name):
+    # a lower lambda would raise the 1 - lambda and 1 - lambda^2 floors
+    # above what the multistart fit certified
+    make, lam = _FROZEN_LAMBDA[name]
+    assert gaussian_fidelity(make()).max_fidelity >= lam - 1e-12
+
+
+def _difference_jet(value, x, h):
+    """Gradient and Hessian of ``value`` at x by central differences of the
+    value alone, Richardson-extrapolated from steps h and h / 2."""
+
+    def at(h):
+        e = h * np.eye(4)
+        grad = [(value(x + e[j]) - value(x - e[j])) / (2.0 * h) for j in range(4)]
+        hess = [
+            [
+                (value(x + e[j] + e[k]) - value(x + e[j] - e[k]) - value(x - e[j] + e[k]) + value(x - e[j] - e[k]))
+                / (4.0 * h * h)
+                for k in range(4)
+            ]
+            for j in range(4)
+        ]
+        return np.array(grad), np.array(hess)
+
+    (g1, h1), (g2, h2) = at(h), at(h / 2.0)
+    return (4.0 * g2 - g1) / 3.0, (4.0 * h2 - h1) / 3.0
+
+
+def test_fit_jet_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+    targets = [fock(1, 20), fock(2, 20), cat(1.5, -1, 40), photon_subtracted_squeezed(0.5, 40)]
+    targets.append(PureState(np.pad(amps / np.linalg.norm(amps), (0, 22))))
+    angle = rng.uniform(0.0, 2.0 * math.pi, 12)
+    points = np.concatenate([
+        rng.normal(0.0, 1.0, (12, 4)),
+        # |w| up to 5, |t| up to 0.98
+        np.c_[rng.normal(0.0, 1.0, (12, 2)), rng.uniform(1.0, 5.0, 12)[:, None] * np.c_[np.cos(angle), np.sin(angle)]],
+        # near b = 0, where the overlap with an odd psi vanishes
+        np.c_[rng.normal(0.0, 1e-2, (12, 2)), rng.normal(0.0, 1.0, (12, 2))],
+    ])
+    for psi in targets:
+        jet = _fit_jet(psi)
+        value, grad, hess = jet(points)
+        objective = _fit_objective(psi)
+        for x, f, g, h in zip(points, value, grad, hess):
+            assert f == pytest.approx(-math.log(-objective(x.tolist())), rel=1e-14)
+            # the step follows the curvature's length scale
+            step = 1e-3 / math.sqrt(max(1.0, np.max(np.abs(h))))
+            g_fd, h_fd = _difference_jet(lambda y: jet(y[None])[0][0], x, step)
+            assert np.max(np.abs(g_fd - g)) <= 1e-6 * np.max(np.abs(g)), (x, g, g_fd)
+            assert np.max(np.abs(h_fd - h)) <= 1e-6 * np.max(np.abs(h)), (x, h, h_fd)
 
 
 def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
@@ -399,122 +528,13 @@ def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
         return amps(b, t, levels)
 
     monkeypatch.setattr(witnesses, "gaussian_amps", recorded)
+    # one table per jet call, for all live starts at once, and one per
+    # distinct start scored
     for n, levels, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
         tables.clear()
-        assert repr(gaussian_fidelity(fock(n, 30))) == expected
-        assert len(tables) > 1000 and set(tables) == {levels}
-
-
-def _same_run(objective, x0, maxiter):
-    """Run _nelder_mead and scipy's Nelder-Mead from x0; assert equal results.
-
-    Values are cached by the bytes of their point, so the second run
-    evaluates only the points the first did not.
-    """
-    values = {}
-
-    def cached(x):
-        key = np.asarray(x, dtype=float).tobytes()
-        if key not in values:
-            values[key] = objective(x)
-        return values[key]
-
-    x, fun, success, nfev = _nelder_mead(cached, x0, maxiter)
-    want_x, want_fun, want_success, want_nfev = scipy_nelder_mead(cached, x0, maxiter)
-    assert (x.tobytes(), fun, success, nfev) == (
-        want_x.tobytes(), want_fun, want_success, want_nfev
-    ), x0
-    return fun, success, nfev
-
-
-_FIT_STATES = {
-    "fock1": lambda d: fock(1, d),
-    "fock2": lambda d: fock(2, d),
-    "lossy_photon": lambda d: _top_eigenvector(pure_loss(0.75, d).apply(fock(1, d).to_density())),
-    "odd_cat": lambda d: cat(1.5, -1, d),
-}
-
-
-@pytest.mark.parametrize("dim", [20, 30])
-@pytest.mark.parametrize("name", sorted(_FIT_STATES))
-def test_nelder_mead_bit_identical_to_scipy(name, dim):
-    psi = _FIT_STATES[name](dim)
-    cfg = GaussianFitConfig()
-    objective = _fit_objective(psi)
-    for x0 in _informed_starts(psi, cfg):
-        _same_run(objective, x0, cfg.maxiter)
-
-
-def test_nelder_mead_bit_identical_to_scipy_edge_runs():
-    objective = _fit_objective(fock(1, 20))
-    # zero coordinates take the 0.00025 step instead of 5 %
-    _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 400)
-    # stopped by maxiter before the simplex converges
-    assert _same_run(objective, np.array([0.3, 0.0, 0.2, 0.0]), 40)[1] is False
-    # every candidate near alpha = 30 with little squeezing has a closed-form
-    # mass that overflows and scores 0: on that plateau, with every value
-    # tied, reflection and inside contraction fail and each step is a
-    # shrink, two evaluations plus one per vertex
-    fun, success, nfev = _same_run(objective, np.array([30.0, 0.0, 0.0, 0.0]), 400)
-    assert (fun, success) == (0.0, True) and (nfev - 5) % 6 == 0
-
-
-# zero coordinates take the 0.00025 first step; Re alpha >= 30 with little
-# squeezing starts on the overflow plateau, where every value ties at 0
-_START_COORDINATE = st.one_of(st.just(0.0), st.floats(-2.5, 2.5))
-
-
-@settings(derandomize=True, max_examples=25, deadline=None)
-@given(
-    x0=st.tuples(
-        st.one_of(_START_COORDINATE, st.floats(30.0, 40.0)),
-        _START_COORDINATE,
-        _START_COORDINATE,
-        st.one_of(st.just(0.0), st.floats(0.0, 7.0)),
-    )
-)
-@example(x0=(0.0, 0.0, 0.0, 0.0))
-@example(x0=(30.0, 0.0, 0.3, 1.0))
-def test_nelder_mead_bit_identical_to_scipy_from_drawn_starts(x0):
-    objective = _fit_objective(fock(1, 20))
-    _same_run(objective, np.array(x0), 400)
-
-
-@pytest.mark.parametrize("x0", [[0.3, 0.1, 0.2, 0.5], [0.3, 0.0, 0.2, 0.0], [1.0, -0.5, 0.3, 2.0]])
-def test_nelder_mead_bit_identical_to_scipy_on_ties(monkeypatch, x0):
-    # values rounded to 0.01 tie in the middle of a run, between vertices
-    # that still differ, not only on a plateau where every value is equal:
-    # those rankings must be np.argsort's own order.  x0 is (alpha, r, phi),
-    # mapped to the fit's chart
-    fit = _fit_objective(fock(1, 20))
-    x0 = _chart_point(complex(x0[0], x0[1]), x0[2], x0[3])
-
-    def objective(x):
-        return round(fit(x), 2)
-
-    distinct = []  # the number of distinct values at each np.argsort ranking
-    argsort = np.argsort
-    with monkeypatch.context() as m:
-        m.setattr(np, "argsort", lambda a, *args, **kw: distinct.append(len(set(a))) or argsort(a, *args, **kw))
-        _nelder_mead(objective, np.array(x0), 400)
-    assert any(1 < k < 5 for k in distinct)
-    _same_run(objective, np.array(x0), 400)
-
-
-# evaluations per distinct start of the fits of |1> and |2> at cutoff 30, in
-# start order (the first two starts coincide, <a> = 0): 5,902 and 5,424 in all
-_FOCK1_NFEV = [576, 499, 515, 509, 345, 431, 353, 389, 452, 297, 307, 320, 303, 278, 328]
-_FOCK2_NFEV = [440, 366, 403, 359, 383, 533, 340, 303, 379, 301, 346, 277, 289, 360, 345]
-
-
-@pytest.mark.parametrize("n, expected", [(1, _FOCK1_NFEV), (2, _FOCK2_NFEV)], ids=["fock1", "fock2"])
-def test_gaussian_fit_evaluation_counts_pinned(n, expected):
-    # a search that walks another path fails here even where lambda agrees
-    psi = fock(n, 30)
-    cfg = GaussianFitConfig()
-    objective = _fit_objective(psi)
-    starts = {x0.tobytes(): x0 for x0 in _informed_starts(psi, cfg)}
-    assert [_nelder_mead(objective, x0, cfg.maxiter)[3] for x0 in starts.values()] == expected
+        res = gaussian_fidelity(fock(n, 30))
+        assert repr(res) == expected
+        assert len(tables) > res.steps + 15 and set(tables) == {levels}
 
 
 @pytest.mark.parametrize("make", [list, np.array], ids=["list", "array"])
@@ -542,13 +562,13 @@ def test_a_repeated_start_runs_once(monkeypatch):
     starts = _informed_starts(psi, GaussianFitConfig())
     assert starts[0].tobytes() == starts[1].tobytes()  # <a> = 0
     ran = []
-    run = witnesses._nelder_mead
+    run = witnesses._lockstep_newton
 
-    def counted(objective, x0, maxiter):
-        ran.append(x0.tobytes())
-        return run(objective, x0, maxiter)
+    def counted(jet, x0, maxiter):
+        ran.extend(start.tobytes() for start in x0)
+        return run(jet, x0, maxiter)
 
-    monkeypatch.setattr(witnesses, "_nelder_mead", counted)
+    monkeypatch.setattr(witnesses, "_lockstep_newton", counted)
     # both starts are still counted: n_converged stays 16
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
