@@ -9,11 +9,12 @@ so absolute paths would make two identical runs look different; with
 relative names, the directories written from two checkouts compare file
 by file.  Given a baseline directory (one written by this script from
 another checkout), every output is compared with the baseline's byte for
-byte, the files that differ are listed, and the exit code is 1 if any
-do.  The package is imported from the ``src/`` of the checkout that holds
-this script.
+byte, each file that differs is named and followed by its unified diff
+against the baseline, and the exit code is 1 if any differs.  The package
+is imported from the ``src/`` of the checkout that holds this script.
 """
 
+import difflib
 import os
 import sys
 from pathlib import Path
@@ -57,15 +58,25 @@ def differing(out_dir: Path, baseline: Path) -> list[str]:
     ]
 
 
+def report(out_dir: Path, baseline: Path) -> int:
+    """Print each output that differs from the baseline's with its unified
+    diff (a missing baseline file diffs as empty); 1 if any differs, else 0."""
+    differ = differing(out_dir, baseline)
+    for name in differ:
+        print(f"differs from {baseline}: {name}")
+        old = (baseline / name).read_text().splitlines() if (baseline / name).is_file() else []
+        new = (out_dir / name).read_text().splitlines()
+        for line in difflib.unified_diff(old, new, str(baseline / name), str(out_dir / name), lineterm=""):
+            print(line)
+    print(f"{len(OUTPUTS) - len(differ)} of {len(OUTPUTS)} outputs byte-identical to the baseline")
+    return 1 if differ else 0
+
+
 if __name__ == "__main__":
     if len(sys.argv) not in (2, 3):
         raise SystemExit(__doc__.split("\n\n")[1])
     out_dir, *baseline = (Path(arg).resolve() for arg in sys.argv[1:])
     code = snapshot(str(out_dir))
     if code == 0 and baseline:
-        differ = differing(out_dir, baseline[0])
-        for name in differ:
-            print(f"differs from {baseline[0]}: {name}")
-        print(f"{len(OUTPUTS) - len(differ)} of {len(OUTPUTS)} outputs byte-identical to the baseline")
-        code = 1 if differ else 0
+        code = report(out_dir, baseline[0])
     raise SystemExit(code)

@@ -149,41 +149,19 @@ def gaussian_amps(b, t, levels: int) -> np.ndarray:
     exp(b z - t z^2 / 2) = sum_n c_n z^n / sqrt(n!) gives c_0 = 1, c_1 = b and
     c_{n+1} = (b c_n - t sqrt(n) c_{n-1}) / sqrt(n+1).
 
-    ``b`` and ``t`` may be arrays of one shape; the table then has that
-    shape with the levels on a last axis, and each of its rows equals the
-    scalar call at that point bit for bit (:func:`_gaussian_amps_batch`).
+    Scalar ``b`` and ``t`` run on Python complex numbers.  Arrays of one
+    shape run with numpy's arithmetic, all points at once, and give a table
+    of that shape with the levels on a last axis.
     """
     if np.ndim(b) or np.ndim(t):
-        return _gaussian_amps_batch(np.asarray(b, dtype=complex), np.asarray(t, dtype=complex), levels)
-    amps = [1.0 + 0j, complex(b)]
+        b, t = np.broadcast_arrays(np.asarray(b, dtype=complex), np.asarray(t, dtype=complex))
+        amps = [np.ones_like(b), b]
+    else:
+        amps = [1.0 + 0j, complex(b)]
     for n in range(1, levels - 1):
         amps.append((b * amps[n] - t * math.sqrt(n) * amps[n - 1]) / math.sqrt(n + 1))
-    return np.array(amps[:levels], dtype=complex)
-
-
-def _gaussian_amps_batch(b: np.ndarray, t: np.ndarray, levels: int) -> np.ndarray:
-    """:func:`gaussian_amps` at every point of the arrays b, t at once.
-
-    numpy's complex product and quotient round differently from Python's,
-    so each step is written out in real and imaginary parts as CPython
-    forms them, a real factor s taken as the complex s + 0j: the product
-    (p, q)(u, v) = (pu - qv, pv + qu) and the quotient by s + 0j
-    ((p + q 0) / s, (q - p 0) / s), signed zeros included.
-    """
-    b_re, b_im, t_re, t_im = np.broadcast_arrays(b.real, b.imag, t.real, t.imag)
-    re = [np.ones_like(b_re), b_re]
-    im = [np.zeros_like(b_re), b_im]
-    for n in range(1, levels - 1):
-        s, s_next = math.sqrt(n), math.sqrt(n + 1)
-        ts_re, ts_im = t_re * s - t_im * 0.0, t_re * 0.0 + t_im * s
-        p = b_re * re[n] - b_im * im[n] - (ts_re * re[n - 1] - ts_im * im[n - 1])
-        q = b_re * im[n] + b_im * re[n] - (ts_re * im[n - 1] + ts_im * re[n - 1])
-        re.append((p + q * 0.0) / s_next)
-        im.append((q - p * 0.0) / s_next)
-    amps = np.empty((*b_re.shape, levels), dtype=complex)
-    amps.real = np.stack(re[:levels], axis=-1)
-    amps.imag = np.stack(im[:levels], axis=-1)
-    return amps
+    table = np.array(amps[:levels], dtype=complex)
+    return table if table.ndim == 1 else table.transpose(*range(1, table.ndim), 0)  # the levels last
 
 
 def gaussian_mass(b: complex, t: complex, mu2: float) -> float:

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
-from .states import GaussianPureParams, from_chart, gaussian_amps, gaussian_mass, to_chart
+from .states import GaussianPureParams, from_chart, gaussian_amps, to_chart
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
@@ -319,50 +319,16 @@ def _chart_point(params: GaussianPureParams) -> np.ndarray:
     return np.array([b.real, b.imag, w.real, w.imag])
 
 
-def _fit_objective(psi: PureState):
-    """-|<psi|G>|^2 over (Re b, Im b, Re w, Im w), G the pure Gaussian at the
-    chart point (b, t) with t = w / sqrt(1 + |w|^2).
+def _fit_jet(psi: PureState):
+    """Value, gradient and Hessian of -log F over (Re b, Im b, Re w, Im w) at a
+    stack of chart points, F = |<psi|G>|^2 the fidelity of psi with the pure
+    Gaussian G at the chart point (b, t), t = w / sqrt(1 + |w|^2).
 
     Every w in the plane is a point t of the open unit disk, and
-    1 - |t|^2 = 1/(1 + |w|^2) is formed without a subtraction, so every
-    pure Gaussian is reachable and none needs a clamp.
-
-    The exact fidelity with the untruncated G: the overlap needs G's
-    amplitudes c_n (c_0 = 1) only where psi is nonzero, so the recurrence
-    (:func:`~cvactivation.states.gaussian_amps`) runs to psi's top occupied
-    level k (at least to c_1), into a buffer whose levels above are zeros.
-    The buffer keeps the cutoff's length and so the dot product's summation
-    order; G's amplitudes are finite wherever its mass is, so every score
-    equals the one with all d amplitudes bit for bit.  Their total mass
-    sum_n |c_n|^2 is closed-form
-    (:func:`~cvactivation.states.gaussian_mass`).  No tail is cut and
-    nothing is renormalised, so the score does not depend on the cutoff.
-    A candidate whose mass overflows (or whose overlap is not finite)
-    scores 0, and a non-finite parameter is a ValueError.
-    """
-    amps = psi.amplitudes
-    levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
-    head = np.zeros(psi.dim, dtype=complex)
-
-    def objective(params) -> float:
-        re_b, im_b, re_w, im_w = params
-        b, w = complex(re_b, im_b), complex(re_w, im_w)
-        if not (cmath.isfinite(b) and cmath.isfinite(w)):
-            raise ValueError(f"Gaussian chart parameters must be finite, got {b}, {w}")
-        mu2 = 1.0 + (re_w * re_w + im_w * im_w)
-        t = w / math.sqrt(mu2)
-        # c_0 .. c_{levels - 1}; the levels above stay 0
-        head[:levels] = gaussian_amps(b, t, levels)
-        overlap = abs(np.vdot(amps, head)) ** 2
-        mass = gaussian_mass(b, t, mu2)
-        return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
-
-    return objective
-
-
-def _fit_jet(psi: PureState):
-    """Value, gradient and Hessian of -log F over (Re b, Im b, Re w, Im w), F
-    the fidelity :func:`_fit_objective` scores, at a stack of chart points.
+    1 - |t|^2 = 1/(1 + |w|^2) is formed without a subtraction, so every pure
+    Gaussian is reachable and none needs a clamp.  The value is the exact
+    fidelity with the untruncated G: no tail is cut and nothing is
+    renormalised, so it does not depend on the cutoff.
 
     One table of the Gaussian's amplitudes c_m (:func:`~cvactivation.states.gaussian_amps`),
     m up to psi's top occupied level, gives the overlap A = sum_n conj(psi_n) c_n
@@ -375,7 +341,8 @@ def _fit_jet(psi: PureState):
     t = w / mu is chained in by its first and second derivatives in w.
 
     Returns -log F = log M - log |A|^2 (k,), its gradients (k, 4) and Hessians
-    (k, 4, 4) for points (k, 4); the value is +inf where A = 0.
+    (k, 4, 4) for points (k, 4); the value is +inf where A = 0, and finite
+    where M overflows a float, so F = exp(-value) is 0.0 there.
     """
     amps = psi.amplitudes
     levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
@@ -480,7 +447,7 @@ def _trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.n
     return step * np.minimum(1.0, radius / np.linalg.norm(step, axis=1))[:, None]
 
 
-def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, int]:
+def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Trust-region Newton descent of -log F from every start at once, with
     the radius rule of Nocedal and Wright's Algorithm 4.1.
 
@@ -492,8 +459,8 @@ def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray,
     quarters doubles it.  A start at which F = 0
     (A = 0, as at b = 0 for an odd psi) first moves a zero Re b to
     ``_FIT_NUDGE``; one whose value or derivatives are not finite is
-    dropped.  Returns the final points, a per-start stationarity flag and
-    the number of steps run, at most ``maxiter``.
+    dropped.  Returns the final points, their values -log F, a per-start
+    stationarity flag and the number of steps run, at most ``maxiter``.
     """
     x = np.array(starts, dtype=float)
     f, grad, hess = jet(x)
@@ -526,7 +493,7 @@ def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray,
         better = realised > _FIT_ACCEPT
         moved = live[better]
         x[moved], f[moved], grad[moved], hess[moved] = trial[better], f_t[better], grad_t[better], hess_t[better]
-    return x, status()[0], steps
+    return x, f, status()[0], steps
 
 
 def gaussian_fidelity(
@@ -536,7 +503,7 @@ def gaussian_fidelity(
 
     Pure candidates suffice: the fidelity is linear in the Gaussian state
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
-    multistart in the chart (Re b, Im b, Re w, Im w) of :func:`_fit_objective`,
+    multistart in the chart (Re b, Im b, Re w, Im w) of :func:`_fit_jet`,
     where every pure Gaussian is a point: all starts run at once, as one
     trust-region Newton descent of -log F (:func:`_lockstep_newton`) on the
     exact value, gradient and Hessian of :func:`_fit_jet`, one batched jet
@@ -546,14 +513,12 @@ def gaussian_fidelity(
     repeat an earlier one's (the first two, whenever <a> = 0) runs once and
     is counted again.
 
-    Each start's end point is scored by its exact fidelity with the
-    untruncated Gaussian (:func:`_fit_objective`): one amplitude recurrence
-    to psi's top occupied level, padded with zeros to the cutoff d, divided
-    by the closed-form total mass of the amplitudes
-    (:func:`~cvactivation.states.gaussian_mass`).  No tail tolerance
-    rejects a candidate.  The best point is converted back to
-    (alpha, r, phi) once (:func:`~cvactivation.states.from_chart`).  Its r
-    may exceed ``states.DEFAULT_R_MAX``, the largest squeezing
+    Each start's end point is scored by the value f = -log F the descent
+    holds there, F = exp(-f): the exact fidelity with the untruncated
+    Gaussian, which no tail tolerance rejects; a start whose value is NaN
+    scores 0.  The best point is converted back to (alpha, r, phi) once
+    (:func:`~cvactivation.states.from_chart`).  Its r may exceed
+    ``states.DEFAULT_R_MAX``, the largest squeezing
     :func:`~cvactivation.states.gaussian_pure` builds.
     """
     if cfg is None:
@@ -563,27 +528,19 @@ def gaussian_fidelity(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    objective = _fit_objective(psi)
     starts = _informed_starts(psi, cfg)
-    runs = {start.tobytes(): start for start in starts}  # a repeated start runs once
-    points, stationary, steps = _lockstep_newton(_fit_jet(psi), np.array(list(runs.values())), cfg.maxiter)
-    scores = {key: (-objective(x.tolist()), done, x) for key, x, done in zip(runs, points, stationary)}
-    best: tuple[float, np.ndarray] | None = None
-    converged_vals = []
-    for start in starts:
-        fid, converged, x = scores[start.tobytes()]
-        if converged and fid > 0.0:
-            converged_vals.append(fid)
-        if best is None or fid > best[0]:
-            best = (fid, x)
-    assert best is not None
-    fid, x = best
-    spread = float(max(converged_vals) - min(converged_vals)) if converged_vals else 0.0
+    keys = [start.tobytes() for start in starts]
+    runs = dict(zip(keys, starts))  # a repeated start runs once
+    points, values, stationary, steps = _lockstep_newton(_fit_jet(psi), np.array(list(runs.values())), cfg.maxiter)
+    rows = [list(runs).index(key) for key in keys]
+    fids = np.exp(-np.where(np.isnan(values), np.inf, values))[rows]
+    converged = fids[stationary[rows] & (fids > 0.0)]
+    x = points[rows[int(np.argmax(fids))]]
     t = complex(x[2], x[3]) / math.sqrt(1.0 + (x[2] * x[2] + x[3] * x[3]))
     return GaussianFidelityResult(
-        max_fidelity=max(0.0, min(fid, 1.0)),
+        max_fidelity=min(float(fids.max()), 1.0),
         argmax=from_chart(complex(x[0], x[1]), t),
-        multistart_spread=spread,
-        n_converged=len(converged_vals),
+        multistart_spread=float(converged.max() - converged.min()) if converged.size else 0.0,
+        n_converged=converged.size,
         steps=steps,
     )

@@ -257,21 +257,6 @@ def long_expansion_objective(psi):
     return objective
 
 
-def full_cutoff_objective(psi):
-    """Oracle: the Gaussian-fit objective -|<psi|G>|^2 / mass with the recurrence
-    run over all d levels of the cutoff, c_0 .. c_{d-1}, whatever psi occupies;
-    0 where the closed-form mass of G (or the overlap) is not finite."""
-    amps = psi.amplitudes
-
-    def objective(params) -> float:
-        b, t, mu2 = unpack_chart(params)
-        overlap = abs(np.vdot(amps, gaussian_amps(b, t, psi.dim))) ** 2
-        mass = gaussian_mass(b, t, mu2)
-        return -overlap / mass if overlap < math.inf and mass < math.inf else 0.0
-
-    return objective
-
-
 def kraus_loss(eta: float, dim: int) -> KrausChannel:
     """Oracle: pure loss as dense Kraus elements sqrt((1-eta)^k/k!) eta^(n/2) a^k.
 

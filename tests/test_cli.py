@@ -757,7 +757,7 @@ def test_exit_code_fuzz(case):
             assert rc != 0, (command, cfg)  # an unknown key never yields a result
 
 
-def test_snapshot_baseline_lists_the_differing_outputs(tmp_path):
+def test_snapshot_baseline_lists_the_differing_outputs(tmp_path, capsys):
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "snapshot_defaults.py"
@@ -773,3 +773,11 @@ def test_snapshot_baseline_lists_the_differing_outputs(tmp_path):
     (new / "loss_sweep.csv").write_bytes(b"0.3999999999999998\n")
     (base / "wigner.csv").unlink()
     assert snapshot.differing(new, base) == ["wigner.csv", "loss_sweep.csv"]
+    # each differing output is named, then its diff against the baseline
+    capsys.readouterr()
+    assert snapshot.report(new, base) == 1
+    lines = capsys.readouterr().out.splitlines()
+    moved = lines.index(f"differs from {base}: loss_sweep.csv")
+    assert lines[moved + 1 :].index("-0.3999999999999999") < lines[moved + 1 :].index("+0.3999999999999998")
+    assert "+0.3999999999999999" in lines[: moved]  # wigner.csv, absent from the baseline
+    assert lines[-1] == "6 of 8 outputs byte-identical to the baseline"

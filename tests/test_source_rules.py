@@ -150,9 +150,16 @@ def test_retired_names_are_gone():
         # the simplex's stopping tolerances, gone with the simplex
         "FIT_FATOL",
         "FIT_XATOL",
+        # the fit's second scorer and the batched recurrence's rounding
+        # emulation: the jet's value is the score, and arrays run on numpy
+        "_fit_objective",
+        "_gaussian_amps_batch",
+        "full_cutoff_objective",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
+    # the oracle of the deleted scorer is gone from the tests too
+    assert "full_cutoff_objective" not in (ROOT / "tests" / "conftest.py").read_text(encoding="utf-8")
 
 
 def test_gaussian_fit_uses_no_r_clamp_and_no_hyperbolic_functions():

@@ -111,30 +111,18 @@ def _oracle_draws():
 
 def test_gaussian_amps_match_numpy_scalar_oracle():
     # the chart's recurrence after the conversion to (b, t) against the
-    # squeezed-coherent recurrence of D(alpha) S(r e^{i phi})|0>
-    for i, (alpha, r, phi) in enumerate(_oracle_draws()):
-        b, t = to_chart(GaussianPureParams(alpha, r, phi))
-        for n_levels in (1, 2, 3, 92, 152) if i < 60 else (92,):
-            fast = gaussian_amps(b, t, n_levels)
-            oracle = _squeezed_coherent_amps_oracle(alpha, r, phi, n_levels)
-            assert fast.shape == oracle.shape
-            np.testing.assert_allclose(fast, oracle, rtol=1e-12, err_msg=str((alpha, r, phi, n_levels)))
-
-
-def test_gaussian_amps_of_arrays_equal_the_scalar_calls_bit_for_bit():
-    # every row of the batched table is the scalar recurrence's, start by
-    # start: Python's complex product and quotient, signed zeros included
-    points = [to_chart(GaussianPureParams(alpha, r, phi)) for alpha, r, phi in _oracle_draws()[:200]]
-    points += [(0j, 0j), (complex(-0.0, 0.0), complex(0.3, -0.0)), (complex(-0.0, -0.0), complex(-0.0, -0.0))]
-    points += [(complex(-0.0, 1.0), complex(-0.5, 0.0)), (0.7, 0.2), (-1.0, complex(0.0, 0.9))]
+    # squeezed-coherent recurrence of D(alpha) S(r e^{i phi})|0>, called on
+    # each point alone (Python scalars) and on all points at once (arrays)
+    draws = _oracle_draws()
+    points = [to_chart(GaussianPureParams(alpha, r, phi)) for alpha, r, phi in draws]
     b, t = (np.array(column, dtype=complex) for column in zip(*points))
-    for levels in (1, 2, 3, 40):
-        table = gaussian_amps(b, t, levels)
-        assert table.shape == (len(points), levels)
-        for row, (bk, tk) in zip(table, points):
-            assert row.tobytes() == gaussian_amps(bk, tk, levels).tobytes(), (bk, tk, levels)
-    # a float t, as photon_subtracted_squeezed passes it
-    assert gaussian_amps(np.zeros(1), np.full(1, 0.46), 50)[0].tobytes() == gaussian_amps(0.0, 0.46, 50).tobytes()
+    tables = {n_levels: gaussian_amps(b, t, n_levels) for n_levels in (1, 2, 3, 92, 152)}
+    for i, ((alpha, r, phi), (bi, ti)) in enumerate(zip(draws, points)):
+        for n_levels in (1, 2, 3, 92, 152) if i < 60 else (92,):
+            oracle = _squeezed_coherent_amps_oracle(alpha, r, phi, n_levels)
+            for fast in (gaussian_amps(bi, ti, n_levels), tables[n_levels][i]):
+                assert fast.shape == oracle.shape
+                np.testing.assert_allclose(fast, oracle, rtol=1e-12, err_msg=str((alpha, r, phi, n_levels)))
     assert gaussian_amps(b[:204].reshape(-1, 3), t[:204].reshape(-1, 3), 5).shape == (68, 3, 5)
 
 
