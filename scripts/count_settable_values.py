@@ -11,6 +11,11 @@ A settable value is one of
 Every ``*.py`` file under ``src/cvactivation`` is parsed with ``ast``; nothing
 is imported.  ``--list`` prints each value as ``file:line kind name`` before
 the total.
+
+The config keys of the CLI (the keys of each subcommand's table in
+``cli._COMMANDS``) are a separate total, printed first as
+``cli config keys: N``; ``--list`` also prints each subcommand's count.  The
+last line is the settable-value total alone.
 """
 
 from __future__ import annotations
@@ -60,7 +65,23 @@ def settable_values(path: Path) -> list[tuple[int, str, str]]:
     return sorted(found)
 
 
+def cli_config_keys(path: Path) -> list[tuple[str, int]]:
+    """(subcommand, number of config keys) for each entry of ``_COMMANDS``,
+    whose values are (runner, {key: (default, parser)}) pairs."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "_COMMANDS" for t in node.targets
+        ):
+            return [(key.value, len(value.elts[1].keys)) for key, value in zip(node.value.keys, node.value.values)]
+    raise SystemExit(f"no _COMMANDS table in {path}")
+
+
 def main(argv: list[str]) -> int:
+    commands = cli_config_keys(SRC / "cli.py")
+    if "--list" in argv:
+        for command, count in commands:
+            print(f"cli.py {command} {count}")
+    print(f"cli config keys: {sum(count for _, count in commands)}")
     total = 0
     for path in sorted(SRC.glob("*.py")):
         values = settable_values(path)

@@ -37,6 +37,13 @@ def _transmissivity(eta: float) -> float:
     return eta
 
 
+def _renormalised(out: np.ndarray, rho: DensityMatrix) -> DensityMatrix:
+    """A channel's output ``out`` on ``rho``, scaled to unit trace; the trace it
+    lost (or gained) is reported as leakage, with rho's own."""
+    tr = float(np.real(np.trace(out)))
+    return DensityMatrix(out / tr, leakage=max(rho.leakage, abs(1.0 - tr)))
+
+
 @dataclass(frozen=True)
 class KrausChannel:
     """Trace-preserving channel given by its Kraus elements: the dense form the
@@ -69,9 +76,7 @@ class KrausChannel:
         out = np.zeros_like(rho.matrix)
         for k in self.kraus_ops:
             out = out + k.matrix @ rho.matrix @ k.matrix.conj().T
-        tr = float(np.real(np.trace(out)))
-        defect = abs(1.0 - tr)
-        return DensityMatrix(out / tr, leakage=max(rho.leakage, defect))
+        return _renormalised(out, rho)
 
 
 @dataclass(frozen=True, eq=False)
@@ -105,8 +110,7 @@ class LossChannel:
 
     def apply(self, rho: DensityMatrix) -> DensityMatrix:
         out, _ = self._lowered(rho)
-        tr = float(np.real(np.trace(out)))
-        return DensityMatrix(out / tr, leakage=max(rho.leakage, abs(1.0 - tr)))
+        return _renormalised(out, rho)
 
 
 def pure_loss(eta: float, cutoff: int) -> LossChannel:
@@ -173,8 +177,7 @@ class GaussNoiseChannel:
             b = self.loss.bands[k, :top]
             out[k : k + top, k : k + top] += np.outer(b, b) * lossy[:top, :top]
         out *= self.loss.eta
-        tr = float(np.real(np.trace(out)))
-        return DensityMatrix(out / tr, leakage=max(rho.leakage, abs(1.0 - tr)))
+        return _renormalised(out, rho)
 
 
 def gaussian_noise(sigma2: float, cutoff: int) -> GaussNoiseChannel:

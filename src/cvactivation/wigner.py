@@ -25,8 +25,9 @@ Gaussian and cosine tables (:func:`_comb_coefficients`), and goes through
 the same grid product and jet assembly.
 
 The negativity-depth search scans a grid with values only, then refines
-its best points in lockstep by trust-region Newton steps on those exact
-derivatives, one batched evaluator call per step.
+its lowest grid-local minima in lockstep by trust-region Newton steps on
+those exact derivatives, one batched evaluator call per step: the same
+descent as the Gaussian fit's (:func:`~cvactivation.descent.lockstep_newton`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .descent import lockstep_newton
 from .errors import InvariantError
 from .fock import (
     DISPLACEMENT_TAIL_TOL,
@@ -379,7 +381,8 @@ class DepthSearchConfig:
 
     The grid is (2*resolution + 1)^2 points over the square of half-width
     ``radius`` (None: :func:`default_radius` of the state); the
-    ``refine_top`` lowest grid points seed the refinement.
+    ``refine_top`` lowest grid-local minima (points at most their 8
+    neighbours, so one per basin) seed the refinement.
     """
 
     radius: float | None = None
@@ -416,75 +419,18 @@ class NegativityDepthResult:
             raise ValueError("depth exceeds the Wigner bound 2/pi")
 
 
-# refinement: stationary once |grad W| <= _GRAD_TOL (a step that small lowers
-# W by ~|grad|^2 / curvature, below the last digit of a bound) or once the
-# trust radius has collapsed below _MIN_RADIUS; at most _MAX_STEPS steps
-_GRAD_TOL = 1e-10
-_MIN_RADIUS = 1e-9
-_MAX_STEPS = 40
-
-
-def _trust_step(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Newton steps where the Hessian is positive definite, else Cauchy steps
-    along -grad; each clipped to its trust radius.  Shapes (k, 2), (k, 2, 2), (k,);
-    every grad is nonzero."""
-    h00, h01, h11 = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
-    det = h00 * h11 - h01 * h01
-    pos_def = (h00 > 0) & (det > 0)
-    newton = -np.stack(
-        [h11 * grad[:, 0] - h01 * grad[:, 1], h00 * grad[:, 1] - h01 * grad[:, 0]], axis=1
-    ) / np.where(pos_def, det, 1.0)[:, None]
-    gg = np.sum(grad * grad, axis=1)
-    curv = np.einsum("ki,kij,kj->k", grad, hess, grad)
-    # along -grad: the quadratic model's minimum, or the trust radius if it has none
-    along = np.where(curv > 0, gg / np.where(curv > 0, curv, 1.0), radius / np.sqrt(gg))
-    step = np.where(pos_def[:, None], newton, -grad * along[:, None])
-    length = np.hypot(step[:, 0], step[:, 1])
-    return step * np.minimum(1.0, radius / length)[:, None]
-
-
-def _refine(jet_fn, seeds: np.ndarray, radius: float):
-    """Lockstep trust-region Newton descent from every seed at once.
-
-    One ``jet_fn`` call per step evaluates the trial points of all seeds not
-    yet stationary.  A step is accepted only if it lowers W; otherwise that
-    seed's radius shrinks to a quarter of the rejected step.  Returns the
-    final points, their values and a per-seed stationarity flag.
-    """
-    x = np.array(seeds, dtype=complex)
-    f, grad, hess = jet_fn(x)
-    radii = np.full(x.size, radius)
-
-    def stationary():
-        return (np.hypot(grad[:, 0], grad[:, 1]) <= _GRAD_TOL) | (radii < _MIN_RADIUS)
-
-    for _ in range(_MAX_STEPS):
-        live = np.flatnonzero(~stationary())
-        if live.size == 0:
-            break
-        step = _trust_step(grad[live], hess[live], radii[live])
-        trial = x[live] + (step[:, 0] + 1j * step[:, 1])
-        f_t, grad_t, hess_t = jet_fn(trial)
-        better = f_t < f[live]
-        moved = live[better]
-        x[moved], f[moved], grad[moved], hess[moved] = (
-            trial[better],
-            f_t[better],
-            grad_t[better],
-            hess_t[better],
-        )
-        radii[live[~better]] = np.hypot(step[~better, 0], step[~better, 1]) / 4.0
-    return x, f, stationary()
-
-
-def _lowest(values: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k lowest values, lowest first, ties by index: the first k
-    of a stable argsort, without sorting the rest."""
-    if k >= values.size:
-        return np.argsort(values, kind="stable")
-    kth = np.partition(values, k - 1)[k - 1]
-    at_most = np.flatnonzero(values <= kth)
-    return at_most[np.argsort(values[at_most], kind="stable")[:k]]
+def _basin_seeds(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k lowest grid-local minima of a raveled square grid, lowest
+    first, ties by index (a stable argsort): a point counts if it is <= each of
+    its 8 neighbours, the grid padded with +inf, so each basin seeds once.  The
+    3 x 3 window minimum is taken along rows, then along columns."""
+    side = math.isqrt(values.size)
+    padded = np.full((side + 2, side + 2), np.inf)
+    padded[1:-1, 1:-1] = values.reshape(side, side)
+    rows = np.minimum(np.minimum(padded[:-2], padded[1:-1]), padded[2:])
+    window = np.minimum(np.minimum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
+    minima = np.flatnonzero(values <= window.ravel())
+    return minima[np.argsort(values[minima], kind="stable")[:k]]
 
 
 def negativity_depth_fn(
@@ -495,8 +441,10 @@ def negativity_depth_fn(
     ``value_fn`` maps a real axis to the Wigner values on the square grid
     over it, raveled as :func:`_grid_points`, and scans the grid; ``jet_fn``
     maps complex points to (values, gradients (N, 2), Hessians (N, 2, 2)) in
-    (Re alpha, Im alpha) and drives the refinement.  Shared by the
-    density-matrix search and the exact comb evaluator.
+    (Re alpha, Im alpha) and drives the refinement: a lockstep trust-region
+    Newton descent from the seeds of :func:`_basin_seeds`, its radius starting
+    at half a grid step, for at most 40 steps.  Shared by the density-matrix
+    search and the exact comb evaluator.
     """
     if cfg is None:
         cfg = DepthSearchConfig()
@@ -504,12 +452,17 @@ def negativity_depth_fn(
     centers = _grid_points(axis)
     values = value_fn(axis)
     _check_bound(values)
-    order = _lowest(values, cfg.refine_top)
-    step = radius / cfg.resolution
-    points, refined, stationary = _refine(jet_fn, centers[order], step / 2.0)
+    order = _basin_seeds(values, cfg.refine_top)
+    seeds = centers[order]
+    points, refined, stationary, _ = lockstep_newton(
+        lambda x: jet_fn(x[:, 0] + 1j * x[:, 1]),
+        np.column_stack([seeds.real, seeds.imag]),
+        radius / cfg.resolution / 2.0,
+        40,
+    )
 
-    candidates = [(float(values[order[0]]), complex(centers[order[0]]))]
-    candidates += [(float(v), complex(a)) for v, a in zip(refined, points)]
+    candidates = [(float(values[order[0]]), complex(seeds[0]))]
+    candidates += [(float(v), complex(re, im)) for v, (re, im) in zip(refined, points)]
     best_val = min(v for v, _ in candidates)
     ties = [a for v, a in candidates if v <= best_val + 1e-12]
     argmin = min(ties, key=lambda a: abs(a))
@@ -533,7 +486,7 @@ def negativity_depth(
     """Largest negative Wigner value max_alpha [-W(alpha)]_+ .
 
     Deterministic grid scan (values only), then a lockstep trust-region
-    Newton refinement of the best grid points on the exact gradient and
+    Newton refinement of the lowest grid-local minima on the exact gradient and
     Hessian of :func:`wigner_jet`; the result is a certified lower bound on
     the true depth, never below the grid minimum.  Ties between refined
     optima break toward the largest depth, then the smallest |alpha|.  The

@@ -31,24 +31,13 @@ from enum import Enum
 
 import numpy as np
 
+from .descent import lockstep_newton
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
 from .states import GaussianPureParams, from_chart, gaussian_amps, to_chart
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
-# the Gaussian fit's lockstep Newton: a start is stationary once
-# |grad(-log F)| <= _FIT_GRAD_TOL or once its trust radius, _FIT_RADIUS at
-# the start, has collapsed below _FIT_MIN_RADIUS; a step is accepted when it
-# realises more than _FIT_ACCEPT of its predicted decrease; a start at F = 0
-# first moves a zero Re b to _FIT_NUDGE, the first step of a simplex from zero
-_FIT_GRAD_TOL = 1e-10
-_FIT_MIN_RADIUS = 1e-9
-_FIT_RADIUS = 1.0
-_FIT_ACCEPT = 0.15
-_FIT_NUDGE = 0.00025
-# at most this many Newton steps on the shift sigma of a boundary step
-_SECULAR_STEPS = 30
 
 
 class FreeSet(str, Enum):
@@ -417,85 +406,6 @@ def _fit_jet(psi: PureState):
     return jet
 
 
-def _trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.ndarray:
-    """Minimisers of the model g.p + p.H.p / 2 over |p| <= radius, one per row;
-    shapes (k, 4), (k, 4, 4), (k,), every g nonzero.
-
-    From each H's eigensystem (Nocedal and Wright, Numerical Optimization,
-    section 4.3): the Newton step where H is positive definite and the step
-    fits inside the radius; else p = -(H + sigma I)^-1 g on the boundary,
-    with sigma > max(0, -lambda_min) found by Newton's method on
-    1 / |p(sigma)|.  Where even the least shift leaves p inside (g has no
-    part along the lowest eigenvector), that p is the step.  A plain Cauchy
-    step would not do: psi's symmetries make H singular along whole orbits
-    (every rotation of a Gaussian fits a Fock state equally), and descent
-    along -g alone then converges only linearly.
-    """
-    vals, vecs = np.linalg.eigh(hess)
-    coef = -np.einsum("kji,kj->ki", vecs, grad)  # the step is vecs @ (coef / (vals + sigma))
-    lowest = vals[:, 0]
-    sigma = np.where(lowest > 0.0, 0.0, 1e-12 * (1.0 + np.abs(vals).max(1)) - lowest)
-    for _ in range(_SECULAR_STEPS):
-        shifted = coef / (vals + sigma[:, None])
-        length = np.linalg.norm(shifted, axis=1)
-        outside = length > radius * (1.0 + 1e-3)
-        if not outside.any():
-            break
-        slope = np.sum(shifted * shifted / (vals + sigma[:, None]), axis=1)
-        sigma = np.where(outside, sigma + length * length / slope * (length - radius) / radius, sigma)
-    step = np.einsum("kij,kj->ki", vecs, coef / (vals + sigma[:, None]))
-    return step * np.minimum(1.0, radius / np.linalg.norm(step, axis=1))[:, None]
-
-
-def _lockstep_newton(jet, starts: np.ndarray, maxiter: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Trust-region Newton descent of -log F from every start at once, with
-    the radius rule of Nocedal and Wright's Algorithm 4.1.
-
-    One ``jet`` call per step evaluates the trial points of all starts not
-    yet stationary.  A step is accepted only if it realises more than
-    ``_FIT_ACCEPT`` of the decrease its model predicts, so only if it raises
-    F.  A step that realises less than a quarter shrinks the radius to a
-    quarter of its length; one on the boundary that realises more than three
-    quarters doubles it.  A start at which F = 0
-    (A = 0, as at b = 0 for an odd psi) first moves a zero Re b to
-    ``_FIT_NUDGE``; one whose value or derivatives are not finite is
-    dropped.  Returns the final points, their values -log F, a per-start
-    stationarity flag and the number of steps run, at most ``maxiter``.
-    """
-    x = np.array(starts, dtype=float)
-    f, grad, hess = jet(x)
-    flat = f == np.inf
-    if flat.any():
-        x[flat, 0] = np.where(x[flat, 0] == 0.0, _FIT_NUDGE, x[flat, 0])
-        f[flat], grad[flat], hess[flat] = jet(x[flat])
-    radii = np.full(len(x), _FIT_RADIUS)
-
-    def status() -> tuple[np.ndarray, np.ndarray]:
-        """(stationary, live) per start."""
-        finite = np.isfinite(f) & np.isfinite(grad).all(1) & np.isfinite(hess).all((1, 2))
-        done = (np.linalg.norm(grad, axis=1) <= _FIT_GRAD_TOL) | (radii < _FIT_MIN_RADIUS)
-        return finite & done, finite & ~done
-
-    steps = 0
-    while steps < maxiter:
-        live = np.flatnonzero(status()[1])
-        if live.size == 0:
-            break
-        steps += 1
-        step = _trust_steps(grad[live], hess[live], radii[live])
-        trial = x[live] + step
-        f_t, grad_t, hess_t = jet(trial)
-        predicted = -np.einsum("ki,ki->k", step, grad[live] + 0.5 * np.einsum("kij,kj->ki", hess[live], step))
-        realised = (f[live] - f_t) / predicted  # NaN or -inf where the trial is not finite
-        length = np.linalg.norm(step, axis=1)
-        boundary = (realised > 0.75) & (length >= 0.99 * radii[live])
-        radii[live] = np.where(realised >= 0.25, np.where(boundary, 2.0, 1.0) * radii[live], length / 4.0)
-        better = realised > _FIT_ACCEPT
-        moved = live[better]
-        x[moved], f[moved], grad[moved], hess[moved] = trial[better], f_t[better], grad_t[better], hess_t[better]
-    return x, f, status()[0], steps
-
-
 def gaussian_fidelity(
     psi: PureState, cfg: GaussianFitConfig | None = None
 ) -> GaussianFidelityResult:
@@ -505,9 +415,10 @@ def gaussian_fidelity(
     and every mixed Gaussian is a mixture of pure ones.  Deterministic
     multistart in the chart (Re b, Im b, Re w, Im w) of :func:`_fit_jet`,
     where every pure Gaussian is a point: all starts run at once, as one
-    trust-region Newton descent of -log F (:func:`_lockstep_newton`) on the
-    exact value, gradient and Hessian of :func:`_fit_jet`, one batched jet
-    per step.  The spread between converged starts is reported so optimizer
+    trust-region Newton descent of -log F on the exact value, gradient and
+    Hessian of :func:`_fit_jet`, one batched jet per step
+    (:func:`~cvactivation.descent.lockstep_newton`, the depth search's descent
+    too, here from a trust radius of 1 in the chart).  The spread between converged starts is reported so optimizer
     traps are visible.  A start counts as converged once it is stationary
     within ``cfg.maxiter`` steps at a fidelity above 0.  A start whose bytes
     repeat an earlier one's (the first two, whenever <a> = 0) runs once and
@@ -531,7 +442,9 @@ def gaussian_fidelity(
     starts = _informed_starts(psi, cfg)
     keys = [start.tobytes() for start in starts]
     runs = dict(zip(keys, starts))  # a repeated start runs once
-    points, values, stationary, steps = _lockstep_newton(_fit_jet(psi), np.array(list(runs.values())), cfg.maxiter)
+    points, values, stationary, steps = lockstep_newton(
+        _fit_jet(psi), np.array(list(runs.values())), 1.0, cfg.maxiter
+    )
     rows = [list(runs).index(key) for key in keys]
     fids = np.exp(-np.where(np.isnan(values), np.inf, values))[rows]
     converged = fids[stationary[rows] & (fids > 0.0)]

@@ -11,8 +11,9 @@ A state's dimension is its array's: no cutoff wrapper or parameter wrapper
 type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables, and wigner.py calls neither
-np.linalg nor np.unique.  The package has at most 47 settable values
-(scripts/count_settable_values.py).
+np.linalg nor np.unique.  The depth search and the Gaussian fit share one
+trust-region descent, descent.py's.  The package has at most 47 settable
+values and its CLI at most 47 config keys (scripts/count_settable_values.py).
 The Gaussian fit runs in the Bargmann chart: witnesses.py names no r clamp
 and no cosh or sinh, and the squeezed-coherent route is gone.
 No module under src/, tests/ or scripts/ imports a name it never uses.
@@ -155,6 +156,17 @@ def test_retired_names_are_gone():
         "_fit_objective",
         "_gaussian_amps_batch",
         "full_cutoff_objective",
+        # the depth search's own descent and its lowest-grid-point seeds, and
+        # the fit's copy of the descent: both searches run descent.py's
+        "_refine",
+        "_trust_step",
+        "_lowest",
+        "_lockstep_newton",
+        "_FIT_GRAD_TOL",
+        "_FIT_MIN_RADIUS",
+        "_FIT_RADIUS",
+        "_FIT_ACCEPT",
+        "_FIT_NUDGE",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
@@ -184,6 +196,19 @@ def test_gaussian_fit_uses_no_r_clamp_and_no_hyperbolic_functions():
         if name == "DEFAULT_R_MAX" or "cosh" in name or "sinh" in name
     ]
     assert not found, "\n".join(found)
+
+
+def test_one_trust_region_step_solver():
+    # the depth search and the Gaussian fit share one descent: the one
+    # function under src/ named for a trust-region step, and the one named
+    # for a Newton loop, are descent.py's
+    defined = [
+        (path.name, node.name)
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and re.search("trust|newton", node.name.lower())
+    ]
+    assert sorted(defined) == [("descent.py", "lockstep_newton"), ("descent.py", "trust_steps")], defined
 
 
 def test_wigner_py_calls_no_linalg_and_no_unique():
@@ -247,6 +272,15 @@ def test_settable_values_at_most_47():
     script = ROOT / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
     assert int(out.stdout.split()[-1]) <= 47
+
+
+def test_cli_config_keys_at_most_47():
+    # the keys of the subcommands' config tables, counted apart from the
+    # settable values: 7 + 6 + 5 + 11 + 4 + 6 + 4 + 4
+    script = ROOT / "scripts" / "count_settable_values.py"
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
+    (line,) = [line for line in out.stdout.splitlines() if line.startswith("cli config keys:")]
+    assert 0 < int(line.split()[-1]) <= 47
 
 
 def test_cli_runs_load_no_scipy(tmp_path):

@@ -399,6 +399,52 @@ def test_values_do_not_depend_on_zero_padding(rng):
             assert np.array_equal(a, b)
 
 
+def _lossy(eta, rho):
+    return pure_loss(eta, rho.dim).apply(rho)
+
+
+_GRID_CODE = DepthSearchConfig(radius=2.8, resolution=35)
+# depths at the default config (the grid codes at the gkp-sweep's), frozen
+# before the depth search moved to the shared trust-region descent and its
+# grid-local-minimum seeds
+_FROZEN_DEPTH = {
+    "lossy_photon_0.55": (lambda: _lossy(0.55, fock(1, 30).to_density()), 0.06366197723675816),
+    "lossy_photon_0.7": (lambda: _lossy(0.7, fock(1, 30).to_density()), 0.2546479089470325),
+    "lossy_photon_0.9": (lambda: _lossy(0.9, fock(1, 30).to_density()), 0.5092958178940652),
+    "fock2": (lambda: fock(2, 30).to_density(), 0.26359725291093394),
+    "lossy_fock2_0.8": (lambda: _lossy(0.8, fock(2, 30).to_density()), 0.11588139288899975),
+    "odd_cat_1.5": (lambda: cat(1.5, -1, 40).to_density(), 0.6366197723675814),
+    "odd_cat_2": (lambda: cat(2.0, -1, 40).to_density(), 0.6366197723675814),
+    "even_cat_1.5": (lambda: cat(1.5, 1, 40).to_density(), 0.37961143337955905),
+    "even_cat_2": (lambda: cat(2.0, 1, 40).to_density(), 0.47585703706634264),
+    "lossy_even_cat_2_0.8": (lambda: _lossy(0.8, cat(2.0, 1, 40).to_density()), 0.0890811704212678),
+    **{
+        f"grid_code_{db}_loss_0.9": (
+            lambda db=db: _lossy(0.9, gkp_damped(GkpParams.from_db(db), 30, tail_tol=1.0).to_density()),
+            depth,
+        )
+        for db, depth in ((6.0, 0.13049432649664855), (10.0, 0.21565068222256573), (16.5, 0.13662514895440886))
+    },
+    **{
+        f"comb_{db}": (lambda db=db: comb_evaluators(*gkp_comb(GkpParams.from_db(db))), depth)
+        for db, depth in ((6.0, 0.19815024870245704), (8.0, 0.3320271047177323), (16.5, 0.5830414025228368))
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FROZEN_DEPTH))
+def test_negativity_depth_never_below_the_frozen_table(name):
+    # a lower depth would lower the certified parity bound
+    make, frozen = _FROZEN_DEPTH[name]
+    target = make()
+    if name.startswith("comb_"):
+        res = negativity_depth_fn(*target, 2.8, _GRID_CODE)
+    else:
+        res = negativity_depth(target, _GRID_CODE if name.startswith("grid_code") else None)
+    assert res.refinement_converged
+    assert res.depth >= frozen - 1e-15
+
+
 def test_depth_search_makes_few_evaluator_calls(monkeypatch):
     # one coefficient build and one grid scan, then one batched jet call per
     # lockstep refinement step, all on the same coefficients
@@ -412,9 +458,9 @@ def test_depth_search_makes_few_evaluator_calls(monkeypatch):
     res = negativity_depth(rho)
     assert res.depth == pytest.approx((2.0 / math.pi) * 0.4, abs=1e-12)
     assert res.refinement_converged
-    assert calls[:2] == ["_coefficients", "_grid_values"]
-    assert calls.count("_coefficients") == 1 and calls.count("_grid_values") == 1
-    assert len(calls) <= 30
+    # the exact minimum at alpha = 0 is a grid point and seeds alone, and the
+    # corner seeds are flat: the seeds' own jet call finds every one stationary
+    assert calls == ["_coefficients", "_grid_values", "_point_jet"]
     calls.clear()
     code = gkp_damped(GkpParams.from_db(10.0), 30, tail_tol=1.0).to_density()
     negativity_depth(code, DepthSearchConfig(radius=2.8, resolution=35))
@@ -584,11 +630,25 @@ def test_depth_config_rejects_bad_values(kwargs):
 
 @pytest.mark.parametrize("eta", [1.0, 0.7, 0.3])
 def test_lowest_grid_points_match_the_stable_argsort(eta):
-    # a phase-invariant state ties exactly at equal radii, so the seeds'
-    # order among ties must follow the grid index as the stable sort's does
+    # the seeds are the lowest grid-local minima (<= all 8 neighbours, +inf
+    # beyond the edges); a phase-invariant state ties exactly at equal radii,
+    # so the seeds' order among ties must follow the grid index as the stable
+    # sort's does
     rho = pure_loss(eta, 25).apply(fock(1, 25).to_density())
     values = wigner_batch(rho, wigner._grid_points(wigner._square_axis(2.5, 40)))
-    full = np.argsort(values, kind="stable")
-    assert np.unique(values[full[:5]]).size < 5  # the first seeds hold a tie
-    for k in (1, 2, 3, 5, 8, 100, values.size - 1, values.size, values.size + 5):
-        assert np.array_equal(wigner._lowest(values, k), full[:k])
+    side = 81
+    grid = values.reshape(side, side)
+
+    def is_local_min(i, j):
+        return all(
+            grid[i, j] <= grid[i + di, j + dj]
+            for di in (-1, 0, 1)
+            for dj in (-1, 0, 1)
+            if 0 <= i + di < side and 0 <= j + dj < side
+        )
+
+    minima = np.array([i * side + j for i in range(side) for j in range(side) if is_local_min(i, j)])
+    full = minima[np.argsort(values[minima], kind="stable")]
+    assert np.unique(values[full]).size < full.size  # the seeds hold a tie
+    for k in (1, 2, 3, 5, 8, 100):
+        assert np.array_equal(wigner._basin_seeds(values, k), full[:k])

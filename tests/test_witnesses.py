@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cvactivation import monotones, states, witnesses
+from cvactivation import descent, monotones, states, witnesses
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     DEFAULT_R_MAX,
@@ -524,13 +524,14 @@ def test_a_repeated_start_runs_once(monkeypatch):
     starts = _informed_starts(psi, GaussianFitConfig())
     assert starts[0].tobytes() == starts[1].tobytes()  # <a> = 0
     ran = []
-    run = witnesses._lockstep_newton
+    run = descent.lockstep_newton
+    assert witnesses.lockstep_newton is run  # the fit runs the shared descent
 
-    def counted(jet, x0, maxiter):
+    def counted(jet, x0, radius, maxiter):
         ran.extend(start.tobytes() for start in x0)
-        return run(jet, x0, maxiter)
+        return run(jet, x0, radius, maxiter)
 
-    monkeypatch.setattr(witnesses, "_lockstep_newton", counted)
+    monkeypatch.setattr(witnesses, "lockstep_newton", counted)
     # both starts are still counted: n_converged stays 16
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
