@@ -68,7 +68,6 @@ from .wigner import (
 from .witnesses import (
     DisplacedParity,
     FreeSet,
-    GaussianFitConfig,
     Projector,
     WitnessSpec,
     gaussian_fidelity,
@@ -84,10 +83,9 @@ MAX_RESOLUTION = 400  # resolution and depth_resolution
 MAX_QUAD_ORDER = 30
 MAX_PEAK_WINDOW = 100  # lattice peaks each side of a grid codeword
 MAX_SQUEEZING_DB = 30.0  # grid codewords; the comb window grows as 10^(dB/20)
-# radius, depth_radius and a parity witness's |alpha|: a coherent state of
-# |alpha| 11.42 leaks DISPLACEMENT_TAIL_TOL above MAX_CUTOFF levels, so beyond
-# it no cutoff keeps a grid point (and from |alpha| ~ 1e154 on, |2 alpha|^2
-# overflows in the Wigner value)
+# radius, depth_radius and a parity witness's |alpha|: the disc that MAX_CUTOFF
+# levels resolve, as a coherent state of |alpha| 11.42 leaks DISPLACEMENT_TAIL_TOL
+# above them (and from |alpha| ~ 1e154 on, |2 alpha|^2 overflows in the Wigner value)
 MAX_RADIUS = 11.4
 
 
@@ -321,19 +319,19 @@ _CHANNELS = {
 }
 
 
-def _projector(spec, cutoff: int, fit: GaussianFitConfig, two_copy: bool) -> WitnessSpec:
+def _projector(spec, cutoff: int, two_copy: bool) -> WitnessSpec:
     """The projector witness with the fitted lambda, or with a given one at or above it:
     below the maximal Gaussian fidelity the witness is not feasible."""
     lam = spec.get("lambda")
     psi = _parse_pure_state(spec.get("state"), cutoff)
-    fitted = gaussian_fidelity(psi, fit).max_fidelity
+    fitted = gaussian_fidelity(psi).max_fidelity
     lam = fitted if lam is None else _number(lam)
     if lam < fitted:
         raise ValueError(f"lambda {lam} is below the fitted maximal Gaussian fidelity {fitted}")
     return WitnessSpec(Projector(psi, lam, 2 if two_copy else 1))
 
 
-def _parity(spec, cutoff: int, fit: GaussianFitConfig) -> WitnessSpec:
+def _parity(spec, cutoff: int) -> WitnessSpec:
     alpha = _parse_complex(spec.get("alpha", 0))
     _radius(abs(alpha))
     return WitnessSpec(DisplacedParity(alpha))
@@ -341,8 +339,8 @@ def _parity(spec, cutoff: int, fit: GaussianFitConfig) -> WitnessSpec:
 
 _WITNESSES = {
     "parity": _parity,
-    "pure_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=False),
-    "two_copy_projector": lambda s, dim, fit: _projector(s, dim, fit, two_copy=True),
+    "pure_projector": lambda s, dim: _projector(s, dim, two_copy=False),
+    "two_copy_projector": lambda s, dim: _projector(s, dim, two_copy=True),
 }
 _WITNESSES["displaced_parity"] = _WITNESSES["parity"]
 
@@ -429,7 +427,6 @@ def run_wigner(cfg: dict, opts: dict) -> int:
         validate_marginal=opts["validate_marginal"],
     )
     meta = _metadata(cfg, grid.leakage)
-    meta["dropped_points"] = int(grid.dropped.size)
     write_csv(opts["out"], ("re_alpha", "im_alpha", "w_value"), grid.to_rows(), meta)
     return 0
 
@@ -519,7 +516,7 @@ def run_gkp_sweep(cfg: dict, opts: dict) -> int:
 
 def run_pure_bounds(cfg: dict, opts: dict) -> int:
     psi = opts["state"]
-    bounds = pure_state_bounds(psi, opts["seeds"])
+    bounds = pure_state_bounds(psi)
     payload = bounds.to_dict()
     payload["activated_entanglement_floor_gng"] = bounds.gng_lower / 2.0
     payload["activated_entanglement_floor_sng"] = bounds.sng_lower / 2.0
@@ -626,18 +623,16 @@ _COMMANDS = {
     "pure-bounds": (run_pure_bounds, {
         "out": ("pure_bounds.json", _out_path),
         "cutoff": (40, _cutoff),
-        "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_pure_state(v, o["cutoff"])),
     }),
     "activate": (run_activate, {
         "out": ("activate.json", _out_path),
         "cutoff": (25, _cutoff),
-        "seeds": ([0, 1, 2, 3], lambda v, o: GaussianFitConfig(seeds=v)),
         "state": ({"kind": "fock", "n": 1}, lambda v, o: _parse_state(v, o["cutoff"])),
         "channel": (None, _channel),
         "witness": (
             {"family": "parity"},
-            lambda v, o: _parse_spec(v, "witness", "family", _WITNESSES, o["cutoff"], o["seeds"]),
+            lambda v, o: _parse_spec(v, "witness", "family", _WITNESSES, o["cutoff"]),
         ),
     }),
     "boundary-mix": (run_boundary_mix, {

@@ -202,50 +202,36 @@ def _quadrature_eigensystem(dim: int):
     return tuple(out)
 
 
-def coherent_tail_mass(alpha: complex | np.ndarray, dim: int) -> float | np.ndarray:
+def coherent_tail_mass(alpha: complex, dim: int) -> float:
     """Probability a coherent state |alpha> carries above Fock level dim-1.
 
-    Exact Poisson tail: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n! , a float for a
-    scalar alpha and an array of tails for an array of alphas.  |alpha| is
-    taken by hypot, as Python's abs is; numpy's vectorised abs can differ
-    from it in the last bit.  The sum runs on the smaller side of the
-    Poisson distribution, so no cancellation occurs: upward from n = dim
-    when |alpha|^2 < dim, else one minus the terms n < dim.
+    Exact Poisson tail: sum_{n>=dim} e^{-|a|^2} |a|^{2n}/n! .  The sum runs
+    on the smaller side of the Poisson distribution, so no cancellation
+    occurs: upward from n = dim when |alpha|^2 < dim, else one minus the
+    terms n < dim.
     """
     with np.errstate(over="ignore"):  # |alpha| above ~1.3e154 squares to inf, a tail of 1
         x = np.hypot(np.real(alpha), np.imag(alpha)) ** 2
-    if np.ndim(x) == 0:
-        x = float(x)
-        if 0.0 < x < dim:
-            return _poisson_sum(x, dim, upward=True)
-        if dim <= x < math.inf:
-            return 1.0 - _poisson_sum(x, dim - 1, upward=False)
-        return 1.0 if x == math.inf else x * 0.0  # 0 at alpha = 0, NaN stays NaN
-    # grids repeat |alpha|^2 many times over, so each distinct value is summed once
-    values, inverse = np.unique(x, return_inverse=True)
-    tail = np.where(np.isnan(values), values, 0.0)  # 0 at alpha = 0, NaN stays NaN
-    tail[values == np.inf] = 1.0
-    up = (values > 0.0) & (values < dim)
-    down = (values >= dim) & (values < np.inf)
-    tail[up] = _poisson_sum(values[up], dim, upward=True)
-    tail[down] = 1.0 - _poisson_sum(values[down], dim - 1, upward=False)
-    return tail[inverse].reshape(x.shape)
+    x = float(x)
+    if 0.0 < x < dim:
+        return _poisson_sum(x, dim, upward=True)
+    if dim <= x < math.inf:
+        return 1.0 - _poisson_sum(x, dim - 1, upward=False)
+    return 1.0 if x == math.inf else x * 0.0  # 0 at alpha = 0, NaN stays NaN
 
 
-def _poisson_sum(x: float | np.ndarray, n: int, upward: bool) -> float | np.ndarray:
+def _poisson_sum(x: float, n: int, upward: bool) -> float:
     """Sum of the Poisson(x) terms e^{-x} x^k / k! from k = n upward, or from
     k = n down to 0, until a term no longer changes the sum.
 
-    ``x`` is a positive finite float, or an array of them.  Along either
-    direction the terms only shrink, so later terms cannot change it either.
+    ``x`` is a positive finite float.  Along either direction the terms only
+    shrink, so later terms cannot change it either.
     """
-    scalar = isinstance(x, float)
-    lib = math if scalar else np
-    term = lib.exp(n * lib.log(x) - x - math.lgamma(n + 1))
-    total = 0.0 if scalar else np.zeros_like(x)
+    term = math.exp(n * math.log(x) - x - math.lgamma(n + 1))
+    total = 0.0
     while n >= 0:
         new = total + term
-        if (new == total) if scalar else np.array_equal(new, total):
+        if new == total:
             break
         total = new
         if upward:

@@ -41,13 +41,7 @@ import numpy as np
 
 from .descent import lockstep_newton
 from .errors import InvariantError
-from .fock import (
-    DISPLACEMENT_TAIL_TOL,
-    DensityMatrix,
-    _occupied_dim,
-    _whole_fields,
-    coherent_tail_mass,
-)
+from .fock import DensityMatrix, _occupied_dim, _whole_fields
 from .states import hermite_functions
 
 WIGNER_BOUND = 2.0 / math.pi
@@ -265,17 +259,13 @@ def comb_evaluators(centers: np.ndarray, weights: np.ndarray, sigma2: float):
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """Wigner values on a square grid of phase-space points.
-
-    Points whose displacement would leak beyond the truncation guard are
-    dropped (listed in ``dropped``), never fabricated.
-    """
+    """Wigner values of the truncated state at every point of a square grid,
+    Re alpha the slow index."""
 
     centers: np.ndarray
     values: np.ndarray
     radius: float
     resolution: int
-    dropped: np.ndarray
     leakage: float
 
     @property
@@ -284,7 +274,7 @@ class WignerGrid:
         return step * step
 
     def integral(self) -> float:
-        """Plane integral over the kept cells."""
+        """Plane integral over the grid's cells."""
         return float(np.sum(self.values) * self.cell_area)
 
     def min_value(self) -> float:
@@ -324,47 +314,36 @@ def wigner_grid(
     resolution: int = 40,
     validate_marginal: bool = True,
 ) -> WignerGrid:
-    """Wigner function on a (2*resolution+1)^2 square grid.
+    """Wigner function on a (2*resolution+1)^2 square grid, exact for the
+    truncated state at every point.
 
     The numerically integrated x-marginal is checked against the quadrature
-    distribution <x|rho|x> on fully kept grid columns (tolerance 2e-3).
+    distribution <x|rho|x> on every grid column (tolerance 2e-3), so a grid
+    too coarse or too small for the state fails with an InvariantError.
     """
     if radius is None:
         radius = default_radius(rho)
     axis = _square_axis(radius, resolution)
-    centers = _grid_points(axis)
-    guard = coherent_tail_mass(centers, rho.dim) <= DISPLACEMENT_TAIL_TOL
-    table = _grid_values(_coefficients(rho.matrix), axis)
-    values = table[guard]
+    values = _grid_values(_coefficients(rho.matrix), axis)
     _check_bound(values)
     grid = WignerGrid(
-        centers=centers[guard],
+        centers=_grid_points(axis),
         values=values,
         radius=float(radius),
         resolution=int(resolution),
-        dropped=centers[~guard],
         leakage=rho.leakage,
     )
     if validate_marginal:
-        _marginal_check(rho, axis, table, guard, radius / resolution)
+        _marginal_check(rho, axis, values, radius / resolution)
     return grid
 
 
-def _marginal_check(
-    rho: DensityMatrix,
-    axis: np.ndarray,
-    table: np.ndarray,
-    guard: np.ndarray,
-    step: float,
-) -> None:
-    """Integrate W over Im(alpha) and compare with sqrt(2) <x|rho|x>, on the grid
-    columns (fixed Re alpha) with no dropped point."""
+def _marginal_check(rho: DensityMatrix, axis: np.ndarray, table: np.ndarray, step: float) -> None:
+    """Integrate W over Im(alpha) and compare with sqrt(2) <x|rho|x> on every
+    grid column (fixed Re alpha)."""
     n_axis = axis.size
-    full = guard.reshape(n_axis, n_axis).all(axis=1)
-    if not full.any():
-        return
-    marg = np.trapezoid(table.reshape(n_axis, n_axis)[full], dx=step, axis=1)
-    basis = hermite_functions(rho.dim, np.sqrt(2.0) * axis[full])
+    marg = np.trapezoid(table.reshape(n_axis, n_axis), dx=step, axis=1)
+    basis = hermite_functions(rho.dim, np.sqrt(2.0) * axis)
     prob_x = np.real(np.einsum("nx,nm,mx->x", basis, rho.matrix, basis))
     ref = np.sqrt(2.0) * prob_x
     dev = float(np.max(np.abs(marg - ref)))

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -218,19 +217,14 @@ def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
 @dataclass(frozen=True)
 class GaussianFitConfig:
     """Settings of the Gaussian-fidelity search: ``n_starts`` starts from
-    :func:`_informed_starts` (their seeded draws from ``seeds``), run in
-    lockstep by a trust-region Newton for at most ``maxiter`` steps."""
+    :func:`_informed_starts`, run in lockstep by a trust-region Newton for at
+    most ``maxiter`` steps."""
 
     n_starts: int = 16
-    seeds: tuple[int, ...] = (0, 1, 2, 3)
     maxiter: int = 400
 
     def __post_init__(self):
         _whole_fields(self, "n_starts", "maxiter")
-        seeds = tuple(operator.index(s) for s in self.seeds)
-        if min(seeds, default=0) < 0 or any(isinstance(s, bool) for s in self.seeds):
-            raise ValueError(f"seeds must be nonnegative integers, got {self.seeds}")
-        object.__setattr__(self, "seeds", seeds)
 
 
 @dataclass(frozen=True)
@@ -279,9 +273,7 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]
         (a_mean.real, a_mean.imag, 0.4, np.pi / 2),
         (abs(a_mean) + 0.5, 0.0, 0.2, 0.0),
     ]
-    rngs = [np.random.default_rng(seed) for seed in cfg.seeds] or [
-        np.random.default_rng(0)
-    ]
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
     i = 0
     while len(starts) < cfg.n_starts:
         rng = rngs[i % len(rngs)]

@@ -308,13 +308,25 @@ def test_invariant_failure_exit_code(tmp_path):
     assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 4
 
 
-def test_seed_list_flag(tmp_path):
-    # the fit seeds are set by the config key; there is no flag for them
-    out, cfgfile = tmp_path / "pb.json", tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"seeds": [5, 6, 7]}))
-    assert run(["pure-bounds", "--config", cfgfile, "--out", out]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["metadata"]["config"]["seeds"] == [5, 6, 7]
+@pytest.mark.parametrize("cutoff", [30, 60])
+def test_coarse_grid_fails_the_marginal_check_at_every_cutoff(tmp_path, cutoff):
+    # 11 x 11 points over Fock 1's radius-5 square cannot integrate its
+    # marginal; every column is checked, whatever the cutoff
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"cutoff": cutoff, "resolution": 5}))
+    assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 4
+    assert not (tmp_path / "w.csv").exists()
+
+
+def test_seed_list_flag(tmp_path, capsys):
+    # the fit's seeds are fixed: no flag sets them, and a seeds key, even at
+    # the fixed value, is an unknown key
+    out, cfgfile = tmp_path / "out.json", tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seeds": [0, 1, 2, 3]}))
+    for command in ("pure-bounds", "activate"):
+        assert run([command, "--config", cfgfile, "--out", out]) == 2
+        assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_seed_and_budget_rejected_where_ignored(tmp_path):
@@ -529,7 +541,7 @@ def _lambda_run(tmp_path, family, lam):
 
 
 def _fitted_fock1_lambda():
-    return gaussian_fidelity(fock(1, 25), GaussianFitConfig(seeds=[0, 1, 2, 3])).max_fidelity
+    return gaussian_fidelity(fock(1, 25)).max_fidelity
 
 
 def test_projector_lambda_below_the_fit_exits_2(tmp_path, capsys):

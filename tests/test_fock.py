@@ -124,25 +124,18 @@ def test_coherent_tail_mass_matches_the_regularized_gamma_oracle():
     for dim in range(1, 201):
         x = np.concatenate([np.linspace(0.0, 60.0, 61), [dim - 0.5, dim + 0.5]])
         want = gammainc(dim, x)
-        scalar = np.array([coherent_tail_mass(math.sqrt(v), dim) for v in x])
-        # an array input, as complex alphas of the same modulus
-        array = coherent_tail_mass(np.sqrt(x) * np.exp(0.7j * np.arange(x.size)), dim)
-        for got in (scalar, array):
-            normal = want >= tiny
-            assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal]), dim
-            assert np.all(np.abs(got[~normal]) <= tiny), dim
+        got = np.array([coherent_tail_mass(math.sqrt(v), dim) for v in x])
+        normal = want >= tiny
+        assert np.all(np.abs(got[normal] - want[normal]) <= 1e-12 * want[normal]), dim
+        assert np.all(np.abs(got[~normal]) <= tiny), dim
 
 
 def test_coherent_tail_mass_types_and_edges():
     assert type(coherent_tail_mass(1.5, 10)) is float
-    assert coherent_tail_mass(np.ones((2, 3)), 10).shape == (2, 3)
     assert coherent_tail_mass(0.0, 10) == 0.0
     assert math.isnan(coherent_tail_mass(complex(math.nan, 0.0), 10))
     with np.errstate(over="ignore"):  # |alpha|^2 overflows to inf
         assert coherent_tail_mass(1e200, 10) == 1.0
-        got = coherent_tail_mass(np.array([0.0, 1e200, np.nan, 2.0]), 10)
-    assert got[:2].tolist() == [0.0, 1.0] and math.isnan(got[2])
-    assert got[3] == pytest.approx(coherent_tail_mass(2.0, 10), rel=1e-14, abs=0.0)
 
 
 def test_displacement_guard_raises():

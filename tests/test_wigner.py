@@ -7,7 +7,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from cvactivation.errors import InvariantError
-from cvactivation.fock import DensityMatrix
+from cvactivation.fock import DISPLACEMENT_TAIL_TOL, DensityMatrix, coherent_tail_mass
 from cvactivation.states import GkpParams, cat, coherent, fock, gkp_comb, gkp_damped
 from cvactivation.channels import pure_loss
 from cvactivation import wigner
@@ -131,6 +131,42 @@ def test_marginal_check_flags_truncated_integration():
     with pytest.raises(InvariantError):
         wigner_grid(rho, radius=1.2, resolution=30)
     wigner_grid(rho, radius=4.5, resolution=60)  # adequate disc passes
+
+
+def test_marginal_check_reads_every_column(monkeypatch):
+    # the cli's default grid of Fock 1 (radius 5, resolution 60): every one
+    # of its 121 columns integrates to <x|rho|x> within rounding, so the
+    # check passes at 1e-12 and, as it reads them, fails at 1e-17
+    rho = fock(1, 30).to_density()
+    monkeypatch.setattr(wigner, "MARGINAL_TOL", 1e-12)
+    grid = wigner_grid(rho, resolution=60)
+    assert grid.values.size == grid.centers.size == 121**2
+    monkeypatch.setattr(wigner, "MARGINAL_TOL", 1e-17)
+    with pytest.raises(InvariantError):
+        wigner_grid(rho, resolution=60)
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [
+        fock(1, 30).to_density(),
+        cat(1.5, -1, 30).to_density(),
+        pure_loss(0.7, 30).apply(fock(3, 30).to_density()),
+    ],
+    ids=["fock1", "odd-cat", "lossy-fock3"],
+)
+def test_grid_is_exact_where_a_coherent_state_would_leak(rho):
+    # the grid keeps the points where a coherent |alpha> leaks more than
+    # DISPLACEMENT_TAIL_TOL above the cutoff: its values there are those of
+    # the truncated state, as the Laguerre series gives them
+    grid = wigner_grid(rho, resolution=60)
+    leaky = [c for c in grid.centers if coherent_tail_mass(c, rho.dim) > DISPLACEMENT_TAIL_TOL]
+    assert len(leaky) > 42
+    leaky.sort(key=abs)
+    for i in np.linspace(0, len(leaky) - 1, 42).astype(int):
+        got = grid.values[grid.centers == leaky[i]]
+        assert got.size == 1
+        assert abs(got[0] - laguerre_series(rho, leaky[i])) <= 1e-12
 
 
 def test_depth_examples():
