@@ -15,13 +15,10 @@ import numpy as np
 # a start is stationary once |grad| <= _GRAD_TOL (a step that small lowers the
 # value by ~|grad|^2 / curvature, below the last digit of a bound) or once its
 # trust radius has collapsed below _MIN_RADIUS; a step is accepted when it
-# realises more than _ACCEPT of its predicted decrease; a start valued +inf
-# first moves a zero first coordinate to _NUDGE, the first step of a simplex
-# from zero
+# realises more than _ACCEPT of its predicted decrease
 _GRAD_TOL = 1e-10
 _MIN_RADIUS = 1e-9
 _ACCEPT = 0.15
-_NUDGE = 0.00025
 # at most this many Newton steps on the shift sigma of a boundary step
 _SECULAR_STEPS = 30
 
@@ -70,8 +67,12 @@ def lockstep_newton(
     value.  A step that realises less than a quarter shrinks the radius to a
     quarter of its length; one on the boundary that realises more than three
     quarters doubles it.  A start valued +inf (F = 0 in the Gaussian fit, as
-    at b = 0 for an odd psi) first moves a zero first coordinate to
-    ``_NUDGE``; one whose value or derivatives are not finite is dropped.
+    at b = 0 for an odd psi) first moves a zero first coordinate out to
+    ``radius``, the edge of its first trust region: near a k-fold zero the
+    value is about -2k log|x_0|, so a Newton step only doubles a small
+    |x_0| and a start placed close to the zero would spend its first dozen
+    steps leaving it.  A start whose value or derivatives are not finite is
+    dropped.
     Returns the final points, their values, a per-start stationarity flag
     and the number of steps run, at most ``maxiter``.
     """
@@ -79,7 +80,7 @@ def lockstep_newton(
     f, grad, hess = jet(x)
     flat = f == np.inf
     if flat.any():
-        x[flat, 0] = np.where(x[flat, 0] == 0.0, _NUDGE, x[flat, 0])
+        x[flat, 0] = np.where(x[flat, 0] == 0.0, radius, x[flat, 0])
         f[flat], grad[flat], hess[flat] = jet(x[flat])
     radii = np.full(len(x), radius)
 

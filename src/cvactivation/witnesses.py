@@ -229,9 +229,11 @@ class GaussianFitConfig:
 
 @dataclass(frozen=True)
 class GaussianFidelityResult:
-    """Best found fidelity sup |<psi|D(a)S(r e^{i phi})|0>|^2 with provenance:
-    the spread and count of the converged starts, and the number of lockstep
-    Newton steps run."""
+    """Best found fidelity sup |<psi|D(a)S(r e^{i phi})|0>|^2, the spread and
+    count of the converged starts, and the number of lockstep Newton steps
+    run.  The spread and count are not a convergence certificate: all starts
+    can agree on a local maximum, so a small spread with every start
+    converged does not show that the fidelity is the global maximum."""
 
     max_fidelity: float
     argmax: GaussianPureParams
@@ -410,11 +412,15 @@ def gaussian_fidelity(
     trust-region Newton descent of -log F on the exact value, gradient and
     Hessian of :func:`_fit_jet`, one batched jet per step
     (:func:`~cvactivation.descent.lockstep_newton`, the depth search's descent
-    too, here from a trust radius of 1 in the chart).  The spread between converged starts is reported so optimizer
-    traps are visible.  A start counts as converged once it is stationary
-    within ``cfg.maxiter`` steps at a fidelity above 0.  A start whose bytes
-    repeat an earlier one's (the first two, whenever <a> = 0) runs once and
-    is counted again.
+    too, here from a trust radius of 1 in the chart).  A start where F = 0,
+    as b = 0 is for an odd psi, first moves its zero Re b out to that radius.
+    A start counts as converged once it is stationary within ``cfg.maxiter``
+    steps at a fidelity above 0.  A start whose bytes repeat an earlier one's
+    (the first two, whenever <a> = 0) runs once and is counted again.  The
+    spread and count of the converged starts are not a convergence
+    certificate: images D(a)S(r e^{i phi}) of the even cat a = 2 were seen
+    to miss the maximum by 0.0875 with a spread of at most 1.6e-10 and all
+    16 starts converged.
 
     Each start's end point is scored by the value f = -log F the descent
     holds there, F = exp(-f): the exact fidelity with the untruncated

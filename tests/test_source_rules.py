@@ -167,6 +167,9 @@ def test_retired_names_are_gone():
         "_FIT_RADIUS",
         "_FIT_ACCEPT",
         "_FIT_NUDGE",
+        # the descent's simplex-sized move off a zero of the overlap: a start
+        # valued +inf moves out to the trust radius
+        "_NUDGE",
         # the Wigner grid's displacement-tail guard: the grid keeps every
         # point, since its values are exact for the truncated state
         "dropped_points",

@@ -321,15 +321,15 @@ def _top_eigenvector(rho):
 # and count leave out starts that end at F = 0 or are not stationary
 _FOCK1_FIT = (
     "GaussianFidelityResult(max_fidelity=0.4778894123767382, "
-    "argmax=GaussianPureParams(alpha=(0.8007807749802135+0.1594265256748276j), "
-    "r=0.5493061444076865, phi=0.39303860653239275), "
-    "multistart_spread=3.3306690738754696e-16, n_converged=16, steps=32)"
+    "argmax=GaussianPureParams(alpha=(0.8052447093635496+0.13508378218511685j), "
+    "r=0.5493061362626589, phi=0.3324147143671438), "
+    "multistart_spread=3.3306690738754696e-16, n_converged=16, steps=17)"
 )
 _FOCK2_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.38131937955276407, "
-    "argmax=GaussianPureParams(alpha=(-1.058477089678353+0.6161381749538244j), "
-    "r=0.6584789484554254, phi=5.228879702414115), "
-    "multistart_spread=0.18886928982288886, n_converged=16, steps=46)"
+    "GaussianFidelityResult(max_fidelity=0.3813193795527643, "
+    "argmax=GaussianPureParams(alpha=(1.215361561589108+0.15131514997677034j), "
+    "r=0.658478948488936, phi=0.24772958407005227), "
+    "multistart_spread=0.18886928982288909, n_converged=16, steps=20)"
 )
 # the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3 of its mass
 # above the cutoff
@@ -511,8 +511,8 @@ def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
 
     monkeypatch.setattr(witnesses, "gaussian_amps", recorded)
     # one table per jet call, for all live starts at once: one at the
-    # starts, one per step and one at the origin start, nudged because F = 0
-    # there for |1> and |2>
+    # starts, one per step and one at the starts where F = 0 (b = 0 for |1>,
+    # the origin for |2>), moved out to the trust radius
     for n, levels, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
         tables.clear()
         res = gaussian_fidelity(fock(n, 30))
@@ -537,6 +537,47 @@ def test_a_repeated_start_runs_once(monkeypatch):
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
     assert sorted(ran) == sorted({start.tobytes() for start in starts})
     assert len(ran) == len(starts) - 1
+
+
+def test_a_start_valued_inf_moves_its_zero_coordinate_out_to_the_trust_radius():
+    # f = x0^2 - 2 log|x0| + x1^2 is +inf on x0 = 0, as -log F is at a
+    # simple zero of the overlap, and least at (+-1, 0)
+    calls = []
+
+    def jet(x):
+        calls.append(x.copy())
+        with np.errstate(divide="ignore"):
+            value = x[:, 0] ** 2 - 2.0 * np.log(np.abs(x[:, 0])) + x[:, 1] ** 2
+            grad = np.column_stack([2.0 * x[:, 0] - 2.0 / x[:, 0], 2.0 * x[:, 1]])
+            curv = 2.0 + 2.0 / x[:, 0] ** 2
+        hess = np.zeros((len(x), 2, 2))
+        hess[:, 0, 0], hess[:, 1, 1] = curv, 2.0
+        return value, grad, hess
+
+    starts = np.array([[0.0, 0.3], [0.5, 0.1], [0.0, -0.2]])
+    points, values, stationary, steps = descent.lockstep_newton(jet, starts, 0.7, 40)
+    # the flat starts alone are evaluated again, each at exactly the radius
+    assert calls[1].tolist() == [[0.7, 0.3], [0.7, -0.2]]
+    assert stationary.all() and np.allclose(points, [[1.0, 0.0]] * 3, atol=1e-9)
+    assert steps <= 8
+
+
+@pytest.mark.parametrize(
+    "make, ceiling",
+    [
+        (lambda: fock(1, 30), 20),
+        (lambda: fock(2, 30), 24),
+        (lambda: fock(3, 40), 30),
+        (lambda: cat(1.5, -1, 40), 16),
+    ],
+    ids=["fock1", "fock2", "fock3", "odd_cat"],
+)
+def test_zero_overlap_starts_leave_the_zero_in_a_few_steps(make, ceiling):
+    # a start at a zero of the overlap (b = 0 for an odd psi, the origin for
+    # |2>) steps out from the edge of its first trust region; placed next to
+    # the zero it would only double its distance per step and set the fit's
+    # step count alone
+    assert gaussian_fidelity(make()).steps <= ceiling
 
 
 def test_gaussian_fit_builds_no_state(monkeypatch):
