@@ -7,16 +7,20 @@ Each subcommand writes one fixed relative ``--out`` name inside ``<dir>``.
 The ``out`` path is part of the config hashed into every output's metadata,
 so absolute paths would make two identical runs look different; with
 relative names, the directories written from two checkouts compare file
-by file.  Given a baseline directory (one written by this script from
-another checkout), every output is compared with the baseline's byte for
-byte, each file that differs is named and followed by its unified diff
-against the baseline, and the exit code is 1 if any differs.  The package
-is imported from the ``src/`` of the checkout that holds this script.
+by file.  Each subcommand's wall time (one ``time.perf_counter`` run, in
+this process, so the first run also pays the package's lazy set-up) is
+printed next to its output name.  Given a baseline directory (one written
+by this script from another checkout), every output is compared with the
+baseline's byte for byte, each file that differs is named and followed
+by its unified diff against the baseline, and the exit code is 1 if any
+differs.  The package is imported from the ``src/`` of the checkout that
+holds this script.
 """
 
 import difflib
 import os
 import sys
+import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -40,7 +44,12 @@ def snapshot(out_dir: str) -> int:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     os.chdir(path)
-    failed = [command for command, out in OUTPUTS.items() if main([command, "--out", out]) != 0]
+    failed = []
+    for command, out in OUTPUTS.items():
+        start = time.perf_counter()
+        if main([command, "--out", out]) != 0:
+            failed.append(command)
+        print(f"{out}: {time.perf_counter() - start:.3f} s")
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 
 One descent serves the package's two searches: the Gaussian fit of
 :func:`~cvactivation.witnesses.gaussian_fidelity` (-log F over four chart
-coordinates) and the negativity-depth search of
+coordinates, three for a number state) and the negativity-depth search of
 :func:`~cvactivation.wigner.negativity_depth_fn` (W over (Re alpha, Im alpha)).
 Each passes a batched jet, its starts as rows, the starting trust radius and
 a step cap.
@@ -33,9 +33,10 @@ def trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.nd
     with sigma > max(0, -lambda_min) found by Newton's method on
     1 / |p(sigma)|.  Where even the least shift leaves p inside (g has no
     part along the lowest eigenvector), that p is the step.  A plain Cauchy
-    step would not do: symmetries make H singular along whole orbits (every
-    rotation of a Gaussian fits a Fock state equally), and descent along -g
-    alone then converges only linearly.
+    step would not do: symmetries make H singular along whole orbits (the
+    depth search's ring minima, where W of a Fock-diagonal rho is the same
+    at every phase of alpha), and descent along -g alone then converges only
+    linearly.
     """
     vals, vecs = np.linalg.eigh(hess)
     coef = -np.einsum("kji,kj->ki", vecs, grad)  # the step is vecs @ (coef / (vals + sigma))

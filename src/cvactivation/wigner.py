@@ -284,8 +284,7 @@ class WignerGrid:
         return float(np.max(self.values))
 
     def to_rows(self):
-        for c, v in zip(self.centers, self.values):
-            yield (float(c.real), float(c.imag), float(v))
+        yield from zip(self.centers.real.tolist(), self.centers.imag.tolist(), self.values.tolist())
 
 
 def default_radius(rho: DensityMatrix) -> float:

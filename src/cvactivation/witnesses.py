@@ -400,6 +400,17 @@ def _fit_jet(psi: PureState):
     return jet
 
 
+def _on_rotation_slice(jet):
+    """``jet`` restricted to the slice Im b = 0, over (Re b, Re w, Im w)."""
+    kept = [0, 2, 3]
+
+    def sliced(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        value, grad, hess = jet(np.insert(y, 1, 0.0, axis=1))
+        return value, grad[:, kept], hess[:, kept][:, :, kept]
+
+    return sliced
+
+
 def gaussian_fidelity(
     psi: PureState, cfg: GaussianFitConfig | None = None
 ) -> GaussianFidelityResult:
@@ -414,6 +425,14 @@ def gaussian_fidelity(
     (:func:`~cvactivation.descent.lockstep_newton`, the depth search's descent
     too, here from a trust radius of 1 in the chart).  A start where F = 0,
     as b = 0 is for an odd psi, first moves its zero Re b out to that radius.
+    A psi with one nonzero amplitude, e^{i chi}|n>, is fitted on the slice
+    Im b = 0 over (Re b, Re w, Im w) (:func:`_on_rotation_slice`): c_n of the
+    rotated point (e^{i theta} b, e^{2i theta} t) is e^{i n theta} c_n(b, t)
+    and the Gaussian's mass does not move, so F is constant on these orbits
+    (Chabaud, Markham and Grosshans, PRL 124, 063605 (2020)).  Each start is
+    turned by the rotation that makes its b real, which leaves its F
+    unchanged, and the descent spends no step along an orbit, where -log F
+    is flat and its Hessian singular.
     A start counts as converged once it is stationary within ``cfg.maxiter``
     steps at a fidelity above 0.  A start whose bytes repeat an earlier one's
     (the first two, whenever <a> = 0) runs once and is counted again.  The
@@ -437,12 +456,17 @@ def gaussian_fidelity(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    starts = _informed_starts(psi, cfg)
+    starts, jet = np.array(_informed_starts(psi, cfg)), _fit_jet(psi)
+    sliced = np.count_nonzero(psi.amplitudes) == 1
+    if sliced:
+        b, w = starts[:, 0] + 1j * starts[:, 1], starts[:, 2] + 1j * starts[:, 3]
+        w = w * np.exp(-2j * np.angle(b))  # the rotation that makes b real
+        starts, jet = np.column_stack([np.abs(b), w.real, w.imag]), _on_rotation_slice(jet)
     keys = [start.tobytes() for start in starts]
     runs = dict(zip(keys, starts))  # a repeated start runs once
-    points, values, stationary, steps = lockstep_newton(
-        _fit_jet(psi), np.array(list(runs.values())), 1.0, cfg.maxiter
-    )
+    points, values, stationary, steps = lockstep_newton(jet, np.array(list(runs.values())), 1.0, cfg.maxiter)
+    if sliced:
+        points = np.insert(points, 1, 0.0, axis=1)
     rows = [list(runs).index(key) for key in keys]
     fids = np.exp(-np.where(np.isnan(values), np.inf, values))[rows]
     converged = fids[stationary[rows] & (fids > 0.0)]

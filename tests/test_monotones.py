@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from cvactivation import monotones, wigner
@@ -236,6 +238,23 @@ def test_pure_state_bounds_examples():
     fb = pure_state_bounds(fock(1, 40))
     assert fb.sng_lower == pytest.approx(1.0 - (1.0 - fb.gng_lower) ** 2, abs=1e-12)
     assert fb.sng_lower >= fb.gng_lower
+
+
+def test_photon_floors_never_exceed_their_closed_forms():
+    # the floors 1 - lam and 1 - lam^2 are certified only if lam is at least
+    # the true maximum, so a fit that rounds below it must never pass it by
+    # even an ulp; the closed forms of lambda(|1>) and lambda(|2>) to 40 digits
+    with localcontext() as ctx:
+        ctx.prec = 40
+        root3 = Decimal(3).sqrt()
+        exact = {
+            1: 3 * root3 / (4 * Decimal(1).exp()),
+            2: 2 * (1 + 1 / root3) ** 2 * (Decimal(2) / 3).sqrt() * (-(3 + root3) / 2).exp(),
+        }
+        for n, lam in exact.items():
+            bounds = pure_state_bounds(fock(n, 40))
+            assert Decimal(bounds.gng_lower) <= 1 - lam, n
+            assert Decimal(bounds.sng_lower) <= 1 - lam * lam, n
 
 
 def test_property_suite_passes_on_corpus():

@@ -320,16 +320,16 @@ def _top_eigenvector(rho):
 # fits scored by the exact fidelity with the untruncated Gaussian; the spread
 # and count leave out starts that end at F = 0 or are not stationary
 _FOCK1_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.4778894123767382, "
-    "argmax=GaussianPureParams(alpha=(0.8052447093635496+0.13508378218511685j), "
-    "r=0.5493061362626589, phi=0.3324147143671438), "
-    "multistart_spread=3.3306690738754696e-16, n_converged=16, steps=17)"
+    "GaussianFidelityResult(max_fidelity=0.4778894123767381, "
+    "argmax=GaussianPureParams(alpha=(0.8164965809277235+0j), "
+    "r=0.5493061443340526, phi=0.0), "
+    "multistart_spread=3.3306690738754696e-16, n_converged=16, steps=8)"
 )
 _FOCK2_FIT = (
-    "GaussianFidelityResult(max_fidelity=0.3813193795527643, "
-    "argmax=GaussianPureParams(alpha=(1.215361561589108+0.15131514997677034j), "
-    "r=0.658478948488936, phi=0.24772958407005227), "
-    "multistart_spread=0.18886928982288909, n_converged=16, steps=20)"
+    "GaussianFidelityResult(max_fidelity=0.3813193795527639, "
+    "argmax=GaussianPureParams(alpha=(1.224744871391589+0j), "
+    "r=0.6584789484624083, phi=0.0), "
+    "multistart_spread=0.18886928982288875, n_converged=16, steps=16)"
 )
 # the squeezed vacuum r = 1.388, phi = pi, which puts 1.7e-3 of its mass
 # above the cutoff
@@ -520,9 +520,19 @@ def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
         assert len(tables) == res.steps + 2 and set(tables) == {levels}
 
 
+def _on_the_slice(starts):
+    """(Re b, Re w, Im w) of each chart start turned by the rotation
+    (b, w) -> (e^{i theta} b, e^{2i theta} w) that makes b real and >= 0."""
+    starts = np.array(starts)
+    b, w = starts[:, 0] + 1j * starts[:, 1], starts[:, 2] + 1j * starts[:, 3]
+    w = w * np.exp(-2j * np.angle(b))
+    return np.column_stack([np.abs(b), w.real, w.imag])
+
+
 def test_a_repeated_start_runs_once(monkeypatch):
     psi = fock(1, 30)
-    starts = _informed_starts(psi, GaussianFitConfig())
+    # |1> runs on the slice Im b = 0, so the descent sees the turned starts
+    starts = list(_on_the_slice(_informed_starts(psi, GaussianFitConfig())))
     assert starts[0].tobytes() == starts[1].tobytes()  # <a> = 0
     ran = []
     run = descent.lockstep_newton
@@ -565,9 +575,9 @@ def test_a_start_valued_inf_moves_its_zero_coordinate_out_to_the_trust_radius():
 @pytest.mark.parametrize(
     "make, ceiling",
     [
-        (lambda: fock(1, 30), 20),
-        (lambda: fock(2, 30), 24),
-        (lambda: fock(3, 40), 30),
+        (lambda: fock(1, 30), 10),
+        (lambda: fock(2, 30), 18),
+        (lambda: fock(3, 40), 18),
         (lambda: cat(1.5, -1, 40), 16),
     ],
     ids=["fock1", "fock2", "fock3", "odd_cat"],
@@ -576,8 +586,50 @@ def test_zero_overlap_starts_leave_the_zero_in_a_few_steps(make, ceiling):
     # a start at a zero of the overlap (b = 0 for an odd psi, the origin for
     # |2>) steps out from the edge of its first trust region; placed next to
     # the zero it would only double its distance per step and set the fit's
-    # step count alone
+    # step count alone; a number state runs on the slice Im b = 0, where no
+    # step is spent along its rotation orbit
     assert gaussian_fidelity(make()).steps <= ceiling
+
+
+def test_a_number_state_is_fitted_on_the_rotation_slice(monkeypatch):
+    # F of e^{i chi}|n> is constant on the orbits (b, t) -> (e^{i theta} b,
+    # e^{2i theta} t), so its fit runs over (Re b, Re w, Im w) alone; any
+    # other psi keeps all four chart coordinates
+    widths = []
+    run = descent.lockstep_newton
+
+    def recorded(jet, x0, *args):
+        widths.append(x0.shape[1])
+        return run(jet, x0, *args)
+
+    monkeypatch.setattr(witnesses, "lockstep_newton", recorded)
+    top = _top_eigenvector(pure_loss(0.7, 30).apply(fock(1, 30).to_density()))
+    sliced = [fock(n, 30) for n in range(7)]
+    sliced += [PureState(np.exp(0.7j) * fock(3, 30).amplitudes), top, PureState(-top.amplitudes)]
+    mixed = fock(1, 30).amplitudes + 1e-3 * fock(3, 30).amplitudes
+    full = [PureState(mixed / np.linalg.norm(mixed)), cat(2.0, 1, 40)]
+    for psi in sliced + full:
+        gaussian_fidelity(psi)
+    assert widths == [3] * len(sliced) + [4] * len(full)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_the_slice_fit_reaches_the_full_chart_fit(n):
+    # the same descent on the same jet from the unturned starts, over all four
+    # coordinates, finds no larger lambda
+    psi = fock(n, 40)
+    starts = np.array(_informed_starts(psi, GaussianFitConfig()))
+    values = descent.lockstep_newton(_fit_jet(psi), starts, 1.0, 400)[1]
+    full = float(np.exp(-np.where(np.isnan(values), np.inf, values)).max())
+    assert gaussian_fidelity(psi).max_fidelity >= full - 1e-15
+
+
+def test_the_photon_fit_ends_at_a_real_displacement():
+    # on the slice the optimum b = sqrt(3/2), t = 1/2 is reached with b and t
+    # real: alpha = (b - t b) / (1 - t^2) = sqrt(2/3)
+    argmax = gaussian_fidelity(fock(1, 30)).argmax
+    assert abs(argmax.alpha - math.sqrt(2.0 / 3.0)) <= 1e-12
+    assert abs(argmax.r - math.atanh(0.5)) <= 1e-12
 
 
 def test_gaussian_fit_builds_no_state(monkeypatch):
