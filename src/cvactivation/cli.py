@@ -160,17 +160,11 @@ def _metadata(cfg: dict, max_leakage: float) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def write_csv(path: str, columns, rows, metadata: dict) -> None:
     lines = [f"# {key}: {_canonical(val)}" for key, val in sorted(metadata.items())]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(str, row)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 

@@ -10,7 +10,7 @@ convexity, Lipschitz continuity) evaluated at the searched-family level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -253,11 +253,10 @@ class PureStateBounds:
         }
 
 
-def pure_state_bounds(
-    psi: PureState, cfg: GaussianFitConfig | None = None
-) -> PureStateBounds:
-    """Certified unit-box floors (1 - lam, 1 - lam^2) from the projector pair."""
-    fit = gaussian_fidelity(psi, cfg)
+def pure_state_bounds(psi: PureState) -> PureStateBounds:
+    """Certified unit-box floors (1 - lam, 1 - lam^2) from the projector pair,
+    lam from the default Gaussian fit."""
+    fit = gaussian_fidelity(psi)
     lam = fit.max_fidelity
     gng = min(max(1.0 - lam, 0.0), 1.0)
     sng = min(max(1.0 - lam**2, 0.0), 1.0)
@@ -266,20 +265,19 @@ def pure_state_bounds(
 
 @dataclass(frozen=True)
 class CheckRecord:
+    """One checked inequality ``lhs <= rhs``, its slack already in ``rhs``."""
+
     kind: str
     label: str
     lhs: float
     rhs: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return self.lhs <= self.rhs
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "label": self.label,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -295,23 +293,7 @@ class PropertyReport:
         return [r for r in self.records if not r.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "all_passed": self.all_passed,
-            "checks": [r.to_dict() for r in self.records],
-        }
-
-
-def _pooled_parity_bound(
-    rho: DensityMatrix, pool: list[complex], box: WitnessBox
-) -> float:
-    """Parity-family bound in ``box`` over a shared candidate pool, each value
-    the :func:`witness_value` of its spec.
-
-    Evaluating every state on the union of all searched displacements
-    keeps the pairwise comparisons theorems of the shared family rather
-    than artifacts of independent searches.
-    """
-    return max(0.0, *(witness_value(WitnessSpec(DisplacedParity(a), box), rho) for a in pool))
+        return {"all_passed": self.all_passed, "checks": [r.to_dict() for r in self.records]}
 
 
 def property_suite(
@@ -324,36 +306,35 @@ def property_suite(
 
     ``states`` is a sequence of (label, DensityMatrix); ``channels`` a
     sequence of (label, callable) with each callable free for the
-    Wigner-positive theory.  All bounds are evaluated over the pooled
-    displaced-parity family, so the reported inequalities are exact
-    statements about the same searched family on both sides; the
-    monotonicity and convexity checks allow ``PROPERTY_TOL``.
+    Wigner-positive theory.  Both sides of each comparison are parity bounds
+    in ``box`` over one shared pool of searched displacements (each value its
+    spec's :func:`witness_value`), so the comparisons are theorems of the
+    shared family, not artifacts of independent searches; the monotonicity
+    and convexity checks allow ``PROPERTY_TOL``.
     """
-    if cfg is None:
-        cfg = FamilySearchConfig()
+    cfg = cfg or FamilySearchConfig()
     states = list(states)
-    channels = list(channels)
     records: list[CheckRecord] = []
     c_lip = max(box.n, box.m)
 
-    searched = {label: negativity_depth(rho, cfg.depth).argmin_alpha for label, rho in states}
+    def argmin(rho: DensityMatrix) -> complex:
+        return negativity_depth(rho, cfg.depth).argmin_alpha
+
+    def bound(rho: DensityMatrix, pool: list[complex]) -> float:
+        return max(0.0, *(witness_value(WitnessSpec(DisplacedParity(a), box), rho) for a in pool))
+
+    def check(kind: str, label: str, lhs: float, rhs: float) -> None:
+        records.append(CheckRecord(kind, label, lhs, rhs))
+
+    searched = {label: argmin(rho) for label, rho in states}
 
     # monotonicity under free channels
     for ch_label, channel in channels:
         for label, rho in states:
             out = channel(rho)
-            pool = [0j, searched[label], negativity_depth(out, cfg.depth).argmin_alpha]
-            before = _pooled_parity_bound(rho, pool, box)
-            after = _pooled_parity_bound(out, pool, box)
-            records.append(
-                CheckRecord(
-                    kind="monotonicity",
-                    label=f"{ch_label} on {label}",
-                    lhs=after,
-                    rhs=before + PROPERTY_TOL,
-                    passed=after <= before + PROPERTY_TOL,
-                )
-            )
+            pool = [0j, searched[label], argmin(out)]
+            after, before = bound(out, pool), bound(rho, pool)
+            check("monotonicity", f"{ch_label} on {label}", after, before + PROPERTY_TOL)
 
     # convexity on mixtures of consecutive corpus states
     for (la, ra), (lb, rb) in zip(states, states[1:]):
@@ -363,23 +344,9 @@ def property_suite(
             mix = DensityMatrix(
                 p * ra.matrix + (1.0 - p) * rb.matrix, leakage=max(ra.leakage, rb.leakage)
             )
-            pool = [
-                0j,
-                searched[la],
-                searched[lb],
-                negativity_depth(mix, cfg.depth).argmin_alpha,
-            ]
-            lhs = _pooled_parity_bound(mix, pool, box)
-            rhs = p * _pooled_parity_bound(ra, pool, box) + (1.0 - p) * _pooled_parity_bound(rb, pool, box)
-            records.append(
-                CheckRecord(
-                    kind="convexity",
-                    label=f"{p}*{la} + {1 - p:.1f}*{lb}",
-                    lhs=lhs,
-                    rhs=rhs + PROPERTY_TOL,
-                    passed=lhs <= rhs + PROPERTY_TOL,
-                )
-            )
+            pool = [0j, searched[la], searched[lb], argmin(mix)]
+            rhs = p * bound(ra, pool) + (1.0 - p) * bound(rb, pool)
+            check("convexity", f"{p}*{la} + {1 - p:.1f}*{lb}", bound(mix, pool), rhs + PROPERTY_TOL)
 
     # Lipschitz continuity on corpus pairs
     for i, (la, ra) in enumerate(states):
@@ -387,17 +354,7 @@ def property_suite(
             if ra.dim != rb.dim:
                 continue
             pool = [0j, searched[la], searched[lb]]
-            ba = _pooled_parity_bound(ra, pool, box)
-            bb = _pooled_parity_bound(rb, pool, box)
-            dist = trace_norm(ra.matrix - rb.matrix)
-            records.append(
-                CheckRecord(
-                    kind="lipschitz",
-                    label=f"{la} vs {lb}",
-                    lhs=abs(ba - bb),
-                    rhs=c_lip * dist + 1e-8,
-                    passed=abs(ba - bb) <= c_lip * dist + 1e-8,
-                )
-            )
+            gap, dist = abs(bound(ra, pool) - bound(rb, pool)), trace_norm(ra.matrix - rb.matrix)
+            check("lipschitz", f"{la} vs {lb}", gap, c_lip * dist + 1e-8)
 
     return PropertyReport(records=tuple(records))

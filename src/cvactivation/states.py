@@ -76,7 +76,10 @@ class GkpParams:
     def from_db(cls, squeezing_db: float, logical: int = 0, peak_window: int | None = None):
         if not squeezing_db > 0:
             raise ValueError(f"squeezing_db must be positive, got {squeezing_db}")
-        eps = float(np.arctanh(10.0 ** (-squeezing_db / 10.0)))
+        tanh_eps = 10.0 ** (-squeezing_db / 10.0)
+        if not tanh_eps < 1.0:
+            raise ValueError(f"squeezing_db {squeezing_db} rounds to no squeezing")
+        eps = float(np.arctanh(tanh_eps))
         return cls(epsilon=eps, logical=logical, peak_window=peak_window)
 
 

@@ -412,7 +412,7 @@ def _basin_seeds(values: np.ndarray, k: int) -> np.ndarray:
 
 
 def negativity_depth_fn(
-    value_fn, jet_fn, radius: float, cfg: DepthSearchConfig | None = None
+    value_fn, jet_fn, radius: float, cfg: DepthSearchConfig
 ) -> NegativityDepthResult:
     """Depth search against an arbitrary batched Wigner evaluator.
 
@@ -424,8 +424,6 @@ def negativity_depth_fn(
     at half a grid step, for at most 40 steps.  Shared by the density-matrix
     search and the exact comb evaluator.
     """
-    if cfg is None:
-        cfg = DepthSearchConfig()
     axis = _square_axis(radius, cfg.resolution)
     centers = _grid_points(axis)
     values = value_fn(axis)

@@ -3,6 +3,9 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -281,6 +284,33 @@ def test_overflowing_gaussian_exits_3_without_a_warning(tmp_path, capsys):
         assert run(["wigner", "--config", cfgfile, "--out", tmp_path / "w.csv"]) == 3
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err.startswith("truncation error:")
+
+
+def test_vanishing_grid_code_squeezing_exits_2_without_a_warning(tmp_path):
+    # 10 ** (-dB / 10) rounds to 1 for these, whose arctanh is inf; a fresh
+    # interpreter prints any numpy warning to stderr
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    cfgfile = tmp_path / "cfg.json"
+    for command, cfg in (
+        ("wigner", {"state": {"kind": "gkp", "squeezing_db": 1e-300}}),
+        ("gkp-sweep", {"ancilla_db": 1e-17}),
+    ):
+        cfgfile.write_text(json.dumps(cfg))
+        args = [command, "--config", str(cfgfile), "--out", str(tmp_path / "out")]
+        res = subprocess.run(
+            [sys.executable, "-m", "cvactivation.cli", *args], env=env, capture_output=True, text=True
+        )
+        assert res.returncode == 2, (command, res.stderr)
+        assert res.stderr.startswith("config error:") and "Warning" not in res.stderr, res.stderr
+
+
+def test_write_csv_writes_numpy_scalars_as_their_numbers(tmp_path):
+    # repr of a numpy 2 float64 is "np.float64(0.5)"; str is "0.5", as for a float
+    out = tmp_path / "row.csv"
+    cli.write_csv(out, ("x", "n", "flag"), [(np.float64(0.5), np.int64(3), True)], {})
+    assert out.read_text().splitlines() == ["x,n,flag", "0.5,3,True"]
 
 
 def test_gkp_sweep_ec_needs_cutoff_14(tmp_path):

@@ -2,7 +2,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from cvactivation import monotones, wigner
+from cvactivation import cli, monotones, wigner
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GkpParams,
@@ -282,6 +282,39 @@ def test_property_suite_passes_on_corpus():
     assert report.all_passed, report.failures
     kinds = {r.kind for r in report.records}
     assert kinds == {"monotonicity", "convexity", "lipschitz"}
+
+
+def test_property_suite_records_on_the_default_corpus():
+    # the property-suite subcommand's corpus and channels: every record in
+    # order, and each record's passed flag is its own lhs <= rhs
+    cutoff = 25
+    states = cli._corpus(None, {"cutoff": cutoff})
+    rot = phase_rotation(0.7, cutoff)
+    channels = [
+        ("loss_0.9", pure_loss(0.9, cutoff).apply),
+        ("gaussian_noise_0.05", gaussian_noise(0.05, cutoff).apply),
+        ("phase_rotation_0.7", lambda rho: apply_unitary(rot, rho)),
+    ]
+    report = property_suite(states, channels, cfg=FAST)
+    labels = [label for label, _ in states]
+    assert labels == [
+        "lossy_photon_0.85",
+        "lossy_photon_0.6",
+        "odd_cat_1.2",
+        "vacuum",
+        "photon_vacuum_mix",
+    ]
+    expected = [("monotonicity", f"{ch} on {la}") for ch, _ in channels for la in labels]
+    expected += [
+        ("convexity", f"{p}*{la} + {q}*{lb}")
+        for la, lb in zip(labels, labels[1:])
+        for p, q in (("0.3", "0.7"), ("0.7", "0.3"))
+    ]
+    expected += [("lipschitz", f"{la} vs {lb}") for i, la in enumerate(labels) for lb in labels[i + 1 :]]
+    assert [(r.kind, r.label) for r in report.records] == expected
+    kinds = [kind for kind, _ in expected]
+    assert [kinds.count(k) for k in ("monotonicity", "convexity", "lipschitz")] == [15, 8, 10]
+    assert all(r.to_dict()["passed"] == (r.lhs <= r.rhs) for r in report.records)
 
 
 def test_property_suite_reports_failures():

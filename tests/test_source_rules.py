@@ -12,7 +12,7 @@ type is left, nor the utilities no computation calls.  Wigner values come
 from one Hermite-product coefficient matrix: the Clenshaw evaluator is
 gone, as are the comb's pairwise tables; wigner.py calls no np.linalg, and
 no module calls np.unique.  The depth search and the Gaussian fit share one
-trust-region descent, descent.py's.  The package has at most 46 settable
+trust-region descent, descent.py's.  The package has at most 44 settable
 values and its CLI at most 45 config keys (scripts/count_settable_values.py).
 The Gaussian fit runs in the Bargmann chart: witnesses.py names no r clamp
 and no cosh or sinh, and the squeezed-coherent route is gone.
@@ -173,6 +173,8 @@ def test_retired_names_are_gone():
         # the Wigner grid's displacement-tail guard: the grid keeps every
         # point, since its values are exact for the truncated state
         "dropped_points",
+        # the property suite's pooled bound, now its local helper
+        "_pooled_parity_bound",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)
@@ -274,10 +276,10 @@ def test_no_unused_imports():
     assert not found, "\n".join(found)
 
 
-def test_settable_values_at_most_46():
+def test_settable_values_at_most_44():
     script = ROOT / "scripts" / "count_settable_values.py"
     out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True, check=True)
-    assert int(out.stdout.split()[-1]) <= 46
+    assert int(out.stdout.split()[-1]) <= 44
 
 
 def test_cli_config_keys_at_most_45():
