@@ -234,13 +234,16 @@ def apply_unitary(u: OperatorMatrix, rho: DensityMatrix) -> DensityMatrix:
     return DensityMatrix(out / tr, leakage=rho.leakage)
 
 
-def nearest_lattice_shift(value: float, spacing: float) -> float:
-    """Residue of value modulo the lattice, nearest point, ties toward zero."""
-    ratio = value / spacing
-    nearest = np.round(ratio)
-    if abs(abs(ratio - np.trunc(ratio)) - 0.5) < 1e-12:
-        nearest = np.trunc(ratio)
-    return float(value - nearest * spacing)
+def nearest_lattice_shift(value, spacing: float):
+    """Residue of value modulo the lattice, nearest point, ties toward zero.
+
+    ``value`` is a number or an array; a number gives a ``float``, an array
+    an array of the residues, element by element.
+    """
+    ratio = np.asarray(value) / spacing
+    tie = np.abs(np.abs(ratio - np.trunc(ratio)) - 0.5) < 1e-12
+    shift = value - np.where(tie, np.trunc(ratio), np.round(ratio)) * spacing
+    return float(shift) if np.ndim(shift) == 0 else shift
 
 
 def _validate_gkp_ancilla(ancilla: PureState) -> None:
@@ -285,7 +288,7 @@ def _steane_round(
     amps = to_y.conj().T * (yvecs.conj().T @ ancilla)
     coeffs = amps @ np.exp(1j * coupling_sign * np.outer(yvals, xvals))
     rho_x = xvecs.conj().T @ rho_data @ xvecs
-    shifts = np.array([nearest_lattice_shift(x, SQRT_PI) for x in xvals])
+    shifts = nearest_lattice_shift(xvals, SQRT_PI)
     phases = np.exp(-1j * coupling_sign * np.outer(shifts, yvals))
     out = np.zeros_like(rho_data)
     for c, phase in zip(coeffs, phases):

@@ -12,7 +12,9 @@ exact for the truncated state.  The real coefficient matrix G has
 operator (:func:`_coefficients`): the entries rho_mn with m + n = N are
 mapped by the 50:50 beam-splitter block of N photons, which the stable
 one-photon recursion of Risbo (J. Geodesy 70, 383 (1996)) builds in
-O(k^3) time and O(k^2) memory.  A grid scan is then one Hermite table per
+O(k^3) time.  The blocks depend on k alone, so for k <= 64 they are built
+once and kept (k^3 - 1 floats, 2.1 MB at k = 64); above that they stream
+in O(k^2) memory.  A grid scan is then one Hermite table per
 axis and two matrix products; scattered points take one table per
 coordinate and a row sum, O(k^2) per point; and the exact gradients and
 Hessians of :func:`wigner_jet` come from the derivative tables of the same
@@ -33,6 +35,7 @@ descent as the Gaussian fit's (:func:`~cvactivation.descent.lockstep_newton`).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -52,37 +55,21 @@ _NORM = 2.0 / math.sqrt(math.pi)
 MARGINAL_TOL = 2e-3
 
 
-def _coefficients(matrix: np.ndarray) -> np.ndarray:
-    """The real Hermite-product coefficients G of a Hermitian operator's Wigner function.
+def _beam_splitter_blocks(k: int):
+    """Yield the 50:50 beam-splitter blocks B_1 .. B_{2k-2} of a block of k levels.
 
-    The Wigner function of |m><n| is that of the two-mode state |m, n>
-    turned by a 50:50 beam splitter, with the second mode Fourier
-    transformed.  So the entries rho_mn with m + n = N land on the
-    anti-diagonal a + b = N of G through the beam-splitter block
-    B_N[a, m] = <a, N - a| U |m, N - m>, with the Fourier phase (-i)^b; for a
-    Hermitian operator the imaginary parts cancel and G is real.
-
-    B_N comes from B_{N-1} by the one-photon recursion
+    B_N[a, m] = <a, N - a| U |m, N - m> comes from B_{N-1} by the one-photon
+    recursion
     N |m, N - m> = sqrt(m) a^dag |m - 1, N - m> + sqrt(N - m) b^dag |m, N - m - 1>,
     with U a^dag U^dag = (a^dag + b^dag)/sqrt(2) and U b^dag U^dag =
     (a^dag - b^dag)/sqrt(2): four neighbours of B_{N-1}, each weighted by
     sqrt(...)/(N sqrt(2)) <= 1/sqrt(2) (Risbo's recursion at beta = pi/2), so
     the recursion is stable.  Only the columns m the block holds are kept,
-    max(0, N - k + 1) to min(N, k - 1), and these need no others.
-
-    The operator is cut to its occupied block of k levels first (k >= 2),
-    so G has 2k - 1 rows and does not depend on zero padding.
+    max(0, N - k + 1) to min(N, k - 1), and these need no others; each
+    yielded B_N has N + 1 rows and those columns.
     """
-    k = _occupied_dim(matrix[None])
     size = 2 * k - 1
-    # the anti-diagonal m + n = N of the block is the diagonal of offset
-    # k - 1 - N of its mirror image, read from m = max(0, N - k + 1) up
-    mirror = matrix[:k, k - 1 :: -1]
-    parts = np.stack([mirror.real, mirror.imag])
     root = np.sqrt(np.arange(size + 1))
-    rows = np.arange(size)
-    anti = np.zeros((size, size, 2))  # B_N times the anti-diagonal, real and imaginary parts
-    anti[0, 0] = parts[:, 0, k - 1]
     # B_{N-1} on its columns lo..hi, with a zero column on each side
     padded = np.array([[0.0, 1.0, 0.0]])
     lo = 0
@@ -99,8 +86,60 @@ def _coefficients(matrix: np.ndarray) -> np.ndarray:
         b_n = padded[:, 1:-1]
         np.multiply(root[1 : n + 1, None], left + right, out=b_n[1:])
         b_n[:-1] += root[n:0:-1, None] * (left - right)
-        anti[rows[: n + 1], n - rows[: n + 1]] = b_n @ parts.diagonal(k - 1 - n, 1, 2).T
+        yield b_n
         lo = new_lo
+
+
+# largest block whose beam-splitter blocks are kept: they hold k^3 - 1 floats,
+# 2.1 MB at k = 64, so the four kept entries hold at most 8.4 MB; larger
+# blocks stream theirs (a 199-level codeword's would hold 63 MB)
+_RETAINED_DIM = 64
+
+
+@functools.lru_cache(maxsize=4)
+def _retained_blocks(k: int) -> tuple[np.ndarray, ...]:
+    """:func:`_beam_splitter_blocks` of ``k`` as compact read-only copies.
+
+    The blocks depend on the dimension alone, a fixed linear map like the
+    quadrature eigensystem of :mod:`~cvactivation.fock`.
+    """
+    blocks = tuple(np.ascontiguousarray(b_n) for b_n in _beam_splitter_blocks(k))
+    for b_n in blocks:
+        b_n.flags.writeable = False
+    return blocks
+
+
+def _coefficients(matrix: np.ndarray) -> np.ndarray:
+    """The real Hermite-product coefficients G of a Hermitian operator's Wigner function.
+
+    The Wigner function of |m><n| is that of the two-mode state |m, n>
+    turned by a 50:50 beam splitter, with the second mode Fourier
+    transformed.  So the entries rho_mn with m + n = N land on the
+    anti-diagonal a + b = N of G through the beam-splitter block
+    B_N[a, m] = <a, N - a| U |m, N - m> (:func:`_beam_splitter_blocks`), with
+    the Fourier phase (-i)^b; for a Hermitian operator the imaginary parts
+    cancel and G is real.
+
+    The operator is cut to its occupied block of k levels first (k >= 2),
+    so G has 2k - 1 rows and does not depend on zero padding.  For k <= 64
+    the blocks are the kept ones (:func:`_retained_blocks`, k^3 - 1 floats),
+    so a build pays only for the products with the operator's
+    anti-diagonals; above that the recursion streams them, one block at a
+    time, in O(k^2) memory.  Either way each anti-diagonal meets the same
+    block, so G is the same to the bit.
+    """
+    k = _occupied_dim(matrix[None])
+    size = 2 * k - 1
+    # the anti-diagonal m + n = N of the block is the diagonal of offset
+    # k - 1 - N of its mirror image, read from m = max(0, N - k + 1) up
+    mirror = matrix[:k, k - 1 :: -1]
+    parts = np.stack([mirror.real, mirror.imag])
+    rows = np.arange(size)
+    anti = np.zeros((size, size, 2))  # B_N times the anti-diagonal, real and imaginary parts
+    anti[0, 0] = parts[:, 0, k - 1]
+    blocks = _retained_blocks(k) if k <= _RETAINED_DIM else _beam_splitter_blocks(k)
+    for n, b_n in enumerate(blocks, 1):
+        anti[rows[: n + 1], n - rows[: n + 1]] = b_n @ parts.diagonal(k - 1 - n, 1, 2).T
     # Re((-i)^b g): g's real part for even b, its imaginary part for odd b, signs + + - -
     phase = rows % 4
     sign = np.array([1.0, 1.0, -1.0, -1.0])[phase]

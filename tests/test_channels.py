@@ -9,6 +9,7 @@ from scipy.special import roots_hermite
 from cvactivation.fock import (
     DensityMatrix,
     PureState,
+    _quadrature_eigensystem,
     annihilation_matrix,
     momentum_op,
     parity_op,
@@ -287,6 +288,31 @@ def test_nearest_lattice_shift_ties_toward_zero():
     # exact tie at 1.5 spacings resolves toward the lattice point closer to zero
     assert nearest_lattice_shift(1.5 * s, s) == pytest.approx(0.5 * s)
     assert nearest_lattice_shift(-1.5 * s, s) == pytest.approx(-0.5 * s)
+
+
+def _scalar_lattice_shift(value, spacing):
+    """The scalar rule, one value at a time: the oracle of the array form."""
+    ratio = value / spacing
+    nearest = np.round(ratio)
+    if abs(abs(ratio - np.trunc(ratio)) - 0.5) < 1e-12:
+        nearest = np.trunc(ratio)
+    return float(value - nearest * spacing)
+
+
+def test_nearest_lattice_shift_array_form_matches_the_scalar_rule_bit_for_bit():
+    s = math.sqrt(math.pi)
+    j = np.arange(6.0)
+    cases = [
+        np.random.default_rng(39).uniform(-12.0, 12.0, 100_000),
+        np.concatenate([(j + 0.5) * s, -(j + 0.5) * s, [0.0, -0.0]]),
+    ]
+    cases += [_quadrature_eigensystem(d)[0][0] for d in (10, 30, 100, 200)]
+    for values in cases:
+        shifts = nearest_lattice_shift(values, s)
+        expected = np.array([_scalar_lattice_shift(v, s) for v in values])
+        # bytes, so that the sign of a zero counts too
+        assert shifts.tobytes() == expected.tobytes()
+        assert isinstance(nearest_lattice_shift(values[0], s), float)
 
 
 def test_phase_rotation_free_unitary():

@@ -17,6 +17,9 @@ values and its CLI at most 45 config keys (scripts/count_settable_values.py).
 The Gaussian fit runs in the Bargmann chart: witnesses.py names no r clamp
 and no cosh or sinh, and the squeezed-coherent route is gone.
 No module under src/, tests/ or scripts/ imports a name it never uses.
+Three functions under src/ are memoised, each a table that depends on a
+dimension or on nothing: the CLI parser, the quadrature eigensystem and the
+kept beam-splitter blocks; any other functools.cache or lru_cache fails.
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
@@ -241,6 +244,47 @@ def test_box_scale_rule_only_in_witnesses_py():
         if name != "witnesses.py" and pattern.search(line)
     ]
     assert not found, "\n".join(found)
+
+
+_MEMOISERS = ("cache", "lru_cache", "cached_property")
+
+
+def _is_memoiser(node: ast.AST) -> bool:
+    return (isinstance(node, ast.Name) and node.id in _MEMOISERS) or (
+        isinstance(node, ast.Attribute)
+        and node.attr in _MEMOISERS
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def test_only_the_listed_functions_are_memoised():
+    # a memoised result is a caching layer, retired; the listed ones are
+    # fixed tables (the parser, the eigensystem of the truncated quadratures
+    # and the beam-splitter blocks of a dimension), so a new cache needs an
+    # edit here
+    memoised, stray = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        decorators = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for decorator in node.decorator_list:
+                    if any(_is_memoiser(sub) for sub in ast.walk(decorator)):
+                        memoised.add((path.name, node.name))
+                        decorators |= {id(sub) for sub in ast.walk(decorator)}
+        # a memoiser met anywhere but in a decorator, say f = lru_cache()(g)
+        stray += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _is_memoiser(node) and id(node) not in decorators
+        ]
+    assert not stray, stray
+    assert memoised == {
+        ("cli.py", "_parser"),
+        ("fock.py", "_quadrature_eigensystem"),
+        ("wigner.py", "_retained_blocks"),
+    }
 
 
 def _unused_imports(path: Path) -> list[str]:

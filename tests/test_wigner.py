@@ -633,6 +633,46 @@ def test_depth_search_memory_at_cutoff_200():
     assert peak < 20e6
 
 
+
+@pytest.mark.parametrize("k", [2, 3, 25, 30, 64])
+def test_kept_blocks_are_the_streamed_blocks(k):
+    kept = wigner._retained_blocks(k)
+    streamed = tuple(wigner._beam_splitter_blocks(k))
+    assert len(kept) == len(streamed) == 2 * k - 2
+    for b_kept, b_streamed in zip(kept, streamed):
+        assert b_kept.flags.c_contiguous
+        assert np.array_equal(b_kept, b_streamed)
+
+
+def test_coefficients_are_the_same_bytes_on_a_kept_and_a_fresh_table():
+    rng = np.random.default_rng(39)
+    for dim in (2, 7, 30):
+        matrix = random_density(rng, dim, cutoff=dim + 2).matrix
+        hit = wigner._coefficients(matrix)
+        assert wigner._coefficients(matrix).tobytes() == hit.tobytes()
+        wigner._retained_blocks.cache_clear()
+        assert wigner._coefficients(matrix).tobytes() == hit.tobytes()
+
+
+def test_kept_blocks_are_read_only():
+    block = wigner._retained_blocks(5)[3]
+    with pytest.raises(ValueError):
+        block[0, 0] = 1.0
+
+
+def test_blocks_above_the_bound_stream():
+    # a 65-level build keeps nothing, and the largest kept table, k = 64,
+    # holds k^3 - 1 floats, so the four kept entries stay under 8.4 MB
+    assert wigner._retained_blocks.cache_info().maxsize == 4
+    assert sum(b.nbytes for b in wigner._retained_blocks(64)) < 2.1e6
+    # from an empty table, since a full one keeps its size on an eviction
+    wigner._retained_blocks.cache_clear()
+    before = wigner._retained_blocks.cache_info()
+    rho = fock(64, 65).to_density()
+    assert wigner._coefficients(rho.matrix).shape == (129, 129)
+    assert wigner._retained_blocks.cache_info() == before
+
+
 def test_depth_cost_follows_the_occupied_block():
     # the lossy photon (1 - eta)|0><0| + eta|1><1| occupies levels 0 and 1 at any cutoff
     rho = DensityMatrix(np.diag([0.3, 0.7] + [0.0] * 198).astype(complex))
