@@ -3,6 +3,13 @@
 Truncated-Fock-space numerics for Wigner-negativity and non-Gaussianity
 witnesses, certified monotone bounds, and their operational activation into
 two-qubit Werner-state entanglement and EPR steering.
+
+The top-level name ``fock`` is the state factory :func:`states.fock`, not
+the module ``cvactivation.fock``: the re-export below replaces the
+submodule attribute that the import binds, so ``cvactivation.fock`` and
+``from cvactivation import fock`` give the function.  Reach the module
+with ``from cvactivation.fock import ...`` or
+``importlib.import_module("cvactivation.fock")``.
 """
 
 __version__ = "0.1.0"

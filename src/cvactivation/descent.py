@@ -55,7 +55,7 @@ def trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.nd
 
 
 def lockstep_newton(
-    jet, starts: np.ndarray, radius: float, maxiter: int
+    jet, starts: np.ndarray, radius: float, maxiter: int, enough: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Trust-region Newton descent from every start at once, with the radius
     rule of Nocedal and Wright's Algorithm 4.1.
@@ -64,8 +64,10 @@ def lockstep_newton(
     (k, n, n).  One ``jet`` call per step evaluates the trial points of all
     starts not yet stationary.  Every start's trust radius begins at
     ``radius``.  A step is accepted only if it realises more than
-    ``_ACCEPT`` of the decrease its model predicts, so only if it lowers the
-    value.  A step that realises less than a quarter shrinks the radius to a
+    ``_ACCEPT`` of the decrease its model predicts and its value is below
+    the start's: the ratio alone would pass a rise wherever rounding makes
+    the predicted decrease non-positive.  So no start's value ever rises.
+    A step that realises less than a quarter shrinks the radius to a
     quarter of its length; one on the boundary that realises more than three
     quarters doubles it.  A start valued +inf (F = 0 in the Gaussian fit, as
     at b = 0 for an odd psi) first moves a zero first coordinate out to
@@ -74,6 +76,9 @@ def lockstep_newton(
     |x_0| and a start placed close to the zero would spend its first dozen
     steps leaving it.  A start whose value or derivatives are not finite is
     dropped.
+    The descent stops as soon as some start's value is at or below
+    ``enough``, so a caller that only needs the least value to reach a level
+    passes that level; one that needs the minimum passes -inf.
     Returns the final points, their values, a per-start stationarity flag
     and the number of steps run, at most ``maxiter``.
     """
@@ -95,18 +100,19 @@ def lockstep_newton(
     while True:
         stationary, live = status()
         live = np.flatnonzero(live)
-        if live.size == 0 or steps >= maxiter:
+        if live.size == 0 or steps >= maxiter or (f <= enough).any():
             break
         steps += 1
         step = trust_steps(grad[live], hess[live], radii[live])
         trial = x[live] + step
         f_t, grad_t, hess_t = jet(trial)
         predicted = -np.einsum("ki,ki->k", step, grad[live] + 0.5 * np.einsum("kij,kj->ki", hess[live], step))
-        realised = (f[live] - f_t) / predicted  # NaN or -inf where the trial is not finite
+        before = f[live]
+        realised = (before - f_t) / predicted  # NaN or -inf where the trial is not finite
         length = np.linalg.norm(step, axis=1)
         boundary = (realised > 0.75) & (length >= 0.99 * radii[live])
         radii[live] = np.where(realised >= 0.25, np.where(boundary, 2.0, 1.0) * radii[live], length / 4.0)
-        better = realised > _ACCEPT
+        better = (realised > _ACCEPT) & (f_t < before)
         moved = live[better]
         x[moved], f[moved], grad[moved], hess[moved] = trial[better], f_t[better], grad_t[better], hess_t[better]
     return x, f, stationary, steps

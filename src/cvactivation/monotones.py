@@ -26,6 +26,8 @@ from .witnesses import (
     Projector,
     WitnessBox,
     WitnessSpec,
+    _gaussian_fit,
+    _parity_wins_from,
     _parity_witness_value,
     check_box,
     gaussian_fidelity,
@@ -34,6 +36,9 @@ from .witnesses import (
 )
 
 ODD_PARITY_TOL = 1e-11
+# the family search's fit stops once its lambda is this factor above lambda*,
+# the least lambda at which no projector witness can beat the parity candidate
+_STOP_MARGIN = 1.0 + 1e-9
 # property suite: convexity weights p of p rho_a + (1 - p) rho_b, and the
 # slack of its monotonicity and convexity checks
 CONVEXITY_WEIGHTS = (0.3, 0.7)
@@ -105,6 +110,14 @@ def _family_search(
     One Gaussian fit of the top eigenvector yields both the hull projector
     and its two-copy lift, each valued by :func:`witness_value`; the
     Wigner-positive level runs no fit at all.
+    The fit runs only as far as the choice of witness needs.  Each start's
+    fidelity only rises, and each projector's value s (p^k - lam^k) falls as
+    lam rises, so from lam* on
+    (:func:`~cvactivation.witnesses._parity_wins_from`) no projector can beat
+    parity, which comes first and so wins ties.  The fit stops once its lam
+    reaches lam* (1 + 1e-9), and that lam values the projectors; a fit that
+    never reaches it runs in full, as :func:`gaussian_fidelity`.  A projector
+    that beats parity at a lam >= lam* raises :class:`InvariantError`.
     """
     cfg = cfg or FamilySearchConfig()
     if is_odd_parity(rho):
@@ -130,9 +143,14 @@ def _family_search(
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
     psi = _top_eigenvector(rho)
-    lam = gaussian_fidelity(psi, cfg.gaussian).max_fidelity
-    projectors = [WitnessSpec(Projector(psi, lam, copies), box) for copies in (1, 2)]
-    return [*parity, *((witness_value(spec, rho), spec) for spec in projectors)], False
+    value, spec = parity[0]
+    decided = _parity_wins_from(psi, rho, value, spec.scale)
+    lam = _gaussian_fit(psi, cfg.gaussian, decided * _STOP_MARGIN).max_fidelity
+    specs = [WitnessSpec(Projector(psi, lam, copies), box) for copies in (1, 2)]
+    projectors = [(witness_value(p, rho), p) for p in specs]
+    if lam >= decided and max(v for v, _ in projectors) > value:
+        raise InvariantError(f"a projector beat parity's {value} at lambda {lam} >= lambda* {decided}")
+    return [*parity, *projectors], False
 
 
 def _best_bound(

@@ -474,6 +474,7 @@ def negativity_depth_fn(
         np.column_stack([seeds.real, seeds.imag]),
         radius / cfg.resolution / 2.0,
         40,
+        -math.inf,
     )
 
     candidates = [(float(values[order[0]]), complex(seeds[0]))]

@@ -33,7 +33,7 @@ import numpy as np
 from .descent import lockstep_newton
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
-from .states import GaussianPureParams, from_chart, gaussian_amps, to_chart
+from .states import GaussianPureParams, from_chart, gaussian_amps
 from .wigner import wigner_batch
 
 BOX_TOL = 1e-9
@@ -189,10 +189,14 @@ def violation(witness: Family, rho: DensityMatrix) -> float:
         if abs(val.imag) > 1e-10:
             raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
         return -val.real
-    if witness.psi.dim != rho.dim:
+    return _overlap(witness.psi, rho) ** witness.copies - witness.lam**witness.copies
+
+
+def _overlap(psi: PureState, rho: DensityMatrix) -> float:
+    """<psi|rho|psi>, the one-copy overlap of a projector witness."""
+    if psi.dim != rho.dim:
         raise ValueError("projector state cutoff mismatch")
-    overlap = float(np.real(np.vdot(witness.psi.amplitudes, rho.matrix @ witness.psi.amplitudes)))
-    return overlap**witness.copies - witness.lam**witness.copies
+    return float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
 
 
 def _parity_violation(wigner: float) -> float:
@@ -212,6 +216,19 @@ def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
     at its displacement, for a caller that already holds that value."""
     _scaled_ends(spec.family, spec.scale, spec.box)
     return spec.scale * _parity_violation(wigner)
+
+
+def _parity_wins_from(psi: PureState, rho: DensityMatrix, value: float, scale: float) -> float:
+    """The least lam* such that a parity candidate of value ``value`` beats or
+    ties both projector witnesses of psi at every lam >= lam*, all of them
+    in a box of scale ``scale``.
+
+    The k-copy projector's value s (p^k - lam^k), p = <psi|rho|psi>, falls
+    as lam rises, and it is at most ``value`` once lam^k >= p^k - value / s,
+    so lam* = max_k (max(p^k - value / s, 0))^(1/k), k = 1, 2.
+    """
+    p = _overlap(psi, rho)
+    return max(max(p**k - value / scale, 0.0) ** (1.0 / k) for k in (1, 2))
 
 
 @dataclass(frozen=True)
@@ -260,46 +277,36 @@ class GaussianFidelityResult:
         }
 
 
-def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> list[np.ndarray]:
+def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> np.ndarray:
     """Starts (Re alpha, Im alpha, r, phi) near psi's mean displacement, then
-    seeded draws, each mapped to the fit's chart (:func:`_chart_point`)."""
+    seeded draws, as rows (Re b, Im b, Re w, Im w) of the fit's chart: (b, t)
+    is the start's chart point (:func:`~cvactivation.states.to_chart`) and
+    w = t / sqrt(1 - |t|^2).  The draws cycle through four generators, each
+    draw two normals for alpha and two uniforms, r in [0, 1.2) and phi in
+    [0, 2 pi)."""
     amps = psi.amplitudes
-    dim = psi.dim
-    idx = np.arange(dim)
-    a_mean = complex(np.vdot(amps[:-1], np.sqrt(idx[1:]) * amps[1:]))
+    a_mean = complex(np.vdot(amps[:-1], np.sqrt(np.arange(1, psi.dim)) * amps[1:]))
     starts = [
         (a_mean.real, a_mean.imag, 0.0, 0.0),
         (0.0, 0.0, 0.0, 0.0),
         (a_mean.real, a_mean.imag, 0.4, 0.0),
-        (a_mean.real, a_mean.imag, 0.4, np.pi),
-        (a_mean.real, a_mean.imag, 0.4, np.pi / 2),
+        (a_mean.real, a_mean.imag, 0.4, math.pi),
+        (a_mean.real, a_mean.imag, 0.4, math.pi / 2),
         (abs(a_mean) + 0.5, 0.0, 0.2, 0.0),
     ]
-    rngs = [np.random.default_rng(seed) for seed in range(4)]
-    i = 0
-    while len(starts) < cfg.n_starts:
-        rng = rngs[i % len(rngs)]
-        i += 1
-        starts.append(
-            (
-                a_mean.real + rng.normal(0.0, 0.7),
-                a_mean.imag + rng.normal(0.0, 0.7),
-                rng.uniform(0.0, 1.2),
-                rng.uniform(0.0, 2.0 * np.pi),
-            )
-        )
-    return [
-        _chart_point(GaussianPureParams(complex(re, im), r, phi))
-        for re, im, r, phi in starts[: cfg.n_starts]
-    ]
-
-
-def _chart_point(params: GaussianPureParams) -> np.ndarray:
-    """(Re b, Im b, Re w, Im w) of a pure Gaussian, with (b, t) its chart point
-    (:func:`~cvactivation.states.to_chart`) and w = t / sqrt(1 - |t|^2)."""
-    b, t = to_chart(params)
-    w = t / math.sqrt(1.0 - abs(t) ** 2)
-    return np.array([b.real, b.imag, w.real, w.imag])
+    draws = max(cfg.n_starts - len(starts), 0)
+    rngs = [np.random.default_rng(seed) for seed in range(min(draws, 4))]
+    for i in range(draws):
+        rng = rngs[i % 4]
+        (re, im), (u, v) = rng.normal(0.0, 0.7, 2).tolist(), rng.random(2).tolist()
+        starts.append((a_mean.real + re, a_mean.imag + im, 1.2 * u, 2.0 * math.pi * v))
+    points = []
+    for re, im, r, phi in starts[: cfg.n_starts]:
+        alpha, t = complex(re, im), cmath.exp(1j * phi) * math.tanh(r)
+        b = alpha + t * alpha.conjugate()
+        w = t / math.sqrt(1.0 - abs(t) ** 2)
+        points.append((b.real, b.imag, w.real, w.imag))
+    return np.array(points)
 
 
 def _fit_jet(psi: PureState):
@@ -448,15 +455,25 @@ def gaussian_fidelity(
     (:func:`~cvactivation.states.from_chart`).  Its r may exceed
     ``states.DEFAULT_R_MAX``, the largest squeezing
     :func:`~cvactivation.states.gaussian_pure` builds.
+    This is the full fit: the hierarchy's family search runs the same fit
+    but stops it once its fidelity passes the level where no projector
+    witness can beat the parity candidate (:func:`_gaussian_fit`).
     """
-    if cfg is None:
-        cfg = GaussianFitConfig()
+    return _gaussian_fit(psi, GaussianFitConfig() if cfg is None else cfg, math.inf)
+
+
+def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> GaussianFidelityResult:
+    """:func:`gaussian_fidelity`'s fit, stopped as soon as some start's
+    fidelity reaches ``stop`` (F >= stop, that is -log F <= -log stop; see
+    :func:`~cvactivation.descent.lockstep_newton`).  Every start's fidelity
+    only rises, so the result's is then at least ``stop``; ``stop = inf``
+    runs the full fit."""
     if psi.tail_mass(psi.dim - max(2, psi.dim // 10)) > 1e-4:
         raise TruncationError(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    starts, jet = np.array(_informed_starts(psi, cfg)), _fit_jet(psi)
+    starts, jet = _informed_starts(psi, cfg), _fit_jet(psi)
     sliced = np.count_nonzero(psi.amplitudes) == 1
     if sliced:
         b, w = starts[:, 0] + 1j * starts[:, 1], starts[:, 2] + 1j * starts[:, 3]
@@ -464,7 +481,8 @@ def gaussian_fidelity(
         starts, jet = np.column_stack([np.abs(b), w.real, w.imag]), _on_rotation_slice(jet)
     keys = [start.tobytes() for start in starts]
     runs = dict(zip(keys, starts))  # a repeated start runs once
-    points, values, stationary, steps = lockstep_newton(jet, np.array(list(runs.values())), 1.0, cfg.maxiter)
+    enough = math.inf if stop == 0.0 else -math.log(stop)
+    points, values, stationary, steps = lockstep_newton(jet, np.array(list(runs.values())), 1.0, cfg.maxiter, enough)
     if sliced:
         points = np.insert(points, 1, 0.0, axis=1)
     rows = [list(runs).index(key) for key in keys]

@@ -20,10 +20,8 @@ from cvactivation.activation import (
     werner_analytics,
 )
 from cvactivation.channels import (
-    apply_unitary,
     gaussian_noise,
     gkp_ec_round,
-    phase_rotation,
     pure_loss,
 )
 from cvactivation.fock import (
@@ -42,16 +40,13 @@ from cvactivation.monotones import (
     pure_state_bounds,
 )
 from cvactivation.states import (
-    GaussianPureParams,
     GkpParams,
     cat,
     coherent,
     fock,
-    gaussian_pure,
     gkp_comb,
     gkp_damped,
     photon_subtracted_squeezed,
-    thermal,
 )
 from cvactivation.wigner import (
     DepthSearchConfig,
@@ -68,6 +63,7 @@ from cvactivation.witnesses import (
 )
 
 from conftest import projective_discord, random_density, wigner_at
+from corpora import ACCEPTANCE_SEARCH, hierarchy_corpus, property_corpus, pure_bounds_corpus
 from test_witnesses import FOCK1_GAUSSIAN_FIDELITY
 
 
@@ -83,7 +79,7 @@ def criterion(tag: str):
 
 
 ETA_GRID = [round(0.1 * k, 1) for k in range(11)]
-FAST = FamilySearchConfig(depth=DepthSearchConfig(resolution=30, refine_top=3))
+FAST = ACCEPTANCE_SEARCH
 
 
 def test_01_loss_threshold_curve():
@@ -222,38 +218,14 @@ def test_08_pure_state_bounds():
         )
         res = gaussian_fidelity(fock(1, 40))
         assert res.max_fidelity == pytest.approx(FOCK1_GAUSSIAN_FIDELITY, abs=1e-4)
-        for psi in (fock(1, 40), cat(1.5, -1, 40), photon_subtracted_squeezed(0.6, 40)):
+        for _, psi in pure_bounds_corpus():
             pb = pure_state_bounds(psi)
             assert abs(pb.sng_lower - (1.0 - (1.0 - pb.gng_lower) ** 2)) < 1e-9
 
 
 def test_09_hierarchy_corpus():
     with criterion("09 hierarchy-corpus"):
-        cutoff = 40
-        one = fock(1, cutoff).to_density()
-        vac = fock(0, cutoff).to_density()
-        corpus = [pure_loss(eta, cutoff).apply(one) for eta in (0.55, 0.7, 0.85, 1.0)]
-        corpus += [cat(a, -1, cutoff).to_density() for a in (1.0, 1.5, 2.0)]
-        corpus += [cat(1.5, +1, cutoff).to_density()]
-        corpus += [
-            photon_subtracted_squeezed(r, cutoff).to_density() for r in (0.3, 0.5)
-        ]
-        corpus += [
-            gkp_damped(GkpParams(epsilon=eps), cutoff).to_density()
-            for eps in (0.25, 0.4)
-        ]
-        corpus += [coherent(0.7, cutoff).to_density(), vac, thermal(0.5, cutoff)]
-        corpus += [
-            gaussian_pure(GaussianPureParams(0.0, 0.6, 0.0), cutoff).to_density()
-        ]
-        corpus += [
-            DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix),
-            DensityMatrix(
-                0.3 * cat(1.5, -1, cutoff).to_density().matrix + 0.7 * vac.matrix,
-            ),
-            gaussian_noise(0.05, cutoff).apply(one),
-        ]
-        corpus += [fock(2, cutoff).to_density(), fock(3, cutoff).to_density()]
+        corpus = [rho for _, rho in hierarchy_corpus()]
         assert len(corpus) >= 20
         for rho in corpus:
             wn, gng, sng = hierarchy_check(rho, cfg=FAST)
@@ -366,25 +338,6 @@ def test_11_gaussian_noise_ordering():
 
 def test_12_property_suites():
     with criterion("12 property-suites"):
-        cutoff = 25
-        one = fock(1, cutoff).to_density()
-        vac = fock(0, cutoff).to_density()
-        states = [
-            ("lossy_photon_0.85", pure_loss(0.85, cutoff).apply(one)),
-            ("lossy_photon_0.6", pure_loss(0.6, cutoff).apply(one)),
-            ("odd_cat_1.2", cat(1.2, -1, cutoff).to_density()),
-            ("vacuum", vac),
-            (
-                "photon_vacuum_mix",
-                DensityMatrix(0.5 * one.matrix + 0.5 * vac.matrix),
-            ),
-        ]
-        noise = gaussian_noise(0.05, cutoff)
-        rot = phase_rotation(0.7, cutoff)
-        channels = [
-            ("loss_0.9", pure_loss(0.9, cutoff).apply),
-            ("gaussian_noise_0.05", noise.apply),
-            ("phase_rotation_0.7", lambda rho: apply_unitary(rot, rho)),
-        ]
+        states, channels = property_corpus()
         report = property_suite(states, channels, cfg=FAST)
         assert report.all_passed, [r.to_dict() for r in report.failures]

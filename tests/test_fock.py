@@ -1,4 +1,7 @@
+import importlib
 import math
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 from scipy.special import gammainc
 
+import cvactivation
 from cvactivation.errors import TruncationError
 from cvactivation.fock import (
     DensityMatrix,
@@ -22,6 +26,15 @@ from cvactivation.states import fock, coherent, thermal
 from cvactivation.witnesses import DisplacedParity, WitnessBox
 
 from conftest import displacement_op, random_density
+
+
+def test_the_package_name_fock_is_the_state_factory():
+    # the top-level re-export replaces the submodule attribute; the module
+    # stays reachable through the import system
+    assert cvactivation.fock is cvactivation.states.fock
+    module = importlib.import_module("cvactivation.fock")
+    assert isinstance(module, types.ModuleType) and module is sys.modules["cvactivation.fock"]
+    assert module.DensityMatrix is DensityMatrix and module is not cvactivation.fock
 
 
 def test_cutoff_requires_dim_two():

@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 from cvactivation import cli, monotones, wigner
+from cvactivation.errors import InvariantError, TruncationError
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
     GkpParams,
@@ -35,9 +36,13 @@ from cvactivation.witnesses import (
     ExplicitWitness,
     FreeSet,
     GaussianFitConfig,
+    Projector,
     WitnessBox,
+    gaussian_fidelity,
     witness_value,
 )
+
+from corpora import ACCEPTANCE_SEARCH, parity_stop_corpus
 
 FAST = FamilySearchConfig(depth=DepthSearchConfig(resolution=30))
 
@@ -170,7 +175,7 @@ def test_family_search_fits_the_first_of_the_descending_argsort():
 
 
 def test_hierarchy_runs_one_family_search(monkeypatch):
-    calls = {"negativity_depth": 0, "gaussian_fidelity": 0}
+    calls = {"negativity_depth": 0, "_gaussian_fit": 0}
 
     def counted(name):
         original = getattr(monotones, name)
@@ -185,7 +190,65 @@ def test_hierarchy_runs_one_family_search(monkeypatch):
         monkeypatch.setattr(monotones, name, counted(name))
     rho = pure_loss(0.7, 15).apply(fock(1, 15).to_density())
     hierarchy_check(rho, cfg=FAST)
-    assert calls == {"negativity_depth": 1, "gaussian_fidelity": 1}
+    assert calls == {"negativity_depth": 1, "_gaussian_fit": 1}
+
+
+def _stop_corpus_bounds(rho):
+    free_sets = (FreeSet.GAUSSIAN_HULL, FreeSet.GAUSSIAN_TWO_COPY)
+    alone = [lower_bound(rho, fs, cfg=ACCEPTANCE_SEARCH) for fs in free_sets]
+    return hierarchy_check(rho, cfg=ACCEPTANCE_SEARCH), alone
+
+
+@pytest.mark.parametrize("label, rho", parity_stop_corpus(), ids=[label for label, _ in parity_stop_corpus()])
+def test_a_stopped_fit_gives_the_full_fits_bounds(monkeypatch, label, rho):
+    # the family search stops its Gaussian fit once no projector can beat
+    # parity; every bound is the one a full fit's lambda gives, by repr
+    stopped = repr(_stop_corpus_bounds(rho))
+    monkeypatch.setattr(monotones, "_gaussian_fit", lambda psi, cfg, stop: gaussian_fidelity(psi, cfg))
+    assert stopped == repr(_stop_corpus_bounds(rho))
+
+
+def _recorded_fits(monkeypatch):
+    """The results of the family search's Gaussian fits, in call order."""
+    fits, fit = [], monotones._gaussian_fit
+    monkeypatch.setattr(monotones, "_gaussian_fit", lambda *args: fits.append(fit(*args)) or fits[-1])
+    return fits
+
+
+def test_the_fit_stops_once_parity_must_win(monkeypatch):
+    # above eta = 0.522, 1 - eta < lambda(|1>) (1 + 1e-9): parity beats both
+    # projectors of the lossy photon, so the fit stops as soon as its lambda
+    # passes 1 - eta, here at its starts or after one step
+    fits = _recorded_fits(monkeypatch)
+    for eta in (0.55, 0.7, 0.9):
+        rho = pure_loss(eta, 30).apply(fock(1, 30).to_density())
+        wn, gng, sng = hierarchy_check(rho, cfg=ACCEPTANCE_SEARCH)
+        assert fits[-1].steps <= 1 and fits[-1].max_fidelity >= 1.0 - eta
+        assert gng.witness == sng.witness == wn.witness
+    # a projector wins for Fock 2 and the lossy Fock 2 (whose top eigenvector
+    # is |2>): both fits run in full, the 16 steps of gaussian_fidelity to
+    # the same lambda
+    for rho in (fock(2, 30).to_density(), pure_loss(0.8, 30).apply(fock(2, 30).to_density())):
+        fits.clear()
+        gng = hierarchy_check(rho, cfg=ACCEPTANCE_SEARCH)[1]
+        (fit,) = fits
+        assert isinstance(gng.witness.family, Projector) and gng.witness.family.lam == fit.max_fidelity
+        assert repr(fit) == repr(gaussian_fidelity(gng.witness.family.psi)) and fit.steps == 16
+
+
+def test_a_projector_winning_a_stopped_fit_is_an_invariant_error(monkeypatch):
+    # with lambda* at 0 the Fock-2 fit stops at its starts, whose best lambda
+    # leaves the projector above parity: the stop's premise fails loudly
+    monkeypatch.setattr(monotones, "_parity_wins_from", lambda *args: 0.0)
+    with pytest.raises(InvariantError, match="projector beat parity"):
+        hierarchy_check(fock(2, 30).to_density(), cfg=ACCEPTANCE_SEARCH)
+
+
+def test_hierarchy_check_refuses_a_state_on_the_top_levels():
+    # parity wins for Fock 28 at every lambda, but the fit's truncation check
+    # still runs first
+    with pytest.raises(TruncationError, match="top Fock levels"):
+        hierarchy_check(fock(28, 30).to_density(), cfg=ACCEPTANCE_SEARCH)
 
 
 def test_family_search_builds_one_coefficient_matrix(monkeypatch):

@@ -538,9 +538,9 @@ def test_a_repeated_start_runs_once(monkeypatch):
     run = descent.lockstep_newton
     assert witnesses.lockstep_newton is run  # the fit runs the shared descent
 
-    def counted(jet, x0, radius, maxiter):
+    def counted(jet, x0, radius, maxiter, enough):
         ran.extend(start.tobytes() for start in x0)
-        return run(jet, x0, radius, maxiter)
+        return run(jet, x0, radius, maxiter, enough)
 
     monkeypatch.setattr(witnesses, "lockstep_newton", counted)
     # both starts are still counted: n_converged stays 16
@@ -565,7 +565,7 @@ def test_a_start_valued_inf_moves_its_zero_coordinate_out_to_the_trust_radius():
         return value, grad, hess
 
     starts = np.array([[0.0, 0.3], [0.5, 0.1], [0.0, -0.2]])
-    points, values, stationary, steps = descent.lockstep_newton(jet, starts, 0.7, 40)
+    points, values, stationary, steps = descent.lockstep_newton(jet, starts, 0.7, 40, -math.inf)
     # the flat starts alone are evaluated again, each at exactly the radius
     assert calls[1].tolist() == [[0.7, 0.3], [0.7, -0.2]]
     assert stationary.all() and np.allclose(points, [[1.0, 0.0]] * 3, atol=1e-9)
@@ -619,7 +619,7 @@ def test_the_slice_fit_reaches_the_full_chart_fit(n):
     # coordinates, finds no larger lambda
     psi = fock(n, 40)
     starts = np.array(_informed_starts(psi, GaussianFitConfig()))
-    values = descent.lockstep_newton(_fit_jet(psi), starts, 1.0, 400)[1]
+    values = descent.lockstep_newton(_fit_jet(psi), starts, 1.0, 400, -math.inf)[1]
     full = float(np.exp(-np.where(np.isnan(values), np.inf, values)).max())
     assert gaussian_fidelity(psi).max_fidelity >= full - 1e-15
 
@@ -630,6 +630,94 @@ def test_the_photon_fit_ends_at_a_real_displacement():
     argmax = gaussian_fidelity(fock(1, 30)).argmax
     assert abs(argmax.alpha - math.sqrt(2.0 / 3.0)) <= 1e-12
     assert abs(argmax.r - math.atanh(0.5)) <= 1e-12
+
+
+def _random_low_state(seed):
+    """A seeded random state on 2 to 8 levels, at cutoff 30."""
+    rng = np.random.default_rng(seed)
+    levels = int(rng.integers(2, 9))
+    amps = rng.normal(size=levels) + 1j * rng.normal(size=levels)
+    return PureState(np.pad(amps / np.linalg.norm(amps), (0, 30 - levels)))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda n=n: fock(n, 30) for n in range(1, 7)]
+    + [lambda a=a, s=s: cat(a, s, 30) for a in (1.0, 1.5, 2.0) for s in (1, -1)]
+    + [lambda seed=seed: _random_low_state(seed) for seed in range(8)],
+    ids=[f"fock{n}" for n in range(1, 7)]
+    + [f"cat{a}{'+' if s > 0 else '-'}" for a in (1.0, 1.5, 2.0) for s in (1, -1)]
+    + [f"random{seed}" for seed in range(8)],
+)
+def test_the_fits_best_fidelity_never_falls_from_step_to_step(make):
+    # a descent step is taken only if it lowers its start's -log F, so the fit
+    # stopped after k steps is never better than the fit stopped after k + 1;
+    # this is what lets the family search stop a fit at a level
+    psi = make()
+    full = gaussian_fidelity(psi)
+    best = [gaussian_fidelity(psi, GaussianFitConfig(maxiter=k)).max_fidelity for k in range(1, full.steps + 1)]
+    assert best[-1] == full.max_fidelity
+    assert all(b >= a for a, b in zip(best, best[1:])), best
+
+
+def test_the_descent_stops_once_a_value_reaches_enough():
+    # f = |x|^2 from (3, 4) and (0, 6): the descent returns at the first step
+    # where some start's value is at or below enough, and runs to the end
+    # for -inf; +inf returns at the starts
+    def jet(x):
+        return (x * x).sum(1), 2.0 * x, np.broadcast_to(2.0 * np.eye(2), (len(x), 2, 2)).copy()
+
+    # (the least value runs 25, 20.25, 12.25, 2.25, 0 from a radius of 0.5)
+    starts = np.array([[3.0, 4.0], [0.0, 6.0]])
+    full = descent.lockstep_newton(jet, starts, 0.5, 100, -math.inf)
+    assert full[2].all() and full[3] == 4
+    assert descent.lockstep_newton(jet, starts, 0.5, 100, math.inf)[3] == 0
+    for enough, stop in ((20.25, 1), (20.0, 2), (12.25, 2), (3.0, 3), (1.0, 4)):
+        values, steps = descent.lockstep_newton(jet, starts, 0.5, 100, enough)[1::2]
+        assert steps == stop and values.min() <= enough
+
+
+def _old_informed_starts(psi, cfg):
+    """The fit's starts as built before the draws were paired: one scalar
+    draw at a time and a GaussianPureParams per start, through to_chart."""
+    amps = psi.amplitudes
+    idx = np.arange(psi.dim)
+    a_mean = complex(np.vdot(amps[:-1], np.sqrt(idx[1:]) * amps[1:]))
+    starts = [
+        (a_mean.real, a_mean.imag, 0.0, 0.0),
+        (0.0, 0.0, 0.0, 0.0),
+        (a_mean.real, a_mean.imag, 0.4, 0.0),
+        (a_mean.real, a_mean.imag, 0.4, np.pi),
+        (a_mean.real, a_mean.imag, 0.4, np.pi / 2),
+        (abs(a_mean) + 0.5, 0.0, 0.2, 0.0),
+    ]
+    rngs = [np.random.default_rng(seed) for seed in range(4)]
+    i = 0
+    while len(starts) < cfg.n_starts:
+        rng = rngs[i % len(rngs)]
+        i += 1
+        starts.append(
+            (
+                a_mean.real + rng.normal(0.0, 0.7),
+                a_mean.imag + rng.normal(0.0, 0.7),
+                rng.uniform(0.0, 1.2),
+                rng.uniform(0.0, 2.0 * np.pi),
+            )
+        )
+    points = []
+    for re, im, r, phi in starts[: cfg.n_starts]:
+        b, t = states.to_chart(GaussianPureParams(complex(re, im), r, phi))
+        w = t / math.sqrt(1.0 - abs(t) ** 2)
+        points.append(np.array([b.real, b.imag, w.real, w.imag]))
+    return np.array(points)
+
+
+def test_the_starts_are_the_bytes_of_the_scalar_draws():
+    targets = [fock(1, 30), fock(2, 30), coherent(0.8 - 0.3j, 30), cat(1.5, -1, 40), _random_low_state(3)]
+    for psi in targets:
+        for n_starts in (1, 2, 6, 7, 10, 16, 64):
+            cfg = GaussianFitConfig(n_starts=n_starts)
+            assert _informed_starts(psi, cfg).tobytes() == _old_informed_starts(psi, cfg).tobytes(), n_starts
 
 
 def test_gaussian_fit_builds_no_state(monkeypatch):
