@@ -54,6 +54,14 @@ def trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.nd
     return step * np.minimum(1.0, radius / np.linalg.norm(step, axis=1))[:, None]
 
 
+def off_zeros(x: np.ndarray, f: np.ndarray, radius: float) -> np.ndarray:
+    """Moves the zero first coordinate of each row of ``x`` valued +inf out to
+    ``radius``, in place; returns those rows' mask, for the caller to revalue."""
+    flat = f == np.inf
+    x[flat, 0] = np.where(x[flat, 0] == 0.0, radius, x[flat, 0])
+    return flat
+
+
 def lockstep_newton(
     jet, starts: np.ndarray, radius: float, maxiter: int, enough: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -71,11 +79,11 @@ def lockstep_newton(
     quarter of its length; one on the boundary that realises more than three
     quarters doubles it.  A start valued +inf (F = 0 in the Gaussian fit, as
     at b = 0 for an odd psi) first moves a zero first coordinate out to
-    ``radius``, the edge of its first trust region: near a k-fold zero the
-    value is about -2k log|x_0|, so a Newton step only doubles a small
-    |x_0| and a start placed close to the zero would spend its first dozen
-    steps leaving it.  A start whose value or derivatives are not finite is
-    dropped.
+    ``radius`` (:func:`off_zeros`), the edge of its first trust region:
+    near a k-fold zero the value is about -2k log|x_0|, so a Newton step
+    only doubles a small |x_0| and a start placed close to the zero would
+    spend its first dozen steps leaving it.  A start whose value or
+    derivatives are not finite is dropped.
     The descent stops as soon as some start's value is at or below
     ``enough``, so a caller that only needs the least value to reach a level
     passes that level; one that needs the minimum passes -inf.
@@ -84,9 +92,8 @@ def lockstep_newton(
     """
     x = np.array(starts, dtype=float)
     f, grad, hess = jet(x)
-    flat = f == np.inf
+    flat = off_zeros(x, f, radius)
     if flat.any():
-        x[flat, 0] = np.where(x[flat, 0] == 0.0, radius, x[flat, 0])
         f[flat], grad[flat], hess[flat] = jet(x[flat])
     radii = np.full(len(x), radius)
 

@@ -116,8 +116,10 @@ def _family_search(
     (:func:`~cvactivation.witnesses._parity_wins_from`) no projector can beat
     parity, which comes first and so wins ties.  The fit stops once its lam
     reaches lam* (1 + 1e-9), and that lam values the projectors; a fit that
-    never reaches it runs in full, as :func:`gaussian_fidelity`.  A projector
-    that beats parity at a lam >= lam* raises :class:`InvariantError`.
+    never reaches it runs in full, as :func:`gaussian_fidelity`; one whose
+    starts reach it is decided on their values and reports steps 0,
+    n_converged 0 and spread 0.0.  A projector that beats parity at a
+    lam >= lam* raises :class:`InvariantError`.
     """
     cfg = cfg or FamilySearchConfig()
     if is_odd_parity(rho):

@@ -24,13 +24,14 @@ min(n, m) for a built-in (unit-box) family and 1 for an explicit operator.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .descent import lockstep_newton
+from .descent import lockstep_newton, off_zeros
 from .errors import TruncationError
 from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
 from .states import GaussianPureParams, from_chart, gaussian_amps
@@ -277,13 +278,21 @@ class GaussianFidelityResult:
         }
 
 
+@functools.lru_cache(maxsize=4)
+def _seeded_draws(count: int) -> tuple[tuple[float, float, float, float], ...]:
+    """:func:`_informed_starts`'s ``count`` seeded draws as a read-only table: the
+    draws cycle through four generators, each two normals for alpha's offset
+    and two uniforms, r in [0, 1.2) and phi in [0, 2 pi)."""
+    rngs = [np.random.default_rng(seed) for seed in range(min(count, 4))]
+    draws = [(rngs[i % 4].normal(0.0, 0.7, 2).tolist(), rngs[i % 4].random(2).tolist()) for i in range(count)]
+    return tuple((re, im, 1.2 * u, 2.0 * math.pi * v) for (re, im), (u, v) in draws)
+
+
 def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> np.ndarray:
     """Starts (Re alpha, Im alpha, r, phi) near psi's mean displacement, then
-    seeded draws, as rows (Re b, Im b, Re w, Im w) of the fit's chart: (b, t)
-    is the start's chart point (:func:`~cvactivation.states.to_chart`) and
-    w = t / sqrt(1 - |t|^2).  The draws cycle through four generators, each
-    draw two normals for alpha and two uniforms, r in [0, 1.2) and phi in
-    [0, 2 pi)."""
+    seeded draws (:func:`_seeded_draws`) about it, as rows
+    (Re b, Im b, Re w, Im w) of the fit's chart: (b, t) is the start's chart
+    point (:func:`~cvactivation.states.to_chart`) and w = t / sqrt(1 - |t|^2)."""
     amps = psi.amplitudes
     a_mean = complex(np.vdot(amps[:-1], np.sqrt(np.arange(1, psi.dim)) * amps[1:]))
     starts = [
@@ -294,12 +303,8 @@ def _informed_starts(psi: PureState, cfg: GaussianFitConfig) -> np.ndarray:
         (a_mean.real, a_mean.imag, 0.4, math.pi / 2),
         (abs(a_mean) + 0.5, 0.0, 0.2, 0.0),
     ]
-    draws = max(cfg.n_starts - len(starts), 0)
-    rngs = [np.random.default_rng(seed) for seed in range(min(draws, 4))]
-    for i in range(draws):
-        rng = rngs[i % 4]
-        (re, im), (u, v) = rng.normal(0.0, 0.7, 2).tolist(), rng.random(2).tolist()
-        starts.append((a_mean.real + re, a_mean.imag + im, 1.2 * u, 2.0 * math.pi * v))
+    for re, im, r, phi in _seeded_draws(max(cfg.n_starts - len(starts), 0)):
+        starts.append((a_mean.real + re, a_mean.imag + im, r, phi))
     points = []
     for re, im, r, phi in starts[: cfg.n_starts]:
         alpha, t = complex(re, im), cmath.exp(1j * phi) * math.tanh(r)
@@ -330,9 +335,11 @@ def _fit_jet(psi: PureState):
     mu^2 = 1 + |w|^2 (:func:`~cvactivation.states.gaussian_mass`), and
     t = w / mu is chained in by its first and second derivatives in w.
 
-    Returns -log F = log M - log |A|^2 (k,), its gradients (k, 4) and Hessians
-    (k, 4, 4) for points (k, 4); the value is +inf where A = 0, and finite
-    where M overflows a float, so F = exp(-value) is 0.0 there.
+    Returns ``(value, jet)``: ``value`` maps points (k, 4) to -log F =
+    log M - log |A|^2 (k,), and ``jet`` to the same bits (one code, one
+    table), its gradients (k, 4) and Hessians (k, 4, 4).  The value is +inf
+    where A = 0, and finite where M overflows a float, so F = exp(-value) is
+    0.0 there.
     """
     amps = psi.amplitudes
     levels = max(2, int(np.flatnonzero(amps)[-1]) + 1)
@@ -345,20 +352,32 @@ def _fit_jet(psi: PureState):
     unit = np.array([1.0, 1j])
     eye = np.eye(2)
 
-    @np.errstate(divide="ignore", invalid="ignore", over="ignore")  # A = 0 gives +inf and NaNs
-    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        b_v, w_v = x[:, :2], x[:, 2:]
+    def terms(x: np.ndarray):  # -log F, and mu^2, mu, D_k, b^2 as (Re, Im), |b|^2 and p for the jet
         b_re, b_im, w_re, w_im = x.T
-        b, w = b_re + 1j * b_im, w_re + 1j * w_im
         mu2 = 1.0 + (w_re * w_re + w_im * w_im)
         mu = np.sqrt(mu2)
+        d = gaussian_amps(b_re + 1j * b_im, (w_re + 1j * w_im) / mu, levels) @ shifts.T
+        # log M = log(mu^2) / 2 + mu^2 |b|^2 - mu p with p = Re(conj(w) b^2)
+        b2 = np.column_stack([b_re * b_re - b_im * b_im, 2.0 * b_re * b_im])
+        bb = b_re * b_re + b_im * b_im
+        p = w_re * b2[:, 0] + w_im * b2[:, 1]
+        f = 0.5 * np.log1p(w_re * w_re + w_im * w_im) + mu2 * bb - mu * p - 2.0 * np.log(np.abs(d[:, 0]))
+        return f, (mu2, mu, d, b2, bb, p)
+
+    quiet = np.errstate(divide="ignore", invalid="ignore", over="ignore")  # A = 0 gives +inf and NaNs
+    value = quiet(lambda x: terms(x)[0])
+
+    @quiet
+    def jet(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        f, (mu2, mu, d, b2, bb, p) = terms(x)
+        b_v, w_v = x[:, :2], x[:, 2:]
+        b_re, b_im, w_re, w_im = x.T
+        w = w_re + 1j * w_im
         mu3 = mu * mu2
-        d = gaussian_amps(b, w / mu, levels) @ shifts.T
         # first and second derivatives of log A in (b, t)
         q = d[:, 1:] / d[:, :1]
         g_b, g_t = q[:, 0], -0.5 * q[:, 1]
         g_bb, g_bt, g_tt = q[:, 1] - g_b * g_b, -0.5 * q[:, 2] - g_b * g_t, 0.25 * q[:, 3] - g_t * g_t
-        log_overlap = 2.0 * np.log(np.abs(d[:, 0]))
         # b moves with (Re b, Im b) along e = (1, i); t = w / mu with
         # dt/dw_j = e_j / mu - w w_j / mu^3 and
         # d2t/dw_j dw_k = -(e_j w_k + e_k w_j + w delta_jk) / mu^3 + 3 w w_j w_k / mu^5
@@ -369,14 +388,9 @@ def _fit_jet(psi: PureState):
             cross + cross.transpose(0, 2, 1) + w[:, None, None] * eye
         ) / mu3[:, None, None]
 
-        # log M = log(mu^2) / 2 + mu^2 |b|^2 - mu p with p = Re(conj(w) b^2);
-        # b2 = (Re b^2, Im b^2) = dp/dw and p_b = dp/db
-        b2 = np.column_stack([b_re * b_re - b_im * b_im, 2.0 * b_re * b_im])
-        bb = b_re * b_re + b_im * b_im
-        p = w_re * b2[:, 0] + w_im * b2[:, 1]
+        # the log mass's derivatives: b2 = (Re b^2, Im b^2) = dp/dw and p_b = dp/db
         p_b = 2.0 * np.column_stack([w_re * b_re + w_im * b_im, w_im * b_re - w_re * b_im])
         along_w = 1.0 / mu2 + 2.0 * bb - p / mu
-        value = 0.5 * np.log1p(w_re * w_re + w_im * w_im) + mu2 * bb - mu * p - log_overlap
 
         # each block: the log mass's, less twice Re log A's
         grad = np.empty((len(x), 4))
@@ -402,20 +416,20 @@ def _fit_jet(psi: PureState):
             - (w_v[:, :, None] * b2[:, None, :] + b2[:, :, None] * w_v[:, None, :]) / mu[:, None, None]
             - 2.0 * (g_tt[:, None, None] * dt[:, :, None] * dt[:, None, :] + g_t[:, None, None] * d2t).real
         )
-        return value, grad, hess
+        return f, grad, hess
 
-    return jet
+    return value, jet
 
 
-def _on_rotation_slice(jet):
-    """``jet`` restricted to the slice Im b = 0, over (Re b, Re w, Im w)."""
+def _on_rotation_slice(value, jet):
+    """``value`` and ``jet`` restricted to the slice Im b = 0, over (Re b, Re w, Im w)."""
     kept = [0, 2, 3]
 
     def sliced(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        value, grad, hess = jet(np.insert(y, 1, 0.0, axis=1))
-        return value, grad[:, kept], hess[:, kept][:, :, kept]
+        f, grad, hess = jet(np.insert(y, 1, 0.0, axis=1))
+        return f, grad[:, kept], hess[:, kept][:, :, kept]
 
-    return sliced
+    return (lambda y: value(np.insert(y, 1, 0.0, axis=1))), sliced
 
 
 def gaussian_fidelity(
@@ -467,22 +481,31 @@ def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> Gaussi
     fidelity reaches ``stop`` (F >= stop, that is -log F <= -log stop; see
     :func:`~cvactivation.descent.lockstep_newton`).  Every start's fidelity
     only rises, so the result's is then at least ``stop``; ``stop = inf``
-    runs the full fit."""
+    runs the full fit.  A finite ``stop`` some start reaches, once moved off
+    a zero (:func:`~cvactivation.descent.off_zeros`), is decided on values
+    alone: no derivative, and the result reports steps 0, n_converged 0 and
+    spread 0.0."""
     if psi.tail_mass(psi.dim - max(2, psi.dim // 10)) > 1e-4:
         raise TruncationError(
             "state occupies the top Fock levels; raise the cutoff before "
             "optimizing the Gaussian fidelity"
         )
-    starts, jet = _informed_starts(psi, cfg), _fit_jet(psi)
+    starts, (value, jet) = _informed_starts(psi, cfg), _fit_jet(psi)
     sliced = np.count_nonzero(psi.amplitudes) == 1
     if sliced:
         b, w = starts[:, 0] + 1j * starts[:, 1], starts[:, 2] + 1j * starts[:, 3]
         w = w * np.exp(-2j * np.angle(b))  # the rotation that makes b real
-        starts, jet = np.column_stack([np.abs(b), w.real, w.imag]), _on_rotation_slice(jet)
+        starts, (value, jet) = np.column_stack([np.abs(b), w.real, w.imag]), _on_rotation_slice(value, jet)
     keys = [start.tobytes() for start in starts]
     runs = dict(zip(keys, starts))  # a repeated start runs once
+    unique, steps = np.array(list(runs.values())), 0
     enough = math.inf if stop == 0.0 else -math.log(stop)
-    points, values, stationary, steps = lockstep_newton(jet, np.array(list(runs.values())), 1.0, cfg.maxiter, enough)
+    if stop < math.inf:  # the descent's first test, on values alone
+        points, values, stationary = unique.copy(), value(unique), np.zeros(len(unique), dtype=bool)
+        if (flat := off_zeros(points, values, 1.0)).any():
+            values[flat] = value(points[flat])
+    if stop == math.inf or not (values <= enough).any():
+        points, values, stationary, steps = lockstep_newton(jet, unique, 1.0, cfg.maxiter, enough)
     if sliced:
         points = np.insert(points, 1, 0.0, axis=1)
     rows = [list(runs).index(key) for key in keys]

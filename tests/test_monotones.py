@@ -2,7 +2,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from cvactivation import cli, monotones, wigner
+from cvactivation import cli, monotones, wigner, witnesses
 from cvactivation.errors import InvariantError, TruncationError
 from cvactivation.fock import DensityMatrix, OperatorMatrix, PureState, parity_op
 from cvactivation.states import (
@@ -234,6 +234,36 @@ def test_the_fit_stops_once_parity_must_win(monkeypatch):
         (fit,) = fits
         assert isinstance(gng.witness.family, Projector) and gng.witness.family.lam == fit.max_fidelity
         assert repr(fit) == repr(gaussian_fidelity(gng.witness.family.psi)) and fit.steps == 16
+
+
+def _counted_jets(monkeypatch):
+    """The number of rows of every call of the jet that ``witnesses._fit_jet``
+    returns, in call order."""
+    rows, build = [], witnesses._fit_jet
+
+    def counting(psi):
+        value, jet = build(psi)
+        return value, lambda x: rows.append(len(x)) or jet(x)
+
+    monkeypatch.setattr(witnesses, "_fit_jet", counting)
+    return rows
+
+
+def test_a_fit_parity_must_win_from_its_starts_takes_no_derivative(monkeypatch):
+    # the lossy photon's fit stops at its starts, decided on their values:
+    # no jet call, and the result says so (0 steps, none converged)
+    jets, fits = _counted_jets(monkeypatch), _recorded_fits(monkeypatch)
+    for eta in (0.556, 0.7, 0.9):
+        hierarchy_check(pure_loss(eta, 30).apply(fock(1, 30).to_density()), cfg=ACCEPTANCE_SEARCH)
+        assert jets == []
+        assert (fits[-1].steps, fits[-1].n_converged, fits[-1].multistart_spread) == (0, 0, 0.0)
+    # Fock 2, where a projector wins: the values settle nothing and the
+    # descent runs as in gaussian_fidelity, one jet at the starts, one at the
+    # start moved off the origin and one per step
+    fits.clear()
+    hierarchy_check(fock(2, 30).to_density(), cfg=ACCEPTANCE_SEARCH)
+    (fit,) = fits
+    assert len(jets) == fit.steps + 2 and fit.steps == 16
 
 
 def test_a_projector_winning_a_stopped_fit_is_an_invariant_error(monkeypatch):

@@ -17,9 +17,10 @@ values and its CLI at most 45 config keys (scripts/count_settable_values.py).
 The Gaussian fit runs in the Bargmann chart: witnesses.py names no r clamp
 and no cosh or sinh, and the squeezed-coherent route is gone.
 No module under src/, tests/ or scripts/ imports a name it never uses.
-Three functions under src/ are memoised, each a table that depends on a
-dimension or on nothing: the CLI parser, the quadrature eigensystem and the
-kept beam-splitter blocks; any other functools.cache or lru_cache fails.
+Four functions under src/ are memoised, each a table that depends on a
+dimension, a count or nothing: the CLI parser, the quadrature eigensystem,
+the kept beam-splitter blocks and the Gaussian fit's seeded draws; any other
+functools.cache or lru_cache fails.
 Importing the package, or running the default loss sweep, the default
 Wigner grid, a small amplified grid-code sweep or a small Gaussian fit,
 loads no scipy module and no numpy.polynomial module (whose import alone
@@ -260,9 +261,9 @@ def _is_memoiser(node: ast.AST) -> bool:
 
 def test_only_the_listed_functions_are_memoised():
     # a memoised result is a caching layer, retired; the listed ones are
-    # fixed tables (the parser, the eigensystem of the truncated quadratures
-    # and the beam-splitter blocks of a dimension), so a new cache needs an
-    # edit here
+    # fixed tables (the parser, the eigensystem of the truncated quadratures,
+    # the beam-splitter blocks of a dimension and the fit's seeded draws of a
+    # count), so a new cache needs an edit here
     memoised, stray = set(), []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -284,6 +285,7 @@ def test_only_the_listed_functions_are_memoised():
         ("cli.py", "_parser"),
         ("fock.py", "_quadrature_eigensystem"),
         ("wigner.py", "_retained_blocks"),
+        ("witnesses.py", "_seeded_draws"),
     }
 
 

@@ -32,7 +32,9 @@ from cvactivation.witnesses import (
     gaussian_fidelity,
     witness_value,
     _fit_jet,
+    _gaussian_fit,
     _informed_starts,
+    _on_rotation_slice,
 )
 
 from conftest import (
@@ -293,7 +295,7 @@ def test_fit_jet_value_matches_long_expansion_oracle(dim):
     ]
     assert all(gaussian_mass(*unpack_chart(x)) == math.inf for x in plateau)
     for psi in (fock(1, dim), fock(2, dim), random_psi):
-        jet, want = _fit_jet(psi), long_expansion_objective(psi)
+        jet, want = _fit_jet(psi)[1], long_expansion_objective(psi)
         for x, fid in zip(draws, np.exp(-jet(np.array(draws))[0])):
             assert abs(fid + want(x)) <= 1e-12 * abs(want(x)), (dim, x)
         # there the value stays finite and F underflows to 0
@@ -309,7 +311,7 @@ def test_fit_jet_value_matches_long_expansion_oracle(dim):
     # fidelity: |<1|G>|^2 = |c_1|^2 / mass > 0 for alpha != 0
     leaky = [x for x in draws if leak(x) > 1e-3]
     assert len(leaky) >= 100
-    assert (np.exp(-_fit_jet(fock(1, dim))(np.array(leaky))[0]) > 0.0).all()
+    assert (np.exp(-_fit_jet(fock(1, dim))[1](np.array(leaky))[0]) > 0.0).all()
 
 
 def _top_eigenvector(rho):
@@ -457,23 +459,23 @@ def test_gaussian_fidelity_never_below_the_frozen_table(name):
 
 
 def _difference_jet(value, x, h):
-    """Gradient and Hessian of ``value`` at x by central differences of the
-    value alone, Richardson-extrapolated from steps h and h / 2."""
+    """Gradient and Hessian at x by central differences of the batched
+    ``value`` alone, Richardson-extrapolated from steps h and h / 2: the 144
+    stencil points of both steps (x +- e_j and x +- e_j +- e_k, 72 a step)
+    are valued in one call."""
+    signs = ((1.0, 1.0), (1.0, -1.0), (-1.0, 1.0), (-1.0, -1.0))
+    rows = []
+    for e in (h * np.eye(4), (h / 2.0) * np.eye(4)):
+        rows += [x + e[j] for j in range(4)] + [x - e[j] for j in range(4)]
+        rows += [x + sj * e[j] + sk * e[k] for j in range(4) for k in range(4) for sj, sk in signs]
+    values = value(np.array(rows)).reshape(2, 72)
 
-    def at(h):
-        e = h * np.eye(4)
-        grad = [(value(x + e[j]) - value(x - e[j])) / (2.0 * h) for j in range(4)]
-        hess = [
-            [
-                (value(x + e[j] + e[k]) - value(x + e[j] - e[k]) - value(x - e[j] + e[k]) + value(x - e[j] - e[k]))
-                / (4.0 * h * h)
-                for k in range(4)
-            ]
-            for j in range(4)
-        ]
-        return np.array(grad), np.array(hess)
+    def at(v, h):
+        pair = v[8:].reshape(4, 4, 4)
+        grad = (v[:4] - v[4:8]) / (2.0 * h)
+        return grad, (pair[..., 0] - pair[..., 1] - pair[..., 2] + pair[..., 3]) / (4.0 * h * h)
 
-    (g1, h1), (g2, h2) = at(h), at(h / 2.0)
+    (g1, h1), (g2, h2) = at(values[0], h), at(values[1], h / 2.0)
     return (4.0 * g2 - g1) / 3.0, (4.0 * h2 - h1) / 3.0
 
 
@@ -491,14 +493,57 @@ def test_fit_jet_matches_finite_differences():
         np.c_[rng.normal(0.0, 1e-2, (12, 2)), rng.normal(0.0, 1.0, (12, 2))],
     ])
     for psi in targets:
-        jet = _fit_jet(psi)
-        value, grad, hess = jet(points)
+        value, jet = _fit_jet(psi)
+        grad, hess = jet(points)[1:]
         for x, g, h in zip(points, grad, hess):
             # the step follows the curvature's length scale
             step = 1e-3 / math.sqrt(max(1.0, np.max(np.abs(h))))
-            g_fd, h_fd = _difference_jet(lambda y: jet(y[None])[0][0], x, step)
+            g_fd, h_fd = _difference_jet(value, x, step)
             assert np.max(np.abs(g_fd - g)) <= 1e-6 * np.max(np.abs(g)), (x, g, g_fd)
             assert np.max(np.abs(h_fd - h)) <= 1e-6 * np.max(np.abs(h)), (x, h, h_fd)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: fock(1, 30), lambda: fock(2, 30), lambda: fock(3, 30), lambda: cat(1.5, -1, 40)]
+    + [lambda seed=seed: _random_low_state(seed) for seed in range(4)],
+    ids=["fock1", "fock2", "fock3", "odd_cat", *(f"random{seed}" for seed in range(4))],
+)
+def test_the_fit_value_is_the_jets_value_bit_for_bit(make):
+    # the screen of a stopped fit decides on the value alone, so it must see
+    # the very bits the descent would: random batches of 1 to 33 rows, with
+    # b = 0 (F = 0 for an odd psi) and |b| near 35 (the mass overflows)
+    value, jet = _fit_jet(make())
+    sliced_value, sliced_jet = _on_rotation_slice(value, jet)
+    rng = np.random.default_rng(41)
+    for rows in (1, 2, 7, 16, 33):
+        x = rng.normal(0.0, 1.5, (rows, 4))
+        x[rng.random(rows) < 0.3, :2] = 0.0
+        x[rng.random(rows) < 0.2, 0] = 35.0
+        assert value(x).tobytes() == jet(x)[0].tobytes(), rows
+        assert sliced_value(x[:, 1:]).tobytes() == sliced_jet(x[:, 1:])[0].tobytes(), rows
+
+
+def test_a_screened_fit_is_the_fit_at_its_starts(monkeypatch):
+    # a stop some start already reaches returns before any descent step, with
+    # the values and points the descent starts from (F = 0 starts moved off
+    # their zero), no start stationary: the repr of the full fit's descent
+    # stopped at its starts
+    run = descent.lockstep_newton
+
+    def at_the_starts(jet, x0, radius, maxiter, enough):
+        return run(jet, x0, radius, maxiter, math.inf)
+
+    for psi in (fock(1, 30), fock(2, 30), cat(1.5, -1, 40), _random_low_state(5)):
+        with monkeypatch.context() as patch:
+            patch.setattr(witnesses, "lockstep_newton", at_the_starts)
+            at_starts = _gaussian_fit(psi, GaussianFitConfig(), math.inf)
+        for stop in (0.0, at_starts.max_fidelity / 2.0, at_starts.max_fidelity):
+            screened = _gaussian_fit(psi, GaussianFitConfig(), stop)
+            assert repr(screened) == repr(at_starts)
+            assert (screened.steps, screened.n_converged, screened.multistart_spread) == (0, 0, 0.0)
+        # just above the starts' best fidelity the descent runs
+        assert _gaussian_fit(psi, GaussianFitConfig(), math.nextafter(at_starts.max_fidelity, 2.0)).steps >= 1
 
 
 def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
@@ -619,7 +664,7 @@ def test_the_slice_fit_reaches_the_full_chart_fit(n):
     # coordinates, finds no larger lambda
     psi = fock(n, 40)
     starts = np.array(_informed_starts(psi, GaussianFitConfig()))
-    values = descent.lockstep_newton(_fit_jet(psi), starts, 1.0, 400, -math.inf)[1]
+    values = descent.lockstep_newton(_fit_jet(psi)[1], starts, 1.0, 400, -math.inf)[1]
     full = float(np.exp(-np.where(np.isnan(values), np.inf, values)).max())
     assert gaussian_fidelity(psi).max_fidelity >= full - 1e-15
 
