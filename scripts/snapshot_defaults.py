@@ -8,8 +8,10 @@ The ``out`` path is part of the config hashed into every output's metadata,
 so absolute paths would make two identical runs look different; with
 relative names, the directories written from two checkouts compare file
 by file.  Each subcommand's wall time (one ``time.perf_counter`` run, in
-this process, so the first run also pays the package's lazy set-up) is
-printed next to its output name.  Given a baseline directory (one written
+this process, so the first run also pays the package's lazy set-up) and
+its number of Wigner coefficient builds (calls of ``wigner._coefficients``,
+one per searched or gridded state when no work is repeated) are printed
+next to its output name.  Given a baseline directory (one written
 by this script from another checkout), every output is compared with the
 baseline's byte for byte, each file that differs is named and followed
 by its unified diff against the baseline, and the exit code is 1 if any
@@ -25,7 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cvactivation.cli import main  # noqa: E402  (after the path insert)
+from cvactivation import wigner  # noqa: E402  (after the path insert)
+from cvactivation.cli import main  # noqa: E402
 
 OUTPUTS = {
     "wigner": "wigner.csv",
@@ -44,12 +47,15 @@ def snapshot(out_dir: str) -> int:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     os.chdir(path)
-    failed = []
+    failed, builds, build = [], [], wigner._coefficients
+    wigner._coefficients = lambda matrix: builds.append(1) or build(matrix)
     for command, out in OUTPUTS.items():
+        builds.clear()
         start = time.perf_counter()
         if main([command, "--out", out]) != 0:
             failed.append(command)
-        print(f"{out}: {time.perf_counter() - start:.3f} s")
+        print(f"{out}: {time.perf_counter() - start:.3f} s, coefficient builds: {len(builds)}")
+    wigner._coefficients = build
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1

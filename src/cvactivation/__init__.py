@@ -83,8 +83,7 @@ from .activation import (
     ActivationOutcome,
     Classification,
     WernerState,
-    activate_entanglement,
-    activate_steering,
+    activate,
     classify,
     werner_analytics,
 )
@@ -116,8 +115,7 @@ __all__ = [
     "WignerGrid",
     "WitnessBox",
     "WitnessSpec",
-    "activate_entanglement",
-    "activate_steering",
+    "activate",
     "apply_unitary",
     "cat",
     "check_box",

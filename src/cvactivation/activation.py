@@ -7,8 +7,10 @@ maximally mixed state) equals the positive part of the witness violation:
 E = [-Tr(W rho)]_+ / 2 and S = [-Tr(W rho)]_+ exactly.  Free inputs land
 on separable / unsteerable outputs.
 
-Channels are evaluated deterministically through exact Born probabilities;
-there is no sampling mode.
+The two channels differ only in what they prepare, so :func:`activate`
+values -Tr(W rho) once and returns both outcomes.  They are evaluated
+deterministically through exact Born probabilities; there is no sampling
+mode.
 """
 
 from __future__ import annotations
@@ -154,51 +156,31 @@ def werner_analytics(
     )
 
 
-def _detection(rho: DensityMatrix, spec: WitnessSpec) -> tuple[float, float]:
-    """Violation -Tr(W rho) and p = Tr(M_- rho) of a witness in the unit box.
+def activate(rho: DensityMatrix, spec: WitnessSpec) -> tuple[ActivationOutcome, ActivationOutcome]:
+    """``(entanglement_outcome, steering_outcome)`` of one witness's POVM.
 
-    W is the spec's witness in its box clipped to the unit box the POVM
-    needs, so a built-in family is scaled by min(n, m, 1).  It is evaluated
-    once and checked every time from the closed-form spectrum of its
-    family; no built-in family is materialised at any cutoff.
+    W is the spec's witness clipped to the unit box the POVM needs (a
+    built-in family is scaled by min(n, m, 1)), valued once as
+    v = -Tr(W rho) and checked from its family's closed-form spectrum, so
+    no built-in family is materialised at any cutoff.  p = Tr(M_- rho)
+    feeds both channels.  The entanglement channel prepares singlet /
+    triplet-mixed outputs, Werner with q = (4p - 1)/3 and E = [v]_+ / 2,
+    cross-checked against the output matrix's partial transpose; the
+    steering channel prepares the maximally mixed complement, q = p and
+    S = [v]_+.
     """
     checked = replace(spec, box=WitnessBox(min(spec.box.n, 1.0), min(spec.box.m, 1.0)))
     value = witness_value(checked, rho)
-    return value, min(max((1.0 + value) / 2.0, 0.0), 1.0)
-
-
-def activate_entanglement(rho: DensityMatrix, spec: WitnessSpec) -> ActivationOutcome:
-    """Measure-and-prepare channel with singlet / triplet-mixed outputs.
-
-    The output is Werner with singlet weight p = Tr(M_- rho), i.e.
-    q = (4p - 1)/3, and its entanglement equals [-Tr(W rho)]_+ / 2; the
-    closed form is cross-checked against the output matrix's partial
-    transpose.
-    """
-    value, p = _detection(rho, spec)
-    q = (4.0 * p - 1.0) / 3.0
-    outcome = werner_analytics(q, witness=spec, validate=False)
-    expected = max(0.0, value) / 2.0
-    if abs(outcome.entanglement - expected) > 1e-9:
-        raise InvariantError(
-            f"activation identity violated: E={outcome.entanglement}, "
-            f"[-Tr(W rho)]_+/2={expected}"
-        )
-    pt = negativity_two_qubit(outcome.werner.to_matrix())
-    if abs(pt - outcome.entanglement) > 1e-10:
+    p = min(max((1.0 + value) / 2.0, 0.0), 1.0)
+    ent = werner_analytics((4.0 * p - 1.0) / 3.0, witness=spec, validate=False)
+    steer = werner_analytics(p, witness=spec, validate=False)
+    for name, got, expected in (
+        ("E", ent.entanglement, max(0.0, value) / 2.0),
+        ("S", steer.steering, max(0.0, value)),
+    ):
+        if abs(got - expected) > 1e-9:
+            raise InvariantError(f"activation identity violated: {name}={got}, expected {expected}")
+    pt = negativity_two_qubit(ent.werner.to_matrix())
+    if abs(pt - ent.entanglement) > 1e-10:
         raise InvariantError("partial-transpose cross-check failed")
-    return outcome
-
-
-def activate_steering(rho: DensityMatrix, spec: WitnessSpec) -> ActivationOutcome:
-    """Same POVM, maximally mixed complement: q = Tr(M_- rho), S = [-Tr(W rho)]_+."""
-    value, q = _detection(rho, spec)
-    outcome = werner_analytics(q, witness=spec, validate=False)
-    expected = max(0.0, value)
-    if abs(outcome.steering - expected) > 1e-9:
-        raise InvariantError(
-            f"activation identity violated: S={outcome.steering}, "
-            f"[-Tr(W rho)]_+={expected}"
-        )
-    return outcome
-
+    return ent, steer

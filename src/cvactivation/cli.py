@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .activation import activate_entanglement, activate_steering
+from .activation import activate
 from .channels import (
     _transmissivity,
     apply_unitary,
@@ -450,8 +450,7 @@ def run_loss_sweep(cfg: dict, opts: dict) -> int:
         max_leak = max(max_leak, rho.leakage)
         parity_exp = float(np.real(rho.expectation(pi)))
         bound = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=opts["resolution"])
-        ent = activate_entanglement(rho, bound.witness)
-        steer = activate_steering(rho, bound.witness)
+        ent, steer = activate(rho, bound.witness)
         rows.append(
             (
                 eta,
@@ -522,8 +521,7 @@ def run_pure_bounds(cfg: dict, opts: dict) -> int:
 
 def run_activate(cfg: dict, opts: dict) -> int:
     rho, spec = opts["channel"], opts["witness"]
-    ent = activate_entanglement(rho, spec)
-    steer = activate_steering(rho, spec)
+    ent, steer = activate(rho, spec)
     write_json(
         opts["out"],
         {"entanglement_channel": ent.to_dict(), "steering_channel": steer.to_dict()},

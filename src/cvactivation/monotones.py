@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvariantError
 from .fock import DensityMatrix, PureState, trace_norm
-from .wigner import DepthSearchConfig, negativity_depth
+from .wigner import DepthSearchConfig, NegativityDepthResult, negativity_depth
 from .witnesses import (
     DisplacedParity,
     Family,
@@ -137,10 +137,7 @@ def _family_search(
     else:
         depth = negativity_depth(rho, cfg.depth)
         spec = WitnessSpec(DisplacedParity(depth.argmin_alpha), box)
-        value = 0.0
-        if depth.depth > 0.0:
-            wigner = float(depth.wigner_at(np.array([depth.argmin_alpha]))[0])
-            value = _parity_witness_value(spec, wigner)
+        value = _parity_witness_value(spec, depth.wigner_at) if depth.depth > 0.0 else 0.0
         parity = [(value, spec)]
     if top is FreeSet.WIGNER_POSITIVE:
         return parity, False
@@ -327,45 +324,52 @@ def property_suite(
     ``states`` is a sequence of (label, DensityMatrix); ``channels`` a
     sequence of (label, callable) with each callable free for the
     Wigner-positive theory.  Both sides of each comparison are parity bounds
-    in ``box`` over one shared pool of searched displacements (each value its
-    spec's :func:`witness_value`), so the comparisons are theorems of the
-    shared family, not artifacts of independent searches; the monotonicity
-    and convexity checks allow ``PROPERTY_TOL``.
+    in ``box`` over one shared pool of searched displacements, so the
+    comparisons are theorems of the shared family, not artifacts of
+    independent searches; the monotonicity and convexity checks allow
+    ``PROPERTY_TOL``.  Each corpus state, channel output and mixture is
+    depth-searched once, and each pool point is valued on that search's own
+    coefficient matrix (``NegativityDepthResult.wigner_at``, one point a
+    call), with the bits of the spec's :func:`witness_value`: one Wigner
+    build per searched state.
     """
     cfg = cfg or FamilySearchConfig()
     states = list(states)
     records: list[CheckRecord] = []
     c_lip = max(box.n, box.m)
 
-    def argmin(rho: DensityMatrix) -> complex:
-        return negativity_depth(rho, cfg.depth).argmin_alpha
+    def search(rho: DensityMatrix) -> NegativityDepthResult:
+        return negativity_depth(rho, cfg.depth)
 
-    def bound(rho: DensityMatrix, pool: list[complex]) -> float:
-        return max(0.0, *(witness_value(WitnessSpec(DisplacedParity(a), box), rho) for a in pool))
+    def bound(found: NegativityDepthResult, pool: list[NegativityDepthResult]) -> float:
+        # the parity bound of found's state over the origin and each pool search's argmin
+        specs = [WitnessSpec(DisplacedParity(a), box) for a in (0j, *(s.argmin_alpha for s in pool))]
+        return max(0.0, *(_parity_witness_value(spec, found.wigner_at) for spec in specs))
 
     def check(kind: str, label: str, lhs: float, rhs: float) -> None:
         records.append(CheckRecord(kind, label, lhs, rhs))
 
-    searched = {label: argmin(rho) for label, rho in states}
+    searched = {label: search(rho) for label, rho in states}
 
     # monotonicity under free channels
     for ch_label, channel in channels:
         for label, rho in states:
-            out = channel(rho)
-            pool = [0j, searched[label], argmin(out)]
-            after, before = bound(out, pool), bound(rho, pool)
+            out = search(channel(rho))
+            pool = [searched[label], out]
+            after, before = bound(out, pool), bound(searched[label], pool)
             check("monotonicity", f"{ch_label} on {label}", after, before + PROPERTY_TOL)
 
     # convexity on mixtures of consecutive corpus states
     for (la, ra), (lb, rb) in zip(states, states[1:]):
         if ra.dim != rb.dim:
             continue
+        a, b = searched[la], searched[lb]
         for p in CONVEXITY_WEIGHTS:
-            mix = DensityMatrix(
-                p * ra.matrix + (1.0 - p) * rb.matrix, leakage=max(ra.leakage, rb.leakage)
+            mix = search(
+                DensityMatrix(p * ra.matrix + (1.0 - p) * rb.matrix, leakage=max(ra.leakage, rb.leakage))
             )
-            pool = [0j, searched[la], searched[lb], argmin(mix)]
-            rhs = p * bound(ra, pool) + (1.0 - p) * bound(rb, pool)
+            pool = [a, b, mix]
+            rhs = p * bound(a, pool) + (1.0 - p) * bound(b, pool)
             check("convexity", f"{p}*{la} + {1 - p:.1f}*{lb}", bound(mix, pool), rhs + PROPERTY_TOL)
 
     # Lipschitz continuity on corpus pairs
@@ -373,8 +377,8 @@ def property_suite(
         for lb, rb in states[i + 1 :]:
             if ra.dim != rb.dim:
                 continue
-            pool = [0j, searched[la], searched[lb]]
-            gap, dist = abs(bound(ra, pool) - bound(rb, pool)), trace_norm(ra.matrix - rb.matrix)
+            a, b = searched[la], searched[lb]
+            gap, dist = abs(bound(a, [a, b]) - bound(b, [a, b])), trace_norm(ra.matrix - rb.matrix)
             check("lipschitz", f"{la} vs {lb}", gap, c_lip * dist + 1e-8)
 
     return PropertyReport(records=tuple(records))

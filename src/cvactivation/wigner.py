@@ -418,10 +418,13 @@ class NegativityDepthResult:
 
     ``wigner_at`` maps a 1-D complex array of points to the Wigner values
     there, on the searched operator's own coefficient matrix by the
-    :func:`wigner_batch` route, bit-identical to ``wigner_batch(rho, points)``:
-    a caller that needs W at ``argmin_alpha`` makes no second build.  It is
-    None from :func:`negativity_depth_fn`, whose evaluators have no such
-    route.
+    :func:`wigner_batch` route, bit-identical to ``wigner_batch(rho, points)``
+    at the same points: a caller that needs W on the searched state makes no
+    second build.  Its callers, through
+    :func:`~cvactivation.witnesses._parity_witness_value` one point a call,
+    are the family search's parity candidate and the property suite's pooled
+    bounds.  It is None from :func:`negativity_depth_fn`, whose evaluators
+    have no such route.
     """
 
     depth: float

@@ -212,11 +212,13 @@ def witness_value(spec: WitnessSpec, rho: DensityMatrix) -> float:
     return spec.scale * violation(spec.family, rho)
 
 
-def _parity_witness_value(spec: WitnessSpec, wigner: float) -> float:
-    """:func:`witness_value` of a displaced-parity spec from rho's Wigner value
-    at its displacement, for a caller that already holds that value."""
+def _parity_witness_value(spec: WitnessSpec, wigner_at) -> float:
+    """:func:`witness_value` of a displaced-parity spec from an evaluator of
+    rho's Wigner values (``NegativityDepthResult.wigner_at``), for a caller
+    that already holds rho's coefficient matrix: one point, so the bits are
+    those of :func:`witness_value`."""
     _scaled_ends(spec.family, spec.scale, spec.box)
-    return spec.scale * _parity_violation(wigner)
+    return spec.scale * _parity_violation(float(wigner_at(np.array([spec.family.alpha]))[0]))
 
 
 def _parity_wins_from(psi: PureState, rho: DensityMatrix, value: float, scale: float) -> float:
@@ -421,15 +423,22 @@ def _fit_jet(psi: PureState):
     return value, jet
 
 
+def _lift(y: np.ndarray) -> np.ndarray:
+    """Rows (Re b, Re w, Im w) of the slice Im b = 0 as chart rows (Re b, 0, Re w, Im w)."""
+    x = np.zeros((len(y), 4))
+    x[:, 0], x[:, 2:] = y[:, 0], y[:, 1:]
+    return x
+
+
 def _on_rotation_slice(value, jet):
     """``value`` and ``jet`` restricted to the slice Im b = 0, over (Re b, Re w, Im w)."""
     kept = [0, 2, 3]
 
     def sliced(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        f, grad, hess = jet(np.insert(y, 1, 0.0, axis=1))
+        f, grad, hess = jet(_lift(y))
         return f, grad[:, kept], hess[:, kept][:, :, kept]
 
-    return (lambda y: value(np.insert(y, 1, 0.0, axis=1))), sliced
+    return (lambda y: value(_lift(y))), sliced
 
 
 def gaussian_fidelity(
@@ -507,7 +516,7 @@ def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> Gaussi
     if stop == math.inf or not (values <= enough).any():
         points, values, stationary, steps = lockstep_newton(jet, unique, 1.0, cfg.maxiter, enough)
     if sliced:
-        points = np.insert(points, 1, 0.0, axis=1)
+        points = _lift(points)
     rows = [list(runs).index(key) for key in keys]
     fids = np.exp(-np.where(np.isnan(values), np.inf, values))[rows]
     converged = fids[stationary[rows] & (fids > 0.0)]

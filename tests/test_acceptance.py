@@ -13,8 +13,7 @@ import pytest
 
 from cvactivation.activation import (
     Classification,
-    activate_entanglement,
-    activate_steering,
+    activate,
     classify,
     negativity_two_qubit,
     werner_analytics,
@@ -92,8 +91,7 @@ def test_01_loss_threshold_curve():
             expected = max(0.0, 2.0 * eta - 1.0)
             bound = lower_bound(rho, FreeSet.WIGNER_POSITIVE, cfg=FAST)
             assert abs(bound.lower - expected) < 1e-6, (eta, bound.lower)
-            ent = activate_entanglement(rho, bound.witness)
-            steer = activate_steering(rho, bound.witness)
+            ent, steer = activate(rho, bound.witness)
             assert abs(ent.entanglement - expected / 2.0) < 1e-6
             assert abs(steer.steering - expected) < 1e-6
         assert time.monotonic() - start < 10.0
@@ -142,12 +140,9 @@ def test_04_odd_parity_maximality():
             for bound in (wn, gng, sng):
                 assert bound.exact
                 assert bound.lower == 1.0 and bound.upper == 1.0
-            assert activate_entanglement(rho, pi_spec).entanglement == pytest.approx(
-                0.5, abs=1e-12
-            )
-            assert activate_steering(rho, pi_spec).steering == pytest.approx(
-                1.0, abs=1e-12
-            )
+            ent, steer = activate(rho, pi_spec)
+            assert ent.entanglement == pytest.approx(0.5, abs=1e-12)
+            assert steer.steering == pytest.approx(1.0, abs=1e-12)
 
 
 def test_05_activation_exactness():
@@ -167,8 +162,7 @@ def test_05_activation_exactness():
                 )
             )
             value = -float(np.real(np.trace(h @ rho.matrix)))
-            ent = activate_entanglement(rho, spec)
-            steer = activate_steering(rho, spec)
+            ent, steer = activate(rho, spec)
             assert abs(ent.entanglement - max(0.0, value) / 2.0) < 1e-9
             assert abs(steer.steering - max(0.0, value)) < 1e-9
             assert (

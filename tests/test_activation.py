@@ -13,8 +13,7 @@ from cvactivation import witnesses
 from cvactivation.activation import (
     Classification,
     WernerState,
-    activate_entanglement,
-    activate_steering,
+    activate,
     classify,
     geometric_discord,
     negativity_two_qubit,
@@ -61,33 +60,33 @@ def test_povm_examples():
 def test_activation_examples():
     pi_spec = WitnessSpec(DisplacedParity(0.0))
     one = fock(1, 20).to_density()
-    out = activate_entanglement(one, pi_spec)
+    out, _ = activate(one, pi_spec)
     assert out.entanglement == pytest.approx(0.5)
     assert out.werner.q == pytest.approx(1.0)
     assert out.classification is Classification.BELL_NONLOCAL
     vac = fock(0, 20).to_density()
-    out = activate_entanglement(vac, pi_spec)
+    out, _ = activate(vac, pi_spec)
     assert out.entanglement == 0.0
     assert out.classification is Classification.SEPARABLE
     rho = pure_loss(0.9, 20).apply(one)
-    out = activate_entanglement(rho, pi_spec)
+    out, _ = activate(rho, pi_spec)
     assert out.entanglement == pytest.approx(0.4, abs=1e-12)
 
 
 def test_steering_examples():
     pi_spec = WitnessSpec(DisplacedParity(0.0))
     one = fock(1, 20).to_density()
-    out = activate_steering(one, pi_spec)
+    _, out = activate(one, pi_spec)
     assert out.steering == pytest.approx(1.0)
     assert out.werner.q == pytest.approx(1.0)
     assert out.classification is Classification.BELL_NONLOCAL
     rho = pure_loss(0.75, 20).apply(one)
-    out = activate_steering(rho, pi_spec)
+    _, out = activate(rho, pi_spec)
     assert out.steering == pytest.approx(0.5, abs=1e-12)
     assert out.werner.q == pytest.approx(0.75, abs=1e-12)
     # q = 0.75 sits above 1/sqrt(2), in the CHSH-violating band
     assert out.classification is Classification.BELL_NONLOCAL
-    assert activate_steering(fock(0, 20).to_density(), pi_spec).steering == 0.0
+    assert activate(fock(0, 20).to_density(), pi_spec)[1].steering == 0.0
 
 
 def test_activation_builds_witness_once(monkeypatch):
@@ -98,14 +97,13 @@ def test_activation_builds_witness_once(monkeypatch):
         calls.append(args[1])
         return original(*args, **kwargs)
 
-    # witness_value evaluates a parity witness through the witnesses module
+    # witness_value evaluates a parity witness through the witnesses module,
+    # and one valuation serves both channels
     monkeypatch.setattr(witnesses, "wigner_batch", counting)
     rho = pure_loss(0.7, 20).apply(fock(1, 20).to_density())
     spec = WitnessSpec(DisplacedParity(0.3 - 0.1j))
-    for channel in (activate_entanglement, activate_steering):
-        calls.clear()
-        channel(rho, spec)
-        assert len(calls) == 1
+    activate(rho, spec)
+    assert len(calls) == 1
 
 
 def _two_copy_case(cutoff, box=WitnessBox()):
@@ -119,8 +117,7 @@ def test_two_copy_box_checked_past_old_budget():
     # witness by min(n, m) = 0.3, checked from its closed-form spectrum
     rho, spec = _two_copy_case(80, WitnessBox(0.3, 1.0))
     start = time.perf_counter()
-    ent = activate_entanglement(rho, spec)
-    steer = activate_steering(rho, spec)
+    ent, steer = activate(rho, spec)
     assert time.perf_counter() - start < 1.0
     psi = spec.family.psi.amplitudes
     overlap = float(np.real(np.vdot(psi, rho.matrix @ psi)))
@@ -135,8 +132,7 @@ def test_two_copy_activation_builds_no_product_space():
     # a 4096 x 4096 two-copy matrix would take seconds to build and diagonalise
     rho, spec = _two_copy_case(64)
     start = time.perf_counter()
-    ent = activate_entanglement(rho, spec)
-    steer = activate_steering(rho, spec)
+    ent, steer = activate(rho, spec)
     assert time.perf_counter() - start < 0.1
     overlap = float(np.real(np.vdot(spec.family.psi.amplitudes, rho.matrix @ spec.family.psi.amplitudes)))
     assert steer.steering == pytest.approx(max(0.0, overlap**2 - 0.25), abs=1e-9)
@@ -150,8 +146,7 @@ def test_activation_exactness_random_pairs(rng):
         rho = random_density(rng, d, cutoff=12)
         spec = random_unit_box_witness(rng, 12)
         value = -float(np.real(np.trace(spec.family.operator.matrix @ rho.matrix)))
-        ent = activate_entanglement(rho, spec)
-        steer = activate_steering(rho, spec)
+        ent, steer = activate(rho, spec)
         worst_e = max(worst_e, abs(ent.entanglement - max(0.0, value) / 2.0))
         worst_s = max(worst_s, abs(steer.steering - max(0.0, value)))
         pt = negativity_two_qubit(ent.werner.to_matrix())
@@ -172,9 +167,10 @@ def test_free_inputs_stay_separable_and_unsteerable(rng):
     )
     for rho in frees + [mix]:
         for spec in specs:
-            assert activate_entanglement(rho, spec).classification is Classification.SEPARABLE
-            assert activate_entanglement(rho, spec).entanglement == 0.0
-            assert activate_steering(rho, spec).steering == 0.0
+            ent, steer = activate(rho, spec)
+            assert ent.classification is Classification.SEPARABLE
+            assert ent.entanglement == 0.0
+            assert steer.steering == 0.0
 
 
 def test_supremum_matches_negativity_depth():
@@ -185,9 +181,8 @@ def test_supremum_matches_negativity_depth():
         FreeSet.WIGNER_POSITIVE,
         cfg=FamilySearchConfig(depth=DepthSearchConfig(resolution=30)),
     )
-    out = activate_entanglement(rho, bound.witness)
+    out, steer = activate(rho, bound.witness)
     assert out.entanglement == pytest.approx((math.pi / 4.0) * depth.depth, abs=1e-5)
-    steer = activate_steering(rho, bound.witness)
     assert steer.steering == pytest.approx((math.pi / 2.0) * depth.depth, abs=1e-5)
 
 

@@ -657,6 +657,35 @@ def test_main_builds_its_parser_once(tmp_path, monkeypatch):
     assert cli._parser().format_help() == build().format_help()
 
 
+# Wigner coefficient builds of each subcommand at its default config: one per
+# searched or gridded state, none per single-point value
+_DEFAULT_BUILDS = {
+    # 5 corpus states, 15 channel outputs and 8 mixtures, each searched once
+    "property-suite": 28,
+    # two per eta, the bound's depth search and the activation's W: below
+    # eta = 1/2 the search reports depth 0, not the signed W(0) it needs
+    "loss-sweep": 22,
+    "activate": 1,
+    "boundary-mix": 7,
+    "gkp-sweep": 6,
+    "negativity-depth": 1,
+    "wigner": 1,
+    "pure-bounds": 0,
+}
+
+
+def test_default_runs_build_each_state_once(tmp_path, monkeypatch):
+    builds = []
+    build = wigner._coefficients
+    monkeypatch.setattr(wigner, "_coefficients", lambda matrix: builds.append(1) or build(matrix))
+    counts = {}
+    for command in _DEFAULT_BUILDS:
+        builds.clear()
+        assert run([command, "--out", tmp_path / command]) == 0
+        counts[command] = len(builds)
+    assert counts == _DEFAULT_BUILDS
+
+
 def test_radius_cap_is_the_edge_of_the_largest_cutoff():
     # up to the cap a coherent state fits MAX_CUTOFF levels; a little beyond, it does not
     assert coherent_tail_mass(cli.MAX_RADIUS, cli.MAX_CUTOFF) <= DISPLACEMENT_TAIL_TOL

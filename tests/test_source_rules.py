@@ -179,6 +179,11 @@ def test_retired_names_are_gone():
         "dropped_points",
         # the property suite's pooled bound, now its local helper
         "_pooled_parity_bound",
+        # the per-channel activations and their shared detection, replaced by
+        # activate, which values the witness once for both channels
+        "_detection",
+        "activate_entanglement",
+        "activate_steering",
     )
     found = [where for _, where, line in _lines() if any(name in line for name in retired)]
     assert not found, "\n".join(found)

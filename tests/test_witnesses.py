@@ -34,6 +34,7 @@ from cvactivation.witnesses import (
     _fit_jet,
     _gaussian_fit,
     _informed_starts,
+    _lift,
     _on_rotation_slice,
 )
 
@@ -522,6 +523,15 @@ def test_the_fit_value_is_the_jets_value_bit_for_bit(make):
         x[rng.random(rows) < 0.2, 0] = 35.0
         assert value(x).tobytes() == jet(x)[0].tobytes(), rows
         assert sliced_value(x[:, 1:]).tobytes() == sliced_jet(x[:, 1:])[0].tobytes(), rows
+
+
+def test_lifted_slice_rows_are_the_inserted_rows():
+    # the slice's rows enter the chart with Im b = +0.0, the bytes of
+    # np.insert(y, 1, 0.0, axis=1), so the fits on the slice keep their bits
+    y = np.random.default_rng(42).normal(size=(15, 3))
+    y[3] = -0.0
+    for rows in (y, y[:1], y[:0]):
+        assert _lift(rows).tobytes() == np.insert(rows, 1, 0.0, axis=1).tobytes()
 
 
 def test_a_screened_fit_is_the_fit_at_its_starts(monkeypatch):
