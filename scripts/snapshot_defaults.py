@@ -8,10 +8,14 @@ The ``out`` path is part of the config hashed into every output's metadata,
 so absolute paths would make two identical runs look different; with
 relative names, the directories written from two checkouts compare file
 by file.  Each subcommand's wall time (one ``time.perf_counter`` run, in
-this process, so the first run also pays the package's lazy set-up) and
-its number of Wigner coefficient builds (calls of ``wigner._coefficients``,
-one per searched or gridded state when no work is repeated) are printed
-next to its output name.  Given a baseline directory (one written
+this process, so the first run also pays the package's lazy set-up) is
+printed next to its output name, with three counts of its work: Wigner
+coefficient builds (calls of ``wigner._coefficients``, one per searched or
+gridded state when no work is repeated), descent jet calls (calls of the
+jet that ``wigner`` and ``witnesses`` hand to ``lockstep_newton``: the
+derivative work of the depth search and the Gaussian fit) and fit value
+calls (calls of the value of ``witnesses._fit_jet``, which values the
+fit's starts).  Given a baseline directory (one written
 by this script from another checkout), every output is compared with the
 baseline's byte for byte, each file that differs is named and followed
 by its unified diff against the baseline, and the exit code is 1 if any
@@ -27,7 +31,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from cvactivation import wigner  # noqa: E402  (after the path insert)
+from cvactivation import wigner, witnesses  # noqa: E402  (after the path insert)
 from cvactivation.cli import main  # noqa: E402
 
 OUTPUTS = {
@@ -47,15 +51,42 @@ def snapshot(out_dir: str) -> int:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     os.chdir(path)
-    failed, builds, build = [], [], wigner._coefficients
-    wigner._coefficients = lambda matrix: builds.append(1) or build(matrix)
+    failed, counts = [], {}
+
+    def tally(key, fn):
+        def counted(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return counted
+
+    descend, fit_jet = witnesses.lockstep_newton, witnesses._fit_jet
+
+    def descent(jet, *args):
+        return descend(tally("descent jet calls", jet), *args)
+
+    def counted_fit_jet(psi):
+        value, jet = fit_jet(psi)
+        return tally("fit value calls", value), jet
+
+    spies = [
+        (wigner, "_coefficients", tally("coefficient builds", wigner._coefficients)),
+        (wigner, "lockstep_newton", descent),
+        (witnesses, "lockstep_newton", descent),
+        (witnesses, "_fit_jet", counted_fit_jet),
+    ]
+    originals = [(module, name, getattr(module, name)) for module, name, _ in spies]
+    for module, name, spy in spies:
+        setattr(module, name, spy)
     for command, out in OUTPUTS.items():
-        builds.clear()
+        counts.update(dict.fromkeys(("coefficient builds", "descent jet calls", "fit value calls"), 0))
         start = time.perf_counter()
         if main([command, "--out", out]) != 0:
             failed.append(command)
-        print(f"{out}: {time.perf_counter() - start:.3f} s, coefficient builds: {len(builds)}")
-    wigner._coefficients = build
+        work = ", ".join(f"{key}: {n}" for key, n in counts.items())
+        print(f"{out}: {time.perf_counter() - start:.3f} s, {work}")
+    for module, name, original in originals:
+        setattr(module, name, original)
     if failed:
         print(f"failed: {', '.join(failed)}", file=sys.stderr)
         return 1

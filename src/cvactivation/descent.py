@@ -4,8 +4,8 @@ One descent serves the package's two searches: the Gaussian fit of
 :func:`~cvactivation.witnesses.gaussian_fidelity` (-log F over four chart
 coordinates, three for a number state) and the negativity-depth search of
 :func:`~cvactivation.wigner.negativity_depth_fn` (W over (Re alpha, Im alpha)).
-Each passes a batched jet, its starts as rows, the starting trust radius and
-a step cap.
+Each passes a batched jet, its starts as rows with their values, the starting
+trust radius, a step cap and the value at which it may stop.
 """
 
 from __future__ import annotations
@@ -54,35 +54,25 @@ def trust_steps(grad: np.ndarray, hess: np.ndarray, radius: np.ndarray) -> np.nd
     return step * np.minimum(1.0, radius / np.linalg.norm(step, axis=1))[:, None]
 
 
-def off_zeros(x: np.ndarray, f: np.ndarray, radius: float) -> np.ndarray:
-    """Moves the zero first coordinate of each row of ``x`` valued +inf out to
-    ``radius``, in place; returns those rows' mask, for the caller to revalue."""
-    flat = f == np.inf
-    x[flat, 0] = np.where(x[flat, 0] == 0.0, radius, x[flat, 0])
-    return flat
-
-
 def lockstep_newton(
-    jet, starts: np.ndarray, radius: float, maxiter: int, enough: float
+    jet, starts: np.ndarray, values: np.ndarray, radius: float, maxiter: int, enough: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Trust-region Newton descent from every start at once, with the radius
     rule of Nocedal and Wright's Algorithm 4.1.
 
     ``jet`` maps points (k, n) to values (k,), gradients (k, n) and Hessians
-    (k, n, n).  One ``jet`` call per step evaluates the trial points of all
-    starts not yet stationary.  Every start's trust radius begins at
-    ``radius``.  A step is accepted only if it realises more than
-    ``_ACCEPT`` of the decrease its model predicts and its value is below
-    the start's: the ratio alone would pass a rise wherever rounding makes
-    the predicted decrease non-positive.  So no start's value ever rises.
-    A step that realises less than a quarter shrinks the radius to a
-    quarter of its length; one on the boundary that realises more than three
-    quarters doubles it.  A start valued +inf (F = 0 in the Gaussian fit, as
-    at b = 0 for an odd psi) first moves a zero first coordinate out to
-    ``radius`` (:func:`off_zeros`), the edge of its first trust region:
-    near a k-fold zero the value is about -2k log|x_0|, so a Newton step
-    only doubles a small |x_0| and a start placed close to the zero would
-    spend its first dozen steps leaving it.  A start whose value or
+    (k, n, n); ``values`` are the caller's values of ``starts``.  If some
+    value is at or below ``enough``, the starts are returned with those
+    values, none stationary, after 0 steps and no ``jet`` call.  Else one
+    ``jet`` call at the starts replaces the given values, and one per step
+    evaluates the trial points of all starts not yet stationary.  Every
+    start's trust radius begins at ``radius``.  A step is accepted only if
+    it realises more than ``_ACCEPT`` of the decrease its model predicts and
+    its value is below the start's: the ratio alone would pass a rise
+    wherever rounding makes the predicted decrease non-positive.  So no
+    start's value ever rises.  A step that realises less than a quarter
+    shrinks the radius to a quarter of its length; one on the boundary that
+    realises more than three quarters doubles it.  A start whose value or
     derivatives are not finite is dropped.
     The descent stops as soon as some start's value is at or below
     ``enough``, so a caller that only needs the least value to reach a level
@@ -91,10 +81,9 @@ def lockstep_newton(
     and the number of steps run, at most ``maxiter``.
     """
     x = np.array(starts, dtype=float)
+    if (values <= enough).any():
+        return x, values, np.zeros(len(x), dtype=bool), 0
     f, grad, hess = jet(x)
-    flat = off_zeros(x, f, radius)
-    if flat.any():
-        f[flat], grad[flat], hess[flat] = jet(x[flat])
     radii = np.full(len(x), radius)
 
     def status() -> tuple[np.ndarray, np.ndarray]:

@@ -253,12 +253,16 @@ def checked_coherent_tail(alpha: complex, dim: int, tail_tol: float, what: str) 
     return tail
 
 
-def pure_fidelity(psi: PureState, rho: DensityMatrix) -> float:
-    """<psi|rho|psi>, the Uhlmann fidelity for a pure first argument."""
+def _overlap(psi: PureState, rho: DensityMatrix) -> float:
+    """<psi|rho|psi> unclamped, the one-copy overlap of a projector witness."""
     if psi.dim != rho.dim:
         raise ValueError(f"mixed cutoffs: {psi.dim} vs {rho.dim}")
-    val = np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)
-    return min(max(float(np.real(val)), 0.0), 1.0)
+    return float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
+
+
+def pure_fidelity(psi: PureState, rho: DensityMatrix) -> float:
+    """<psi|rho|psi> clamped to [0, 1], the Uhlmann fidelity for a pure first argument."""
+    return min(max(_overlap(psi, rho), 0.0), 1.0)
 
 
 def trace_norm(x: OperatorMatrix | np.ndarray) -> float:

@@ -117,9 +117,9 @@ def _family_search(
     parity, which comes first and so wins ties.  The fit stops once its lam
     reaches lam* (1 + 1e-9), and that lam values the projectors; a fit that
     never reaches it runs in full, as :func:`gaussian_fidelity`; one whose
-    starts reach it is decided on their values and reports steps 0,
-    n_converged 0 and spread 0.0.  A projector that beats parity at a
-    lam >= lam* raises :class:`InvariantError`.
+    starts reach it is the descent's early return, on the starts' values
+    with no derivative, and reports steps 0, n_converged 0 and spread 0.0.
+    A projector that beats parity at a lam >= lam* raises :class:`InvariantError`.
     """
     cfg = cfg or FamilySearchConfig()
     if is_odd_parity(rho):

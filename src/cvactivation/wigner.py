@@ -475,6 +475,7 @@ def negativity_depth_fn(
     points, refined, stationary, _ = lockstep_newton(
         lambda x: jet_fn(x[:, 0] + 1j * x[:, 1]),
         np.column_stack([seeds.real, seeds.imag]),
+        values[order],
         radius / cfg.resolution / 2.0,
         40,
         -math.inf,

@@ -31,9 +31,9 @@ from enum import Enum
 
 import numpy as np
 
-from .descent import lockstep_newton, off_zeros
+from .descent import lockstep_newton
 from .errors import TruncationError
-from .fock import DensityMatrix, OperatorMatrix, PureState, _whole_fields
+from .fock import DensityMatrix, OperatorMatrix, PureState, _overlap, _whole_fields
 from .states import GaussianPureParams, from_chart, gaussian_amps
 from .wigner import wigner_batch
 
@@ -191,13 +191,6 @@ def violation(witness: Family, rho: DensityMatrix) -> float:
             raise ValueError(f"witness expectation has imaginary part {val.imag:.3e}")
         return -val.real
     return _overlap(witness.psi, rho) ** witness.copies - witness.lam**witness.copies
-
-
-def _overlap(psi: PureState, rho: DensityMatrix) -> float:
-    """<psi|rho|psi>, the one-copy overlap of a projector witness."""
-    if psi.dim != rho.dim:
-        raise ValueError("projector state cutoff mismatch")
-    return float(np.real(np.vdot(psi.amplitudes, rho.matrix @ psi.amplitudes)))
 
 
 def _parity_violation(wigner: float) -> float:
@@ -441,6 +434,19 @@ def _on_rotation_slice(value, jet):
     return (lambda y: value(_lift(y))), sliced
 
 
+def _start_values(value, starts: np.ndarray) -> np.ndarray:
+    """``value`` at ``starts`` once each start valued +inf (F = 0) has moved a
+    zero first coordinate out to 1, the fit's first trust radius, in place:
+    near a k-fold zero -log F is about -2k log|x_0|, so a Newton step only
+    doubles a small |x_0|, and a start near the zero would spend steps leaving it."""
+    values = value(starts)
+    flat = values == np.inf
+    if flat.any():
+        starts[flat, 0] = np.where(starts[flat, 0] == 0.0, 1.0, starts[flat, 0])
+        values[flat] = value(starts[flat])
+    return values
+
+
 def gaussian_fidelity(
     psi: PureState, cfg: GaussianFitConfig | None = None
 ) -> GaussianFidelityResult:
@@ -480,7 +486,8 @@ def gaussian_fidelity(
     :func:`~cvactivation.states.gaussian_pure` builds.
     This is the full fit: the hierarchy's family search runs the same fit
     but stops it once its fidelity passes the level where no projector
-    witness can beat the parity candidate (:func:`_gaussian_fit`).
+    witness can beat the parity candidate (:func:`_gaussian_fit`), at the
+    starts if their values already pass it.
     """
     return _gaussian_fit(psi, GaussianFitConfig() if cfg is None else cfg, math.inf)
 
@@ -490,10 +497,10 @@ def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> Gaussi
     fidelity reaches ``stop`` (F >= stop, that is -log F <= -log stop; see
     :func:`~cvactivation.descent.lockstep_newton`).  Every start's fidelity
     only rises, so the result's is then at least ``stop``; ``stop = inf``
-    runs the full fit.  A finite ``stop`` some start reaches, once moved off
-    a zero (:func:`~cvactivation.descent.off_zeros`), is decided on values
-    alone: no derivative, and the result reports steps 0, n_converged 0 and
-    spread 0.0."""
+    runs the full fit.  The starts are valued once (:func:`_start_values`)
+    and handed to the descent with those values, so a ``stop`` some start
+    reaches is the descent's early return: no derivative, and the result
+    reports steps 0, n_converged 0 and spread 0.0."""
     if psi.tail_mass(psi.dim - max(2, psi.dim // 10)) > 1e-4:
         raise TruncationError(
             "state occupies the top Fock levels; raise the cutoff before "
@@ -507,14 +514,10 @@ def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> Gaussi
         starts, (value, jet) = np.column_stack([np.abs(b), w.real, w.imag]), _on_rotation_slice(value, jet)
     keys = [start.tobytes() for start in starts]
     runs = dict(zip(keys, starts))  # a repeated start runs once
-    unique, steps = np.array(list(runs.values())), 0
+    unique = np.array(list(runs.values()))
+    values = _start_values(value, unique)
     enough = math.inf if stop == 0.0 else -math.log(stop)
-    if stop < math.inf:  # the descent's first test, on values alone
-        points, values, stationary = unique.copy(), value(unique), np.zeros(len(unique), dtype=bool)
-        if (flat := off_zeros(points, values, 1.0)).any():
-            values[flat] = value(points[flat])
-    if stop == math.inf or not (values <= enough).any():
-        points, values, stationary, steps = lockstep_newton(jet, unique, 1.0, cfg.maxiter, enough)
+    points, values, stationary, steps = lockstep_newton(jet, unique, values, 1.0, cfg.maxiter, enough)
     if sliced:
         points = _lift(points)
     rows = [list(runs).index(key) for key in keys]
@@ -523,7 +526,7 @@ def _gaussian_fit(psi: PureState, cfg: GaussianFitConfig, stop: float) -> Gaussi
     x = points[rows[int(np.argmax(fids))]]
     t = complex(x[2], x[3]) / math.sqrt(1.0 + (x[2] * x[2] + x[3] * x[3]))
     return GaussianFidelityResult(
-        max_fidelity=min(float(fids.max()), 1.0),
+        max_fidelity=float(fids.max()),
         argmax=from_chart(complex(x[0], x[1]), t),
         multistart_spread=float(converged.max() - converged.min()) if converged.size else 0.0,
         n_converged=converged.size,

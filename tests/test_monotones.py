@@ -258,12 +258,12 @@ def test_a_fit_parity_must_win_from_its_starts_takes_no_derivative(monkeypatch):
         assert jets == []
         assert (fits[-1].steps, fits[-1].n_converged, fits[-1].multistart_spread) == (0, 0, 0.0)
     # Fock 2, where a projector wins: the values settle nothing and the
-    # descent runs as in gaussian_fidelity, one jet at the starts, one at the
-    # start moved off the origin and one per step
+    # descent runs as in gaussian_fidelity, one jet at the starts (the start
+    # moved off the origin among them) and one per step
     fits.clear()
     hierarchy_check(fock(2, 30).to_density(), cfg=ACCEPTANCE_SEARCH)
     (fit,) = fits
-    assert len(jets) == fit.steps + 2 and fit.steps == 16
+    assert len(jets) == fit.steps + 1 and fit.steps == 16
 
 
 def test_a_projector_winning_a_stopped_fit_is_an_invariant_error(monkeypatch):

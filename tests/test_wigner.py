@@ -728,3 +728,24 @@ def test_lowest_grid_points_match_the_stable_argsort(eta):
     assert np.unique(values[full]).size < full.size  # the seeds hold a tie
     for k in (1, 2, 3, 5, 8, 100):
         assert np.array_equal(wigner._basin_seeds(values, k), full[:k])
+
+
+def test_the_depth_search_hands_the_descent_its_seeds_grid_values(monkeypatch):
+    # the refinement starts from the grid scan's own values at the seeds of
+    # _basin_seeds, and passes -inf, so those values decide nothing
+    scans, seeds, handed = [], [], []
+    scan, basin_seeds, descend = wigner._grid_values, wigner._basin_seeds, wigner.lockstep_newton
+
+    def recorded(jet, starts, values, radius, maxiter, enough):
+        handed.append((values.copy(), enough))
+        return descend(jet, starts, values, radius, maxiter, enough)
+
+    monkeypatch.setattr(wigner, "_grid_values", lambda *a: scans.append(scan(*a)) or scans[-1])
+    monkeypatch.setattr(wigner, "_basin_seeds", lambda *a: seeds.append(basin_seeds(*a)) or seeds[-1])
+    monkeypatch.setattr(wigner, "lockstep_newton", recorded)
+    for rho in (pure_loss(0.7, 30).apply(fock(1, 30).to_density()), cat(1.5, -1, 30).to_density()):
+        scans.clear(), seeds.clear(), handed.clear()
+        negativity_depth(rho)
+        ((values, enough),) = handed
+        assert enough == -math.inf and len(values) == len(seeds[0]) > 1
+        assert values.tobytes() == scans[0][seeds[0]].tobytes()

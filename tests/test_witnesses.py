@@ -36,6 +36,7 @@ from cvactivation.witnesses import (
     _informed_starts,
     _lift,
     _on_rotation_slice,
+    _start_values,
 )
 
 from conftest import (
@@ -511,9 +512,10 @@ def test_fit_jet_matches_finite_differences():
     ids=["fock1", "fock2", "fock3", "odd_cat", *(f"random{seed}" for seed in range(4))],
 )
 def test_the_fit_value_is_the_jets_value_bit_for_bit(make):
-    # the screen of a stopped fit decides on the value alone, so it must see
-    # the very bits the descent would: random batches of 1 to 33 rows, with
-    # b = 0 (F = 0 for an odd psi) and |b| near 35 (the mass overflows)
+    # a stopped fit is decided on its starts' values alone (the descent's
+    # early return), so they must be the very bits the jet would give: random
+    # batches of 1 to 33 rows, with b = 0 (F = 0 for an odd psi) and |b| near
+    # 35 (the mass overflows)
     value, jet = _fit_jet(make())
     sliced_value, sliced_jet = _on_rotation_slice(value, jet)
     rng = np.random.default_rng(41)
@@ -541,8 +543,8 @@ def test_a_screened_fit_is_the_fit_at_its_starts(monkeypatch):
     # stopped at its starts
     run = descent.lockstep_newton
 
-    def at_the_starts(jet, x0, radius, maxiter, enough):
-        return run(jet, x0, radius, maxiter, math.inf)
+    def at_the_starts(jet, x0, values, radius, maxiter, enough):
+        return run(jet, x0, values, radius, maxiter, math.inf)
 
     for psi in (fock(1, 30), fock(2, 30), cat(1.5, -1, 40), _random_low_state(5)):
         with monkeypatch.context() as patch:
@@ -565,14 +567,15 @@ def test_fit_recurrence_stops_at_the_top_occupied_level(monkeypatch):
         return amps(b, t, levels)
 
     monkeypatch.setattr(witnesses, "gaussian_amps", recorded)
-    # one table per jet call, for all live starts at once: one at the
-    # starts, one per step and one at the starts where F = 0 (b = 0 for |1>,
-    # the origin for |2>), moved out to the trust radius
+    # one table per value or jet call, for all live starts at once: a value
+    # at the starts, a value at the starts where F = 0 (b = 0 for |1>, the
+    # origin for |2>) moved out to the trust radius, a jet at the starts and
+    # one per step
     for n, levels, expected in ((1, 2, _FOCK1_FIT), (2, 3, _FOCK2_FIT)):
         tables.clear()
         res = gaussian_fidelity(fock(n, 30))
         assert repr(res) == expected
-        assert len(tables) == res.steps + 2 and set(tables) == {levels}
+        assert len(tables) == res.steps + 3 and set(tables) == {levels}
 
 
 def _on_the_slice(starts):
@@ -593,14 +596,18 @@ def test_a_repeated_start_runs_once(monkeypatch):
     run = descent.lockstep_newton
     assert witnesses.lockstep_newton is run  # the fit runs the shared descent
 
-    def counted(jet, x0, radius, maxiter, enough):
+    def counted(jet, x0, values, radius, maxiter, enough):
         ran.extend(start.tobytes() for start in x0)
-        return run(jet, x0, radius, maxiter, enough)
+        return run(jet, x0, values, radius, maxiter, enough)
 
     monkeypatch.setattr(witnesses, "lockstep_newton", counted)
     # both starts are still counted: n_converged stays 16
     assert repr(gaussian_fidelity(psi)) == _FOCK1_FIT
-    assert sorted(ran) == sorted({start.tobytes() for start in starts})
+    # the descent sees each distinct start once, those where F = 0 moved off
+    # their zero as the fit moves them
+    unique = np.array(list({start.tobytes(): start for start in starts}.values()))
+    _start_values(_on_rotation_slice(*_fit_jet(psi))[0], unique)
+    assert sorted(ran) == sorted(start.tobytes() for start in unique)
     assert len(ran) == len(starts) - 1
 
 
@@ -609,20 +616,25 @@ def test_a_start_valued_inf_moves_its_zero_coordinate_out_to_the_trust_radius():
     # simple zero of the overlap, and least at (+-1, 0)
     calls = []
 
-    def jet(x):
+    def value(x):
         calls.append(x.copy())
         with np.errstate(divide="ignore"):
-            value = x[:, 0] ** 2 - 2.0 * np.log(np.abs(x[:, 0])) + x[:, 1] ** 2
-            grad = np.column_stack([2.0 * x[:, 0] - 2.0 / x[:, 0], 2.0 * x[:, 1]])
-            curv = 2.0 + 2.0 / x[:, 0] ** 2
+            return x[:, 0] ** 2 - 2.0 * np.log(np.abs(x[:, 0])) + x[:, 1] ** 2
+
+    def jet(x):
+        grad = np.column_stack([2.0 * x[:, 0] - 2.0 / x[:, 0], 2.0 * x[:, 1]])
         hess = np.zeros((len(x), 2, 2))
-        hess[:, 0, 0], hess[:, 1, 1] = curv, 2.0
-        return value, grad, hess
+        hess[:, 0, 0], hess[:, 1, 1] = 2.0 + 2.0 / x[:, 0] ** 2, 2.0
+        return value(x), grad, hess
 
     starts = np.array([[0.0, 0.3], [0.5, 0.1], [0.0, -0.2]])
-    points, values, stationary, steps = descent.lockstep_newton(jet, starts, 0.7, 40, -math.inf)
-    # the flat starts alone are evaluated again, each at exactly the radius
-    assert calls[1].tolist() == [[0.7, 0.3], [0.7, -0.2]]
+    values = _start_values(value, starts)
+    # the flat starts alone are valued again, each moved in place to exactly
+    # the fit's first trust radius, 1
+    assert calls[1].tolist() == [[1.0, 0.3], [1.0, -0.2]]
+    assert starts.tolist() == [[1.0, 0.3], [0.5, 0.1], [1.0, -0.2]]
+    assert values.tobytes() == value(starts).tobytes()
+    points, values, stationary, steps = descent.lockstep_newton(jet, starts, values, 1.0, 40, -math.inf)
     assert stationary.all() and np.allclose(points, [[1.0, 0.0]] * 3, atol=1e-9)
     assert steps <= 8
 
@@ -673,8 +685,8 @@ def test_the_slice_fit_reaches_the_full_chart_fit(n):
     # the same descent on the same jet from the unturned starts, over all four
     # coordinates, finds no larger lambda
     psi = fock(n, 40)
-    starts = np.array(_informed_starts(psi, GaussianFitConfig()))
-    values = descent.lockstep_newton(_fit_jet(psi)[1], starts, 1.0, 400, -math.inf)[1]
+    starts, (value, jet) = np.array(_informed_starts(psi, GaussianFitConfig())), _fit_jet(psi)
+    values = descent.lockstep_newton(jet, starts, _start_values(value, starts), 1.0, 400, -math.inf)[1]
     full = float(np.exp(-np.where(np.isnan(values), np.inf, values)).max())
     assert gaussian_fidelity(psi).max_fidelity >= full - 1e-15
 
@@ -724,12 +736,27 @@ def test_the_descent_stops_once_a_value_reaches_enough():
 
     # (the least value runs 25, 20.25, 12.25, 2.25, 0 from a radius of 0.5)
     starts = np.array([[3.0, 4.0], [0.0, 6.0]])
-    full = descent.lockstep_newton(jet, starts, 0.5, 100, -math.inf)
+    at_starts = jet(starts)[0]
+    full = descent.lockstep_newton(jet, starts, at_starts, 0.5, 100, -math.inf)
     assert full[2].all() and full[3] == 4
-    assert descent.lockstep_newton(jet, starts, 0.5, 100, math.inf)[3] == 0
+    assert descent.lockstep_newton(jet, starts, at_starts, 0.5, 100, math.inf)[3] == 0
     for enough, stop in ((20.25, 1), (20.0, 2), (12.25, 2), (3.0, 3), (1.0, 4)):
-        values, steps = descent.lockstep_newton(jet, starts, 0.5, 100, enough)[1::2]
+        values, steps = descent.lockstep_newton(jet, starts, at_starts, 0.5, 100, enough)[1::2]
         assert steps == stop and values.min() <= enough
+
+
+def test_a_descent_decided_at_its_starts_takes_no_jet_and_returns_the_callers_values():
+    # once a given value is at or below enough the caller's values decide:
+    # no jet call, the starts and the caller's bytes back, none stationary
+    def jet(x):
+        raise AssertionError("jet called")
+
+    starts = np.array([[3.0, 4.0], [0.0, 6.0]])
+    given = np.array([25.0, 36.0]) + np.array([1e-13, -1e-13])  # not the bytes of |x|^2
+    for enough in (25.0 + 1e-13, 36.0, math.inf):
+        points, values, stationary, steps = descent.lockstep_newton(jet, starts, given, 0.5, 100, enough)
+        assert points.tobytes() == starts.tobytes() and values.tobytes() == given.tobytes()
+        assert not stationary.any() and steps == 0
 
 
 def _old_informed_starts(psi, cfg):
